@@ -57,7 +57,10 @@ def example41(L: float) -> Benchmark:
 
     The costate is identically L and the second-order equation vanishes, so
     the augmented Hamiltonian collapses to sin(Lz + L^2 (v - u)) plus
-    (rho/2)(v - u)^2 with the problem's explicit rho.
+    (rho/2)(v - u)^2 with the problem's explicit rho. The costate equation has
+    A_1 = 0, B_1 = f_z I and f_x = 0 with terminal L, so (p, q) = (L, 0) is its
+    unique solution; it is attached as the costate hint, which makes
+    ``run_msa`` skip the regression costate solve.
     """
     if not (0.0 < L <= math.sqrt(math.pi)):
         raise ConfigurationError(f"L must lie in (0, sqrt(pi)], got {L}")
@@ -117,7 +120,8 @@ def example41(L: float) -> Benchmark:
         name="example41", spec=spec,
         domain=FiniteSet(np.array([[0.0], [1.0]])),
         rho=example41_rho(L),
-        hints=RunHints(hamiltonian=h_simplified, penalty=pen_simplified),
+        hints=RunHints(hamiltonian=h_simplified, penalty=pen_simplified,
+                       first_order_ode=lambda grid: np.full((grid.steps + 1, 1), L)),
         jstar=0.0,
         notes="optimal quadruple (X, Y, Z, u) = (0, 0, 0, 0)")
 

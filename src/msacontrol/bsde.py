@@ -65,18 +65,21 @@ class RegressionBackend:
         if self.ridge < 0:
             raise ConfigurationError("ridge must be >= 0")
 
-    def fit(self, features: Array, targets: Array):
-        """Solve the (ridge) normal equations; returns (coef, exponents)."""
+    def _design(self, features: Array):
+        """(design matrix, exponents) of the monomial basis at the features."""
         features = np.atleast_2d(np.asarray(features, dtype=float))
         exponents = _monomial_exponents(features.shape[1], self.degree)
         if features.shape[0] < len(exponents):
             raise ConfigurationError(
                 f"need at least as many samples ({features.shape[0]}) as basis "
                 f"functions ({len(exponents)})")
-        A = _design_matrix(features, exponents)
+        return _design_matrix(features, exponents), exponents
+
+    def _solve(self, A: Array, targets: Array) -> Array:
+        """Coefficients of the (ridge) normal equations of design A."""
         gram = A.T @ A
         if self.ridge > 0:
-            idx = np.arange(1, len(exponents))
+            idx = np.arange(1, A.shape[1])
             gram[idx, idx] += self.ridge
         rhs = A.T @ np.asarray(targets, dtype=float)
         try:
@@ -88,12 +91,17 @@ class RegressionBackend:
         if not np.all(np.isfinite(coef)):
             raise NumericalError(
                 "regression produced non-finite coefficients; set ridge > 0")
-        return coef, exponents
+        return coef
+
+    def fit(self, features: Array, targets: Array):
+        """Solve the (ridge) normal equations; returns (coef, exponents)."""
+        A, exponents = self._design(features)
+        return self._solve(A, targets), exponents
 
     def project(self, step: int, features: Array, targets: Array) -> Array:
-        """In-sample conditional-expectation estimate (fit + predict)."""
-        coef, exponents = self.fit(features, targets)
-        return _design_matrix(np.atleast_2d(features), exponents) @ coef
+        """In-sample conditional-expectation estimate (fit + predict, one design)."""
+        A, _ = self._design(features)
+        return A @ self._solve(A, targets)
 
 
 def condexp_fit(features: Array, targets: Array, backend: RegressionBackend) -> Callable:

@@ -1,9 +1,10 @@
 """Hamiltonian evaluation and the pointwise control update.
 
-Everything here is pure. The batch functions take one leading sample axis and
-are what the solver loop calls; the single-point wrappers mirror them for
-direct use and testing. The candidate control v may be a single point (k,) or
-a per-sample array (B, k).
+Everything here is pure. The batch functions take one leading sample axis;
+they and the solver's ``minimize_step`` share one set of per-candidate
+helpers, so each formula is written once. The single-point wrappers mirror
+them for direct use and testing. The candidate control v may be a single
+point (k,) or a per-sample array (B, k).
 
 The augmented Hamiltonian adds rho/2 times squared coefficient and
 G-derivative differences between the candidate and the current control; its
@@ -14,11 +15,11 @@ z + delta), never finite differences, because they sit inside a minimization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericalError
 from .model import ControlDomain, ProblemSpec, enumerate_controls
 
 Array = np.ndarray
@@ -45,14 +46,85 @@ def _ctl(v, B: int, k: int) -> Array:
     return v
 
 
+def _gap(p: Array, s: Array, s_u: Array):
+    """(ds, delta): diffusion gap sigma(v) - sigma(u) and delta_i = (ds^i)' p."""
+    ds = s - s_u
+    return ds, np.einsum("mnd,mn->md", ds, p)
+
+
+def _g(spec: ProblemSpec, t: float, x: Array, y: Array, p: Array, q: Array,
+       v: Array, b: Array, s: Array, zs: Array) -> Array:
+    """G from the candidate's drift b, diffusion s and shifted z."""
+    return (np.einsum("mn,mn->m", p, b)
+            + np.einsum("mnd,mnd->m", q, s)
+            + spec.driver(t, x, y, zs, v))
+
+
+def _h(spec: ProblemSpec, t: float, x: Array, y: Array, p: Array, q: Array,
+       P: Array, v: Array, b: Array, s: Array, ds: Array, zs: Array) -> Array:
+    """H = G plus the curvature term of the diffusion gap ds."""
+    g = _g(spec, t, x, y, p, q, v, b, s, zs)
+    return g + 0.5 * np.einsum("mni,mnk,mki->m", ds, P, ds)
+
+
+def _candidate(spec: ProblemSpec, t, x, y, z, p, q, P, v, s_u):
+    """H at the candidate v with the terms its penalty shares: (h, b, ds, z + delta)."""
+    b = spec.drift(t, x, v)
+    s = spec.diffusion(t, x, v)
+    ds, delta = _gap(p, s, s_u)
+    zs = z + delta
+    return _h(spec, t, x, y, p, q, P, v, b, s, ds, zs), b, ds, zs
+
+
+def _g_derivatives(spec: ProblemSpec, t, x, y, zs, p, q, v, sx_v, sx_u):
+    """(G_x, G_y, G_z) at the candidate v, with sigma_x at v and at u, at shifted z."""
+    dv = spec.derivatives
+    fz = dv.f_z(t, x, y, zs, v)
+    gx = (np.einsum("mij,mi->mj", dv.b_x(t, x, v), p)
+          + np.einsum("miab,mai->mb", sx_v, q)
+          + dv.f_x(t, x, y, zs, v)
+          + np.einsum("mik,mi->mk", np.einsum("mijk,mj->mik", sx_v - sx_u, p), fz))
+    gy = dv.f_y(t, x, y, zs, v)
+    return gx, gy, fz
+
+
+class _Current(NamedTuple):
+    """Terms at the current control u that every candidate's penalty compares against."""
+
+    b: Array        # drift(u)
+    f: Array        # driver at the unshifted z
+    sx: Array       # sigma_x(u)
+    g_derivs: tuple  # (G_x, G_y, G_z) at (u, u)
+
+
+def _current(spec: ProblemSpec, t, x, y, z, p, q, u, b_u, zs_u) -> _Current:
+    """b_u is drift(u) and zs_u is z + delta(u, u)."""
+    sx = spec.derivatives.sigma_x(t, x, u)
+    return _Current(b=b_u, f=spec.driver(t, x, y, z, u), sx=sx,
+                    g_derivs=_g_derivatives(spec, t, x, y, zs_u, p, q, u, sx, sx))
+
+
+def _penalty(spec: ProblemSpec, t, x, y, z, p, q, v, b, ds, zs, cur: _Current) -> Array:
+    """Squared-difference penalty of the candidate v against the current terms."""
+    db = b - cur.b
+    df = spec.driver(t, x, y, z, v) - cur.f
+    pen = (db ** 2).sum(axis=1) + (ds ** 2).sum(axis=(1, 2)) + df ** 2
+    gx_v, gy_v, gz_v = _g_derivatives(spec, t, x, y, zs, p, q, v,
+                                      spec.derivatives.sigma_x(t, x, v), cur.sx)
+    gx_u, gy_u, gz_u = cur.g_derivs
+    pen = pen + ((gx_v - gx_u) ** 2).sum(axis=1)
+    pen = pen + (gy_v - gy_u) ** 2
+    pen = pen + ((gz_v - gz_u) ** 2).sum(axis=1)
+    return pen
+
+
 def delta_tilde_batch(spec: ProblemSpec, t: float, x: Array, p: Array,
                       v, u) -> Array:
     """Component i = (sigma^i(t, x, v) - sigma^i(t, x, u))' p, shape (B, d)."""
     B = x.shape[0]
     v = _ctl(v, B, spec.k)
     u = _ctl(u, B, spec.k)
-    ds = spec.diffusion(t, x, v) - spec.diffusion(t, x, u)
-    return np.einsum("mnd,mn->md", ds, p)
+    return _gap(p, spec.diffusion(t, x, v), spec.diffusion(t, x, u))[1]
 
 
 def g_batch(spec: ProblemSpec, t: float, x: Array, y: Array, z: Array,
@@ -60,12 +132,10 @@ def g_batch(spec: ProblemSpec, t: float, x: Array, y: Array, z: Array,
     """G = p'b(v) + sum_i (q^i)' sigma^i(v) + f(t, x, y, z + delta, v)."""
     B = x.shape[0]
     v = _ctl(v, B, spec.k)
-    delta = delta_tilde_batch(spec, t, x, p, v, u)
-    bv = spec.drift(t, x, v)
-    sv = spec.diffusion(t, x, v)
-    return (np.einsum("mn,mn->m", p, bv)
-            + np.einsum("mnd,mnd->m", q, sv)
-            + spec.driver(t, x, y, z + delta, v))
+    u = _ctl(u, B, spec.k)
+    s = spec.diffusion(t, x, v)
+    _, delta = _gap(p, s, spec.diffusion(t, x, u))
+    return _g(spec, t, x, y, p, q, v, spec.drift(t, x, v), s, z + delta)
 
 
 def h_batch(spec: ProblemSpec, t: float, x: Array, y: Array, z: Array,
@@ -74,26 +144,7 @@ def h_batch(spec: ProblemSpec, t: float, x: Array, y: Array, z: Array,
     B = x.shape[0]
     v = _ctl(v, B, spec.k)
     u = _ctl(u, B, spec.k)
-    g = g_batch(spec, t, x, y, z, p, q, v, u)
-    ds = spec.diffusion(t, x, v) - spec.diffusion(t, x, u)
-    quad = np.einsum("mni,mnk,mki->m", ds, P, ds)
-    return g + 0.5 * quad
-
-
-def _g_derivatives(spec: ProblemSpec, t, x, y, z, p, q, v, u):
-    """(G_x, G_y, G_z) at (v, u), each evaluated at the shifted z + delta."""
-    dv = spec.derivatives
-    delta = delta_tilde_batch(spec, t, x, p, v, u)
-    zs = z + delta
-    fz = dv.f_z(t, x, y, zs, v)
-    sx_v = dv.sigma_x(t, x, v)
-    sx_u = dv.sigma_x(t, x, u)
-    gx = (np.einsum("mij,mi->mj", dv.b_x(t, x, v), p)
-          + np.einsum("miab,mai->mb", sx_v, q)
-          + dv.f_x(t, x, y, zs, v)
-          + np.einsum("mik,mi->mk", np.einsum("mijk,mj->mik", sx_v - sx_u, p), fz))
-    gy = dv.f_y(t, x, y, zs, v)
-    return gx, gy, fz
+    return _candidate(spec, t, x, y, z, p, q, P, v, spec.diffusion(t, x, u))[0]
 
 
 def penalty_batch(spec: ProblemSpec, t: float, x: Array, y: Array, z: Array,
@@ -107,16 +158,11 @@ def penalty_batch(spec: ProblemSpec, t: float, x: Array, y: Array, z: Array,
     B = x.shape[0]
     v = _ctl(v, B, spec.k)
     u = _ctl(u, B, spec.k)
-    db = spec.drift(t, x, v) - spec.drift(t, x, u)
-    dsig = spec.diffusion(t, x, v) - spec.diffusion(t, x, u)
-    df = spec.driver(t, x, y, z, v) - spec.driver(t, x, y, z, u)
-    pen = (db ** 2).sum(axis=1) + (dsig ** 2).sum(axis=(1, 2)) + df ** 2
-    gx_v, gy_v, gz_v = _g_derivatives(spec, t, x, y, z, p, q, v, u)
-    gx_u, gy_u, gz_u = _g_derivatives(spec, t, x, y, z, p, q, u, u)
-    pen = pen + ((gx_v - gx_u) ** 2).sum(axis=1)
-    pen = pen + (gy_v - gy_u) ** 2
-    pen = pen + ((gz_v - gz_u) ** 2).sum(axis=1)
-    return pen
+    s_u = spec.diffusion(t, x, u)
+    _, delta_u = _gap(p, s_u, s_u)
+    cur = _current(spec, t, x, y, z, p, q, u, spec.drift(t, x, u), z + delta_u)
+    ds, delta = _gap(p, spec.diffusion(t, x, v), s_u)
+    return _penalty(spec, t, x, y, z, p, q, v, spec.drift(t, x, v), ds, z + delta, cur)
 
 
 def h_aug_batch(spec: ProblemSpec, t: float, x: Array, y: Array, z: Array,
@@ -139,32 +185,65 @@ def minimize_step(spec: ProblemSpec, t: float, x: Array, y: Array, z: Array,
     Ties go to the lowest candidate index. Samples whose current control beats
     every candidate (possible only off the enumeration) keep it. Returns
     (u_new (B, k), h_new (B,), h_prev (B,), h_aug_new (B,)) where h_* are
-    values of the plain (non-augmented) Hamiltonian.
+    values of the plain (non-augmented) Hamiltonian. Raises NumericalError
+    naming the first path with a non-finite augmented value or h_prev.
+
+    Without hints, the terms at u_prev are evaluated once per call, and each
+    candidate's drift, diffusion and diffusion gap once, shared by H and the
+    penalty; the values equal those of h_batch and penalty_batch.
     """
-    if h_fn is None:
-        h_fn = h_batch
-    if pen_fn is None:
-        pen_fn = penalty_batch
     B = x.shape[0]
     n_c = len(candidates)
     h_vals = np.empty((n_c, B))
-    aug_vals = np.empty((n_c, B))
-    for idx, cand in enumerate(candidates):
-        hv = h_fn(spec, t, x, y, z, p, q, P, cand, u_prev)
-        h_vals[idx] = hv
+    pen_vals = np.empty((n_c, B)) if rho != 0.0 else None
+    if h_fn is None and pen_fn is None:
+        u = _ctl(u_prev, B, spec.k)
+        b_u = spec.drift(t, x, u)
+        s_u = spec.diffusion(t, x, u)
+        ds_u, delta_u = _gap(p, s_u, s_u)
+        zs_u = z + delta_u
+        h_prev = _h(spec, t, x, y, p, q, P, u, b_u, s_u, ds_u, zs_u)
         if rho != 0.0:
-            aug_vals[idx] = hv + 0.5 * rho * pen_fn(spec, t, x, y, z, p, q, cand, u_prev)
-        else:
-            aug_vals[idx] = hv
+            cur = _current(spec, t, x, y, z, p, q, u, b_u, zs_u)
+        for idx, cand in enumerate(candidates):
+            v = _ctl(cand, B, spec.k)
+            h_vals[idx], b, ds, zs = _candidate(spec, t, x, y, z, p, q, P, v, s_u)
+            if rho != 0.0:
+                pen_vals[idx] = _penalty(spec, t, x, y, z, p, q, v, b, ds, zs, cur)
+    else:
+        h_fn = h_fn or h_batch
+        pen_fn = pen_fn or penalty_batch
+        for idx, cand in enumerate(candidates):
+            h_vals[idx] = h_fn(spec, t, x, y, z, p, q, P, cand, u_prev)
+            if rho != 0.0:
+                pen_vals[idx] = pen_fn(spec, t, x, y, z, p, q, cand, u_prev)
+        h_prev = h_fn(spec, t, x, y, z, p, q, P, u_prev, u_prev)
+    aug_vals = h_vals + 0.5 * rho * pen_vals if rho != 0.0 else h_vals
+    _check_finite(aug_vals, h_prev, candidates)
     best = np.argmin(aug_vals, axis=0)
     rows = np.arange(B)
-    h_prev = h_fn(spec, t, x, y, z, p, q, P, u_prev, u_prev)
     keep = aug_vals[best, rows] > h_prev  # penalty vanishes at v = u_prev
     u_new = candidates[best].copy()
     u_new[keep] = u_prev[keep]
     h_new = np.where(keep, h_prev, h_vals[best, rows])
     h_aug_new = np.where(keep, h_prev, aug_vals[best, rows])
     return u_new, h_new, h_prev, h_aug_new
+
+
+def _check_finite(aug_vals: Array, h_prev: Array, candidates: Array) -> None:
+    """Raise on the first path whose candidate values or current value are not finite."""
+    bad_aug = ~np.isfinite(aug_vals)
+    bad_prev = ~np.isfinite(h_prev)
+    if not (bad_aug.any() or bad_prev.any()):
+        return
+    path = int(np.argmax(bad_aug.any(axis=0) | bad_prev))
+    if bad_aug[:, path].any():
+        idx = int(np.argmax(bad_aug[:, path]))
+        raise NumericalError(
+            f"non-finite augmented Hamiltonian {aug_vals[idx, path]} on path {path} "
+            f"at candidate {idx} {candidates[idx].tolist()}")
+    raise NumericalError(
+        f"non-finite Hamiltonian {h_prev[path]} at the current control on path {path}")
 
 
 # ---------------------------------------------------------------------------

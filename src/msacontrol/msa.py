@@ -19,7 +19,7 @@ import numpy as np
 from .adjoint import (FirstOrderAdjoint, SecondOrderAdjoint, first_order_adjoint,
                       second_order_adjoint, second_order_vanishes, zero_second_order)
 from .bsde import RegressionBackend, solve_state_bsde
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericalError
 from .hamiltonian import minimize_step
 from .model import ControlDomain, ProblemSpec, enumerate_controls
 from .stochastics import (BrownianBatch, ControlField, TimeGrid, girsanov_weights,
@@ -55,7 +55,11 @@ class MsaConfig:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """Bookkeeping for iteration m: J(u^{m-1}), mu_m, and the realized descent."""
+    """Bookkeeping for iteration m: J(u^{m-1}), mu_m, and the realized descent.
+
+    ``wall_ms`` times the body of iteration m only; it excludes the initial
+    forward simulation and cost BSDE that run_msa performs before the loop.
+    """
 
     m: int
     j: float
@@ -73,7 +77,8 @@ class RunHints:
     ``hamiltonian``/``penalty`` replace the general augmented-Hamiltonian pair
     in the update step (both or neither stay coherent with the recorded
     decrease). ``first_order_ode`` / ``second_order_ode`` supply deterministic
-    adjoints on the grid nodes where the problem admits them.
+    adjoints on the grid nodes where the problem admits them; ``run_msa`` then
+    skips the corresponding regression solve (a costate hint implies q = 0).
     """
 
     hamiltonian: Optional[Callable] = None
@@ -198,11 +203,15 @@ def run_msa(spec: ProblemSpec, domain: ControlDomain, config: MsaConfig,
             u_new_vals = np.empty_like(u_prev.values)
             hhat = np.empty((M, N))
             for j in range(N):
-                u_new_vals[:, j, :], h_new, h_prev, _ = minimize_step(
-                    spec, nodes[j], forward.states[:, j, :], backward.values[:, j],
-                    backward.integrand[:, j, :], first.p[:, j, :], first.q[:, j, :, :],
-                    second.P[:, j, :, :], u_prev.values[:, j, :], candidates,
-                    config.rho, h_fn=hints.hamiltonian, pen_fn=hints.penalty)
+                try:
+                    u_new_vals[:, j, :], h_new, h_prev, _ = minimize_step(
+                        spec, nodes[j], forward.states[:, j, :], backward.values[:, j],
+                        backward.integrand[:, j, :], first.p[:, j, :], first.q[:, j, :, :],
+                        second.P[:, j, :, :], u_prev.values[:, j, :], candidates,
+                        config.rho, h_fn=hints.hamiltonian, pen_fn=hints.penalty)
+                except NumericalError as exc:
+                    exc.args = (f"step {j}: {exc}",) + exc.args[1:]
+                    raise
                 hhat[:, j] = h_new - h_prev
             u_new = ControlField(u_new_vals)
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,26 @@ class TestFirstOrderAdjoint:
         # exact up to float summation order inside the block means
         assert np.max(np.abs(first.p - 0.1)) < 1e-14
         assert np.max(np.abs(first.q)) < 1e-14
+
+    def test_example41_hint_matches_regression(self):
+        bench = mc.example41(0.1)
+        steps = 4
+        hint = bench.hints.first_order_ode(mc.TimeGrid(1.0, steps))
+        assert np.all(hint == 0.1)
+        # exact conditional expectations: the regression solve is the hint
+        batch = mc.tree_batch(steps)
+        ctl = mc.benchmarks.tree_random_control(bench.domain, steps, 3)
+        fwd = mc.simulate_forward(bench.spec, ctl, batch)
+        bwd = mc.solve_state_bsde(bench.spec, fwd, ctl, mc.tree_backend(steps))
+        first = mc.first_order_adjoint(bench.spec, fwd, bwd, ctl, mc.tree_backend(steps))
+        assert np.max(np.abs(first.p - hint[None])) < 1e-9
+        assert np.max(np.abs(first.q)) < 1e-9
+        # Monte Carlo: the projections keep the mean, so mean q is the mean of
+        # the raw targets p_{j+1} dW_j / dt, whose per-path stderr bounds it
+        batch, _, _, _, first = pipeline(bench, 4000, 20, 12)
+        q = first.q[:, :, 0, 0]
+        raw = (first.p[:, 1:, 0] * batch.increments[:, :, 0] / batch.dt).mean(axis=1)
+        assert abs(q.mean()) <= 3 * raw.std(ddof=1) / np.sqrt(len(raw))
 
     def test_zero_spec(self):
         bench = mc.Benchmark(name="zero", spec=zero_spec(), domain=mc.FiniteSet([[0.0]]),
@@ -362,6 +384,8 @@ class TestBoundednessAcrossIterations:
         bench = mc.example41(0.1)
         cfg = mc.MsaConfig(rho=bench.rho, n_paths=4000, steps=20, seed=12,
                            max_iters=6)
-        res = mc.run_msa(bench.spec, bench.domain, cfg, "random", hints=bench.hints)
+        # without the costate hint, so that max|p| comes from the regression
+        hints = dataclasses.replace(bench.hints, first_order_ode=None)
+        res = mc.run_msa(bench.spec, bench.domain, cfg, "random", hints=hints)
         assert res.max_abs_p[-1] <= 1.5 * res.max_abs_p[0]
         assert res.max_abs_P[-1] <= max(1.5 * res.max_abs_P[0], 1e-12)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import msacontrol as mc
-from msacontrol.hamiltonian import minimize_step, penalty_batch
+from msacontrol.hamiltonian import h_batch, minimize_step, penalty_batch
 from msacontrol.model import constant_fn
 
 floats = st.floats(-2.0, 2.0)
@@ -229,3 +229,102 @@ class TestReductionProperties:
         gx_u = np.einsum("mij,mi->mj", dv.b_x(0.3, x, u), p)
         manual = (db ** 2).sum(1) + df ** 2 + ((gx_v - gx_u) ** 2).sum(1)
         assert np.allclose(pen, manual, atol=1e-10)
+
+
+def curvature_spec():
+    """n = 4, d = 2, k = 2: state-dependent diffusion, driver curved in y and z."""
+    n, d, k = 4, 2, 2
+    gen = np.random.default_rng(4)
+    b1 = -0.2 * np.eye(n) + 0.05 * gen.standard_normal((n, n))
+    b2 = 0.3 * gen.standard_normal((n, k))
+    s1 = 0.1 * gen.standard_normal((d, n, n))
+    s2 = 0.3 * gen.standard_normal((d, n, k))
+    c = 0.2 * gen.standard_normal((d, n))
+    return mc.ProblemSpec.build(
+        n=n, d=d, k=k, x0=np.zeros(n), horizon=1.0,
+        drift=lambda t, x, u: x @ b1.T + u @ b2.T,
+        diffusion=lambda t, x, u: (np.einsum("inj,mj->mni", s1, x)
+                                   + np.einsum("inj,mj->mni", s2, u) + c.T[None]),
+        driver=lambda t, x, y, z, u: (0.5 * (x * x).sum(axis=1) + 0.5 * (u * u).sum(axis=1)
+                                      + 0.5 * np.sin(z + u).sum(axis=1)
+                                      + 0.2 * y * np.tanh(u[:, 0])),
+        terminal=lambda x: 0.5 * (x * x).sum(axis=1))
+
+
+def loop_reference(spec, t, x, y, z, p, q, P, u_prev, candidates, rho):
+    """minimize_step as one public h_batch / penalty_batch call per candidate."""
+    h_vals = np.array([h_batch(spec, t, x, y, z, p, q, P, c, u_prev) for c in candidates])
+    if rho != 0.0:
+        aug_vals = np.array([
+            hv + 0.5 * rho * penalty_batch(spec, t, x, y, z, p, q, c, u_prev)
+            for hv, c in zip(h_vals, candidates)])
+    else:
+        aug_vals = h_vals
+    best = np.argmin(aug_vals, axis=0)
+    rows = np.arange(len(x))
+    h_prev = h_batch(spec, t, x, y, z, p, q, P, u_prev, u_prev)
+    keep = aug_vals[best, rows] > h_prev
+    u_new = candidates[best].copy()
+    u_new[keep] = u_prev[keep]
+    return (u_new, np.where(keep, h_prev, h_vals[best, rows]), h_prev,
+            np.where(keep, h_prev, aug_vals[best, rows]))
+
+
+def random_step_inputs(spec, candidates, B, seed):
+    rng = np.random.default_rng(seed)
+    n, d = spec.n, spec.d
+    P = rng.normal(size=(B, n, n))
+    u_prev = candidates[rng.integers(0, len(candidates), size=B)]
+    u_prev[::7] = rng.uniform(-0.5, 0.5, size=u_prev[::7].shape)  # off the enumeration
+    return (rng.normal(size=(B, n)), rng.normal(size=B), rng.normal(size=(B, d)),
+            rng.normal(size=(B, n)), rng.normal(size=(B, n, d)), P + P.transpose(0, 2, 1),
+            u_prev)
+
+
+class TestHoistedMinimizeStep:
+    @pytest.mark.parametrize("case", ["curvature-box-rho", "curvature-box-rho0",
+                                      "example41-general"])
+    def test_bitwise_equal_to_per_candidate_loop(self, case):
+        if case.startswith("curvature"):
+            spec = curvature_spec()
+            candidates = mc.enumerate_controls(mc.Box([-1.0, -0.5], [1.0, 0.5], [4, 3]))
+            rho = 0.7 if case.endswith("-rho") else 0.0
+        else:
+            bench = mc.example41(0.3)
+            spec, rho = bench.spec, bench.rho
+            candidates = mc.enumerate_controls(bench.domain)
+        x, y, z, p, q, P, u_prev = random_step_inputs(spec, candidates, 64, 11)
+        got = minimize_step(spec, 0.35, x, y, z, p, q, P, u_prev, candidates, rho)
+        want = loop_reference(spec, 0.35, x, y, z, p, q, P, u_prev, candidates, rho)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+
+def nan_driver_spec(bad_u):
+    """Driver NaN at control value bad_u on the path whose state is 3, else z."""
+    return mc.ProblemSpec.build(
+        n=1, d=1, k=1, x0=np.zeros(1), horizon=1.0,
+        drift=constant_fn(np.zeros(1)), diffusion=constant_fn(np.ones((1, 1))),
+        driver=lambda t, x, y, z, u: np.where(
+            (u[:, 0] == bad_u) & (x[:, 0] == 3.0), np.nan, z[:, 0]),
+        terminal=lambda x: x[:, 0])
+
+
+class TestNonFiniteHamiltonian:
+    def inputs(self, u_prev):
+        B = 6
+        x = np.arange(B, dtype=float)[:, None]
+        return (x, np.zeros(B), np.ones((B, 1)), np.ones((B, 1)), np.zeros((B, 1, 1)),
+                np.zeros((B, 1, 1)), np.full((B, 1), u_prev))
+
+    @pytest.mark.parametrize("rho", [0.0, 0.5])
+    def test_candidate_names_path_and_candidate(self, rho):
+        spec = nan_driver_spec(bad_u=1.0)
+        candidates = np.array([[0.0], [1.0], [2.0]])
+        with pytest.raises(mc.NumericalError, match=r"on path 3 at candidate 1 \[1\.0\]"):
+            minimize_step(spec, 0.2, *self.inputs(0.0), candidates, rho)
+
+    def test_current_control_names_path(self):
+        spec = nan_driver_spec(bad_u=0.5)
+        with pytest.raises(mc.NumericalError, match="current control on path 3"):
+            minimize_step(spec, 0.2, *self.inputs(0.5), np.array([[0.0], [1.0]]), 0.0)

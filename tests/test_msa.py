@@ -101,6 +101,23 @@ class TestRunMsa:
         with pytest.raises(mc.SimulationError, match="iteration"):
             mc.run_msa(spec, mc.FiniteSet([[0.0]]), cfg, "random")
 
+    def test_non_finite_hamiltonian_names_iteration_and_step(self):
+        # the driver is NaN only for the candidate u = 1 from t = 0.5 on, which
+        # the initial control never visits, so only the update step sees it
+        spec = mc.ProblemSpec.build(
+            n=1, d=1, k=1, x0=np.zeros(1), horizon=1.0,
+            drift=lambda t, x, u: np.zeros_like(x),
+            diffusion=lambda t, x, u: np.ones((len(x), 1, 1)),
+            driver=lambda t, x, y, z, u: np.where((u[:, 0] == 1.0) & (t > 0.45),
+                                                  np.nan, 0.1 * z[:, 0]),
+            terminal=lambda x: x[:, 0])
+        cfg = mc.MsaConfig(rho=0.0, n_paths=200, steps=20, seed=0, max_iters=2,
+                           second_order="skip")
+        init = mc.constant_control([0.0], 200, 20)
+        with pytest.raises(mc.NumericalError,
+                           match=r"^iteration 1: step 10: .* on path 0 at candidate 1"):
+            mc.run_msa(spec, mc.FiniteSet([[0.0], [1.0]]), cfg, init)
+
 
 class TestNearOptimalityGap:
     def make_records(self, js, descents, mus=None):
