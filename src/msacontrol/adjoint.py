@@ -1,9 +1,10 @@
 """First- and second-order adjoint solvers along a simulated trajectory.
 
-Both adjoints are linear backward equations; coefficients are assembled
-pointwise along (t_j, X_j, Y_j, Z_j, u_j) and handed to the generic linear
-BSDE solver. The matrix-valued second-order equation is solved in its
-column-stacked n^2-dimensional form and symmetrized step by step.
+Both adjoints are linear backward equations solved by the generic linear
+BSDE scheme. Each passes it a per-step callback that assembles the
+coefficients pointwise along (t_j, X_j, Y_j, Z_j, u_j) for that step only, so
+no coefficient tensor spans the horizon. The matrix-valued second-order
+equation is stepped directly in its n x n form and symmetrized step by step.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ class FirstOrderAdjoint:
 class SecondOrderAdjoint:
     P: Array  # (M, N+1, n, n), symmetric
     Q: Array  # (M, N, n, n, d)
-    asymmetry: float  # max pre-projection |P - P'| seen during the solve
+    asymmetry: float  # max pre-symmetrization |P - P'| seen during the solve
 
 
 def upsilon(spec: ProblemSpec, t: float, x, p, q, u) -> Array:
@@ -58,7 +59,7 @@ def _coeffs_at(spec: ProblemSpec, t: float, x: Array, y: Array, z: Array, u: Arr
     eye = np.eye(spec.n)
     a1 = np.einsum("mi,miab->mab", fz, sx) + fy[:, None, None] * eye + bx
     b1 = fz[:, :, None, None] * eye + sx
-    return a1, b1, fx, sx, fz, fy
+    return a1, b1, fx
 
 
 def first_order_adjoint(spec: ProblemSpec, forward: ForwardPaths,
@@ -70,18 +71,20 @@ def first_order_adjoint(spec: ProblemSpec, forward: ForwardPaths,
     B_1^i = f_{z_i} I + sigma_x^i, inhomogeneity f_x.
     """
     batch = forward.batch
-    M, N, n, d = batch.n_paths, batch.grid.steps, spec.n, spec.d
-    nodes = batch.grid.nodes
-    A = np.empty((M, N, n, n))
-    B = np.empty((M, N, d, n, n))
-    c = np.empty((M, N, n))
-    feats = _features_grid(forward, control, backend)
-    for j in range(N):
-        A[:, j], B[:, j], c[:, j], _, _, _ = _coeffs_at(
+    N, nodes, dt = batch.grid.steps, batch.grid.nodes, batch.dt
+
+    def step(j, phat, qj):
+        a1, b1, fx = _coeffs_at(
             spec, nodes[j], forward.states[:, j, :], backward.values[:, j],
             backward.integrand[:, j, :], control.values[:, j, :])
+        drift = (np.einsum("mij,mi->mj", a1, phat)
+                 + np.einsum("mdij,mid->mj", b1, qj)
+                 + fx)
+        return phat + drift * dt
+
     terminal = spec.derivatives.phi_x(forward.states[:, N, :])
-    p, q = solve_linear_bsde(terminal, A, B, c, feats, batch, backend)
+    feats = _features_grid(forward, control, backend)
+    p, q = solve_linear_bsde(terminal, step, feats, batch, backend)
     return FirstOrderAdjoint(p=p, q=q)
 
 
@@ -94,33 +97,8 @@ def _features_grid(forward: ForwardPaths, control: ControlField, backend) -> Arr
 # ---------------------------------------------------------------------------
 # second order
 
-def _vec(P: Array) -> Array:
-    # stack columns: vec(P)[i + j*n] = P[i, j]
-    M, n, _ = P.shape
-    return P.transpose(0, 2, 1).reshape(M, n * n)
-
-
-def _unvec(v: Array, n: int) -> Array:
-    M = v.shape[0]
-    return v.reshape(M, n, n).transpose(0, 2, 1)
-
-
-def _commutation(n: int) -> Array:
-    K = np.zeros((n * n, n * n))
-    for i in range(n):
-        for j in range(n):
-            K[i + j * n, j + i * n] = 1.0
-    return K
-
-
-def _kron_batch(A: Array, B: Array) -> Array:
-    M, p, qq = A.shape
-    _, r, s = B.shape
-    return np.einsum("mpq,mrs->mprqs", A, B).reshape(M, p * r, qq * s)
-
-
 def second_order_vanishes(spec: ProblemSpec) -> bool:
-    """Whether P = 0 identically, so the n^2-dimensional solve can be skipped.
+    """Whether P = 0 identically, so the matrix solve can be skipped.
 
     True when declared outright, or when the terminal curvature, both
     coefficient Hessians, and the driver Hessian all vanish: the equation is
@@ -159,66 +137,43 @@ def psi_matrix(spec: ProblemSpec, t: float, x: Array, y: Array, z: Array,
 
 def second_order_adjoint(spec: ProblemSpec, forward: ForwardPaths,
                          backward: BackwardPaths, control: ControlField,
-                         first: FirstOrderAdjoint, backend,
-                         symmetrize: bool = True) -> SecondOrderAdjoint:
-    """Solve the matrix-valued equation in column-stacked form.
+                         first: FirstOrderAdjoint, backend) -> SecondOrderAdjoint:
+    """Solve the matrix-valued equation directly in its n x n form.
 
-    The drift coefficients come from the component equation
-    f_y P + b_x'P + P'b_x + sum_i f_{z_i}(sx_i'P + P'sx_i) + sum_i sx_i'P sx_i
-    + sum_i f_{z_i} Q^i + sum_i (sx_i'Q^i + Q^i'sx_i) + Psi
-    via vec identities with the commutation matrix. With ``symmetrize`` each
-    P_j is projected to (P + P')/2; the worst pre-projection asymmetry is
-    reported.
+    With S = b_x' Phat, T_i = sx_i' Phat and R_i = sx_i' Q^i, each step is
+    P_j = sym(Phat + [f_y Phat + S + S' + sum_i (f_{z_i}(T_i + T_i') + T_i sx_i
+    + f_{z_i} Q^i + R_i + R_i') + Psi] dt), where sym(P) = (P + P')/2. The
+    worst pre-symmetrization asymmetry max |P - P'| is reported.
     """
     batch = forward.batch
-    M, N, n, d = batch.n_paths, batch.grid.steps, spec.n, spec.d
-    n2 = n * n
-    nodes = batch.grid.nodes
-    K = _commutation(n)
-    eye_n = np.eye(n)
-    eye_n2 = np.eye(n2)
-    ik = eye_n2 + K
-    A = np.empty((M, N, n2, n2))
-    B = np.empty((M, N, d, n2, n2))
-    c = np.empty((M, N, n2))
+    N, d, nodes, dt = batch.grid.steps, spec.d, batch.grid.nodes, batch.dt
     dv = spec.derivatives
-    for j in range(N):
-        t, xj = nodes[j], forward.states[:, j, :]
+    asym = 0.0
+
+    def step(j, phat, qj):
+        nonlocal asym
+        t, xj, uj = nodes[j], forward.states[:, j, :], control.values[:, j, :]
         yj, zj = backward.values[:, j], backward.integrand[:, j, :]
-        uj = control.values[:, j, :]
-        pj, qj = first.p[:, j, :], first.q[:, j, :, :]
-        bx = dv.b_x(t, xj, uj)
         sx = dv.sigma_x(t, xj, uj)
-        fz = dv.f_z(t, xj, yj, zj, uj)
-        fy = dv.f_y(t, xj, yj, zj, uj)
-        eyeM = np.broadcast_to(eye_n, (M, n, n))
-        kron_b = _kron_batch(eyeM, bx.transpose(0, 2, 1))
-        g_p = fy[:, None, None] * eye_n2 + np.einsum("pq,mqr->mpr", ik, kron_b)
+        fz = dv.f_z(t, xj, yj, zj, uj)[:, :, None, None]
+        s = dv.b_x(t, xj, uj).transpose(0, 2, 1) @ phat
+        drift = dv.f_y(t, xj, yj, zj, uj)[:, None, None] * phat + s + s.transpose(0, 2, 1)
         for i in range(d):
             sxt = sx[:, i].transpose(0, 2, 1)
-            kron_s = _kron_batch(eyeM, sxt)
-            ik_kron_s = np.einsum("pq,mqr->mpr", ik, kron_s)
-            g_p = g_p + fz[:, i, None, None] * ik_kron_s + _kron_batch(sxt, sxt)
-            B[:, j, i] = (fz[:, i, None, None] * eye_n2 + ik_kron_s).transpose(0, 2, 1)
-        A[:, j] = g_p.transpose(0, 2, 1)
-        c[:, j] = _vec(psi_matrix(spec, t, xj, yj, zj, uj, pj, qj))
-    terminal = _vec(dv.phi_xx(forward.states[:, N, :]))
-    feats = _features_grid(forward, control, backend)
-    tracker = {"asym": 0.0}
-
-    def project(pj_flat):
-        P = _unvec(pj_flat, n)
+            ti = sxt @ phat
+            ri = sxt @ qj[..., i]
+            drift += (fz[:, i] * (ti + ti.transpose(0, 2, 1)) + ti @ sx[:, i]
+                      + fz[:, i] * qj[..., i] + ri + ri.transpose(0, 2, 1))
+        drift += psi_matrix(spec, t, xj, yj, zj, uj, first.p[:, j, :], first.q[:, j])
+        P = phat + drift * dt
         Pt = P.transpose(0, 2, 1)
-        tracker["asym"] = max(tracker["asym"], float(np.max(np.abs(P - Pt))))
-        return _vec(0.5 * (P + Pt))
+        asym = max(asym, float(np.max(np.abs(P - Pt))))
+        return 0.5 * (P + Pt)
 
-    p_flat, q_flat = solve_linear_bsde(
-        terminal, A, B, c, feats, batch, backend,
-        project=project if symmetrize else None)
-    P = np.stack([_unvec(p_flat[:, j, :], n) for j in range(N + 1)], axis=1)
-    Q = np.stack([np.stack([_unvec(q_flat[:, j, :, i], n) for i in range(d)], axis=-1)
-                  for j in range(N)], axis=1)
-    return SecondOrderAdjoint(P=P, Q=Q, asymmetry=tracker["asym"])
+    terminal = dv.phi_xx(forward.states[:, N, :])
+    feats = _features_grid(forward, control, backend)
+    P, Q = solve_linear_bsde(terminal, step, feats, batch, backend)
+    return SecondOrderAdjoint(P=P, Q=Q, asymmetry=asym)
 
 
 def zero_second_order(spec: ProblemSpec, batch: BrownianBatch) -> SecondOrderAdjoint:
@@ -317,7 +272,7 @@ def explicit_p0_oracle(spec: ProblemSpec, control: ControlField, batch: Brownian
     G = np.broadcast_to(np.eye(n), (M, n, n)).copy()
     integral = np.zeros((M, n))
     for j in range(N):
-        a1, b1, fx, _, _, _ = _coeffs_at(
+        a1, b1, fx = _coeffs_at(
             spec, nodes[j], forward.states[:, j, :], backward.values[:, j],
             backward.integrand[:, j, :], control.values[:, j, :])
         integral += np.einsum("mab,ma->mb", G, fx) * dt

@@ -1,6 +1,6 @@
 """Backward solvers on a pluggable conditional-expectation backend.
 
-The cost BSDE and the generic linear vector BSDE share one scheme: at each
+The cost BSDE and the generic linear BSDE share one scheme: at each
 step, Z (resp. q) comes from regressing next-step values against the Brownian
 increment, and the drift is applied explicitly to the regression proxy.
 """
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -205,42 +205,41 @@ def solve_state_bsde(spec: ProblemSpec, forward: ForwardPaths, control: ControlF
     return BackwardPaths(values=Y, integrand=Z, j_estimate=j_est, j_stderr=j_se)
 
 
-def solve_linear_bsde(terminal: Array, drift_a: Array, drift_b: Array, drift_c: Array,
-                      features: Array, batch: BrownianBatch, backend,
-                      project: Optional[Callable] = None):
-    """Backward Euler for dp = -[A'p + sum_i B_i' q^i + c] dt + sum_i q^i dW^i.
+def solve_linear_bsde(terminal: Array, step: Callable, features: Array,
+                      batch: BrownianBatch, backend):
+    """Backward Euler for a linear BSDE dp = -F_t(p, q) dt + sum_i q^i dW^i.
 
-    Shapes: terminal (M, r); drift_a (M, N, r, r); drift_b (M, N, d, r, r);
-    drift_c (M, N, r); features (M, N, F). q is computed first at each step
-    from the increment regression, then the drift is applied to the proxy
-    E[p_{j+1} | t_j] (explicit-in-q). ``project`` optionally maps each p_j
-    in place (used for symmetry projection of matrix-valued solutions).
+    Shapes: terminal (M, *shape) of any trailing shape; features (M, N, F).
+    At each step p_{j+1} is flattened into the regression targets; q_j comes
+    from the increment regression and phat = E[p_{j+1} | t_j], reshaped to
+    (M, *shape, d) and (M, *shape). ``step(j, phat, q_j)`` applies the drift
+    explicitly to the proxy and returns p_j (explicit-in-q).
 
-    Returns p (M, N+1, r) and q (M, N, r, d).
+    Returns p (M, N+1, *shape) and q (M, N, *shape, d). Raises NumericalError
+    naming the step and the first path where p_j is not finite.
     """
     M, N, d = batch.n_paths, batch.grid.steps, batch.d
     terminal = np.asarray(terminal, dtype=float)
-    r = terminal.shape[1]
+    shape = terminal.shape[1:]
+    r = int(np.prod(shape))
     dt = batch.dt
-    p = np.empty((M, N + 1, r))
-    q = np.empty((M, N, r, d))
-    p[:, N, :] = terminal
+    p = np.empty((M, N + 1) + shape)
+    q = np.empty((M, N) + shape + (d,))
+    p[:, N] = terminal
     for j in range(N - 1, -1, -1):
-        nxt = p[:, j + 1, :]
+        nxt = p[:, j + 1].reshape(M, r)
         incr_targets = nxt[:, :, None] * batch.increments[:, j, None, :]
         targets = np.concatenate([nxt, incr_targets.reshape(M, r * d)], axis=1)
         try:
             proj = backend.project(j, features[:, j, :], targets)
         except NumericalError as exc:
             raise NumericalError(f"conditional expectation failed at step {j}: {exc}") from exc
-        phat = proj[:, :r]
-        qj = proj[:, r:].reshape(M, r, d) / dt
-        q[:, j, :, :] = qj
-        drift = (np.einsum("mij,mi->mj", drift_a[:, j], phat)
-                 + np.einsum("mdij,mid->mj", drift_b[:, j], qj)
-                 + drift_c[:, j])
-        pj = phat + drift * dt
-        if project is not None:
-            pj = project(pj)
-        p[:, j, :] = pj
+        phat = proj[:, :r].reshape((M,) + shape)
+        qj = proj[:, r:].reshape((M,) + shape + (d,)) / dt
+        q[:, j] = qj
+        p[:, j] = step(j, phat, qj)
+        bad = ~np.isfinite(p[:, j].reshape(M, r)).all(axis=1)
+        if bad.any():
+            raise NumericalError(
+                f"step {j}: non-finite adjoint on path {int(np.argmax(bad))}")
     return p, q

@@ -96,6 +96,7 @@ class MsaResult:
     m_eps: Optional[int]
     max_abs_p: List[float]
     max_abs_P: List[float]
+    max_asym_P: List[float]            # worst pre-symmetrization |P - P'|
 
     @property
     def final_j(self) -> float:
@@ -177,6 +178,7 @@ def run_msa(spec: ProblemSpec, domain: ControlDomain, config: MsaConfig,
     records: List[IterationRecord] = []
     max_abs_p: List[float] = []
     max_abs_P: List[float] = []
+    max_asym_P: List[float] = []
 
     for m in range(1, config.max_iters + 1):
         t0 = time.perf_counter()
@@ -232,11 +234,13 @@ def run_msa(spec: ProblemSpec, domain: ControlDomain, config: MsaConfig,
                                        wall_ms=wall_ms))
         max_abs_p.append(float(np.max(np.abs(first.p))))
         max_abs_P.append(float(np.max(np.abs(second.P))))
+        max_asym_P.append(second.asymmetry)
 
         if config.epsilon is not None and descent < config.epsilon:
             return MsaResult(records=records, returned_control=u_prev,
                              last_control=u_new, stopped_early=True, m_eps=m,
-                             max_abs_p=max_abs_p, max_abs_P=max_abs_P)
+                             max_abs_p=max_abs_p, max_abs_P=max_abs_P,
+                             max_asym_P=max_asym_P)
 
         u_before = u_prev
         u_prev, forward, backward = u_new, forward_new, backward_new
@@ -247,7 +251,8 @@ def run_msa(spec: ProblemSpec, domain: ControlDomain, config: MsaConfig,
     returned = u_before if records else u_prev
     return MsaResult(records=records, returned_control=returned,
                      last_control=u_prev, stopped_early=False, m_eps=None,
-                     max_abs_p=max_abs_p, max_abs_P=max_abs_P)
+                     max_abs_p=max_abs_p, max_abs_P=max_abs_P,
+                     max_asym_P=max_asym_P)
 
 
 @dataclass(frozen=True)

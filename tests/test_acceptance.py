@@ -173,7 +173,7 @@ class TestAcceptance:
             assert abs(bwd.j_estimate - 0.0) <= 3 * bwd.j_stderr + 2e-3
 
     def test_adjoint_cross_checks(self):
-        with criterion("adjoint cross-checks (p0 oracle, LQ P ODE, vectorization)"):
+        with criterion("adjoint cross-checks (p0 oracle, LQ P ODE, matrix recursion)"):
             # mean p0 from the regression solver vs the explicit representation
             backend = mc.RegressionBackend()
             for bench, M in ((mc.example41(0.1), 100_000), (mc.lq_desk(), 50_000),
@@ -204,9 +204,11 @@ class TestAcceptance:
                                            mc.TimeGrid(1.0, 20))
             assert np.max(np.abs(second.P[:, :, 0, 0] - P_ode[None, :, 0, 0])) < 1e-2
 
-            # vectorized n^2 stepping vs a direct matrix recursion
+            # batched matrix stepping vs a direct matrix recursion
             from test_adjoint import TestSecondOrderAdjoint
-            TestSecondOrderAdjoint().test_vectorized_step_matches_direct_matrix_recursion()
+            check = TestSecondOrderAdjoint().test_vectorized_step_matches_direct_matrix_recursion
+            for n, d in ((2, 1), (3, 2)):
+                check(n, d)
 
     def test_invariant_suite(self):
         with criterion("invariant suite (reductions, descent, weights, replay)"):

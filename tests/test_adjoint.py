@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +36,56 @@ def nontrivial_linrec():
         f1=[0.3], f2=0.4, f3=lambda t, u: u[:, 0] ** 2,
         alpha=[1.0], gamma=0.0,
         domain=mc.Box([-1.0], [1.0], [3]), x0=np.array([0.5]), horizon=1.0)
+
+
+def random_curvature_case(n, d, N, M, seed=123):
+    """Constant random derivatives and random paths for the second-order solve.
+
+    Returns (spec, forward, backward, control, first, constants); the
+    constants (BX, SX, BXX, SXX, FZ, FY, H0, PHIXX) are the derivative values
+    a reference recursion needs.
+    """
+    rng = np.random.default_rng(seed)
+    mdim = n + 1 + d
+    BX = rng.normal(size=(n, n))
+    SX = rng.normal(size=(d, n, n))
+    BXX = rng.normal(size=(n, n, n))
+    BXX = 0.5 * (BXX + BXX.transpose(0, 2, 1))
+    SXX = rng.normal(size=(d, n, n, n))
+    SXX = 0.5 * (SXX + SXX.transpose(0, 1, 3, 2))
+    FZ = rng.normal(size=d)
+    FY = rng.normal()
+    H0 = rng.normal(size=(mdim, mdim))
+    H0 = 0.5 * (H0 + H0.T)
+    PHIXX = rng.normal(size=(n, n))
+    PHIXX = 0.5 * (PHIXX + PHIXX.T)
+    deriv = dict(
+        b_x=constant_fn(BX), sigma_x=constant_fn(SX), b_xx=constant_fn(BXX),
+        sigma_xx=constant_fn(SXX),
+        f_x=lambda t, x, y, z, u: np.zeros((len(x), n)),
+        f_y=lambda t, x, y, z, u: np.full(len(x), FY),
+        f_z=lambda t, x, y, z, u: np.broadcast_to(FZ, (len(x), d)).copy(),
+        f_hess=lambda t, x, y, z, u: np.broadcast_to(H0, (len(x), mdim, mdim)).copy(),
+        phi_x=lambda x: np.zeros((len(x), n)),
+        phi_xx=lambda x: np.broadcast_to(PHIXX, (len(x), n, n)).copy())
+    spec = mc.ProblemSpec.build(
+        n=n, d=d, k=1, x0=np.zeros(n), horizon=1.0,
+        drift=lambda t, x, u: np.zeros_like(x),
+        diffusion=lambda t, x, u: np.zeros((len(x), n, d)),
+        driver=lambda t, x, y, z, u: np.zeros(len(x)),
+        terminal=lambda x: np.zeros(len(x)), derivatives=deriv)
+    grid = mc.TimeGrid(1.0, N)
+    dW = rng.normal(size=(M, N, d)) * np.sqrt(grid.dt)
+    batch = BrownianBatch(grid=grid, n_paths=M, d=d, seed=None, increments=dW)
+    X = rng.normal(size=(M, N + 1, n))
+    Yv = rng.normal(size=(M, N + 1))
+    Zv = rng.normal(size=(M, N, d))
+    ctl = ControlField(rng.normal(size=(M, N, 1)))
+    fwd = ForwardPaths(states=X, control=ctl, batch=batch)
+    bwd = BackwardPaths(values=Yv, integrand=Zv, j_estimate=0.0, j_stderr=0.0)
+    first = mc.FirstOrderAdjoint(p=rng.normal(size=(M, N + 1, n)),
+                                 q=rng.normal(size=(M, N, n, d)))
+    return spec, fwd, bwd, ctl, first, (BX, SX, BXX, SXX, FZ, FY, H0, PHIXX)
 
 
 class TestFirstOrderAdjoint:
@@ -80,6 +131,26 @@ class TestFirstOrderAdjoint:
         q = first.q[:, :, 0, 0]
         raw = (first.p[:, 1:, 0] * batch.increments[:, :, 0] / batch.dt).mean(axis=1)
         assert abs(q.mean()) <= 3 * raw.std(ddof=1) / np.sqrt(len(raw))
+
+    def test_non_finite_costate_names_step_and_path(self):
+        bench = mc.example41(0.1)
+        steps = 3
+
+        def phi_x(x):
+            out = np.full((len(x), 1), 0.1)
+            out[6] = np.nan
+            return out
+
+        spec = dataclasses.replace(bench.spec, derivatives=dataclasses.replace(
+            bench.spec.derivatives, phi_x=phi_x))
+        batch = mc.tree_batch(steps)
+        ctl = mc.constant_control([0.0], batch.n_paths, steps)
+        fwd = mc.simulate_forward(spec, ctl, batch)
+        bwd = mc.solve_state_bsde(spec, fwd, ctl, mc.tree_backend(steps))
+        # the tree backend keeps the NaN inside its block of paths 6 and 7
+        with pytest.raises(mc.NumericalError,
+                           match=r"^step 2: non-finite adjoint on path 6$"):
+            mc.first_order_adjoint(spec, fwd, bwd, ctl, mc.tree_backend(steps))
 
     def test_zero_spec(self):
         bench = mc.Benchmark(name="zero", spec=zero_spec(), domain=mc.FiniteSet([[0.0]]),
@@ -130,53 +201,15 @@ class TestSecondOrderAdjoint:
                                          mc.RegressionBackend(degree=0))
         assert np.all(second.P == 0.0)
 
-    def test_vectorized_step_matches_direct_matrix_recursion(self):
-        rng = np.random.default_rng(123)
-        n, d, N, M = 2, 1, 3, 1
-        mdim = n + 1 + d
-        BX = rng.normal(size=(n, n))
-        SX = rng.normal(size=(d, n, n))
-        BXX = rng.normal(size=(n, n, n))
-        BXX = 0.5 * (BXX + BXX.transpose(0, 2, 1))
-        SXX = rng.normal(size=(d, n, n, n))
-        SXX = 0.5 * (SXX + SXX.transpose(0, 1, 3, 2))
-        FZ = rng.normal(size=d)
-        FY = rng.normal()
-        H0 = rng.normal(size=(mdim, mdim))
-        H0 = 0.5 * (H0 + H0.T)
-        PHIXX = rng.normal(size=(n, n))
-        PHIXX = 0.5 * (PHIXX + PHIXX.T)
-        deriv = dict(
-            b_x=constant_fn(BX), sigma_x=constant_fn(SX), b_xx=constant_fn(BXX),
-            sigma_xx=constant_fn(SXX),
-            f_x=lambda t, x, y, z, u: np.zeros((len(x), n)),
-            f_y=lambda t, x, y, z, u: np.full(len(x), FY),
-            f_z=lambda t, x, y, z, u: np.broadcast_to(FZ, (len(x), d)).copy(),
-            f_hess=lambda t, x, y, z, u: np.broadcast_to(H0, (len(x), mdim, mdim)).copy(),
-            phi_x=lambda x: np.zeros((len(x), n)),
-            phi_xx=lambda x: np.broadcast_to(PHIXX, (len(x), n, n)).copy())
-        spec = mc.ProblemSpec.build(
-            n=n, d=d, k=1, x0=np.zeros(n), horizon=1.0,
-            drift=lambda t, x, u: np.zeros_like(x),
-            diffusion=lambda t, x, u: np.zeros((len(x), n, d)),
-            driver=lambda t, x, y, z, u: np.zeros(len(x)),
-            terminal=lambda x: np.zeros(len(x)), derivatives=deriv)
-        grid = mc.TimeGrid(1.0, N)
-        dt = grid.dt
-        dW = rng.normal(size=(M, N, d)) * np.sqrt(dt)
-        batch = BrownianBatch(grid=grid, n_paths=M, d=d, seed=None, increments=dW)
-        X = rng.normal(size=(M, N + 1, n))
-        Yv = rng.normal(size=(M, N + 1))
-        Zv = rng.normal(size=(M, N, d))
-        ctl = ControlField(rng.normal(size=(M, N, 1)))
-        fwd = ForwardPaths(states=X, control=ctl, batch=batch)
-        bwd = BackwardPaths(values=Yv, integrand=Zv, j_estimate=0.0, j_stderr=0.0)
-        p1 = rng.normal(size=(M, N + 1, n))
-        q1 = rng.normal(size=(M, N, n, d))
-        first = mc.FirstOrderAdjoint(p=p1, q=q1)
+    @pytest.mark.parametrize("n, d", [(2, 1), (3, 2)])
+    def test_vectorized_step_matches_direct_matrix_recursion(self, n, d):
+        N, M = 3, 1
+        spec, fwd, bwd, ctl, first, consts = random_curvature_case(n, d, N, M)
+        BX, SX, BXX, SXX, FZ, FY, H0, PHIXX = consts
+        dW, dt = fwd.batch.increments, fwd.batch.dt
+        p1, q1 = first.p, first.q
         sol = mc.second_order_adjoint(spec, fwd, bwd, ctl, first,
-                                      mc.RegressionBackend(degree=0, ridge=0.0),
-                                      symmetrize=False)
+                                      mc.RegressionBackend(degree=0, ridge=0.0))
         # independent straightforward recursion, matrix by matrix
         P = PHIXX.copy()
         expected = [None] * (N + 1)
@@ -205,6 +238,27 @@ class TestSecondOrderAdjoint:
             expected[j] = P.copy()
         worst = max(np.max(np.abs(sol.P[0, j] - expected[j])) for j in range(N + 1))
         assert worst < 1e-12
+
+    def test_peak_memory_grows_like_the_solution(self):
+        # the shape of the n=4 curvature benchmark: n=4, d=2, M=400; no
+        # coefficient tensor may span the horizon, so from N=10 to N=40 the
+        # peak grows about as much as the returned P and Q do
+        def peak_and_output(N):
+            spec, fwd, bwd, ctl, first, _ = random_curvature_case(4, 2, N, 400)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                sol = mc.second_order_adjoint(spec, fwd, bwd, ctl, first,
+                                              mc.RegressionBackend())
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert np.all(np.isfinite(sol.P))
+            return peak, sol.P.nbytes + sol.Q.nbytes
+
+        peak_short, out_short = peak_and_output(10)
+        peak_long, out_long = peak_and_output(40)
+        assert peak_long - peak_short <= 1.5 * (out_long - out_short)
 
 
 class TestUpsilon:

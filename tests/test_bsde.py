@@ -152,24 +152,22 @@ class TestSolveLinearBsde:
         batch = mc.sample_brownian(mc.TimeGrid(1.0, N), M, d, 1)
         terminal = np.tile([1.5, -2.0], (M, 1))
         feats = np.zeros((M, N, 1))
-        p, q = mc.solve_linear_bsde(
-            terminal, np.zeros((M, N, r, r)), np.zeros((M, N, d, r, r)),
-            np.zeros((M, N, r)), feats, batch, mc.RegressionBackend(degree=0))
+        p, q = mc.solve_linear_bsde(terminal, lambda j, phat, qj: phat, feats, batch,
+                                    mc.RegressionBackend(degree=0))
         assert np.allclose(p, terminal[:, None, :], atol=1e-9)
         # q targets are const * dW: zero up to mean-of-increment noise
         assert np.max(np.abs(q)) < 5 * 2.0 / np.sqrt(M * batch.dt)
 
     def test_deterministic_ode_oracle(self):
-        # A(t) deterministic, B = c = 0, deterministic terminal: p solves the
+        # drift A' p with A deterministic, deterministic terminal: p solves the
         # linear ODE p' = -A' p; independent oracle via scipy RK45
         N, M = 200, 64
         a_mat = np.array([[0.3, -0.2], [0.1, 0.4]])
         batch = mc.sample_brownian(mc.TimeGrid(1.0, N), M, 1, 2)
-        drift_a = np.broadcast_to(a_mat, (M, N, 2, 2)).copy()
         terminal = np.tile([1.0, 0.5], (M, 1))
         feats = np.zeros((M, N, 1))
         p, q = mc.solve_linear_bsde(
-            terminal, drift_a, np.zeros((M, N, 1, 2, 2)), np.zeros((M, N, 2)),
+            terminal, lambda j, phat, qj: phat + phat @ a_mat * batch.dt,
             feats, batch, mc.RegressionBackend(degree=0))
         sol = solve_ivp(lambda t, y: -a_mat.T @ y, (1.0, 0.0), [1.0, 0.5],
                         rtol=1e-10, atol=1e-12)
@@ -181,9 +179,8 @@ class TestSolveLinearBsde:
         batch = mc.sample_brownian(mc.TimeGrid(1.0, N), M, 1, 3)
         terminal = rng.normal(size=(M, 1))
         feats = rng.normal(size=(M, N, 1))
-        p, _ = mc.solve_linear_bsde(
-            terminal, np.zeros((M, N, 1, 1)), np.zeros((M, N, 1, 1, 1)),
-            np.zeros((M, N, 1)), feats, batch, mc.RegressionBackend(degree=2))
+        p, _ = mc.solve_linear_bsde(terminal, lambda j, phat, qj: phat, feats, batch,
+                                    mc.RegressionBackend(degree=2))
         assert p[:, 0, 0].mean() == pytest.approx(terminal.mean(), abs=1e-9)
         assert np.array_equal(p[:, -1, :], terminal)
 

@@ -10,6 +10,45 @@ def records_equal_except_wall(a, b):
         getattr(ra, f) == getattr(rb, f) for ra, rb in zip(a, b) for f in fields)
 
 
+def curvature_problem():
+    """n = 2, d = 1 with state-dependent diffusion and curvature in Phi and f.
+
+    dX = (B X + b u) dt + (S X + s u + c) dW, f = x'A x / 2 + u^2 / 2 + sin z / 2,
+    Phi = x'G x / 2: no structure flag holds, so run_msa solves P.
+    """
+    n, m = 2, 4
+    B = np.array([[-0.2, 0.3], [0.1, -0.1]])
+    S = np.array([[0.2, 0.1], [-0.1, 0.3]])
+    b, s, c = np.array([0.3, -0.2]), np.array([0.2, 0.1]), np.array([0.2, 0.1])
+    A, G = np.eye(n), np.array([[1.0, 0.2], [0.2, 0.5]])
+
+    def f_hess(t, x, y, z, u):
+        out = np.zeros((len(x), m, m))
+        out[:, :n, :n] = A
+        out[:, n + 1, n + 1] = -0.5 * np.sin(z[:, 0])
+        return out
+
+    spec = mc.ProblemSpec.build(
+        n=n, d=1, k=1, x0=np.array([0.5, -0.3]), horizon=1.0,
+        drift=lambda t, x, u: x @ B.T + u * b,
+        diffusion=lambda t, x, u: (x @ S.T + u * s + c)[:, :, None],
+        driver=lambda t, x, y, z, u: (0.5 * np.einsum("mi,ij,mj->m", x, A, x)
+                                      + 0.5 * u[:, 0] ** 2 + 0.5 * np.sin(z[:, 0])),
+        terminal=lambda x: 0.5 * np.einsum("mi,ij,mj->m", x, G, x),
+        derivatives=dict(
+            b_x=lambda t, x, u: np.broadcast_to(B, (len(x), n, n)).copy(),
+            sigma_x=lambda t, x, u: np.broadcast_to(S, (len(x), 1, n, n)).copy(),
+            b_xx=lambda t, x, u: np.zeros((len(x), n, n, n)),
+            sigma_xx=lambda t, x, u: np.zeros((len(x), 1, n, n, n)),
+            f_x=lambda t, x, y, z, u: x @ A,
+            f_y=lambda t, x, y, z, u: np.zeros(len(x)),
+            f_z=lambda t, x, y, z, u: 0.5 * np.cos(z),
+            f_hess=f_hess,
+            phi_x=lambda x: x @ G,
+            phi_xx=lambda x: np.broadcast_to(G, (len(x), n, n)).copy()))
+    return spec, mc.FiniteSet([[-0.5], [0.0], [0.5]])
+
+
 class TestComputeMu:
     def test_zero_decrease(self):
         batch = mc.sample_brownian(mc.TimeGrid(1.0, 10), 50, 1, 1)
@@ -117,6 +156,29 @@ class TestRunMsa:
         with pytest.raises(mc.NumericalError,
                            match=r"^iteration 1: step 10: .* on path 0 at candidate 1"):
             mc.run_msa(spec, mc.FiniteSet([[0.0], [1.0]]), cfg, init)
+
+
+    def test_max_asym_P_records_the_second_order_asymmetry(self):
+        spec, domain = curvature_problem()
+        M, N, seed = 500, 10, 3
+        cfg = mc.MsaConfig(rho=0.0, n_paths=M, steps=N, seed=seed, max_iters=3)
+        res = mc.run_msa(spec, domain, cfg, "random")
+        assert len(res.max_asym_P) == len(res.records)
+        assert max(res.max_asym_P) <= 1e-12 * max(res.max_abs_P)
+        # the first record is what the solve at the initial control reports
+        backend = cfg.backend
+        batch = mc.sample_brownian(mc.TimeGrid(1.0, N), M, 1, seed)
+        ctl = mc.random_control(domain, M, N, seed)
+        fwd = mc.simulate_forward(spec, ctl, batch)
+        bwd = mc.solve_state_bsde(spec, fwd, ctl, backend)
+        first = mc.first_order_adjoint(spec, fwd, bwd, ctl, backend)
+        second = mc.second_order_adjoint(spec, fwd, bwd, ctl, first, backend)
+        assert res.max_asym_P[0] == second.asymmetry > 0.0
+        # the hinted and the zero branch record exact zeros
+        for desk in (mc.lq_desk(), mc.example41(0.1)):
+            cfg = mc.MsaConfig(rho=desk.rho, n_paths=200, steps=N, seed=seed, max_iters=2)
+            res = mc.run_msa(desk.spec, desk.domain, cfg, "random", hints=desk.hints)
+            assert res.max_asym_P == [0.0] * len(res.records)
 
 
 class TestNearOptimalityGap:
