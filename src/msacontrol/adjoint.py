@@ -111,20 +111,21 @@ def second_order_vanishes(spec: ProblemSpec) -> bool:
 
 
 def psi_matrix(spec: ProblemSpec, t: float, x: Array, y: Array, z: Array,
-               u: Array, p: Array, q: Array) -> Array:
+               u: Array, p: Array, q: Array, sx: Array, fz: Array) -> Array:
     """Inhomogeneity of the second-order equation, shape (M, n, n).
 
     Psi = sum_j (b_xx)^j p^j
         + sum_{i,j} (sigma_xx^i)^j (f_{z_i} p^j + q^{ji})
         + (I, p, Upsilon) D2f (I, p, Upsilon)'.
+
+    ``sx`` (M, d, n, n) and ``fz`` (M, d) are sigma_x and f_z at the same
+    point, which the caller has already evaluated.
     """
     dv = spec.derivatives
     M, n = x.shape[0], spec.n
     bxx = dv.b_xx(t, x, u)              # (M, n, n, n)
     sxx = dv.sigma_xx(t, x, u)          # (M, d, n, n, n)
-    fz = dv.f_z(t, x, y, z, u)          # (M, d)
     hess = dv.f_hess(t, x, y, z, u)     # (M, m, m)
-    sx = dv.sigma_x(t, x, u)
     ups = _upsilon_batch(sx, p, q)      # (M, n, d)
     psi = np.einsum("mjab,mj->mab", bxx, p)
     coef = fz[:, :, None] * p[:, None, :] + q.transpose(0, 2, 1)  # (M, d, n) = fz_i p^j + q^{ji}
@@ -155,16 +156,18 @@ def second_order_adjoint(spec: ProblemSpec, forward: ForwardPaths,
         t, xj, uj = nodes[j], forward.states[:, j, :], control.values[:, j, :]
         yj, zj = backward.values[:, j], backward.integrand[:, j, :]
         sx = dv.sigma_x(t, xj, uj)
-        fz = dv.f_z(t, xj, yj, zj, uj)[:, :, None, None]
+        fz = dv.f_z(t, xj, yj, zj, uj)
         s = dv.b_x(t, xj, uj).transpose(0, 2, 1) @ phat
         drift = dv.f_y(t, xj, yj, zj, uj)[:, None, None] * phat + s + s.transpose(0, 2, 1)
         for i in range(d):
+            fzi = fz[:, i, None, None]
             sxt = sx[:, i].transpose(0, 2, 1)
             ti = sxt @ phat
             ri = sxt @ qj[..., i]
-            drift += (fz[:, i] * (ti + ti.transpose(0, 2, 1)) + ti @ sx[:, i]
-                      + fz[:, i] * qj[..., i] + ri + ri.transpose(0, 2, 1))
-        drift += psi_matrix(spec, t, xj, yj, zj, uj, first.p[:, j, :], first.q[:, j])
+            drift += (fzi * (ti + ti.transpose(0, 2, 1)) + ti @ sx[:, i]
+                      + fzi * qj[..., i] + ri + ri.transpose(0, 2, 1))
+        drift += psi_matrix(spec, t, xj, yj, zj, uj, first.p[:, j, :], first.q[:, j],
+                            sx, fz)
         P = phat + drift * dt
         Pt = P.transpose(0, 2, 1)
         asym = max(asym, float(np.max(np.abs(P - Pt))))

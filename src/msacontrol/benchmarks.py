@@ -7,12 +7,13 @@ second order, explicit penalty weight), the quadratic-cost problem
 and the linear recursive problem (deterministic costate ODE, zero penalty
 weight). The tree oracle replaces Gaussian increments with +/-sqrt(dt) coin
 flips, making the set of adapted policies finite and conditional expectations
-exact, so the solver can be checked against a true optimum.
+exact, so the solver can be checked against a true optimum. It prices the
+policies with the solver's own forward Euler and cost BSDE on the exact tree
+backend, for any state dimension n with scalar noise (d = 1).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -20,18 +21,18 @@ from typing import Callable, Optional
 import numpy as np
 
 from .adjoint import lq_second_order_ode, ode_adjoint_linear
-from .bsde import ExactTreeBackend
+from .bsde import ExactTreeBackend, solve_state_bsde
 from .errors import ConfigurationError
 from .hamiltonian import _ctl
 from .model import (Bounds, Box, ControlDomain, FiniteSet, ProblemSpec, Structure,
                     enumerate_controls)
 from .msa import RunHints
-from .stochastics import BrownianBatch, ControlField, TimeGrid
+from .stochastics import BrownianBatch, ControlField, TimeGrid, simulate_forward
 
 Array = np.ndarray
 
 _POLICY_BUDGET = 200_000
-_POLICY_CHUNK = 4096
+_ROW_CHUNK = 8192      # stacked paths priced per chunk of policies
 
 
 @dataclass(frozen=True)
@@ -361,12 +362,16 @@ def tree_bruteforce(spec: ProblemSpec, domain: ControlDomain, steps: int,
                     max_policies: int = _POLICY_BUDGET) -> TreeModel:
     """Exact minimum of the tree-discretized cost over all adapted policies.
 
-    Gaussian increments become +/- sqrt(dt) coin flips; every policy (one
-    control per decision node) is priced by exact conditional expectations
-    using the same explicit backward stepping as the Monte Carlo solver.
+    Gaussian increments become +/- sqrt(dt) coin flips, one per step, so the
+    noise must be scalar (d = 1); the state may have any dimension. Each
+    chunk of policies (one control per decision node) is stacked along the
+    path axis and priced by the solver's own ``simulate_forward`` and
+    ``solve_state_bsde`` on the exact tree backend. A policy's value is the
+    mean of Y_0 over its own block of 2^steps paths; ties go to the first
+    enumerated policy.
     """
-    if spec.n != 1 or spec.d != 1:
-        raise ConfigurationError("tree oracle supports n = d = 1 only")
+    if spec.d != 1:
+        raise ConfigurationError("tree oracle flips one coin per step: d = 1 only")
     if steps > 6:
         raise ConfigurationError("tree oracle is desk-scale: steps <= 6")
     candidates = enumerate_controls(domain)
@@ -380,62 +385,37 @@ def tree_bruteforce(spec: ProblemSpec, domain: ControlDomain, steps: int,
             f"policy enumeration needs {policy_count} evaluations, "
             f"over the budget of {max_policies}")
 
-    M, N, dt = batch.n_paths, steps, batch.dt
-    nodes_t = batch.grid.nodes
-    dW = batch.increments[:, :, 0]
-    best_val = np.inf
-    best_policy = None
-
-    all_policies = itertools.product(range(nc), repeat=n_decision)
-    while True:
-        chunk = list(itertools.islice(all_policies, _POLICY_CHUNK))
-        if not chunk:
-            break
-        pol = np.array(chunk, dtype=int)          # (P, n_decision)
-        P = pol.shape[0]
-        u_field = candidates[pol[:, idx_map]]     # (P, M, N, k)
-        X = np.empty((P, M, N + 1))
-        X[:, :, 0] = spec.x0[0]
-        for j in range(N):
-            xf = X[:, :, j].reshape(P * M, 1)
-            uf = u_field[:, :, j, :].reshape(P * M, -1)
-            b = spec.drift(nodes_t[j], xf, uf).reshape(P, M)
-            s = spec.diffusion(nodes_t[j], xf, uf).reshape(P, M)
-            X[:, :, j + 1] = X[:, :, j] + b * dt + s * dW[None, :, j]
-        Y = spec.terminal(X[:, :, N].reshape(P * M, 1)).reshape(P, M)
-        for j in range(N - 1, -1, -1):
-            block = 2 ** (steps - j)
-            grouped = Y.reshape(P, M // block, block)
-            yhat = np.broadcast_to(grouped.mean(axis=2, keepdims=True),
-                                   grouped.shape).reshape(P, M)
-            zgrp = (Y * dW[None, :, j]).reshape(P, M // block, block)
-            Z = np.broadcast_to(zgrp.mean(axis=2, keepdims=True) / dt,
-                                zgrp.shape).reshape(P, M)
-            f = spec.driver(nodes_t[j], X[:, :, j].reshape(P * M, 1),
-                            yhat.reshape(P * M), Z.reshape(P * M, 1),
-                            u_field[:, :, j, :].reshape(P * M, -1)).reshape(P, M)
-            Y = yhat + f * dt
-        vals = Y[:, 0]
+    M = batch.n_paths
+    chunk = max(1, _ROW_CHUNK // M)
+    increments = np.tile(batch.increments, (min(chunk, policy_count), 1, 1))
+    backend = ExactTreeBackend(steps=steps)
+    # policy id -> control index per node, the first node most significant
+    place = nc ** np.arange(n_decision - 1, -1, -1)
+    best_val, best_id = np.inf, 0
+    for start in range(0, policy_count, chunk):
+        ids = np.arange(start, min(start + chunk, policy_count))
+        pol = (ids[:, None] // place) % nc                  # (P, n_decision)
+        P = len(ids)
+        stacked = BrownianBatch(grid=batch.grid, n_paths=P * M, d=1, seed=None,
+                                increments=increments[:P * M])
+        control = ControlField(candidates[pol[:, idx_map]].reshape(P * M, steps, -1))
+        forward = simulate_forward(spec, control, stacked)
+        y0 = solve_state_bsde(spec, forward, control, backend).values[:, 0]
+        vals = y0.reshape(P, M).mean(axis=1)
         arg = int(np.argmin(vals))
         if vals[arg] < best_val:
-            best_val = float(vals[arg])
-            best_policy = pol[arg].copy()
+            best_val, best_id = float(vals[arg]), int(ids[arg])
 
-    policy_controls = candidates[best_policy]
+    best_policy = (best_id // place) % nc
     # states at each decision node under the optimal policy
-    u_best = candidates[best_policy[idx_map]]
-    Xb = np.empty((M, N + 1))
-    Xb[:, 0] = spec.x0[0]
-    for j in range(N):
-        b = spec.drift(nodes_t[j], Xb[:, j].reshape(M, 1), u_best[:, j, :])
-        s = spec.diffusion(nodes_t[j], Xb[:, j].reshape(M, 1), u_best[:, j, :])
-        Xb[:, j + 1] = Xb[:, j] + b[:, 0] * dt + s[:, 0, 0] * dW[:, j]
+    states = simulate_forward(spec, ControlField(candidates[best_policy[idx_map]]),
+                              batch).states
     node_states = np.zeros((n_decision, spec.n))
-    for j in range(N):
-        node_states[idx_map[:, j], 0] = Xb[:, j]
+    for j in range(steps):
+        node_states[idx_map[:, j]] = states[:, j]
     node_count = (steps * (steps + 1) // 2 + 1 if mode == "recombining"
                   else 2 ** steps - 1)
     return TreeModel(steps=steps, mode=mode, node_count=node_count,
                      decision_nodes=n_decision, policy_count=policy_count,
-                     jstar=best_val, policy=policy_controls,
+                     jstar=best_val, policy=candidates[best_policy],
                      node_states=node_states)

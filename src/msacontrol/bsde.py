@@ -121,11 +121,13 @@ def condexp_fit(features: Array, targets: Array, backend: RegressionBackend) -> 
 
 @dataclass(frozen=True)
 class ExactTreeBackend:
-    """Exact conditional expectations on a full binary-increment batch.
+    """Exact conditional expectations on stacked binary-increment batches.
 
-    Paths must enumerate every sign pattern of ``steps`` coin flips with the
-    first step as the most significant bit; conditioning on the first j
-    increments is then an average over contiguous blocks of size 2^(steps-j).
+    Paths come in consecutive groups of 2^steps, each group enumerating every
+    sign pattern of ``steps`` coin flips with the first step as the most
+    significant bit; any multiple of 2^steps paths is accepted. Conditioning
+    on the first j increments is then an average over contiguous blocks of
+    size 2^(steps-j), which never straddle two groups.
     """
 
     steps: int
@@ -133,14 +135,13 @@ class ExactTreeBackend:
     def project(self, step: int, features: Array, targets: Array) -> Array:
         targets = np.asarray(targets, dtype=float)
         M = targets.shape[0]
-        if M != 2 ** self.steps:
+        if M % 2 ** self.steps:
             raise ConfigurationError(
-                f"tree backend expects {2 ** self.steps} paths, got {M}")
+                f"tree backend expects a multiple of {2 ** self.steps} paths, got {M}")
         block = 2 ** (self.steps - step)
-        tail = targets.shape[1:]
-        grouped = targets.reshape((M // block, block) + tail)
-        means = grouped.mean(axis=1, keepdims=True)
-        return np.broadcast_to(means, grouped.shape).reshape(targets.shape).copy()
+        grouped = targets.reshape(M // block, block, -1)
+        means = np.einsum("gbr->gr", grouped) / block
+        return np.repeat(means, block, axis=0).reshape(targets.shape)
 
 
 @dataclass(frozen=True)

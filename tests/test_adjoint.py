@@ -239,6 +239,28 @@ class TestSecondOrderAdjoint:
         worst = max(np.max(np.abs(sol.P[0, j] - expected[j])) for j in range(N + 1))
         assert worst < 1e-12
 
+    def test_each_derivative_is_evaluated_once_per_step(self):
+        N = 4
+        spec, fwd, bwd, ctl, first, _ = random_curvature_case(2, 1, N, 50)
+        calls = {"sigma_x": 0, "f_z": 0}
+
+        def counted(name):
+            fn = getattr(spec.derivatives, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        dv = dataclasses.replace(spec.derivatives, sigma_x=counted("sigma_x"),
+                                 f_z=counted("f_z"))
+        counted_spec = dataclasses.replace(spec, derivatives=dv)
+        backend = mc.RegressionBackend(degree=1)
+        sol = mc.second_order_adjoint(counted_spec, fwd, bwd, ctl, first, backend)
+        assert calls == {"sigma_x": N, "f_z": N}
+        ref = mc.second_order_adjoint(spec, fwd, bwd, ctl, first, backend)
+        assert np.array_equal(sol.P, ref.P) and np.array_equal(sol.Q, ref.Q)
+
     def test_peak_memory_grows_like_the_solution(self):
         # the shape of the n=4 curvature benchmark: n=4, d=2, M=400; no
         # coefficient tensor may span the horizon, so from N=10 to N=40 the

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -176,13 +177,64 @@ class TestTreeBruteforce:
         bench = mc.example41(0.1)
         with pytest.raises(mc.ConfigurationError):
             mc.tree_bruteforce(bench.spec, bench.domain, 7)
+        # any state dimension prices: X = (W, int u dW), Phi = |x|^2, so
+        # J(u) = T + E int u^2 dt, least at u = 0 with J* = T = 1
         spec2 = mc.ProblemSpec.build(
             n=2, d=1, k=1, x0=np.zeros(2), horizon=1.0,
-            drift=constant_fn(np.zeros(2)), diffusion=constant_fn(np.zeros((2, 1))),
+            drift=lambda t, x, u: np.zeros_like(x),
+            diffusion=lambda t, x, u: np.stack([np.ones_like(u), u], axis=1),
+            driver=lambda t, x, y, z, u: np.zeros(len(x)),
+            terminal=lambda x: np.sum(x ** 2, axis=1))
+        tree = mc.tree_bruteforce(spec2, bench.domain, 3)
+        assert tree.jstar == pytest.approx(1.0, abs=1e-12)
+        assert np.all(tree.policy == 0.0)
+        assert tree.node_states.shape == (7, 2)
+        # the tree flips one coin per step
+        spec_d2 = mc.ProblemSpec.build(
+            n=1, d=2, k=1, x0=np.zeros(1), horizon=1.0,
+            drift=constant_fn(np.zeros(1)), diffusion=constant_fn(np.zeros((1, 2))),
             driver=lambda t, x, y, z, u: np.zeros(len(x)),
             terminal=lambda x: np.zeros(len(x)))
-        with pytest.raises(mc.ConfigurationError):
-            mc.tree_bruteforce(spec2, bench.domain, 3)
+        with pytest.raises(mc.ConfigurationError, match="d = 1"):
+            mc.tree_bruteforce(spec_d2, bench.domain, 3)
+
+    def test_stacked_policies_price_as_alone(self):
+        # depth 2, nonrecombining: node 0 at step 0, node 1 after an up flip
+        # (paths 0, 1), node 2 after a down flip (paths 2, 3)
+        spec = mc.ProblemSpec.build(
+            n=1, d=1, k=1, x0=np.zeros(1), horizon=1.0,
+            drift=lambda t, x, u: u.astype(float),
+            diffusion=lambda t, x, u: np.full((len(x), 1, 1), 0.5),
+            driver=lambda t, x, y, z, u: 0.3 * u[:, 0] ** 2 + 0.1 * y + np.sin(z[:, 0]),
+            terminal=lambda x: (x[:, 0] - 0.4) ** 2)
+        values = [-1.0, 0.0, 1.0]
+        dom = mc.FiniteSet([[v] for v in values])
+        batch, backend = mc.tree_batch(2), mc.tree_backend(2)
+        policies = list(itertools.product(values, repeat=3))   # (root, up, down)
+        prices = []
+        for a, b, c in policies:
+            ctl = mc.ControlField(np.array([[a, b], [a, b], [a, c], [a, c]])[:, :, None])
+            fwd = mc.simulate_forward(spec, ctl, batch)
+            prices.append(mc.solve_state_bsde(spec, fwd, ctl, backend).j_estimate)
+        assert len(set(prices)) == 27
+        tree = mc.tree_bruteforce(spec, dom, 2)
+        best = int(np.argmin(prices))
+        assert tree.jstar == min(prices)
+        assert tuple(tree.policy[:, 0]) == policies[best]
+
+    def test_ties_go_to_the_first_enumerated_policy(self):
+        # X_T = (u_0 + u_1) dt with dt = 1/2 and Phi = (X_T - 1/2)^2: both
+        # (root, up, down) = (0, 1, 1) and (1, 0, 0) reach J = 0, and the
+        # enumeration (root most significant) meets (0, 1, 1) first
+        spec = mc.ProblemSpec.build(
+            n=1, d=1, k=1, x0=np.zeros(1), horizon=1.0,
+            drift=lambda t, x, u: u.astype(float),
+            diffusion=constant_fn(np.zeros((1, 1))),
+            driver=lambda t, x, y, z, u: np.zeros(len(x)),
+            terminal=lambda x: (x[:, 0] - 0.5) ** 2)
+        tree = mc.tree_bruteforce(spec, mc.FiniteSet([[0.0], [1.0]]), 2)
+        assert tree.jstar == 0.0
+        assert tree.policy[:, 0].tolist() == [0.0, 1.0, 1.0]
 
     def test_recombining_mode_counts(self):
         bench = mc.example41(0.1)

@@ -195,3 +195,15 @@ class TestExactTreeBackend:
         assert np.allclose(out[4:], 5.5)
         # conditioning on everything (step 3) reproduces the targets
         assert np.array_equal(backend.project(3, None, targets), targets)
+
+    def test_stacked_batch_projects_each_group_alone(self):
+        backend = mc.ExactTreeBackend(steps=3)
+        targets = np.random.default_rng(3).normal(size=(16, 2))
+        for step in range(4):
+            stacked = backend.project(step, None, targets)
+            alone = [backend.project(step, None, half) for half in (targets[:8], targets[8:])]
+            assert np.array_equal(stacked, np.concatenate(alone))
+
+    def test_path_count_must_be_a_multiple_of_the_tree(self):
+        with pytest.raises(mc.ConfigurationError, match="multiple of 8"):
+            mc.ExactTreeBackend(steps=3).project(1, None, np.zeros((12, 2)))

@@ -1,6 +1,9 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import msacontrol
 from msacontrol.cli import main
 
 RUN_HEADER = "iter,J,J_stderr,mu,mu_stderr,descent,wall_ms"
@@ -141,10 +144,14 @@ class TestCmdRate:
 
 class TestConsoleEntryPoint:
     def test_module_invocation(self, tmp_path):
+        # the child imports the same package as this process, installed or not
+        package_root = str(Path(msacontrol.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
         out = tmp_path / "run.csv"
         proc = subprocess.run(
             [sys.executable, "-m", "msacontrol.cli", "run", "--paths", "200",
              "--steps", "5", "--iters", "1", "--out", str(out)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert out.exists()
