@@ -22,8 +22,8 @@ import numpy as np
 
 from .adjoint import lq_second_order_ode, ode_adjoint_linear
 from .bsde import ExactTreeBackend, solve_state_bsde
-from .errors import ConfigurationError
-from .hamiltonian import _ctl
+from .errors import ConfigurationError, SimulationError
+from .hamiltonian import _ROW_CHUNK, _ctl
 from .model import (Bounds, Box, ControlDomain, FiniteSet, ProblemSpec, Structure,
                     enumerate_controls)
 from .msa import RunHints
@@ -32,7 +32,6 @@ from .stochastics import BrownianBatch, ControlField, TimeGrid, simulate_forward
 Array = np.ndarray
 
 _POLICY_BUDGET = 200_000
-_ROW_CHUNK = 8192      # stacked paths priced per chunk of policies
 
 
 @dataclass(frozen=True)
@@ -368,7 +367,8 @@ def tree_bruteforce(spec: ProblemSpec, domain: ControlDomain, steps: int,
     path axis and priced by the solver's own ``simulate_forward`` and
     ``solve_state_bsde`` on the exact tree backend. A policy's value is the
     mean of Y_0 over its own block of 2^steps paths; ties go to the first
-    enumerated policy.
+    enumerated policy. A policy that drives the Euler state non-finite raises
+    SimulationError naming the policy, its node controls and the step.
     """
     if spec.d != 1:
         raise ConfigurationError("tree oracle flips one coin per step: d = 1 only")
@@ -399,7 +399,14 @@ def tree_bruteforce(spec: ProblemSpec, domain: ControlDomain, steps: int,
         stacked = BrownianBatch(grid=batch.grid, n_paths=P * M, d=1, seed=None,
                                 increments=increments[:P * M])
         control = ControlField(candidates[pol[:, idx_map]].reshape(P * M, steps, -1))
-        forward = simulate_forward(spec, control, stacked)
+        try:
+            forward = simulate_forward(spec, control, stacked)
+        except SimulationError as exc:
+            row = exc.path // M
+            raise SimulationError(
+                f"policy {start + row} with node controls "
+                f"{candidates[pol[row]].tolist()} drives the state non-finite "
+                f"at step {exc.step}", path=exc.path % M, step=exc.step) from exc
         y0 = solve_state_bsde(spec, forward, control, backend).values[:, 0]
         vals = y0.reshape(P, M).mean(axis=1)
         arg = int(np.argmin(vals))

@@ -10,7 +10,15 @@ class EvaluationError(RuntimeError):
 
 
 class SimulationError(RuntimeError):
-    """Path simulation blew up; message carries path/step indices."""
+    """Path simulation blew up; message carries path/step indices.
+
+    ``path`` and ``step`` hold the same indices when the raiser knows them.
+    """
+
+    def __init__(self, message: str, path: int | None = None, step: int | None = None):
+        super().__init__(message)
+        self.path = path
+        self.step = step
 
 
 class NumericalError(RuntimeError):

@@ -233,7 +233,7 @@ def _fd_bundle(n, d, drift, diffusion, driver, terminal, step, step_hess) -> dic
 
     def f_grad(t, x, y, z, u):
         w = np.concatenate([x, y[:, None], z], axis=1)
-        return _fd_jacobian(f_of_w(t, u), w, step)[:, 0, :]
+        return _fd_jacobian(lambda ws: f_of_w(t, u)(ws)[:, None], w, step)[:, 0, :]
 
     def f_x(t, x, y, z, u):
         return f_grad(t, x, y, z, u)[:, :n]

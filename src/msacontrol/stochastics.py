@@ -142,8 +142,8 @@ def simulate_forward(spec: ProblemSpec, control: ControlField,
         X[:, j + 1, :] = xj + b * dt + np.einsum("mnd,md->mn", s, batch.increments[:, j, :])
         if not np.all(np.isfinite(X[:, j + 1, :])):
             bad = np.argwhere(~np.isfinite(X[:, j + 1, :]))[0]
-            raise SimulationError(
-                f"non-finite state at path {bad[0]}, step {j + 1}")
+            raise SimulationError(f"non-finite state at path {bad[0]}, step {j + 1}",
+                                  path=int(bad[0]), step=j + 1)
     return ForwardPaths(states=X, control=control, batch=batch)
 
 

@@ -236,6 +236,22 @@ class TestTreeBruteforce:
         assert tree.jstar == 0.0
         assert tree.policy[:, 0].tolist() == [0.0, 1.0, 1.0]
 
+    def test_refused_policy_is_named(self):
+        # u = 1 drives the state to +inf; policy 4 = (root, up, down) = (1, 0, 0)
+        # is the first whose state breaks, at step 1 on every one of its paths
+        spec = mc.ProblemSpec.build(
+            n=1, d=1, k=1, x0=np.zeros(1), horizon=1.0,
+            drift=lambda t, x, u: np.where(u == 1.0, np.inf, 0.0),
+            diffusion=constant_fn(np.ones((1, 1))),
+            driver=lambda t, x, y, z, u: np.zeros(len(x)),
+            terminal=lambda x: x[:, 0] ** 2)
+        with pytest.raises(mc.SimulationError) as info:
+            mc.tree_bruteforce(spec, mc.FiniteSet([[0.0], [1.0]]), 2)
+        assert str(info.value) == ("policy 4 with node controls [[1.0], [0.0], [0.0]] "
+                                   "drives the state non-finite at step 1")
+        assert (info.value.path, info.value.step) == (0, 1)
+        assert isinstance(info.value.__cause__, mc.SimulationError)
+
     def test_recombining_mode_counts(self):
         bench = mc.example41(0.1)
         tree = mc.tree_bruteforce(bench.spec, bench.domain, 4, mode="recombining")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -282,22 +284,66 @@ def random_step_inputs(spec, candidates, B, seed):
 
 
 class TestHoistedMinimizeStep:
+    # Candidates are stacked max(1, 8192 // B) at a time: all 12 at B = 64,
+    # 2 per chunk at B = 3000 (6 chunks) and B = 3500 (11 chunks, the last
+    # one partial), one at a time without stacking at B = 8193.
     @pytest.mark.parametrize("case", ["curvature-box-rho", "curvature-box-rho0",
-                                      "example41-general"])
+                                      "example41-general", "curvature-box-rho-B3000",
+                                      "lq-grid21-rho-B3500", "curvature-box-rho-B8193"])
     def test_bitwise_equal_to_per_candidate_loop(self, case):
+        B = int(case.rsplit("-B", 1)[1]) if "-B" in case else 64
         if case.startswith("curvature"):
             spec = curvature_spec()
             candidates = mc.enumerate_controls(mc.Box([-1.0, -0.5], [1.0, 0.5], [4, 3]))
-            rho = 0.7 if case.endswith("-rho") else 0.0
+            rho = 0.0 if "-rho0" in case else 0.7
+        elif case.startswith("lq-grid21"):
+            spec, rho = mc.lq_desk().spec, 0.5
+            candidates = mc.enumerate_controls(mc.Box([-1.0], [1.0], [21]))
         else:
             bench = mc.example41(0.3)
             spec, rho = bench.spec, bench.rho
             candidates = mc.enumerate_controls(bench.domain)
-        x, y, z, p, q, P, u_prev = random_step_inputs(spec, candidates, 64, 11)
+        x, y, z, p, q, P, u_prev = random_step_inputs(spec, candidates, B, 11)
         got = minimize_step(spec, 0.35, x, y, z, p, q, P, u_prev, candidates, rho)
         want = loop_reference(spec, 0.35, x, y, z, p, q, P, u_prev, candidates, rho)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("hinted", [False, True])
+    def test_ties_go_to_the_first_candidate(self, hinted):
+        # no coefficient depends on the control, so every candidate ties on every path
+        spec = mc.ProblemSpec.build(
+            n=1, d=1, k=1, x0=np.zeros(1), horizon=1.0,
+            drift=lambda t, x, u: x.copy(), diffusion=constant_fn(np.ones((1, 1))),
+            driver=lambda t, x, y, z, u: x[:, 0] * y, terminal=lambda x: x[:, 0])
+        candidates = np.array([[0.5], [-1.0], [2.0]])
+        x, y, z, p, q, P, _ = random_step_inputs(spec, candidates, 50, 3)
+        hints = dict(h_fn=h_batch, pen_fn=penalty_batch) if hinted else {}
+        u_new = minimize_step(spec, 0.1, x, y, z, p, q, P, np.full((50, 1), 2.0),
+                              candidates, 0.5, **hints)[0]
+        assert np.all(u_new == 0.5)
+
+    def test_heap_does_not_grow_with_stacked_candidates(self):
+        # Stacking every candidate into one batch grows the peak with the
+        # candidate count through the tiled inputs and every intermediate;
+        # chunks of bounded rows leave only the (n_c, B) value arrays:
+        # h_vals, pen_vals, the rho-scaled penalty and aug_vals.
+        spec, B, rho = mc.lq_desk().spec, 4096, 0.5
+
+        def peak(n_c):
+            candidates = mc.enumerate_controls(mc.Box([-1.0], [1.0], [n_c]))
+            inputs = random_step_inputs(spec, candidates, B, 5)
+            tracemalloc.start()
+            try:
+                minimize_step(spec, 0.35, *inputs, candidates, rho)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(21)  # warm-up
+        growth = peak(41) - peak(21)
+        kept = 4 * (41 - 21) * B * 8
+        assert growth <= 1.25 * kept
 
 
 def nan_driver_spec(bad_u):
@@ -311,8 +357,7 @@ def nan_driver_spec(bad_u):
 
 
 class TestNonFiniteHamiltonian:
-    def inputs(self, u_prev):
-        B = 6
+    def inputs(self, u_prev, B=6):
         x = np.arange(B, dtype=float)[:, None]
         return (x, np.zeros(B), np.ones((B, 1)), np.ones((B, 1)), np.zeros((B, 1, 1)),
                 np.zeros((B, 1, 1)), np.full((B, 1), u_prev))
@@ -323,6 +368,14 @@ class TestNonFiniteHamiltonian:
         candidates = np.array([[0.0], [1.0], [2.0]])
         with pytest.raises(mc.NumericalError, match=r"on path 3 at candidate 1 \[1\.0\]"):
             minimize_step(spec, 0.2, *self.inputs(0.0), candidates, rho)
+
+    @pytest.mark.parametrize("rho", [0.0, 0.5])
+    def test_candidate_in_a_later_chunk_names_path_and_candidate(self, rho):
+        # at B = 3000 the candidates are stacked two at a time: 4.0 is in the third chunk
+        spec = nan_driver_spec(bad_u=4.0)
+        candidates = np.arange(5.0)[:, None]
+        with pytest.raises(mc.NumericalError, match=r"on path 3 at candidate 4 \[4\.0\]"):
+            minimize_step(spec, 0.2, *self.inputs(0.0, B=3000), candidates, rho)
 
     def test_current_control_names_path(self):
         spec = nan_driver_spec(bad_u=0.5)

@@ -125,6 +125,25 @@ class TestCheckDerivatives:
         assert rep.all_passed
         assert len(rep.fd_fallback) == len(mc.model.DERIVATIVE_NAMES)
 
+    def test_fallback_driver_gradient_is_row_wise(self):
+        # each row's gradient comes from its own point, also in a batch
+        spec = mc.ProblemSpec.build(
+            n=2, d=1, k=1, x0=np.zeros(2), horizon=1.0,
+            drift=lambda t, x, u: np.zeros_like(x),
+            diffusion=constant_fn(np.ones((2, 1))),
+            driver=lambda t, x, y, z, u: (0.5 * (x * x).sum(axis=1) + y * y
+                                          + np.sin(z[:, 0]) * u[:, 0]),
+            terminal=lambda x: x[:, 0])
+        rng = np.random.default_rng(2)
+        B = 50
+        x, y = rng.normal(size=(B, 2)), rng.normal(size=B)
+        z, u = rng.normal(size=(B, 1)), rng.normal(size=(B, 1))
+        dv = spec.derivatives
+        assert {"f_x", "f_y", "f_z"} <= dv.fd_fallback
+        np.testing.assert_allclose(dv.f_x(0.1, x, y, z, u), x, atol=1e-8)
+        np.testing.assert_allclose(dv.f_y(0.1, x, y, z, u), 2 * y, atol=1e-8)
+        np.testing.assert_allclose(dv.f_z(0.1, x, y, z, u), np.cos(z) * u, atol=1e-8)
+
 
 class TestHessianSymmetry:
     @pytest.mark.parametrize("spec_fn", [
