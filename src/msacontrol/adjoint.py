@@ -15,19 +15,24 @@ import numpy as np
 from .bsde import (BackwardPaths, RegressionBackend, solve_linear_bsde,
                    solve_state_bsde, _step_features)
 from .model import ProblemSpec
-from .stochastics import BrownianBatch, ControlField, ForwardPaths, TimeGrid, simulate_forward
+from .stochastics import (BrownianBatch, ControlField, ForwardPaths, TimeGrid, _time_major,
+                          simulate_forward)
 
 Array = np.ndarray
 
 
 @dataclass(frozen=True)
 class FirstOrderAdjoint:
+    """Costate p and its integrand q; solved ones are stored time-major."""
+
     p: Array  # (M, N+1, n)
     q: Array  # (M, N, n, d)
 
 
 @dataclass(frozen=True)
 class SecondOrderAdjoint:
+    """Second-order adjoint P and its integrand Q; solved ones are stored time-major."""
+
     P: Array  # (M, N+1, n, n), symmetric
     Q: Array  # (M, N, n, n, d)
     asymmetry: float  # max pre-symmetrization |P - P'| seen during the solve
@@ -91,7 +96,7 @@ def first_order_adjoint(spec: ProblemSpec, forward: ForwardPaths,
 def _features_grid(forward: ForwardPaths, control: ControlField, backend) -> Array:
     N = forward.batch.grid.steps
     cols = [_step_features(forward, control, j, backend) for j in range(N)]
-    return np.stack(cols, axis=1)
+    return np.stack(cols, axis=0).swapaxes(0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +186,8 @@ def second_order_adjoint(spec: ProblemSpec, forward: ForwardPaths,
 
 def zero_second_order(spec: ProblemSpec, batch: BrownianBatch) -> SecondOrderAdjoint:
     M, N, n, d = batch.n_paths, batch.grid.steps, spec.n, spec.d
-    return SecondOrderAdjoint(P=np.zeros((M, N + 1, n, n)),
-                              Q=np.zeros((M, N, n, n, d)), asymmetry=0.0)
+    return SecondOrderAdjoint(P=_time_major((M, N + 1, n, n), np.zeros),
+                              Q=_time_major((M, N, n, n, d), np.zeros), asymmetry=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,8 @@ from .hamiltonian import _ROW_CHUNK, _ctl
 from .model import (Bounds, Box, ControlDomain, FiniteSet, ProblemSpec, Structure,
                     enumerate_controls)
 from .msa import RunHints
-from .stochastics import BrownianBatch, ControlField, TimeGrid, simulate_forward
+from .stochastics import (BrownianBatch, ControlField, TimeGrid, _time_major,
+                          _time_major_take, simulate_forward)
 
 Array = np.ndarray
 
@@ -311,11 +312,10 @@ def tree_batch(steps: int, horizon: float = 1.0) -> BrownianBatch:
     grid = TimeGrid(horizon, steps)
     M = 2 ** steps
     paths = np.arange(M)
-    signs = np.empty((M, steps))
+    increments = _time_major((M, steps, 1))
     for j in range(steps):
         bit = (paths >> (steps - 1 - j)) & 1
-        signs[:, j] = np.where(bit == 0, 1.0, -1.0)
-    increments = (signs * math.sqrt(grid.dt))[:, :, None]
+        increments[:, j, 0] = np.where(bit == 0, 1.0, -1.0) * math.sqrt(grid.dt)
     return BrownianBatch(grid=grid, n_paths=M, d=1, seed=None, increments=increments)
 
 
@@ -336,7 +336,7 @@ def tree_random_control(domain: ControlDomain, steps: int, seed: int) -> Control
     idx_map, n_decision = _node_index_map(steps, "nonrecombining", signs)
     gen = np.random.Generator(np.random.Philox(key=seed).jumped(2 ** 33))
     node_choice = gen.integers(0, len(candidates), size=n_decision)
-    return ControlField(candidates[node_choice[idx_map]])
+    return ControlField(_time_major_take(candidates, node_choice[idx_map]))
 
 
 def _node_index_map(steps: int, mode: str, signs: Array) -> tuple:
@@ -387,7 +387,9 @@ def tree_bruteforce(spec: ProblemSpec, domain: ControlDomain, steps: int,
 
     M = batch.n_paths
     chunk = max(1, _ROW_CHUNK // M)
-    increments = np.tile(batch.increments, (min(chunk, policy_count), 1, 1))
+    # the tree increments repeated once per policy of a chunk, time-major
+    increments = np.tile(batch.increments.swapaxes(0, 1),
+                         (1, min(chunk, policy_count), 1)).swapaxes(0, 1)
     backend = ExactTreeBackend(steps=steps)
     # policy id -> control index per node, the first node most significant
     place = nc ** np.arange(n_decision - 1, -1, -1)
@@ -398,7 +400,8 @@ def tree_bruteforce(spec: ProblemSpec, domain: ControlDomain, steps: int,
         P = len(ids)
         stacked = BrownianBatch(grid=batch.grid, n_paths=P * M, d=1, seed=None,
                                 increments=increments[:P * M])
-        control = ControlField(candidates[pol[:, idx_map]].reshape(P * M, steps, -1))
+        control = ControlField(_time_major_take(candidates,
+                                                pol[:, idx_map].reshape(P * M, steps)))
         try:
             forward = simulate_forward(spec, control, stacked)
         except SimulationError as exc:
@@ -415,8 +418,8 @@ def tree_bruteforce(spec: ProblemSpec, domain: ControlDomain, steps: int,
 
     best_policy = (best_id // place) % nc
     # states at each decision node under the optimal policy
-    states = simulate_forward(spec, ControlField(candidates[best_policy[idx_map]]),
-                              batch).states
+    best = ControlField(_time_major_take(candidates, best_policy[idx_map]))
+    states = simulate_forward(spec, best, batch).states
     node_states = np.zeros((n_decision, spec.n))
     for j in range(steps):
         node_states[idx_map[:, j]] = states[:, j]

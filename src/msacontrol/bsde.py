@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericalError
 from .model import ProblemSpec
-from .stochastics import BrownianBatch, ControlField, ForwardPaths
+from .stochastics import BrownianBatch, ControlField, ForwardPaths, _time_major
 
 Array = np.ndarray
 
@@ -146,7 +146,10 @@ class ExactTreeBackend:
 
 @dataclass(frozen=True)
 class BackwardPaths:
-    """Solution of the cost BSDE: Y (M, N+1), Z (M, N, d), and J = mean Y_0."""
+    """Solution of the cost BSDE: Y (M, N+1), Z (M, N, d), and J = mean Y_0.
+
+    Y and Z are stored time-major, so each step slice is contiguous.
+    """
 
     values: Array
     integrand: Array
@@ -175,8 +178,8 @@ def solve_state_bsde(spec: ProblemSpec, forward: ForwardPaths, control: ControlF
     if control.values.shape[:2] != (M, N):
         raise ConfigurationError("control does not match the simulated batch")
     nodes = batch.grid.nodes
-    Y = np.empty((M, N + 1))
-    Z = np.empty((M, N, spec.d))
+    Y = _time_major((M, N + 1))
+    Z = _time_major((M, N, spec.d))
     Y[:, N] = spec.terminal(forward.states[:, N, :])
     driver_sum = np.zeros(M)
     for j in range(N - 1, -1, -1):
@@ -216,16 +219,17 @@ def solve_linear_bsde(terminal: Array, step: Callable, features: Array,
     (M, *shape, d) and (M, *shape). ``step(j, phat, q_j)`` applies the drift
     explicitly to the proxy and returns p_j (explicit-in-q).
 
-    Returns p (M, N+1, *shape) and q (M, N, *shape, d). Raises NumericalError
-    naming the step and the first path where p_j is not finite.
+    Returns p (M, N+1, *shape) and q (M, N, *shape, d), both stored
+    time-major so that p[:, j] and q[:, j] are contiguous. Raises
+    NumericalError naming the step and the first path where p_j is not finite.
     """
     M, N, d = batch.n_paths, batch.grid.steps, batch.d
     terminal = np.asarray(terminal, dtype=float)
     shape = terminal.shape[1:]
     r = int(np.prod(shape))
     dt = batch.dt
-    p = np.empty((M, N + 1) + shape)
-    q = np.empty((M, N) + shape + (d,))
+    p = _time_major((M, N + 1) + shape)
+    q = _time_major((M, N) + shape + (d,))
     p[:, N] = terminal
     for j in range(N - 1, -1, -1):
         nxt = p[:, j + 1].reshape(M, r)

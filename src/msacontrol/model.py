@@ -406,7 +406,11 @@ def check_derivatives(spec: ProblemSpec, sample_count: int = 32, step: float = 1
     """Compare every declared derivative against central finite differences.
 
     Report-only: each entry is the max relative error over ``sample_count``
-    random points, with scale max(1, |fd|).
+    random points, with scale max(1, |fd|). Each derivative is also evaluated
+    once on all the points as one batch, at the first point's time; its worst
+    relative deviation from the same points taken one row at a time (an
+    infinite one if the shapes differ) counts in its entry, so a derivative
+    that is right only on one-row batches fails.
     """
     if sample_count < 1 or not step > 0:
         raise ConfigurationError("sample_count >= 1 and step > 0 required")
@@ -420,24 +424,36 @@ def check_derivatives(spec: ProblemSpec, sample_count: int = 32, step: float = 1
     fd = _fd_bundle(spec.n, spec.d, spec.drift, spec.diffusion, spec.driver,
                     spec.terminal, step, step)
     dv = spec.derivatives
+
+    def evaluate(fn, name, t, rows):
+        if name in ("phi_x", "phi_xx"):
+            out = fn(x[rows])
+        elif name.startswith("f"):
+            out = fn(t, x[rows], y[rows], z[rows], u[rows])
+        else:
+            out = fn(t, x[rows], u[rows])
+        return np.asarray(out, dtype=float)
+
+    def rel_error(value, reference):
+        scale = np.maximum(1.0, np.abs(reference))
+        return float(np.max(np.abs(value - reference) / scale))
+
     errors = {}
     for name in DERIVATIVE_NAMES:
+        declared = getattr(dv, name)
         worst = 0.0
         for i in range(B):
-            t = float(ts[i])
-            args_x = (x[i:i + 1],)
-            if name in ("phi_x", "phi_xx"):
-                declared = getattr(dv, name)(*args_x)
-                reference = fd[name](*args_x)
-            elif name.startswith("f"):
-                declared = np.asarray(getattr(dv, name)(t, x[i:i + 1], y[i:i + 1], z[i:i + 1], u[i:i + 1]))
-                reference = np.asarray(fd[name](t, x[i:i + 1], y[i:i + 1], z[i:i + 1], u[i:i + 1]))
-            else:
-                declared = getattr(dv, name)(t, x[i:i + 1], u[i:i + 1])
-                reference = fd[name](t, x[i:i + 1], u[i:i + 1])
-            scale = np.maximum(1.0, np.abs(np.asarray(reference, dtype=float)))
-            err = np.max(np.abs(np.asarray(declared, dtype=float) - reference) / scale)
-            worst = max(worst, float(err))
+            t, row = float(ts[i]), slice(i, i + 1)
+            worst = max(worst, rel_error(evaluate(declared, name, t, row),
+                                         evaluate(fd[name], name, t, row)))
+        t = float(ts[0])
+        rowwise = np.concatenate([np.atleast_1d(evaluate(declared, name, t, slice(i, i + 1)))
+                                  for i in range(B)])
+        batched = evaluate(declared, name, t, slice(None))
+        if batched.shape != rowwise.shape:
+            worst = np.inf
+        else:
+            worst = max(worst, rel_error(batched, rowwise))
         errors[name] = worst
     return DerivativeReport(errors=errors, tol=tol, fd_fallback=dv.fd_fallback)
 

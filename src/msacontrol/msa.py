@@ -22,8 +22,9 @@ from .bsde import RegressionBackend, solve_state_bsde
 from .errors import ConfigurationError, NumericalError
 from .hamiltonian import minimize_step
 from .model import ControlDomain, ProblemSpec, enumerate_controls
-from .stochastics import (BrownianBatch, ControlField, TimeGrid, girsanov_weights,
-                          random_control, sample_brownian, simulate_forward)
+from .stochastics import (BrownianBatch, ControlField, TimeGrid, _time_major,
+                          _time_major_copy, girsanov_weights, random_control,
+                          sample_brownian, simulate_forward)
 
 Array = np.ndarray
 
@@ -108,16 +109,20 @@ def compute_mu(hhat: Array, fz_path: Array, batch: BrownianBatch) -> Tuple[float
     """Girsanov-weighted estimate of E^m[int H-hat dt] with its stderr.
 
     hhat[m, j] holds the pointwise Hamiltonian decrease on [t_j, t_{j+1});
-    weights come from f_z along the same trajectory.
+    weights come from f_z along the same trajectory. The sum over steps runs
+    on a C-order (path-major) copy of hhat, because its summation order
+    follows the memory layout; mu is then the same whatever layout hhat has.
     """
     weights = girsanov_weights(fz_path, batch)
-    samples = weights * hhat.sum(axis=1) * batch.dt
+    samples = weights * np.ascontiguousarray(hhat).sum(axis=1) * batch.dt
     M = samples.shape[0]
     se = float(np.std(samples, ddof=1) / np.sqrt(M)) if M > 1 else float("nan")
     return float(np.mean(samples)), se
 
 
 def _fz_grid(spec: ProblemSpec, forward, backward, control) -> Array:
+    # C order, unlike the other horizon arrays: its only reader is the
+    # path-major Girsanov reduction.
     batch = forward.batch
     M, N, d = batch.n_paths, batch.grid.steps, spec.d
     nodes = batch.grid.nodes
@@ -162,7 +167,7 @@ def run_msa(spec: ProblemSpec, domain: ControlDomain, config: MsaConfig,
     else:
         if initial.values.shape != (M, N, spec.k):
             raise ConfigurationError("initial control shape does not match the run")
-        u_prev = initial
+        u_prev = ControlField(_time_major_copy(initial.values))
 
     p_ode = hints.first_order_ode(grid) if hints.first_order_ode else None
     P_ode = hints.second_order_ode(grid) if hints.second_order_ode else None
@@ -185,7 +190,7 @@ def run_msa(spec: ProblemSpec, domain: ControlDomain, config: MsaConfig,
         try:
             if p_ode is not None:
                 first = FirstOrderAdjoint(p=_broadcast_nodes(p_ode, M),
-                                          q=np.zeros((M, N, spec.n, spec.d)))
+                                          q=_time_major((M, N, spec.n, spec.d), np.zeros))
             else:
                 first = first_order_adjoint(spec, forward, backward, u_prev, backend)
 
@@ -194,16 +199,16 @@ def run_msa(spec: ProblemSpec, domain: ControlDomain, config: MsaConfig,
             elif config.second_order == "solve":
                 second = second_order_adjoint(spec, forward, backward, u_prev, first, backend)
             elif P_ode is not None:
-                second = SecondOrderAdjoint(P=_broadcast_nodes(P_ode, M),
-                                            Q=np.zeros((M, N, spec.n, spec.n, spec.d)),
-                                            asymmetry=0.0)
+                second = SecondOrderAdjoint(
+                    P=_broadcast_nodes(P_ode, M),
+                    Q=_time_major((M, N, spec.n, spec.n, spec.d), np.zeros), asymmetry=0.0)
             elif second_order_vanishes(spec):
                 second = zero_second_order(spec, batch)
             else:
                 second = second_order_adjoint(spec, forward, backward, u_prev, first, backend)
 
-            u_new_vals = np.empty_like(u_prev.values)
-            hhat = np.empty((M, N))
+            u_new_vals = _time_major(u_prev.values.shape, dtype=u_prev.values.dtype)
+            hhat = _time_major((M, N))
             for j in range(N):
                 try:
                     u_new_vals[:, j, :], h_new, h_prev, _ = minimize_step(

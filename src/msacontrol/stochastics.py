@@ -3,6 +3,11 @@
 Sampling uses the counter-based Philox generator in fixed-size path blocks, so
 growing the path count extends a batch without reshuffling earlier paths, and
 one batch is reused across all solver iterations (common random numbers).
+
+Every per-path horizon array is indexed (path, step, ...) but stored with the
+step axis outermost (``_time_major``), because every solver phase reads and
+writes one step slice a[:, j] at a time; that slice is then one C-contiguous
+block instead of a gather strided by the whole horizon.
 """
 
 from __future__ import annotations
@@ -20,6 +25,29 @@ Array = np.ndarray
 _PATH_BLOCK = 4096          # paths drawn per Philox stream
 _CONTROL_STREAM = 2 ** 32   # jump offset for control sampling, beyond any path block
 _EXP_OVERFLOW = 700.0
+
+
+def _time_major(shape, alloc=np.empty, dtype=float) -> Array:
+    """``alloc`` an array of shape (M, N, ...) whose step slices a[:, j] are contiguous."""
+    return alloc((shape[1], shape[0]) + tuple(shape[2:]), dtype=dtype).swapaxes(0, 1)
+
+
+def _time_major_copy(values: Array) -> Array:
+    """``values`` if its step slices are already contiguous, else a time-major copy."""
+    if values[:, 0].flags.c_contiguous:
+        return values
+    out = _time_major(values.shape, dtype=values.dtype)
+    out[...] = values
+    return out
+
+
+def _time_major_take(table: Array, idx: Array) -> Array:
+    """table[idx] for an (M, N) index array, stored time-major.
+
+    The index is transposed into C order first: fancy indexing lays out its
+    result like the index when each table row holds a single value.
+    """
+    return table[np.ascontiguousarray(idx.T)].swapaxes(0, 1)
 
 
 @dataclass(frozen=True)
@@ -46,7 +74,11 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class BrownianBatch:
-    """Seeded increments dW ~ Normal(0, dt), shape (n_paths, steps, d)."""
+    """Seeded increments dW ~ Normal(0, dt), shape (n_paths, steps, d).
+
+    Batches made by ``sample_brownian`` are stored time-major; one passed in
+    any other layout gives the same results, only slower.
+    """
 
     grid: TimeGrid
     n_paths: int
@@ -71,18 +103,23 @@ def sample_brownian(grid: TimeGrid, n_paths: int, d: int, seed: int) -> Brownian
         raise ConfigurationError("d must be >= 1")
     root = np.random.Philox(key=seed)
     scale = np.sqrt(grid.dt)
-    blocks = []
-    for b in range((n_paths + _PATH_BLOCK - 1) // _PATH_BLOCK):
-        gen = np.random.Generator(root.jumped(b))
-        blocks.append(gen.standard_normal((_PATH_BLOCK, grid.steps, d)))
-    increments = scale * np.concatenate(blocks, axis=0)[:n_paths]
+    increments = _time_major((n_paths, grid.steps, d))
+    for start in range(0, n_paths, _PATH_BLOCK):
+        gen = np.random.Generator(root.jumped(start // _PATH_BLOCK))
+        draws = gen.standard_normal((_PATH_BLOCK, grid.steps, d))
+        rows = increments[start:start + _PATH_BLOCK]
+        np.multiply(scale, draws[:len(rows)], out=rows)
     return BrownianBatch(grid=grid, n_paths=n_paths, d=d, seed=seed,
                          increments=increments)
 
 
 @dataclass(frozen=True)
 class ControlField:
-    """Piecewise-constant control values per (path, step), shape (M, N, k)."""
+    """Piecewise-constant control values per (path, step), shape (M, N, k).
+
+    The package's constructors store the values time-major; ``run_msa`` copies
+    a caller's control of any other layout once, so results never depend on it.
+    """
 
     values: Array
 
@@ -101,7 +138,9 @@ class ControlField:
 
 def constant_control(value, n_paths: int, steps: int) -> ControlField:
     value = np.atleast_1d(np.asarray(value, dtype=float))
-    return ControlField(np.broadcast_to(value, (n_paths, steps, value.shape[0])).copy())
+    values = _time_major((n_paths, steps, value.shape[0]))
+    values[...] = value
+    return ControlField(values)
 
 
 def random_control(domain: ControlDomain, n_paths: int, steps: int, seed: int) -> ControlField:
@@ -109,12 +148,12 @@ def random_control(domain: ControlDomain, n_paths: int, steps: int, seed: int) -
     candidates = enumerate_controls(domain)
     gen = np.random.Generator(np.random.Philox(key=seed).jumped(_CONTROL_STREAM))
     idx = gen.integers(0, len(candidates), size=(n_paths, steps))
-    return ControlField(candidates[idx])
+    return ControlField(_time_major_take(candidates, idx))
 
 
 @dataclass(frozen=True)
 class ForwardPaths:
-    """Euler trajectory of the state, shape (M, steps + 1, n)."""
+    """Euler trajectory of the state, shape (M, steps + 1, n), stored time-major."""
 
     states: Array
     control: ControlField
@@ -132,7 +171,7 @@ def simulate_forward(spec: ProblemSpec, control: ControlField,
         raise ConfigurationError("control/batch dimensions disagree with the problem")
     dt = batch.dt
     nodes = batch.grid.nodes
-    X = np.empty((M, N + 1, spec.n))
+    X = _time_major((M, N + 1, spec.n))
     X[:, 0, :] = spec.x0
     for j in range(N):
         xj = X[:, j, :]
@@ -152,12 +191,17 @@ def girsanov_weights(fz_path: Array, batch: BrownianBatch) -> Array:
 
     weight_m = exp( sum_{j,i} fz[m,j,i] dW[m,j,i] - (1/2) sum_j |fz[m,j]|^2 dt )
     with the left-point rule, so the integrand stays adapted.
+
+    Both operands are reduced from C-order (path-major) copies: the order in
+    which einsum sums over the steps follows the memory layout, so the weights
+    stay bitwise the same whatever layout the increments are stored in.
     """
-    fz = np.asarray(fz_path, dtype=float)
-    if fz.shape != batch.increments.shape:
+    fz = np.ascontiguousarray(fz_path, dtype=float)
+    increments = np.ascontiguousarray(batch.increments)
+    if fz.shape != increments.shape:
         raise ConfigurationError(
-            f"fz grid shape {fz.shape} does not match increments {batch.increments.shape}")
-    log_w = (np.einsum("mjd,mjd->m", fz, batch.increments)
+            f"fz grid shape {fz.shape} does not match increments {increments.shape}")
+    log_w = (np.einsum("mjd,mjd->m", fz, increments)
              - 0.5 * batch.dt * np.einsum("mjd,mjd->m", fz, fz))
     if not np.all(np.isfinite(log_w)) or np.any(log_w > _EXP_OVERFLOW):
         raise NumericalError(

@@ -233,26 +233,6 @@ class TestReductionProperties:
         assert np.allclose(pen, manual, atol=1e-10)
 
 
-def curvature_spec():
-    """n = 4, d = 2, k = 2: state-dependent diffusion, driver curved in y and z."""
-    n, d, k = 4, 2, 2
-    gen = np.random.default_rng(4)
-    b1 = -0.2 * np.eye(n) + 0.05 * gen.standard_normal((n, n))
-    b2 = 0.3 * gen.standard_normal((n, k))
-    s1 = 0.1 * gen.standard_normal((d, n, n))
-    s2 = 0.3 * gen.standard_normal((d, n, k))
-    c = 0.2 * gen.standard_normal((d, n))
-    return mc.ProblemSpec.build(
-        n=n, d=d, k=k, x0=np.zeros(n), horizon=1.0,
-        drift=lambda t, x, u: x @ b1.T + u @ b2.T,
-        diffusion=lambda t, x, u: (np.einsum("inj,mj->mni", s1, x)
-                                   + np.einsum("inj,mj->mni", s2, u) + c.T[None]),
-        driver=lambda t, x, y, z, u: (0.5 * (x * x).sum(axis=1) + 0.5 * (u * u).sum(axis=1)
-                                      + 0.5 * np.sin(z + u).sum(axis=1)
-                                      + 0.2 * y * np.tanh(u[:, 0])),
-        terminal=lambda x: 0.5 * (x * x).sum(axis=1))
-
-
 def loop_reference(spec, t, x, y, z, p, q, P, u_prev, candidates, rho):
     """minimize_step as one public h_batch / penalty_batch call per candidate."""
     h_vals = np.array([h_batch(spec, t, x, y, z, p, q, P, c, u_prev) for c in candidates])
@@ -290,10 +270,10 @@ class TestHoistedMinimizeStep:
     @pytest.mark.parametrize("case", ["curvature-box-rho", "curvature-box-rho0",
                                       "example41-general", "curvature-box-rho-B3000",
                                       "lq-grid21-rho-B3500", "curvature-box-rho-B8193"])
-    def test_bitwise_equal_to_per_candidate_loop(self, case):
+    def test_bitwise_equal_to_per_candidate_loop(self, case, curvature_spec):
         B = int(case.rsplit("-B", 1)[1]) if "-B" in case else 64
         if case.startswith("curvature"):
-            spec = curvature_spec()
+            spec = curvature_spec
             candidates = mc.enumerate_controls(mc.Box([-1.0, -0.5], [1.0, 0.5], [4, 3]))
             rho = 0.0 if "-rho0" in case else 0.7
         elif case.startswith("lq-grid21"):

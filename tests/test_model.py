@@ -110,6 +110,24 @@ class TestCheckDerivatives:
         assert not rep.passed("f_y")
         assert rep.passed("f_z")
 
+    # right on every one-row batch, wrong on any larger one: f_z repeats row
+    # 0's value for every row, f_y returns one value for the whole batch
+    @pytest.mark.parametrize("name", ["f_z", "f_y"])
+    def test_derivative_right_only_on_one_row_is_flagged(self, name):
+        bench = mc.example41(0.5)
+        dv = bench.spec.derivatives
+        derivatives = {key: getattr(dv, key) for key in mc.model.DERIVATIVE_NAMES}
+        wrong = {"f_z": lambda t, x, y, z, u: np.repeat(dv.f_z(t, x, y, z, u)[:1], len(x), axis=0),
+                 "f_y": lambda t, x, y, z, u: np.zeros(1)}
+        derivatives[name] = wrong[name]
+        spec = mc.ProblemSpec.build(
+            n=1, d=1, k=1, x0=np.zeros(1), horizon=1.0,
+            drift=bench.spec.drift, diffusion=bench.spec.diffusion,
+            driver=bench.spec.driver, terminal=bench.spec.terminal,
+            derivatives=derivatives)
+        rep = mc.check_derivatives(spec, sample_count=10, step=1e-5, tol=1e-4, seed=1)
+        assert [key for key in rep.errors if not rep.passed(key)] == [name]
+
     def test_fallback_passes_at_ten_step_squared(self):
         # derivatives generated by the fallback at the same step the checker uses
         step = 1e-5

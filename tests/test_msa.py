@@ -224,3 +224,98 @@ class TestReturnedControlConvention:
         bwd = mc.solve_state_bsde(bench.spec, fwd, res.returned_control,
                                   mc.RegressionBackend())
         assert bwd.j_estimate == pytest.approx(res.records[-1].j, abs=1e-12)
+
+
+def c_order_copy(batch, control):
+    """The same noise and control values, stored path-major (C order)."""
+    c_batch = mc.BrownianBatch(grid=batch.grid, n_paths=batch.n_paths, d=batch.d,
+                               seed=batch.seed,
+                               increments=np.ascontiguousarray(batch.increments))
+    return c_batch, mc.ControlField(np.ascontiguousarray(control.values))
+
+
+class TestLayoutIndependence:
+    @pytest.mark.parametrize("problem", ["curvature-n2", "curvature-n4-d2-k2"])
+    def test_run_msa_bitwise_equal_across_layouts(self, problem, curvature_spec):
+        if problem == "curvature-n2":
+            (spec, domain), rho = curvature_problem(), 0.0
+        else:
+            spec, domain = curvature_spec, mc.Box([-1.0, -0.5], [1.0, 0.5], [3, 3])
+            rho = 0.7
+        M, N = 300, 8
+        cfg = mc.MsaConfig(rho=rho, n_paths=M, steps=N, seed=21, max_iters=2)
+        batch = mc.sample_brownian(mc.TimeGrid(spec.horizon, N), M, spec.d, 21)
+        initial = mc.random_control(domain, M, N, 21)
+        c_batch, c_initial = c_order_copy(batch, initial)
+        assert not c_batch.increments[:, 0].flags.c_contiguous
+        assert not c_initial.values[:, 0].flags.c_contiguous
+        runs = [mc.run_msa(spec, domain, cfg, ctl, batch=b)
+                for b, ctl in ((batch, initial), (c_batch, c_initial))]
+        time_major, c_order = runs
+        assert records_equal_except_wall(time_major.records, c_order.records)
+        for name in ("returned_control", "last_control"):
+            assert np.array_equal(getattr(time_major, name).values,
+                                  getattr(c_order, name).values)
+        for name in ("max_abs_p", "max_abs_P", "max_asym_P"):
+            assert np.array_equal(getattr(time_major, name), getattr(c_order, name))
+        assert max(time_major.max_abs_P) > 0.0
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_compute_mu(self, seed):
+        # the step sums of a strided hhat differ in the last bit; with three
+        # paths that difference reaches mu on each of these seeds
+        M, N = 3, 20
+        batch = mc.sample_brownian(mc.TimeGrid(1.0, N), M, 2, 4)
+        rng = np.random.default_rng(seed)
+        hhat = -np.abs(rng.normal(size=(M, N)))
+        fz = 0.3 * rng.normal(size=(M, N, 2))
+        hhat_time_major = np.empty((N, M)).swapaxes(0, 1)
+        hhat_time_major[...] = hhat
+        c_batch, _ = c_order_copy(batch, mc.constant_control([0.0], M, N))
+        want = mc.compute_mu(hhat, fz, c_batch)
+        assert mc.compute_mu(hhat_time_major, fz, batch) == want
+        assert mc.compute_mu(hhat_time_major, fz, c_batch) == want
+
+
+class TestTimeMajorRunArrays:
+    @pytest.mark.parametrize("bench_name", ["example41", "lq_desk"])
+    def test_step_slices_are_contiguous(self, bench_name, monkeypatch):
+        msa = mc.msa
+        bench = mc.example41(0.2) if bench_name == "example41" else mc.lq_desk()
+        seen = {}
+
+        def record(name, arr):
+            for j in (0, arr.shape[1] // 2, arr.shape[1] - 1):
+                seen.setdefault(name, []).append(arr[:, j].flags.c_contiguous)
+
+        def spy_class(cls):
+            def build(**fields):
+                for name, arr in fields.items():
+                    if name in ("q", "Q"):
+                        record(name, arr)
+                return cls(**fields)
+            return build
+
+        real_minimize, real_mu = msa.minimize_step, msa.compute_mu
+
+        def minimize_spy(spec, t, x, y, z, p, q, P, u_prev, *args, **kwargs):
+            out = real_minimize(spec, t, x, y, z, p, q, P, u_prev, *args, **kwargs)
+            for name, arr in (("x", x), ("y", y), ("z", z), ("q_j", q), ("u_prev", u_prev)):
+                seen.setdefault(name, []).append(arr.flags.c_contiguous)
+            return out
+
+        def mu_spy(hhat, fz, batch):
+            record("hhat", hhat)
+            return real_mu(hhat, fz, batch)
+
+        monkeypatch.setattr(msa, "FirstOrderAdjoint", spy_class(msa.FirstOrderAdjoint))
+        monkeypatch.setattr(msa, "SecondOrderAdjoint", spy_class(msa.SecondOrderAdjoint))
+        monkeypatch.setattr(msa, "minimize_step", minimize_spy)
+        monkeypatch.setattr(msa, "compute_mu", mu_spy)
+        cfg = mc.MsaConfig(rho=bench.rho, n_paths=200, steps=6, seed=3, max_iters=2)
+        res = mc.run_msa(bench.spec, bench.domain, cfg, "random", hints=bench.hints)
+        record("u_new", res.last_control.values)
+        # the hinted adjoint's zero integrand is built inside run_msa
+        assert ("q" if bench_name == "example41" else "Q") in seen
+        assert {"x", "y", "z", "q_j", "u_prev", "hhat", "u_new"} <= set(seen)
+        assert all(all(flags) for flags in seen.values()), seen

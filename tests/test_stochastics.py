@@ -163,3 +163,78 @@ class TestGirsanovWeights:
         batch = mc.sample_brownian(grid=mc.TimeGrid(1.0, 5), n_paths=4, d=1, seed=1)
         with pytest.raises(mc.NumericalError, match="underflow at path"):
             mc.girsanov_weights(np.full((4, 5, 1), 1e6), batch)
+
+
+def assert_step_slices_contiguous(arr, name):
+    for j in sorted({0, arr.shape[1] // 2, arr.shape[1] - 1}):
+        assert arr[:, j].flags.c_contiguous, f"{name}[:, {j}] is strided"
+
+
+class TestTimeMajorLayout:
+    """Every horizon array the package allocates has contiguous step slices."""
+
+    def test_noise_and_controls(self):
+        dom = mc.Box([-1.0], [1.0], [5])
+        grid = mc.TimeGrid(1.0, 6)
+        arrays = {
+            # 5000 paths: one full Philox block and a partial one
+            "sample_brownian": mc.sample_brownian(grid, 5000, 2, 3).increments,
+            "random_control": mc.random_control(dom, 50, 6, 1).values,
+            "constant_control": mc.constant_control([0.5, 1.0], 50, 6).values,
+            "tree_batch": mc.benchmarks.tree_batch(4).increments,
+            "tree_random_control": mc.benchmarks.tree_random_control(dom, 4, 2).values,
+        }
+        for name, arr in arrays.items():
+            assert_step_slices_contiguous(arr, name)
+
+    def test_solver_outputs(self):
+        bench = mc.lq_desk()
+        spec, backend = bench.spec, mc.RegressionBackend()
+        batch = mc.sample_brownian(mc.TimeGrid(1.0, 6), 64, 1, 4)
+        control = mc.random_control(bench.domain, 64, 6, 4)
+        forward = mc.simulate_forward(spec, control, batch)
+        backward = mc.solve_state_bsde(spec, forward, control, backend)
+        first = mc.adjoint.first_order_adjoint(spec, forward, backward, control, backend)
+        second = mc.adjoint.second_order_adjoint(spec, forward, backward, control, first,
+                                                 backend)
+        zero = mc.adjoint.zero_second_order(spec, batch)
+        arrays = {
+            "X": forward.states, "Y": backward.values, "Z": backward.integrand,
+            "p": first.p, "q": first.q, "P": second.P, "Q": second.Q,
+            "features": mc.adjoint._features_grid(forward, control, backend),
+            "zero P": zero.P, "zero Q": zero.Q,
+        }
+        for name, arr in arrays.items():
+            assert_step_slices_contiguous(arr, name)
+
+    def test_tree_oracle_stacks_time_major(self, monkeypatch):
+        seen = []
+        real = mc.benchmarks.simulate_forward
+
+        def spy(spec, control, batch):
+            seen.append(batch.n_paths)
+            assert_step_slices_contiguous(control.values, "policy controls")
+            assert_step_slices_contiguous(batch.increments, "tiled increments")
+            return real(spec, control, batch)
+
+        monkeypatch.setattr(mc.benchmarks, "simulate_forward", spy)
+        bench = mc.lq_desk()
+        tree = mc.benchmarks.tree_bruteforce(bench.spec, bench.domain, 3)
+        assert tree.jstar == 0.0
+        # stacked chunks and the final single-policy pass were all checked
+        assert len(seen) >= 2 and seen[-1] == 8 and max(seen) > 8
+
+
+class TestLayoutIndependentReductions:
+    def test_girsanov_weights(self):
+        batch = mc.sample_brownian(mc.TimeGrid(1.0, 20), 300, 2, 5)
+        fz = 0.3 * np.random.default_rng(1).normal(size=(300, 20, 2))
+        c_batch = mc.BrownianBatch(grid=batch.grid, n_paths=300, d=2, seed=5,
+                                   increments=np.ascontiguousarray(batch.increments))
+        assert not batch.increments.flags.c_contiguous
+        fz_time_major = np.empty((20, 300, 2)).swapaxes(0, 1)
+        fz_time_major[...] = fz
+        want = mc.girsanov_weights(fz, c_batch)
+        assert np.array_equal(mc.girsanov_weights(fz, batch), want)
+        assert np.array_equal(mc.girsanov_weights(fz_time_major, batch), want)
+        assert np.array_equal(mc.girsanov_weights(fz_time_major, c_batch), want)
