@@ -1,10 +1,11 @@
 """First- and second-order adjoint solvers along a simulated trajectory.
 
-Both adjoints are linear backward equations solved by the generic linear
-BSDE scheme. Each passes it a per-step callback that assembles the
-coefficients pointwise along (t_j, X_j, Y_j, Z_j, u_j) for that step only, so
-no coefficient tensor spans the horizon. The matrix-valued second-order
-equation is stepped directly in its n x n form and symmetrized step by step.
+Both adjoints are linear backward equations solved by the package's one
+backward sweep, ``solve_bsde``. Each passes it a per-step callback that
+assembles the coefficients pointwise along (t_j, X_j, Y_j, Z_j, u_j) for that
+step only, so no coefficient tensor spans the horizon. The matrix-valued
+second-order equation is stepped directly in its n x n form and symmetrized
+step by step.
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .bsde import (BackwardPaths, RegressionBackend, solve_linear_bsde,
-                   solve_state_bsde, _step_features)
+from .bsde import BackwardPaths, RegressionBackend, solve_bsde, solve_state_bsde
 from .model import ProblemSpec
 from .stochastics import (BrownianBatch, ControlField, ForwardPaths, TimeGrid, _time_major,
                           simulate_forward)
@@ -87,16 +87,9 @@ def first_order_adjoint(spec: ProblemSpec, forward: ForwardPaths,
                  + fx)
         return phat + drift * dt
 
-    terminal = spec.derivatives.phi_x(forward.states[:, N, :])
-    feats = _features_grid(forward, control, backend)
-    p, q = solve_linear_bsde(terminal, step, feats, batch, backend)
+    p, q = solve_bsde(spec.derivatives.phi_x(forward.states[:, N, :]), step, forward,
+                      control, backend)
     return FirstOrderAdjoint(p=p, q=q)
-
-
-def _features_grid(forward: ForwardPaths, control: ControlField, backend) -> Array:
-    N = forward.batch.grid.steps
-    cols = [_step_features(forward, control, j, backend) for j in range(N)]
-    return np.stack(cols, axis=0).swapaxes(0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +103,7 @@ def second_order_vanishes(spec: ProblemSpec) -> bool:
     then linear homogeneous with zero terminal.
     """
     s = spec.structure
-    if getattr(s, "second_order_zero", False):
+    if s.second_order_zero:
         return True
     return s.phi_xx_zero and s.b_xx_zero and s.sigma_xx_zero and s.f_hess_zero
 
@@ -178,9 +171,7 @@ def second_order_adjoint(spec: ProblemSpec, forward: ForwardPaths,
         asym = max(asym, float(np.max(np.abs(P - Pt))))
         return 0.5 * (P + Pt)
 
-    terminal = dv.phi_xx(forward.states[:, N, :])
-    feats = _features_grid(forward, control, backend)
-    P, Q = solve_linear_bsde(terminal, step, feats, batch, backend)
+    P, Q = solve_bsde(dv.phi_xx(forward.states[:, N, :]), step, forward, control, backend)
     return SecondOrderAdjoint(P=P, Q=Q, asymmetry=asym)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .adjoint import lq_second_order_ode, ode_adjoint_linear
 from .bsde import ExactTreeBackend, solve_state_bsde
-from .errors import ConfigurationError, SimulationError
+from .errors import ConfigurationError, NumericalError, SimulationError
 from .hamiltonian import _ROW_CHUNK, _ctl
 from .model import (Bounds, Box, ControlDomain, FiniteSet, ProblemSpec, Structure,
                     enumerate_controls)
@@ -368,7 +368,8 @@ def tree_bruteforce(spec: ProblemSpec, domain: ControlDomain, steps: int,
     ``solve_state_bsde`` on the exact tree backend. A policy's value is the
     mean of Y_0 over its own block of 2^steps paths; ties go to the first
     enumerated policy. A policy that drives the Euler state non-finite raises
-    SimulationError naming the policy, its node controls and the step.
+    SimulationError, and one whose cost is non-finite raises NumericalError,
+    each naming the policy, its node controls and the step.
     """
     if spec.d != 1:
         raise ConfigurationError("tree oracle flips one coin per step: d = 1 only")
@@ -404,13 +405,15 @@ def tree_bruteforce(spec: ProblemSpec, domain: ControlDomain, steps: int,
                                                 pol[:, idx_map].reshape(P * M, steps)))
         try:
             forward = simulate_forward(spec, control, stacked)
-        except SimulationError as exc:
+            y0 = solve_state_bsde(spec, forward, control, backend).values[:, 0]
+        except (SimulationError, NumericalError) as exc:
             row = exc.path // M
-            raise SimulationError(
+            what = ("drives the state non-finite" if isinstance(exc, SimulationError)
+                    else "gives a non-finite cost")
+            raise type(exc)(
                 f"policy {start + row} with node controls "
-                f"{candidates[pol[row]].tolist()} drives the state non-finite "
+                f"{candidates[pol[row]].tolist()} {what} "
                 f"at step {exc.step}", path=exc.path % M, step=exc.step) from exc
-        y0 = solve_state_bsde(spec, forward, control, backend).values[:, 0]
         vals = y0.reshape(P, M).mean(axis=1)
         arg = int(np.argmin(vals))
         if vals[arg] < best_val:

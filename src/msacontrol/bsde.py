@@ -1,8 +1,9 @@
 """Backward solvers on a pluggable conditional-expectation backend.
 
-The cost BSDE and the generic linear BSDE share one scheme: at each
-step, Z (resp. q) comes from regressing next-step values against the Brownian
-increment, and the drift is applied explicitly to the regression proxy.
+One backward sweep (``solve_bsde``) serves the cost BSDE and both adjoints: at
+each step, Z (resp. q) comes from regressing next-step values against the
+Brownian increment on that step's features, and the driver, which may be
+nonlinear, is applied explicitly to the regression proxy.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericalError
 from .model import ProblemSpec
-from .stochastics import BrownianBatch, ControlField, ForwardPaths, _time_major
+from .stochastics import ControlField, ForwardPaths, _time_major
 
 Array = np.ndarray
 
@@ -166,39 +167,28 @@ def _step_features(forward: ForwardPaths, control: ControlField, j: int,
 
 
 def solve_state_bsde(spec: ProblemSpec, forward: ForwardPaths, control: ControlField,
-                     backend, picard: int = 0) -> BackwardPaths:
-    """Backward Euler for the recursive cost.
+                     backend) -> BackwardPaths:
+    """Backward Euler for the recursive cost, one ``solve_bsde`` sweep.
 
     Z_j = E[Y_{j+1} dW_j | t_j] / dt, then Y_j = E[Y_{j+1} | t_j] + f(...) dt
-    with the driver's y argument set to the conditional-expectation proxy;
-    ``picard`` extra passes re-evaluate f at the freshly computed Y_j.
+    with the driver's y argument set to the conditional-expectation proxy.
     """
     batch = forward.batch
     M, N, dt = batch.n_paths, batch.grid.steps, batch.dt
     if control.values.shape[:2] != (M, N):
         raise ConfigurationError("control does not match the simulated batch")
     nodes = batch.grid.nodes
-    Y = _time_major((M, N + 1))
-    Z = _time_major((M, N, spec.d))
-    Y[:, N] = spec.terminal(forward.states[:, N, :])
     driver_sum = np.zeros(M)
-    for j in range(N - 1, -1, -1):
-        feats = _step_features(forward, control, j, backend)
-        targets = np.concatenate(
-            [Y[:, j + 1][:, None], Y[:, j + 1][:, None] * batch.increments[:, j, :]],
-            axis=1)
-        try:
-            proj = backend.project(j, feats, targets)
-        except NumericalError as exc:
-            raise NumericalError(f"conditional expectation failed at step {j}: {exc}") from exc
-        yhat = proj[:, 0]
-        Z[:, j, :] = proj[:, 1:] / dt
-        xj = forward.states[:, j, :]
-        uj = control.values[:, j, :]
-        Y[:, j] = yhat + spec.driver(nodes[j], xj, yhat, Z[:, j, :], uj) * dt
-        for _ in range(picard):
-            Y[:, j] = yhat + spec.driver(nodes[j], xj, Y[:, j], Z[:, j, :], uj) * dt
-        driver_sum += Y[:, j] - yhat
+
+    def step(j, yhat, zj):
+        nonlocal driver_sum
+        y = yhat + spec.driver(nodes[j], forward.states[:, j, :], yhat, zj,
+                               control.values[:, j, :]) * dt
+        driver_sum += y - yhat
+        return y
+
+    Y, Z = solve_bsde(spec.terminal(forward.states[:, N, :]), step, forward, control,
+                      backend)
     # Every projection is mean-preserving, so mean(Y_0) equals the mean of the
     # pathwise accumulation Phi(X_T) + sum_j f dt. Store that accumulation as
     # Y_0: same J, but stddev(Y_0)/sqrt(M) then reflects the true Monte Carlo
@@ -209,42 +199,50 @@ def solve_state_bsde(spec: ProblemSpec, forward: ForwardPaths, control: ControlF
     return BackwardPaths(values=Y, integrand=Z, j_estimate=j_est, j_stderr=j_se)
 
 
-def solve_linear_bsde(terminal: Array, step: Callable, features: Array,
-                      batch: BrownianBatch, backend):
-    """Backward Euler for a linear BSDE dp = -F_t(p, q) dt + sum_i q^i dW^i.
+def solve_bsde(terminal: Array, step: Callable, forward: ForwardPaths,
+               control: ControlField, backend):
+    """Backward Euler for a BSDE dp = -F_t(p, q) dt + sum_i q^i dW^i.
 
-    Shapes: terminal (M, *shape) of any trailing shape; features (M, N, F).
-    At each step p_{j+1} is flattened into the regression targets; q_j comes
-    from the increment regression and phat = E[p_{j+1} | t_j], reshaped to
-    (M, *shape, d) and (M, *shape). ``step(j, phat, q_j)`` applies the drift
-    explicitly to the proxy and returns p_j (explicit-in-q).
+    The package's one backward sweep: the cost BSDE and both adjoints differ
+    only in their terminal and their ``step``. Shapes: terminal (M, *shape) of
+    any trailing shape. At each step p_{j+1} and its products with the
+    increments dW_j are regressed on the time-j features (``_step_features``),
+    giving phat = E[p_{j+1} | t_j] (M, *shape) and
+    q_j = E[p_{j+1} dW_j | t_j] / dt (M, *shape, d). ``step(j, phat, q_j)``
+    applies the driver explicitly to the proxy and returns p_j; it may be
+    nonlinear in phat and q_j.
 
     Returns p (M, N+1, *shape) and q (M, N, *shape, d), both stored
     time-major so that p[:, j] and q[:, j] are contiguous. Raises
     NumericalError naming the step and the first path where p_j is not finite.
     """
-    M, N, d = batch.n_paths, batch.grid.steps, batch.d
+    batch = forward.batch
+    M, N, d, dt = batch.n_paths, batch.grid.steps, batch.d, batch.dt
     terminal = np.asarray(terminal, dtype=float)
     shape = terminal.shape[1:]
     r = int(np.prod(shape))
-    dt = batch.dt
     p = _time_major((M, N + 1) + shape)
     q = _time_major((M, N) + shape + (d,))
     p[:, N] = terminal
+    # Each temporary is dropped as soon as the sweep stops reading it, so the
+    # peak is the horizon outputs plus one step's arrays.
+    del terminal
     for j in range(N - 1, -1, -1):
         nxt = p[:, j + 1].reshape(M, r)
-        incr_targets = nxt[:, :, None] * batch.increments[:, j, None, :]
-        targets = np.concatenate([nxt, incr_targets.reshape(M, r * d)], axis=1)
+        targets = np.concatenate(
+            [nxt, (nxt[:, :, None] * batch.increments[:, j, None, :]).reshape(M, r * d)],
+            axis=1)
         try:
-            proj = backend.project(j, features[:, j, :], targets)
+            proj = backend.project(j, _step_features(forward, control, j, backend), targets)
         except NumericalError as exc:
-            raise NumericalError(f"conditional expectation failed at step {j}: {exc}") from exc
-        phat = proj[:, :r].reshape((M,) + shape)
-        qj = proj[:, r:].reshape((M,) + shape + (d,)) / dt
-        q[:, j] = qj
-        p[:, j] = step(j, phat, qj)
-        bad = ~np.isfinite(p[:, j].reshape(M, r)).all(axis=1)
-        if bad.any():
-            raise NumericalError(
-                f"step {j}: non-finite adjoint on path {int(np.argmax(bad))}")
+            raise NumericalError(f"conditional expectation failed at step {j}: {exc}",
+                                 step=j) from exc
+        del targets
+        np.divide(proj[:, r:].reshape((M,) + shape + (d,)), dt, out=q[:, j])
+        p[:, j] = step(j, proj[:, :r].reshape((M,) + shape), q[:, j])
+        del proj
+        if not np.isfinite(p[:, j]).all():
+            bad = int(np.argmax(~np.isfinite(p[:, j].reshape(M, r)).all(axis=1)))
+            raise NumericalError(f"step {j}: non-finite solution on path {bad}",
+                                 path=bad, step=j)
     return p, q

@@ -9,11 +9,8 @@ class EvaluationError(RuntimeError):
     """A user-supplied coefficient produced a non-finite or malformed value."""
 
 
-class SimulationError(RuntimeError):
-    """Path simulation blew up; message carries path/step indices.
-
-    ``path`` and ``step`` hold the same indices when the raiser knows them.
-    """
+class _Located(RuntimeError):
+    """``path`` and ``step`` hold the indices the message names, if the raiser knows them."""
 
     def __init__(self, message: str, path: int | None = None, step: int | None = None):
         super().__init__(message)
@@ -21,5 +18,9 @@ class SimulationError(RuntimeError):
         self.step = step
 
 
-class NumericalError(RuntimeError):
-    """A linear-algebra or overflow failure inside a solver."""
+class SimulationError(_Located):
+    """Path simulation blew up; message carries path/step indices."""
+
+
+class NumericalError(_Located):
+    """A linear-algebra, overflow or non-finite failure inside a solver."""

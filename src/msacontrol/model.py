@@ -410,7 +410,10 @@ def check_derivatives(spec: ProblemSpec, sample_count: int = 32, step: float = 1
     once on all the points as one batch, at the first point's time; its worst
     relative deviation from the same points taken one row at a time (an
     infinite one if the shapes differ) counts in its entry, so a derivative
-    that is right only on one-row batches fails.
+    that is right only on one-row batches fails. Every structural zero the
+    spec declares (``Structure.b_xx_zero`` and so on) gets an entry under the
+    flag's name: 0 when the declared derivative is exactly 0 on the batch,
+    infinite otherwise, since solver shortcuts drop those terms unchecked.
     """
     if sample_count < 1 or not step > 0:
         raise ConfigurationError("sample_count >= 1 and step > 0 required")
@@ -455,6 +458,9 @@ def check_derivatives(spec: ProblemSpec, sample_count: int = 32, step: float = 1
         else:
             worst = max(worst, rel_error(batched, rowwise))
         errors[name] = worst
+        # f_y and phi_x have no structural-zero flag
+        if getattr(spec.structure, f"{name}_zero", False):
+            errors[f"{name}_zero"] = 0.0 if np.all(batched == 0.0) else np.inf
     return DerivativeReport(errors=errors, tol=tol, fd_fallback=dv.fd_fallback)
 
 

@@ -40,7 +40,6 @@ class MsaConfig:
     max_iters: int = 30
     epsilon: Optional[float] = None
     backend: RegressionBackend = field(default_factory=RegressionBackend)
-    picard: int = 0
     second_order: str = "auto"  # auto | skip | solve
 
     def __post_init__(self):
@@ -171,10 +170,11 @@ def run_msa(spec: ProblemSpec, domain: ControlDomain, config: MsaConfig,
 
     p_ode = hints.first_order_ode(grid) if hints.first_order_ode else None
     P_ode = hints.second_order_ode(grid) if hints.second_order_ode else None
+    P_hinted = P_ode is not None and config.second_order == "auto"
 
     try:
         forward = simulate_forward(spec, u_prev, batch)
-        backward = solve_state_bsde(spec, forward, u_prev, backend, picard=config.picard)
+        backward = solve_state_bsde(spec, forward, u_prev, backend)
     except Exception as exc:
         exc.args = (f"iteration 1 (initial propagation): {exc}",) + exc.args[1:]
         raise
@@ -198,7 +198,7 @@ def run_msa(spec: ProblemSpec, domain: ControlDomain, config: MsaConfig,
                 second = zero_second_order(spec, batch)
             elif config.second_order == "solve":
                 second = second_order_adjoint(spec, forward, backward, u_prev, first, backend)
-            elif P_ode is not None:
+            elif P_hinted:
                 second = SecondOrderAdjoint(
                     P=_broadcast_nodes(P_ode, M),
                     Q=_time_major((M, N, spec.n, spec.n, spec.d), np.zeros), asymmetry=0.0)
@@ -226,8 +226,7 @@ def run_msa(spec: ProblemSpec, domain: ControlDomain, config: MsaConfig,
             mu, mu_se = compute_mu(hhat, fz, batch)
 
             forward_new = simulate_forward(spec, u_new, batch)
-            backward_new = solve_state_bsde(spec, forward_new, u_new, backend,
-                                            picard=config.picard)
+            backward_new = solve_state_bsde(spec, forward_new, u_new, backend)
         except Exception as exc:
             exc.args = (f"iteration {m}: {exc}",) + exc.args[1:]
             raise
@@ -237,8 +236,9 @@ def run_msa(spec: ProblemSpec, domain: ControlDomain, config: MsaConfig,
         records.append(IterationRecord(m=m, j=j_prev, j_stderr=se_prev, mu=mu,
                                        mu_stderr=mu_se, descent=descent,
                                        wall_ms=wall_ms))
-        max_abs_p.append(float(np.max(np.abs(first.p))))
-        max_abs_P.append(float(np.max(np.abs(second.P))))
+        # a hint's own nodes: np.abs would materialize its broadcast over the paths
+        max_abs_p.append(float(np.max(np.abs(first.p if p_ode is None else p_ode))))
+        max_abs_P.append(float(np.max(np.abs(P_ode if P_hinted else second.P))))
         max_asym_P.append(second.asymmetry)
 
         if config.epsilon is not None and descent < config.epsilon:

@@ -149,7 +149,7 @@ class TestFirstOrderAdjoint:
         bwd = mc.solve_state_bsde(spec, fwd, ctl, mc.tree_backend(steps))
         # the tree backend keeps the NaN inside its block of paths 6 and 7
         with pytest.raises(mc.NumericalError,
-                           match=r"^step 2: non-finite adjoint on path 6$"):
+                           match=r"^step 2: non-finite solution on path 6$"):
             mc.first_order_adjoint(spec, fwd, bwd, ctl, mc.tree_backend(steps))
 
     def test_zero_spec(self):

@@ -252,6 +252,25 @@ class TestTreeBruteforce:
         assert (info.value.path, info.value.step) == (0, 1)
         assert isinstance(info.value.__cause__, mc.SimulationError)
 
+    def test_non_finite_cost_names_the_policy(self):
+        # f is NaN for u = 2 from t = 0.5 on; policy 2 = (0, 0, 2) is the first
+        # whose lower node at step 1 uses u = 2, on paths 2 and 3 of its block
+        spec = mc.ProblemSpec.build(
+            n=1, d=1, k=1, x0=np.zeros(1), horizon=1.0,
+            drift=lambda t, x, u: u.astype(float),
+            diffusion=constant_fn(np.full((1, 1), 0.2)),
+            driver=lambda t, x, y, z, u: np.where((u[:, 0] == 2.0) & (t >= 0.5), np.nan,
+                                                  0.1 * u[:, 0] ** 2),
+            terminal=lambda x: (x[:, 0] - 0.3) ** 2)
+        assert mc.tree_bruteforce(spec, mc.FiniteSet([[0.0], [1.0]]), 2).jstar == (
+            pytest.approx(0.0593, abs=1e-4))
+        with pytest.raises(mc.NumericalError) as info:
+            mc.tree_bruteforce(spec, mc.FiniteSet([[0.0], [1.0], [2.0]]), 2)
+        assert str(info.value) == ("policy 2 with node controls [[0.0], [0.0], [2.0]] "
+                                   "gives a non-finite cost at step 1")
+        assert (info.value.path, info.value.step) == (2, 1)
+        assert isinstance(info.value.__cause__, mc.NumericalError)
+
     def test_recombining_mode_counts(self):
         bench = mc.example41(0.1)
         tree = mc.tree_bruteforce(bench.spec, bench.domain, 4, mode="recombining")

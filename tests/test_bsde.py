@@ -1,9 +1,14 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
 import msacontrol as mc
+from msacontrol.bsde import _step_features
 from msacontrol.model import constant_fn
+from msacontrol.stochastics import _time_major
 
 
 def linear_driver_spec(alpha: float, x0: float) -> mc.ProblemSpec:
@@ -27,13 +32,48 @@ def linear_driver_spec(alpha: float, x0: float) -> mc.ProblemSpec:
             phi_xx=lambda x: np.zeros((len(x), 1, 1))))
 
 
-def solved(spec, M, N, seed, degree=2, picard=0):
+def solved(spec, M, N, seed, degree=2):
     batch = mc.sample_brownian(mc.TimeGrid(spec.horizon, N), M, spec.d, seed)
     ctl = mc.constant_control(np.zeros(spec.k), M, N)
     fwd = mc.simulate_forward(spec, ctl, batch)
-    bwd = mc.solve_state_bsde(spec, fwd, ctl, mc.RegressionBackend(degree=degree),
-                              picard=picard)
+    bwd = mc.solve_state_bsde(spec, fwd, ctl, mc.RegressionBackend(degree=degree))
     return batch, fwd, bwd
+
+
+def reference_state_bsde(spec, forward, control, backend):
+    """The cost BSDE's own backward loop, before it became a solve_bsde caller."""
+    batch = forward.batch
+    M, N, dt = batch.n_paths, batch.grid.steps, batch.dt
+    nodes = batch.grid.nodes
+    Y = _time_major((M, N + 1))
+    Z = _time_major((M, N, spec.d))
+    Y[:, N] = spec.terminal(forward.states[:, N, :])
+    driver_sum = np.zeros(M)
+    for j in range(N - 1, -1, -1):
+        feats = _step_features(forward, control, j, backend)
+        targets = np.concatenate(
+            [Y[:, j + 1][:, None], Y[:, j + 1][:, None] * batch.increments[:, j, :]],
+            axis=1)
+        proj = backend.project(j, feats, targets)
+        yhat = proj[:, 0]
+        Z[:, j, :] = proj[:, 1:] / dt
+        xj = forward.states[:, j, :]
+        uj = control.values[:, j, :]
+        Y[:, j] = yhat + spec.driver(nodes[j], xj, yhat, Z[:, j, :], uj) * dt
+        driver_sum += Y[:, j] - yhat
+    Y[:, 0] = Y[:, N] + driver_sum
+    return Y, Z, float(np.mean(Y[:, 0]))
+
+
+def stacked_tree_inputs(bench, steps, rows, seed):
+    """Forward paths of the tree oracle's stacked batch: rows / 2^steps policies."""
+    tree = mc.tree_batch(steps, bench.spec.horizon)
+    copies = rows // tree.n_paths
+    increments = np.tile(tree.increments.swapaxes(0, 1), (1, copies, 1)).swapaxes(0, 1)
+    batch = mc.BrownianBatch(grid=tree.grid, n_paths=rows, d=1, seed=None,
+                             increments=increments)
+    control = mc.random_control(bench.domain, rows, steps, seed)
+    return mc.simulate_forward(bench.spec, control, batch), control
 
 
 class TestCondexpFit:
@@ -139,21 +179,92 @@ class TestSolveStateBsde:
                            degree=degree)
         assert abs(bwd.j_estimate) < 3 * bwd.j_stderr + 1e-3
 
-    def test_picard_refinement_stays_consistent(self):
-        spec = linear_driver_spec(0.5, 0.0)
-        _, _, plain = solved(spec, 20_000, 20, 8, picard=0)
-        _, _, refined = solved(spec, 20_000, 20, 8, picard=1)
-        assert abs(plain.j_estimate - refined.j_estimate) < 5e-3
+    @pytest.mark.parametrize("case", ["regression d=1", "regression d=2", "tree"])
+    def test_matches_reference_loop_bitwise(self, case, curvature_spec):
+        if case == "tree":
+            bench, steps = mc.example41(0.5), 4
+            spec, backend = bench.spec, mc.tree_backend(steps)
+            batch = mc.tree_batch(steps)
+            control = mc.benchmarks.tree_random_control(bench.domain, steps, 3)
+        else:
+            if case == "regression d=1":
+                bench = mc.example41(0.5)
+                spec, domain = bench.spec, bench.domain
+            else:
+                spec = curvature_spec
+                domain = mc.FiniteSet([[0.0, 0.0], [1.0, -1.0], [-0.5, 0.5]])
+            backend = mc.RegressionBackend(degree=2)
+            assert backend.control_features
+            batch = mc.sample_brownian(mc.TimeGrid(1.0, 8), 600, spec.d, 3)
+            control = mc.random_control(domain, 600, 8, 3)
+        forward = mc.simulate_forward(spec, control, batch)
+        want_y, want_z, want_j = reference_state_bsde(spec, forward, control, backend)
+        got = mc.solve_state_bsde(spec, forward, control, backend)
+        assert np.array_equal(got.values, want_y)
+        assert np.array_equal(got.integrand, want_z)
+        assert got.j_estimate == want_j
+        assert np.any(want_z != 0.0)
+
+    def test_non_finite_driver_names_step_and_path(self):
+        grid = mc.TimeGrid(1.0, 5)
+        base = linear_driver_spec(0.5, 1.0)
+
+        def driver(t, x, y, z, u):
+            out = base.driver(t, x, y, z, u)
+            if t == grid.nodes[2]:
+                out[5] = np.nan
+            return out
+
+        spec = dataclasses.replace(base, driver=driver)
+        batch = mc.sample_brownian(grid, 200, 1, 1)
+        ctl = mc.constant_control([0.0], 200, 5)
+        fwd = mc.simulate_forward(spec, ctl, batch)
+        with pytest.raises(mc.NumericalError,
+                           match=r"^step 2: non-finite solution on path 5$") as info:
+            mc.solve_state_bsde(spec, fwd, ctl, mc.RegressionBackend())
+        assert (info.value.path, info.value.step) == (5, 2)
+        cfg = mc.MsaConfig(rho=0.0, n_paths=200, steps=5, seed=1, max_iters=1)
+        with pytest.raises(mc.NumericalError, match=r"^iteration 1 \(initial propagation\): "
+                                                    r"step 2: non-finite solution on path 5$"):
+            mc.run_msa(spec, mc.FiniteSet([[0.0]]), cfg, ctl, batch=batch)
+
+    def test_stacked_oracle_peak_heap_within_one_path_array(self):
+        # 8 192 rows, the tree oracle's chunk: the sweep may hold at most one
+        # more (M,) float array at its peak than the cost loop it replaced
+        bench, steps, rows = mc.example41(0.1), 5, 8192
+        forward, control = stacked_tree_inputs(bench, steps, rows, 2)
+        backend = mc.tree_backend(steps)
+
+        def peak(solve):
+            solve(bench.spec, forward, control, backend)  # warm-up
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                solve(bench.spec, forward, control, backend)
+                return tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+
+        reference = peak(reference_state_bsde)
+        assert peak(mc.solve_state_bsde) <= reference + 8 * rows
+
+
+def sweep_inputs(batch, states):
+    """Forward paths with the given (M, N+1, n) states and a zero control."""
+    control = mc.constant_control([0.0], batch.n_paths, batch.grid.steps)
+    return mc.ForwardPaths(states=states, control=control, batch=batch), control
 
 
 class TestSolveLinearBsde:
+    """solve_bsde on linear equations."""
+
     def test_all_zero_coefficients_constant_solution(self):
         M, N, r, d = 5000, 8, 2, 1
         batch = mc.sample_brownian(mc.TimeGrid(1.0, N), M, d, 1)
         terminal = np.tile([1.5, -2.0], (M, 1))
-        feats = np.zeros((M, N, 1))
-        p, q = mc.solve_linear_bsde(terminal, lambda j, phat, qj: phat, feats, batch,
-                                    mc.RegressionBackend(degree=0))
+        fwd, ctl = sweep_inputs(batch, np.zeros((M, N + 1, 1)))
+        p, q = mc.solve_bsde(terminal, lambda j, phat, qj: phat, fwd, ctl,
+                             mc.RegressionBackend(degree=0))
         assert np.allclose(p, terminal[:, None, :], atol=1e-9)
         # q targets are const * dW: zero up to mean-of-increment noise
         assert np.max(np.abs(q)) < 5 * 2.0 / np.sqrt(M * batch.dt)
@@ -165,10 +276,10 @@ class TestSolveLinearBsde:
         a_mat = np.array([[0.3, -0.2], [0.1, 0.4]])
         batch = mc.sample_brownian(mc.TimeGrid(1.0, N), M, 1, 2)
         terminal = np.tile([1.0, 0.5], (M, 1))
-        feats = np.zeros((M, N, 1))
-        p, q = mc.solve_linear_bsde(
+        fwd, ctl = sweep_inputs(batch, np.zeros((M, N + 1, 1)))
+        p, q = mc.solve_bsde(
             terminal, lambda j, phat, qj: phat + phat @ a_mat * batch.dt,
-            feats, batch, mc.RegressionBackend(degree=0))
+            fwd, ctl, mc.RegressionBackend(degree=0))
         sol = solve_ivp(lambda t, y: -a_mat.T @ y, (1.0, 0.0), [1.0, 0.5],
                         rtol=1e-10, atol=1e-12)
         assert np.max(np.abs(p[:, 0, :] - sol.y[:, -1])) < 1e-3
@@ -178,9 +289,10 @@ class TestSolveLinearBsde:
         rng = np.random.default_rng(3)
         batch = mc.sample_brownian(mc.TimeGrid(1.0, N), M, 1, 3)
         terminal = rng.normal(size=(M, 1))
-        feats = rng.normal(size=(M, N, 1))
-        p, _ = mc.solve_linear_bsde(terminal, lambda j, phat, qj: phat, feats, batch,
-                                    mc.RegressionBackend(degree=2))
+        # random regression features: the state alone, no control features
+        fwd, ctl = sweep_inputs(batch, rng.normal(size=(M, N + 1, 1)))
+        p, _ = mc.solve_bsde(terminal, lambda j, phat, qj: phat, fwd, ctl,
+                             mc.RegressionBackend(degree=2, control_features=False))
         assert p[:, 0, 0].mean() == pytest.approx(terminal.mean(), abs=1e-9)
         assert np.array_equal(p[:, -1, :], terminal)
 

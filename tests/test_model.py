@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -127,6 +129,30 @@ class TestCheckDerivatives:
             derivatives=derivatives)
         rep = mc.check_derivatives(spec, sample_count=10, step=1e-5, tol=1e-4, seed=1)
         assert [key for key in rep.errors if not rep.passed(key)] == [name]
+
+    @pytest.mark.parametrize("flag", [f.name for f in dataclasses.fields(mc.Structure)
+                                      if f.name != "second_order_zero"])
+    def test_declared_zero_that_is_not_zero_fails(self, flag):
+        # every derivative of this spec is nonzero at almost every point
+        step = 1e-5
+        spec = mc.ProblemSpec.build(
+            n=1, d=1, k=1, x0=np.zeros(1), horizon=1.0,
+            drift=lambda t, x, u: np.sin(x) + u,
+            diffusion=lambda t, x, u: (np.cos(x) + u)[:, :, None],
+            driver=lambda t, x, y, z, u: np.sin(x[:, 0]) + y * z[:, 0] + z[:, 0] ** 2,
+            terminal=lambda x: x[:, 0] ** 3,
+            structure=mc.Structure(**{flag: True}), fd_step=step, fd_step_hess=step)
+        rep = mc.check_derivatives(spec, sample_count=10, step=step, tol=1e-4, seed=1)
+        assert [key for key in rep.errors if not rep.passed(key)] == [flag]
+        assert rep.errors[flag] == np.inf
+
+    @pytest.mark.parametrize("bench", [mc.example41(0.5), mc.lq_desk(), mc.linrec_desk()],
+                             ids=lambda bench: bench.name)
+    def test_shipped_structural_zeros_hold(self, bench):
+        rep = mc.check_derivatives(bench.spec, sample_count=10, seed=2)
+        flags = [key for key in rep.errors if key.endswith("_zero")]
+        assert flags and all(rep.errors[key] == 0.0 for key in flags)
+        assert rep.all_passed
 
     def test_fallback_passes_at_ten_step_squared(self):
         # derivatives generated by the fallback at the same step the checker uses

@@ -201,7 +201,6 @@ class TestTimeMajorLayout:
         arrays = {
             "X": forward.states, "Y": backward.values, "Z": backward.integrand,
             "p": first.p, "q": first.q, "P": second.P, "Q": second.Q,
-            "features": mc.adjoint._features_grid(forward, control, backend),
             "zero P": zero.P, "zero Q": zero.Q,
         }
         for name, arr in arrays.items():
