@@ -1,11 +1,11 @@
 """First- and second-order adjoint solvers along a simulated trajectory.
 
-Both adjoints are linear backward equations solved by the package's one
-backward sweep, ``solve_bsde``. Each passes it a per-step callback that
-assembles the coefficients pointwise along (t_j, X_j, Y_j, Z_j, u_j) for that
-step only, so no coefficient tensor spans the horizon. The matrix-valued
-second-order equation is stepped directly in its n x n form and symmetrized
-step by step.
+Both adjoints are linear backward equations swept by ``solve_bsde``. Their
+steps, ``first_order_step`` and ``second_order_step``, read one step's node
+(``StepPoint``), so no coefficient tensor spans the horizon. They serve the
+drivers here, which store horizons for tests and cross-checks, and the sweep
+of ``run_msa``, which stores none. The matrix-valued second-order equation is
+stepped in its n x n form and symmetrized step by step.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .bsde import BackwardPaths, RegressionBackend, solve_bsde, solve_state_bsde
+from .bsde import BackwardPaths, RegressionBackend, _solve_stored, solve_state_bsde
 from .model import ProblemSpec
 from .stochastics import (BrownianBatch, ControlField, ForwardPaths, TimeGrid, _time_major,
                           simulate_forward)
@@ -23,7 +23,7 @@ Array = np.ndarray
 
 @dataclass(frozen=True)
 class FirstOrderAdjoint:
-    """Costate p and its integrand q; solved ones are stored time-major."""
+    """Costate p and its integrand q, stored time-major."""
 
     p: Array  # (M, N+1, n)
     q: Array  # (M, N, n, d)
@@ -31,11 +31,30 @@ class FirstOrderAdjoint:
 
 @dataclass(frozen=True)
 class SecondOrderAdjoint:
-    """Second-order adjoint P and its integrand Q; solved ones are stored time-major."""
+    """Second-order adjoint P and its integrand Q, stored time-major."""
 
     P: Array  # (M, N+1, n, n), symmetric
     Q: Array  # (M, N, n, n, d)
     asymmetry: float  # max pre-symmetrization |P - P'| seen during the solve
+
+
+class StepPoint:
+    """The node (t_j, X_j, Y_j, Z_j, u_j) of one step, where each of f_z, f_y,
+    f_x, sigma_x and b_x is evaluated on first use only, so its readers share it."""
+
+    def __init__(self, spec: ProblemSpec, t: float, forward: ForwardPaths,
+                 backward: BackwardPaths, control: ControlField, j: int):
+        self.dv, self.t = spec.derivatives, t
+        self.x, self.u = forward.states[:, j, :], control.values[:, j, :]
+        self.y, self.z = backward.values[:, j], backward.integrand[:, j, :]
+
+    def __getattr__(self, name: str) -> Array:
+        if name not in ("f_z", "f_y", "f_x", "sigma_x", "b_x"):
+            raise AttributeError(name)
+        yz = () if name in ("sigma_x", "b_x") else (self.y, self.z)
+        value = getattr(self.dv, name)(self.t, self.x, *yz, self.u)
+        setattr(self, name, value)
+        return value
 
 
 def upsilon(spec: ProblemSpec, t: float, x, p, q, u) -> Array:
@@ -53,18 +72,22 @@ def _upsilon_batch(sx: Array, p: Array, q: Array) -> Array:
     return np.einsum("miab,ma->mbi", sx, p) + q
 
 
-def _coeffs_at(spec: ProblemSpec, t: float, x: Array, y: Array, z: Array, u: Array):
-    """A_1, B_1, f_x of the linearized first-order equation at one time slice."""
-    dv = spec.derivatives
-    fz = dv.f_z(t, x, y, z, u)          # (M, d)
-    fy = dv.f_y(t, x, y, z, u)          # (M,)
-    fx = dv.f_x(t, x, y, z, u)          # (M, n)
-    sx = dv.sigma_x(t, x, u)            # (M, d, n, n)
-    bx = dv.b_x(t, x, u)                # (M, n, n)
-    eye = np.eye(spec.n)
-    a1 = np.einsum("mi,miab->mab", fz, sx) + fy[:, None, None] * eye + bx
+def _coeffs_at(point: StepPoint):
+    """A_1, B_1 of the linearized first-order equation at one step's node."""
+    fz, sx = point.f_z, point.sigma_x
+    eye = np.eye(sx.shape[2])
+    a1 = np.einsum("mi,miab->mab", fz, sx) + point.f_y[:, None, None] * eye + point.b_x
     b1 = fz[:, :, None, None] * eye + sx
-    return a1, b1, fx
+    return a1, b1
+
+
+def first_order_step(point: StepPoint, phat: Array, qj: Array, dt: float) -> Array:
+    """p_j = phat + (A_1' phat + sum_i (B_1^i)' q^i + f_x) dt at the step's node."""
+    a1, b1 = _coeffs_at(point)
+    drift = (np.einsum("mij,mi->mj", a1, phat)
+             + np.einsum("mdij,mid->mj", b1, qj)
+             + point.f_x)
+    return phat + drift * dt
 
 
 def first_order_adjoint(spec: ProblemSpec, forward: ForwardPaths,
@@ -76,19 +99,14 @@ def first_order_adjoint(spec: ProblemSpec, forward: ForwardPaths,
     B_1^i = f_{z_i} I + sigma_x^i, inhomogeneity f_x.
     """
     batch = forward.batch
-    N, nodes, dt = batch.grid.steps, batch.grid.nodes, batch.dt
+    nodes = batch.grid.nodes
 
     def step(j, phat, qj):
-        a1, b1, fx = _coeffs_at(
-            spec, nodes[j], forward.states[:, j, :], backward.values[:, j],
-            backward.integrand[:, j, :], control.values[:, j, :])
-        drift = (np.einsum("mij,mi->mj", a1, phat)
-                 + np.einsum("mdij,mid->mj", b1, qj)
-                 + fx)
-        return phat + drift * dt
+        return first_order_step(StepPoint(spec, nodes[j], forward, backward, control, j),
+                                phat, qj, batch.dt)
 
-    p, q = solve_bsde(spec.derivatives.phi_x(forward.states[:, N, :]), step, forward,
-                      control, backend)
+    p, q = _solve_stored(spec.derivatives.phi_x(forward.states[:, batch.grid.steps, :]),
+                         step, forward, control, backend)
     return FirstOrderAdjoint(p=p, q=q)
 
 
@@ -108,23 +126,20 @@ def second_order_vanishes(spec: ProblemSpec) -> bool:
     return s.phi_xx_zero and s.b_xx_zero and s.sigma_xx_zero and s.f_hess_zero
 
 
-def psi_matrix(spec: ProblemSpec, t: float, x: Array, y: Array, z: Array,
-               u: Array, p: Array, q: Array, sx: Array, fz: Array) -> Array:
+def psi_matrix(point: StepPoint, p: Array, q: Array) -> Array:
     """Inhomogeneity of the second-order equation, shape (M, n, n).
 
     Psi = sum_j (b_xx)^j p^j
         + sum_{i,j} (sigma_xx^i)^j (f_{z_i} p^j + q^{ji})
         + (I, p, Upsilon) D2f (I, p, Upsilon)'.
-
-    ``sx`` (M, d, n, n) and ``fz`` (M, d) are sigma_x and f_z at the same
-    point, which the caller has already evaluated.
     """
-    dv = spec.derivatives
-    M, n = x.shape[0], spec.n
-    bxx = dv.b_xx(t, x, u)              # (M, n, n, n)
-    sxx = dv.sigma_xx(t, x, u)          # (M, d, n, n, n)
-    hess = dv.f_hess(t, x, y, z, u)     # (M, m, m)
-    ups = _upsilon_batch(sx, p, q)      # (M, n, d)
+    dv, t, x, u = point.dv, point.t, point.x, point.u
+    fz = point.f_z
+    M, n = p.shape
+    bxx = dv.b_xx(t, x, u)                          # (M, n, n, n)
+    sxx = dv.sigma_xx(t, x, u)                      # (M, d, n, n, n)
+    hess = dv.f_hess(t, x, point.y, point.z, u)     # (M, m, m)
+    ups = _upsilon_batch(point.sigma_x, p, q)       # (M, n, d)
     psi = np.einsum("mjab,mj->mab", bxx, p)
     coef = fz[:, :, None] * p[:, None, :] + q.transpose(0, 2, 1)  # (M, d, n) = fz_i p^j + q^{ji}
     psi = psi + np.einsum("mijab,mij->mab", sxx, coef)
@@ -134,44 +149,49 @@ def psi_matrix(spec: ProblemSpec, t: float, x: Array, y: Array, z: Array,
     return psi
 
 
+def second_order_step(point: StepPoint, phat: Array, Qj: Array, p: Array, q: Array,
+                      dt: float):
+    """(P_j, max |P - P'| before symmetrization) at the step's node.
+
+    With S = b_x' Phat, T_i = sx_i' Phat and R_i = sx_i' Q^i,
+    P_j = sym(Phat + [f_y Phat + S + S' + sum_i (f_{z_i}(T_i + T_i') + T_i sx_i
+    + f_{z_i} Q^i + R_i + R_i') + Psi] dt), where sym(P) = (P + P')/2 and
+    (p, q) is the first-order adjoint at the same step.
+    """
+    sx, fz = point.sigma_x, point.f_z
+    s = point.b_x.transpose(0, 2, 1) @ phat
+    drift = point.f_y[:, None, None] * phat + s + s.transpose(0, 2, 1)
+    for i in range(sx.shape[1]):
+        fzi = fz[:, i, None, None]
+        sxt = sx[:, i].transpose(0, 2, 1)
+        ti = sxt @ phat
+        ri = sxt @ Qj[..., i]
+        drift += (fzi * (ti + ti.transpose(0, 2, 1)) + ti @ sx[:, i]
+                  + fzi * Qj[..., i] + ri + ri.transpose(0, 2, 1))
+    drift += psi_matrix(point, p, q)
+    P = phat + drift * dt
+    Pt = P.transpose(0, 2, 1)
+    return 0.5 * (P + Pt), float(np.max(np.abs(P - Pt)))
+
+
 def second_order_adjoint(spec: ProblemSpec, forward: ForwardPaths,
                          backward: BackwardPaths, control: ControlField,
                          first: FirstOrderAdjoint, backend) -> SecondOrderAdjoint:
-    """Solve the matrix-valued equation directly in its n x n form.
-
-    With S = b_x' Phat, T_i = sx_i' Phat and R_i = sx_i' Q^i, each step is
-    P_j = sym(Phat + [f_y Phat + S + S' + sum_i (f_{z_i}(T_i + T_i') + T_i sx_i
-    + f_{z_i} Q^i + R_i + R_i') + Psi] dt), where sym(P) = (P + P')/2. The
-    worst pre-symmetrization asymmetry max |P - P'| is reported.
-    """
+    """Solve the matrix-valued equation, reporting the worst max |P - P'|."""
     batch = forward.batch
-    N, d, nodes, dt = batch.grid.steps, spec.d, batch.grid.nodes, batch.dt
-    dv = spec.derivatives
+    nodes = batch.grid.nodes
     asym = 0.0
 
-    def step(j, phat, qj):
+    def step(j, phat, Qj):
         nonlocal asym
-        t, xj, uj = nodes[j], forward.states[:, j, :], control.values[:, j, :]
-        yj, zj = backward.values[:, j], backward.integrand[:, j, :]
-        sx = dv.sigma_x(t, xj, uj)
-        fz = dv.f_z(t, xj, yj, zj, uj)
-        s = dv.b_x(t, xj, uj).transpose(0, 2, 1) @ phat
-        drift = dv.f_y(t, xj, yj, zj, uj)[:, None, None] * phat + s + s.transpose(0, 2, 1)
-        for i in range(d):
-            fzi = fz[:, i, None, None]
-            sxt = sx[:, i].transpose(0, 2, 1)
-            ti = sxt @ phat
-            ri = sxt @ qj[..., i]
-            drift += (fzi * (ti + ti.transpose(0, 2, 1)) + ti @ sx[:, i]
-                      + fzi * qj[..., i] + ri + ri.transpose(0, 2, 1))
-        drift += psi_matrix(spec, t, xj, yj, zj, uj, first.p[:, j, :], first.q[:, j],
-                            sx, fz)
-        P = phat + drift * dt
-        Pt = P.transpose(0, 2, 1)
-        asym = max(asym, float(np.max(np.abs(P - Pt))))
-        return 0.5 * (P + Pt)
+        point = StepPoint(spec, nodes[j], forward, backward, control, j)
+        P, asym_j = second_order_step(point, phat, Qj, first.p[:, j, :], first.q[:, j],
+                                      batch.dt)
+        asym = max(asym, asym_j)
+        return P
 
-    P, Q = solve_bsde(dv.phi_xx(forward.states[:, N, :]), step, forward, control, backend)
+    P, Q = _solve_stored(spec.derivatives.phi_xx(forward.states[:, batch.grid.steps, :]),
+                         step, forward, control, backend)
     return SecondOrderAdjoint(P=P, Q=Q, asymmetry=asym)
 
 
@@ -271,10 +291,9 @@ def explicit_p0_oracle(spec: ProblemSpec, control: ControlField, batch: Brownian
     G = np.broadcast_to(np.eye(n), (M, n, n)).copy()
     integral = np.zeros((M, n))
     for j in range(N):
-        a1, b1, fx = _coeffs_at(
-            spec, nodes[j], forward.states[:, j, :], backward.values[:, j],
-            backward.integrand[:, j, :], control.values[:, j, :])
-        integral += np.einsum("mab,ma->mb", G, fx) * dt
+        point = StepPoint(spec, nodes[j], forward, backward, control, j)
+        a1, b1 = _coeffs_at(point)
+        integral += np.einsum("mab,ma->mb", G, point.f_x) * dt
         dG = (np.einsum("mab,mbc->mac", a1, G) * dt
               + np.einsum("miab,mbc,mi->mac", b1, G, batch.increments[:, j, :]))
         G = G + dG

@@ -1,6 +1,7 @@
 """Backward solvers on a pluggable conditional-expectation backend.
 
-One backward sweep (``solve_bsde``) serves the cost BSDE and both adjoints: at
+One backward sweep (``solve_bsde``) serves the cost BSDE, the adjoints and
+the update sweep of ``run_msa``, which steps several equations at once: at
 each step, Z (resp. q) comes from regressing next-step values against the
 Brownian increment on that step's features, and the driver, which may be
 nonlinear, is applied explicitly to the regression proxy.
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -187,8 +188,8 @@ def solve_state_bsde(spec: ProblemSpec, forward: ForwardPaths, control: ControlF
         driver_sum += y - yhat
         return y
 
-    Y, Z = solve_bsde(spec.terminal(forward.states[:, N, :]), step, forward, control,
-                      backend)
+    Y, Z = _solve_stored(spec.terminal(forward.states[:, N, :]), step, forward, control,
+                         backend)
     # Every projection is mean-preserving, so mean(Y_0) equals the mean of the
     # pathwise accumulation Phi(X_T) + sum_j f dt. Store that accumulation as
     # Y_0: same J, but stddev(Y_0)/sqrt(M) then reflects the true Monte Carlo
@@ -199,50 +200,73 @@ def solve_state_bsde(spec: ProblemSpec, forward: ForwardPaths, control: ControlF
     return BackwardPaths(values=Y, integrand=Z, j_estimate=j_est, j_stderr=j_se)
 
 
-def solve_bsde(terminal: Array, step: Callable, forward: ForwardPaths,
-               control: ControlField, backend):
-    """Backward Euler for a BSDE dp = -F_t(p, q) dt + sum_i q^i dW^i.
+def solve_bsde(terminals: Sequence[Array], step: Callable, forward: ForwardPaths,
+               control: ControlField, backend) -> None:
+    """Backward Euler for BSDEs dp = -F_t(p, q) dt + sum_i q^i dW^i, swept together.
 
-    The package's one backward sweep: the cost BSDE and both adjoints differ
-    only in their terminal and their ``step``. Shapes: terminal (M, *shape) of
-    any trailing shape. At each step p_{j+1} and its products with the
-    increments dW_j are regressed on the time-j features (``_step_features``),
-    giving phat = E[p_{j+1} | t_j] (M, *shape) and
-    q_j = E[p_{j+1} dW_j | t_j] / dt (M, *shape, d). ``step(j, phat, q_j)``
-    applies the driver explicitly to the proxy and returns p_j; it may be
-    nonlinear in phat and q_j.
-
-    Returns p (M, N+1, *shape) and q (M, N, *shape, d), both stored
-    time-major so that p[:, j] and q[:, j] are contiguous. Raises
-    NumericalError naming the step and the first path where p_j is not finite.
+    The package's one backward loop: its callers differ only in their
+    ``terminals``, one (M, *shape) array per equation, and their ``step``. At
+    each step every p_{j+1} and its products with dW_j are regressed on the
+    time-j features (built once), one ``project`` per equation, giving
+    phat = E[p_{j+1} | t_j] and q_j = E[p_{j+1} dW_j | t_j] / dt (M, *shape, d).
+    ``step(j, phats, qs)`` applies each driver explicitly to its proxies (it
+    may be nonlinear in them) and returns the list of p_j, the only arrays
+    carried to the next step; a caller that needs horizons stores them. Raises
+    NumericalError naming the step and the first path where a p_j is not finite.
     """
-    batch = forward.batch
-    M, N, d, dt = batch.n_paths, batch.grid.steps, batch.d, batch.dt
-    terminal = np.asarray(terminal, dtype=float)
-    shape = terminal.shape[1:]
-    r = int(np.prod(shape))
-    p = _time_major((M, N + 1) + shape)
-    q = _time_major((M, N) + shape + (d,))
-    p[:, N] = terminal
-    # Each temporary is dropped as soon as the sweep stops reading it, so the
-    # peak is the horizon outputs plus one step's arrays.
-    del terminal
+    M, N = forward.batch.n_paths, forward.batch.grid.steps
+    nxt = [np.asarray(terminal, dtype=float) for terminal in terminals]
     for j in range(N - 1, -1, -1):
-        nxt = p[:, j + 1].reshape(M, r)
+        nxt = step(j, *_proxies(nxt, j, forward, control, backend))
+        for p in nxt:
+            if not np.isfinite(p).all():
+                bad = int(np.argmax(~np.isfinite(p.reshape(M, -1)).all(axis=1)))
+                raise NumericalError(f"step {j}: non-finite solution on path {bad}",
+                                     path=bad, step=j)
+
+
+def _proxies(nxt, j: int, forward: ForwardPaths, control: ControlField, backend):
+    """(phats, qs) at step j: each p_{j+1} and p_{j+1} dW_j regressed in one project."""
+    batch = forward.batch
+    M, d = batch.n_paths, batch.d
+    features = _step_features(forward, control, j, backend) if nxt else None
+    phats, qs = [], []
+    for p in nxt:
+        flat = p.reshape(M, -1)
+        r = flat.shape[1]
         targets = np.concatenate(
-            [nxt, (nxt[:, :, None] * batch.increments[:, j, None, :]).reshape(M, r * d)],
+            [flat, (flat[:, :, None] * batch.increments[:, j, None, :]).reshape(M, r * d)],
             axis=1)
         try:
-            proj = backend.project(j, _step_features(forward, control, j, backend), targets)
+            proj = backend.project(j, features, targets)
         except NumericalError as exc:
             raise NumericalError(f"conditional expectation failed at step {j}: {exc}",
                                  step=j) from exc
         del targets
-        np.divide(proj[:, r:].reshape((M,) + shape + (d,)), dt, out=q[:, j])
-        p[:, j] = step(j, proj[:, :r].reshape((M,) + shape), q[:, j])
-        del proj
-        if not np.isfinite(p[:, j]).all():
-            bad = int(np.argmax(~np.isfinite(p[:, j].reshape(M, r)).all(axis=1)))
-            raise NumericalError(f"step {j}: non-finite solution on path {bad}",
-                                 path=bad, step=j)
+        phats.append(proj[:, :r].reshape(p.shape))
+        qs.append(np.divide(proj[:, r:].reshape(p.shape + (d,)), batch.dt))
+    return phats, qs
+
+
+def _solve_stored(terminal: Array, step: Callable, forward: ForwardPaths,
+                  control: ControlField, backend):
+    """One equation through ``solve_bsde``, ``step(j, phat, q_j)`` returning p_j.
+
+    Returns p (M, N+1, *shape) and q (M, N, *shape, d), stored time-major.
+    """
+    batch = forward.batch
+    M, N = batch.n_paths, batch.grid.steps
+    terminal = np.asarray(terminal, dtype=float)
+    shape = terminal.shape[1:]
+    p = _time_major((M, N + 1) + shape)
+    q = _time_major((M, N) + shape + (batch.d,))
+    p[:, N] = terminal
+    del terminal  # stored in p; no second copy is held through the sweep
+
+    def store(j, phats, qs):
+        q[:, j] = qs[0]
+        p[:, j] = step(j, phats[0], q[:, j])
+        return [p[:, j]]
+
+    solve_bsde([p[:, N]], store, forward, control, backend)
     return p, q

@@ -289,9 +289,10 @@ def _check_finite(aug_vals: Array, h_prev: Array, candidates: Array) -> None:
         idx = int(np.argmax(bad_aug[:, path]))
         raise NumericalError(
             f"non-finite augmented Hamiltonian {aug_vals[idx, path]} on path {path} "
-            f"at candidate {idx} {candidates[idx].tolist()}")
+            f"at candidate {idx} {candidates[idx].tolist()}", path=path)
     raise NumericalError(
-        f"non-finite Hamiltonian {h_prev[path]} at the current control on path {path}")
+        f"non-finite Hamiltonian {h_prev[path]} at the current control on path {path}",
+        path=path)
 
 
 # ---------------------------------------------------------------------------

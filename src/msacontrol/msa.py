@@ -1,11 +1,12 @@
 """Successive-approximation driver: propagate, solve adjoints, minimize, repeat.
 
-Each iteration m simulates the state under u^{m-1}, solves the cost BSDE and
-the adjoint equations along that trajectory, minimizes the augmented
-Hamiltonian pointwise to get u^m, records the Girsanov-weighted decrease
-diagnostic mu_m, then re-simulates under u^m to price the descent. One noise
-batch is shared across all iterations (common random numbers), so descent
-comparisons are free of inter-iteration Monte Carlo variance.
+Each iteration m makes one backward sweep along the priced trajectory of
+u^{m-1}: each step steps the adjoints, minimizes the augmented Hamiltonian
+pointwise to get u^m_j and keeps f_z for the Girsanov-weighted decrease
+diagnostic mu_m; no adjoint is stored over the horizon. It then re-simulates
+under u^m to price the descent. One noise batch is shared across all
+iterations (common random numbers), so descent comparisons are free of
+inter-iteration Monte Carlo variance.
 """
 
 from __future__ import annotations
@@ -16,9 +17,12 @@ from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .adjoint import (FirstOrderAdjoint, SecondOrderAdjoint, first_order_adjoint,
-                      second_order_adjoint, second_order_vanishes, zero_second_order)
-from .bsde import RegressionBackend, solve_state_bsde
+# first_order_adjoint, second_order_adjoint and zero_second_order are unused here:
+# perfbench/tracing.py rebinds them by name on this module, like the entry points.
+from .adjoint import (StepPoint, first_order_adjoint, first_order_step,  # noqa: F401
+                      second_order_adjoint, second_order_step, second_order_vanishes,
+                      zero_second_order)
+from .bsde import RegressionBackend, solve_bsde, solve_state_bsde
 from .errors import ConfigurationError, NumericalError
 from .hamiltonian import minimize_step
 from .model import ControlDomain, ProblemSpec, enumerate_controls
@@ -40,7 +44,6 @@ class MsaConfig:
     max_iters: int = 30
     epsilon: Optional[float] = None
     backend: RegressionBackend = field(default_factory=RegressionBackend)
-    second_order: str = "auto"  # auto | skip | solve
 
     def __post_init__(self):
         if self.rho < 0:
@@ -49,8 +52,6 @@ class MsaConfig:
             raise ConfigurationError("n_paths, steps >= 1 and max_iters >= 0 required")
         if self.epsilon is not None and not self.epsilon > 0:
             raise ConfigurationError("epsilon must be positive (or None to disable)")
-        if self.second_order not in ("auto", "skip", "solve"):
-            raise ConfigurationError("second_order must be auto, skip, or solve")
 
 
 @dataclass(frozen=True)
@@ -78,7 +79,7 @@ class RunHints:
     in the update step (both or neither stay coherent with the recorded
     decrease). ``first_order_ode`` / ``second_order_ode`` supply deterministic
     adjoints on the grid nodes where the problem admits them; ``run_msa`` then
-    skips the corresponding regression solve (a costate hint implies q = 0).
+    reads their nodes instead of solving that equation (a costate hint implies q = 0).
     """
 
     hamiltonian: Optional[Callable] = None
@@ -119,22 +120,69 @@ def compute_mu(hhat: Array, fz_path: Array, batch: BrownianBatch) -> Tuple[float
     return float(np.mean(samples)), se
 
 
-def _fz_grid(spec: ProblemSpec, forward, backward, control) -> Array:
+def _update_sweep(spec: ProblemSpec, forward, backward, u_prev: ControlField, p_ode, P_ode,
+                  candidates: Array, rho: float, hints: RunHints, backend):
+    """One backward pass along u^{m-1}'s priced trajectory: adjoints, update, f_z.
+
+    p_ode / P_ode hold a given adjoint's nodes, or None where the sweep solves
+    it. Returns (u^m, mu, its stderr, max |p|, max |P|, max pre-symmetrization
+    |P - P'|), the maxima over every node.
+    """
+    batch = forward.batch
+    M, N, n, d, dt = batch.n_paths, batch.grid.steps, spec.n, spec.d, batch.dt
+    nodes, x_T = batch.grid.nodes, forward.states[:, N, :]
+    terminals = ([] if p_ode is not None else [spec.derivatives.phi_x(x_T)]) + \
+        ([] if P_ode is not None else [spec.derivatives.phi_xx(x_T)])
+    # running maxima, started at the terminal node or taken over a hint's nodes
+    max_p = float(np.max(np.abs(terminals[0] if p_ode is None else p_ode)))
+    max_P = float(np.max(np.abs(terminals[-1] if P_ode is None else P_ode)))
+    asym, update = 0.0, None
+    # given nodes broadcast over the paths, time-major; a costate hint implies q = 0
+    if p_ode is not None:
+        p_given, q_given = np.broadcast_to(p_ode[:, None], (N + 1, M, n)), np.zeros((M, n, d))
+    if P_ode is not None:
+        P_given = np.broadcast_to(P_ode[:, None], (N + 1, M, n, n))
+    u_new = _time_major(u_prev.values.shape, dtype=u_prev.values.dtype)
+    hhat = _time_major((M, N))
     # C order, unlike the other horizon arrays: its only reader is the
     # path-major Girsanov reduction.
-    batch = forward.batch
-    M, N, d = batch.n_paths, batch.grid.steps, spec.d
-    nodes = batch.grid.nodes
-    out = np.empty((M, N, d))
-    for j in range(N):
-        out[:, j, :] = spec.derivatives.f_z(
-            nodes[j], forward.states[:, j, :], backward.values[:, j],
-            backward.integrand[:, j, :], control.values[:, j, :])
-    return out
+    fz = np.empty((M, N, d))
 
+    def step(j, phats, qs):
+        nonlocal max_p, max_P, asym, update
+        point = StepPoint(spec, nodes[j], forward, backward, u_prev, j)
+        solved = []
+        if p_ode is None:
+            p, q = first_order_step(point, phats[0], qs[0], dt), qs[0]
+            max_p = max(max_p, float(np.abs(p).max()))
+            solved.append(p)
+        else:
+            p, q = p_given[j], q_given
+        if P_ode is None:
+            P, asym_j = second_order_step(point, phats[-1], qs[-1], p, q, dt)
+            max_P, asym = max(max_P, float(np.abs(P).max())), max(asym, asym_j)
+            solved.append(P)
+        else:
+            P = P_given[j]
+        try:
+            # rebound only once the next update has returned, as in a plain loop:
+            # freeing it first lets glibc trim the update's working set off the
+            # heap and fault it back in at every step
+            update = minimize_step(
+                spec, point.t, point.x, point.y, point.z, p, q, P, point.u, candidates,
+                rho, h_fn=hints.hamiltonian, pen_fn=hints.penalty)
+        except NumericalError as exc:
+            exc.args = (f"step {j}: {exc}",) + exc.args[1:]
+            exc.step = j
+            raise
+        u_new[:, j, :], h_new, h_prev, _ = update
+        hhat[:, j] = h_new - h_prev
+        fz[:, j, :] = point.f_z
+        return solved
 
-def _broadcast_nodes(values: Array, n_paths: int) -> Array:
-    return np.broadcast_to(values, (n_paths,) + values.shape)
+    solve_bsde(terminals, step, forward, u_prev, backend)
+    mu, mu_se = compute_mu(hhat, fz, batch)
+    return ControlField(u_new), mu, mu_se, max_p, max_P, asym
 
 
 def run_msa(spec: ProblemSpec, domain: ControlDomain, config: MsaConfig,
@@ -144,11 +192,11 @@ def run_msa(spec: ProblemSpec, domain: ControlDomain, config: MsaConfig,
             backend=None) -> MsaResult:
     """Run the modified successive-approximation loop.
 
-    Per iteration: simulate forward under the current control, solve the cost
-    BSDE (pricing J of the current control), solve or shortcut both adjoints,
-    minimize the augmented Hamiltonian pointwise, record mu, and re-price the
-    new control. Stops once the descent J(u^{m-1}) - J(u^m) falls below
-    epsilon, returning u^{m-1}; the last minimizer stays available.
+    Prices the initial control; then per iteration, one backward sweep along
+    the current trajectory steps the adjoints, minimizes the augmented
+    Hamiltonian pointwise and records mu, and a forward simulation and cost
+    BSDE re-price the new control. Stops once the descent J(u^{m-1}) - J(u^m)
+    falls below epsilon, returning u^{m-1}; the last minimizer stays available.
     """
     hints = hints or RunHints()
     grid = TimeGrid(spec.horizon, config.steps)
@@ -157,7 +205,6 @@ def run_msa(spec: ProblemSpec, domain: ControlDomain, config: MsaConfig,
     backend = backend or config.backend
     candidates = enumerate_controls(domain)
     M, N = batch.n_paths, batch.grid.steps
-    nodes = batch.grid.nodes
 
     if isinstance(initial, str):
         if initial != "random":
@@ -168,9 +215,12 @@ def run_msa(spec: ProblemSpec, domain: ControlDomain, config: MsaConfig,
             raise ConfigurationError("initial control shape does not match the run")
         u_prev = ControlField(_time_major_copy(initial.values))
 
+    # which source feeds p and P, decided once: a hint's nodes, P's structural
+    # zero as zero nodes, or None for a solve in every iteration's sweep
     p_ode = hints.first_order_ode(grid) if hints.first_order_ode else None
     P_ode = hints.second_order_ode(grid) if hints.second_order_ode else None
-    P_hinted = P_ode is not None and config.second_order == "auto"
+    if P_ode is None and second_order_vanishes(spec):
+        P_ode = np.zeros((N + 1, spec.n, spec.n))
 
     try:
         forward = simulate_forward(spec, u_prev, batch)
@@ -188,43 +238,9 @@ def run_msa(spec: ProblemSpec, domain: ControlDomain, config: MsaConfig,
     for m in range(1, config.max_iters + 1):
         t0 = time.perf_counter()
         try:
-            if p_ode is not None:
-                first = FirstOrderAdjoint(p=_broadcast_nodes(p_ode, M),
-                                          q=_time_major((M, N, spec.n, spec.d), np.zeros))
-            else:
-                first = first_order_adjoint(spec, forward, backward, u_prev, backend)
-
-            if config.second_order == "skip":
-                second = zero_second_order(spec, batch)
-            elif config.second_order == "solve":
-                second = second_order_adjoint(spec, forward, backward, u_prev, first, backend)
-            elif P_hinted:
-                second = SecondOrderAdjoint(
-                    P=_broadcast_nodes(P_ode, M),
-                    Q=_time_major((M, N, spec.n, spec.n, spec.d), np.zeros), asymmetry=0.0)
-            elif second_order_vanishes(spec):
-                second = zero_second_order(spec, batch)
-            else:
-                second = second_order_adjoint(spec, forward, backward, u_prev, first, backend)
-
-            u_new_vals = _time_major(u_prev.values.shape, dtype=u_prev.values.dtype)
-            hhat = _time_major((M, N))
-            for j in range(N):
-                try:
-                    u_new_vals[:, j, :], h_new, h_prev, _ = minimize_step(
-                        spec, nodes[j], forward.states[:, j, :], backward.values[:, j],
-                        backward.integrand[:, j, :], first.p[:, j, :], first.q[:, j, :, :],
-                        second.P[:, j, :, :], u_prev.values[:, j, :], candidates,
-                        config.rho, h_fn=hints.hamiltonian, pen_fn=hints.penalty)
-                except NumericalError as exc:
-                    exc.args = (f"step {j}: {exc}",) + exc.args[1:]
-                    raise
-                hhat[:, j] = h_new - h_prev
-            u_new = ControlField(u_new_vals)
-
-            fz = _fz_grid(spec, forward, backward, u_prev)
-            mu, mu_se = compute_mu(hhat, fz, batch)
-
+            u_new, mu, mu_se, max_p, max_P, asym = _update_sweep(
+                spec, forward, backward, u_prev, p_ode, P_ode, candidates, config.rho,
+                hints, backend)
             forward_new = simulate_forward(spec, u_new, batch)
             backward_new = solve_state_bsde(spec, forward_new, u_new, backend)
         except Exception as exc:
@@ -236,10 +252,9 @@ def run_msa(spec: ProblemSpec, domain: ControlDomain, config: MsaConfig,
         records.append(IterationRecord(m=m, j=j_prev, j_stderr=se_prev, mu=mu,
                                        mu_stderr=mu_se, descent=descent,
                                        wall_ms=wall_ms))
-        # a hint's own nodes: np.abs would materialize its broadcast over the paths
-        max_abs_p.append(float(np.max(np.abs(first.p if p_ode is None else p_ode))))
-        max_abs_P.append(float(np.max(np.abs(P_ode if P_hinted else second.P))))
-        max_asym_P.append(second.asymmetry)
+        max_abs_p.append(max_p)
+        max_abs_P.append(max_P)
+        max_asym_P.append(asym)
 
         if config.epsilon is not None and descent < config.epsilon:
             return MsaResult(records=records, returned_control=u_prev,

@@ -255,6 +255,23 @@ def sweep_inputs(batch, states):
     return mc.ForwardPaths(states=states, control=control, batch=batch), control
 
 
+def solve_one(terminal, step, batch, states, backend):
+    """p (M, N+1, r) and q (M, N, r, d) of one equation, stored from solve_bsde's step."""
+    M, N = batch.n_paths, batch.grid.steps
+    fwd, ctl = sweep_inputs(batch, states)
+    p = np.empty((M, N + 1) + terminal.shape[1:])
+    q = np.empty((M, N) + terminal.shape[1:] + (batch.d,))
+    p[:, N] = terminal
+
+    def store(j, phats, qs):
+        q[:, j] = qs[0]
+        p[:, j] = step(j, phats[0], qs[0])
+        return [p[:, j]]
+
+    mc.solve_bsde([terminal], store, fwd, ctl, backend)
+    return p, q
+
+
 class TestSolveLinearBsde:
     """solve_bsde on linear equations."""
 
@@ -262,9 +279,8 @@ class TestSolveLinearBsde:
         M, N, r, d = 5000, 8, 2, 1
         batch = mc.sample_brownian(mc.TimeGrid(1.0, N), M, d, 1)
         terminal = np.tile([1.5, -2.0], (M, 1))
-        fwd, ctl = sweep_inputs(batch, np.zeros((M, N + 1, 1)))
-        p, q = mc.solve_bsde(terminal, lambda j, phat, qj: phat, fwd, ctl,
-                             mc.RegressionBackend(degree=0))
+        p, q = solve_one(terminal, lambda j, phat, qj: phat, batch,
+                         np.zeros((M, N + 1, 1)), mc.RegressionBackend(degree=0))
         assert np.allclose(p, terminal[:, None, :], atol=1e-9)
         # q targets are const * dW: zero up to mean-of-increment noise
         assert np.max(np.abs(q)) < 5 * 2.0 / np.sqrt(M * batch.dt)
@@ -276,10 +292,9 @@ class TestSolveLinearBsde:
         a_mat = np.array([[0.3, -0.2], [0.1, 0.4]])
         batch = mc.sample_brownian(mc.TimeGrid(1.0, N), M, 1, 2)
         terminal = np.tile([1.0, 0.5], (M, 1))
-        fwd, ctl = sweep_inputs(batch, np.zeros((M, N + 1, 1)))
-        p, q = mc.solve_bsde(
+        p, q = solve_one(
             terminal, lambda j, phat, qj: phat + phat @ a_mat * batch.dt,
-            fwd, ctl, mc.RegressionBackend(degree=0))
+            batch, np.zeros((M, N + 1, 1)), mc.RegressionBackend(degree=0))
         sol = solve_ivp(lambda t, y: -a_mat.T @ y, (1.0, 0.0), [1.0, 0.5],
                         rtol=1e-10, atol=1e-12)
         assert np.max(np.abs(p[:, 0, :] - sol.y[:, -1])) < 1e-3
@@ -290,9 +305,9 @@ class TestSolveLinearBsde:
         batch = mc.sample_brownian(mc.TimeGrid(1.0, N), M, 1, 3)
         terminal = rng.normal(size=(M, 1))
         # random regression features: the state alone, no control features
-        fwd, ctl = sweep_inputs(batch, rng.normal(size=(M, N + 1, 1)))
-        p, _ = mc.solve_bsde(terminal, lambda j, phat, qj: phat, fwd, ctl,
-                             mc.RegressionBackend(degree=2, control_features=False))
+        p, _ = solve_one(terminal, lambda j, phat, qj: phat, batch,
+                         rng.normal(size=(M, N + 1, 1)),
+                         mc.RegressionBackend(degree=2, control_features=False))
         assert p[:, 0, 0].mean() == pytest.approx(terminal.mean(), abs=1e-9)
         assert np.array_equal(p[:, -1, :], terminal)
 

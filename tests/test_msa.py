@@ -1,7 +1,11 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import msacontrol as mc
+from msacontrol.stochastics import _time_major, _time_major_copy
 
 
 def records_equal_except_wall(a, b):
@@ -126,8 +130,6 @@ class TestRunMsa:
             mc.MsaConfig(rho=0.0, n_paths=0, steps=5, seed=0)
         with pytest.raises(mc.ConfigurationError):
             mc.MsaConfig(rho=0.0, n_paths=10, steps=5, seed=0, epsilon=0.0)
-        with pytest.raises(mc.ConfigurationError):
-            mc.MsaConfig(rho=0.0, n_paths=10, steps=5, seed=0, second_order="maybe")
 
     def test_solver_errors_carry_iteration_index(self):
         spec = mc.ProblemSpec.build(
@@ -142,21 +144,24 @@ class TestRunMsa:
 
     def test_non_finite_hamiltonian_names_iteration_and_step(self):
         # the driver is NaN only for the candidate u = 1 from t = 0.5 on, which
-        # the initial control never visits, so only the update step sees it
+        # the initial control never visits, so only the update step sees it;
+        # the backward sweep meets the last of those steps first
         spec = mc.ProblemSpec.build(
             n=1, d=1, k=1, x0=np.zeros(1), horizon=1.0,
             drift=lambda t, x, u: np.zeros_like(x),
             diffusion=lambda t, x, u: np.ones((len(x), 1, 1)),
             driver=lambda t, x, y, z, u: np.where((u[:, 0] == 1.0) & (t > 0.45),
                                                   np.nan, 0.1 * z[:, 0]),
-            terminal=lambda x: x[:, 0])
-        cfg = mc.MsaConfig(rho=0.0, n_paths=200, steps=20, seed=0, max_iters=2,
-                           second_order="skip")
+            terminal=lambda x: x[:, 0],
+            structure=mc.Structure(b_xx_zero=True, sigma_xx_zero=True, phi_xx_zero=True,
+                                   f_hess_zero=True))
+        cfg = mc.MsaConfig(rho=0.0, n_paths=200, steps=20, seed=0, max_iters=2)
         init = mc.constant_control([0.0], 200, 20)
         with pytest.raises(mc.NumericalError,
-                           match=r"^iteration 1: step 10: .* on path 0 at candidate 1"):
+                           match=r"^iteration 1: step 19: .* on path 0 at candidate 1") as info:
             mc.run_msa(spec, mc.FiniteSet([[0.0], [1.0]]), cfg, init)
-
+        assert info.value.path == 0
+        assert info.value.step == 19
 
     def test_max_asym_P_records_the_second_order_asymmetry(self):
         spec, domain = curvature_problem()
@@ -288,14 +293,6 @@ class TestTimeMajorRunArrays:
             for j in (0, arr.shape[1] // 2, arr.shape[1] - 1):
                 seen.setdefault(name, []).append(arr[:, j].flags.c_contiguous)
 
-        def spy_class(cls):
-            def build(**fields):
-                for name, arr in fields.items():
-                    if name in ("q", "Q"):
-                        record(name, arr)
-                return cls(**fields)
-            return build
-
         real_minimize, real_mu = msa.minimize_step, msa.compute_mu
 
         def minimize_spy(spec, t, x, y, z, p, q, P, u_prev, *args, **kwargs):
@@ -308,14 +305,219 @@ class TestTimeMajorRunArrays:
             record("hhat", hhat)
             return real_mu(hhat, fz, batch)
 
-        monkeypatch.setattr(msa, "FirstOrderAdjoint", spy_class(msa.FirstOrderAdjoint))
-        monkeypatch.setattr(msa, "SecondOrderAdjoint", spy_class(msa.SecondOrderAdjoint))
         monkeypatch.setattr(msa, "minimize_step", minimize_spy)
         monkeypatch.setattr(msa, "compute_mu", mu_spy)
         cfg = mc.MsaConfig(rho=bench.rho, n_paths=200, steps=6, seed=3, max_iters=2)
         res = mc.run_msa(bench.spec, bench.domain, cfg, "random", hints=bench.hints)
         record("u_new", res.last_control.values)
-        # the hinted adjoint's zero integrand is built inside run_msa
-        assert ("q" if bench_name == "example41" else "Q") in seen
         assert {"x", "y", "z", "q_j", "u_prev", "hhat", "u_new"} <= set(seen)
         assert all(all(flags) for flags in seen.values()), seen
+
+
+def separate_passes(spec, domain, cfg, initial, hints):
+    """Fixed-length run_msa as separate passes: both adjoints stored over the
+    horizon, then an ascending update loop, then an f_z grid for mu.
+
+    Returns (records, returned control, last control, max |p|, max |P|,
+    max asymmetry), the reference the single sweep must match bit for bit.
+    """
+    batch = mc.sample_brownian(mc.TimeGrid(spec.horizon, cfg.steps), cfg.n_paths,
+                               spec.d, cfg.seed)
+    backend, candidates = cfg.backend, mc.enumerate_controls(domain)
+    M, N, n, d = cfg.n_paths, cfg.steps, spec.n, spec.d
+    nodes = batch.grid.nodes
+    p_ode = hints.first_order_ode(batch.grid) if hints.first_order_ode else None
+    P_ode = hints.second_order_ode(batch.grid) if hints.second_order_ode else None
+    u_prev = mc.ControlField(_time_major_copy(initial.values))
+    forward = mc.simulate_forward(spec, u_prev, batch)
+    backward = mc.solve_state_bsde(spec, forward, u_prev, backend)
+    records, max_p, max_P, asym = [], [], [], []
+    for m in range(1, cfg.max_iters + 1):
+        if p_ode is not None:
+            first = mc.FirstOrderAdjoint(p=np.broadcast_to(p_ode, (M,) + p_ode.shape),
+                                         q=_time_major((M, N, n, d), np.zeros))
+        else:
+            first = mc.first_order_adjoint(spec, forward, backward, u_prev, backend)
+        if P_ode is not None:
+            second = mc.SecondOrderAdjoint(P=np.broadcast_to(P_ode, (M,) + P_ode.shape),
+                                           Q=_time_major((M, N, n, n, d), np.zeros),
+                                           asymmetry=0.0)
+        elif mc.second_order_vanishes(spec):
+            second = mc.adjoint.zero_second_order(spec, batch)
+        else:
+            second = mc.second_order_adjoint(spec, forward, backward, u_prev, first, backend)
+        u_new = _time_major(u_prev.values.shape)
+        hhat = _time_major((M, N))
+        for j in range(N):
+            u_new[:, j, :], h_new, h_prev, _ = mc.hamiltonian.minimize_step(
+                spec, nodes[j], forward.states[:, j, :], backward.values[:, j],
+                backward.integrand[:, j, :], first.p[:, j, :], first.q[:, j], second.P[:, j],
+                u_prev.values[:, j, :], candidates, cfg.rho, h_fn=hints.hamiltonian,
+                pen_fn=hints.penalty)
+            hhat[:, j] = h_new - h_prev
+        fz = np.empty((M, N, d))
+        for j in range(N):
+            fz[:, j, :] = spec.derivatives.f_z(nodes[j], forward.states[:, j, :],
+                                               backward.values[:, j],
+                                               backward.integrand[:, j, :],
+                                               u_prev.values[:, j, :])
+        mu, mu_se = mc.compute_mu(hhat, fz, batch)
+        u_new = mc.ControlField(u_new)
+        forward_new = mc.simulate_forward(spec, u_new, batch)
+        backward_new = mc.solve_state_bsde(spec, forward_new, u_new, backend)
+        records.append(mc.IterationRecord(
+            m=m, j=backward.j_estimate, j_stderr=backward.j_stderr, mu=mu, mu_stderr=mu_se,
+            descent=backward.j_estimate - backward_new.j_estimate, wall_ms=0.0))
+        max_p.append(float(np.max(np.abs(first.p if p_ode is None else p_ode))))
+        max_P.append(float(np.max(np.abs(second.P if P_ode is None else P_ode))))
+        asym.append(second.asymmetry)
+        u_before = u_prev
+        u_prev, forward, backward = u_new, forward_new, backward_new
+    return records, u_before, u_prev, max_p, max_P, asym
+
+
+def sweep_sources():
+    """(spec, domain, rho, hints) for each way p and P reach the update."""
+    spec, domain = curvature_problem()
+    # any nodes do as a costate hint here: the reference reads the same ones
+    p_nodes = mc.RunHints(first_order_ode=lambda grid: np.outer(grid.nodes, [0.3, -0.2]))
+    cases = {"p-solved-P-solved": (spec, domain, 0.5, mc.RunHints()),
+             "p-hinted-P-solved": (spec, domain, 0.5, p_nodes)}
+    for name, bench in (("p-solved-P-hinted", mc.lq_desk()),
+                        ("p-hinted-P-declared-zero", mc.example41(0.1)),
+                        ("p-hinted-P-zero-by-flags", mc.linrec_desk())):
+        cases[name] = (bench.spec, bench.domain, bench.rho, bench.hints)
+    return cases
+
+
+def curvature_everywhere_problem():
+    """n = 4, d = 2, k = 2 with b_xx, sigma_xx, phi_xx and f_hess all non-zero.
+
+    b = B1 x + B2 u + s(x), sigma^i = S1_i x + S2_i u + c_i + s(x) with
+    s(x) = sin(x) / 10 elementwise, f = x'A x / 2 + |u|^2 / 2 + sum_i sin z_i / 2
+    + y^2 / 10, Phi = x'G x / 2.
+    """
+    n, d, k = 4, 2, 2
+    m = n + 1 + d
+    gen = np.random.Generator(np.random.Philox(key=4))
+    b1 = -0.2 * np.eye(n) + 0.05 * gen.standard_normal((n, n))
+    b2 = 0.3 * gen.standard_normal((n, k))
+    s1 = 0.1 * gen.standard_normal((d, n, n))
+    s2 = 0.3 * gen.standard_normal((d, n, k))
+    c = 0.2 * gen.standard_normal((d, n))
+    a, g = 0.5 * np.eye(n), np.eye(n)
+    diag = np.arange(n)
+
+    def d2sin(x):  # (M, n, n, n): the Hessian of component j of sin(x) / 10
+        out = np.zeros((len(x), n, n, n))
+        out[:, diag, diag, diag] = -0.1 * np.sin(x)
+        return out
+
+    def f_hess(t, x, y, z, u):
+        out = np.zeros((len(x), m, m))
+        out[:, :n, :n] = a
+        out[:, n, n] = 0.2
+        out[:, n + 1 + np.arange(d), n + 1 + np.arange(d)] = -0.5 * np.sin(z)
+        return out
+
+    spec = mc.ProblemSpec.build(
+        n=n, d=d, k=k, x0=np.array([0.5, -0.3, 0.2, 0.1]), horizon=1.0,
+        drift=lambda t, x, u: x @ b1.T + u @ b2.T + 0.1 * np.sin(x),
+        diffusion=lambda t, x, u: (np.einsum("inj,mj->mni", s1, x)
+                                   + np.einsum("inj,mj->mni", s2, u) + c.T[None]
+                                   + 0.1 * np.sin(x)[:, :, None]),
+        driver=lambda t, x, y, z, u: (0.5 * np.einsum("mi,ij,mj->m", x, a, x)
+                                      + 0.5 * (u * u).sum(axis=1)
+                                      + 0.5 * np.sin(z).sum(axis=1) + 0.1 * y * y),
+        terminal=lambda x: 0.5 * np.einsum("mi,ij,mj->m", x, g, x),
+        derivatives=dict(
+            b_x=lambda t, x, u: b1 + 0.1 * np.cos(x)[:, :, None] * np.eye(n),
+            sigma_x=lambda t, x, u: s1 + (0.1 * np.cos(x)[:, :, None] * np.eye(n))[:, None],
+            b_xx=lambda t, x, u: d2sin(x),
+            sigma_xx=lambda t, x, u: np.repeat(d2sin(x)[:, None], d, axis=1),
+            f_x=lambda t, x, y, z, u: x @ a,
+            f_y=lambda t, x, y, z, u: 0.2 * y,
+            f_z=lambda t, x, y, z, u: 0.5 * np.cos(z),
+            f_hess=f_hess,
+            phi_x=lambda x: x @ g,
+            phi_xx=lambda x: np.broadcast_to(g, (len(x), n, n)).copy()))
+    return spec, mc.FiniteSet([[0.0, 0.0], [0.5, -0.5], [-0.5, 0.5]])
+
+
+class TestSingleSweep:
+    @pytest.mark.parametrize("source", list(sweep_sources()))
+    def test_bitwise_equal_to_separate_passes(self, source):
+        spec, domain, rho, hints = sweep_sources()[source]
+        M, N, seed = 300, 8, 11
+        cfg = mc.MsaConfig(rho=rho, n_paths=M, steps=N, seed=seed, max_iters=3)
+        initial = mc.random_control(domain, M, N, seed)
+        res = mc.run_msa(spec, domain, cfg, initial, hints=hints)
+        records, returned, last, max_p, max_P, asym = separate_passes(
+            spec, domain, cfg, initial, hints)
+        assert records_equal_except_wall(res.records, records)
+        assert np.array_equal(res.returned_control.values, returned.values)
+        assert np.array_equal(res.last_control.values, last.values)
+        assert res.max_abs_p == max_p
+        assert res.max_abs_P == max_P
+        assert res.max_asym_P == asym
+
+    @pytest.mark.parametrize("problem", ["curvature", "example41"])
+    def test_derivatives_evaluated_once_per_node(self, problem, monkeypatch):
+        if problem == "curvature":
+            (spec, domain), rho, hints = curvature_problem(), 0.5, mc.RunHints()
+            expected = ("f_z", "f_y", "f_x", "sigma_x", "b_x")
+        else:
+            bench = mc.example41(0.1)
+            spec, domain, rho, hints = bench.spec, bench.domain, bench.rho, bench.hints
+            expected = ("f_z",)
+        calls = {}
+        in_update = [False]
+
+        def counted(name, fn):
+            def wrapper(*args):
+                if not in_update[0]:
+                    calls[name] = calls.get(name, 0) + 1
+                return fn(*args)
+            return wrapper
+
+        real_minimize = mc.msa.minimize_step
+
+        def minimize_uncounted(*args, **kwargs):
+            in_update[0] = True
+            try:
+                return real_minimize(*args, **kwargs)
+            finally:
+                in_update[0] = False
+
+        names = ("f_z", "f_y", "f_x", "sigma_x", "b_x")
+        derivatives = dataclasses.replace(
+            spec.derivatives,
+            **{name: counted(name, getattr(spec.derivatives, name)) for name in names})
+        spec = dataclasses.replace(spec, derivatives=derivatives)
+        monkeypatch.setattr(mc.msa, "minimize_step", minimize_uncounted)
+        iters, N = 2, 6
+        cfg = mc.MsaConfig(rho=rho, n_paths=200, steps=N, seed=5, max_iters=iters)
+        mc.run_msa(spec, domain, cfg, "random", hints=hints)
+        assert calls == {name: iters * N for name in expected}
+
+    def test_peak_heap_growth_in_steps_below_horizon_adjoints(self):
+        spec, domain = curvature_everywhere_problem()
+        n, d, M, seed = spec.n, spec.d, 400, 7
+        assert not mc.second_order_vanishes(spec)
+
+        def peak(N):
+            batch = mc.sample_brownian(mc.TimeGrid(spec.horizon, N), M, d, seed)
+            initial = mc.random_control(domain, M, N, seed)
+            cfg = mc.MsaConfig(rho=0.5, n_paths=M, steps=N, seed=seed, max_iters=2)
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                mc.run_msa(spec, domain, cfg, initial, batch=batch)
+                return tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+
+        # p (n), q (n d), P (n^2) and Q (n^2 d) floats per path and step, over
+        # the 10 extra steps
+        horizon_adjoints = M * 10 * (n + n * d + n * n + n * n * d) * 8
+        assert peak(20) - peak(10) < horizon_adjoints
