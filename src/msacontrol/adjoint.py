@@ -5,7 +5,9 @@ steps, ``first_order_step`` and ``second_order_step``, read one step's node
 (``StepPoint``), so no coefficient tensor spans the horizon. They serve the
 drivers here, which store horizons for tests and cross-checks, and the sweep
 of ``run_msa``, which stores none. The matrix-valued second-order equation is
-stepped in its n x n form and symmetrized step by step.
+stepped in its n x n form with batched BLAS products (``@``, which may fuse
+multiply and add) and symmetrized step by step. ``first_order_step`` keeps
+einsum, the fastest on the tree oracle's small batches.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ class StepPoint:
 
     def __init__(self, spec: ProblemSpec, t: float, forward: ForwardPaths,
                  backward: BackwardPaths, control: ControlField, j: int):
-        self.dv, self.t = spec.derivatives, t
+        self.dv, self.structure, self.t = spec.derivatives, spec.structure, t
         self.x, self.u = forward.states[:, j, :], control.values[:, j, :]
         self.y, self.z = backward.values[:, j], backward.integrand[:, j, :]
 
@@ -129,23 +131,29 @@ def second_order_vanishes(spec: ProblemSpec) -> bool:
 def psi_matrix(point: StepPoint, p: Array, q: Array) -> Array:
     """Inhomogeneity of the second-order equation, shape (M, n, n).
 
-    Psi = sum_j (b_xx)^j p^j
-        + sum_{i,j} (sigma_xx^i)^j (f_{z_i} p^j + q^{ji})
-        + (I, p, Upsilon) D2f (I, p, Upsilon)'.
+    Psi = (I, p, Upsilon) D2f (I, p, Upsilon)'
+        + sum_j (b_xx)^j p^j
+        + sum_{i,j} (sigma_xx^i)^j (f_{z_i} p^j + q^{ji}),
+    the quadratic form by batched ``@``, each Hessian term by one contraction
+    over its flattened leading axes. A Hessian declared zero
+    (``Structure.b_xx_zero``, ``sigma_xx_zero``) is neither evaluated nor added.
     """
     dv, t, x, u = point.dv, point.t, point.x, point.u
-    fz = point.f_z
     M, n = p.shape
-    bxx = dv.b_xx(t, x, u)                          # (M, n, n, n)
-    sxx = dv.sigma_xx(t, x, u)                      # (M, d, n, n, n)
-    hess = dv.f_hess(t, x, point.y, point.z, u)     # (M, m, m)
-    ups = _upsilon_batch(point.sigma_x, p, q)       # (M, n, d)
-    psi = np.einsum("mjab,mj->mab", bxx, p)
-    coef = fz[:, :, None] * p[:, None, :] + q.transpose(0, 2, 1)  # (M, d, n) = fz_i p^j + q^{ji}
-    psi = psi + np.einsum("mijab,mij->mab", sxx, coef)
+    hess = dv.f_hess(t, x, point.y, point.z, u)     # (M, m, m), m = n + 1 + d
     eye = np.broadcast_to(np.eye(n), (M, n, n))
-    mmat = np.concatenate([eye, p[:, :, None], ups], axis=2)      # (M, n, n+1+d)
-    psi = psi + np.einsum("mia,mab,mjb->mij", mmat, hess, mmat)
+    mmat = np.concatenate([eye, p[:, :, None], _upsilon_batch(point.sigma_x, p, q)],
+                          axis=2)                   # (M, n, m)
+    psi = mmat @ hess @ mmat.transpose(0, 2, 1)
+    if not point.structure.b_xx_zero:
+        bxx = dv.b_xx(t, x, u)                      # (M, n, n, n)
+        psi += np.einsum("mj,mjr->mr", p, bxx.reshape(M, n, n * n)).reshape(M, n, n)
+    if not point.structure.sigma_xx_zero:
+        sxx = dv.sigma_xx(t, x, u)                  # (M, d, n, n, n)
+        coef = point.f_z[:, :, None] * p[:, None, :] + q.transpose(0, 2, 1)  # fz_i p^j + q^{ji}
+        dn = coef.shape[1] * n
+        psi += np.einsum("mr,mrs->ms", coef.reshape(M, dn),
+                         sxx.reshape(M, dn, n * n)).reshape(M, n, n)
     return psi
 
 

@@ -4,11 +4,14 @@ One backward sweep (``solve_bsde``) serves the cost BSDE, the adjoints and
 the update sweep of ``run_msa``, which steps several equations at once: at
 each step, Z (resp. q) comes from regressing next-step values against the
 Brownian increment on that step's features, and the driver, which may be
-nonlinear, is applied explicitly to the regression proxy.
+nonlinear, is applied explicitly to the regression proxy. The regression's
+design matrix is built one column at a time, each monomial one product of
+an earlier column and a feature.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -22,7 +25,9 @@ from .stochastics import ControlField, ForwardPaths, _time_major
 Array = np.ndarray
 
 
-def _monomial_exponents(n_features: int, degree: int):
+@functools.lru_cache(maxsize=None)
+def _monomial_exponents(n_features: int, degree: int) -> tuple:
+    """Exponent tuples of every monomial of total degree <= degree, by degree."""
     exps = []
     for deg in range(degree + 1):
         for combo in itertools.combinations_with_replacement(range(n_features), deg):
@@ -30,18 +35,36 @@ def _monomial_exponents(n_features: int, degree: int):
             for i in combo:
                 e[i] += 1
             exps.append(tuple(e))
-    return exps
+    return tuple(exps)
+
+
+@functools.lru_cache(maxsize=None)
+def _monomial_parents(exponents: tuple) -> tuple:
+    """Per column, None for the constant, else (parent column, i): the monomial
+    is its parent, one degree less in its last feature i, times feature i."""
+    column = {e: c for c, e in enumerate(exponents)}
+    plan = []
+    for e in exponents:
+        if not any(e):
+            plan.append(None)
+            continue
+        i = max(i for i, power in enumerate(e) if power)
+        plan.append((column[e[:i] + (e[i] - 1,) + e[i + 1:]], i))
+    return tuple(plan)
 
 
 def _design_matrix(features: Array, exponents) -> Array:
-    M = features.shape[0]
-    A = np.empty((M, len(exponents)))
-    for col, exp in enumerate(exponents):
-        v = np.ones(M)
-        for i, p in enumerate(exp):
-            if p:
-                v = v * features[:, i] ** p
-        A[:, col] = v
+    """Monomial columns, each an earlier column times one feature, written in place.
+
+    A column of degree <= 2 is then one rounded product of two features (or
+    a feature, or 1), so it equals the product of the features' powers exactly.
+    """
+    A = np.empty((features.shape[0], len(exponents)))
+    for col, parent in enumerate(_monomial_parents(tuple(exponents))):
+        if parent is None:
+            A[:, col] = 1.0
+        else:
+            np.multiply(A[:, parent[0]], features[:, parent[1]], out=A[:, col])
     return A
 
 

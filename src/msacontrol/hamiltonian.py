@@ -11,6 +11,10 @@ in chunks of at most ``_ROW_CHUNK`` rows. Every formula is row-wise and the
 stacked copies keep the memory layout of their inputs, so the values are
 bitwise equal to evaluating one candidate at a time.
 
+The G-derivatives contract sigma_x over its flattened (noise, state) axis.
+The diffusion gap, G and H's curvature term keep per-axis einsums, the
+fastest at n = d = 1 (a batched ``(P @ ds) * ds`` is about 5x slower there).
+
 The augmented Hamiltonian adds rho/2 times squared coefficient and
 G-derivative differences between the candidate and the current control; its
 derivative terms are assembled from the closed-form bundle (chain rule through
@@ -19,6 +23,7 @@ z + delta), never finite differences, because they sit inside a minimization.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Tuple
 
@@ -86,16 +91,31 @@ def _candidate(spec: ProblemSpec, t, x, y, z, p, q, P, v, s_u):
     return _h(spec, t, x, y, p, q, P, v, b, s, ds, zs), b, ds, zs
 
 
-def _g_derivatives(spec: ProblemSpec, t, x, y, zs, p, q, v, sx_v, sx_u):
-    """(G_x, G_y, G_z) at the candidate v, with sigma_x at v and at u, at shifted z."""
-    dv = spec.derivatives
-    fz = dv.f_z(t, x, y, zs, v)
-    gx = (np.einsum("mij,mi->mj", dv.b_x(t, x, v), p)
-          + np.einsum("miab,mai->mb", sx_v, q)
-          + dv.f_x(t, x, y, zs, v)
-          + np.einsum("mik,mi->mk", np.einsum("mijk,mj->mik", sx_v - sx_u, p), fz))
-    gy = dv.f_y(t, x, y, zs, v)
-    return gx, gy, fz
+def _evaluated(dv, t, x, y, z, v) -> Callable[[str], Array]:
+    """Reader of sigma_x, b_x, f_x, f_y and f_z of the bundle dv at (t, x, y, z, v),
+    evaluating afresh at every read, so no caller holds one beyond its use."""
+    def read(name: str) -> Array:
+        yz = () if name in ("sigma_x", "b_x") else (y, z)
+        return getattr(dv, name)(t, x, *yz, v)
+    return read
+
+
+def _g_derivatives(at, p, q, sx_v, sx_u):
+    """(G_x, G_y, G_z) at the candidate v, with b_x, f_x, f_y and f_z read by
+    ``at(name)`` at v and shifted z, and sigma_x at v and at u.
+
+    The sigma_x terms, sum_{i,a} sx_v^{ia} (q^{ai} + f_{z_i} p^a) - sx_u^{ia} f_{z_i} p^a,
+    contract over the flattened, contiguous (i, a) axis of length d * n.
+    """
+    fz = at("f_z")
+    M, d, n = sx_v.shape[:3]
+    fzp = (fz[:, :, None] * p[:, None, :]).reshape(M, d * n)
+    gx = (np.einsum("mij,mi->mj", at("b_x"), p)
+          + np.einsum("mr,mrb->mb", q.transpose(0, 2, 1).reshape(M, d * n) + fzp,
+                      sx_v.reshape(M, d * n, n))
+          - np.einsum("mr,mrb->mb", fzp, sx_u.reshape(M, d * n, n))
+          + at("f_x"))
+    return gx, at("f_y"), fz
 
 
 class _Current(NamedTuple):
@@ -112,11 +132,15 @@ def _map_current(fn: Callable[[Array], Array], cur: _Current) -> _Current:
                     g_derivs=tuple(map(fn, cur.g_derivs)))
 
 
-def _current(spec: ProblemSpec, t, x, y, z, p, q, u, b_u, zs_u) -> _Current:
-    """b_u is drift(u) and zs_u is z + delta(u, u)."""
-    sx = spec.derivatives.sigma_x(t, x, u)
+def _current(spec: ProblemSpec, t, x, y, z, p, q, u, b_u, zs_u, node=None) -> _Current:
+    """b_u is drift(u) and zs_u is z + delta(u, u), equal to z up to the sign of
+    a zero. ``node``, when given, supplies sigma_x, b_x, f_x, f_y and f_z at
+    (t, x, y, z, u) in place of evaluating them here."""
+    at = (functools.partial(getattr, node) if node is not None
+          else _evaluated(spec.derivatives, t, x, y, zs_u, u))
+    sx = at("sigma_x")
     return _Current(b=b_u, f=spec.driver(t, x, y, z, u), sx=sx,
-                    g_derivs=_g_derivatives(spec, t, x, y, zs_u, p, q, u, sx, sx))
+                    g_derivs=_g_derivatives(at, p, q, sx, sx))
 
 
 def _penalty(spec: ProblemSpec, t, x, y, z, p, q, v, b, ds, zs, cur: _Current) -> Array:
@@ -124,8 +148,8 @@ def _penalty(spec: ProblemSpec, t, x, y, z, p, q, v, b, ds, zs, cur: _Current) -
     db = b - cur.b
     df = spec.driver(t, x, y, z, v) - cur.f
     pen = (db ** 2).sum(axis=1) + (ds ** 2).sum(axis=(1, 2)) + df ** 2
-    gx_v, gy_v, gz_v = _g_derivatives(spec, t, x, y, zs, p, q, v,
-                                      spec.derivatives.sigma_x(t, x, v), cur.sx)
+    at = _evaluated(spec.derivatives, t, x, y, zs, v)
+    gx_v, gy_v, gz_v = _g_derivatives(at, p, q, at("sigma_x"), cur.sx)
     gx_u, gy_u, gz_u = cur.g_derivs
     pen = pen + ((gx_v - gx_u) ** 2).sum(axis=1)
     pen = pen + (gy_v - gy_u) ** 2
@@ -194,7 +218,7 @@ HamiltonianFn = Callable[..., Array]
 def minimize_step(spec: ProblemSpec, t: float, x: Array, y: Array, z: Array,
                   p: Array, q: Array, P: Array, u_prev: Array, candidates: Array,
                   rho: float, h_fn: Optional[HamiltonianFn] = None,
-                  pen_fn: Optional[HamiltonianFn] = None):
+                  pen_fn: Optional[HamiltonianFn] = None, *, node=None):
     """Argmin of the augmented Hamiltonian over the candidate list, per sample.
 
     Ties go to the lowest candidate index. Samples whose current control beats
@@ -208,7 +232,8 @@ def minimize_step(spec: ProblemSpec, t: float, x: Array, y: Array, z: Array,
     penalty. Candidates are stacked along the sample axis in chunks of at most
     ``_ROW_CHUNK`` (8 192) rows, so a chunk holds max(1, 8192 // B) of them;
     the values are bitwise equal to those of h_batch and penalty_batch called
-    one candidate at a time.
+    one candidate at a time. ``node``, the sweep's ``StepPoint`` at (t, x, y,
+    z, u_prev), lends the penalty its derivatives at the current control.
     """
     B = x.shape[0]
     n_c = len(candidates)
@@ -222,13 +247,13 @@ def minimize_step(spec: ProblemSpec, t: float, x: Array, y: Array, z: Array,
         zs_u = z + delta_u
         h_prev = _h(spec, t, x, y, p, q, P, u, b_u, s_u, ds_u, zs_u)
         if rho != 0.0:
-            cur = _current(spec, t, x, y, z, p, q, u, b_u, zs_u)
+            cur = _current(spec, t, x, y, z, p, q, u, b_u, zs_u, node)
         c = min(n_c, max(1, _ROW_CHUNK // B))
         args = (x, y, z, p, q, P, s_u)
         if c > 1:
             def stack(a):
-                # unlike np.tile, keeps a's memory layout, on which einsum's
-                # summation order (and so the last bit) can depend
+                # unlike np.tile, keeps a's memory layout: einsum may order a
+                # sum by its operands' strides, and so set the last bit by it
                 return np.concatenate([a] * c)
             args = tuple(map(stack, args))
             if rho != 0.0:

@@ -170,7 +170,7 @@ def _update_sweep(spec: ProblemSpec, forward, backward, u_prev: ControlField, p_
             # heap and fault it back in at every step
             update = minimize_step(
                 spec, point.t, point.x, point.y, point.z, p, q, P, point.u, candidates,
-                rho, h_fn=hints.hamiltonian, pen_fn=hints.penalty)
+                rho, h_fn=hints.hamiltonian, pen_fn=hints.penalty, node=point)
         except NumericalError as exc:
             exc.args = (f"step {j}: {exc}",) + exc.args[1:]
             exc.step = j

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import msacontrol as mc
+
+# Fixed example generation, so that a failing property reproduces on a re-run;
+# select it with --hypothesis-profile=ci. Local runs keep the default profile.
+settings.register_profile("ci", derandomize=True)
 
 
 @pytest.fixture

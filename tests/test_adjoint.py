@@ -201,6 +201,31 @@ class TestSecondOrderAdjoint:
                                          mc.RegressionBackend(degree=0))
         assert np.all(second.P == 0.0)
 
+    def test_declared_zero_hessians_are_not_evaluated(self):
+        spec, fwd, bwd, ctl, first, _ = random_curvature_case(3, 2, 2, 40)
+        calls = []
+
+        def zero_spy(name, shape):
+            def spy(t, x, u):
+                calls.append(name)
+                return np.zeros((len(x),) + shape)
+            return spy
+
+        dv = dataclasses.replace(spec.derivatives, b_xx=zero_spy("b_xx", (3, 3, 3)),
+                                 sigma_xx=zero_spy("sigma_xx", (2, 3, 3, 3)))
+
+        def psi(structure):
+            flagged = dataclasses.replace(spec, derivatives=dv, structure=structure)
+            point = mc.adjoint.StepPoint(flagged, 0.5, fwd, bwd, ctl, 1)
+            return mc.adjoint.psi_matrix(point, first.p[:, 1], first.q[:, 1])
+
+        full = psi(mc.Structure())
+        assert sorted(calls) == ["b_xx", "sigma_xx"]
+        calls.clear()
+        skipped = psi(mc.Structure(b_xx_zero=True, sigma_xx_zero=True))
+        assert calls == []
+        assert np.array_equal(skipped, full)
+
     @pytest.mark.parametrize("n, d", [(2, 1), (3, 2)])
     def test_vectorized_step_matches_direct_matrix_recursion(self, n, d):
         N, M = 3, 1

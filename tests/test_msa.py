@@ -500,6 +500,28 @@ class TestSingleSweep:
         mc.run_msa(spec, domain, cfg, "random", hints=hints)
         assert calls == {name: iters * N for name in expected}
 
+    def test_update_reuses_the_node_derivatives(self):
+        # The penalty's terms at the current control read the sweep's node, so
+        # each derivative runs once there and once per candidate chunk (one
+        # chunk here), not a third time at the current control.
+        (spec, domain), names = curvature_problem(), ("f_z", "f_y", "f_x", "sigma_x", "b_x")
+        calls = dict.fromkeys(names, 0)
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        derivatives = dataclasses.replace(
+            spec.derivatives,
+            **{name: counted(name, getattr(spec.derivatives, name)) for name in names})
+        spec = dataclasses.replace(spec, derivatives=derivatives)
+        iters, N = 2, 6
+        cfg = mc.MsaConfig(rho=0.5, n_paths=200, steps=N, seed=5, max_iters=iters)
+        mc.run_msa(spec, domain, cfg, "random")
+        assert calls == dict.fromkeys(names, 2 * iters * N)
+
     def test_peak_heap_growth_in_steps_below_horizon_adjoints(self):
         spec, domain = curvature_everywhere_problem()
         n, d, M, seed = spec.n, spec.d, 400, 7
