@@ -44,11 +44,9 @@ class StepPoint:
     """The node (t_j, X_j, Y_j, Z_j, u_j) of one step, where each of f_z, f_y,
     f_x, sigma_x and b_x is evaluated on first use only, so its readers share it."""
 
-    def __init__(self, spec: ProblemSpec, t: float, forward: ForwardPaths,
-                 backward: BackwardPaths, control: ControlField, j: int):
-        self.dv, self.structure, self.t = spec.derivatives, spec.structure, t
-        self.x, self.u = forward.states[:, j, :], control.values[:, j, :]
-        self.y, self.z = backward.values[:, j], backward.integrand[:, j, :]
+    def __init__(self, spec: ProblemSpec, t: float, x: Array, y: Array, z: Array, u: Array):
+        self.dv, self.structure = spec.derivatives, spec.structure
+        self.t, self.x, self.y, self.z, self.u = t, x, y, z, u
 
     def __getattr__(self, name: str) -> Array:
         if name not in ("f_z", "f_y", "f_x", "sigma_x", "b_x"):
@@ -57,6 +55,13 @@ class StepPoint:
         value = getattr(self.dv, name)(self.t, self.x, *yz, self.u)
         setattr(self, name, value)
         return value
+
+
+def _stored_point(spec: ProblemSpec, forward: ForwardPaths, backward: BackwardPaths,
+                  control: ControlField, j: int) -> StepPoint:
+    """The StepPoint of step j, read off stored horizons."""
+    return StepPoint(spec, forward.batch.grid.nodes[j], forward.states[:, j, :],
+                     backward.values[:, j], backward.integrand[:, j, :], control.values[:, j, :])
 
 
 def upsilon(spec: ProblemSpec, t: float, x, p, q, u) -> Array:
@@ -101,10 +106,9 @@ def first_order_adjoint(spec: ProblemSpec, forward: ForwardPaths,
     B_1^i = f_{z_i} I + sigma_x^i, inhomogeneity f_x.
     """
     batch = forward.batch
-    nodes = batch.grid.nodes
 
     def step(j, phat, qj):
-        return first_order_step(StepPoint(spec, nodes[j], forward, backward, control, j),
+        return first_order_step(_stored_point(spec, forward, backward, control, j),
                                 phat, qj, batch.dt)
 
     p, q = _solve_stored(spec.derivatives.phi_x(forward.states[:, batch.grid.steps, :]),
@@ -187,12 +191,11 @@ def second_order_adjoint(spec: ProblemSpec, forward: ForwardPaths,
                          first: FirstOrderAdjoint, backend) -> SecondOrderAdjoint:
     """Solve the matrix-valued equation, reporting the worst max |P - P'|."""
     batch = forward.batch
-    nodes = batch.grid.nodes
     asym = 0.0
 
     def step(j, phat, Qj):
         nonlocal asym
-        point = StepPoint(spec, nodes[j], forward, backward, control, j)
+        point = _stored_point(spec, forward, backward, control, j)
         P, asym_j = second_order_step(point, phat, Qj, first.p[:, j, :], first.q[:, j],
                                       batch.dt)
         asym = max(asym, asym_j)
@@ -295,11 +298,11 @@ def explicit_p0_oracle(spec: ProblemSpec, control: ControlField, batch: Brownian
     forward = simulate_forward(spec, control, batch)
     backward = solve_state_bsde(spec, forward, control, backend)
     M, N, n = batch.n_paths, batch.grid.steps, spec.n
-    nodes, dt = batch.grid.nodes, batch.dt
+    dt = batch.dt
     G = np.broadcast_to(np.eye(n), (M, n, n)).copy()
     integral = np.zeros((M, n))
     for j in range(N):
-        point = StepPoint(spec, nodes[j], forward, backward, control, j)
+        point = _stored_point(spec, forward, backward, control, j)
         a1, b1 = _coeffs_at(point)
         integral += np.einsum("mab,ma->mb", G, point.f_x) * dt
         dG = (np.einsum("mab,mbc->mac", a1, G) * dt

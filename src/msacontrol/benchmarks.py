@@ -20,12 +20,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .adjoint import lq_second_order_ode, ode_adjoint_linear
+from .adjoint import _as_time_fn, lq_second_order_ode, ode_adjoint_linear
 from .bsde import ExactTreeBackend, solve_state_bsde
 from .errors import ConfigurationError, NumericalError, SimulationError
 from .hamiltonian import _ROW_CHUNK, _ctl
 from .model import (Bounds, Box, ControlDomain, FiniteSet, ProblemSpec, Structure,
-                    enumerate_controls)
+                    constant_fn, enumerate_controls)
 from .msa import RunHints
 from .stochastics import (BrownianBatch, ControlField, TimeGrid, _time_major,
                           _time_major_take, simulate_forward)
@@ -58,7 +58,9 @@ def example41(L: float) -> Benchmark:
 
     The costate is identically L and the second-order equation vanishes, so
     the augmented Hamiltonian collapses to sin(Lz + L^2 (v - u)) plus
-    (rho/2)(v - u)^2 with the problem's explicit rho. The costate equation has
+    (rho/2)(v - u)^2 with the problem's explicit rho. That penalty hint leaves
+    out the general penalty's G_z-difference term,
+    L^2 (cos(Lz + L^2 (v - u)) - cos(Lz))^2. The costate equation has
     A_1 = 0, B_1 = f_z I and f_x = 0 with terminal L, so (p, q) = (L, 0) is its
     unique solution; it is attached as the costate hint, which makes
     ``run_msa`` skip the regression costate solve.
@@ -86,13 +88,10 @@ def example41(L: float) -> Benchmark:
         out[:, 2, 2] = -L * L * np.sin(L * z[:, 0])
         return out
 
-    B1 = lambda shape: (lambda t, x, *rest: np.zeros((len(x),) + shape))
+    zero = lambda *shape: constant_fn(np.zeros(shape))
     derivatives = dict(
-        b_x=B1((1, 1)), sigma_x=B1((1, 1, 1)), b_xx=B1((1, 1, 1)),
-        sigma_xx=B1((1, 1, 1, 1)),
-        f_x=lambda t, x, y, z, u: np.zeros((len(x), 1)),
-        f_y=lambda t, x, y, z, u: np.zeros(len(x)),
-        f_z=f_z, f_hess=f_hess,
+        b_x=zero(1, 1), sigma_x=zero(1, 1, 1), b_xx=zero(1, 1, 1), sigma_xx=zero(1, 1, 1, 1),
+        f_x=zero(1), f_y=zero(), f_z=f_z, f_hess=f_hess,
         phi_x=lambda x: np.full((len(x), 1), L),
         phi_xx=lambda x: np.zeros((len(x), 1, 1)),
     )
@@ -105,17 +104,14 @@ def example41(L: float) -> Benchmark:
                             second_order_zero=True),
         bounds=Bounds(b_x=0.0, sigma_x=0.0, phi_x=L, df=L, d2f=L * L))
 
+    def shift(x, v, u):
+        return _ctl(v, len(x), 1)[:, 0] - _ctl(u, len(x), 1)[:, 0]
+
     def h_simplified(spec_, t, x, y, z, p, q, P, v, u):
-        B = x.shape[0]
-        vv = _ctl(v, B, 1)
-        uu = _ctl(u, B, 1)
-        return np.sin(L * z[:, 0] + L * L * (vv[:, 0] - uu[:, 0]))
+        return np.sin(L * z[:, 0] + L * L * shift(x, v, u))
 
     def pen_simplified(spec_, t, x, y, z, p, q, v, u):
-        B = x.shape[0]
-        vv = _ctl(v, B, 1)
-        uu = _ctl(u, B, 1)
-        return (vv[:, 0] - uu[:, 0]) ** 2
+        return shift(x, v, u) ** 2
 
     return Benchmark(
         name="example41", spec=spec,
@@ -125,13 +121,6 @@ def example41(L: float) -> Benchmark:
                        first_order_ode=lambda grid: np.full((grid.steps + 1, 1), L)),
         jstar=0.0,
         notes="optimal quadruple (X, Y, Z, u) = (0, 0, 0, 0)")
-
-
-def _as_matrix_fn(value, shape):
-    if callable(value):
-        return value
-    arr = np.broadcast_to(np.asarray(value, dtype=float), shape).copy()
-    return lambda t: arr
 
 
 def lq_problem(gamma_mat, a_mat, b_mat, b1, b2, sigma_fn: Callable,
@@ -148,13 +137,13 @@ def lq_problem(gamma_mat, a_mat, b_mat, b1, b2, sigma_fn: Callable,
     guarantees do not apply, the cost identity does (see ``notes``).
     """
     gamma_arr = np.atleast_2d(np.asarray(gamma_mat, dtype=float))
-    a_fn = _as_matrix_fn(a_mat, (n, n))
-    bq_fn = _as_matrix_fn(b_mat, (k, k))
+    a_fn = _as_time_fn(a_mat, (n, n))
+    bq_fn = _as_time_fn(b_mat, (k, k))
     for name, mat in (("Gamma", gamma_arr), ("A", a_fn(0.0)), ("B", bq_fn(0.0))):
         if not np.allclose(mat, mat.T, atol=0.0):
             raise ConfigurationError(f"{name} must be symmetric")
-    b1_fn = _as_matrix_fn(b1, (n, n))
-    b2_fn = _as_matrix_fn(b2, (n,))
+    b1_fn = _as_time_fn(b1, (n, n))
+    b2_fn = _as_time_fn(b2, (n,))
 
     def drift(t, x, u):
         return np.einsum("ij,mj->mi", b1_fn(t), x) + b2_fn(t)
@@ -228,13 +217,13 @@ def linear_recursive_problem(b1, b2, b3, sigma1, sigma2, sigma3, f1, f2,
         raise ConfigurationError(
             "linear recursive problem requires a convex compact Box domain")
     alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-    b1_fn = _as_matrix_fn(b1, (n, n))
-    b2_fn = _as_matrix_fn(b2, (n, k))
-    b3_fn = _as_matrix_fn(b3, (n,))
-    s1_fn = _as_matrix_fn(sigma1, (d, n, n))
-    s2_fn = _as_matrix_fn(sigma2, (d, n, k))
-    s3_fn = _as_matrix_fn(sigma3, (d, n))
-    f1_fn = _as_matrix_fn(f1, (n,))
+    b1_fn = _as_time_fn(b1, (n, n))
+    b2_fn = _as_time_fn(b2, (n, k))
+    b3_fn = _as_time_fn(b3, (n,))
+    s1_fn = _as_time_fn(sigma1, (d, n, n))
+    s2_fn = _as_time_fn(sigma2, (d, n, k))
+    s3_fn = _as_time_fn(sigma3, (d, n))
+    f1_fn = _as_time_fn(f1, (n,))
     f2_fn = f2 if callable(f2) else (lambda t, v=float(f2): v)
 
     def drift(t, x, u):

@@ -1,7 +1,8 @@
 """Backward solvers on a pluggable conditional-expectation backend.
 
 One backward sweep (``solve_bsde``) serves the cost BSDE, the adjoints and
-the update sweep of ``run_msa``, which steps several equations at once: at
+the update sweep of ``run_msa``, which steps the cost BSDE (``cost_step``)
+and the adjoints together: at
 each step, Z (resp. q) comes from regressing next-step values against the
 Brownian increment on that step's features, and the driver, which may be
 nonlinear, is applied explicitly to the regression proxy. The regression's
@@ -190,12 +191,24 @@ def _step_features(forward: ForwardPaths, control: ControlField, j: int,
     return X
 
 
+def cost_step(spec: ProblemSpec, t: float, x: Array, yhat: Array, z: Array, u: Array,
+              dt: float) -> Array:
+    """Y_j = yhat + f(t_j, X_j, yhat, Z_j, u_j) dt at the proxy yhat = E[Y_{j+1} | t_j]."""
+    return yhat + spec.driver(t, x, yhat, z, u) * dt
+
+
+def cost_estimate(y0: Array):
+    """(J, stderr) of the pathwise Y_0 = Phi(X_T) + sum_j f dt: the regressed Y_0's mean
+    (projections preserve means), but the true Monte Carlo spread, not the projected one."""
+    se = float(np.std(y0, ddof=1) / np.sqrt(len(y0))) if len(y0) > 1 else float("nan")
+    return float(np.mean(y0)), se
+
+
 def solve_state_bsde(spec: ProblemSpec, forward: ForwardPaths, control: ControlField,
                      backend) -> BackwardPaths:
-    """Backward Euler for the recursive cost, one ``solve_bsde`` sweep.
+    """Backward Euler for the recursive cost, one ``solve_bsde`` sweep of ``cost_step``.
 
-    Z_j = E[Y_{j+1} dW_j | t_j] / dt, then Y_j = E[Y_{j+1} | t_j] + f(...) dt
-    with the driver's y argument set to the conditional-expectation proxy.
+    Z_j = E[Y_{j+1} dW_j | t_j] / dt; Y_0 is stored pathwise (``cost_estimate``).
     """
     batch = forward.batch
     M, N, dt = batch.n_paths, batch.grid.steps, batch.dt
@@ -206,20 +219,15 @@ def solve_state_bsde(spec: ProblemSpec, forward: ForwardPaths, control: ControlF
 
     def step(j, yhat, zj):
         nonlocal driver_sum
-        y = yhat + spec.driver(nodes[j], forward.states[:, j, :], yhat, zj,
-                               control.values[:, j, :]) * dt
+        y = cost_step(spec, nodes[j], forward.states[:, j, :], yhat, zj,
+                      control.values[:, j, :], dt)
         driver_sum += y - yhat
         return y
 
     Y, Z = _solve_stored(spec.terminal(forward.states[:, N, :]), step, forward, control,
                          backend)
-    # Every projection is mean-preserving, so mean(Y_0) equals the mean of the
-    # pathwise accumulation Phi(X_T) + sum_j f dt. Store that accumulation as
-    # Y_0: same J, but stddev(Y_0)/sqrt(M) then reflects the true Monte Carlo
-    # error instead of the projection-collapsed spread.
     Y[:, 0] = Y[:, N] + driver_sum
-    j_est = float(np.mean(Y[:, 0]))
-    j_se = float(np.std(Y[:, 0], ddof=1) / np.sqrt(M)) if M > 1 else float("nan")
+    j_est, j_se = cost_estimate(Y[:, 0])
     return BackwardPaths(values=Y, integrand=Z, j_estimate=j_est, j_stderr=j_se)
 
 
@@ -237,15 +245,19 @@ def solve_bsde(terminals: Sequence[Array], step: Callable, forward: ForwardPaths
     carried to the next step; a caller that needs horizons stores them. Raises
     NumericalError naming the step and the first path where a p_j is not finite.
     """
-    M, N = forward.batch.n_paths, forward.batch.grid.steps
+    N = forward.batch.grid.steps
     nxt = [np.asarray(terminal, dtype=float) for terminal in terminals]
     for j in range(N - 1, -1, -1):
         nxt = step(j, *_proxies(nxt, j, forward, control, backend))
         for p in nxt:
-            if not np.isfinite(p).all():
-                bad = int(np.argmax(~np.isfinite(p.reshape(M, -1)).all(axis=1)))
-                raise NumericalError(f"step {j}: non-finite solution on path {bad}",
-                                     path=bad, step=j)
+            check_finite(p, j)
+
+
+def check_finite(p: Array, j: int) -> None:
+    """Raise NumericalError naming step j and the first path where p is not finite."""
+    if not np.isfinite(p).all():
+        bad = int(np.argmax(~np.isfinite(p.reshape(p.shape[0], -1)).all(axis=1)))
+        raise NumericalError(f"step {j}: non-finite solution on path {bad}", path=bad, step=j)
 
 
 def _proxies(nxt, j: int, forward: ForwardPaths, control: ControlField, backend):

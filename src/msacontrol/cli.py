@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
+import os
 import sys
 from typing import Optional
 
@@ -86,18 +87,21 @@ def _load_problem(selector: str, L: float) -> Benchmark:
     if selector == "linear-recursive":
         return linrec_desk()
     if selector.endswith(".py"):
+        if not os.path.isfile(selector):
+            raise ConfigurationError(f"problem file not found: {selector}")
         spec_loader = importlib.util.spec_from_file_location("msacontrol_custom", selector)
         if spec_loader is None:
             raise ConfigurationError(f"cannot load problem file {selector}")
         module = importlib.util.module_from_spec(spec_loader)
         try:
             spec_loader.loader.exec_module(module)
-        except FileNotFoundError as exc:
-            raise ConfigurationError(f"problem file not found: {selector}") from exc
+            bench = module.make_problem() if hasattr(module, "make_problem") else None
+        except Exception as exc:
+            raise ConfigurationError(
+                f"problem file {selector} raised {type(exc).__name__}: {exc}") from exc
         if not hasattr(module, "make_problem"):
             raise ConfigurationError(
                 f"problem file {selector} must define make_problem() -> Benchmark")
-        bench = module.make_problem()
         if not isinstance(bench, Benchmark):
             raise ConfigurationError("make_problem() must return a Benchmark")
         return bench

@@ -204,14 +204,6 @@ def penalty_batch(spec: ProblemSpec, t: float, x: Array, y: Array, z: Array,
     return _penalty(spec, t, x, y, z, p, q, v, spec.drift(t, x, v), ds, z + delta, cur)
 
 
-def h_aug_batch(spec: ProblemSpec, t: float, x: Array, y: Array, z: Array,
-                p: Array, q: Array, P: Array, v, u, rho: float) -> Array:
-    vals = h_batch(spec, t, x, y, z, p, q, P, v, u)
-    if rho != 0.0:
-        vals = vals + 0.5 * rho * penalty_batch(spec, t, x, y, z, p, q, v, u)
-    return vals
-
-
 HamiltonianFn = Callable[..., Array]
 
 
@@ -323,47 +315,42 @@ def _check_finite(aug_vals: Array, h_prev: Array, candidates: Array) -> None:
 # ---------------------------------------------------------------------------
 # single-point surface
 
+def _row(a, *shape) -> Array:
+    """a as one float sample, shape (1, *shape)."""
+    return np.asarray(a, dtype=float).reshape(1, *shape)
+
+
 def _point_arrays(spec: ProblemSpec, point: HamiltonianPoint):
-    x = np.asarray(point.x, dtype=float).reshape(1, spec.n)
-    y = np.asarray([point.y], dtype=float)
-    z = np.asarray(point.z, dtype=float).reshape(1, spec.d)
-    p = np.asarray(point.p, dtype=float).reshape(1, spec.n)
-    q = np.asarray(point.q, dtype=float).reshape(1, spec.n, spec.d)
-    P = np.asarray(point.P, dtype=float).reshape(1, spec.n, spec.n)
-    u = np.asarray(point.u_prev, dtype=float).reshape(1, spec.k)
-    return x, y, z, p, q, P, u
+    n, d = spec.n, spec.d
+    return (_row(point.x, n), _row(point.y), _row(point.z, d), _row(point.p, n),
+            _row(point.q, n, d), _row(point.P, n, n), _row(point.u_prev, spec.k))
 
 
 def delta_tilde(spec: ProblemSpec, t: float, x, p, v, u) -> Array:
-    x = np.asarray(x, dtype=float).reshape(1, spec.n)
-    p = np.asarray(p, dtype=float).reshape(1, spec.n)
-    v = np.asarray(v, dtype=float).reshape(1, spec.k)
-    u = np.asarray(u, dtype=float).reshape(1, spec.k)
-    return delta_tilde_batch(spec, t, x, p, v, u)[0]
+    n, k = spec.n, spec.k
+    return delta_tilde_batch(spec, t, _row(x, n), _row(p, n), _row(v, k), _row(u, k))[0]
 
 
 def eval_G(spec: ProblemSpec, t: float, x, y, z, p, q, v, u) -> float:
-    x = np.asarray(x, dtype=float).reshape(1, spec.n)
-    z = np.asarray(z, dtype=float).reshape(1, spec.d)
-    p = np.asarray(p, dtype=float).reshape(1, spec.n)
-    q = np.asarray(q, dtype=float).reshape(1, spec.n, spec.d)
-    v = np.asarray(v, dtype=float).reshape(1, spec.k)
-    u = np.asarray(u, dtype=float).reshape(1, spec.k)
-    return float(g_batch(spec, t, x, np.asarray([y], dtype=float), z, p, q, v, u)[0])
+    n, d, k = spec.n, spec.d, spec.k
+    return float(g_batch(spec, t, _row(x, n), _row(y), _row(z, d), _row(p, n),
+                         _row(q, n, d), _row(v, k), _row(u, k))[0])
 
 
 def eval_H(spec: ProblemSpec, point: HamiltonianPoint, v) -> float:
     x, y, z, p, q, P, u = _point_arrays(spec, point)
-    v = np.asarray(v, dtype=float).reshape(1, spec.k)
-    return float(h_batch(spec, point.t, x, y, z, p, q, P, v, u)[0])
+    return float(h_batch(spec, point.t, x, y, z, p, q, P, _row(v, spec.k), u)[0])
 
 
 def eval_H_aug(spec: ProblemSpec, point: HamiltonianPoint, v, rho: float) -> float:
     if rho < 0:
         raise ConfigurationError("rho must be >= 0")
     x, y, z, p, q, P, u = _point_arrays(spec, point)
-    v = np.asarray(v, dtype=float).reshape(1, spec.k)
-    return float(h_aug_batch(spec, point.t, x, y, z, p, q, P, v, u, rho)[0])
+    v = _row(v, spec.k)
+    vals = h_batch(spec, point.t, x, y, z, p, q, P, v, u)
+    if rho != 0.0:
+        vals = vals + 0.5 * rho * penalty_batch(spec, point.t, x, y, z, p, q, v, u)
+    return float(vals[0])
 
 
 def minimize_H_aug(spec: ProblemSpec, point: HamiltonianPoint,

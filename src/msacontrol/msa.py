@@ -1,16 +1,17 @@
-"""Successive-approximation driver: propagate, solve adjoints, minimize, repeat.
+"""Successive-approximation driver: propagate, sweep backward, repeat.
 
-Each iteration m makes one backward sweep along the priced trajectory of
-u^{m-1}: each step steps the adjoints, minimizes the augmented Hamiltonian
-pointwise to get u^m_j and keeps f_z for the Girsanov-weighted decrease
-diagnostic mu_m; no adjoint is stored over the horizon. It then re-simulates
-under u^m to price the descent. One noise batch is shared across all
-iterations (common random numbers), so descent comparisons are free of
-inter-iteration Monte Carlo variance.
+Each iteration m simulates forward under u^{m-1} and makes one backward
+sweep along that trajectory: each step steps the cost BSDE and the adjoints,
+minimizes the augmented Hamiltonian pointwise to get u^m_j and keeps f_z for
+the Girsanov-weighted decrease diagnostic mu_m; neither Y, Z nor an adjoint
+is stored over the horizon. One noise batch is shared across all iterations
+(common random numbers), so descent comparisons are free of inter-iteration
+Monte Carlo variance.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple, Union
@@ -22,7 +23,8 @@ import numpy as np
 from .adjoint import (StepPoint, first_order_adjoint, first_order_step,  # noqa: F401
                       second_order_adjoint, second_order_step, second_order_vanishes,
                       zero_second_order)
-from .bsde import RegressionBackend, solve_bsde, solve_state_bsde
+from .bsde import (RegressionBackend, check_finite, cost_estimate, cost_step, solve_bsde,
+                   solve_state_bsde)
 from .errors import ConfigurationError, NumericalError
 from .hamiltonian import minimize_step
 from .model import ControlDomain, ProblemSpec, enumerate_controls
@@ -58,8 +60,8 @@ class MsaConfig:
 class IterationRecord:
     """Bookkeeping for iteration m: J(u^{m-1}), mu_m, and the realized descent.
 
-    ``wall_ms`` times the body of iteration m only; it excludes the initial
-    forward simulation and cost BSDE that run_msa performs before the loop.
+    ``wall_ms`` times pass m: the forward simulation under u^{m-1} and its
+    sweep. The pricing of the last control falls in no record.
     """
 
     m: int
@@ -77,9 +79,11 @@ class RunHints:
 
     ``hamiltonian``/``penalty`` replace the general augmented-Hamiltonian pair
     in the update step (both or neither stay coherent with the recorded
-    decrease). ``first_order_ode`` / ``second_order_ode`` supply deterministic
+    decrease); they receive the run's p, q and P: given nodes broadcast over
+    the paths, q = 0 under a costate hint, P = 0 when the second order
+    vanishes. ``first_order_ode`` / ``second_order_ode`` supply deterministic
     adjoints on the grid nodes where the problem admits them; ``run_msa`` then
-    reads their nodes instead of solving that equation (a costate hint implies q = 0).
+    reads their nodes instead of solving that equation.
     """
 
     hamiltonian: Optional[Callable] = None
@@ -120,40 +124,51 @@ def compute_mu(hhat: Array, fz_path: Array, batch: BrownianBatch) -> Tuple[float
     return float(np.mean(samples)), se
 
 
-def _update_sweep(spec: ProblemSpec, forward, backward, u_prev: ControlField, p_ode, P_ode,
+def _update_sweep(spec: ProblemSpec, forward, u_prev: ControlField, p_ode, P_ode,
                   candidates: Array, rho: float, hints: RunHints, backend):
-    """One backward pass along u^{m-1}'s priced trajectory: adjoints, update, f_z.
+    """One backward pass along u^{m-1}'s trajectory: cost, adjoints, update, f_z.
 
-    p_ode / P_ode hold a given adjoint's nodes, or None where the sweep solves
-    it. Returns (u^m, mu, its stderr, max |p|, max |P|, max pre-symmetrization
+    The cost BSDE is the pass's first equation, so each step's node is read
+    off that step's own (X_j, Y_j, Z_j, u_j). p_ode / P_ode hold a given
+    adjoint's nodes, or None where the sweep solves it. Returns (J(u^{m-1}),
+    its stderr, u^m, mu, its stderr, max |p|, max |P|, max pre-symmetrization
     |P - P'|), the maxima over every node.
     """
     batch = forward.batch
     M, N, n, d, dt = batch.n_paths, batch.grid.steps, spec.n, spec.d, batch.dt
     nodes, x_T = batch.grid.nodes, forward.states[:, N, :]
-    terminals = ([] if p_ode is not None else [spec.derivatives.phi_x(x_T)]) + \
+    y_T = np.asarray(spec.terminal(x_T), dtype=float)
+    terminals = [y_T] + ([] if p_ode is not None else [spec.derivatives.phi_x(x_T)]) + \
         ([] if P_ode is not None else [spec.derivatives.phi_xx(x_T)])
     # running maxima, started at the terminal node or taken over a hint's nodes
-    max_p = float(np.max(np.abs(terminals[0] if p_ode is None else p_ode)))
+    max_p = float(np.max(np.abs(terminals[1] if p_ode is None else p_ode)))
     max_P = float(np.max(np.abs(terminals[-1] if P_ode is None else P_ode)))
-    asym, update = 0.0, None
+    asym, update, y_node, driver_sum = 0.0, None, None, np.zeros(M)
     # given nodes broadcast over the paths, time-major; a costate hint implies q = 0
     if p_ode is not None:
         p_given, q_given = np.broadcast_to(p_ode[:, None], (N + 1, M, n)), np.zeros((M, n, d))
     if P_ode is not None:
         P_given = np.broadcast_to(P_ode[:, None], (N + 1, M, n, n))
-    u_new = _time_major(u_prev.values.shape, dtype=u_prev.values.dtype)
     hhat = _time_major((M, N))
     # C order, unlike the other horizon arrays: its only reader is the
     # path-major Girsanov reduction.
     fz = np.empty((M, N, d))
+    # last, as it outlives the pass: freed, hhat and fz leave a hole below it,
+    # not a free heap top that glibc trims and the next pass faults back in
+    u_new = _time_major(u_prev.values.shape, dtype=u_prev.values.dtype)
 
     def step(j, phats, qs):
-        nonlocal max_p, max_P, asym, update
-        point = StepPoint(spec, nodes[j], forward, backward, u_prev, j)
-        solved = []
+        nonlocal max_p, max_P, asym, update, y_node, driver_sum
+        x, u = forward.states[:, j, :], u_prev.values[:, j, :]
+        y = cost_step(spec, nodes[j], x, phats[0], qs[0], u, dt)
+        check_finite(y, j)
+        driver_sum += y - phats[0]
+        # the node at step 0 reads the pathwise Y_0, as solve_state_bsde stores it
+        y_node = y if j else y_T + driver_sum
+        point = StepPoint(spec, nodes[j], x, y_node, qs[0], u)
+        solved = [y]
         if p_ode is None:
-            p, q = first_order_step(point, phats[0], qs[0], dt), qs[0]
+            p, q = first_order_step(point, phats[1], qs[1], dt), qs[1]
             max_p = max(max_p, float(np.abs(p).max()))
             solved.append(p)
         else:
@@ -182,7 +197,7 @@ def _update_sweep(spec: ProblemSpec, forward, backward, u_prev: ControlField, p_
 
     solve_bsde(terminals, step, forward, u_prev, backend)
     mu, mu_se = compute_mu(hhat, fz, batch)
-    return ControlField(u_new), mu, mu_se, max_p, max_P, asym
+    return (*cost_estimate(y_node), ControlField(u_new), mu, mu_se, max_p, max_P, asym)
 
 
 def run_msa(spec: ProblemSpec, domain: ControlDomain, config: MsaConfig,
@@ -192,11 +207,15 @@ def run_msa(spec: ProblemSpec, domain: ControlDomain, config: MsaConfig,
             backend=None) -> MsaResult:
     """Run the modified successive-approximation loop.
 
-    Prices the initial control; then per iteration, one backward sweep along
-    the current trajectory steps the adjoints, minimizes the augmented
-    Hamiltonian pointwise and records mu, and a forward simulation and cost
-    BSDE re-price the new control. Stops once the descent J(u^{m-1}) - J(u^m)
-    falls below epsilon, returning u^{m-1}; the last minimizer stays available.
+    Pass m simulates forward under u^{m-1}, and its one backward sweep prices
+    u^{m-1}, steps the adjoints, minimizes the augmented Hamiltonian pointwise
+    into u^m and records mu_m. Record m is completed by pass m + 1, whose
+    J(u^m) gives its descent; only the last control is priced on its own
+    (``solve_state_bsde``). Errors name the pass that raised them.
+
+    Stops once a descent J(u^{m-1}) - J(u^m) falls below epsilon, returning
+    u^{m-1}; the last minimizer u^m stays available. The pass that detects the
+    stop has already run one more update, whose control is discarded.
     """
     hints = hints or RunHints()
     grid = TimeGrid(spec.horizon, config.steps)
@@ -222,57 +241,43 @@ def run_msa(spec: ProblemSpec, domain: ControlDomain, config: MsaConfig,
     if P_ode is None and second_order_vanishes(spec):
         P_ode = np.zeros((N + 1, spec.n, spec.n))
 
-    try:
-        forward = simulate_forward(spec, u_prev, batch)
-        backward = solve_state_bsde(spec, forward, u_prev, backend)
-    except Exception as exc:
-        exc.args = (f"iteration 1 (initial propagation): {exc}",) + exc.args[1:]
-        raise
-    j_prev, se_prev = backward.j_estimate, backward.j_stderr
+    records: List[IterationRecord] = []  # the last one open until its J(u^m) is known
+    maxima: Tuple[List[float], ...] = ([], [], [])  # max |p|, max |P|, max asymmetry
+    u_before, stopped = u_prev, False
 
-    records: List[IterationRecord] = []
-    max_abs_p: List[float] = []
-    max_abs_P: List[float] = []
-    max_asym_P: List[float] = []
+    def closes(j_new: float) -> bool:
+        """Completes the open record with its descent; True on an epsilon stop."""
+        records[-1] = dataclasses.replace(records[-1], descent=records[-1].j - j_new)
+        return config.epsilon is not None and records[-1].descent < config.epsilon
 
-    for m in range(1, config.max_iters + 1):
+    for m in range(1, config.max_iters + 1):  # pass m
         t0 = time.perf_counter()
         try:
-            u_new, mu, mu_se, max_p, max_P, asym = _update_sweep(
-                spec, forward, backward, u_prev, p_ode, P_ode, candidates, config.rho,
-                hints, backend)
-            forward_new = simulate_forward(spec, u_new, batch)
-            backward_new = solve_state_bsde(spec, forward_new, u_new, backend)
+            forward = simulate_forward(spec, u_prev, batch)
+            j, se, u_new, mu, mu_se, *node_maxima = _update_sweep(
+                spec, forward, u_prev, p_ode, P_ode, candidates, config.rho, hints, backend)
         except Exception as exc:
             exc.args = (f"iteration {m}: {exc}",) + exc.args[1:]
             raise
-        j_new, se_new = backward_new.j_estimate, backward_new.j_stderr
-        descent = j_prev - j_new
         wall_ms = (time.perf_counter() - t0) * 1e3
-        records.append(IterationRecord(m=m, j=j_prev, j_stderr=se_prev, mu=mu,
-                                       mu_stderr=mu_se, descent=descent,
-                                       wall_ms=wall_ms))
-        max_abs_p.append(max_p)
-        max_abs_P.append(max_P)
-        max_asym_P.append(asym)
-
-        if config.epsilon is not None and descent < config.epsilon:
-            return MsaResult(records=records, returned_control=u_prev,
-                             last_control=u_new, stopped_early=True, m_eps=m,
-                             max_abs_p=max_abs_p, max_abs_P=max_abs_P,
-                             max_asym_P=max_asym_P)
-
-        u_before = u_prev
-        u_prev, forward, backward = u_new, forward_new, backward_new
-        j_prev, se_prev = j_new, se_new
-
-    # max_iters exhausted without hitting the threshold: the control priced by
-    # the last record is returned, the final minimizer stays inspectable.
-    returned = u_before if records else u_prev
-    return MsaResult(records=records, returned_control=returned,
-                     last_control=u_prev, stopped_early=False, m_eps=None,
-                     max_abs_p=max_abs_p, max_abs_P=max_abs_P,
-                     max_asym_P=max_asym_P)
+        if records and closes(j):
+            stopped = True  # this pass's u^m is discarded
+            break
+        records.append(IterationRecord(m=m, j=j, j_stderr=se, mu=mu, mu_stderr=mu_se,
+                                       descent=float("nan"), wall_ms=wall_ms))
+        for acc, value in zip(maxima, node_maxima):
+            acc.append(value)
+        u_before, u_prev = u_prev, u_new
+    if records and not stopped:
+        try:
+            forward = simulate_forward(spec, u_prev, batch)
+            stopped = closes(solve_state_bsde(spec, forward, u_prev, backend).j_estimate)
+        except Exception as exc:
+            exc.args = (f"iteration {records[-1].m}: {exc}",) + exc.args[1:]
+            raise
+    return MsaResult(records=records, returned_control=u_before, last_control=u_prev,
+                     stopped_early=stopped, m_eps=records[-1].m if stopped else None,
+                     max_abs_p=maxima[0], max_abs_P=maxima[1], max_asym_P=maxima[2])
 
 
 @dataclass(frozen=True)

@@ -216,7 +216,8 @@ class TestSecondOrderAdjoint:
 
         def psi(structure):
             flagged = dataclasses.replace(spec, derivatives=dv, structure=structure)
-            point = mc.adjoint.StepPoint(flagged, 0.5, fwd, bwd, ctl, 1)
+            point = mc.adjoint.StepPoint(flagged, 0.5, fwd.states[:, 1], bwd.values[:, 1],
+                                         bwd.integrand[:, 1], ctl.values[:, 1])
             return mc.adjoint.psi_matrix(point, first.p[:, 1], first.q[:, 1])
 
         full = psi(mc.Structure())

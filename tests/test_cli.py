@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import msacontrol
 from msacontrol.cli import main
 
@@ -101,6 +103,24 @@ class TestCmdRun:
         assert run_cli(["run", "--problem", str(prob), "--paths", "200",
                         "--steps", "5", "--iters", "1", "--out", str(out)]) == 0
         assert len(read_rows(out)) == 2
+
+    @pytest.mark.parametrize("source, error", [
+        ("def make_problem(:\n", "SyntaxError"),
+        ("import msacontrol as mc\n1 / 0\n", "ZeroDivisionError"),
+        ("def make_problem():\n    raise KeyError('L')\n", "KeyError"),
+    ])
+    def test_broken_problem_file_exits_2(self, tmp_path, capsys, source, error):
+        prob = tmp_path / "broken.py"
+        prob.write_text(source)
+        assert run_cli(["run", "--problem", str(prob), "--paths", "200"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert str(prob) in err and error in err
+
+    def test_missing_problem_file_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "missing.py"
+        assert run_cli(["run", "--problem", str(missing)]) == 2
+        assert f"problem file not found: {missing}" in capsys.readouterr().err
 
 
 class TestCmdOracle:

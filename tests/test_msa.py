@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import msacontrol as mc
 from msacontrol.stochastics import _time_major, _time_major_copy
@@ -315,8 +317,9 @@ class TestTimeMajorRunArrays:
 
 
 def separate_passes(spec, domain, cfg, initial, hints):
-    """Fixed-length run_msa as separate passes: both adjoints stored over the
-    horizon, then an ascending update loop, then an f_z grid for mu.
+    """run_msa as separate passes: the cost BSDE and both adjoints stored over
+    the horizon, then an ascending update loop, then an f_z grid for mu, then
+    a re-pricing of the new control; stops on cfg.epsilon like run_msa.
 
     Returns (records, returned control, last control, max |p|, max |P|,
     max asymmetry), the reference the single sweep must match bit for bit.
@@ -371,6 +374,8 @@ def separate_passes(spec, domain, cfg, initial, hints):
         max_p.append(float(np.max(np.abs(first.p if p_ode is None else p_ode))))
         max_P.append(float(np.max(np.abs(second.P if P_ode is None else P_ode))))
         asym.append(second.asymmetry)
+        if cfg.epsilon is not None and records[-1].descent < cfg.epsilon:
+            return records, u_prev, u_new, max_p, max_P, asym
         u_before = u_prev
         u_prev, forward, backward = u_new, forward_new, backward_new
     return records, u_before, u_prev, max_p, max_P, asym
@@ -444,7 +449,97 @@ def curvature_everywhere_problem():
     return spec, mc.FiniteSet([[0.0, 0.0], [0.5, -0.5], [-0.5, 0.5]])
 
 
+@st.composite
+def affine_specs(draw):
+    """n <= 2, d = k = 1: drift and diffusion affine in (x, u), a driver with y
+    and sin z terms (f_y, f_z != 0) and curvature in f and Phi, so the sweep
+    solves both p and P."""
+    n = draw(st.integers(1, 2))
+
+    def coefs(shape, lo=-0.5, hi=0.5):
+        size = int(np.prod(shape))
+        return np.array(draw(st.lists(st.floats(lo, hi), min_size=size, max_size=size)),
+                        dtype=float).reshape(shape)
+
+    B, b, S, s = coefs((n, n)), coefs(n), coefs((n, n), -0.3, 0.3), coefs(n, -0.3, 0.3)
+    c, g = coefs(n, 0.1, 0.5), coefs(n, 0.2, 1.0)
+    a, cy, cz = coefs(3, 0.1, 1.0) * np.array([1.0, draw(st.sampled_from([-1.0, 1.0])), 1.0])
+    G = np.diag(g)
+
+    def f_hess(t, x, y, z, u):
+        out = np.zeros((len(x), n + 2, n + 2))
+        out[:, :n, :n] = a * np.eye(n)
+        out[:, n + 1, n + 1] = -cz * np.sin(z[:, 0])
+        return out
+
+    spec = mc.ProblemSpec.build(
+        n=n, d=1, k=1, x0=coefs(n), horizon=1.0,
+        drift=lambda t, x, u: x @ B.T + u * b,
+        diffusion=lambda t, x, u: (x @ S.T + u * s + c)[:, :, None],
+        driver=lambda t, x, y, z, u: (0.5 * a * (x * x).sum(axis=1) + 0.5 * u[:, 0] ** 2
+                                      + cy * y + cz * np.sin(z[:, 0])),
+        terminal=lambda x: 0.5 * np.einsum("mi,ij,mj->m", x, G, x),
+        derivatives=dict(
+            b_x=lambda t, x, u: np.broadcast_to(B, (len(x), n, n)).copy(),
+            sigma_x=lambda t, x, u: np.broadcast_to(S, (len(x), 1, n, n)).copy(),
+            b_xx=lambda t, x, u: np.zeros((len(x), n, n, n)),
+            sigma_xx=lambda t, x, u: np.zeros((len(x), 1, n, n, n)),
+            f_x=lambda t, x, y, z, u: a * x,
+            f_y=lambda t, x, y, z, u: np.full(len(x), cy),
+            f_z=lambda t, x, y, z, u: cz * np.cos(z),
+            f_hess=f_hess,
+            phi_x=lambda x: x @ G,
+            phi_xx=lambda x: np.broadcast_to(G, (len(x), n, n)).copy()))
+    return spec, draw(st.sampled_from([0.0, 0.5])), draw(st.integers(0, 2 ** 16))
+
+
 class TestSingleSweep:
+    @settings(max_examples=15, deadline=None)
+    @given(case=affine_specs(), stop=st.integers(1, 3))
+    def test_fused_sweep_matches_separate_passes(self, case, stop):
+        spec, rho, seed = case
+        domain, M, N = mc.FiniteSet([[-0.5], [0.0], [0.5]]), 64, 4
+        assert not mc.second_order_vanishes(spec)
+        cfg = mc.MsaConfig(rho=rho, n_paths=M, steps=N, seed=seed, max_iters=3)
+        initial = mc.random_control(domain, M, N, seed)
+        descents = [rec.descent for rec in
+                    separate_passes(spec, domain, cfg, initial, mc.RunHints())[0]]
+        # the smallest epsilon that stops at record `stop`, or else at record 1
+        eps = np.nextafter(max(descents[stop - 1], 0.0), np.inf)
+        if not all(desc >= eps for desc in descents[:stop - 1]):
+            stop, eps = 1, np.nextafter(max(descents[0], 0.0), np.inf)
+        for run_cfg in (cfg, dataclasses.replace(cfg, epsilon=float(eps))):
+            res = mc.run_msa(spec, domain, run_cfg, initial)
+            records, returned, last, max_p, max_P, asym = separate_passes(
+                spec, domain, run_cfg, initial, mc.RunHints())
+            assert records_equal_except_wall(res.records, records)
+            assert np.array_equal(res.returned_control.values, returned.values)
+            assert np.array_equal(res.last_control.values, last.values)
+            assert (res.max_abs_p, res.max_abs_P, res.max_asym_P) == (max_p, max_P, asym)
+        assert res.stopped_early and res.m_eps == stop == len(res.records)
+
+    @pytest.mark.parametrize("iters", [1, 3])
+    def test_one_backward_pass_per_iteration(self, iters, monkeypatch):
+        # one sweep per pass, pricing u^{m-1} on the way, and one cost BSDE
+        # for the last control
+        spec, domain = curvature_problem()
+        calls = {"solve_bsde": 0, "solve_state_bsde": 0}
+
+        def spied(name, fn):
+            def spy(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return spy
+
+        for module in (mc.msa, mc.bsde):
+            monkeypatch.setattr(module, "solve_bsde", spied("solve_bsde", mc.bsde.solve_bsde))
+        monkeypatch.setattr(mc.msa, "solve_state_bsde",
+                            spied("solve_state_bsde", mc.msa.solve_state_bsde))
+        cfg = mc.MsaConfig(rho=0.5, n_paths=200, steps=6, seed=5, max_iters=iters)
+        res = mc.run_msa(spec, domain, cfg, "random")
+        assert len(res.records) == iters
+        assert calls == {"solve_bsde": iters + 1, "solve_state_bsde": 1}
+
     @pytest.mark.parametrize("source", list(sweep_sources()))
     def test_bitwise_equal_to_separate_passes(self, source):
         spec, domain, rho, hints = sweep_sources()[source]
@@ -543,3 +638,27 @@ class TestSingleSweep:
         # the 10 extra steps
         horizon_adjoints = M * 10 * (n + n * d + n * n + n * n * d) * 8
         assert peak(20) - peak(10) < horizon_adjoints
+
+    def test_peak_heap_growth_in_steps_within_one_pass(self):
+        # no run holds Y, Z or any adjoint over the horizon
+        spec, domain = curvature_everywhere_problem()
+        n, d, k, M, seed = spec.n, spec.d, spec.k, 400, 7
+
+        def peak(N):
+            batch = mc.sample_brownian(mc.TimeGrid(spec.horizon, N), M, d, seed)
+            initial = mc.random_control(domain, M, N, seed)
+            cfg = mc.MsaConfig(rho=0.5, n_paths=M, steps=N, seed=seed, max_iters=2)
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                mc.run_msa(spec, domain, cfg, initial, batch=batch)
+                return tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+
+        peak(10)  # warm-up: caches filled on the first run stay out of the growth
+        # per path and step, over the 10 extra steps: the states (n), the
+        # current and the new control (2 k), the decrease and f_z grids (1 + d)
+        # and the C-order increments the Girsanov weights reduce (d)
+        one_pass = M * 10 * (n + 2 * k + 1 + d + d) * 8
+        assert peak(20) - peak(10) < one_pass
