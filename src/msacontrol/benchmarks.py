@@ -8,7 +8,7 @@ and the linear recursive problem (deterministic costate ODE, zero penalty
 weight). The tree oracle replaces Gaussian increments with +/-sqrt(dt) coin
 flips, making the set of adapted policies finite and conditional expectations
 exact, so the solver can be checked against a true optimum. It prices the
-policies with the solver's own forward Euler and cost BSDE on the exact tree
+policies with the solver's own forward Euler and cost pass on the exact tree
 backend, for any state dimension n with scalar noise (d = 1).
 """
 
@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .adjoint import _as_time_fn, lq_second_order_ode, ode_adjoint_linear
-from .bsde import ExactTreeBackend, solve_state_bsde
+from .bsde import ExactTreeBackend, pathwise_cost
 from .errors import ConfigurationError, NumericalError, SimulationError
 from .hamiltonian import _ROW_CHUNK, _ctl
 from .model import (Bounds, Box, ControlDomain, FiniteSet, ProblemSpec, Structure,
@@ -354,11 +354,11 @@ def tree_bruteforce(spec: ProblemSpec, domain: ControlDomain, steps: int,
     noise must be scalar (d = 1); the state may have any dimension. Each
     chunk of policies (one control per decision node) is stacked along the
     path axis and priced by the solver's own ``simulate_forward`` and
-    ``solve_state_bsde`` on the exact tree backend. A policy's value is the
-    mean of Y_0 over its own block of 2^steps paths; ties go to the first
-    enumerated policy. A policy that drives the Euler state non-finite raises
-    SimulationError, and one whose cost is non-finite raises NumericalError,
-    each naming the policy, its node controls and the step.
+    ``pathwise_cost`` (no Y or Z stored) on the exact tree backend. A policy's
+    value is the mean of Y_0 over its own block of 2^steps paths; ties go to
+    the first enumerated policy. A policy that drives the Euler state
+    non-finite raises SimulationError, and one whose cost is non-finite raises
+    NumericalError, each naming the policy, its node controls and the step.
     """
     if spec.d != 1:
         raise ConfigurationError("tree oracle flips one coin per step: d = 1 only")
@@ -394,7 +394,7 @@ def tree_bruteforce(spec: ProblemSpec, domain: ControlDomain, steps: int,
                                                 pol[:, idx_map].reshape(P * M, steps)))
         try:
             forward = simulate_forward(spec, control, stacked)
-            y0 = solve_state_bsde(spec, forward, control, backend).values[:, 0]
+            y0 = pathwise_cost(spec, forward, control, backend)
         except (SimulationError, NumericalError) as exc:
             row = exc.path // M
             what = ("drives the state non-finite" if isinstance(exc, SimulationError)

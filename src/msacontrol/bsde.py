@@ -1,13 +1,13 @@
 """Backward solvers on a pluggable conditional-expectation backend.
 
-One backward sweep (``solve_bsde``) serves the cost BSDE, the adjoints and
-the update sweep of ``run_msa``, which steps the cost BSDE (``cost_step``)
-and the adjoints together: at
-each step, Z (resp. q) comes from regressing next-step values against the
-Brownian increment on that step's features, and the driver, which may be
-nonlinear, is applied explicitly to the regression proxy. The regression's
-design matrix is built one column at a time, each monomial one product of
-an earlier column and a feature.
+One backward loop (``solve_bsde``) serves every equation: the cost BSDE alone
+(``pathwise_cost``, which stores no horizon unless asked), the adjoints, and
+the update sweep of ``run_msa``, which steps the cost BSDE and the adjoints
+together. At each step, Z (resp. q) comes from regressing next-step values
+against the Brownian increment on that step's features, and the driver,
+which may be nonlinear, is applied explicitly to the regression proxy. The
+regression's design matrix is built one column at a time, each monomial one
+product of an earlier column and a feature.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -204,29 +204,43 @@ def cost_estimate(y0: Array):
     return float(np.mean(y0)), se
 
 
-def solve_state_bsde(spec: ProblemSpec, forward: ForwardPaths, control: ControlField,
-                     backend) -> BackwardPaths:
-    """Backward Euler for the recursive cost, one ``solve_bsde`` sweep of ``cost_step``.
+def pathwise_cost(spec: ProblemSpec, forward: ForwardPaths, control: ControlField,
+                  backend, Y: Optional[Array] = None, Z: Optional[Array] = None) -> Array:
+    """The pathwise Y_0 = Phi(X_T) + sum_j f dt of ``control``, ``cost_estimate``'s input.
 
-    Z_j = E[Y_{j+1} dW_j | t_j] / dt; Y_0 is stored pathwise (``cost_estimate``).
+    One ``solve_bsde`` sweep of ``cost_step`` that stores neither Y nor Z,
+    unless given time-major Y (M, N+1) and Z (M, N, d) to fill.
     """
     batch = forward.batch
     M, N, dt = batch.n_paths, batch.grid.steps, batch.dt
     if control.values.shape[:2] != (M, N):
         raise ConfigurationError("control does not match the simulated batch")
-    nodes = batch.grid.nodes
-    driver_sum = np.zeros(M)
+    nodes, driver_sum = batch.grid.nodes, np.zeros(M)
+    y_T = np.asarray(spec.terminal(forward.states[:, N, :]), dtype=float)
+    if Y is not None:  # the sweep then carries views of Y, not second copies
+        Y[:, N] = y_T
+        y_T = Y[:, N]
 
-    def step(j, yhat, zj):
-        nonlocal driver_sum
-        y = cost_step(spec, nodes[j], forward.states[:, j, :], yhat, zj,
+    def step(j, yhats, zs):
+        y = cost_step(spec, nodes[j], forward.states[:, j, :], yhats[0], zs[0],
                       control.values[:, j, :], dt)
-        driver_sum += y - yhat
-        return y
+        driver_sum[...] += y - yhats[0]
+        if Y is not None:
+            Y[:, j], Z[:, j] = y, zs[0]
+            y = Y[:, j]
+        return [y]
 
-    Y, Z = _solve_stored(spec.terminal(forward.states[:, N, :]), step, forward, control,
-                         backend)
-    Y[:, 0] = Y[:, N] + driver_sum
+    solve_bsde([y_T], step, forward, control, backend)
+    return y_T + driver_sum
+
+
+def solve_state_bsde(spec: ProblemSpec, forward: ForwardPaths, control: ControlField,
+                     backend) -> BackwardPaths:
+    """Backward Euler for the recursive cost: ``pathwise_cost``'s sweep, storing Y
+    and Z_j = E[Y_{j+1} dW_j | t_j] / dt time-major; Y_0 is the pathwise one."""
+    M, N, d = forward.batch.n_paths, forward.batch.grid.steps, forward.batch.d
+    Y, Z = _time_major((M, N + 1)), _time_major((M, N, d))
+    Y[:, 0] = pathwise_cost(spec, forward, control, backend, Y, Z)
     j_est, j_se = cost_estimate(Y[:, 0])
     return BackwardPaths(values=Y, integrand=Z, j_estimate=j_est, j_stderr=j_se)
 

@@ -9,6 +9,7 @@ files round-trip the in-memory values exactly. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib.util
 import os
 import sys
@@ -111,10 +112,11 @@ def _load_problem(selector: str, L: float) -> Benchmark:
 
 
 def _open_out(path: str):
+    """A context manager for the output: the file at ``path``, or stdout for "-"."""
     if path == "-":
-        return sys.stdout, False
+        return contextlib.nullcontext(sys.stdout)
     try:
-        return open(path, "w", encoding="utf-8", newline="\n"), True
+        return open(path, "w", encoding="utf-8", newline="\n")
     except OSError as exc:
         raise ConfigurationError(f"cannot write output file {path}: {exc}") from exc
 
@@ -136,16 +138,12 @@ def cmd_run(cfg: dict) -> int:
         print(f"# declared bounds: dF<= {bench.spec.bounds.df}, "
               f"rho= {_g17(cfg['rho'] if cfg['rho'] is not None else bench.rho)}",
               file=sys.stderr)
-    fh, close = _open_out(cfg["out"])
-    try:
+    with _open_out(cfg["out"]) as fh:
         fh.write(_RUN_HEADER + "\n")
         for rec in result.records:
             fh.write(",".join([str(rec.m), _g17(rec.j), _g17(rec.j_stderr),
                                _g17(rec.mu), _g17(rec.mu_stderr),
                                _g17(rec.descent), _g17(rec.wall_ms)]) + "\n")
-    finally:
-        if close:
-            fh.close()
     return 0
 
 
@@ -155,19 +153,13 @@ def cmd_oracle(cfg: dict) -> int:
     print(f"Jstar={_g17(tree.jstar)}")
     print(f"mode={tree.mode} decision_nodes={tree.decision_nodes} "
           f"policies={tree.policy_count}")
-    labels = _node_labels(cfg["steps"], tree.mode)
+    # decision nodes step by step: 2^j branches at step j, or j + 1 when recombining
+    labels = [(j, h) for j in range(cfg["steps"])
+              for h in range(2 ** j if tree.mode == "nonrecombining" else j + 1)]
     for i, (j, h) in enumerate(labels):
         u = " ".join(_g17(v) for v in tree.policy[i])
         print(f"node={i} step={j} branch={h} u={u}")
     return 0
-
-
-def _node_labels(steps: int, mode: str):
-    labels = []
-    for j in range(steps):
-        width = (2 ** j) if mode == "nonrecombining" else (j + 1)
-        labels.extend((j, h) for h in range(width))
-    return labels
 
 
 def cmd_rate(cfg: dict) -> int:
@@ -181,14 +173,10 @@ def cmd_rate(cfg: dict) -> int:
     c1 = max((g for m, g in gaps if m == m0), default=1.0)
     c1 = max(c1, 1.0)
     worst = max((m * g for m, g in gaps if m >= m0), default=0.0)
-    fh, close = _open_out(cfg["out"])
-    try:
+    with _open_out(cfg["out"]) as fh:
         fh.write(_RATE_HEADER + "\n")
         for m, g in gaps:
             fh.write(f"{m},{_g17(g)},{_g17(m * g)}\n")
-    finally:
-        if close:
-            fh.close()
     print(f"m0={m0} C1={_g17(c1)} max_iter_times_gap={_g17(worst)}")
     return 0
 

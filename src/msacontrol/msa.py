@@ -2,11 +2,11 @@
 
 Each iteration m simulates forward under u^{m-1} and makes one backward
 sweep along that trajectory: each step steps the cost BSDE and the adjoints,
-minimizes the augmented Hamiltonian pointwise to get u^m_j and keeps f_z for
-the Girsanov-weighted decrease diagnostic mu_m; neither Y, Z nor an adjoint
-is stored over the horizon. One noise batch is shared across all iterations
-(common random numbers), so descent comparisons are free of inter-iteration
-Monte Carlo variance.
+minimizes the augmented Hamiltonian pointwise to get u^m_j and adds to the
+per-path sums of the Girsanov-weighted decrease diagnostic mu_m. Only X, the
+controls and the noise are stored over the horizon. One noise batch is shared
+across all iterations (common random numbers), so descent comparisons are
+free of inter-iteration Monte Carlo variance.
 """
 
 from __future__ import annotations
@@ -18,18 +18,18 @@ from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
-# first_order_adjoint, second_order_adjoint and zero_second_order are unused here:
-# perfbench/tracing.py rebinds them by name on this module, like the entry points.
+# first_order_adjoint, second_order_adjoint, zero_second_order and solve_state_bsde are
+# unused here: perfbench/tracing.py rebinds them by name on this module.
 from .adjoint import (StepPoint, first_order_adjoint, first_order_step,  # noqa: F401
                       second_order_adjoint, second_order_step, second_order_vanishes,
                       zero_second_order)
-from .bsde import (RegressionBackend, check_finite, cost_estimate, cost_step, solve_bsde,
-                   solve_state_bsde)
+from .bsde import (RegressionBackend, check_finite, cost_estimate, cost_step,  # noqa: F401
+                   pathwise_cost, solve_bsde, solve_state_bsde)
 from .errors import ConfigurationError, NumericalError
 from .hamiltonian import minimize_step
 from .model import ControlDomain, ProblemSpec, enumerate_controls
 from .stochastics import (BrownianBatch, ControlField, TimeGrid, _time_major,
-                          _time_major_copy, girsanov_weights, random_control,
+                          _time_major_copy, girsanov_exp, girsanov_terms, random_control,
                           sample_brownian, simulate_forward)
 
 Array = np.ndarray
@@ -71,6 +71,8 @@ class IterationRecord:
     mu_stderr: float
     descent: float
     wall_ms: float
+    weight_ess: float = float("nan")        # (sum w)^2 / (M sum w^2) of mu_m's weights w
+    weight_max_ratio: float = float("nan")  # max w / mean w; both are 1 when f_z = 0
 
 
 @dataclass(frozen=True)
@@ -109,30 +111,31 @@ class MsaResult:
         return self.records[-1].j - self.records[-1].descent if self.records else float("nan")
 
 
-def compute_mu(hhat: Array, fz_path: Array, batch: BrownianBatch) -> Tuple[float, float]:
-    """Girsanov-weighted estimate of E^m[int H-hat dt] with its stderr.
+def compute_mu(h_sum: Array, fz_dw: Array, fz_sq: Array, dt: float) -> Tuple[float, ...]:
+    """(mu, stderr, ESS share, max w / mean w) of the Girsanov-weighted E^m[int H-hat dt].
 
-    hhat[m, j] holds the pointwise Hamiltonian decrease on [t_j, t_{j+1});
-    weights come from f_z along the same trajectory. The sum over steps runs
-    on a C-order (path-major) copy of hhat, because its summation order
-    follows the memory layout; mu is then the same whatever layout hhat has.
+    The arguments are the per-path sums over the steps that the update sweep
+    streams: of the Hamiltonian decrease, of f_z . dW_j and of |f_z|^2, so the
+    weight is w = exp(fz_dw - dt fz_sq / 2) (``girsanov_exp``).
     """
-    weights = girsanov_weights(fz_path, batch)
-    samples = weights * np.ascontiguousarray(hhat).sum(axis=1) * batch.dt
+    w = girsanov_exp(fz_dw - 0.5 * dt * fz_sq)
+    samples = w * h_sum * dt
     M = samples.shape[0]
     se = float(np.std(samples, ddof=1) / np.sqrt(M)) if M > 1 else float("nan")
-    return float(np.mean(samples)), se
+    return (float(np.mean(samples)), se, float(w.sum() ** 2 / (M * (w * w).sum())),
+            float(w.max() / w.mean()))
 
 
 def _update_sweep(spec: ProblemSpec, forward, u_prev: ControlField, p_ode, P_ode,
                   candidates: Array, rho: float, hints: RunHints, backend):
-    """One backward pass along u^{m-1}'s trajectory: cost, adjoints, update, f_z.
+    """One backward pass along u^{m-1}'s trajectory: cost, adjoints, update, mu.
 
     The cost BSDE is the pass's first equation, so each step's node is read
     off that step's own (X_j, Y_j, Z_j, u_j). p_ode / P_ode hold a given
-    adjoint's nodes, or None where the sweep solves it. Returns (J(u^{m-1}),
-    its stderr, u^m, mu, its stderr, max |p|, max |P|, max pre-symmetrization
-    |P - P'|), the maxima over every node.
+    adjoint's nodes, or None where the sweep solves it. Each step adds to the
+    three (M,) sums ``compute_mu`` reduces after the pass. Returns (J(u^{m-1}),
+    its stderr, u^m, ``compute_mu``'s four values, max |p|, max |P|, max
+    pre-symmetrization |P - P'|), the maxima over every node.
     """
     batch = forward.batch
     M, N, n, d, dt = batch.n_paths, batch.grid.steps, spec.n, spec.d, batch.dt
@@ -143,18 +146,12 @@ def _update_sweep(spec: ProblemSpec, forward, u_prev: ControlField, p_ode, P_ode
     # running maxima, started at the terminal node or taken over a hint's nodes
     max_p = float(np.max(np.abs(terminals[1] if p_ode is None else p_ode)))
     max_P = float(np.max(np.abs(terminals[-1] if P_ode is None else P_ode)))
-    asym, update, y_node, driver_sum = 0.0, None, None, np.zeros(M)
+    asym, update, y_node, driver_sum, sums = 0.0, None, None, np.zeros(M), np.zeros((3, M))
     # given nodes broadcast over the paths, time-major; a costate hint implies q = 0
     if p_ode is not None:
         p_given, q_given = np.broadcast_to(p_ode[:, None], (N + 1, M, n)), np.zeros((M, n, d))
     if P_ode is not None:
         P_given = np.broadcast_to(P_ode[:, None], (N + 1, M, n, n))
-    hhat = _time_major((M, N))
-    # C order, unlike the other horizon arrays: its only reader is the
-    # path-major Girsanov reduction.
-    fz = np.empty((M, N, d))
-    # last, as it outlives the pass: freed, hhat and fz leave a hole below it,
-    # not a free heap top that glibc trims and the next pass faults back in
     u_new = _time_major(u_prev.values.shape, dtype=u_prev.values.dtype)
 
     def step(j, phats, qs):
@@ -191,13 +188,13 @@ def _update_sweep(spec: ProblemSpec, forward, u_prev: ControlField, p_ode, P_ode
             exc.step = j
             raise
         u_new[:, j, :], h_new, h_prev, _ = update
-        hhat[:, j] = h_new - h_prev
-        fz[:, j, :] = point.f_z
+        sums[0] += h_new - h_prev
+        girsanov_terms(sums[1:], point.f_z, batch.increments[:, j])
         return solved
 
     solve_bsde(terminals, step, forward, u_prev, backend)
-    mu, mu_se = compute_mu(hhat, fz, batch)
-    return (*cost_estimate(y_node), ControlField(u_new), mu, mu_se, max_p, max_P, asym)
+    return (*cost_estimate(y_node), ControlField(u_new), *compute_mu(*sums, dt), max_p,
+            max_P, asym)
 
 
 def run_msa(spec: ProblemSpec, domain: ControlDomain, config: MsaConfig,
@@ -209,9 +206,9 @@ def run_msa(spec: ProblemSpec, domain: ControlDomain, config: MsaConfig,
 
     Pass m simulates forward under u^{m-1}, and its one backward sweep prices
     u^{m-1}, steps the adjoints, minimizes the augmented Hamiltonian pointwise
-    into u^m and records mu_m. Record m is completed by pass m + 1, whose
+    into u^m and streams mu_m. Record m is completed by pass m + 1, whose
     J(u^m) gives its descent; only the last control is priced on its own
-    (``solve_state_bsde``). Errors name the pass that raised them.
+    (``pathwise_cost``, no Y or Z stored). Errors name the pass that raised them.
 
     Stops once a descent J(u^{m-1}) - J(u^m) falls below epsilon, returning
     u^{m-1}; the last minimizer u^m stays available. The pass that detects the
@@ -254,7 +251,7 @@ def run_msa(spec: ProblemSpec, domain: ControlDomain, config: MsaConfig,
         t0 = time.perf_counter()
         try:
             forward = simulate_forward(spec, u_prev, batch)
-            j, se, u_new, mu, mu_se, *node_maxima = _update_sweep(
+            j, se, u_new, mu, mu_se, ess, w_ratio, *node_maxima = _update_sweep(
                 spec, forward, u_prev, p_ode, P_ode, candidates, config.rho, hints, backend)
         except Exception as exc:
             exc.args = (f"iteration {m}: {exc}",) + exc.args[1:]
@@ -264,14 +261,15 @@ def run_msa(spec: ProblemSpec, domain: ControlDomain, config: MsaConfig,
             stopped = True  # this pass's u^m is discarded
             break
         records.append(IterationRecord(m=m, j=j, j_stderr=se, mu=mu, mu_stderr=mu_se,
-                                       descent=float("nan"), wall_ms=wall_ms))
+                                       descent=float("nan"), wall_ms=wall_ms,
+                                       weight_ess=ess, weight_max_ratio=w_ratio))
         for acc, value in zip(maxima, node_maxima):
             acc.append(value)
         u_before, u_prev = u_prev, u_new
     if records and not stopped:
         try:
             forward = simulate_forward(spec, u_prev, batch)
-            stopped = closes(solve_state_bsde(spec, forward, u_prev, backend).j_estimate)
+            stopped = closes(cost_estimate(pathwise_cost(spec, forward, u_prev, backend))[0])
         except Exception as exc:
             exc.args = (f"iteration {records[-1].m}: {exc}",) + exc.args[1:]
             raise
@@ -301,18 +299,11 @@ def near_optimality_gap(records: List[IterationRecord], epsilon: float,
     m_eps, the gap, and the gap/sqrt(epsilon) ratio are reported. Runs whose J
     sequence rises beyond combined noise get flagged.
     """
-    m_eps = None
-    for rec in records:
-        if rec.descent < epsilon:
-            m_eps = rec.m
-            break
-    violated = False
-    for i, rec in enumerate(records):
-        se_next = records[i + 1].j_stderr if i + 1 < len(records) else rec.j_stderr
-        if rec.descent < -3.0 * (rec.j_stderr + se_next) - 1e-15:
-            violated = True
-    gap = None
-    ratio = None
+    m_eps = next((rec.m for rec in records if rec.descent < epsilon), None)
+    # each descent against the combined stderr of its two costs (the last one's own twice)
+    violated = any(rec.descent < -3.0 * (rec.j_stderr + nxt.j_stderr) - 1e-15
+                   for rec, nxt in zip(records, records[1:] + records[-1:]))
+    gap = ratio = None
     if jstar is not None and m_eps is not None:
         gap = records[m_eps - 1].j - jstar
         ratio = gap / np.sqrt(epsilon)

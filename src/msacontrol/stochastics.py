@@ -186,28 +186,35 @@ def simulate_forward(spec: ProblemSpec, control: ControlField,
     return ForwardPaths(states=X, control=control, batch=batch)
 
 
+def girsanov_terms(sums: Array, fz: Array, dw: Array) -> None:
+    """Add one step's f_z . dW_j to sums[0] and its |f_z|^2 to sums[1], per path."""
+    sums[0] += (fz * dw).sum(axis=1)
+    sums[1] += (fz * fz).sum(axis=1)
+
+
+def girsanov_exp(log_w: Array) -> Array:
+    """exp(log_w), refusing an exponent that overflows or flushes to 0, naming the path."""
+    if not np.all(np.isfinite(log_w)) or np.any(log_w > _EXP_OVERFLOW):
+        raise NumericalError(f"Girsanov weight overflow at path {int(np.argmax(log_w))}")
+    if np.any(log_w < -_EXP_OVERFLOW):
+        # exp would flush to 0, violating positivity of the density
+        raise NumericalError(f"Girsanov weight underflow at path {int(np.argmin(log_w))}")
+    return np.exp(log_w)
+
+
 def girsanov_weights(fz_path: Array, batch: BrownianBatch) -> Array:
     """Doleans-Dade exponential weights from f_z along a trajectory.
 
     weight_m = exp( sum_{j,i} fz[m,j,i] dW[m,j,i] - (1/2) sum_j |fz[m,j]|^2 dt )
-    with the left-point rule, so the integrand stays adapted.
-
-    Both operands are reduced from C-order (path-major) copies: the order in
-    which einsum sums over the steps follows the memory layout, so the weights
-    stay bitwise the same whatever layout the increments are stored in.
+    with the left-point rule, so the integrand stays adapted. The step sums are
+    streamed from j = N-1 down to 0 like the update sweep's, so the weights are
+    ``compute_mu``'s, bitwise, whatever layout either operand has.
     """
-    fz = np.ascontiguousarray(fz_path, dtype=float)
-    increments = np.ascontiguousarray(batch.increments)
-    if fz.shape != increments.shape:
+    fz = np.asarray(fz_path, dtype=float)
+    if fz.shape != batch.increments.shape:
         raise ConfigurationError(
-            f"fz grid shape {fz.shape} does not match increments {increments.shape}")
-    log_w = (np.einsum("mjd,mjd->m", fz, increments)
-             - 0.5 * batch.dt * np.einsum("mjd,mjd->m", fz, fz))
-    if not np.all(np.isfinite(log_w)) or np.any(log_w > _EXP_OVERFLOW):
-        raise NumericalError(
-            f"Girsanov weight overflow at path {int(np.argmax(log_w))}")
-    if np.any(log_w < -_EXP_OVERFLOW):
-        # exp would flush to 0, violating positivity of the density
-        raise NumericalError(
-            f"Girsanov weight underflow at path {int(np.argmin(log_w))}")
-    return np.exp(log_w)
+            f"fz grid shape {fz.shape} does not match increments {batch.increments.shape}")
+    sums = np.zeros((2, batch.n_paths))
+    for j in range(fz.shape[1] - 1, -1, -1):
+        girsanov_terms(sums, fz[:, j], batch.increments[:, j])
+    return girsanov_exp(sums[0] - 0.5 * batch.dt * sums[1])

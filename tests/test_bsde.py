@@ -204,6 +204,7 @@ class TestSolveStateBsde:
         assert np.array_equal(got.integrand, want_z)
         assert got.j_estimate == want_j
         assert np.any(want_z != 0.0)
+        assert np.array_equal(mc.pathwise_cost(spec, forward, control, backend), want_y[:, 0])
 
     def test_non_finite_driver_names_step_and_path(self):
         grid = mc.TimeGrid(1.0, 5)
@@ -231,22 +232,35 @@ class TestSolveStateBsde:
     def test_stacked_oracle_peak_heap_within_one_path_array(self):
         # 8 192 rows, the tree oracle's chunk: the sweep may hold at most one
         # more (M,) float array at its peak than the cost loop it replaced
-        bench, steps, rows = mc.example41(0.1), 5, 8192
-        forward, control = stacked_tree_inputs(bench, steps, rows, 2)
-        backend = mc.tree_backend(steps)
+        steps, rows = 5, 8192
+        reference = stacked_pricing_peak(reference_state_bsde, steps, rows)
+        assert stacked_pricing_peak(mc.solve_state_bsde, steps, rows) <= reference + 8 * rows
 
-        def peak(solve):
-            solve(bench.spec, forward, control, backend)  # warm-up
-            tracemalloc.start()
-            try:
-                start = tracemalloc.get_traced_memory()[0]
-                solve(bench.spec, forward, control, backend)
-                return tracemalloc.get_traced_memory()[1] - start
-            finally:
-                tracemalloc.stop()
+    def test_pathwise_cost_peak_heap_below_the_stored_horizons(self):
+        # the oracle's 8 192-row chunk priced without Y (N+1 floats per row) and
+        # Z (N d floats per row). The slack: Phi(X_T) and Y_{j+1}, which the
+        # stored pass keeps as views of Y, are (M,) arrays of their own here;
+        # 4 KiB more covers small objects
+        steps, rows, d = 5, 8192, 1
+        horizons = (steps + 1 + steps * d) * rows * 8
+        slack = 2 * 8 * rows + 4096
+        assert (stacked_pricing_peak(mc.pathwise_cost, steps, rows)
+                <= stacked_pricing_peak(mc.solve_state_bsde, steps, rows) - horizons + slack)
 
-        reference = peak(reference_state_bsde)
-        assert peak(mc.solve_state_bsde) <= reference + 8 * rows
+
+def stacked_pricing_peak(solve, steps, rows):
+    """tracemalloc peak of ``solve`` pricing example41 on a stacked tree batch."""
+    bench = mc.example41(0.1)
+    forward, control = stacked_tree_inputs(bench, steps, rows, 2)
+    backend = mc.tree_backend(steps)
+    solve(bench.spec, forward, control, backend)  # warm-up
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        solve(bench.spec, forward, control, backend)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
 
 
 def sweep_inputs(batch, states):

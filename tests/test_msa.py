@@ -11,7 +11,8 @@ from msacontrol.stochastics import _time_major, _time_major_copy
 
 
 def records_equal_except_wall(a, b):
-    fields = ("m", "j", "j_stderr", "mu", "mu_stderr", "descent")
+    fields = ("m", "j", "j_stderr", "mu", "mu_stderr", "descent", "weight_ess",
+              "weight_max_ratio")
     return len(a) == len(b) and all(
         getattr(ra, f) == getattr(rb, f) for ra, rb in zip(a, b) for f in fields)
 
@@ -55,19 +56,46 @@ def curvature_problem():
     return spec, mc.FiniteSet([[-0.5], [0.0], [0.5]])
 
 
+def streamed_sums(hhat, fz, increments):
+    """compute_mu's three per-path sums of (M, N) and (M, N, d) grids, accumulated
+    like the update sweep: from the last step to the first, one step at a time."""
+    sums = np.zeros((3, hhat.shape[0]))
+    for j in range(hhat.shape[1] - 1, -1, -1):
+        sums[0] += hhat[:, j]
+        sums[1] += (fz[:, j] * increments[:, j]).sum(axis=1)
+        sums[2] += (fz[:, j] * fz[:, j]).sum(axis=1)
+    return sums
+
+
 class TestComputeMu:
     def test_zero_decrease(self):
         batch = mc.sample_brownian(mc.TimeGrid(1.0, 10), 50, 1, 1)
-        mu, se = mc.compute_mu(np.zeros((50, 10)), np.zeros((50, 10, 1)), batch)
+        mu, se, ess, ratio = mc.compute_mu(np.zeros(50), np.zeros(50), np.zeros(50), batch.dt)
         assert mu == 0.0
         assert se == 0.0
+        assert ess == ratio == 1.0
 
     def test_z_independent_driver_is_plain_average(self):
         batch = mc.sample_brownian(mc.TimeGrid(1.0, 10), 500, 1, 2)
         rng = np.random.default_rng(0)
         hhat = -np.abs(rng.normal(size=(500, 10)))
-        mu, _ = mc.compute_mu(hhat, np.zeros((500, 10, 1)), batch)
+        sums = streamed_sums(hhat, np.zeros((500, 10, 1)), batch.increments)
+        mu, *_ = mc.compute_mu(*sums, batch.dt)
         assert mu == pytest.approx(hhat.sum(axis=1).mean() * batch.dt, abs=1e-14)
+
+    def test_weights_are_girsanov_weights(self):
+        # the streamed exponent gives the weights of girsanov_weights, bitwise
+        batch = mc.sample_brownian(mc.TimeGrid(1.0, 10), 400, 2, 3)
+        fz = 0.4 * np.random.default_rng(1).normal(size=(400, 10, 2))
+        w = mc.girsanov_weights(fz, batch)
+        sums = streamed_sums(np.ones((400, 10)), fz, batch.increments)
+        samples = w * sums[0] * batch.dt
+        mu, se, ess, ratio = mc.compute_mu(*sums, batch.dt)
+        assert mu == np.mean(samples)
+        assert se == np.std(samples, ddof=1) / np.sqrt(400)
+        assert ess == w.sum() ** 2 / (400 * (w * w).sum())
+        assert ratio == w.max() / w.mean()
+        assert 0.0 < ess < 1.0 < ratio
 
     def test_example41_fixed_point_mu_is_zero(self):
         bench = mc.example41(0.1)
@@ -118,6 +146,20 @@ class TestRunMsa:
         res = mc.run_msa(bench.spec, bench.domain, cfg, "random", hints=bench.hints)
         for rec in res.records:
             assert rec.mu <= 3 * rec.mu_stderr
+
+    def test_girsanov_weight_statistics(self):
+        # f_z = 0 on the quadratic desk, so every weight is exactly 1
+        bench = mc.lq_desk()
+        cfg = mc.MsaConfig(rho=0.0, n_paths=500, steps=10, seed=3, max_iters=3)
+        res = mc.run_msa(bench.spec, bench.domain, cfg, "random", hints=bench.hints)
+        assert [(r.weight_ess, r.weight_max_ratio) for r in res.records] == [(1.0, 1.0)] * 3
+        bench = mc.example41(0.5)
+        cfg = mc.MsaConfig(rho=bench.rho, n_paths=500, steps=10, seed=3, max_iters=3)
+        res = mc.run_msa(bench.spec, bench.domain, cfg, "random", hints=bench.hints)
+        for rec in res.records:
+            assert 0.0 < rec.weight_ess <= 1.0
+            assert rec.weight_max_ratio >= 1.0
+        assert res.records[0].weight_ess < 1.0
 
     def test_max_iters_zero_returns_empty(self):
         bench = mc.example41(0.1)
@@ -269,8 +311,8 @@ class TestLayoutIndependence:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_compute_mu(self, seed):
-        # the step sums of a strided hhat differ in the last bit; with three
-        # paths that difference reaches mu on each of these seeds
+        # the sweep streams its sums from step slices (girsanov_terms), so
+        # strided and time-major grids give the reference's values bitwise
         M, N = 3, 20
         batch = mc.sample_brownian(mc.TimeGrid(1.0, N), M, 2, 4)
         rng = np.random.default_rng(seed)
@@ -278,10 +320,21 @@ class TestLayoutIndependence:
         fz = 0.3 * rng.normal(size=(M, N, 2))
         hhat_time_major = np.empty((N, M)).swapaxes(0, 1)
         hhat_time_major[...] = hhat
+        fz_time_major = np.empty((N, M, 2)).swapaxes(0, 1)
+        fz_time_major[...] = fz
         c_batch, _ = c_order_copy(batch, mc.constant_control([0.0], M, N))
-        want = mc.compute_mu(hhat, fz, c_batch)
-        assert mc.compute_mu(hhat_time_major, fz, batch) == want
-        assert mc.compute_mu(hhat_time_major, fz, c_batch) == want
+
+        def mu(h, f, b):
+            sums = np.zeros((3, M))
+            for j in range(N - 1, -1, -1):
+                sums[0] += h[:, j]
+                mc.stochastics.girsanov_terms(sums[1:], f[:, j], b.increments[:, j])
+            return mc.compute_mu(*sums, b.dt)
+
+        want = mc.compute_mu(*streamed_sums(hhat, fz, c_batch.increments), batch.dt)
+        assert mu(hhat, fz, c_batch) == want
+        assert mu(hhat_time_major, fz_time_major, batch) == want
+        assert mu(hhat_time_major, fz, c_batch) == want
 
 
 class TestTimeMajorRunArrays:
@@ -295,7 +348,7 @@ class TestTimeMajorRunArrays:
             for j in (0, arr.shape[1] // 2, arr.shape[1] - 1):
                 seen.setdefault(name, []).append(arr[:, j].flags.c_contiguous)
 
-        real_minimize, real_mu = msa.minimize_step, msa.compute_mu
+        real_minimize = msa.minimize_step
 
         def minimize_spy(spec, t, x, y, z, p, q, P, u_prev, *args, **kwargs):
             out = real_minimize(spec, t, x, y, z, p, q, P, u_prev, *args, **kwargs)
@@ -303,23 +356,19 @@ class TestTimeMajorRunArrays:
                 seen.setdefault(name, []).append(arr.flags.c_contiguous)
             return out
 
-        def mu_spy(hhat, fz, batch):
-            record("hhat", hhat)
-            return real_mu(hhat, fz, batch)
-
         monkeypatch.setattr(msa, "minimize_step", minimize_spy)
-        monkeypatch.setattr(msa, "compute_mu", mu_spy)
         cfg = mc.MsaConfig(rho=bench.rho, n_paths=200, steps=6, seed=3, max_iters=2)
         res = mc.run_msa(bench.spec, bench.domain, cfg, "random", hints=bench.hints)
         record("u_new", res.last_control.values)
-        assert {"x", "y", "z", "q_j", "u_prev", "hhat", "u_new"} <= set(seen)
+        assert {"x", "y", "z", "q_j", "u_prev", "u_new"} <= set(seen)
         assert all(all(flags) for flags in seen.values()), seen
 
 
 def separate_passes(spec, domain, cfg, initial, hints):
     """run_msa as separate passes: the cost BSDE and both adjoints stored over
-    the horizon, then an ascending update loop, then an f_z grid for mu, then
-    a re-pricing of the new control; stops on cfg.epsilon like run_msa.
+    the horizon, then an ascending update loop, then an f_z grid for mu (its
+    sums taken as the sweep streams them), then a re-pricing of the new
+    control; stops on cfg.epsilon like run_msa.
 
     Returns (records, returned control, last control, max |p|, max |P|,
     max asymmetry), the reference the single sweep must match bit for bit.
@@ -364,13 +413,15 @@ def separate_passes(spec, domain, cfg, initial, hints):
                                                backward.values[:, j],
                                                backward.integrand[:, j, :],
                                                u_prev.values[:, j, :])
-        mu, mu_se = mc.compute_mu(hhat, fz, batch)
+        mu, mu_se, ess, ratio = mc.compute_mu(*streamed_sums(hhat, fz, batch.increments),
+                                              batch.dt)
         u_new = mc.ControlField(u_new)
         forward_new = mc.simulate_forward(spec, u_new, batch)
         backward_new = mc.solve_state_bsde(spec, forward_new, u_new, backend)
         records.append(mc.IterationRecord(
             m=m, j=backward.j_estimate, j_stderr=backward.j_stderr, mu=mu, mu_stderr=mu_se,
-            descent=backward.j_estimate - backward_new.j_estimate, wall_ms=0.0))
+            descent=backward.j_estimate - backward_new.j_estimate, wall_ms=0.0,
+            weight_ess=ess, weight_max_ratio=ratio))
         max_p.append(float(np.max(np.abs(first.p if p_ode is None else p_ode))))
         max_P.append(float(np.max(np.abs(second.P if P_ode is None else P_ode))))
         asym.append(second.asymmetry)
@@ -520,8 +571,8 @@ class TestSingleSweep:
 
     @pytest.mark.parametrize("iters", [1, 3])
     def test_one_backward_pass_per_iteration(self, iters, monkeypatch):
-        # one sweep per pass, pricing u^{m-1} on the way, and one cost BSDE
-        # for the last control
+        # one sweep per pass, pricing u^{m-1} on the way, and one cost pass
+        # for the last control that stores no horizon
         spec, domain = curvature_problem()
         calls = {"solve_bsde": 0, "solve_state_bsde": 0}
 
@@ -538,7 +589,7 @@ class TestSingleSweep:
         cfg = mc.MsaConfig(rho=0.5, n_paths=200, steps=6, seed=5, max_iters=iters)
         res = mc.run_msa(spec, domain, cfg, "random")
         assert len(res.records) == iters
-        assert calls == {"solve_bsde": iters + 1, "solve_state_bsde": 1}
+        assert calls == {"solve_bsde": iters + 1, "solve_state_bsde": 0}
 
     @pytest.mark.parametrize("source", list(sweep_sources()))
     def test_bitwise_equal_to_separate_passes(self, source):
@@ -640,25 +691,37 @@ class TestSingleSweep:
         assert peak(20) - peak(10) < horizon_adjoints
 
     def test_peak_heap_growth_in_steps_within_one_pass(self):
-        # no run holds Y, Z or any adjoint over the horizon
-        spec, domain = curvature_everywhere_problem()
-        n, d, k, M, seed = spec.n, spec.d, spec.k, 400, 7
+        # no run holds Y, Z, an adjoint, the decrease or f_z over the horizon:
+        # per path and step, over the 10 extra steps, only the states (n), the
+        # current and the new control (2 k) and the increments (d) grow
+        spec, _ = curvature_everywhere_problem()
+        one_pass = 400 * 10 * (spec.n + 2 * spec.k + spec.d) * 8
+        assert peak_heap_growth_in_steps(max_iters=2) < one_pass
 
-        def peak(N):
-            batch = mc.sample_brownian(mc.TimeGrid(spec.horizon, N), M, d, seed)
-            initial = mc.random_control(domain, M, N, seed)
-            cfg = mc.MsaConfig(rho=0.5, n_paths=M, steps=N, seed=seed, max_iters=2)
-            tracemalloc.start()
-            try:
-                start = tracemalloc.get_traced_memory()[0]
-                mc.run_msa(spec, domain, cfg, initial, batch=batch)
-                return tracemalloc.get_traced_memory()[1] - start
-            finally:
-                tracemalloc.stop()
+    def test_peak_heap_growth_in_steps_keeps_one_more_control(self):
+        # from the third pass on, u^{m-2} is kept too: it is the control an
+        # epsilon stop returns
+        spec, _ = curvature_everywhere_problem()
+        three_controls = 400 * 10 * (spec.n + 3 * spec.k + spec.d) * 8
+        assert peak_heap_growth_in_steps(max_iters=4) < three_controls
 
-        peak(10)  # warm-up: caches filled on the first run stay out of the growth
-        # per path and step, over the 10 extra steps: the states (n), the
-        # current and the new control (2 k), the decrease and f_z grids (1 + d)
-        # and the C-order increments the Girsanov weights reduce (d)
-        one_pass = M * 10 * (n + 2 * k + 1 + d + d) * 8
-        assert peak(20) - peak(10) < one_pass
+
+def peak_heap_growth_in_steps(max_iters):
+    """tracemalloc peak of run_msa at N = 20 minus that at N = 10 (M = 400)."""
+    spec, domain = curvature_everywhere_problem()
+    M, seed = 400, 7
+
+    def peak(N):
+        batch = mc.sample_brownian(mc.TimeGrid(spec.horizon, N), M, spec.d, seed)
+        initial = mc.random_control(domain, M, N, seed)
+        cfg = mc.MsaConfig(rho=0.5, n_paths=M, steps=N, seed=seed, max_iters=max_iters)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            mc.run_msa(spec, domain, cfg, initial, batch=batch)
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    peak(10)  # warm-up: caches filled on the first run stay out of the growth
+    return peak(20) - peak(10)
