@@ -50,11 +50,13 @@ def _load_config_file(path: str) -> dict:
                 line = raw.strip()
                 if not line or line.startswith("#"):
                     continue
-                if "=" not in line:
+                key, eq, val = (part.strip() for part in line.partition("="))
+                if not eq:
                     raise ConfigurationError(
                         f"{path}:{lineno}: expected KEY=VALUE, got '{line}'")
-                key, _, val = line.partition("=")
-                values[key.strip()] = val.strip()
+                if key not in _DEFAULTS:
+                    raise ConfigurationError(f"{path}:{lineno}: unknown key '{key}'")
+                values[key] = val
     except OSError as exc:
         raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
     return values

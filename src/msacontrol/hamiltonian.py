@@ -1,9 +1,9 @@
 """Hamiltonian evaluation and the pointwise control update.
 
 Everything here is pure. The batch functions take one leading sample axis;
-they and the solver's ``minimize_step`` share one set of per-candidate
-helpers, so each formula is written once. The single-point wrappers mirror
-them for direct use and testing. The candidate control v may be a single
+they, the solver's ``minimize_step`` and the single-point functions (one-row
+batches, for direct use and testing) share one set of per-candidate helpers,
+so each formula is written once. The candidate control v may be a single
 point (k,) or a per-sample array (B, k).
 
 ``minimize_step`` stacks candidates along the sample axis and evaluates them
@@ -157,26 +157,6 @@ def _penalty(spec: ProblemSpec, t, x, y, z, p, q, v, b, ds, zs, cur: _Current) -
     return pen
 
 
-def delta_tilde_batch(spec: ProblemSpec, t: float, x: Array, p: Array,
-                      v, u) -> Array:
-    """Component i = (sigma^i(t, x, v) - sigma^i(t, x, u))' p, shape (B, d)."""
-    B = x.shape[0]
-    v = _ctl(v, B, spec.k)
-    u = _ctl(u, B, spec.k)
-    return _gap(p, spec.diffusion(t, x, v), spec.diffusion(t, x, u))[1]
-
-
-def g_batch(spec: ProblemSpec, t: float, x: Array, y: Array, z: Array,
-            p: Array, q: Array, v, u) -> Array:
-    """G = p'b(v) + sum_i (q^i)' sigma^i(v) + f(t, x, y, z + delta, v)."""
-    B = x.shape[0]
-    v = _ctl(v, B, spec.k)
-    u = _ctl(u, B, spec.k)
-    s = spec.diffusion(t, x, v)
-    _, delta = _gap(p, s, spec.diffusion(t, x, u))
-    return _g(spec, t, x, y, p, q, v, spec.drift(t, x, v), s, z + delta)
-
-
 def h_batch(spec: ProblemSpec, t: float, x: Array, y: Array, z: Array,
             p: Array, q: Array, P: Array, v, u) -> Array:
     """H = G + (1/2) sum_i (sigma^i(v) - sigma^i(u))' P (sigma^i(v) - sigma^i(u))."""
@@ -214,10 +194,11 @@ def minimize_step(spec: ProblemSpec, t: float, x: Array, y: Array, z: Array,
     """Argmin of the augmented Hamiltonian over the candidate list, per sample.
 
     Ties go to the lowest candidate index. Samples whose current control beats
-    every candidate (possible only off the enumeration) keep it. Returns
-    (u_new (B, k), h_new (B,), h_prev (B,), h_aug_new (B,)) where h_* are
-    values of the plain (non-augmented) Hamiltonian. Raises NumericalError
-    naming the first path with a non-finite augmented value or h_prev.
+    every candidate (possible only off the enumeration) keep it. Returns four
+    distinct arrays (u_new (B, k), h_new (B,), h_prev (B,), h_aug_new (B,)),
+    h_new and h_prev plain (non-augmented) values. Raises NumericalError naming
+    the first path with a non-finite augmented value or h_prev before selecting
+    (``_argmin_rows``: one pass, data movement only, so it cannot move a bit).
 
     Without hints, the terms at u_prev are evaluated once per call, and each
     candidate's drift, diffusion and diffusion gap once, shared by H and the
@@ -269,30 +250,36 @@ def minimize_step(spec: ProblemSpec, t: float, x: Array, y: Array, z: Array,
             if rho != 0.0:
                 pen_vals[idx] = pen_fn(spec, t, x, y, z, p, q, cand, u_prev)
         h_prev = h_fn(spec, t, x, y, z, p, q, P, u_prev, u_prev)
-    aug_vals = h_vals + 0.5 * rho * pen_vals if rho != 0.0 else h_vals
+    aug_vals = h_vals
+    if rho != 0.0:  # h_vals + rho/2 pen_vals, formed in pen_vals' buffer
+        aug_vals = np.add(h_vals, np.multiply(pen_vals, 0.5 * rho, out=pen_vals), out=pen_vals)
     _check_finite(aug_vals, h_prev, candidates)
-    best = _argmin_rows(aug_vals)
-    rows = np.arange(B)
-    keep = aug_vals[best, rows] > h_prev  # penalty vanishes at v = u_prev
-    u_new = candidates[best].copy()
-    u_new[keep] = u_prev[keep]
-    h_new = np.where(keep, h_prev, h_vals[best, rows])
-    h_aug_new = np.where(keep, h_prev, aug_vals[best, rows])
+    best, h_aug_new, h_new = _argmin_rows(aug_vals, h_vals)
+    u_new = candidates.take(best, axis=0)
+    keep = h_aug_new > h_prev  # penalty vanishes at v = u_prev
+    if keep.any():
+        u_new[keep], h_new[keep], h_aug_new[keep] = u_prev[keep], h_prev[keep], h_prev[keep]
     return u_new, h_new, h_prev, h_aug_new
 
 
-def _argmin_rows(vals: Array) -> Array:
-    """np.argmin(vals, axis=0) for finite vals, as a running minimum over the rows.
+def _argmin_rows(vals: Array, plain: Array) -> Tuple[Array, Array, Array]:
+    """(argmin, min) of finite vals over axis 0, and plain at that argmin.
 
-    The axis-0 argmin runs one short reduction per column; this runs n_c - 1
-    vectorized passes. Strict < keeps ties at the lowest row.
+    One running pass: row i >= 1 writes ``vals[i] < low`` into one reused mask,
+    and masked copies move i, vals[i] and plain[i] into place (when plain is
+    vals, a copy of the minimum stands for it). Data movement only, so no bit
+    changes; strict < keeps ties, +0.0 against -0.0 too, at the lowest row.
     """
     best = np.zeros(vals.shape[1], dtype=np.intp)
-    low = vals[0].copy()
+    mask = np.empty(vals.shape[1], dtype=bool)
+    low, pick = vals[0].copy(), (plain[0].copy() if plain is not vals else None)
     for i in range(1, len(vals)):
-        best[vals[i] < low] = i
-        np.minimum(low, vals[i], out=low)
-    return best
+        np.less(vals[i], low, out=mask)
+        np.copyto(best, i, where=mask)
+        np.copyto(low, vals[i], where=mask)
+        if pick is not None:
+            np.copyto(pick, plain[i], where=mask)
+    return best, low, low.copy() if pick is None else pick
 
 
 def _check_finite(aug_vals: Array, h_prev: Array, candidates: Array) -> None:
@@ -327,14 +314,20 @@ def _point_arrays(spec: ProblemSpec, point: HamiltonianPoint):
 
 
 def delta_tilde(spec: ProblemSpec, t: float, x, p, v, u) -> Array:
-    n, k = spec.n, spec.k
-    return delta_tilde_batch(spec, t, _row(x, n), _row(p, n), _row(v, k), _row(u, k))[0]
+    """Component i = (sigma^i(t, x, v) - sigma^i(t, x, u))' p, shape (d,)."""
+    x, k = _row(x, spec.n), spec.k
+    s_v, s_u = spec.diffusion(t, x, _row(v, k)), spec.diffusion(t, x, _row(u, k))
+    return _gap(_row(p, spec.n), s_v, s_u)[1][0]
 
 
 def eval_G(spec: ProblemSpec, t: float, x, y, z, p, q, v, u) -> float:
+    """G = p'b(v) + sum_i (q^i)' sigma^i(v) + f(t, x, y, z + delta, v)."""
     n, d, k = spec.n, spec.d, spec.k
-    return float(g_batch(spec, t, _row(x, n), _row(y), _row(z, d), _row(p, n),
-                         _row(q, n, d), _row(v, k), _row(u, k))[0])
+    x, p, v = _row(x, n), _row(p, n), _row(v, k)
+    s = spec.diffusion(t, x, v)
+    _, delta = _gap(p, s, spec.diffusion(t, x, _row(u, k)))
+    return float(_g(spec, t, x, _row(y), p, _row(q, n, d), v, spec.drift(t, x, v), s,
+                    _row(z, d) + delta)[0])
 
 
 def eval_H(spec: ProblemSpec, point: HamiltonianPoint, v) -> float:

@@ -64,7 +64,9 @@ class Derivatives:
 
 @dataclass(frozen=True)
 class Structure:
-    """Declared structural zeros; solver shortcuts trust these, never infer them."""
+    """Declared structural zeros; solver shortcuts trust these, never infer them
+    (``check_derivatives`` verifies each flag that names a derivative). Under
+    ``f_z_zero``, ``run_msa`` adds no Girsanov terms for mu: every weight is 1."""
 
     b_x_zero: bool = False
     sigma_x_zero: bool = False

@@ -189,7 +189,8 @@ def _update_sweep(spec: ProblemSpec, forward, u_prev: ControlField, p_ode, P_ode
             raise
         u_new[:, j, :], h_new, h_prev, _ = update
         sums[0] += h_new - h_prev
-        girsanov_terms(sums[1:], point.f_z, batch.increments[:, j])
+        if not spec.structure.f_z_zero:  # else both sums stay 0 and every weight is 1
+            girsanov_terms(sums[1:], point.f_z, batch.increments[:, j])
         return solved
 
     solve_bsde(terminals, step, forward, u_prev, backend)

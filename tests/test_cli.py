@@ -93,6 +93,17 @@ class TestCmdRun:
                         "--out", str(out)]) == 0
         assert len(read_rows(out)) == 2  # header + 1 row: the flag won
 
+    def test_config_file_unknown_key_exits_2(self, tmp_path, capsys):
+        # a misspelt key must not be dropped: this run would have no stopping rule
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("paths=200\n# comment line\nepsilonn=1e-3\n")
+        out = tmp_path / "run.csv"
+        assert run_cli(["run", "--config", str(cfg), "--steps", "5", "--iters", "1",
+                        "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: {cfg}:3: unknown key 'epsilonn'\n")
+        assert not out.exists()
+
     def test_custom_problem_file(self, tmp_path):
         prob = tmp_path / "myprob.py"
         prob.write_text(

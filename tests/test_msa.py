@@ -161,6 +161,23 @@ class TestRunMsa:
             assert rec.weight_max_ratio >= 1.0
         assert res.records[0].weight_ess < 1.0
 
+    @pytest.mark.parametrize("bench_name, calls", [("lq_desk", 0), ("example41", 3 * 10)])
+    def test_declared_zero_f_z_skips_girsanov_terms(self, bench_name, calls, monkeypatch):
+        # lq_desk declares f_z_zero, so its sweep adds no Girsanov terms;
+        # example41's driver reads z, so every step of every pass adds them
+        bench = mc.lq_desk() if bench_name == "lq_desk" else mc.example41(0.5)
+        seen = []
+
+        def spy(*args):
+            seen.append(args)
+            return mc.stochastics.girsanov_terms(*args)
+
+        monkeypatch.setattr(mc.msa, "girsanov_terms", spy)
+        cfg = mc.MsaConfig(rho=bench.rho, n_paths=300, steps=10, seed=3, max_iters=3)
+        res = mc.run_msa(bench.spec, bench.domain, cfg, "random", hints=bench.hints)
+        assert bench.spec.structure.f_z_zero == (calls == 0)
+        assert len(res.records) == 3 and len(seen) == calls
+
     def test_max_iters_zero_returns_empty(self):
         bench = mc.example41(0.1)
         cfg = mc.MsaConfig(rho=bench.rho, n_paths=100, steps=5, seed=1, max_iters=0)
