@@ -7,8 +7,8 @@ from .adjoint import (FirstOrderAdjoint, SecondOrderAdjoint, empirical_knorm,
 from .benchmarks import (Benchmark, TreeModel, example41, example41_rho,
                          linear_recursive_problem, linrec_desk, lq_desk, lq_problem,
                          tree_backend, tree_batch, tree_bruteforce)
-from .bsde import (BackwardPaths, ExactTreeBackend, RegressionBackend, condexp_fit,
-                   pathwise_cost, solve_bsde, solve_state_bsde)
+from .bsde import (BackwardPaths, ExactTreeBackend, RegressionBackend, pathwise_cost,
+                   solve_bsde, solve_state_bsde)
 from .errors import (ConfigurationError, EvaluationError, NumericalError,
                      SimulationError)
 from .hamiltonian import (HamiltonianPoint, delta_tilde, eval_G, eval_H, eval_H_aug,

@@ -237,20 +237,12 @@ def ode_adjoint_linear(f1, f2, b1, alpha, grid: TimeGrid):
     f1 = _as_time_fn(f1, (n,))
     b1 = _as_time_fn(b1, (n, n))
     f2 = f2 if callable(f2) else (lambda t, v=float(f2): v)
-    nodes = grid.nodes
-    dt = grid.dt
 
     def rhs(t, p):
         return -((f2(t) * np.eye(n) + b1(t).T) @ p + f1(t))
 
-    p = np.empty((grid.steps + 1, n))
-    p[-1] = alpha
-    for j in range(grid.steps, 0, -1):
-        p[j - 1] = _rk4_step(rhs, nodes[j], p[j], -dt)
-    gamma = np.empty(grid.steps + 1)
-    gamma[0] = 1.0
-    for j in range(grid.steps):
-        gamma[j + 1] = _rk4_step(lambda t, g: f2(t) * g, nodes[j], gamma[j], dt)
+    p = _rk4_march(rhs, alpha, grid.nodes, -grid.dt)
+    gamma = _rk4_march(lambda t, g: f2(t) * g, 1.0, grid.nodes, grid.dt)
     return p, gamma
 
 
@@ -267,20 +259,23 @@ def lq_second_order_ode(gamma_mat, a_fn, b1, grid: TimeGrid) -> Array:
     def rhs(t, P):
         return -(b1(t).T @ P + P.T @ b1(t) + a_fn(t))
 
-    nodes, dt = grid.nodes, grid.dt
-    P = np.empty((grid.steps + 1, n, n))
-    P[-1] = gamma_mat
-    for j in range(grid.steps, 0, -1):
-        P[j - 1] = _rk4_step(rhs, nodes[j], P[j], -dt)
-    return P
+    return _rk4_march(rhs, gamma_mat, grid.nodes, -grid.dt)
 
 
-def _rk4_step(rhs, t, y, h):
-    k1 = rhs(t, y)
-    k2 = rhs(t + h / 2.0, y + h / 2.0 * k1)
-    k3 = rhs(t + h / 2.0, y + h / 2.0 * k2)
-    k4 = rhs(t + h, y + h * k3)
-    return y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_march(rhs, start, nodes, h):
+    """Classic RK4 with step h from ``start`` at the first node (h > 0) or at the
+    last (h < 0, marching backward); returns the state at every node, in order."""
+    y = np.empty((len(nodes),) + np.shape(start))
+    order = range(len(nodes)) if h > 0 else range(len(nodes) - 1, -1, -1)
+    y[order[0]] = start
+    for j, nxt in zip(order, order[1:]):
+        t, yj = nodes[j], y[j]
+        k1 = rhs(t, yj)
+        k2 = rhs(t + h / 2.0, yj + h / 2.0 * k1)
+        k3 = rhs(t + h / 2.0, yj + h / 2.0 * k2)
+        k4 = rhs(t + h, yj + h * k3)
+        y[nxt] = yj + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y
 
 
 # ---------------------------------------------------------------------------

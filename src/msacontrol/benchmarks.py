@@ -15,7 +15,7 @@ backend, for any state dimension n with scalar noise (d = 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -198,8 +198,7 @@ def lq_desk() -> Benchmark:
         sigma_fn=lambda t, u: u[:, :, None].astype(float),
         domain=FiniteSet(np.array([[-1.0], [0.0], [1.0]])),
         n=1, d=1, k=1, x0=np.zeros(1), horizon=1.0)
-    return Benchmark(name="lq", spec=bench.spec, domain=bench.domain, rho=0.0,
-                     hints=bench.hints, jstar=0.0, notes=bench.notes)
+    return replace(bench, jstar=0.0)
 
 
 def linear_recursive_problem(b1, b2, b3, sigma1, sigma2, sigma3, f1, f2,
@@ -275,8 +274,7 @@ def linrec_desk(beta: float = 0.5) -> Benchmark:
         alpha=[0.0], gamma=0.0,
         domain=Box(lower=[-1.0], upper=[1.0], resolution=[3]),
         x0=np.zeros(1), horizon=1.0)
-    return Benchmark(name="linear-recursive", spec=bench.spec, domain=bench.domain,
-                     rho=0.0, hints=bench.hints, jstar=0.0)
+    return replace(bench, jstar=0.0)
 
 
 # ---------------------------------------------------------------------------

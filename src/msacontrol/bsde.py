@@ -5,9 +5,11 @@ One backward loop (``solve_bsde``) serves every equation: the cost BSDE alone
 the update sweep of ``run_msa``, which steps the cost BSDE and the adjoints
 together. At each step, Z (resp. q) comes from regressing next-step values
 against the Brownian increment on that step's features, and the driver,
-which may be nonlinear, is applied explicitly to the regression proxy. The
-regression's design matrix is built one column at a time, each monomial one
-product of an earlier column and a feature.
+which may be nonlinear, is applied explicitly to the regression proxy.
+``RegressionBackend.project`` is the one regression path: it returns in-sample
+fitted values only, never coefficients or a predictor. Its design matrix is
+built one column at a time, each monomial one product of an earlier column
+and a feature.
 """
 
 from __future__ import annotations
@@ -91,18 +93,16 @@ class RegressionBackend:
         if self.ridge < 0:
             raise ConfigurationError("ridge must be >= 0")
 
-    def _design(self, features: Array):
-        """(design matrix, exponents) of the monomial basis at the features."""
+    def project(self, step: int, features: Array, targets: Array) -> Array:
+        """In-sample conditional-expectation estimate: the fitted values A coef of
+        the (ridge) normal equations on the monomial design A at the features."""
         features = np.atleast_2d(np.asarray(features, dtype=float))
         exponents = _monomial_exponents(features.shape[1], self.degree)
         if features.shape[0] < len(exponents):
             raise ConfigurationError(
                 f"need at least as many samples ({features.shape[0]}) as basis "
                 f"functions ({len(exponents)})")
-        return _design_matrix(features, exponents), exponents
-
-    def _solve(self, A: Array, targets: Array) -> Array:
-        """Coefficients of the (ridge) normal equations of design A."""
+        A = _design_matrix(features, exponents)
         gram = A.T @ A
         if self.ridge > 0:
             idx = np.arange(1, A.shape[1])
@@ -117,32 +117,7 @@ class RegressionBackend:
         if not np.all(np.isfinite(coef)):
             raise NumericalError(
                 "regression produced non-finite coefficients; set ridge > 0")
-        return coef
-
-    def fit(self, features: Array, targets: Array):
-        """Solve the (ridge) normal equations; returns (coef, exponents)."""
-        A, exponents = self._design(features)
-        return self._solve(A, targets), exponents
-
-    def project(self, step: int, features: Array, targets: Array) -> Array:
-        """In-sample conditional-expectation estimate (fit + predict, one design)."""
-        A, _ = self._design(features)
-        return A @ self._solve(A, targets)
-
-
-def condexp_fit(features: Array, targets: Array, backend: RegressionBackend) -> Callable:
-    """Least-squares projection onto the backend's basis; returns a predictor."""
-    features = np.atleast_2d(np.asarray(features, dtype=float))
-    coef, exponents = backend.fit(features, targets)
-
-    def predictor(x):
-        x = np.asarray(x, dtype=float)
-        single = x.ndim <= 1
-        xb = np.atleast_2d(x)
-        vals = _design_matrix(xb, exponents) @ coef
-        return vals[0] if single else vals
-
-    return predictor
+        return A @ coef
 
 
 @dataclass(frozen=True)

@@ -23,19 +23,21 @@ from .msa import MsaConfig, run_msa
 _RUN_HEADER = "iter,J,J_stderr,mu,mu_stderr,descent,wall_ms"
 _RATE_HEADER = "iter,gap,iter_times_gap"
 
-_DEFAULTS = {
-    "problem": "example41",
-    "L": 0.1,
-    "rho": None,
-    "paths": 10000,
-    "steps": 20,
-    "iters": 10,
-    "epsilon": None,
-    "seed": 0,
-    "degree": 2,
-    "out": "-",
-    "mode": "nonrecombining",
+# Each flag's (type, default, help); a --config file accepts the same keys.
+_FLAGS = {
+    "problem": (str, "example41", "example41 | lq | linear-recursive | path/to/problem.py"),
+    "L": (float, 0.1, "sine-driver scale"),
+    "rho": (float, None, "penalty weight override (default: problem's)"),
+    "paths": (int, 10000, None),
+    "steps": (int, 20, "time steps (tree depth for oracle)"),
+    "iters": (int, 10, None),
+    "epsilon": (float, None, "stopping tolerance on the J descent (default: none)"),
+    "seed": (int, 0, None),
+    "degree": (int, 2, "regression basis degree"),
+    "out": (str, "-", "CSV path, '-' for stdout"),
+    "mode": (str, "nonrecombining", "tree policy class (oracle only)"),
 }
+_MODES = ("nonrecombining", "recombining")
 
 
 def _g17(x: float) -> str:
@@ -54,7 +56,7 @@ def _load_config_file(path: str) -> dict:
                 if not eq:
                     raise ConfigurationError(
                         f"{path}:{lineno}: expected KEY=VALUE, got '{line}'")
-                if key not in _DEFAULTS:
+                if key not in _FLAGS:
                     raise ConfigurationError(f"{path}:{lineno}: unknown key '{key}'")
                 values[key] = val
     except OSError as exc:
@@ -65,15 +67,13 @@ def _load_config_file(path: str) -> dict:
 def _resolve(args: argparse.Namespace, file_values: dict):
     """Flags win over the config file, the file wins over defaults."""
     merged = {}
-    casts = {"L": float, "rho": float, "paths": int, "steps": int, "iters": int,
-             "epsilon": float, "seed": int, "degree": int}
-    for key, default in _DEFAULTS.items():
+    for key, (cast, default, _) in _FLAGS.items():
         cli_val = getattr(args, key, None)
         if cli_val is not None:
             merged[key] = cli_val
         elif key in file_values:
             try:
-                merged[key] = casts.get(key, str)(file_values[key])
+                merged[key] = cast(file_values[key])
             except ValueError as exc:
                 raise ConfigurationError(
                     f"config file value for {key} is not valid: {exc}") from exc
@@ -192,23 +192,9 @@ def _build_parser() -> argparse.ArgumentParser:
                            ("oracle", "brute-force tree optimum"),
                            ("rate", "gap decay table for the quadratic-cost problem")):
         p = sub.add_parser(name, help=helptext)
-        p.add_argument("--problem", type=str, default=None,
-                       help="example41 | lq | linear-recursive | path/to/problem.py")
-        p.add_argument("--L", type=float, default=None, help="sine-driver scale")
-        p.add_argument("--rho", type=float, default=None,
-                       help="penalty weight override (default: problem's)")
-        p.add_argument("--paths", type=int, default=None)
-        p.add_argument("--steps", type=int, default=None,
-                       help="time steps (tree depth for oracle)")
-        p.add_argument("--iters", type=int, default=None)
-        p.add_argument("--epsilon", type=float, default=None,
-                       help="stopping tolerance on the J descent (default: none)")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--degree", type=int, default=None, help="regression basis degree")
-        p.add_argument("--out", type=str, default=None, help="CSV path, '-' for stdout")
-        p.add_argument("--mode", type=str, default=None,
-                       choices=["nonrecombining", "recombining"],
-                       help="tree policy class (oracle only)")
+        for key, (cast, _, flag_help) in _FLAGS.items():
+            p.add_argument(f"--{key}", type=cast, default=None, help=flag_help,
+                           choices=_MODES if key == "mode" else None)
         p.add_argument("--config", type=str, default=None, help="KEY=VALUE config file")
     return parser
 

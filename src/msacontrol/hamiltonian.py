@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -118,39 +118,26 @@ def _g_derivatives(at, p, q, sx_v, sx_u):
     return gx, at("f_y"), fz
 
 
-class _Current(NamedTuple):
-    """Terms at the current control u that every candidate's penalty compares against."""
-
-    b: Array        # drift(u)
-    f: Array        # driver at the unshifted z
-    sx: Array       # sigma_x(u)
-    g_derivs: tuple  # (G_x, G_y, G_z) at (u, u)
-
-
-def _map_current(fn: Callable[[Array], Array], cur: _Current) -> _Current:
-    return _Current(b=fn(cur.b), f=fn(cur.f), sx=fn(cur.sx),
-                    g_derivs=tuple(map(fn, cur.g_derivs)))
-
-
-def _current(spec: ProblemSpec, t, x, y, z, p, q, u, b_u, zs_u, node=None) -> _Current:
-    """b_u is drift(u) and zs_u is z + delta(u, u), equal to z up to the sign of
-    a zero. ``node``, when given, supplies sigma_x, b_x, f_x, f_y and f_z at
-    (t, x, y, z, u) in place of evaluating them here."""
+def _current(spec: ProblemSpec, t, x, y, z, p, q, u, b_u, zs_u, node=None) -> tuple:
+    """(drift(u), driver at the unshifted z, sigma_x(u), G_x, G_y, G_z at (u, u)):
+    the terms at the current control u that every candidate's penalty compares
+    against. b_u is drift(u) and zs_u is z + delta(u, u), equal to z up to the
+    sign of a zero. ``node``, when given, supplies sigma_x, b_x, f_x, f_y and
+    f_z at (t, x, y, z, u) in place of evaluating them here."""
     at = (functools.partial(getattr, node) if node is not None
           else _evaluated(spec.derivatives, t, x, y, zs_u, u))
     sx = at("sigma_x")
-    return _Current(b=b_u, f=spec.driver(t, x, y, z, u), sx=sx,
-                    g_derivs=_g_derivatives(at, p, q, sx, sx))
+    return (b_u, spec.driver(t, x, y, z, u), sx) + _g_derivatives(at, p, q, sx, sx)
 
 
-def _penalty(spec: ProblemSpec, t, x, y, z, p, q, v, b, ds, zs, cur: _Current) -> Array:
-    """Squared-difference penalty of the candidate v against the current terms."""
-    db = b - cur.b
-    df = spec.driver(t, x, y, z, v) - cur.f
+def _penalty(spec: ProblemSpec, t, x, y, z, p, q, v, b, ds, zs, cur: tuple) -> Array:
+    """Squared-difference penalty of the candidate v against ``_current``'s terms."""
+    b_u, f_u, sx_u, gx_u, gy_u, gz_u = cur
+    db = b - b_u
+    df = spec.driver(t, x, y, z, v) - f_u
     pen = (db ** 2).sum(axis=1) + (ds ** 2).sum(axis=(1, 2)) + df ** 2
     at = _evaluated(spec.derivatives, t, x, y, zs, v)
-    gx_v, gy_v, gz_v = _g_derivatives(at, p, q, at("sigma_x"), cur.sx)
-    gx_u, gy_u, gz_u = cur.g_derivs
+    gx_v, gy_v, gz_v = _g_derivatives(at, p, q, at("sigma_x"), sx_u)
     pen = pen + ((gx_v - gx_u) ** 2).sum(axis=1)
     pen = pen + (gy_v - gy_u) ** 2
     pen = pen + ((gz_v - gz_u) ** 2).sum(axis=1)
@@ -219,28 +206,24 @@ def minimize_step(spec: ProblemSpec, t: float, x: Array, y: Array, z: Array,
         ds_u, delta_u = _gap(p, s_u, s_u)
         zs_u = z + delta_u
         h_prev = _h(spec, t, x, y, p, q, P, u, b_u, s_u, ds_u, zs_u)
-        if rho != 0.0:
-            cur = _current(spec, t, x, y, z, p, q, u, b_u, zs_u, node)
-        c = min(n_c, max(1, _ROW_CHUNK // B))
+        # the node's arrays, then (rho > 0) the current terms the penalty reads
         args = (x, y, z, p, q, P, s_u)
+        if rho != 0.0:
+            args += _current(spec, t, x, y, z, p, q, u, b_u, zs_u, node)
+        c = min(n_c, max(1, _ROW_CHUNK // B))
         if c > 1:
-            def stack(a):
-                # unlike np.tile, keeps a's memory layout: einsum may order a
-                # sum by its operands' strides, and so set the last bit by it
-                return np.concatenate([a] * c)
-            args = tuple(map(stack, args))
-            if rho != 0.0:
-                cur = _map_current(stack, cur)
+            # unlike np.tile, concatenate keeps each array's memory layout: einsum
+            # may order a sum by its operands' strides, and so set the last bit by it
+            args = tuple(np.concatenate([a] * c) for a in args)
         for i0 in range(0, n_c, c):
             i1 = min(i0 + c, n_c)
             r = (i1 - i0) * B
-            xc, yc, zc, pc, qc, Pc, s_uc = (a[:r] for a in args)
+            xc, yc, zc, pc, qc, Pc, s_uc, *cur = (a[:r] for a in args)
             v = np.repeat(candidates[i0:i1], B, axis=0)
             h, b, ds, zs = _candidate(spec, t, xc, yc, zc, pc, qc, Pc, v, s_uc)
             h_vals[i0:i1] = h.reshape(i1 - i0, B)
             if rho != 0.0:
-                cur_c = _map_current(lambda a: a[:r], cur)
-                pen = _penalty(spec, t, xc, yc, zc, pc, qc, v, b, ds, zs, cur_c)
+                pen = _penalty(spec, t, xc, yc, zc, pc, qc, v, b, ds, zs, cur)
                 pen_vals[i0:i1] = pen.reshape(i1 - i0, B)
     else:
         h_fn = h_fn or h_batch

@@ -152,7 +152,7 @@ def _update_sweep(spec: ProblemSpec, forward, u_prev: ControlField, p_ode, P_ode
         p_given, q_given = np.broadcast_to(p_ode[:, None], (N + 1, M, n)), np.zeros((M, n, d))
     if P_ode is not None:
         P_given = np.broadcast_to(P_ode[:, None], (N + 1, M, n, n))
-    u_new = _time_major(u_prev.values.shape, dtype=u_prev.values.dtype)
+    u_new = _time_major(u_prev.values.shape)
 
     def step(j, phats, qs):
         nonlocal max_p, max_P, asym, update, y_node, driver_sum
@@ -214,11 +214,19 @@ def run_msa(spec: ProblemSpec, domain: ControlDomain, config: MsaConfig,
     Stops once a descent J(u^{m-1}) - J(u^m) falls below epsilon, returning
     u^{m-1}; the last minimizer u^m stays available. The pass that detects the
     stop has already run one more update, whose control is discarded.
+
+    A given ``batch`` must match spec.horizon, config.steps and config.n_paths
+    (else ConfigurationError). Controls are stored as float64, integer ones too.
     """
     hints = hints or RunHints()
     grid = TimeGrid(spec.horizon, config.steps)
     if batch is None:
         batch = sample_brownian(grid, config.n_paths, spec.d, config.seed)
+    for name, given, wanted in (("spec.horizon", batch.grid.horizon, spec.horizon),
+                                ("config.steps", batch.grid.steps, config.steps),
+                                ("config.n_paths", batch.n_paths, config.n_paths)):
+        if given != wanted:
+            raise ConfigurationError(f"batch does not match {name}: {given} against {wanted}")
     backend = backend or config.backend
     candidates = enumerate_controls(domain)
     M, N = batch.n_paths, batch.grid.steps

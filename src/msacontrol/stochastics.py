@@ -27,16 +27,17 @@ _CONTROL_STREAM = 2 ** 32   # jump offset for control sampling, beyond any path 
 _EXP_OVERFLOW = 700.0
 
 
-def _time_major(shape, alloc=np.empty, dtype=float) -> Array:
-    """``alloc`` an array of shape (M, N, ...) whose step slices a[:, j] are contiguous."""
-    return alloc((shape[1], shape[0]) + tuple(shape[2:]), dtype=dtype).swapaxes(0, 1)
+def _time_major(shape, alloc=np.empty) -> Array:
+    """``alloc`` a float array of shape (M, N, ...) whose step slices a[:, j] are contiguous."""
+    return alloc((shape[1], shape[0]) + tuple(shape[2:])).swapaxes(0, 1)
 
 
 def _time_major_copy(values: Array) -> Array:
-    """``values`` if its step slices are already contiguous, else a time-major copy."""
-    if values[:, 0].flags.c_contiguous:
+    """``values`` if it is float64 with contiguous step slices, else a time-major
+    float64 copy."""
+    if values.dtype == float and values[:, 0].flags.c_contiguous:
         return values
-    out = _time_major(values.shape, dtype=values.dtype)
+    out = _time_major(values.shape)
     out[...] = values
     return out
 
@@ -118,7 +119,8 @@ class ControlField:
     """Piecewise-constant control values per (path, step), shape (M, N, k).
 
     The package's constructors store the values time-major; ``run_msa`` copies
-    a caller's control of any other layout once, so results never depend on it.
+    a caller's control of any other layout or dtype once into float64, so
+    results never depend on either.
     """
 
     values: Array

@@ -77,19 +77,22 @@ def stacked_tree_inputs(bench, steps, rows, seed):
 
 
 class TestCondexpFit:
+    """The conditional-expectation fit ``RegressionBackend.project``, checked on its
+    in-sample fitted values."""
+
     def test_constant_targets_reproduced(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(500, 1))
-        pred = mc.condexp_fit(x, np.full(500, 3.25), mc.RegressionBackend(degree=2))
-        assert pred(np.array([0.7])) == pytest.approx(3.25, abs=1e-10)
+        fitted = mc.RegressionBackend(degree=2).project(0, x, np.full(500, 3.25))
+        np.testing.assert_allclose(fitted, 3.25, rtol=0.0, atol=1e-10)
 
     def test_linear_slope_recovered(self):
         rng = np.random.default_rng(10)
         x = rng.normal(size=(10_000, 1))
         noise = rng.normal(size=10_000)
         y = 2.0 * x[:, 0] + noise
-        pred = mc.condexp_fit(x, y, mc.RegressionBackend(degree=1))
-        slope = pred(np.array([1.0])) - pred(np.array([0.0]))
+        fitted = mc.RegressionBackend(degree=1).project(0, x, y)
+        slope = np.polyfit(x[:, 0], fitted, 1)[0]
         stderr = 1.0 / np.sqrt(10_000)  # unit noise, unit feature variance
         assert abs(slope - 2.0) < 3 * stderr
 
@@ -97,13 +100,13 @@ class TestCondexpFit:
         rng = np.random.default_rng(2)
         x = rng.normal(size=(256, 1))
         y = rng.normal(size=256)
-        pred = mc.condexp_fit(x, y, mc.RegressionBackend(degree=0))
-        assert pred(np.array([5.0])) == pytest.approx(y.mean(), abs=1e-12)
+        fitted = mc.RegressionBackend(degree=0).project(0, x, y)
+        np.testing.assert_allclose(fitted, y.mean(), rtol=0.0, atol=1e-12)
 
     def test_rank_deficiency_advises_ridge(self):
         x = np.zeros((100, 1))  # constant feature, degree-1 column is zero
         with pytest.raises(mc.NumericalError, match="ridge"):
-            mc.condexp_fit(x, np.ones(100), mc.RegressionBackend(degree=1, ridge=0.0))
+            mc.RegressionBackend(degree=1, ridge=0.0).project(0, x, np.ones(100))
 
 
 class TestSolveStateBsde:

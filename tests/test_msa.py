@@ -192,6 +192,34 @@ class TestRunMsa:
         with pytest.raises(mc.ConfigurationError):
             mc.MsaConfig(rho=0.0, n_paths=10, steps=5, seed=0, epsilon=0.0)
 
+    def test_integer_initial_control_runs_as_float(self):
+        # an int64 control once truncated every update u^m_j to an integer
+        bench, domain = mc.lq_desk(), mc.Box([-1.0], [1.0], [5])
+        M, N = 256, 5
+        cfg = mc.MsaConfig(rho=0.0, n_paths=M, steps=N, seed=0, max_iters=3)
+        runs = [mc.run_msa(bench.spec, domain, cfg,
+                           mc.ControlField(np.ones((M, N, 1), dtype=dtype)), hints=bench.hints)
+                for dtype in (np.float64, np.int64)]
+        assert records_equal_except_wall(runs[0].records, runs[1].records)
+        assert {0.5, -0.5} <= set(np.unique(runs[1].last_control.values))
+        for name in ("returned_control", "last_control"):
+            values = getattr(runs[1], name).values
+            assert values.dtype == np.float64
+            assert np.array_equal(getattr(runs[0], name).values, values)
+
+    @pytest.mark.parametrize("horizon, steps, paths, message", [
+        (2.0, 10, 200, "spec.horizon: 2.0 against 1.0"),
+        (1.0, 12, 200, "config.steps: 12 against 10"),
+        (1.0, 10, 100, "config.n_paths: 100 against 200"),
+    ], ids=["horizon", "steps", "n_paths"])
+    def test_batch_must_match_the_run(self, horizon, steps, paths, message):
+        bench = mc.example41(0.1)
+        batch = mc.sample_brownian(mc.TimeGrid(horizon, steps), paths, 1, 0)
+        cfg = mc.MsaConfig(rho=bench.rho, n_paths=200, steps=10, seed=0, max_iters=1)
+        with pytest.raises(mc.ConfigurationError, match=f"^batch does not match {message}$"):
+            mc.run_msa(bench.spec, bench.domain, cfg, "random", hints=bench.hints,
+                       batch=batch)
+
     def test_solver_errors_carry_iteration_index(self):
         spec = mc.ProblemSpec.build(
             n=1, d=1, k=1, x0=np.array([1.0]), horizon=1.0,
