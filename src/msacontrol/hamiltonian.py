@@ -7,9 +7,10 @@ so each formula is written once. The candidate control v may be a single
 point (k,) or a per-sample array (B, k).
 
 ``minimize_step`` stacks candidates along the sample axis and evaluates them
-in chunks of at most ``_ROW_CHUNK`` rows. Every formula is row-wise and the
-stacked copies keep the memory layout of their inputs, so the values are
-bitwise equal to evaluating one candidate at a time.
+in chunks of at most ``_ROW_CHUNK`` rows, each folded into the selection at
+once, so its memory does not grow with the candidate count. Every formula is
+row-wise and the stacked copies keep the memory layout of their inputs, so the
+values are bitwise equal to evaluating one candidate at a time.
 
 The G-derivatives contract sigma_x over its flattened (noise, state) axis.
 The diffusion gap, G and H's curvature term keep per-axis einsums, the
@@ -183,9 +184,9 @@ def minimize_step(spec: ProblemSpec, t: float, x: Array, y: Array, z: Array,
     Ties go to the lowest candidate index. Samples whose current control beats
     every candidate (possible only off the enumeration) keep it. Returns four
     distinct arrays (u_new (B, k), h_new (B,), h_prev (B,), h_aug_new (B,)),
-    h_new and h_prev plain (non-augmented) values. Raises NumericalError naming
-    the first path with a non-finite augmented value or h_prev before selecting
-    (``_argmin_rows``: one pass, data movement only, so it cannot move a bit).
+    h_new and h_prev plain (non-augmented) values. Once every candidate is
+    evaluated, raises NumericalError naming the first path with a non-finite
+    augmented value (and its first such candidate) or h_prev.
 
     Without hints, the terms at u_prev are evaluated once per call, and each
     candidate's drift, diffusion and diffusion gap once, shared by H and the
@@ -194,11 +195,37 @@ def minimize_step(spec: ProblemSpec, t: float, x: Array, y: Array, z: Array,
     the values are bitwise equal to those of h_batch and penalty_batch called
     one candidate at a time. ``node``, the sweep's ``StepPoint`` at (t, x, y,
     z, u_prev), lends the penalty its derivatives at the current control.
+
+    Each chunk (each candidate, with hints) is folded into a running selection
+    as soon as it is evaluated, so no (candidates, B) table exists: row by row,
+    ``aug < low`` in one reused mask moves the index, the augmented value and
+    the plain H into place. Data movement only, so no bit changes; strict <
+    keeps ties, +0.0 against -0.0 too, at the lowest index.
     """
     B = x.shape[0]
-    n_c = len(candidates)
-    h_vals = np.empty((n_c, B))
-    pen_vals = np.empty((n_c, B)) if rho != 0.0 else None
+    best, mask = np.zeros(B, dtype=np.intp), np.empty(B, dtype=bool)
+    low = pick = bad = None  # bad: (path, candidate, value), lowest bad path, first candidate
+
+    def fold(i0: int, h: Array, pen: Optional[Array]) -> None:
+        """Folds candidates i0, i0 + 1, ...: plain values h (rows, B) and, for rho > 0,
+        penalties pen, in whose buffer the augmented h + rho/2 pen is formed."""
+        nonlocal low, pick, bad
+        aug = h if pen is None else np.add(h, np.multiply(pen, 0.5 * rho, out=pen), out=pen)
+        finite = np.isfinite(aug)
+        if not finite.all():  # lowest path first, then its lowest row
+            path, row = (int(a[0]) for a in np.nonzero(~finite.T))
+            if bad is None or path < bad[0]:
+                bad = (path, i0 + row, aug[row, path])
+        for r in range(len(aug)):
+            if low is None:
+                low, pick = aug[0].copy(), (h[0].copy() if pen is not None else None)
+                continue
+            np.less(aug[r], low, out=mask)
+            np.copyto(best, i0 + r, where=mask)
+            np.copyto(low, aug[r], where=mask)
+            if pick is not None:
+                np.copyto(pick, h[r], where=mask)
+
     if h_fn is None and pen_fn is None:
         u = _ctl(u_prev, B, spec.k)
         b_u = spec.drift(t, x, u)
@@ -210,6 +237,7 @@ def minimize_step(spec: ProblemSpec, t: float, x: Array, y: Array, z: Array,
         args = (x, y, z, p, q, P, s_u)
         if rho != 0.0:
             args += _current(spec, t, x, y, z, p, q, u, b_u, zs_u, node)
+        n_c = len(candidates)
         c = min(n_c, max(1, _ROW_CHUNK // B))
         if c > 1:
             # unlike np.tile, concatenate keeps each array's memory layout: einsum
@@ -221,65 +249,36 @@ def minimize_step(spec: ProblemSpec, t: float, x: Array, y: Array, z: Array,
             xc, yc, zc, pc, qc, Pc, s_uc, *cur = (a[:r] for a in args)
             v = np.repeat(candidates[i0:i1], B, axis=0)
             h, b, ds, zs = _candidate(spec, t, xc, yc, zc, pc, qc, Pc, v, s_uc)
-            h_vals[i0:i1] = h.reshape(i1 - i0, B)
-            if rho != 0.0:
-                pen = _penalty(spec, t, xc, yc, zc, pc, qc, v, b, ds, zs, cur)
-                pen_vals[i0:i1] = pen.reshape(i1 - i0, B)
+            pen = (_penalty(spec, t, xc, yc, zc, pc, qc, v, b, ds, zs, cur).reshape(i1 - i0, B)
+                   if rho != 0.0 else None)
+            fold(i0, h.reshape(i1 - i0, B), pen)
     else:
         h_fn = h_fn or h_batch
         pen_fn = pen_fn or penalty_batch
         for idx, cand in enumerate(candidates):
-            h_vals[idx] = h_fn(spec, t, x, y, z, p, q, P, cand, u_prev)
-            if rho != 0.0:
-                pen_vals[idx] = pen_fn(spec, t, x, y, z, p, q, cand, u_prev)
+            h = h_fn(spec, t, x, y, z, p, q, P, cand, u_prev)
+            # a copy, so the augmented value never overwrites what the hint returned
+            pen = (np.array(pen_fn(spec, t, x, y, z, p, q, cand, u_prev), dtype=float, ndmin=2)
+                   if rho != 0.0 else None)
+            fold(idx, h[None], pen)
         h_prev = h_fn(spec, t, x, y, z, p, q, P, u_prev, u_prev)
-    aug_vals = h_vals
-    if rho != 0.0:  # h_vals + rho/2 pen_vals, formed in pen_vals' buffer
-        aug_vals = np.add(h_vals, np.multiply(pen_vals, 0.5 * rho, out=pen_vals), out=pen_vals)
-    _check_finite(aug_vals, h_prev, candidates)
-    best, h_aug_new, h_new = _argmin_rows(aug_vals, h_vals)
+    bad_prev = ~np.isfinite(h_prev)
+    if bad is not None or bad_prev.any():
+        path = int(np.argmax(bad_prev)) if bad_prev.any() else B
+        if bad is not None and bad[0] <= path:
+            path, idx, value = bad
+            raise NumericalError(
+                f"non-finite augmented Hamiltonian {value} on path {path} "
+                f"at candidate {idx} {candidates[idx].tolist()}", path=path)
+        raise NumericalError(
+            f"non-finite Hamiltonian {h_prev[path]} at the current control on path {path}",
+            path=path)
     u_new = candidates.take(best, axis=0)
+    h_aug_new, h_new = low, (low.copy() if pick is None else pick)
     keep = h_aug_new > h_prev  # penalty vanishes at v = u_prev
     if keep.any():
         u_new[keep], h_new[keep], h_aug_new[keep] = u_prev[keep], h_prev[keep], h_prev[keep]
     return u_new, h_new, h_prev, h_aug_new
-
-
-def _argmin_rows(vals: Array, plain: Array) -> Tuple[Array, Array, Array]:
-    """(argmin, min) of finite vals over axis 0, and plain at that argmin.
-
-    One running pass: row i >= 1 writes ``vals[i] < low`` into one reused mask,
-    and masked copies move i, vals[i] and plain[i] into place (when plain is
-    vals, a copy of the minimum stands for it). Data movement only, so no bit
-    changes; strict < keeps ties, +0.0 against -0.0 too, at the lowest row.
-    """
-    best = np.zeros(vals.shape[1], dtype=np.intp)
-    mask = np.empty(vals.shape[1], dtype=bool)
-    low, pick = vals[0].copy(), (plain[0].copy() if plain is not vals else None)
-    for i in range(1, len(vals)):
-        np.less(vals[i], low, out=mask)
-        np.copyto(best, i, where=mask)
-        np.copyto(low, vals[i], where=mask)
-        if pick is not None:
-            np.copyto(pick, plain[i], where=mask)
-    return best, low, low.copy() if pick is None else pick
-
-
-def _check_finite(aug_vals: Array, h_prev: Array, candidates: Array) -> None:
-    """Raise on the first path whose candidate values or current value are not finite."""
-    bad_aug = ~np.isfinite(aug_vals)
-    bad_prev = ~np.isfinite(h_prev)
-    if not (bad_aug.any() or bad_prev.any()):
-        return
-    path = int(np.argmax(bad_aug.any(axis=0) | bad_prev))
-    if bad_aug[:, path].any():
-        idx = int(np.argmax(bad_aug[:, path]))
-        raise NumericalError(
-            f"non-finite augmented Hamiltonian {aug_vals[idx, path]} on path {path} "
-            f"at candidate {idx} {candidates[idx].tolist()}", path=path)
-    raise NumericalError(
-        f"non-finite Hamiltonian {h_prev[path]} at the current control on path {path}",
-        path=path)
 
 
 # ---------------------------------------------------------------------------

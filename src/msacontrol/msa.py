@@ -37,7 +37,11 @@ Array = np.ndarray
 
 @dataclass(frozen=True)
 class MsaConfig:
-    """Run parameters; epsilon=None disables early stopping (fixed-length run)."""
+    """Run parameters; epsilon=None disables early stopping (fixed-length run).
+
+    Without epsilon no stop can return u^{m-2}, so ``run_msa`` holds only the
+    current and the new control over the horizon, not that third one.
+    """
 
     rho: float
     n_paths: int
@@ -256,12 +260,16 @@ def run_msa(spec: ProblemSpec, domain: ControlDomain, config: MsaConfig,
         records[-1] = dataclasses.replace(records[-1], descent=records[-1].j - j_new)
         return config.epsilon is not None and records[-1].descent < config.epsilon
 
+    # each pass's states are made in the call that reads them, so they are freed
+    # before the next pass makes its own
     for m in range(1, config.max_iters + 1):  # pass m
         t0 = time.perf_counter()
+        if config.epsilon is None:
+            u_before = None  # u^{m-2}: only an epsilon stop returns it
         try:
-            forward = simulate_forward(spec, u_prev, batch)
             j, se, u_new, mu, mu_se, ess, w_ratio, *node_maxima = _update_sweep(
-                spec, forward, u_prev, p_ode, P_ode, candidates, config.rho, hints, backend)
+                spec, simulate_forward(spec, u_prev, batch), u_prev, p_ode, P_ode,
+                candidates, config.rho, hints, backend)
         except Exception as exc:
             exc.args = (f"iteration {m}: {exc}",) + exc.args[1:]
             raise

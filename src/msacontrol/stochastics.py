@@ -12,6 +12,7 @@ block instead of a gather strided by the whole horizon.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -68,9 +69,12 @@ class TimeGrid:
     def dt(self) -> float:
         return self.horizon / self.steps
 
-    @property
+    @functools.cached_property
     def nodes(self) -> Array:
-        return np.linspace(0.0, self.horizon, self.steps + 1)
+        """The steps + 1 times t_j, computed once per grid and read-only."""
+        nodes = np.linspace(0.0, self.horizon, self.steps + 1)
+        nodes.flags.writeable = False
+        return nodes
 
 
 @dataclass(frozen=True)

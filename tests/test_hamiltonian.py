@@ -307,9 +307,10 @@ class TestHoistedMinimizeStep:
     def test_heap_does_not_grow_with_stacked_candidates(self):
         # Stacking every candidate into one batch grows the peak with the
         # candidate count through the tiled inputs and every intermediate;
-        # chunks of bounded rows leave only the two (n_c, B) value arrays,
-        # h_vals and pen_vals, which also holds the augmented values. The
-        # selection pass adds (B,) arrays only.
+        # chunks of bounded rows, each folded into the running selection as
+        # soon as it is evaluated, leave no (n_c, B) array at all. The bound
+        # is one (B,) float array; a value table of 20 more candidates at
+        # rho > 0 would add 2 * 20 * B floats.
         spec, B, rho = mc.lq_desk().spec, 4096, 0.5
 
         def peak(n_c):
@@ -323,9 +324,9 @@ class TestHoistedMinimizeStep:
                 tracemalloc.stop()
 
         peak(21)  # warm-up
-        growth = peak(41) - peak(21)
-        kept = 2 * (41 - 21) * B * 8
-        assert growth <= 1.05 * kept
+        base = peak(21)
+        assert peak(41) - base <= 8 * B
+        assert peak(201) - base <= 8 * B
 
 
 def same_bits(a, b):
@@ -379,13 +380,15 @@ class TestSelection:
             assert not any(np.shares_memory(a, b) for b in got[i + 1:])
 
 
-def nan_driver_spec(bad_u):
-    """Driver NaN at control value bad_u on the path whose state is 3, else z."""
+def nan_driver_spec(bad_u, bad_x=3.0):
+    """Driver NaN where the control is bad_u and the state the paired bad_x
+    (each a value or a list), else z. Path i has state i in the tests below."""
+    bad_u, bad_x = np.atleast_1d(bad_u), np.atleast_1d(bad_x)
     return mc.ProblemSpec.build(
         n=1, d=1, k=1, x0=np.zeros(1), horizon=1.0,
         drift=constant_fn(np.zeros(1)), diffusion=constant_fn(np.ones((1, 1))),
         driver=lambda t, x, y, z, u: np.where(
-            (u[:, 0] == bad_u) & (x[:, 0] == 3.0), np.nan, z[:, 0]),
+            ((u[:, :1] == bad_u) & (x[:, :1] == bad_x)).any(axis=1), np.nan, z[:, 0]),
         terminal=lambda x: x[:, 0])
 
 
@@ -409,6 +412,21 @@ class TestNonFiniteHamiltonian:
         candidates = np.arange(5.0)[:, None]
         with pytest.raises(mc.NumericalError, match=r"on path 3 at candidate 4 \[4\.0\]"):
             minimize_step(spec, 0.2, *self.inputs(0.0, B=3000), candidates, rho)
+
+    @pytest.mark.parametrize("rho", [0.0, 0.5])
+    @pytest.mark.parametrize("hinted", [False, True])
+    def test_lower_path_in_a_later_chunk_is_named(self, rho, hinted):
+        # at B = 3000 the chunks are {0, 1}, {2, 3} and {4}: path 5 is bad at
+        # candidate 1 in the first chunk, the lower path 3 at candidates 3 and
+        # 4 in the later ones; the report waits for every candidate, so it
+        # names path 3 and its first bad candidate
+        spec = nan_driver_spec(bad_u=[1.0, 3.0, 4.0], bad_x=[5.0, 3.0, 3.0])
+        candidates = np.arange(5.0)[:, None]
+        hints = dict(h_fn=h_batch, pen_fn=penalty_batch) if hinted else {}
+        with pytest.raises(mc.NumericalError,
+                           match=r"Hamiltonian nan on path 3 at candidate 3 \[3\.0\]") as err:
+            minimize_step(spec, 0.2, *self.inputs(0.0, B=3000), candidates, rho, **hints)
+        assert err.value.path == 3
 
     def test_current_control_names_path(self):
         spec = nan_driver_spec(bad_u=0.5)

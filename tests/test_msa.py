@@ -741,32 +741,61 @@ class TestSingleSweep:
         # current and the new control (2 k) and the increments (d) grow
         spec, _ = curvature_everywhere_problem()
         one_pass = 400 * 10 * (spec.n + 2 * spec.k + spec.d) * 8
-        assert peak_heap_growth_in_steps(max_iters=2) < one_pass
+        assert peak_heap_growth_in_steps(max_iters=2)[0] < one_pass
+
+    def test_peak_heap_growth_in_steps_drops_dead_controls(self):
+        # without epsilon nothing can return u^{m-2}, so from the third pass
+        # on only the current and the new control are held, as in one pass
+        spec, _ = curvature_everywhere_problem()
+        two_controls = 400 * 10 * (spec.n + 2 * spec.k + spec.d) * 8
+        growth, res = peak_heap_growth_in_steps(max_iters=4)
+        assert growth < two_controls
+        assert not res.stopped_early
 
     def test_peak_heap_growth_in_steps_keeps_one_more_control(self):
-        # from the third pass on, u^{m-2} is kept too: it is the control an
-        # epsilon stop returns
+        # under an epsilon, from the third pass on, u^{m-2} is kept too: it is
+        # the control an epsilon stop returns. This epsilon never fires.
         spec, _ = curvature_everywhere_problem()
         three_controls = 400 * 10 * (spec.n + 3 * spec.k + spec.d) * 8
-        assert peak_heap_growth_in_steps(max_iters=4) < three_controls
+        growth, res = peak_heap_growth_in_steps(max_iters=4, epsilon=1e-3)
+        assert growth < three_controls
+        assert res.stopped_early is False
+
+    def test_dropped_control_changes_no_result(self):
+        # an epsilon that never fires keeps u^{m-2} to the end; without one it
+        # is dropped, and both runs return the same records and controls
+        spec, domain = curvature_everywhere_problem()
+        M, N, seed = 400, 10, 7
+        initial = mc.random_control(domain, M, N, seed)
+        cfg = mc.MsaConfig(rho=0.5, n_paths=M, steps=N, seed=seed, max_iters=4)
+        free = mc.run_msa(spec, domain, cfg, initial)
+        kept = mc.run_msa(spec, domain, dataclasses.replace(cfg, epsilon=1e-3), initial)
+        assert not (free.stopped_early or kept.stopped_early)
+        assert records_equal_except_wall(free.records, kept.records)
+        for name in ("returned_control", "last_control"):
+            a, b = getattr(free, name).values, getattr(kept, name).values
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def peak_heap_growth_in_steps(max_iters):
-    """tracemalloc peak of run_msa at N = 20 minus that at N = 10 (M = 400)."""
+def peak_heap_growth_in_steps(max_iters, epsilon=None):
+    """tracemalloc peak of run_msa at N = 20 minus that at N = 10 (M = 400),
+    with the N = 20 run's result."""
     spec, domain = curvature_everywhere_problem()
     M, seed = 400, 7
 
     def peak(N):
         batch = mc.sample_brownian(mc.TimeGrid(spec.horizon, N), M, spec.d, seed)
         initial = mc.random_control(domain, M, N, seed)
-        cfg = mc.MsaConfig(rho=0.5, n_paths=M, steps=N, seed=seed, max_iters=max_iters)
+        cfg = mc.MsaConfig(rho=0.5, n_paths=M, steps=N, seed=seed, max_iters=max_iters,
+                           epsilon=epsilon)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            mc.run_msa(spec, domain, cfg, initial, batch=batch)
-            return tracemalloc.get_traced_memory()[1] - start
+            res = mc.run_msa(spec, domain, cfg, initial, batch=batch)
+            return tracemalloc.get_traced_memory()[1] - start, res
         finally:
             tracemalloc.stop()
 
     peak(10)  # warm-up: caches filled on the first run stay out of the growth
-    return peak(20) - peak(10)
+    (high, res), (low, _) = peak(20), peak(10)
+    return high - low, res

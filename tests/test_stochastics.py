@@ -14,6 +14,14 @@ class TestTimeGrid:
         assert np.all(np.diff(nodes) > 0)
         assert grid.dt == pytest.approx(0.25)
 
+    def test_nodes_computed_once_and_read_only(self):
+        grid = mc.TimeGrid(2.0, 8)
+        assert grid.nodes is grid.nodes
+        assert grid.nodes.tobytes() == np.linspace(0.0, 2.0, 9).tobytes()
+        with pytest.raises(ValueError):
+            grid.nodes[0] = 1.0
+        assert grid == mc.TimeGrid(2.0, 8)  # the cache is not a field
+
     def test_invalid_grid(self):
         with pytest.raises(mc.ConfigurationError):
             mc.TimeGrid(1.0, 0)
