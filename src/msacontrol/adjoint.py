@@ -58,10 +58,10 @@ class StepPoint:
 
 
 def _stored_point(spec: ProblemSpec, forward: ForwardPaths, backward: BackwardPaths,
-                  control: ControlField, j: int) -> StepPoint:
-    """The StepPoint of step j, read off stored horizons."""
+                  u: Array, j: int) -> StepPoint:
+    """The StepPoint of step j, whose controls are u, read off stored horizons."""
     return StepPoint(spec, forward.batch.grid.nodes[j], forward.states[:, j, :],
-                     backward.values[:, j], backward.integrand[:, j, :], control.values[:, j, :])
+                     backward.values[:, j], backward.integrand[:, j, :], u)
 
 
 def upsilon(spec: ProblemSpec, t: float, x, p, q, u) -> Array:
@@ -107,9 +107,9 @@ def first_order_adjoint(spec: ProblemSpec, forward: ForwardPaths,
     """
     batch = forward.batch
 
-    def step(j, phat, qj):
-        return first_order_step(_stored_point(spec, forward, backward, control, j),
-                                phat, qj, batch.dt)
+    def step(j, u, phat, qj):
+        return first_order_step(_stored_point(spec, forward, backward, u, j), phat, qj,
+                                batch.dt)
 
     p, q = _solve_stored(spec.derivatives.phi_x(forward.states[:, batch.grid.steps, :]),
                          step, forward, control, backend)
@@ -193,9 +193,9 @@ def second_order_adjoint(spec: ProblemSpec, forward: ForwardPaths,
     batch = forward.batch
     asym = 0.0
 
-    def step(j, phat, Qj):
+    def step(j, u, phat, Qj):
         nonlocal asym
-        point = _stored_point(spec, forward, backward, control, j)
+        point = _stored_point(spec, forward, backward, u, j)
         P, asym_j = second_order_step(point, phat, Qj, first.p[:, j, :], first.q[:, j],
                                       batch.dt)
         asym = max(asym, asym_j)
@@ -297,7 +297,7 @@ def explicit_p0_oracle(spec: ProblemSpec, control: ControlField, batch: Brownian
     G = np.broadcast_to(np.eye(n), (M, n, n)).copy()
     integral = np.zeros((M, n))
     for j in range(N):
-        point = _stored_point(spec, forward, backward, control, j)
+        point = _stored_point(spec, forward, backward, control.at(j), j)
         a1, b1 = _coeffs_at(point)
         integral += np.einsum("mab,ma->mb", G, point.f_x) * dt
         dG = (np.einsum("mab,mbc->mac", a1, G) * dt

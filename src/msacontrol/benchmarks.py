@@ -27,8 +27,7 @@ from .hamiltonian import _ROW_CHUNK, _ctl
 from .model import (Bounds, Box, ControlDomain, FiniteSet, ProblemSpec, Structure,
                     constant_fn, enumerate_controls)
 from .msa import RunHints
-from .stochastics import (BrownianBatch, ControlField, TimeGrid, _time_major,
-                          _time_major_take, simulate_forward)
+from .stochastics import BrownianBatch, ControlField, TimeGrid, _time_major, simulate_forward
 
 Array = np.ndarray
 
@@ -323,7 +322,7 @@ def tree_random_control(domain: ControlDomain, steps: int, seed: int) -> Control
     idx_map, n_decision = _node_index_map(steps, "nonrecombining", signs)
     gen = np.random.Generator(np.random.Philox(key=seed).jumped(2 ** 33))
     node_choice = gen.integers(0, len(candidates), size=n_decision)
-    return ControlField(_time_major_take(candidates, node_choice[idx_map]))
+    return ControlField(table=candidates, index=node_choice[idx_map])
 
 
 def _node_index_map(steps: int, mode: str, signs: Array) -> tuple:
@@ -388,8 +387,7 @@ def tree_bruteforce(spec: ProblemSpec, domain: ControlDomain, steps: int,
         P = len(ids)
         stacked = BrownianBatch(grid=batch.grid, n_paths=P * M, d=1, seed=None,
                                 increments=increments[:P * M])
-        control = ControlField(_time_major_take(candidates,
-                                                pol[:, idx_map].reshape(P * M, steps)))
+        control = ControlField(table=candidates, index=pol[:, idx_map].reshape(P * M, steps))
         try:
             forward = simulate_forward(spec, control, stacked)
             y0 = pathwise_cost(spec, forward, control, backend)
@@ -408,7 +406,7 @@ def tree_bruteforce(spec: ProblemSpec, domain: ControlDomain, steps: int,
 
     best_policy = (best_id // place) % nc
     # states at each decision node under the optimal policy
-    best = ControlField(_time_major_take(candidates, best_policy[idx_map]))
+    best = ControlField(table=candidates, index=best_policy[idx_map])
     states = simulate_forward(spec, best, batch).states
     node_states = np.zeros((n_decision, spec.n))
     for j in range(steps):

@@ -158,12 +158,12 @@ class BackwardPaths:
     j_stderr: float
 
 
-def _step_features(forward: ForwardPaths, control: ControlField, j: int,
-                   backend) -> Array:
-    X = forward.states[:, j, :]
+def _step_features(x: Array, u: Array, backend) -> Array:
+    """The regression features of one step: its states x, and its controls u where
+    the backend asks for them."""
     if getattr(backend, "control_features", False):
-        return np.concatenate([X, control.values[:, j, :]], axis=1)
-    return X
+        return np.concatenate([x, u], axis=1)
+    return x
 
 
 def cost_step(spec: ProblemSpec, t: float, x: Array, yhat: Array, z: Array, u: Array,
@@ -188,7 +188,7 @@ def pathwise_cost(spec: ProblemSpec, forward: ForwardPaths, control: ControlFiel
     """
     batch = forward.batch
     M, N, dt = batch.n_paths, batch.grid.steps, batch.dt
-    if control.values.shape[:2] != (M, N):
+    if control.index.shape != (M, N):
         raise ConfigurationError("control does not match the simulated batch")
     nodes, driver_sum = batch.grid.nodes, np.zeros(M)
     y_T = np.asarray(spec.terminal(forward.states[:, N, :]), dtype=float)
@@ -196,9 +196,8 @@ def pathwise_cost(spec: ProblemSpec, forward: ForwardPaths, control: ControlFiel
         Y[:, N] = y_T
         y_T = Y[:, N]
 
-    def step(j, yhats, zs):
-        y = cost_step(spec, nodes[j], forward.states[:, j, :], yhats[0], zs[0],
-                      control.values[:, j, :], dt)
+    def step(j, u, yhats, zs):
+        y = cost_step(spec, nodes[j], forward.states[:, j, :], yhats[0], zs[0], u, dt)
         driver_sum[...] += y - yhats[0]
         if Y is not None:
             Y[:, j], Z[:, j] = y, zs[0]
@@ -229,15 +228,17 @@ def solve_bsde(terminals: Sequence[Array], step: Callable, forward: ForwardPaths
     each step every p_{j+1} and its products with dW_j are regressed on the
     time-j features (built once), one ``project`` per equation, giving
     phat = E[p_{j+1} | t_j] and q_j = E[p_{j+1} dW_j | t_j] / dt (M, *shape, d).
-    ``step(j, phats, qs)`` applies each driver explicitly to its proxies (it
-    may be nonlinear in them) and returns the list of p_j, the only arrays
-    carried to the next step; a caller that needs horizons stores them. Raises
+    ``step(j, u_j, phats, qs)`` applies each driver explicitly to its proxies
+    (it may be nonlinear in them) and returns the list of p_j, the only arrays
+    carried to the next step; a caller that needs horizons stores them. u_j is
+    the control's step j, gathered once for the features and the step. Raises
     NumericalError naming the step and the first path where a p_j is not finite.
     """
     N = forward.batch.grid.steps
     nxt = [np.asarray(terminal, dtype=float) for terminal in terminals]
     for j in range(N - 1, -1, -1):
-        nxt = step(j, *_proxies(nxt, j, forward, control, backend))
+        u = control.at(j)
+        nxt = step(j, u, *_proxies(nxt, j, forward, u, backend))
         for p in nxt:
             check_finite(p, j)
 
@@ -249,11 +250,12 @@ def check_finite(p: Array, j: int) -> None:
         raise NumericalError(f"step {j}: non-finite solution on path {bad}", path=bad, step=j)
 
 
-def _proxies(nxt, j: int, forward: ForwardPaths, control: ControlField, backend):
-    """(phats, qs) at step j: each p_{j+1} and p_{j+1} dW_j regressed in one project."""
+def _proxies(nxt, j: int, forward: ForwardPaths, u: Array, backend):
+    """(phats, qs) at step j, whose controls are u: each p_{j+1} and p_{j+1} dW_j
+    regressed in one project."""
     batch = forward.batch
     M, d = batch.n_paths, batch.d
-    features = _step_features(forward, control, j, backend) if nxt else None
+    features = _step_features(forward.states[:, j, :], u, backend) if nxt else None
     phats, qs = [], []
     for p in nxt:
         flat = p.reshape(M, -1)
@@ -274,7 +276,7 @@ def _proxies(nxt, j: int, forward: ForwardPaths, control: ControlField, backend)
 
 def _solve_stored(terminal: Array, step: Callable, forward: ForwardPaths,
                   control: ControlField, backend):
-    """One equation through ``solve_bsde``, ``step(j, phat, q_j)`` returning p_j.
+    """One equation through ``solve_bsde``, ``step(j, u_j, phat, q_j)`` returning p_j.
 
     Returns p (M, N+1, *shape) and q (M, N, *shape, d), stored time-major.
     """
@@ -287,9 +289,9 @@ def _solve_stored(terminal: Array, step: Callable, forward: ForwardPaths,
     p[:, N] = terminal
     del terminal  # stored in p; no second copy is held through the sweep
 
-    def store(j, phats, qs):
+    def store(j, u, phats, qs):
         q[:, j] = qs[0]
-        p[:, j] = step(j, phats[0], q[:, j])
+        p[:, j] = step(j, u, phats[0], q[:, j])
         return [p[:, j]]
 
     solve_bsde([p[:, N]], store, forward, control, backend)

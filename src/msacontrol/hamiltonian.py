@@ -182,9 +182,11 @@ def minimize_step(spec: ProblemSpec, t: float, x: Array, y: Array, z: Array,
     """Argmin of the augmented Hamiltonian over the candidate list, per sample.
 
     Ties go to the lowest candidate index. Samples whose current control beats
-    every candidate (possible only off the enumeration) keep it. Returns four
-    distinct arrays (u_new (B, k), h_new (B,), h_prev (B,), h_aug_new (B,)),
-    h_new and h_prev plain (non-augmented) values. Once every candidate is
+    every candidate (possible only off the enumeration) keep it. Returns five
+    distinct arrays (u_new (B, k), h_new (B,), h_prev (B,), h_aug_new (B,),
+    choice (B,)): h_new and h_prev are plain (non-augmented) values, and choice
+    is the index of each sample's winning candidate, or -1 where the sample
+    keeps its current control. Once every candidate is
     evaluated, raises NumericalError naming the first path with a non-finite
     augmented value (and its first such candidate) or h_prev.
 
@@ -278,7 +280,8 @@ def minimize_step(spec: ProblemSpec, t: float, x: Array, y: Array, z: Array,
     keep = h_aug_new > h_prev  # penalty vanishes at v = u_prev
     if keep.any():
         u_new[keep], h_new[keep], h_aug_new[keep] = u_prev[keep], h_prev[keep], h_prev[keep]
-    return u_new, h_new, h_prev, h_aug_new
+        best[keep] = -1
+    return u_new, h_new, h_prev, h_aug_new, best
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +338,6 @@ def minimize_H_aug(spec: ProblemSpec, point: HamiltonianPoint,
         raise ConfigurationError("rho must be >= 0")
     candidates = enumerate_controls(domain)
     x, y, z, p, q, P, u = _point_arrays(spec, point)
-    u_new, _, h_prev, h_aug_new = minimize_step(
+    u_new, _, h_prev, h_aug_new, _ = minimize_step(
         spec, point.t, x, y, z, p, q, P, u, candidates, rho)
     return u_new[0], float(h_aug_new[0])

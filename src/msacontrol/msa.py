@@ -4,9 +4,10 @@ Each iteration m simulates forward under u^{m-1} and makes one backward
 sweep along that trajectory: each step steps the cost BSDE and the adjoints,
 minimizes the augmented Hamiltonian pointwise to get u^m_j and adds to the
 per-path sums of the Girsanov-weighted decrease diagnostic mu_m. Only X, the
-controls and the noise are stored over the horizon. One noise batch is shared
-across all iterations (common random numbers), so descent comparisons are
-free of inter-iteration Monte Carlo variance.
+controls (one-byte candidate indices) and the noise are stored over the
+horizon. One noise batch is shared across all iterations (common random
+numbers), so descent comparisons are free of inter-iteration Monte Carlo
+variance.
 """
 
 from __future__ import annotations
@@ -28,9 +29,8 @@ from .bsde import (RegressionBackend, check_finite, cost_estimate, cost_step,  #
 from .errors import ConfigurationError, NumericalError
 from .hamiltonian import minimize_step
 from .model import ControlDomain, ProblemSpec, enumerate_controls
-from .stochastics import (BrownianBatch, ControlField, TimeGrid, _time_major,
-                          _time_major_copy, girsanov_exp, girsanov_terms, random_control,
-                          sample_brownian, simulate_forward)
+from .stochastics import (BrownianBatch, ControlField, TimeGrid, _time_major, girsanov_exp,
+                          girsanov_terms, random_control, sample_brownian, simulate_forward)
 
 Array = np.ndarray
 
@@ -137,9 +137,11 @@ def _update_sweep(spec: ProblemSpec, forward, u_prev: ControlField, p_ode, P_ode
     The cost BSDE is the pass's first equation, so each step's node is read
     off that step's own (X_j, Y_j, Z_j, u_j). p_ode / P_ode hold a given
     adjoint's nodes, or None where the sweep solves it. Each step adds to the
-    three (M,) sums ``compute_mu`` reduces after the pass. Returns (J(u^{m-1}),
-    its stderr, u^m, ``compute_mu``'s four values, max |p|, max |P|, max
-    pre-symmetrization |P - P'|), the maxima over every node.
+    three (M,) sums ``compute_mu`` reduces after the pass. u_prev's table
+    starts with the candidates, so u^m is written as indices into that same
+    table: the winning candidate's, or u^{m-1}'s where a sample keeps it.
+    Returns (J(u^{m-1}), its stderr, u^m, ``compute_mu``'s four values, max
+    |p|, max |P|, max pre-symmetrization |P - P'|), the maxima over every node.
     """
     batch = forward.batch
     M, N, n, d, dt = batch.n_paths, batch.grid.steps, spec.n, spec.d, batch.dt
@@ -156,11 +158,11 @@ def _update_sweep(spec: ProblemSpec, forward, u_prev: ControlField, p_ode, P_ode
         p_given, q_given = np.broadcast_to(p_ode[:, None], (N + 1, M, n)), np.zeros((M, n, d))
     if P_ode is not None:
         P_given = np.broadcast_to(P_ode[:, None], (N + 1, M, n, n))
-    u_new = _time_major(u_prev.values.shape)
+    index = _time_major((M, N), dtype=u_prev.index.dtype)
 
-    def step(j, phats, qs):
+    def step(j, u, phats, qs):
         nonlocal max_p, max_P, asym, update, y_node, driver_sum
-        x, u = forward.states[:, j, :], u_prev.values[:, j, :]
+        x = forward.states[:, j, :]
         y = cost_step(spec, nodes[j], x, phats[0], qs[0], u, dt)
         check_finite(y, j)
         driver_sum += y - phats[0]
@@ -191,15 +193,18 @@ def _update_sweep(spec: ProblemSpec, forward, u_prev: ControlField, p_ode, P_ode
             exc.args = (f"step {j}: {exc}",) + exc.args[1:]
             exc.step = j
             raise
-        u_new[:, j, :], h_new, h_prev, _ = update
+        _, h_new, h_prev, _, choice = update
+        # a kept sample's -1 is cast to some index first, then replaced by u^{m-1}'s
+        np.copyto(index[:, j], choice, casting="unsafe")
+        np.copyto(index[:, j], u_prev.index[:, j], where=choice < 0)
         sums[0] += h_new - h_prev
         if not spec.structure.f_z_zero:  # else both sums stay 0 and every weight is 1
             girsanov_terms(sums[1:], point.f_z, batch.increments[:, j])
         return solved
 
     solve_bsde(terminals, step, forward, u_prev, backend)
-    return (*cost_estimate(y_node), ControlField(u_new), *compute_mu(*sums, dt), max_p,
-            max_P, asym)
+    return (*cost_estimate(y_node), ControlField(table=u_prev.table, index=index),
+            *compute_mu(*sums, dt), max_p, max_P, asym)
 
 
 def run_msa(spec: ProblemSpec, domain: ControlDomain, config: MsaConfig,
@@ -220,7 +225,11 @@ def run_msa(spec: ProblemSpec, domain: ControlDomain, config: MsaConfig,
     stop has already run one more update, whose control is discarded.
 
     A given ``batch`` must match spec.horizon, config.steps and config.n_paths
-    (else ConfigurationError). Controls are stored as float64, integer ones too.
+    (else ConfigurationError). The initial control is re-indexed once over a
+    table whose first rows are the enumerated candidates, followed by its own
+    rows that are none of them, and every later control is an index into that
+    table. So no float control horizon exists during the run; a control row
+    keeps its exact float64 bits, and an integer one runs as its float64 value.
     """
     hints = hints or RunHints()
     grid = TimeGrid(spec.horizon, config.steps)
@@ -239,10 +248,11 @@ def run_msa(spec: ProblemSpec, domain: ControlDomain, config: MsaConfig,
         if initial != "random":
             raise ConfigurationError(f"unknown initial control '{initial}'")
         u_prev = random_control(domain, M, N, config.seed)
+    elif (initial.n_paths, initial.steps, initial.k) != (M, N, spec.k):
+        raise ConfigurationError("initial control shape does not match the run")
     else:
-        if initial.values.shape != (M, N, spec.k):
-            raise ConfigurationError("initial control shape does not match the run")
-        u_prev = ControlField(_time_major_copy(initial.values))
+        u_prev = initial
+    u_prev = u_prev.over(candidates)
 
     # which source feeds p and P, decided once: a hint's nodes, P's structural
     # zero as zero nodes, or None for a solve in every iteration's sweep

@@ -7,7 +7,9 @@ one batch is reused across all solver iterations (common random numbers).
 Every per-path horizon array is indexed (path, step, ...) but stored with the
 step axis outermost (``_time_major``), because every solver phase reads and
 writes one step slice a[:, j] at a time; that slice is then one C-contiguous
-block instead of a gather strided by the whole horizon.
+block instead of a gather strided by the whole horizon. A control horizon is
+an index into a table of control rows (``ControlField``), one byte per path and
+step for up to 256 rows, and each reader gathers the step it needs.
 """
 
 from __future__ import annotations
@@ -28,28 +30,14 @@ _CONTROL_STREAM = 2 ** 32   # jump offset for control sampling, beyond any path 
 _EXP_OVERFLOW = 700.0
 
 
-def _time_major(shape, alloc=np.empty) -> Array:
-    """``alloc`` a float array of shape (M, N, ...) whose step slices a[:, j] are contiguous."""
-    return alloc((shape[1], shape[0]) + tuple(shape[2:])).swapaxes(0, 1)
+def _time_major(shape, alloc=np.empty, dtype=float) -> Array:
+    """``alloc`` an array of shape (M, N, ...) whose step slices a[:, j] are contiguous."""
+    return alloc((shape[1], shape[0]) + tuple(shape[2:]), dtype=dtype).swapaxes(0, 1)
 
 
-def _time_major_copy(values: Array) -> Array:
-    """``values`` if it is float64 with contiguous step slices, else a time-major
-    float64 copy."""
-    if values.dtype == float and values[:, 0].flags.c_contiguous:
-        return values
-    out = _time_major(values.shape)
-    out[...] = values
-    return out
-
-
-def _time_major_take(table: Array, idx: Array) -> Array:
-    """table[idx] for an (M, N) index array, stored time-major.
-
-    The index is transposed into C order first: fancy indexing lays out its
-    result like the index when each table row holds a single value.
-    """
-    return table[np.ascontiguousarray(idx.T)].swapaxes(0, 1)
+def _index_dtype(rows: int) -> np.dtype:
+    """The narrowest unsigned dtype that numbers ``rows`` table rows: uint8 up to 256."""
+    return np.min_scalar_type(max(rows - 1, 0))
 
 
 @dataclass(frozen=True)
@@ -118,43 +106,105 @@ def sample_brownian(grid: TimeGrid, n_paths: int, d: int, seed: int) -> Brownian
                          increments=increments)
 
 
-@dataclass(frozen=True)
 class ControlField:
-    """Piecewise-constant control values per (path, step), shape (M, N, k).
+    """Piecewise-constant controls per (path, step), shape (M, N, k), held as a
+    ``table`` (C, k) of float64 control rows and an (M, N) ``index`` into it.
 
-    The package's constructors store the values time-major; ``run_msa`` copies
-    a caller's control of any other layout or dtype once into float64, so
-    results never depend on either.
+    The index has the narrowest unsigned dtype that numbers C rows (uint8 up
+    to 256) and is stored time-major. ``at(j)`` gathers one step's (M, k)
+    rows, so no solver phase builds the dense array; ``values`` builds it for
+    a caller that asks. ``ControlField(values)`` factors a dense array into its
+    distinct rows, matched by bit pattern: -0.0 stays -0.0 and integers become
+    their exact float64 values. A continuous-valued control gets a table as
+    large as its distinct rows, and an index as wide as that needs.
     """
 
-    values: Array
+    __slots__ = ("table", "index")
+
+    def __init__(self, values: Optional[Array] = None, *, table: Optional[Array] = None,
+                 index: Optional[Array] = None):
+        if values is not None:
+            values = np.asarray(values, dtype=float)
+            if values.ndim != 3:
+                raise ConfigurationError(f"control values must be (M, N, k), got {values.shape}")
+            M, N, k = values.shape
+            rows = np.ascontiguousarray(values.swapaxes(0, 1)).reshape(N * M, k)
+            keys = rows.view(np.dtype((np.void, 8 * k))).ravel()  # a row's bytes
+            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+            table, index = rows[first], inverse.reshape(N, M).T
+        table, index = np.asarray(table, dtype=float), np.asarray(index)
+        if table.ndim != 2 or index.ndim != 2:
+            raise ConfigurationError(f"control table must be (C, k) and index (M, N), "
+                                     f"got {table.shape} and {index.shape}")
+        if index.size and not (index.min() >= 0 and index.max() < len(table)):
+            raise ConfigurationError(f"control index outside the table's {len(table)} rows")
+        dtype = _index_dtype(len(table))
+        if index.dtype != dtype or not index[:, :1].flags.c_contiguous:
+            stored = _time_major(index.shape, dtype=dtype)
+            stored[...] = index
+            index = stored
+        self.table, self.index = table, index
+
+    def __repr__(self) -> str:
+        return (f"ControlField(n_paths={self.n_paths}, steps={self.steps}, k={self.k}, "
+                f"rows={len(self.table)})")
 
     @property
     def n_paths(self) -> int:
-        return self.values.shape[0]
+        return self.index.shape[0]
 
     @property
     def steps(self) -> int:
-        return self.values.shape[1]
+        return self.index.shape[1]
 
     @property
     def k(self) -> int:
-        return self.values.shape[2]
+        return self.table.shape[1]
+
+    def at(self, j: int) -> Array:
+        """Step j's controls, (M, k) float64 and C-contiguous."""
+        return self.table.take(self.index[:, j], axis=0)
+
+    @property
+    def values(self) -> Array:
+        """The dense (M, N, k) float64 controls, built on each read, time-major."""
+        return self.table[self.index.T].swapaxes(0, 1)
+
+    def over(self, rows: Array) -> "ControlField":
+        """The same controls over a table whose first rows are ``rows``, followed by
+        this control's distinct rows that are none of them, matched by bit pattern."""
+        rows = np.asarray(rows, dtype=float)
+        position, extra = {}, []
+        for i, row in enumerate(rows):
+            position.setdefault(row.tobytes(), i)
+        remap = np.empty(len(self.table), dtype=np.intp)
+        for r, row in enumerate(self.table):
+            key = row.tobytes()
+            if key not in position:
+                position[key] = len(rows) + len(extra)
+                extra.append(row)
+            remap[r] = position[key]
+        table = np.concatenate([rows, np.reshape(extra, (-1, rows.shape[1]))])
+        if np.array_equal(remap, np.arange(len(self.table))):
+            return ControlField(table=table, index=self.index)
+        index = _time_major(self.index.shape, dtype=_index_dtype(len(table)))
+        for j in range(self.steps):  # a step at a time: no (M, N) intp temporary
+            index[:, j] = remap.take(self.index[:, j])
+        return ControlField(table=table, index=index)
 
 
 def constant_control(value, n_paths: int, steps: int) -> ControlField:
     value = np.atleast_1d(np.asarray(value, dtype=float))
-    values = _time_major((n_paths, steps, value.shape[0]))
-    values[...] = value
-    return ControlField(values)
+    return ControlField(table=value[None],
+                        index=_time_major((n_paths, steps), np.zeros, np.uint8))
 
 
 def random_control(domain: ControlDomain, n_paths: int, steps: int, seed: int) -> ControlField:
     """I.i.d. uniform draws from the enumerated domain per (path, step)."""
     candidates = enumerate_controls(domain)
     gen = np.random.Generator(np.random.Philox(key=seed).jumped(_CONTROL_STREAM))
-    idx = gen.integers(0, len(candidates), size=(n_paths, steps))
-    return ControlField(_time_major_take(candidates, idx))
+    return ControlField(table=candidates,
+                        index=gen.integers(0, len(candidates), size=(n_paths, steps)))
 
 
 @dataclass(frozen=True)
@@ -170,9 +220,9 @@ def simulate_forward(spec: ProblemSpec, control: ControlField,
                      batch: BrownianBatch) -> ForwardPaths:
     """Forward Euler: X_{j+1} = X_j + b dt + sigma dW_j, X_0 = x0."""
     M, N = batch.n_paths, batch.grid.steps
-    if control.values.shape[:2] != (M, N):
+    if control.index.shape != (M, N):
         raise ConfigurationError(
-            f"control shape {control.values.shape[:2]} does not match batch ({M}, {N})")
+            f"control shape {control.index.shape} does not match batch ({M}, {N})")
     if control.k != spec.k or batch.d != spec.d:
         raise ConfigurationError("control/batch dimensions disagree with the problem")
     dt = batch.dt
@@ -181,7 +231,7 @@ def simulate_forward(spec: ProblemSpec, control: ControlField,
     X[:, 0, :] = spec.x0
     for j in range(N):
         xj = X[:, j, :]
-        uj = control.values[:, j, :]
+        uj = control.at(j)
         b = spec.drift(nodes[j], xj, uj)
         s = spec.diffusion(nodes[j], xj, uj)
         X[:, j + 1, :] = xj + b * dt + np.einsum("mnd,md->mn", s, batch.increments[:, j, :])
@@ -199,12 +249,14 @@ def girsanov_terms(sums: Array, fz: Array, dw: Array) -> None:
 
 
 def girsanov_exp(log_w: Array) -> Array:
-    """exp(log_w), refusing an exponent that overflows or flushes to 0, naming the path."""
-    if not np.all(np.isfinite(log_w)) or np.any(log_w > _EXP_OVERFLOW):
-        raise NumericalError(f"Girsanov weight overflow at path {int(np.argmax(log_w))}")
-    if np.any(log_w < -_EXP_OVERFLOW):
-        # exp would flush to 0, violating positivity of the density
-        raise NumericalError(f"Girsanov weight underflow at path {int(np.argmin(log_w))}")
+    """exp(log_w), refusing an exponent whose exp overflows (NaN, +inf or > 700) or
+    flushes to 0 (-inf or < -700), naming the first such path."""
+    bad = ~(np.abs(log_w) <= _EXP_OVERFLOW)  # NaN compares false
+    if bad.any():
+        path = int(np.argmax(bad))
+        # an underflow would flush the weight to 0, violating positivity of the density
+        what = "underflow" if log_w[path] < 0 else "overflow"
+        raise NumericalError(f"Girsanov weight {what} at path {path}", path=path)
     return np.exp(log_w)
 
 

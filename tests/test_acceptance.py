@@ -238,7 +238,7 @@ class TestAcceptance:
             cands = mc.enumerate_controls(bench.domain)
             zero_P = np.zeros((M, 1, 1))
             for j in range(N):
-                _, h_new, h_prev, _ = minimize_step(
+                _, h_new, h_prev, *_ = minimize_step(
                     spec, batch.grid.nodes[j], fwd.states[:, j], bwd.values[:, j],
                     bwd.integrand[:, j], first.p[:, j], first.q[:, j], zero_P,
                     ctl.values[:, j], cands, bench.rho)

@@ -50,7 +50,7 @@ def reference_state_bsde(spec, forward, control, backend):
     Y[:, N] = spec.terminal(forward.states[:, N, :])
     driver_sum = np.zeros(M)
     for j in range(N - 1, -1, -1):
-        feats = _step_features(forward, control, j, backend)
+        feats = _step_features(forward.states[:, j, :], control.at(j), backend)
         targets = np.concatenate(
             [Y[:, j + 1][:, None], Y[:, j + 1][:, None] * batch.increments[:, j, :]],
             axis=1)
@@ -58,7 +58,7 @@ def reference_state_bsde(spec, forward, control, backend):
         yhat = proj[:, 0]
         Z[:, j, :] = proj[:, 1:] / dt
         xj = forward.states[:, j, :]
-        uj = control.values[:, j, :]
+        uj = control.at(j)
         Y[:, j] = yhat + spec.driver(nodes[j], xj, yhat, Z[:, j, :], uj) * dt
         driver_sum += Y[:, j] - yhat
     Y[:, 0] = Y[:, N] + driver_sum
@@ -280,7 +280,7 @@ def solve_one(terminal, step, batch, states, backend):
     q = np.empty((M, N) + terminal.shape[1:] + (batch.d,))
     p[:, N] = terminal
 
-    def store(j, phats, qs):
+    def store(j, u, phats, qs):
         q[:, j] = qs[0]
         p[:, j] = step(j, phats[0], qs[0])
         return [p[:, j]]

@@ -181,7 +181,7 @@ class TestMinimizeHAug:
         P = rng.normal(size=(B, 1, 1))
         u_prev = rng.choice([0.0, 1.0], size=(B, 1))
         cands = mc.enumerate_controls(bench.domain)
-        u_new, h_new, h_prev, h_aug_new = minimize_step(
+        u_new, h_new, h_prev, h_aug_new, _ = minimize_step(
             bench.spec, 0.5, x, y, z, p, q, P, u_prev, cands, bench.rho)
         assert np.all(h_new <= h_prev)          # exact, not just in expectation
         assert np.all(h_aug_new <= h_prev)
@@ -250,7 +250,7 @@ def loop_reference(spec, t, x, y, z, p, q, P, u_prev, candidates, rho):
     u_new = candidates[best].copy()
     u_new[keep] = u_prev[keep]
     return (u_new, np.where(keep, h_prev, h_vals[best, rows]), h_prev,
-            np.where(keep, h_prev, aug_vals[best, rows]))
+            np.where(keep, h_prev, aug_vals[best, rows]), np.where(keep, -1, best))
 
 
 def random_step_inputs(spec, candidates, B, seed):
@@ -373,7 +373,7 @@ class TestSelection:
         u_new = candidates[best].copy()
         u_new[keep] = u_prev[keep]
         want = (u_new, np.where(keep, h_prev, h[best, rows]), h_prev,
-                np.where(keep, h_prev, aug[best, rows]))
+                np.where(keep, h_prev, aug[best, rows]), np.where(keep, -1, best))
         assert all(same_bits(g, w) for g, w in zip(got, want))
         for i, a in enumerate(got):
             assert not np.shares_memory(a, candidates)

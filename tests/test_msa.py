@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import msacontrol as mc
-from msacontrol.stochastics import _time_major, _time_major_copy
+from msacontrol.stochastics import _time_major
 
 
 def records_equal_except_wall(a, b):
@@ -321,11 +321,11 @@ class TestReturnedControlConvention:
 
 
 def c_order_copy(batch, control):
-    """The same noise and control values, stored path-major (C order)."""
+    """The same noise, and the control's dense values, stored path-major (C order)."""
     c_batch = mc.BrownianBatch(grid=batch.grid, n_paths=batch.n_paths, d=batch.d,
                                seed=batch.seed,
                                increments=np.ascontiguousarray(batch.increments))
-    return c_batch, mc.ControlField(np.ascontiguousarray(control.values))
+    return c_batch, np.ascontiguousarray(control.values)
 
 
 class TestLayoutIndependence:
@@ -340,11 +340,11 @@ class TestLayoutIndependence:
         cfg = mc.MsaConfig(rho=rho, n_paths=M, steps=N, seed=21, max_iters=2)
         batch = mc.sample_brownian(mc.TimeGrid(spec.horizon, N), M, spec.d, 21)
         initial = mc.random_control(domain, M, N, 21)
-        c_batch, c_initial = c_order_copy(batch, initial)
+        c_batch, c_values = c_order_copy(batch, initial)
         assert not c_batch.increments[:, 0].flags.c_contiguous
-        assert not c_initial.values[:, 0].flags.c_contiguous
+        assert not c_values[:, 0].flags.c_contiguous
         runs = [mc.run_msa(spec, domain, cfg, ctl, batch=b)
-                for b, ctl in ((batch, initial), (c_batch, c_initial))]
+                for b, ctl in ((batch, initial), (c_batch, mc.ControlField(c_values)))]
         time_major, c_order = runs
         assert records_equal_except_wall(time_major.records, c_order.records)
         for name in ("returned_control", "last_control"):
@@ -409,6 +409,65 @@ class TestTimeMajorRunArrays:
         assert all(all(flags) for flags in seen.values()), seen
 
 
+class TestControlsAsIndices:
+    def test_solver_never_builds_a_dense_control(self, monkeypatch):
+        # every solver read gathers one step (ControlField.at); reading the dense
+        # values would build a float64 (M, N, k) horizon
+        bench = mc.lq_desk()
+        M, N, steps = 256, 5, 3
+        cfg = mc.MsaConfig(rho=bench.rho, n_paths=M, steps=N, seed=2, max_iters=2)
+        tree_cfg = dataclasses.replace(cfg, n_paths=2 ** steps, steps=steps)
+        initials = [mc.constant_control([0.5], M, N), mc.random_control(bench.domain, M, N, 2)]
+        tree_initial = mc.benchmarks.tree_random_control(bench.domain, steps, 2)
+
+        def refuse(self):
+            raise AssertionError("a solver read ControlField.values")
+
+        monkeypatch.setattr(mc.ControlField, "values", property(refuse))
+        runs = [mc.run_msa(bench.spec, bench.domain, cfg, initial, hints=bench.hints)
+                for initial in initials + ["random"]]
+        runs.append(mc.run_msa(bench.spec, bench.domain, tree_cfg, tree_initial,
+                               hints=bench.hints, batch=mc.tree_batch(steps),
+                               backend=mc.tree_backend(steps)))
+        for mode in ("nonrecombining", "recombining"):
+            assert mc.tree_bruteforce(bench.spec, bench.domain, steps, mode=mode).jstar == 0.0
+        monkeypatch.undo()
+        assert all(np.isfinite(res.final_j) for res in runs)
+        # u^1 of the off-grid run: samples that kept 0.5, and samples that left it
+        assert 0 < np.count_nonzero(runs[0].returned_control.values == 0.5) < M * N
+
+    def test_peak_heap_holds_no_float_control_horizon(self):
+        # example41 at M = 20 000, N = 20, the caller holding its initial control
+        # as the benchmark does. Stored as float64 (M, N, k) arrays, the initial
+        # control, u^{m-1} and u^m lay beside one pass's states at the peak; as
+        # one-byte indices the run must peak more than two of them lower.
+        bench = mc.example41(0.1)
+        M, n, k, seed = 20_000, bench.spec.n, bench.spec.k, 7
+
+        def peak(N):
+            batch = mc.sample_brownian(mc.TimeGrid(1.0, N), M, 1, seed)
+            cfg = mc.MsaConfig(rho=bench.rho, n_paths=M, steps=N, seed=seed, max_iters=2)
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                initial = mc.random_control(bench.domain, M, N, seed)
+                mc.run_msa(bench.spec, bench.domain, cfg, initial, hints=bench.hints,
+                           batch=batch)
+                return tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+
+        def float_horizons(N):  # one pass's states and three float64 controls
+            return M * (N + 1) * n * 8 + 3 * M * N * k * 8
+
+        peak(1)  # warm-up: caches filled on the first run stay out of the peaks
+        # a step's working set does not grow with N, so a one-step run's peak
+        # stands for it; its own controls are indices already, which only
+        # lowers this estimate of the float64 run's peak
+        float_peak = peak(1) + float_horizons(20) - float_horizons(1)
+        assert peak(20) < float_peak - 2 * M * 20 * k * 8
+
+
 def separate_passes(spec, domain, cfg, initial, hints):
     """run_msa as separate passes: the cost BSDE and both adjoints stored over
     the horizon, then an ascending update loop, then an f_z grid for mu (its
@@ -425,7 +484,7 @@ def separate_passes(spec, domain, cfg, initial, hints):
     nodes = batch.grid.nodes
     p_ode = hints.first_order_ode(batch.grid) if hints.first_order_ode else None
     P_ode = hints.second_order_ode(batch.grid) if hints.second_order_ode else None
-    u_prev = mc.ControlField(_time_major_copy(initial.values))
+    u_prev = initial
     forward = mc.simulate_forward(spec, u_prev, batch)
     backward = mc.solve_state_bsde(spec, forward, u_prev, backend)
     records, max_p, max_P, asym = [], [], [], []
@@ -443,13 +502,14 @@ def separate_passes(spec, domain, cfg, initial, hints):
             second = mc.adjoint.zero_second_order(spec, batch)
         else:
             second = mc.second_order_adjoint(spec, forward, backward, u_prev, first, backend)
-        u_new = _time_major(u_prev.values.shape)
+        u_values = u_prev.values  # the reference slices dense values; run_msa gathers
+        u_new = _time_major(u_values.shape)
         hhat = _time_major((M, N))
         for j in range(N):
-            u_new[:, j, :], h_new, h_prev, _ = mc.hamiltonian.minimize_step(
+            u_new[:, j, :], h_new, h_prev, *_ = mc.hamiltonian.minimize_step(
                 spec, nodes[j], forward.states[:, j, :], backward.values[:, j],
                 backward.integrand[:, j, :], first.p[:, j, :], first.q[:, j], second.P[:, j],
-                u_prev.values[:, j, :], candidates, cfg.rho, h_fn=hints.hamiltonian,
+                u_values[:, j, :], candidates, cfg.rho, h_fn=hints.hamiltonian,
                 pen_fn=hints.penalty)
             hhat[:, j] = h_new - h_prev
         fz = np.empty((M, N, d))
@@ -457,7 +517,7 @@ def separate_passes(spec, domain, cfg, initial, hints):
             fz[:, j, :] = spec.derivatives.f_z(nodes[j], forward.states[:, j, :],
                                                backward.values[:, j],
                                                backward.integrand[:, j, :],
-                                               u_prev.values[:, j, :])
+                                               u_values[:, j, :])
         mu, mu_se, ess, ratio = mc.compute_mu(*streamed_sums(hhat, fz, batch.increments),
                                               batch.dt)
         u_new = mc.ControlField(u_new)
@@ -478,16 +538,22 @@ def separate_passes(spec, domain, cfg, initial, hints):
 
 
 def sweep_sources():
-    """(spec, domain, rho, hints) for each way p and P reach the update."""
+    """(spec, domain, rho, hints, initial control) for each way p and P reach the
+    update, and for an initial control off the enumeration."""
     spec, domain = curvature_problem()
     # any nodes do as a costate hint here: the reference reads the same ones
     p_nodes = mc.RunHints(first_order_ode=lambda grid: np.outer(grid.nodes, [0.3, -0.2]))
-    cases = {"p-solved-P-solved": (spec, domain, 0.5, mc.RunHints()),
-             "p-hinted-P-solved": (spec, domain, 0.5, p_nodes)}
+    cases = {"p-solved-P-solved": (spec, domain, 0.5, mc.RunHints(), mc.random_control),
+             "p-hinted-P-solved": (spec, domain, 0.5, p_nodes, mc.random_control)}
     for name, bench in (("p-solved-P-hinted", mc.lq_desk()),
                         ("p-hinted-P-declared-zero", mc.example41(0.1)),
                         ("p-hinted-P-zero-by-flags", mc.linrec_desk())):
-        cases[name] = (bench.spec, bench.domain, bench.rho, bench.hints)
+        cases[name] = (bench.spec, bench.domain, bench.rho, bench.hints, mc.random_control)
+    # u = 0.5 lies between lq_desk's {-1, 0, 1}, and early on it beats all three on
+    # many samples, which then keep it
+    bench = mc.lq_desk()
+    cases["off-grid-initial"] = (bench.spec, bench.domain, bench.rho, bench.hints,
+                                 lambda domain, M, N, seed: mc.constant_control([0.5], M, N))
     return cases
 
 
@@ -638,16 +704,18 @@ class TestSingleSweep:
 
     @pytest.mark.parametrize("source", list(sweep_sources()))
     def test_bitwise_equal_to_separate_passes(self, source):
-        spec, domain, rho, hints = sweep_sources()[source]
+        spec, domain, rho, hints, make_initial = sweep_sources()[source]
         M, N, seed = 300, 8, 11
         cfg = mc.MsaConfig(rho=rho, n_paths=M, steps=N, seed=seed, max_iters=3)
-        initial = mc.random_control(domain, M, N, seed)
+        initial = make_initial(domain, M, N, seed)
         res = mc.run_msa(spec, domain, cfg, initial, hints=hints)
         records, returned, last, max_p, max_P, asym = separate_passes(
             spec, domain, cfg, initial, hints)
         assert records_equal_except_wall(res.records, records)
-        assert np.array_equal(res.returned_control.values, returned.values)
-        assert np.array_equal(res.last_control.values, last.values)
+        for got, want in ((res.returned_control, returned), (res.last_control, last)):
+            assert got.values.tobytes() == want.values.tobytes()
+        if source == "off-grid-initial":  # some samples kept 0.5 through every update
+            assert 0 < np.count_nonzero(res.last_control.values == 0.5) < M * N
         assert res.max_abs_p == max_p
         assert res.max_abs_P == max_P
         assert res.max_asym_P == asym

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import msacontrol as mc
 from msacontrol.model import constant_fn
@@ -129,6 +132,75 @@ class TestRandomControl:
         assert np.array_equal(a.values, b.values)
 
 
+# few distinct rows, with -0.0 beside 0.0 and non-finite values, which must keep their bits
+ROW_VALUES = [-1.0, -0.0, 0.0, 0.5, 1.0, np.inf, np.nan]
+
+
+@st.composite
+def dense_controls(draw):
+    """A dense (M, N, k) control: floats from ROW_VALUES, integers, or more than 256
+    distinct rows, stored path-major or time-major."""
+    kind = draw(st.sampled_from(["floats", "integers", "over-256-rows"]))
+    k = draw(st.integers(1, 2))
+    if kind == "over-256-rows":
+        values = np.random.default_rng(draw(st.integers(0, 2 ** 16))).normal(size=(40, 8, k))
+    else:
+        shape = (draw(st.integers(1, 6)), draw(st.integers(1, 5)), k)
+        values = draw(hnp.arrays(np.int64, shape, elements=st.integers(-3, 3))
+                      if kind == "integers" else
+                      hnp.arrays(float, shape, elements=st.sampled_from(ROW_VALUES)))
+    if draw(st.booleans()):
+        time_major = np.empty((values.shape[1], values.shape[0], k), values.dtype)
+        time_major[...] = values.swapaxes(0, 1)
+        values = time_major.swapaxes(0, 1)
+    return values
+
+
+class TestControlField:
+    @settings(max_examples=60, deadline=None)
+    @given(values=dense_controls())
+    def test_dense_round_trip_is_bitwise(self, values):
+        ctl = mc.ControlField(values)
+        want = values.astype(float)
+        got = ctl.values
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        distinct = {row.tobytes() for row in want.reshape(-1, want.shape[2])}
+        assert len(ctl.table) == len(distinct)
+        assert ctl.index.dtype == (np.uint8 if len(distinct) <= 256 else np.uint16)
+        for j in range(ctl.steps):
+            assert ctl.index[:, j].flags.c_contiguous
+            step = ctl.at(j)
+            assert step.flags.c_contiguous and step.tobytes() == got[:, j].tobytes()
+
+    def test_over_puts_the_given_rows_first(self):
+        ctl = mc.ControlField(np.array([[[0.5], [-0.0]], [[1.0], [0.5]]]))
+        rows = np.array([[-1.0], [0.0], [1.0]])
+        moved = ctl.over(rows)
+        assert moved.table[:3].tobytes() == rows.tobytes()
+        # 0.5 and -0.0 match none of the rows, bit for bit, so they follow them once each
+        assert len(moved.table) == 5
+        assert {r.tobytes() for r in moved.table[3:]} == {np.array([0.5]).tobytes(),
+                                                          np.array([-0.0]).tobytes()}
+        assert moved.values.tobytes() == ctl.values.tobytes()
+        # a control already over the rows keeps its index array
+        assert moved.over(rows).index is moved.index
+
+    def test_index_widens_past_256_rows(self):
+        ctl = mc.constant_control([0.25], 3, 2).over(np.arange(256.0)[:, None])
+        assert len(ctl.table) == 257 and ctl.index.dtype == np.uint16
+        assert np.all(ctl.values == 0.25)
+
+    @pytest.mark.parametrize("table, index, message", [
+        (np.zeros((2, 1)), np.array([[0, 2]]), "outside the table's 2 rows"),
+        (np.zeros((2, 1)), np.array([[0, -1]]), "outside the table's 2 rows"),
+        (np.zeros(2), np.zeros((1, 2), dtype=int), "must be \\(C, k\\)"),
+    ])
+    def test_bad_index_or_table_refused(self, table, index, message):
+        with pytest.raises(mc.ConfigurationError, match=message):
+            mc.ControlField(table=table, index=index)
+
+
 class TestGirsanovWeights:
     def test_zero_integrand_gives_unit_weights(self):
         batch = mc.sample_brownian(mc.TimeGrid(1.0, 12), 30, 1, 2)
@@ -172,6 +244,19 @@ class TestGirsanovWeights:
         with pytest.raises(mc.NumericalError, match="underflow at path"):
             mc.girsanov_weights(np.full((4, 5, 1), 1e6), batch)
 
+    @pytest.mark.parametrize("log_w, message", [
+        ([0.0, 1.0, -np.inf, 2.0], "underflow at path 2"),
+        ([0.0, 1.0, -701.0, np.inf], "underflow at path 2"),
+        ([0.0, np.nan, -np.inf, 2.0], "overflow at path 1"),
+        ([0.0, 1.0, np.inf, -np.inf], "overflow at path 2"),
+        ([0.0, 700.0, -700.0, 701.0], "overflow at path 3"),
+    ], ids=["minus-inf", "below-minus-700", "nan", "plus-inf", "above-700"])
+    def test_first_bad_exponent_is_named(self, log_w, message):
+        # the first path whose exponent is out of range, whichever way it fails
+        with pytest.raises(mc.NumericalError, match=f"^Girsanov weight {message}$") as info:
+            mc.stochastics.girsanov_exp(np.array(log_w))
+        assert info.value.path == int(message.rsplit(" ", 1)[1])
+
 
 def assert_step_slices_contiguous(arr, name):
     for j in sorted({0, arr.shape[1] // 2, arr.shape[1] - 1}):
@@ -187,10 +272,10 @@ class TestTimeMajorLayout:
         arrays = {
             # 5000 paths: one full Philox block and a partial one
             "sample_brownian": mc.sample_brownian(grid, 5000, 2, 3).increments,
-            "random_control": mc.random_control(dom, 50, 6, 1).values,
-            "constant_control": mc.constant_control([0.5, 1.0], 50, 6).values,
+            "random_control": mc.random_control(dom, 50, 6, 1).index,
+            "constant_control": mc.constant_control([0.5, 1.0], 50, 6).index,
             "tree_batch": mc.benchmarks.tree_batch(4).increments,
-            "tree_random_control": mc.benchmarks.tree_random_control(dom, 4, 2).values,
+            "tree_random_control": mc.benchmarks.tree_random_control(dom, 4, 2).index,
         }
         for name, arr in arrays.items():
             assert_step_slices_contiguous(arr, name)
@@ -220,7 +305,7 @@ class TestTimeMajorLayout:
 
         def spy(spec, control, batch):
             seen.append(batch.n_paths)
-            assert_step_slices_contiguous(control.values, "policy controls")
+            assert_step_slices_contiguous(control.index, "policy controls")
             assert_step_slices_contiguous(batch.increments, "tiled increments")
             return real(spec, control, batch)
 
