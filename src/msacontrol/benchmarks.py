@@ -98,8 +98,7 @@ def example41(L: float) -> Benchmark:
         n=1, d=1, k=1, x0=np.zeros(1), horizon=1.0,
         drift=drift, diffusion=diffusion, driver=driver, terminal=terminal,
         derivatives=derivatives,
-        structure=Structure(b_x_zero=True, sigma_x_zero=True, b_xx_zero=True,
-                            sigma_xx_zero=True, phi_xx_zero=True, f_x_zero=True,
+        structure=Structure(b_xx_zero=True, sigma_xx_zero=True, phi_xx_zero=True,
                             second_order_zero=True),
         bounds=Bounds(b_x=0.0, sigma_x=0.0, phi_x=L, df=L, d2f=L * L))
 
@@ -180,8 +179,7 @@ def lq_problem(gamma_mat, a_mat, b_mat, b1, b2, sigma_fn: Callable,
         n=n, d=d, k=k, x0=x0, horizon=horizon,
         drift=drift, diffusion=diffusion, driver=driver, terminal=terminal,
         derivatives=derivatives,
-        structure=Structure(sigma_x_zero=True, b_xx_zero=True,
-                            sigma_xx_zero=True, f_z_zero=True))
+        structure=Structure(b_xx_zero=True, sigma_xx_zero=True, f_z_zero=True))
     hints = RunHints(second_order_ode=lambda grid: lq_second_order_ode(
         gamma_arr, a_fn, b1_fn, grid))
     return Benchmark(

@@ -7,9 +7,10 @@ together. At each step, Z (resp. q) comes from regressing next-step values
 against the Brownian increment on that step's features, and the driver,
 which may be nonlinear, is applied explicitly to the regression proxy.
 ``RegressionBackend.project`` is the one regression path: it returns in-sample
-fitted values only, never coefficients or a predictor. Its design matrix is
-built one column at a time, each monomial one product of an earlier column
-and a feature.
+fitted values only, never coefficients or a predictor, by one rank-revealing
+solve of the unregularized normal equations, so a collinear design projects
+onto its column span. Its design matrix is built one column at a time, each
+monomial one product of an earlier column and a feature.
 """
 
 from __future__ import annotations
@@ -61,8 +62,9 @@ def _design_matrix(features: Array, exponents) -> Array:
 
     A column of degree <= 2 is then one rounded product of two features (or
     a feature, or 1), so it equals the product of the features' powers exactly.
+    The design is stored column-major, so each column is one contiguous write.
     """
-    A = np.empty((features.shape[0], len(exponents)))
+    A = np.empty((features.shape[0], len(exponents)), order="F")
     for col, parent in enumerate(_monomial_parents(tuple(exponents))):
         if parent is None:
             A[:, col] = 1.0
@@ -71,31 +73,41 @@ def _design_matrix(features: Array, exponents) -> Array:
     return A
 
 
+# eigenvalues of the column-scaled Gram matrix below this share of its largest
+# span no direction of the design; their directions are dropped
+_RANK_CUTOFF = 1e-12
+
+
 @dataclass(frozen=True)
 class RegressionBackend:
     """Global polynomial least squares in the state features.
 
-    ``degree`` is the total monomial degree; ``ridge`` regularizes every
-    coefficient except the intercept, so constants (and sample means) are
-    reproduced exactly. ``control_features`` appends the current control to
-    the regression features: with per-path controls the time-j information
-    is (X_j, u_j), and dropping u makes the q estimate collapse to its
-    X-conditional mean, which stalls control-in-diffusion problems.
+    ``degree`` is the total monomial degree; nothing is regularized, so
+    constants (and sample means) are reproduced exactly. ``control_features``
+    appends the current control to the regression features: with per-path
+    controls the time-j information is (X_j, u_j), and dropping u makes the q
+    estimate collapse to its X-conditional mean, which stalls
+    control-in-diffusion problems.
     """
 
     degree: int = 2
-    ridge: float = 1e-8
     control_features: bool = True
 
     def __post_init__(self):
         if self.degree < 0:
             raise ConfigurationError("degree must be >= 0")
-        if self.ridge < 0:
-            raise ConfigurationError("ridge must be >= 0")
 
     def project(self, step: int, features: Array, targets: Array) -> Array:
-        """In-sample conditional-expectation estimate: the fitted values A coef of
-        the (ridge) normal equations on the monomial design A at the features."""
+        """In-sample conditional-expectation estimate: the projection A coef of the
+        targets onto the column span of the monomial design A at the features.
+
+        The design may be collinear (a control on {0, 1} equals its square, a
+        constant state repeats the intercept); the projection is unique even
+        when coef is not. One rank-revealing solve of the normal equations
+        finds it: the Gram matrix AᵀA, scaled to a unit diagonal, is factored
+        by ``eigh``, and directions whose eigenvalue falls below
+        ``_RANK_CUTOFF`` of the largest are dropped.
+        """
         features = np.atleast_2d(np.asarray(features, dtype=float))
         exponents = _monomial_exponents(features.shape[1], self.degree)
         if features.shape[0] < len(exponents):
@@ -104,19 +116,16 @@ class RegressionBackend:
                 f"functions ({len(exponents)})")
         A = _design_matrix(features, exponents)
         gram = A.T @ A
-        if self.ridge > 0:
-            idx = np.arange(1, A.shape[1])
-            gram[idx, idx] += self.ridge
-        rhs = A.T @ np.asarray(targets, dtype=float)
-        try:
-            coef = np.linalg.solve(gram, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(
-                "regression normal equations are rank-deficient; "
-                "set ridge > 0") from exc
-        if not np.all(np.isfinite(coef)):
-            raise NumericalError(
-                "regression produced non-finite coefficients; set ridge > 0")
+        scale = np.sqrt(np.diag(gram))
+        scale[scale == 0.0] = 1.0  # a zero column: its direction is dropped below
+        gram /= scale
+        gram /= scale[:, None]
+        eigvals, eigvecs = np.linalg.eigh(gram)
+        keep = eigvals > _RANK_CUTOFF * eigvals[-1]
+        # coef = W Wᵀ Aᵀ targets with W = D⁻¹ V Λ^(-1/2) over the kept directions,
+        # which broadcasts against (M,) and (M, R) targets alike
+        W = eigvecs[:, keep] / (scale[:, None] * np.sqrt(eigvals[keep]))
+        coef = W @ (W.T @ (A.T @ np.asarray(targets, dtype=float)))
         return A @ coef
 
 
@@ -263,11 +272,7 @@ def _proxies(nxt, j: int, forward: ForwardPaths, u: Array, backend):
         targets = np.concatenate(
             [flat, (flat[:, :, None] * batch.increments[:, j, None, :]).reshape(M, r * d)],
             axis=1)
-        try:
-            proj = backend.project(j, features, targets)
-        except NumericalError as exc:
-            raise NumericalError(f"conditional expectation failed at step {j}: {exc}",
-                                 step=j) from exc
+        proj = backend.project(j, features, targets)
         del targets
         phats.append(proj[:, :r].reshape(p.shape))
         qs.append(np.divide(proj[:, r:].reshape(p.shape + (d,)), batch.dt))

@@ -68,13 +68,10 @@ class Structure:
     (``check_derivatives`` verifies each flag that names a derivative). Under
     ``f_z_zero``, ``run_msa`` adds no Girsanov terms for mu: every weight is 1."""
 
-    b_x_zero: bool = False
-    sigma_x_zero: bool = False
     b_xx_zero: bool = False
     sigma_xx_zero: bool = False
     phi_xx_zero: bool = False
     f_hess_zero: bool = False
-    f_x_zero: bool = False
     f_z_zero: bool = False
     # the second-order adjoint is identically zero (proven for the problem,
     # e.g. constant costate with vanishing curvature terms)
@@ -460,7 +457,7 @@ def check_derivatives(spec: ProblemSpec, sample_count: int = 32, step: float = 1
         else:
             worst = max(worst, rel_error(batched, rowwise))
         errors[name] = worst
-        # f_y and phi_x have no structural-zero flag
+        # b_x, sigma_x, f_x, f_y and phi_x have no structural-zero flag
         if getattr(spec.structure, f"{name}_zero", False):
             errors[f"{name}_zero"] = 0.0 if np.all(batched == 0.0) else np.inf
     return DerivativeReport(errors=errors, tol=tol, fd_fallback=dv.fd_fallback)

@@ -235,7 +235,7 @@ class TestSecondOrderAdjoint:
         dW, dt = fwd.batch.increments, fwd.batch.dt
         p1, q1 = first.p, first.q
         sol = mc.second_order_adjoint(spec, fwd, bwd, ctl, first,
-                                      mc.RegressionBackend(degree=0, ridge=0.0))
+                                      mc.RegressionBackend(degree=0))
         # independent straightforward recursion, matrix by matrix
         P = PHIXX.copy()
         expected = [None] * (N + 1)

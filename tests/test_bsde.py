@@ -103,10 +103,29 @@ class TestCondexpFit:
         fitted = mc.RegressionBackend(degree=0).project(0, x, y)
         np.testing.assert_allclose(fitted, y.mean(), rtol=0.0, atol=1e-12)
 
-    def test_rank_deficiency_advises_ridge(self):
-        x = np.zeros((100, 1))  # constant feature, degree-1 column is zero
-        with pytest.raises(mc.NumericalError, match="ridge"):
-            mc.RegressionBackend(degree=1, ridge=0.0).project(0, x, np.ones(100))
+    @pytest.mark.parametrize("design", ["zero", "constant", "binary", "opposite"])
+    def test_collinear_design_projects_onto_its_span(self, design):
+        # the fitted values of a rank-deficient design are those of least squares
+        # on the design with its zero and repeated columns removed
+        M = 20_000
+        rng = np.random.default_rng(5)
+        x, v = rng.normal(size=M), rng.normal(size=M)
+        u = rng.integers(0, 2, size=M).astype(float)
+        one = np.ones(M)
+        features, degree, full_rank = {
+            "zero": (np.zeros((M, 1)), 1, one[:, None]),  # a zero column
+            "constant": (np.full((M, 1), 0.7), 1, one[:, None]),  # a constant X_0
+            "binary": (np.stack([x, u], 1), 2,  # u^2 = u on {0, 1}
+                       np.stack([one, x, u, x * x, x * u], 1)),
+            "opposite": (np.stack([x, v, -v], 1), 2,  # u_2 = -u_1
+                         np.stack([one, x, v, x * x, x * v, v * v], 1)),
+        }[design]
+        y = rng.normal(size=M) + features.sum(axis=1) + x * x
+        fitted = mc.RegressionBackend(degree=degree).project(0, features, y)
+        expected = full_rank @ np.linalg.lstsq(full_rank, y, rcond=None)[0]
+        if full_rank.shape[1] == 1:
+            np.testing.assert_allclose(expected, y.mean(), rtol=1e-14)
+        assert np.max(np.abs(fitted - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 class TestSolveStateBsde:

@@ -825,7 +825,7 @@ class TestSingleSweep:
         # the control an epsilon stop returns. This epsilon never fires.
         spec, _ = curvature_everywhere_problem()
         three_controls = 400 * 10 * (spec.n + 3 * spec.k + spec.d) * 8
-        growth, res = peak_heap_growth_in_steps(max_iters=4, epsilon=1e-3)
+        growth, res = peak_heap_growth_in_steps(max_iters=3, epsilon=1e-3)
         assert growth < three_controls
         assert res.stopped_early is False
 
