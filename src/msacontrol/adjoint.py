@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .bsde import BackwardPaths, RegressionBackend, _solve_stored, solve_state_bsde
+from .bsde import BackwardPaths, RegressionBackend, solve_bsde, solve_state_bsde
 from .model import ProblemSpec
 from .stochastics import (BrownianBatch, ControlField, ForwardPaths, TimeGrid, _time_major,
                           simulate_forward)
@@ -106,13 +106,15 @@ def first_order_adjoint(spec: ProblemSpec, forward: ForwardPaths,
     B_1^i = f_{z_i} I + sigma_x^i, inhomogeneity f_x.
     """
     batch = forward.batch
+    M, N, n = batch.n_paths, batch.grid.steps, spec.n
+    p, q = _time_major((M, N + 1, n)), _time_major((M, N, n, batch.d))
 
-    def step(j, u, phat, qj):
-        return first_order_step(_stored_point(spec, forward, backward, u, j), phat, qj,
-                                batch.dt)
+    def step(j, u, phats, qs):
+        return [first_order_step(_stored_point(spec, forward, backward, u, j), phats[0],
+                                 qs[0], batch.dt)]
 
-    p, q = _solve_stored(spec.derivatives.phi_x(forward.states[:, batch.grid.steps, :]),
-                         step, forward, control, backend)
+    solve_bsde([spec.derivatives.phi_x(forward.states[:, N, :])], step, forward, control,
+               backend, [(p, q)])
     return FirstOrderAdjoint(p=p, q=q)
 
 
@@ -191,18 +193,20 @@ def second_order_adjoint(spec: ProblemSpec, forward: ForwardPaths,
                          first: FirstOrderAdjoint, backend) -> SecondOrderAdjoint:
     """Solve the matrix-valued equation, reporting the worst max |P - P'|."""
     batch = forward.batch
+    M, N, n = batch.n_paths, batch.grid.steps, spec.n
+    P, Q = _time_major((M, N + 1, n, n)), _time_major((M, N, n, n, batch.d))
     asym = 0.0
 
-    def step(j, u, phat, Qj):
+    def step(j, u, phats, Qs):
         nonlocal asym
         point = _stored_point(spec, forward, backward, u, j)
-        P, asym_j = second_order_step(point, phat, Qj, first.p[:, j, :], first.q[:, j],
-                                      batch.dt)
+        P_j, asym_j = second_order_step(point, phats[0], Qs[0], first.p[:, j, :],
+                                        first.q[:, j], batch.dt)
         asym = max(asym, asym_j)
-        return P
+        return [P_j]
 
-    P, Q = _solve_stored(spec.derivatives.phi_xx(forward.states[:, batch.grid.steps, :]),
-                         step, forward, control, backend)
+    solve_bsde([spec.derivatives.phi_xx(forward.states[:, N, :])], step, forward, control,
+               backend, [(P, Q)])
     return SecondOrderAdjoint(P=P, Q=Q, asymmetry=asym)
 
 

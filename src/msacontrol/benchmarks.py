@@ -100,7 +100,7 @@ def example41(L: float) -> Benchmark:
         derivatives=derivatives,
         structure=Structure(b_xx_zero=True, sigma_xx_zero=True, phi_xx_zero=True,
                             second_order_zero=True),
-        bounds=Bounds(b_x=0.0, sigma_x=0.0, phi_x=L, df=L, d2f=L * L))
+        bounds=Bounds(df=L))
 
     def shift(x, v, u):
         return _ctl(v, len(x), 1)[:, 0] - _ctl(u, len(x), 1)[:, 0]
@@ -341,8 +341,7 @@ def _node_index_map(steps: int, mode: str, signs: Array) -> tuple:
 
 
 def tree_bruteforce(spec: ProblemSpec, domain: ControlDomain, steps: int,
-                    mode: str = "nonrecombining",
-                    max_policies: int = _POLICY_BUDGET) -> TreeModel:
+                    mode: str = "nonrecombining") -> TreeModel:
     """Exact minimum of the tree-discretized cost over all adapted policies.
 
     Gaussian increments become +/- sqrt(dt) coin flips, one per step, so the
@@ -365,10 +364,10 @@ def tree_bruteforce(spec: ProblemSpec, domain: ControlDomain, steps: int,
     signs = np.sign(batch.increments[:, :, 0])
     idx_map, n_decision = _node_index_map(steps, mode, signs)
     policy_count = nc ** n_decision
-    if policy_count > max_policies:
+    if policy_count > _POLICY_BUDGET:
         raise ConfigurationError(
             f"policy enumeration needs {policy_count} evaluations, "
-            f"over the budget of {max_policies}")
+            f"over the budget of {_POLICY_BUDGET}")
 
     M = batch.n_paths
     chunk = max(1, _ROW_CHUNK // M)

@@ -5,7 +5,10 @@ One backward loop (``solve_bsde``) serves every equation: the cost BSDE alone
 the update sweep of ``run_msa``, which steps the cost BSDE and the adjoints
 together. At each step, Z (resp. q) comes from regressing next-step values
 against the Brownian increment on that step's features, and the driver,
-which may be nonlinear, is applied explicitly to the regression proxy.
+which may be nonlinear, is applied explicitly to the regression proxy. All
+of a step's equations share its information, so the sweep makes one
+``project`` per step, not one per equation: it stacks every equation's
+targets into one matrix and splits the fitted columns back.
 ``RegressionBackend.project`` is the one regression path: it returns in-sample
 fitted values only, never coefficients or a predictor, by one rank-revealing
 solve of the unregularized normal equations, so a collinear design projects
@@ -18,7 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -189,32 +192,27 @@ def cost_estimate(y0: Array):
 
 
 def pathwise_cost(spec: ProblemSpec, forward: ForwardPaths, control: ControlField,
-                  backend, Y: Optional[Array] = None, Z: Optional[Array] = None) -> Array:
+                  backend, store: Optional[Sequence[Tuple[Array, Array]]] = None) -> Array:
     """The pathwise Y_0 = Phi(X_T) + sum_j f dt of ``control``, ``cost_estimate``'s input.
 
     One ``solve_bsde`` sweep of ``cost_step`` that stores neither Y nor Z,
-    unless given time-major Y (M, N+1) and Z (M, N, d) to fill.
+    unless given ``solve_bsde``'s ``store`` of time-major Y (M, N+1) and
+    Z (M, N, d) to fill.
     """
     batch = forward.batch
     M, N, dt = batch.n_paths, batch.grid.steps, batch.dt
     if control.index.shape != (M, N):
         raise ConfigurationError("control does not match the simulated batch")
     nodes, driver_sum = batch.grid.nodes, np.zeros(M)
-    y_T = np.asarray(spec.terminal(forward.states[:, N, :]), dtype=float)
-    if Y is not None:  # the sweep then carries views of Y, not second copies
-        Y[:, N] = y_T
-        y_T = Y[:, N]
 
     def step(j, u, yhats, zs):
         y = cost_step(spec, nodes[j], forward.states[:, j, :], yhats[0], zs[0], u, dt)
         driver_sum[...] += y - yhats[0]
-        if Y is not None:
-            Y[:, j], Z[:, j] = y, zs[0]
-            y = Y[:, j]
         return [y]
 
-    solve_bsde([y_T], step, forward, control, backend)
-    return y_T + driver_sum
+    terminals = [np.asarray(spec.terminal(forward.states[:, N, :]), dtype=float)]
+    solve_bsde(terminals, step, forward, control, backend, store)
+    return terminals[0] + driver_sum
 
 
 def solve_state_bsde(spec: ProblemSpec, forward: ForwardPaths, control: ControlField,
@@ -223,33 +221,50 @@ def solve_state_bsde(spec: ProblemSpec, forward: ForwardPaths, control: ControlF
     and Z_j = E[Y_{j+1} dW_j | t_j] / dt time-major; Y_0 is the pathwise one."""
     M, N, d = forward.batch.n_paths, forward.batch.grid.steps, forward.batch.d
     Y, Z = _time_major((M, N + 1)), _time_major((M, N, d))
-    Y[:, 0] = pathwise_cost(spec, forward, control, backend, Y, Z)
-    j_est, j_se = cost_estimate(Y[:, 0])
-    return BackwardPaths(values=Y, integrand=Z, j_estimate=j_est, j_stderr=j_se)
+    Y[:, 0] = pathwise_cost(spec, forward, control, backend, [(Y, Z)])
+    return BackwardPaths(Y, Z, *cost_estimate(Y[:, 0]))
 
 
-def solve_bsde(terminals: Sequence[Array], step: Callable, forward: ForwardPaths,
-               control: ControlField, backend) -> None:
+def solve_bsde(terminals: List[Array], step: Callable, forward: ForwardPaths,
+               control: ControlField, backend,
+               store: Optional[Sequence[Tuple[Array, Array]]] = None) -> None:
     """Backward Euler for BSDEs dp = -F_t(p, q) dt + sum_i q^i dW^i, swept together.
 
     The package's one backward loop: its callers differ only in their
     ``terminals``, one (M, *shape) array per equation, and their ``step``. At
-    each step every p_{j+1} and its products with dW_j are regressed on the
-    time-j features (built once), one ``project`` per equation, giving
+    each step every p_{j+1} and its products with dW_j are stacked and
+    regressed on the time-j features in one ``project`` per step, giving
     phat = E[p_{j+1} | t_j] and q_j = E[p_{j+1} dW_j | t_j] / dt (M, *shape, d).
     ``step(j, u_j, phats, qs)`` applies each driver explicitly to its proxies
     (it may be nonlinear in them) and returns the list of p_j, the only arrays
-    carried to the next step; a caller that needs horizons stores them. u_j is
-    the control's step j, gathered once for the features and the step. Raises
-    NumericalError naming the step and the first path where a p_j is not finite.
+    carried to the next step. u_j is the control's step j, gathered once for
+    the features and the step.
+
+    ``store``, when given, holds one time-major pair p (M, N+1, *shape),
+    q (M, N, *shape, d) per equation: the sweep writes the terminal, each q_j
+    before ``step`` reads it and each p_j into it, and carries views of the
+    store, not second copies; each entry of ``terminals`` is replaced by its
+    stored view. Raises NumericalError naming the step and the first path
+    where a p_j is not finite.
     """
     N = forward.batch.grid.steps
+    if store is not None:
+        terminals[:] = _stored(store, N, terminals)
     nxt = [np.asarray(terminal, dtype=float) for terminal in terminals]
     for j in range(N - 1, -1, -1):
         u = control.at(j)
-        nxt = step(j, u, *_proxies(nxt, j, forward, u, backend))
+        nxt = step(j, u, *_proxies(nxt, j, forward, u, backend, store))
+        if store is not None:
+            nxt = _stored(store, j, nxt)
         for p in nxt:
             check_finite(p, j)
+
+
+def _stored(store, j: int, values) -> List[Array]:
+    """Each equation's value written into its store at step j; returns the stored views."""
+    for (p, _), value in zip(store, values):
+        p[:, j] = value
+    return [p[:, j] for p, _ in store]
 
 
 def check_finite(p: Array, j: int) -> None:
@@ -259,45 +274,25 @@ def check_finite(p: Array, j: int) -> None:
         raise NumericalError(f"step {j}: non-finite solution on path {bad}", path=bad, step=j)
 
 
-def _proxies(nxt, j: int, forward: ForwardPaths, u: Array, backend):
-    """(phats, qs) at step j, whose controls are u: each p_{j+1} and p_{j+1} dW_j
-    regressed in one project."""
+def _proxies(nxt, j: int, forward: ForwardPaths, u: Array, backend, store=None):
+    """(phats, qs) at step j, whose controls are u: every p_{j+1} and p_{j+1} dW_j
+    stacked into one (M, R (1 + d)) target matrix, R the equations' total width,
+    and regressed in one project. With a store, each q_j is written into it."""
     batch = forward.batch
     M, d = batch.n_paths, batch.d
-    features = _step_features(forward.states[:, j, :], u, backend) if nxt else None
-    phats, qs = [], []
-    for p in nxt:
-        flat = p.reshape(M, -1)
-        r = flat.shape[1]
-        targets = np.concatenate(
-            [flat, (flat[:, :, None] * batch.increments[:, j, None, :]).reshape(M, r * d)],
-            axis=1)
-        proj = backend.project(j, features, targets)
-        del targets
-        phats.append(proj[:, :r].reshape(p.shape))
-        qs.append(np.divide(proj[:, r:].reshape(p.shape + (d,)), batch.dt))
+    flat = np.concatenate([p.reshape(M, -1) for p in nxt], axis=1)
+    R = flat.shape[1]
+    targets = np.concatenate(
+        [flat, (flat[:, :, None] * batch.increments[:, j, None, :]).reshape(M, R * d)], axis=1)
+    del flat
+    proj = backend.project(j, _step_features(forward.states[:, j, :], u, backend), targets)
+    del targets
+    phats, qs, col = [], [], 0
+    for e, p in enumerate(nxt):
+        r = p.size // M
+        phats.append(proj[:, col:col + r].reshape(p.shape))
+        out = None if store is None else store[e][1][:, j]
+        qs.append(np.divide(proj[:, R + col * d:R + (col + r) * d].reshape(p.shape + (d,)),
+                            batch.dt, out=out))
+        col += r
     return phats, qs
-
-
-def _solve_stored(terminal: Array, step: Callable, forward: ForwardPaths,
-                  control: ControlField, backend):
-    """One equation through ``solve_bsde``, ``step(j, u_j, phat, q_j)`` returning p_j.
-
-    Returns p (M, N+1, *shape) and q (M, N, *shape, d), stored time-major.
-    """
-    batch = forward.batch
-    M, N = batch.n_paths, batch.grid.steps
-    terminal = np.asarray(terminal, dtype=float)
-    shape = terminal.shape[1:]
-    p = _time_major((M, N + 1) + shape)
-    q = _time_major((M, N) + shape + (batch.d,))
-    p[:, N] = terminal
-    del terminal  # stored in p; no second copy is held through the sweep
-
-    def store(j, u, phats, qs):
-        q[:, j] = qs[0]
-        p[:, j] = step(j, u, phats[0], q[:, j])
-        return [p[:, j]]
-
-    solve_bsde([p[:, N]], store, forward, control, backend)
-    return p, q

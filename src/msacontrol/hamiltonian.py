@@ -320,9 +320,14 @@ def eval_H(spec: ProblemSpec, point: HamiltonianPoint, v) -> float:
     return float(h_batch(spec, point.t, x, y, z, p, q, P, _row(v, spec.k), u)[0])
 
 
+def check_rho(rho: float) -> None:
+    """Raise ConfigurationError unless the penalty weight rho is finite and >= 0."""
+    if not (np.isfinite(rho) and rho >= 0):
+        raise ConfigurationError(f"rho must be finite and >= 0, got {rho}")
+
+
 def eval_H_aug(spec: ProblemSpec, point: HamiltonianPoint, v, rho: float) -> float:
-    if rho < 0:
-        raise ConfigurationError("rho must be >= 0")
+    check_rho(rho)
     x, y, z, p, q, P, u = _point_arrays(spec, point)
     v = _row(v, spec.k)
     vals = h_batch(spec, point.t, x, y, z, p, q, P, v, u)
@@ -334,8 +339,7 @@ def eval_H_aug(spec: ProblemSpec, point: HamiltonianPoint, v, rho: float) -> flo
 def minimize_H_aug(spec: ProblemSpec, point: HamiltonianPoint,
                    domain: ControlDomain, rho: float) -> Tuple[Array, float]:
     """Best candidate and its augmented value; first lowest index wins ties."""
-    if rho < 0:
-        raise ConfigurationError("rho must be >= 0")
+    check_rho(rho)
     candidates = enumerate_controls(domain)
     x, y, z, p, q, P, u = _point_arrays(spec, point)
     u_new, _, h_prev, h_aug_new, _ = minimize_step(

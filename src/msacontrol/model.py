@@ -80,13 +80,10 @@ class Structure:
 
 @dataclass(frozen=True)
 class Bounds:
-    """Declared sup-norm bounds; reported for penalty-weight guidance only."""
+    """Declared sup-norm bound of the driver's gradient; reported for penalty-weight
+    guidance only."""
 
-    b_x: Optional[float] = None
-    sigma_x: Optional[float] = None
-    phi_x: Optional[float] = None
     df: Optional[float] = None
-    d2f: Optional[float] = None
 
 
 @dataclass(frozen=True)

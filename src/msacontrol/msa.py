@@ -27,7 +27,7 @@ from .adjoint import (StepPoint, first_order_adjoint, first_order_step,  # noqa:
 from .bsde import (RegressionBackend, check_finite, cost_estimate, cost_step,  # noqa: F401
                    pathwise_cost, solve_bsde, solve_state_bsde)
 from .errors import ConfigurationError, NumericalError
-from .hamiltonian import minimize_step
+from .hamiltonian import check_rho, minimize_step
 from .model import ControlDomain, ProblemSpec, enumerate_controls
 from .stochastics import (BrownianBatch, ControlField, TimeGrid, _time_major, girsanov_exp,
                           girsanov_terms, random_control, sample_brownian, simulate_forward)
@@ -52,8 +52,7 @@ class MsaConfig:
     backend: RegressionBackend = field(default_factory=RegressionBackend)
 
     def __post_init__(self):
-        if self.rho < 0:
-            raise ConfigurationError("rho must be >= 0")
+        check_rho(self.rho)
         if self.n_paths < 1 or self.steps < 1 or self.max_iters < 0:
             raise ConfigurationError("n_paths, steps >= 1 and max_iters >= 0 required")
         if self.epsilon is not None and not self.epsilon > 0:

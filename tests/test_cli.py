@@ -83,6 +83,8 @@ class TestCmdRun:
     def test_bad_run_parameters_exit_2(self):
         assert run_cli(["run", "--paths", "0"]) == 2
         assert run_cli(["run", "--epsilon", "-1.0"]) == 2
+        for rho in ("-1", "nan", "inf"):  # nan and inf once ran, and failed with exit 3
+            assert run_cli(["run", "--rho", rho]) == 2
 
     def test_config_file_flags_win(self, tmp_path):
         cfg = tmp_path / "exp.cfg"

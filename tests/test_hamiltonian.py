@@ -139,6 +139,15 @@ class TestEvalHAug:
         double = mc.eval_H_aug(spec, pt, [1.0], 2 * rho) - h
         assert double == pytest.approx(2 * single, rel=1e-12)
 
+    @pytest.mark.parametrize("rho", [-1.0, float("nan"), float("inf")])
+    def test_negative_or_non_finite_rho_refused(self, rho):
+        bench = mc.example41(0.8)
+        pt = point(bench.spec, z=-0.4, p=0.8, u=0.0)
+        with pytest.raises(mc.ConfigurationError, match="rho must be finite"):
+            mc.eval_H_aug(bench.spec, pt, [1.0], rho)
+        with pytest.raises(mc.ConfigurationError, match="rho must be finite"):
+            mc.minimize_H_aug(bench.spec, pt, bench.domain, rho)
+
 
 class TestMinimizeHAug:
     def test_example41_worked_update(self):

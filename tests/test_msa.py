@@ -185,8 +185,10 @@ class TestRunMsa:
         assert res.records == []
 
     def test_config_validation(self):
-        with pytest.raises(mc.ConfigurationError):
-            mc.MsaConfig(rho=-1.0, n_paths=10, steps=5, seed=0)
+        # nan < 0 is false, so a bare sign check let nan (and inf) through
+        for rho in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(mc.ConfigurationError, match="rho must be finite"):
+                mc.MsaConfig(rho=rho, n_paths=10, steps=5, seed=0)
         with pytest.raises(mc.ConfigurationError):
             mc.MsaConfig(rho=0.0, n_paths=0, steps=5, seed=0)
         with pytest.raises(mc.ConfigurationError):
@@ -468,11 +470,63 @@ class TestControlsAsIndices:
         assert peak(20) < float_peak - 2 * M * 20 * k * 8
 
 
+def stored_pass(spec, forward, control, backend, first=None, second=None):
+    """The sweep's backward solves as one stored ``solve_bsde`` pass, built from the
+    public step functions: Y, then p unless ``first`` is given, then P unless
+    ``second`` is given, projected together as the sweep projects them. The
+    step-0 node, and the stored Y_0, read the pathwise Y_0.
+
+    Returns (BackwardPaths, FirstOrderAdjoint, SecondOrderAdjoint).
+    """
+    batch = forward.batch
+    M, N, n, d, dt, nodes = (batch.n_paths, batch.grid.steps, spec.n, spec.d, batch.dt,
+                             batch.grid.nodes)
+    x_T, solve_p, solve_P = forward.states[:, N, :], first is None, second is None
+    Y, Z = _time_major((M, N + 1)), _time_major((M, N, d))
+    terminals, store = [np.asarray(spec.terminal(x_T), dtype=float)], [(Y, Z)]
+    if solve_p:
+        first = mc.FirstOrderAdjoint(p=_time_major((M, N + 1, n)), q=_time_major((M, N, n, d)))
+        terminals.append(spec.derivatives.phi_x(x_T))
+        store.append((first.p, first.q))
+    if solve_P:
+        P, Q = _time_major((M, N + 1, n, n)), _time_major((M, N, n, n, d))
+        terminals.append(spec.derivatives.phi_xx(x_T))
+        store.append((P, Q))
+    driver_sum, asym = np.zeros(M), 0.0
+
+    def step(j, u, phats, qs):
+        nonlocal asym
+        x = forward.states[:, j, :]
+        y = mc.bsde.cost_step(spec, nodes[j], x, phats[0], qs[0], u, dt)
+        driver_sum[...] += y - phats[0]
+        if j == 0:
+            y = Y[:, N] + driver_sum
+        point = mc.adjoint.StepPoint(spec, nodes[j], x, y, qs[0], u)
+        solved = [y]
+        if solve_p:
+            solved.append(mc.adjoint.first_order_step(point, phats[1], qs[1], dt))
+            p, q = solved[1], qs[1]
+        else:
+            p, q = first.p[:, j], first.q[:, j]
+        if solve_P:
+            P_j, asym_j = mc.adjoint.second_order_step(point, phats[-1], qs[-1], p, q, dt)
+            asym = max(asym, asym_j)
+            solved.append(P_j)
+        return solved
+
+    mc.solve_bsde(terminals, step, forward, control, backend, store)
+    backward = mc.BackwardPaths(Y, Z, *mc.bsde.cost_estimate(Y[:, 0]))
+    if solve_P:
+        second = mc.SecondOrderAdjoint(P=P, Q=Q, asymmetry=asym)
+    return backward, first, second
+
+
 def separate_passes(spec, domain, cfg, initial, hints):
-    """run_msa as separate passes: the cost BSDE and both adjoints stored over
-    the horizon, then an ascending update loop, then an f_z grid for mu (its
-    sums taken as the sweep streams them), then a re-pricing of the new
-    control; stops on cfg.epsilon like run_msa.
+    """run_msa as separate passes: one stored pass of the cost BSDE and the solved
+    adjoints (``stored_pass``), then an ascending update loop, then an f_z grid
+    for mu (its sums taken as the sweep streams them); the new control is priced
+    by the next pass, or after the last pass by ``solve_state_bsde``, and the run
+    stops on cfg.epsilon like run_msa.
 
     Returns (records, returned control, last control, max |p|, max |P|,
     max asymmetry), the reference the single sweep must match bit for bit.
@@ -484,24 +538,22 @@ def separate_passes(spec, domain, cfg, initial, hints):
     nodes = batch.grid.nodes
     p_ode = hints.first_order_ode(batch.grid) if hints.first_order_ode else None
     P_ode = hints.second_order_ode(batch.grid) if hints.second_order_ode else None
+    given_first = given_second = None
+    if p_ode is not None:
+        given_first = mc.FirstOrderAdjoint(p=np.broadcast_to(p_ode, (M,) + p_ode.shape),
+                                           q=_time_major((M, N, n, d), np.zeros))
+    if P_ode is not None:
+        given_second = mc.SecondOrderAdjoint(P=np.broadcast_to(P_ode, (M,) + P_ode.shape),
+                                             Q=_time_major((M, N, n, n, d), np.zeros),
+                                             asymmetry=0.0)
+    elif mc.second_order_vanishes(spec):
+        given_second = mc.adjoint.zero_second_order(spec, batch)
     u_prev = initial
     forward = mc.simulate_forward(spec, u_prev, batch)
-    backward = mc.solve_state_bsde(spec, forward, u_prev, backend)
+    backward, first, second = stored_pass(spec, forward, u_prev, backend, given_first,
+                                          given_second)
     records, max_p, max_P, asym = [], [], [], []
     for m in range(1, cfg.max_iters + 1):
-        if p_ode is not None:
-            first = mc.FirstOrderAdjoint(p=np.broadcast_to(p_ode, (M,) + p_ode.shape),
-                                         q=_time_major((M, N, n, d), np.zeros))
-        else:
-            first = mc.first_order_adjoint(spec, forward, backward, u_prev, backend)
-        if P_ode is not None:
-            second = mc.SecondOrderAdjoint(P=np.broadcast_to(P_ode, (M,) + P_ode.shape),
-                                           Q=_time_major((M, N, n, n, d), np.zeros),
-                                           asymmetry=0.0)
-        elif mc.second_order_vanishes(spec):
-            second = mc.adjoint.zero_second_order(spec, batch)
-        else:
-            second = mc.second_order_adjoint(spec, forward, backward, u_prev, first, backend)
         u_values = u_prev.values  # the reference slices dense values; run_msa gathers
         u_new = _time_major(u_values.shape)
         hhat = _time_major((M, N))
@@ -522,7 +574,12 @@ def separate_passes(spec, domain, cfg, initial, hints):
                                               batch.dt)
         u_new = mc.ControlField(u_new)
         forward_new = mc.simulate_forward(spec, u_new, batch)
-        backward_new = mc.solve_state_bsde(spec, forward_new, u_new, backend)
+        if m < cfg.max_iters:
+            backward_new, first_new, second_new = stored_pass(
+                spec, forward_new, u_new, backend, given_first, given_second)
+        else:
+            backward_new, first_new, second_new = (
+                mc.solve_state_bsde(spec, forward_new, u_new, backend), None, None)
         records.append(mc.IterationRecord(
             m=m, j=backward.j_estimate, j_stderr=backward.j_stderr, mu=mu, mu_stderr=mu_se,
             descent=backward.j_estimate - backward_new.j_estimate, wall_ms=0.0,
@@ -534,6 +591,7 @@ def separate_passes(spec, domain, cfg, initial, hints):
             return records, u_prev, u_new, max_p, max_P, asym
         u_before = u_prev
         u_prev, forward, backward = u_new, forward_new, backward_new
+        first, second = first_new, second_new
     return records, u_before, u_prev, max_p, max_P, asym
 
 
@@ -683,9 +741,10 @@ class TestSingleSweep:
     @pytest.mark.parametrize("iters", [1, 3])
     def test_one_backward_pass_per_iteration(self, iters, monkeypatch):
         # one sweep per pass, pricing u^{m-1} on the way, and one cost pass
-        # for the last control that stores no horizon
+        # for the last control that stores no horizon; each sweep regresses
+        # all of a step's equations (here Y, p and P) in one projection
         spec, domain = curvature_problem()
-        calls = {"solve_bsde": 0, "solve_state_bsde": 0}
+        calls = {"solve_bsde": 0, "solve_state_bsde": 0, "project": 0}
 
         def spied(name, fn):
             def spy(*args, **kwargs):
@@ -697,10 +756,14 @@ class TestSingleSweep:
             monkeypatch.setattr(module, "solve_bsde", spied("solve_bsde", mc.bsde.solve_bsde))
         monkeypatch.setattr(mc.msa, "solve_state_bsde",
                             spied("solve_state_bsde", mc.msa.solve_state_bsde))
-        cfg = mc.MsaConfig(rho=0.5, n_paths=200, steps=6, seed=5, max_iters=iters)
+        monkeypatch.setattr(mc.RegressionBackend, "project",
+                            spied("project", mc.RegressionBackend.project))
+        steps = 6
+        cfg = mc.MsaConfig(rho=0.5, n_paths=200, steps=steps, seed=5, max_iters=iters)
         res = mc.run_msa(spec, domain, cfg, "random")
         assert len(res.records) == iters
-        assert calls == {"solve_bsde": iters + 1, "solve_state_bsde": 0}
+        assert calls == {"solve_bsde": iters + 1, "solve_state_bsde": 0,
+                         "project": (iters + 1) * steps}
 
     @pytest.mark.parametrize("source", list(sweep_sources()))
     def test_bitwise_equal_to_separate_passes(self, source):
