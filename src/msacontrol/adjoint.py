@@ -58,10 +58,10 @@ class StepPoint:
 
 
 def _stored_point(spec: ProblemSpec, forward: ForwardPaths, backward: BackwardPaths,
-                  u: Array, j: int) -> StepPoint:
-    """The StepPoint of step j, whose controls are u, read off stored horizons."""
+                  j: int) -> StepPoint:
+    """The StepPoint of step j read off stored horizons, its controls ``forward.control``'s."""
     return StepPoint(spec, forward.batch.grid.nodes[j], forward.states[:, j, :],
-                     backward.values[:, j], backward.integrand[:, j, :], u)
+                     backward.values[:, j], backward.integrand[:, j], forward.control.at(j))
 
 
 def upsilon(spec: ProblemSpec, t: float, x, p, q, u) -> Array:
@@ -98,9 +98,8 @@ def first_order_step(point: StepPoint, phat: Array, qj: Array, dt: float) -> Arr
 
 
 def first_order_adjoint(spec: ProblemSpec, forward: ForwardPaths,
-                        backward: BackwardPaths, control: ControlField,
-                        backend) -> FirstOrderAdjoint:
-    """Solve the costate equation with terminal Phi_x(X_T).
+                        backward: BackwardPaths, backend) -> FirstOrderAdjoint:
+    """Solve the costate equation of ``forward.control`` with terminal Phi_x(X_T).
 
     Drift form: A_1 = sum_i f_{z_i} sigma_x^i + f_y I + b_x,
     B_1^i = f_{z_i} I + sigma_x^i, inhomogeneity f_x.
@@ -110,11 +109,11 @@ def first_order_adjoint(spec: ProblemSpec, forward: ForwardPaths,
     p, q = _time_major((M, N + 1, n)), _time_major((M, N, n, batch.d))
 
     def step(j, u, phats, qs):
-        return [first_order_step(_stored_point(spec, forward, backward, u, j), phats[0],
+        return [first_order_step(_stored_point(spec, forward, backward, j), phats[0],
                                  qs[0], batch.dt)]
 
-    solve_bsde([spec.derivatives.phi_x(forward.states[:, N, :])], step, forward, control,
-               backend, [(p, q)])
+    solve_bsde([spec.derivatives.phi_x(forward.states[:, N, :])], step, forward, backend,
+               [(p, q)])
     return FirstOrderAdjoint(p=p, q=q)
 
 
@@ -189,9 +188,10 @@ def second_order_step(point: StepPoint, phat: Array, Qj: Array, p: Array, q: Arr
 
 
 def second_order_adjoint(spec: ProblemSpec, forward: ForwardPaths,
-                         backward: BackwardPaths, control: ControlField,
-                         first: FirstOrderAdjoint, backend) -> SecondOrderAdjoint:
-    """Solve the matrix-valued equation, reporting the worst max |P - P'|."""
+                         backward: BackwardPaths, first: FirstOrderAdjoint,
+                         backend) -> SecondOrderAdjoint:
+    """Solve the matrix-valued equation of ``forward.control``, reporting the worst
+    max |P - P'|."""
     batch = forward.batch
     M, N, n = batch.n_paths, batch.grid.steps, spec.n
     P, Q = _time_major((M, N + 1, n, n)), _time_major((M, N, n, n, batch.d))
@@ -199,14 +199,14 @@ def second_order_adjoint(spec: ProblemSpec, forward: ForwardPaths,
 
     def step(j, u, phats, Qs):
         nonlocal asym
-        point = _stored_point(spec, forward, backward, u, j)
+        point = _stored_point(spec, forward, backward, j)
         P_j, asym_j = second_order_step(point, phats[0], Qs[0], first.p[:, j, :],
                                         first.q[:, j], batch.dt)
         asym = max(asym, asym_j)
         return [P_j]
 
-    solve_bsde([spec.derivatives.phi_xx(forward.states[:, N, :])], step, forward, control,
-               backend, [(P, Q)])
+    solve_bsde([spec.derivatives.phi_xx(forward.states[:, N, :])], step, forward, backend,
+               [(P, Q)])
     return SecondOrderAdjoint(P=P, Q=Q, asymmetry=asym)
 
 
@@ -295,13 +295,13 @@ def explicit_p0_oracle(spec: ProblemSpec, control: ControlField, batch: Brownian
     """
     backend = backend or RegressionBackend()
     forward = simulate_forward(spec, control, batch)
-    backward = solve_state_bsde(spec, forward, control, backend)
+    backward = solve_state_bsde(spec, forward, backend)
     M, N, n = batch.n_paths, batch.grid.steps, spec.n
     dt = batch.dt
     G = np.broadcast_to(np.eye(n), (M, n, n)).copy()
     integral = np.zeros((M, n))
     for j in range(N):
-        point = _stored_point(spec, forward, backward, control.at(j), j)
+        point = _stored_point(spec, forward, backward, j)
         a1, b1 = _coeffs_at(point)
         integral += np.einsum("mab,ma->mb", G, point.f_x) * dt
         dG = (np.einsum("mab,mbc->mac", a1, G) * dt
@@ -314,19 +314,14 @@ def explicit_p0_oracle(spec: ProblemSpec, control: ControlField, batch: Brownian
     return est, se
 
 
-def empirical_knorm(q: Array, grid: TimeGrid, forward: ForwardPaths, backend) -> float:
+def empirical_knorm(q: Array, forward: ForwardPaths, backend) -> float:
     """Heuristic conditional-second-moment norm of the martingale integrand.
 
     For each j, regress sum_{l>=j} |q_l|^2 dt on X_{t_j} and take the largest
     predicted value over paths; returns the max over j. Diagnostic only: a
     regression sup cannot certify an essential supremum.
     """
-    q = np.asarray(q, dtype=float)
-    M, N = q.shape[0], q.shape[1]
-    sq = (q ** 2).sum(axis=(2, 3)) * grid.dt
+    sq = (np.asarray(q, dtype=float) ** 2).sum(axis=(2, 3)) * forward.batch.dt
     tails = np.cumsum(sq[:, ::-1], axis=1)[:, ::-1]
-    worst = 0.0
-    for j in range(N):
-        preds = backend.project(j, forward.states[:, j, :], tails[:, j])
-        worst = max(worst, float(np.max(preds)))
-    return worst
+    return max([0.0] + [float(np.max(backend.project(j, forward.states[:, j, :], tails[:, j])))
+                        for j in range(tails.shape[1])])

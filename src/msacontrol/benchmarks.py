@@ -387,7 +387,7 @@ def tree_bruteforce(spec: ProblemSpec, domain: ControlDomain, steps: int,
         control = ControlField(table=candidates, index=pol[:, idx_map].reshape(P * M, steps))
         try:
             forward = simulate_forward(spec, control, stacked)
-            y0 = pathwise_cost(spec, forward, control, backend)
+            y0 = pathwise_cost(spec, forward, backend)
         except (SimulationError, NumericalError) as exc:
             row = exc.path // M
             what = ("drives the state non-finite" if isinstance(exc, SimulationError)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericalError
 from .model import ProblemSpec
-from .stochastics import ControlField, ForwardPaths, _time_major
+from .stochastics import ForwardPaths, _time_major
 
 Array = np.ndarray
 
@@ -191,9 +191,10 @@ def cost_estimate(y0: Array):
     return float(np.mean(y0)), se
 
 
-def pathwise_cost(spec: ProblemSpec, forward: ForwardPaths, control: ControlField,
-                  backend, store: Optional[Sequence[Tuple[Array, Array]]] = None) -> Array:
-    """The pathwise Y_0 = Phi(X_T) + sum_j f dt of ``control``, ``cost_estimate``'s input.
+def pathwise_cost(spec: ProblemSpec, forward: ForwardPaths, backend,
+                  store: Optional[Sequence[Tuple[Array, Array]]] = None) -> Array:
+    """The pathwise Y_0 = Phi(X_T) + sum_j f dt of ``forward.control``, the control
+    that drove the trajectory: ``cost_estimate``'s input.
 
     One ``solve_bsde`` sweep of ``cost_step`` that stores neither Y nor Z,
     unless given ``solve_bsde``'s ``store`` of time-major Y (M, N+1) and
@@ -201,8 +202,6 @@ def pathwise_cost(spec: ProblemSpec, forward: ForwardPaths, control: ControlFiel
     """
     batch = forward.batch
     M, N, dt = batch.n_paths, batch.grid.steps, batch.dt
-    if control.index.shape != (M, N):
-        raise ConfigurationError("control does not match the simulated batch")
     nodes, driver_sum = batch.grid.nodes, np.zeros(M)
 
     def step(j, u, yhats, zs):
@@ -211,22 +210,20 @@ def pathwise_cost(spec: ProblemSpec, forward: ForwardPaths, control: ControlFiel
         return [y]
 
     terminals = [np.asarray(spec.terminal(forward.states[:, N, :]), dtype=float)]
-    solve_bsde(terminals, step, forward, control, backend, store)
+    solve_bsde(terminals, step, forward, backend, store)
     return terminals[0] + driver_sum
 
 
-def solve_state_bsde(spec: ProblemSpec, forward: ForwardPaths, control: ControlField,
-                     backend) -> BackwardPaths:
+def solve_state_bsde(spec: ProblemSpec, forward: ForwardPaths, backend) -> BackwardPaths:
     """Backward Euler for the recursive cost: ``pathwise_cost``'s sweep, storing Y
     and Z_j = E[Y_{j+1} dW_j | t_j] / dt time-major; Y_0 is the pathwise one."""
     M, N, d = forward.batch.n_paths, forward.batch.grid.steps, forward.batch.d
     Y, Z = _time_major((M, N + 1)), _time_major((M, N, d))
-    Y[:, 0] = pathwise_cost(spec, forward, control, backend, [(Y, Z)])
+    Y[:, 0] = pathwise_cost(spec, forward, backend, [(Y, Z)])
     return BackwardPaths(Y, Z, *cost_estimate(Y[:, 0]))
 
 
-def solve_bsde(terminals: List[Array], step: Callable, forward: ForwardPaths,
-               control: ControlField, backend,
+def solve_bsde(terminals: List[Array], step: Callable, forward: ForwardPaths, backend,
                store: Optional[Sequence[Tuple[Array, Array]]] = None) -> None:
     """Backward Euler for BSDEs dp = -F_t(p, q) dt + sum_i q^i dW^i, swept together.
 
@@ -237,8 +234,8 @@ def solve_bsde(terminals: List[Array], step: Callable, forward: ForwardPaths,
     phat = E[p_{j+1} | t_j] and q_j = E[p_{j+1} dW_j | t_j] / dt (M, *shape, d).
     ``step(j, u_j, phats, qs)`` applies each driver explicitly to its proxies
     (it may be nonlinear in them) and returns the list of p_j, the only arrays
-    carried to the next step. u_j is the control's step j, gathered once for
-    the features and the step.
+    carried to the next step. u_j is step j of ``forward.control``, the control
+    that drove the trajectory, gathered once for the features and the step.
 
     ``store``, when given, holds one time-major pair p (M, N+1, *shape),
     q (M, N, *shape, d) per equation: the sweep writes the terminal, each q_j
@@ -252,7 +249,7 @@ def solve_bsde(terminals: List[Array], step: Callable, forward: ForwardPaths,
         terminals[:] = _stored(store, N, terminals)
     nxt = [np.asarray(terminal, dtype=float) for terminal in terminals]
     for j in range(N - 1, -1, -1):
-        u = control.at(j)
+        u = forward.control.at(j)
         nxt = step(j, u, *_proxies(nxt, j, forward, u, backend, store))
         if store is not None:
             nxt = _stored(store, j, nxt)

@@ -172,13 +172,10 @@ def penalty_batch(spec: ProblemSpec, t: float, x: Array, y: Array, z: Array,
     return _penalty(spec, t, x, y, z, p, q, v, spec.drift(t, x, v), ds, z + delta, cur)
 
 
-HamiltonianFn = Callable[..., Array]
-
-
 def minimize_step(spec: ProblemSpec, t: float, x: Array, y: Array, z: Array,
                   p: Array, q: Array, P: Array, u_prev: Array, candidates: Array,
-                  rho: float, h_fn: Optional[HamiltonianFn] = None,
-                  pen_fn: Optional[HamiltonianFn] = None, *, node=None):
+                  rho: float, h_fn: Optional[Callable] = None,
+                  pen_fn: Optional[Callable] = None, *, node=None):
     """Argmin of the augmented Hamiltonian over the candidate list, per sample.
 
     Ties go to the lowest candidate index. Samples whose current control beats
@@ -186,33 +183,39 @@ def minimize_step(spec: ProblemSpec, t: float, x: Array, y: Array, z: Array,
     distinct arrays (u_new (B, k), h_new (B,), h_prev (B,), h_aug_new (B,),
     choice (B,)): h_new and h_prev are plain (non-augmented) values, and choice
     is the index of each sample's winning candidate, or -1 where the sample
-    keeps its current control. Once every candidate is
-    evaluated, raises NumericalError naming the first path with a non-finite
-    augmented value (and its first such candidate) or h_prev.
+    keeps its current control. Once every candidate is evaluated, raises
+    NumericalError naming the first path with a non-finite augmented value (and
+    its first such candidate) or h_prev.
 
-    Without hints, the terms at u_prev are evaluated once per call, and each
-    candidate's drift, diffusion and diffusion gap once, shared by H and the
-    penalty. Candidates are stacked along the sample axis in chunks of at most
-    ``_ROW_CHUNK`` (8 192) rows, so a chunk holds max(1, 8192 // B) of them;
-    the values are bitwise equal to those of h_batch and penalty_batch called
-    one candidate at a time. ``node``, the sweep's ``StepPoint`` at (t, x, y,
-    z, u_prev), lends the penalty its derivatives at the current control.
+    Candidates are stacked along the sample axis in chunks of at most
+    ``_ROW_CHUNK`` (8 192) rows, max(1, 8192 // B) of them, and a chunk of one
+    is handed its (k,) row. The hints h_fn and pen_fn, both or neither (else
+    ConfigurationError), take h_batch's and penalty_batch's arguments, u_prev
+    stacked like the node. Without hints, the terms at u_prev are evaluated
+    once per call, and each candidate's drift, diffusion and diffusion gap
+    once, shared by H and the penalty; the values are bitwise equal to h_batch
+    and penalty_batch called one candidate at a time. ``node``, the sweep's
+    ``StepPoint`` at (t, x, y, z, u_prev), lends the penalty its derivatives
+    at the current control.
 
-    Each chunk (each candidate, with hints) is folded into a running selection
-    as soon as it is evaluated, so no (candidates, B) table exists: row by row,
-    ``aug < low`` in one reused mask moves the index, the augmented value and
-    the plain H into place. Data movement only, so no bit changes; strict <
-    keeps ties, +0.0 against -0.0 too, at the lowest index.
+    Each chunk is folded into a running selection as soon as it is evaluated,
+    so no (candidates, B) table exists: row by row, ``aug < low`` in one
+    reused mask moves the index, the augmented value and the plain H into
+    place. Data movement only, so no bit changes; strict < keeps ties, +0.0
+    against -0.0 too, at the lowest index.
     """
+    if (h_fn is None) != (pen_fn is None):
+        raise ConfigurationError("the hints h_fn and pen_fn go together: give both or neither")
     B = x.shape[0]
     best, mask = np.zeros(B, dtype=np.intp), np.empty(B, dtype=bool)
     low = pick = bad = None  # bad: (path, candidate, value), lowest bad path, first candidate
 
     def fold(i0: int, h: Array, pen: Optional[Array]) -> None:
-        """Folds candidates i0, i0 + 1, ...: plain values h (rows, B) and, for rho > 0,
-        penalties pen, in whose buffer the augmented h + rho/2 pen is formed."""
+        """Folds candidates i0, i0 + 1, ...: plain values h, B per candidate, and, for
+        rho > 0, penalties pen, in whose buffer the augmented h + rho/2 pen is formed."""
         nonlocal low, pick, bad
         aug = h if pen is None else np.add(h, np.multiply(pen, 0.5 * rho, out=pen), out=pen)
+        h, aug = h.reshape(-1, B), aug.reshape(-1, B)
         finite = np.isfinite(aug)
         if not finite.all():  # lowest path first, then its lowest row
             path, row = (int(a[0]) for a in np.nonzero(~finite.T))
@@ -228,41 +231,42 @@ def minimize_step(spec: ProblemSpec, t: float, x: Array, y: Array, z: Array,
             if pick is not None:
                 np.copyto(pick, h[r], where=mask)
 
-    if h_fn is None and pen_fn is None:
+    args = (x, y, z, p, q, P)  # the node's arrays, stacked like the candidates
+    if h_fn is None:
         u = _ctl(u_prev, B, spec.k)
         b_u = spec.drift(t, x, u)
         s_u = spec.diffusion(t, x, u)
         ds_u, delta_u = _gap(p, s_u, s_u)
         zs_u = z + delta_u
         h_prev = _h(spec, t, x, y, p, q, P, u, b_u, s_u, ds_u, zs_u)
-        # the node's arrays, then (rho > 0) the current terms the penalty reads
-        args = (x, y, z, p, q, P, s_u)
-        if rho != 0.0:
-            args += _current(spec, t, x, y, z, p, q, u, b_u, zs_u, node)
-        n_c = len(candidates)
-        c = min(n_c, max(1, _ROW_CHUNK // B))
-        if c > 1:
-            # unlike np.tile, concatenate keeps each array's memory layout: einsum
-            # may order a sum by its operands' strides, and so set the last bit by it
-            args = tuple(np.concatenate([a] * c) for a in args)
-        for i0 in range(0, n_c, c):
-            i1 = min(i0 + c, n_c)
-            r = (i1 - i0) * B
-            xc, yc, zc, pc, qc, Pc, s_uc, *cur = (a[:r] for a in args)
-            v = np.repeat(candidates[i0:i1], B, axis=0)
-            h, b, ds, zs = _candidate(spec, t, xc, yc, zc, pc, qc, Pc, v, s_uc)
-            pen = (_penalty(spec, t, xc, yc, zc, pc, qc, v, b, ds, zs, cur).reshape(i1 - i0, B)
-                   if rho != 0.0 else None)
-            fold(i0, h.reshape(i1 - i0, B), pen)
-    else:
-        h_fn = h_fn or h_batch
-        pen_fn = pen_fn or penalty_batch
-        for idx, cand in enumerate(candidates):
-            h = h_fn(spec, t, x, y, z, p, q, P, cand, u_prev)
+        # then s_u and (rho > 0) the current terms the penalty reads
+        args += (s_u,) + (_current(spec, t, x, y, z, p, q, u, b_u, zs_u, node)
+                          if rho != 0.0 else ())
+
+        def evaluate(v, x, y, z, p, q, P, s_u, *cur):
+            v = _ctl(v, len(x), spec.k)
+            h, b, ds, zs = _candidate(spec, t, x, y, z, p, q, P, v, s_u)
+            return h, (_penalty(spec, t, x, y, z, p, q, v, b, ds, zs, cur)
+                       if rho != 0.0 else None)
+    else:  # h_prev is evaluated after the candidates, so it is not held over them
+        h_prev, args = None, args + (u_prev,)
+
+        def evaluate(v, x, y, z, p, q, P, u):
+            h = h_fn(spec, t, x, y, z, p, q, P, v, u)
             # a copy, so the augmented value never overwrites what the hint returned
-            pen = (np.array(pen_fn(spec, t, x, y, z, p, q, cand, u_prev), dtype=float, ndmin=2)
-                   if rho != 0.0 else None)
-            fold(idx, h[None], pen)
+            return h, (np.array(pen_fn(spec, t, x, y, z, p, q, v, u), dtype=float)
+                       if rho != 0.0 else None)
+    n_c = len(candidates)
+    c = min(n_c, max(1, _ROW_CHUNK // B))
+    if c > 1:
+        # unlike np.tile, concatenate keeps each array's memory layout: einsum
+        # may order a sum by its operands' strides, and so set the last bit by it
+        args = tuple(np.concatenate([a] * c) for a in args)
+    for i0 in range(0, n_c, c):
+        n = min(c, n_c - i0)
+        fold(i0, *evaluate(candidates[i0:i0 + n].repeat(B, 0) if n > 1 else candidates[i0],
+                           *(a[:n * B] for a in args)))
+    if h_prev is None:
         h_prev = h_fn(spec, t, x, y, z, p, q, P, u_prev, u_prev)
     bad_prev = ~np.isfinite(h_prev)
     if bad is not None or bad_prev.any():

@@ -83,8 +83,10 @@ class RunHints:
     """Problem-specific shortcuts a benchmark may attach to a run.
 
     ``hamiltonian``/``penalty`` replace the general augmented-Hamiltonian pair
-    in the update step (both or neither stay coherent with the recorded
-    decrease); they receive the run's p, q and P: given nodes broadcast over
+    in the update step, both or neither (a lone one raises ConfigurationError).
+    Like ``h_batch`` and ``penalty_batch`` they are row-wise: v is a (k,) row
+    or stacked candidates (rows, k), with x, y, z, p, q, P and u stacked to the
+    same rows. They receive the run's p, q and P: given nodes broadcast over
     the paths, q = 0 under a costate hint, P = 0 when the second order
     vanishes. ``first_order_ode`` / ``second_order_ode`` supply deterministic
     adjoints on the grid nodes where the problem admits them; ``run_msa`` then
@@ -129,20 +131,20 @@ def compute_mu(h_sum: Array, fz_dw: Array, fz_sq: Array, dt: float) -> Tuple[flo
             float(w.max() / w.mean()))
 
 
-def _update_sweep(spec: ProblemSpec, forward, u_prev: ControlField, p_ode, P_ode,
-                  candidates: Array, rho: float, hints: RunHints, backend):
-    """One backward pass along u^{m-1}'s trajectory: cost, adjoints, update, mu.
+def _update_sweep(spec: ProblemSpec, forward, p_ode, P_ode, candidates: Array, rho: float,
+                  hints: RunHints, backend):
+    """One backward pass along u^{m-1} = ``forward.control``: cost, adjoints, update, mu.
 
     The cost BSDE is the pass's first equation, so each step's node is read
     off that step's own (X_j, Y_j, Z_j, u_j). p_ode / P_ode hold a given
     adjoint's nodes, or None where the sweep solves it. Each step adds to the
-    three (M,) sums ``compute_mu`` reduces after the pass. u_prev's table
+    three (M,) sums ``compute_mu`` reduces after the pass. u^{m-1}'s table
     starts with the candidates, so u^m is written as indices into that same
     table: the winning candidate's, or u^{m-1}'s where a sample keeps it.
     Returns (J(u^{m-1}), its stderr, u^m, ``compute_mu``'s four values, max
     |p|, max |P|, max pre-symmetrization |P - P'|), the maxima over every node.
     """
-    batch = forward.batch
+    batch, u_prev = forward.batch, forward.control
     M, N, n, d, dt = batch.n_paths, batch.grid.steps, spec.n, spec.d, batch.dt
     nodes, x_T = batch.grid.nodes, forward.states[:, N, :]
     y_T = np.asarray(spec.terminal(x_T), dtype=float)
@@ -171,12 +173,14 @@ def _update_sweep(spec: ProblemSpec, forward, u_prev: ControlField, p_ode, P_ode
         solved = [y]
         if p_ode is None:
             p, q = first_order_step(point, phats[1], qs[1], dt), qs[1]
+            check_finite(p, j)
             max_p = max(max_p, float(np.abs(p).max()))
             solved.append(p)
         else:
             p, q = p_given[j], q_given
         if P_ode is None:
             P, asym_j = second_order_step(point, phats[-1], qs[-1], p, q, dt)
+            check_finite(P, j)
             max_P, asym = max(max_P, float(np.abs(P).max())), max(asym, asym_j)
             solved.append(P)
         else:
@@ -201,7 +205,7 @@ def _update_sweep(spec: ProblemSpec, forward, u_prev: ControlField, p_ode, P_ode
             girsanov_terms(sums[1:], point.f_z, batch.increments[:, j])
         return solved
 
-    solve_bsde(terminals, step, forward, u_prev, backend)
+    solve_bsde(terminals, step, forward, backend)
     return (*cost_estimate(y_node), ControlField(table=u_prev.table, index=index),
             *compute_mu(*sums, dt), max_p, max_P, asym)
 
@@ -277,8 +281,8 @@ def run_msa(spec: ProblemSpec, domain: ControlDomain, config: MsaConfig,
             u_before = None  # u^{m-2}: only an epsilon stop returns it
         try:
             j, se, u_new, mu, mu_se, ess, w_ratio, *node_maxima = _update_sweep(
-                spec, simulate_forward(spec, u_prev, batch), u_prev, p_ode, P_ode,
-                candidates, config.rho, hints, backend)
+                spec, simulate_forward(spec, u_prev, batch), p_ode, P_ode, candidates,
+                config.rho, hints, backend)
         except Exception as exc:
             exc.args = (f"iteration {m}: {exc}",) + exc.args[1:]
             raise
@@ -295,7 +299,7 @@ def run_msa(spec: ProblemSpec, domain: ControlDomain, config: MsaConfig,
     if records and not stopped:
         try:
             forward = simulate_forward(spec, u_prev, batch)
-            stopped = closes(cost_estimate(pathwise_cost(spec, forward, u_prev, backend))[0])
+            stopped = closes(cost_estimate(pathwise_cost(spec, forward, backend))[0])
         except Exception as exc:
             exc.args = (f"iteration {records[-1].m}: {exc}",) + exc.args[1:]
             raise

@@ -169,7 +169,7 @@ class TestAcceptance:
             batch = mc.sample_brownian(mc.TimeGrid(1.0, N), M, 1, 42)
             ctl = mc.constant_control([0.0], M, N)
             fwd = mc.simulate_forward(spec, ctl, batch)
-            bwd = mc.solve_state_bsde(spec, fwd, ctl, mc.RegressionBackend(degree=2))
+            bwd = mc.solve_state_bsde(spec, fwd, mc.RegressionBackend(degree=2))
             assert abs(bwd.j_estimate - 0.0) <= 3 * bwd.j_stderr + 2e-3
 
     def test_adjoint_cross_checks(self):
@@ -183,8 +183,8 @@ class TestAcceptance:
                 oracle, se_o = mc.explicit_p0_oracle(bench.spec, ctl, batch,
                                                      backend=backend)
                 fwd = mc.simulate_forward(bench.spec, ctl, batch)
-                bwd = mc.solve_state_bsde(bench.spec, fwd, ctl, backend)
-                first = mc.first_order_adjoint(bench.spec, fwd, bwd, ctl, backend)
+                bwd = mc.solve_state_bsde(bench.spec, fwd, backend)
+                first = mc.first_order_adjoint(bench.spec, fwd, bwd, backend)
                 p0 = first.p[:, 0, :]
                 se_r = p0.std(axis=0, ddof=1) / np.sqrt(M)
                 diff = abs(p0.mean(axis=0)[0] - oracle[0])
@@ -196,10 +196,9 @@ class TestAcceptance:
             batch = mc.sample_brownian(mc.TimeGrid(1.0, 20), 5000, 1, 4)
             ctl = mc.random_control(bench.domain, 5000, 20, 4)
             fwd = mc.simulate_forward(bench.spec, ctl, batch)
-            bwd = mc.solve_state_bsde(bench.spec, fwd, ctl, backend)
-            first = mc.first_order_adjoint(bench.spec, fwd, bwd, ctl, backend)
-            second = mc.second_order_adjoint(bench.spec, fwd, bwd, ctl, first,
-                                             backend)
+            bwd = mc.solve_state_bsde(bench.spec, fwd, backend)
+            first = mc.first_order_adjoint(bench.spec, fwd, bwd, backend)
+            second = mc.second_order_adjoint(bench.spec, fwd, bwd, first, backend)
             P_ode = mc.lq_second_order_ode([[1.0]], [[1.0]], [[0.0]],
                                            mc.TimeGrid(1.0, 20))
             assert np.max(np.abs(second.P[:, :, 0, 0] - P_ode[None, :, 0, 0])) < 1e-2
@@ -233,8 +232,8 @@ class TestAcceptance:
             batch = mc.sample_brownian(mc.TimeGrid(1.0, N), M, 1, 3)
             ctl = mc.random_control(bench.domain, M, N, 3)
             fwd = mc.simulate_forward(spec, ctl, batch)
-            bwd = mc.solve_state_bsde(spec, fwd, ctl, mc.RegressionBackend())
-            first = mc.first_order_adjoint(spec, fwd, bwd, ctl, mc.RegressionBackend())
+            bwd = mc.solve_state_bsde(spec, fwd, mc.RegressionBackend())
+            first = mc.first_order_adjoint(spec, fwd, bwd, mc.RegressionBackend())
             cands = mc.enumerate_controls(bench.domain)
             zero_P = np.zeros((M, 1, 1))
             for j in range(N):

@@ -23,9 +23,9 @@ def pipeline(bench, M, N, seed, control=None, backend=None):
     batch = mc.sample_brownian(mc.TimeGrid(bench.spec.horizon, N), M, bench.spec.d, seed)
     ctl = control if control is not None else mc.random_control(bench.domain, M, N, seed)
     fwd = mc.simulate_forward(bench.spec, ctl, batch)
-    bwd = mc.solve_state_bsde(bench.spec, fwd, ctl, backend)
-    first = mc.first_order_adjoint(bench.spec, fwd, bwd, ctl, backend)
-    return batch, ctl, fwd, bwd, first
+    bwd = mc.solve_state_bsde(bench.spec, fwd, backend)
+    first = mc.first_order_adjoint(bench.spec, fwd, bwd, backend)
+    return batch, fwd, bwd, first
 
 
 def nontrivial_linrec():
@@ -93,7 +93,7 @@ class TestFirstOrderAdjoint:
         # truth is p = L, q = 0; the estimate deviates through the
         # f_z * q-hat drift feedback, at the increment-regression noise scale
         bench = mc.example41(0.1)
-        _, _, _, _, first = pipeline(bench, 20_000, 20, 5)
+        _, _, _, first = pipeline(bench, 20_000, 20, 5)
         assert np.max(np.abs(first.p - 0.1)) < 5e-3
         assert np.sqrt(np.mean(first.q ** 2)) < 1e-2
         p0 = first.p[:, 0, 0]
@@ -105,9 +105,8 @@ class TestFirstOrderAdjoint:
         batch = mc.tree_batch(steps)
         ctl = mc.constant_control([0.0], batch.n_paths, steps)
         fwd = mc.simulate_forward(bench.spec, ctl, batch)
-        bwd = mc.solve_state_bsde(bench.spec, fwd, ctl, mc.tree_backend(steps))
-        first = mc.first_order_adjoint(bench.spec, fwd, bwd, ctl,
-                                       mc.tree_backend(steps))
+        bwd = mc.solve_state_bsde(bench.spec, fwd, mc.tree_backend(steps))
+        first = mc.first_order_adjoint(bench.spec, fwd, bwd, mc.tree_backend(steps))
         # exact up to float summation order inside the block means
         assert np.max(np.abs(first.p - 0.1)) < 1e-14
         assert np.max(np.abs(first.q)) < 1e-14
@@ -121,13 +120,13 @@ class TestFirstOrderAdjoint:
         batch = mc.tree_batch(steps)
         ctl = mc.benchmarks.tree_random_control(bench.domain, steps, 3)
         fwd = mc.simulate_forward(bench.spec, ctl, batch)
-        bwd = mc.solve_state_bsde(bench.spec, fwd, ctl, mc.tree_backend(steps))
-        first = mc.first_order_adjoint(bench.spec, fwd, bwd, ctl, mc.tree_backend(steps))
+        bwd = mc.solve_state_bsde(bench.spec, fwd, mc.tree_backend(steps))
+        first = mc.first_order_adjoint(bench.spec, fwd, bwd, mc.tree_backend(steps))
         assert np.max(np.abs(first.p - hint[None])) < 1e-9
         assert np.max(np.abs(first.q)) < 1e-9
         # Monte Carlo: the projections keep the mean, so mean q is the mean of
         # the raw targets p_{j+1} dW_j / dt, whose per-path stderr bounds it
-        batch, _, _, _, first = pipeline(bench, 4000, 20, 12)
+        batch, _, _, first = pipeline(bench, 4000, 20, 12)
         q = first.q[:, :, 0, 0]
         raw = (first.p[:, 1:, 0] * batch.increments[:, :, 0] / batch.dt).mean(axis=1)
         assert abs(q.mean()) <= 3 * raw.std(ddof=1) / np.sqrt(len(raw))
@@ -146,23 +145,23 @@ class TestFirstOrderAdjoint:
         batch = mc.tree_batch(steps)
         ctl = mc.constant_control([0.0], batch.n_paths, steps)
         fwd = mc.simulate_forward(spec, ctl, batch)
-        bwd = mc.solve_state_bsde(spec, fwd, ctl, mc.tree_backend(steps))
+        bwd = mc.solve_state_bsde(spec, fwd, mc.tree_backend(steps))
         # the tree backend keeps the NaN inside its block of paths 6 and 7
         with pytest.raises(mc.NumericalError,
                            match=r"^step 2: non-finite solution on path 6$"):
-            mc.first_order_adjoint(spec, fwd, bwd, ctl, mc.tree_backend(steps))
+            mc.first_order_adjoint(spec, fwd, bwd, mc.tree_backend(steps))
 
     def test_zero_spec(self):
         bench = mc.Benchmark(name="zero", spec=zero_spec(), domain=mc.FiniteSet([[0.0]]),
                              rho=0.0, hints=mc.RunHints())
-        _, _, _, _, first = pipeline(bench, 500, 10, 1)
+        _, _, _, first = pipeline(bench, 500, 10, 1)
         assert np.all(first.p == 0.0)
         assert np.all(first.q == 0.0)
 
     def test_linear_recursive_matches_ode(self):
         bench = nontrivial_linrec()
         N = 20
-        _, _, _, _, first = pipeline(bench, 10_000, N, 2)
+        _, _, _, first = pipeline(bench, 10_000, N, 2)
         p_ode, _ = mc.ode_adjoint_linear([0.3], 0.4, [[-0.2]], [1.0],
                                          mc.TimeGrid(1.0, N))
         mc_mean = first.p[:, :, 0].mean(axis=0)
@@ -174,18 +173,16 @@ class TestSecondOrderAdjoint:
         bench = mc.example41(0.1)
         M, N = 5000, 20
         ctl = mc.constant_control([0.0], M, N)
-        _, _, fwd, bwd, first = pipeline(bench, M, N, 3, control=ctl)
-        second = mc.second_order_adjoint(bench.spec, fwd, bwd, ctl, first,
-                                         mc.RegressionBackend())
+        _, fwd, bwd, first = pipeline(bench, M, N, 3, control=ctl)
+        second = mc.second_order_adjoint(bench.spec, fwd, bwd, first, mc.RegressionBackend())
         assert np.max(np.abs(second.P)) < 1e-8
         assert mc.second_order_vanishes(bench.spec)  # declared skip applies too
 
     def test_lq_matches_deterministic_ode(self):
         bench = mc.lq_desk()
         N = 20
-        _, _, fwd, bwd, first = pipeline(bench, 5000, N, 4)
-        second = mc.second_order_adjoint(bench.spec, fwd, bwd, fwd.control, first,
-                                         mc.RegressionBackend())
+        _, fwd, bwd, first = pipeline(bench, 5000, N, 4)
+        second = mc.second_order_adjoint(bench.spec, fwd, bwd, first, mc.RegressionBackend())
         P_ode = mc.lq_second_order_ode([[1.0]], [[1.0]], [[0.0]], mc.TimeGrid(1.0, N))
         diff = np.abs(second.P[:, :, 0, 0] - P_ode[None, :, 0, 0])
         assert np.max(diff) < 1e-2
@@ -196,8 +193,8 @@ class TestSecondOrderAdjoint:
     def test_zero_spec_vanishes(self):
         bench = mc.Benchmark(name="zero", spec=zero_spec(), domain=mc.FiniteSet([[0.0]]),
                              rho=0.0, hints=mc.RunHints())
-        _, ctl, fwd, bwd, first = pipeline(bench, 200, 5, 5)
-        second = mc.second_order_adjoint(bench.spec, fwd, bwd, ctl, first,
+        _, fwd, bwd, first = pipeline(bench, 200, 5, 5)
+        second = mc.second_order_adjoint(bench.spec, fwd, bwd, first,
                                          mc.RegressionBackend(degree=0))
         assert np.all(second.P == 0.0)
 
@@ -230,12 +227,11 @@ class TestSecondOrderAdjoint:
     @pytest.mark.parametrize("n, d", [(2, 1), (3, 2)])
     def test_vectorized_step_matches_direct_matrix_recursion(self, n, d):
         N, M = 3, 1
-        spec, fwd, bwd, ctl, first, consts = random_curvature_case(n, d, N, M)
+        spec, fwd, bwd, _, first, consts = random_curvature_case(n, d, N, M)
         BX, SX, BXX, SXX, FZ, FY, H0, PHIXX = consts
         dW, dt = fwd.batch.increments, fwd.batch.dt
         p1, q1 = first.p, first.q
-        sol = mc.second_order_adjoint(spec, fwd, bwd, ctl, first,
-                                      mc.RegressionBackend(degree=0))
+        sol = mc.second_order_adjoint(spec, fwd, bwd, first, mc.RegressionBackend(degree=0))
         # independent straightforward recursion, matrix by matrix
         P = PHIXX.copy()
         expected = [None] * (N + 1)
@@ -267,7 +263,7 @@ class TestSecondOrderAdjoint:
 
     def test_each_derivative_is_evaluated_once_per_step(self):
         N = 4
-        spec, fwd, bwd, ctl, first, _ = random_curvature_case(2, 1, N, 50)
+        spec, fwd, bwd, _, first, _ = random_curvature_case(2, 1, N, 50)
         calls = {"sigma_x": 0, "f_z": 0}
 
         def counted(name):
@@ -282,9 +278,9 @@ class TestSecondOrderAdjoint:
                                  f_z=counted("f_z"))
         counted_spec = dataclasses.replace(spec, derivatives=dv)
         backend = mc.RegressionBackend(degree=1)
-        sol = mc.second_order_adjoint(counted_spec, fwd, bwd, ctl, first, backend)
+        sol = mc.second_order_adjoint(counted_spec, fwd, bwd, first, backend)
         assert calls == {"sigma_x": N, "f_z": N}
-        ref = mc.second_order_adjoint(spec, fwd, bwd, ctl, first, backend)
+        ref = mc.second_order_adjoint(spec, fwd, bwd, first, backend)
         assert np.array_equal(sol.P, ref.P) and np.array_equal(sol.Q, ref.Q)
 
     def test_peak_memory_grows_like_the_solution(self):
@@ -292,12 +288,11 @@ class TestSecondOrderAdjoint:
         # coefficient tensor may span the horizon, so from N=10 to N=40 the
         # peak grows about as much as the returned P and Q do
         def peak_and_output(N):
-            spec, fwd, bwd, ctl, first, _ = random_curvature_case(4, 2, N, 400)
+            spec, fwd, bwd, _, first, _ = random_curvature_case(4, 2, N, 400)
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
-                sol = mc.second_order_adjoint(spec, fwd, bwd, ctl, first,
-                                              mc.RegressionBackend())
+                sol = mc.second_order_adjoint(spec, fwd, bwd, first, mc.RegressionBackend())
                 peak = tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()
@@ -400,8 +395,7 @@ class TestEmpiricalKnorm:
         batch = mc.sample_brownian(mc.TimeGrid(1.0, 10), 300, 1, 9)
         ctl = mc.constant_control([0.0], 300, 10)
         fwd = mc.simulate_forward(bench.spec, ctl, batch)
-        out = mc.empirical_knorm(np.zeros((300, 10, 1, 1)), batch.grid, fwd,
-                                 mc.RegressionBackend())
+        out = mc.empirical_knorm(np.zeros((300, 10, 1, 1)), fwd, mc.RegressionBackend())
         assert out == 0.0
 
     def test_constant_integrand(self):
@@ -410,15 +404,14 @@ class TestEmpiricalKnorm:
         batch = mc.sample_brownian(mc.TimeGrid(1.0, N), 300, 1, 9)
         ctl = mc.random_control(bench.domain, 300, N, 9)
         fwd = mc.simulate_forward(bench.spec, ctl, batch)
-        out = mc.empirical_knorm(np.full((300, N, 1, 1), c), batch.grid, fwd,
-                                 mc.RegressionBackend())
+        out = mc.empirical_knorm(np.full((300, N, 1, 1), c), fwd, mc.RegressionBackend())
         assert out == pytest.approx(c * c * 1.0, abs=1e-8)
 
     def test_example41_near_zero(self):
         # true q vanishes; the diagnostic sees squared regression noise only
         bench = mc.example41(0.1)
-        batch, ctl, fwd, bwd, first = pipeline(bench, 5000, 20, 10)
-        out = mc.empirical_knorm(first.q, batch.grid, fwd, mc.RegressionBackend())
+        _, fwd, _, first = pipeline(bench, 5000, 20, 10)
+        out = mc.empirical_knorm(first.q, fwd, mc.RegressionBackend())
         assert out < 1e-2
 
 
@@ -460,8 +453,8 @@ class TestMultidimensionalAdjoint:
         ctl = mc.random_control(bench.domain, M, N, 31)
         backend = mc.RegressionBackend()
         fwd = mc.simulate_forward(bench.spec, ctl, batch)
-        bwd = mc.solve_state_bsde(bench.spec, fwd, ctl, backend)
-        first = mc.first_order_adjoint(bench.spec, fwd, bwd, ctl, backend)
+        bwd = mc.solve_state_bsde(bench.spec, fwd, backend)
+        first = mc.first_order_adjoint(bench.spec, fwd, bwd, backend)
         p_ode, _ = mc.ode_adjoint_linear(f1, f2, b1, alpha, grid)
         # both routes carry the shared Euler compounding bias, O(dt)
         assert np.max(np.abs(first.p.mean(axis=0) - p_ode)) < 1e-2

@@ -32,7 +32,7 @@ class TestExample41:
         batch = mc.sample_brownian(mc.TimeGrid(1.0, N), M, 1, 1)
         ctl = mc.constant_control([0.0], M, N)
         fwd = mc.simulate_forward(bench.spec, ctl, batch)
-        bwd = mc.solve_state_bsde(bench.spec, fwd, ctl, mc.RegressionBackend())
+        bwd = mc.solve_state_bsde(bench.spec, fwd, mc.RegressionBackend())
         assert np.all(fwd.states == 0.0)
         assert np.all(bwd.values == 0.0)
         assert np.all(bwd.integrand == 0.0)
@@ -75,10 +75,10 @@ class TestLqProblem:
         u = mc.random_control(bench.domain, M, N, 101)
         v = mc.random_control(bench.domain, M, N, 202)
         fwd_u = mc.simulate_forward(bench.spec, u, batch)
-        bwd_u = mc.solve_state_bsde(bench.spec, fwd_u, u, backend)
+        bwd_u = mc.solve_state_bsde(bench.spec, fwd_u, backend)
         fwd_v = mc.simulate_forward(bench.spec, v, batch)
-        bwd_v = mc.solve_state_bsde(bench.spec, fwd_v, v, backend)
-        first = mc.first_order_adjoint(bench.spec, fwd_u, bwd_u, u, backend)
+        bwd_v = mc.solve_state_bsde(bench.spec, fwd_v, backend)
+        first = mc.first_order_adjoint(bench.spec, fwd_u, bwd_u, backend)
         P_ode = mc.lq_second_order_ode([[1.0]], [[1.0]], [[0.0]], grid)
         q = first.q[:, :, 0, 0]
         uu = u.values[:, :, 0]
@@ -123,7 +123,7 @@ class TestLinearRecursiveProblem:
         for value in (-1.0, 0.0, 1.0):
             ctl = mc.constant_control([value], M, N)
             fwd = mc.simulate_forward(bench.spec, ctl, batch)
-            bwd = mc.solve_state_bsde(bench.spec, fwd, ctl, mc.RegressionBackend())
+            bwd = mc.solve_state_bsde(bench.spec, fwd, mc.RegressionBackend())
             assert bwd.j_estimate == pytest.approx(5.0, abs=1e-10)
 
     def test_requires_box_domain(self):
@@ -215,7 +215,7 @@ class TestTreeBruteforce:
         for a, b, c in policies:
             ctl = mc.ControlField(np.array([[a, b], [a, b], [a, c], [a, c]])[:, :, None])
             fwd = mc.simulate_forward(spec, ctl, batch)
-            prices.append(mc.solve_state_bsde(spec, fwd, ctl, backend).j_estimate)
+            prices.append(mc.solve_state_bsde(spec, fwd, backend).j_estimate)
         assert len(set(prices)) == 27
         tree = mc.tree_bruteforce(spec, dom, 2)
         best = int(np.argmin(prices))
@@ -288,7 +288,7 @@ class TestTreeBruteforce:
         batch = mc.tree_batch(steps)
         ctl = tree_random_control(bench.domain, steps, 7)
         fwd = mc.simulate_forward(bench.spec, ctl, batch)
-        bwd = mc.solve_state_bsde(bench.spec, fwd, ctl, mc.tree_backend(steps))
+        bwd = mc.solve_state_bsde(bench.spec, fwd, mc.tree_backend(steps))
         dt = batch.dt
         for j in range(steps - 1, 0, -1):
             block = 2 ** (steps - j)

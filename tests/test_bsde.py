@@ -36,13 +36,13 @@ def solved(spec, M, N, seed, degree=2):
     batch = mc.sample_brownian(mc.TimeGrid(spec.horizon, N), M, spec.d, seed)
     ctl = mc.constant_control(np.zeros(spec.k), M, N)
     fwd = mc.simulate_forward(spec, ctl, batch)
-    bwd = mc.solve_state_bsde(spec, fwd, ctl, mc.RegressionBackend(degree=degree))
+    bwd = mc.solve_state_bsde(spec, fwd, mc.RegressionBackend(degree=degree))
     return batch, fwd, bwd
 
 
-def reference_state_bsde(spec, forward, control, backend):
+def reference_state_bsde(spec, forward, backend):
     """The cost BSDE's own backward loop, before it became a solve_bsde caller."""
-    batch = forward.batch
+    batch, control = forward.batch, forward.control
     M, N, dt = batch.n_paths, batch.grid.steps, batch.dt
     nodes = batch.grid.nodes
     Y = _time_major((M, N + 1))
@@ -73,7 +73,7 @@ def stacked_tree_inputs(bench, steps, rows, seed):
     batch = mc.BrownianBatch(grid=tree.grid, n_paths=rows, d=1, seed=None,
                              increments=increments)
     control = mc.random_control(bench.domain, rows, steps, seed)
-    return mc.simulate_forward(bench.spec, control, batch), control
+    return mc.simulate_forward(bench.spec, control, batch)
 
 
 class TestCondexpFit:
@@ -153,7 +153,7 @@ class TestSolveStateBsde:
         batch = mc.tree_batch(steps)
         ctl = mc.constant_control([0.0], batch.n_paths, steps)
         fwd = mc.simulate_forward(spec, ctl, batch)
-        bwd = mc.solve_state_bsde(spec, fwd, ctl, mc.tree_backend(steps))
+        bwd = mc.solve_state_bsde(spec, fwd, mc.tree_backend(steps))
         assert np.all(bwd.values == 4.5)
         assert np.all(bwd.integrand == 0.0)
         assert bwd.j_estimate == 4.5
@@ -220,13 +220,13 @@ class TestSolveStateBsde:
             batch = mc.sample_brownian(mc.TimeGrid(1.0, 8), 600, spec.d, 3)
             control = mc.random_control(domain, 600, 8, 3)
         forward = mc.simulate_forward(spec, control, batch)
-        want_y, want_z, want_j = reference_state_bsde(spec, forward, control, backend)
-        got = mc.solve_state_bsde(spec, forward, control, backend)
+        want_y, want_z, want_j = reference_state_bsde(spec, forward, backend)
+        got = mc.solve_state_bsde(spec, forward, backend)
         assert np.array_equal(got.values, want_y)
         assert np.array_equal(got.integrand, want_z)
         assert got.j_estimate == want_j
         assert np.any(want_z != 0.0)
-        assert np.array_equal(mc.pathwise_cost(spec, forward, control, backend), want_y[:, 0])
+        assert np.array_equal(mc.pathwise_cost(spec, forward, backend), want_y[:, 0])
 
     def test_non_finite_driver_names_step_and_path(self):
         grid = mc.TimeGrid(1.0, 5)
@@ -244,7 +244,7 @@ class TestSolveStateBsde:
         fwd = mc.simulate_forward(spec, ctl, batch)
         with pytest.raises(mc.NumericalError,
                            match=r"^step 2: non-finite solution on path 5$") as info:
-            mc.solve_state_bsde(spec, fwd, ctl, mc.RegressionBackend())
+            mc.solve_state_bsde(spec, fwd, mc.RegressionBackend())
         assert (info.value.path, info.value.step) == (5, 2)
         cfg = mc.MsaConfig(rho=0.0, n_paths=200, steps=5, seed=1, max_iters=1)
         with pytest.raises(mc.NumericalError,
@@ -273,28 +273,24 @@ class TestSolveStateBsde:
 def stacked_pricing_peak(solve, steps, rows):
     """tracemalloc peak of ``solve`` pricing example41 on a stacked tree batch."""
     bench = mc.example41(0.1)
-    forward, control = stacked_tree_inputs(bench, steps, rows, 2)
+    forward = stacked_tree_inputs(bench, steps, rows, 2)
     backend = mc.tree_backend(steps)
-    solve(bench.spec, forward, control, backend)  # warm-up
+    solve(bench.spec, forward, backend)  # warm-up
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        solve(bench.spec, forward, control, backend)
+        solve(bench.spec, forward, backend)
         return tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
 
 
-def sweep_inputs(batch, states):
-    """Forward paths with the given (M, N+1, n) states and a zero control."""
-    control = mc.constant_control([0.0], batch.n_paths, batch.grid.steps)
-    return mc.ForwardPaths(states=states, control=control, batch=batch), control
-
-
 def solve_one(terminal, step, batch, states, backend):
-    """p (M, N+1, r) and q (M, N, r, d) of one equation, stored from solve_bsde's step."""
+    """p (M, N+1, r) and q (M, N, r, d) of one equation, stored from solve_bsde's step
+    along the given (M, N+1, n) states under a zero control."""
     M, N = batch.n_paths, batch.grid.steps
-    fwd, ctl = sweep_inputs(batch, states)
+    fwd = mc.ForwardPaths(states=states, control=mc.constant_control([0.0], M, N),
+                          batch=batch)
     p = np.empty((M, N + 1) + terminal.shape[1:])
     q = np.empty((M, N) + terminal.shape[1:] + (batch.d,))
     p[:, N] = terminal
@@ -304,7 +300,7 @@ def solve_one(terminal, step, batch, states, backend):
         p[:, j] = step(j, phats[0], qs[0])
         return [p[:, j]]
 
-    mc.solve_bsde([terminal], store, fwd, ctl, backend)
+    mc.solve_bsde([terminal], store, fwd, backend)
     return p, q
 
 

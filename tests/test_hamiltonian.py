@@ -313,7 +313,7 @@ class TestHoistedMinimizeStep:
                               candidates, 0.5, **hints)[0]
         assert np.all(u_new == 0.5)
 
-    def test_heap_does_not_grow_with_stacked_candidates(self):
+    def test_heap_does_not_grow_with_stacked_candidates(self, hints=None):
         # Stacking every candidate into one batch grows the peak with the
         # candidate count through the tiled inputs and every intermediate;
         # chunks of bounded rows, each folded into the running selection as
@@ -321,13 +321,14 @@ class TestHoistedMinimizeStep:
         # is one (B,) float array; a value table of 20 more candidates at
         # rho > 0 would add 2 * 20 * B floats.
         spec, B, rho = mc.lq_desk().spec, 4096, 0.5
+        hints = hints or {}
 
         def peak(n_c):
             candidates = mc.enumerate_controls(mc.Box([-1.0], [1.0], [n_c]))
             inputs = random_step_inputs(spec, candidates, B, 5)
             tracemalloc.start()
             try:
-                minimize_step(spec, 0.35, *inputs, candidates, rho)
+                minimize_step(spec, 0.35, *inputs, candidates, rho, **hints)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -336,6 +337,22 @@ class TestHoistedMinimizeStep:
         base = peak(21)
         assert peak(41) - base <= 8 * B
         assert peak(201) - base <= 8 * B
+
+    def test_heap_does_not_grow_with_stacked_hinted_candidates(self):
+        # hints are evaluated on the same stacked chunks as the general pair
+        self.test_heap_does_not_grow_with_stacked_candidates(
+            dict(h_fn=h_batch, pen_fn=penalty_batch))
+
+    @pytest.mark.parametrize("lone", ["h_fn", "pen_fn"])
+    def test_a_lone_hint_is_refused(self, lone):
+        # the hints replace the general pair together: a lone one is not paired
+        # with the general other half
+        spec = mc.lq_desk().spec
+        candidates = mc.enumerate_controls(mc.Box([-1.0], [1.0], [3]))
+        hint = {"h_fn": h_batch, "pen_fn": penalty_batch}[lone]
+        with pytest.raises(mc.ConfigurationError, match="both or neither"):
+            minimize_step(spec, 0.35, *random_step_inputs(spec, candidates, 8, 5),
+                          candidates, 0.5, **{lone: hint})
 
 
 def same_bits(a, b):
@@ -351,8 +368,9 @@ class TestSelection:
     @given(data=st.data(), n_c=st.sampled_from([1, 2, 3, 21]), B=st.integers(1, 30),
            rho=st.sampled_from([0.0, 0.75]))
     def test_matches_argmin_and_gather(self, data, n_c, B, rho):
-        # hinted h_fn and pen_fn hand minimize_step drawn (n_c, B) values, so
-        # only the selection runs: it must reproduce np.argmin plus gathers
+        # hinted h_fn and pen_fn hand minimize_step drawn (n_c, B) values, row-wise
+        # over the stacked candidates, so only the selection runs: it must
+        # reproduce np.argmin plus gathers
         h = data.draw(hnp.arrays(float, (n_c, B), elements=tie_prone))
         pen = np.abs(data.draw(hnp.arrays(float, (n_c, B), elements=tie_prone)))
         candidates = np.arange(n_c, dtype=float)[:, None]
@@ -365,11 +383,16 @@ class TestSelection:
         h_prev = data.draw(hnp.arrays(float, B, elements=tie_prone))
         h_prev[on >= 0] = h[on[on >= 0], rows[on >= 0]]
 
+        def drawn(table, x, v):
+            # row r of a stacked call is path r % B under candidate v[r] (a (k,) v: every row)
+            rows = np.arange(len(x))
+            return table[np.broadcast_to(v, (len(x), 1))[:, 0].astype(int), rows % B]
+
         def h_fn(spec, t, x, y, z, p, q, P, v, u):
-            return h_prev.copy() if v.ndim == 2 else h[int(v[0])].copy()
+            return h_prev.copy() if v is u else drawn(h, x, v)
 
         def pen_fn(spec, t, x, y, z, p, q, v, u):
-            return pen[int(v[0])].copy()
+            return drawn(pen, x, v)
 
         zeros = (np.zeros((B, 1)), np.zeros(B), np.zeros((B, 1)), np.zeros((B, 1)),
                  np.zeros((B, 1, 1)), np.zeros((B, 1, 1)))

@@ -254,6 +254,33 @@ class TestRunMsa:
         assert info.value.path == 0
         assert info.value.step == 19
 
+    @pytest.mark.parametrize("desk, name, bad, named", [
+        ("example41", "phi_x", 6, 6), ("lq_desk", "phi_xx", 5, 4)])
+    def test_non_finite_adjoint_is_named_before_the_update_reads_it(self, desk, name, bad,
+                                                                    named):
+        # a NaN terminal adjoint on path `bad`, solved without hints on the 3-step
+        # tree, whose backend spreads it over the block of paths (6, 7) or (4, 5) at
+        # step 2: the sweep names the adjoint, not the Hamiltonian that reads it
+        bench = mc.example41(0.1) if desk == "example41" else mc.lq_desk()
+        terminal = getattr(bench.spec.derivatives, name)
+
+        def poisoned(x):
+            out = np.array(terminal(x), dtype=float)
+            out[bad] = np.nan
+            return out
+
+        spec = dataclasses.replace(bench.spec, derivatives=dataclasses.replace(
+            bench.spec.derivatives, **{name: poisoned}))
+        steps = 3
+        cfg = mc.MsaConfig(rho=bench.rho, n_paths=2 ** steps, steps=steps, seed=3,
+                           max_iters=1)
+        with pytest.raises(mc.NumericalError, match=rf"^iteration 1: step 2: non-finite "
+                                                    rf"solution on path {named}$") as info:
+            mc.run_msa(spec, bench.domain, cfg,
+                       mc.benchmarks.tree_random_control(bench.domain, steps, 3),
+                       batch=mc.tree_batch(steps), backend=mc.tree_backend(steps))
+        assert (info.value.path, info.value.step) == (named, 2)
+
     def test_max_asym_P_records_the_second_order_asymmetry(self):
         spec, domain = curvature_problem()
         M, N, seed = 500, 10, 3
@@ -266,9 +293,9 @@ class TestRunMsa:
         batch = mc.sample_brownian(mc.TimeGrid(1.0, N), M, 1, seed)
         ctl = mc.random_control(domain, M, N, seed)
         fwd = mc.simulate_forward(spec, ctl, batch)
-        bwd = mc.solve_state_bsde(spec, fwd, ctl, backend)
-        first = mc.first_order_adjoint(spec, fwd, bwd, ctl, backend)
-        second = mc.second_order_adjoint(spec, fwd, bwd, ctl, first, backend)
+        bwd = mc.solve_state_bsde(spec, fwd, backend)
+        first = mc.first_order_adjoint(spec, fwd, bwd, backend)
+        second = mc.second_order_adjoint(spec, fwd, bwd, first, backend)
         assert res.max_asym_P[0] == second.asymmetry > 0.0
         # the hinted and the zero branch record exact zeros
         for desk in (mc.lq_desk(), mc.example41(0.1)):
@@ -317,8 +344,7 @@ class TestReturnedControlConvention:
         assert res.m_eps == len(res.records)
         batch = mc.sample_brownian(mc.TimeGrid(1.0, 10), 2000, 1, 23)
         fwd = mc.simulate_forward(bench.spec, res.returned_control, batch)
-        bwd = mc.solve_state_bsde(bench.spec, fwd, res.returned_control,
-                                  mc.RegressionBackend())
+        bwd = mc.solve_state_bsde(bench.spec, fwd, mc.RegressionBackend())
         assert bwd.j_estimate == pytest.approx(res.records[-1].j, abs=1e-12)
 
 
@@ -470,7 +496,7 @@ class TestControlsAsIndices:
         assert peak(20) < float_peak - 2 * M * 20 * k * 8
 
 
-def stored_pass(spec, forward, control, backend, first=None, second=None):
+def stored_pass(spec, forward, backend, first=None, second=None):
     """The sweep's backward solves as one stored ``solve_bsde`` pass, built from the
     public step functions: Y, then p unless ``first`` is given, then P unless
     ``second`` is given, projected together as the sweep projects them. The
@@ -514,7 +540,7 @@ def stored_pass(spec, forward, control, backend, first=None, second=None):
             solved.append(P_j)
         return solved
 
-    mc.solve_bsde(terminals, step, forward, control, backend, store)
+    mc.solve_bsde(terminals, step, forward, backend, store)
     backward = mc.BackwardPaths(Y, Z, *mc.bsde.cost_estimate(Y[:, 0]))
     if solve_P:
         second = mc.SecondOrderAdjoint(P=P, Q=Q, asymmetry=asym)
@@ -550,8 +576,7 @@ def separate_passes(spec, domain, cfg, initial, hints):
         given_second = mc.adjoint.zero_second_order(spec, batch)
     u_prev = initial
     forward = mc.simulate_forward(spec, u_prev, batch)
-    backward, first, second = stored_pass(spec, forward, u_prev, backend, given_first,
-                                          given_second)
+    backward, first, second = stored_pass(spec, forward, backend, given_first, given_second)
     records, max_p, max_P, asym = [], [], [], []
     for m in range(1, cfg.max_iters + 1):
         u_values = u_prev.values  # the reference slices dense values; run_msa gathers
@@ -576,10 +601,10 @@ def separate_passes(spec, domain, cfg, initial, hints):
         forward_new = mc.simulate_forward(spec, u_new, batch)
         if m < cfg.max_iters:
             backward_new, first_new, second_new = stored_pass(
-                spec, forward_new, u_new, backend, given_first, given_second)
+                spec, forward_new, backend, given_first, given_second)
         else:
             backward_new, first_new, second_new = (
-                mc.solve_state_bsde(spec, forward_new, u_new, backend), None, None)
+                mc.solve_state_bsde(spec, forward_new, backend), None, None)
         records.append(mc.IterationRecord(
             m=m, j=backward.j_estimate, j_stderr=backward.j_stderr, mu=mu, mu_stderr=mu_se,
             descent=backward.j_estimate - backward_new.j_estimate, wall_ms=0.0,

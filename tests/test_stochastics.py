@@ -286,10 +286,9 @@ class TestTimeMajorLayout:
         batch = mc.sample_brownian(mc.TimeGrid(1.0, 6), 64, 1, 4)
         control = mc.random_control(bench.domain, 64, 6, 4)
         forward = mc.simulate_forward(spec, control, batch)
-        backward = mc.solve_state_bsde(spec, forward, control, backend)
-        first = mc.adjoint.first_order_adjoint(spec, forward, backward, control, backend)
-        second = mc.adjoint.second_order_adjoint(spec, forward, backward, control, first,
-                                                 backend)
+        backward = mc.solve_state_bsde(spec, forward, backend)
+        first = mc.adjoint.first_order_adjoint(spec, forward, backward, backend)
+        second = mc.adjoint.second_order_adjoint(spec, forward, backward, first, backend)
         zero = mc.adjoint.zero_second_order(spec, batch)
         arrays = {
             "X": forward.states, "Y": backward.values, "Z": backward.integrand,

@@ -41,7 +41,8 @@ def test_instrumented_run_counts_every_entry_point():
     # the sweep and the pricing of u^1 each project Y_{j+1} and Y_{j+1} dW_j (d = 1)
     assert counts["bsde.project"] == 2 * N
     assert counts["bsde.project_rows"] == 2 * N * M * 2
-    assert counts["hamiltonian.h"] == 3 * N  # the hint: 2 candidates and u_prev
+    # the hint: both candidates in one stacked call (2 * M rows), then u_prev
+    assert counts["hamiltonian.h"] == 2 * N
     assert counts["model.coef"] > 0 and counts["model.deriv"] > 0
     assert {s[3] for s in tracer.spans} >= {"msa.run_msa", "hamiltonian.minimize_step",
                                            "bsde.project", "stochastics.simulate_forward"}
