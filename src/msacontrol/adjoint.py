@@ -60,7 +60,7 @@ class StepPoint:
 def _stored_point(spec: ProblemSpec, forward: ForwardPaths, backward: BackwardPaths,
                   j: int) -> StepPoint:
     """The StepPoint of step j read off stored horizons, its controls ``forward.control``'s."""
-    return StepPoint(spec, forward.batch.grid.nodes[j], forward.states[:, j, :],
+    return StepPoint(spec, forward.batch.grid.nodes[j], forward.state(j),
                      backward.values[:, j], backward.integrand[:, j], forward.control.at(j))
 
 
@@ -112,7 +112,7 @@ def first_order_adjoint(spec: ProblemSpec, forward: ForwardPaths,
         return [first_order_step(_stored_point(spec, forward, backward, j), phats[0],
                                  qs[0], batch.dt)]
 
-    solve_bsde([spec.derivatives.phi_x(forward.states[:, N, :])], step, forward, backend,
+    solve_bsde([spec.derivatives.phi_x(forward.state(N))], step, forward, backend,
                [(p, q)])
     return FirstOrderAdjoint(p=p, q=q)
 
@@ -205,7 +205,7 @@ def second_order_adjoint(spec: ProblemSpec, forward: ForwardPaths,
         asym = max(asym, asym_j)
         return [P_j]
 
-    solve_bsde([spec.derivatives.phi_xx(forward.states[:, N, :])], step, forward, backend,
+    solve_bsde([spec.derivatives.phi_xx(forward.state(N))], step, forward, backend,
                [(P, Q)])
     return SecondOrderAdjoint(P=P, Q=Q, asymmetry=asym)
 
@@ -307,7 +307,7 @@ def explicit_p0_oracle(spec: ProblemSpec, control: ControlField, batch: Brownian
         dG = (np.einsum("mab,mbc->mac", a1, G) * dt
               + np.einsum("miab,mbc,mi->mac", b1, G, batch.increments[:, j, :]))
         G = G + dG
-    samples = np.einsum("mab,ma->mb", G, spec.derivatives.phi_x(forward.states[:, N, :]))
+    samples = np.einsum("mab,ma->mb", G, spec.derivatives.phi_x(forward.state(N)))
     samples = samples + integral
     est = samples.mean(axis=0)
     se = samples.std(axis=0, ddof=1) / np.sqrt(M) if M > 1 else np.full(n, np.nan)
@@ -323,5 +323,5 @@ def empirical_knorm(q: Array, forward: ForwardPaths, backend) -> float:
     """
     sq = (np.asarray(q, dtype=float) ** 2).sum(axis=(2, 3)) * forward.batch.dt
     tails = np.cumsum(sq[:, ::-1], axis=1)[:, ::-1]
-    return max([0.0] + [float(np.max(backend.project(j, forward.states[:, j, :], tails[:, j])))
+    return max([0.0] + [float(np.max(backend.project(j, forward.state(j), tails[:, j])))
                         for j in range(tails.shape[1])])

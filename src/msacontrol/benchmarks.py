@@ -385,9 +385,8 @@ def tree_bruteforce(spec: ProblemSpec, domain: ControlDomain, steps: int,
         stacked = BrownianBatch(grid=batch.grid, n_paths=P * M, d=1, seed=None,
                                 increments=increments[:P * M])
         control = ControlField(table=candidates, index=pol[:, idx_map].reshape(P * M, steps))
-        try:
-            forward = simulate_forward(spec, control, stacked)
-            y0 = pathwise_cost(spec, forward, backend)
+        try:  # the chunk's states are freed with its pricing, before the next chunk's
+            y0 = pathwise_cost(spec, simulate_forward(spec, control, stacked), backend)
         except (SimulationError, NumericalError) as exc:
             row = exc.path // M
             what = ("drives the state non-finite" if isinstance(exc, SimulationError)
@@ -404,10 +403,10 @@ def tree_bruteforce(spec: ProblemSpec, domain: ControlDomain, steps: int,
     best_policy = (best_id // place) % nc
     # states at each decision node under the optimal policy
     best = ControlField(table=candidates, index=best_policy[idx_map])
-    states = simulate_forward(spec, best, batch).states
+    forward = simulate_forward(spec, best, batch)
     node_states = np.zeros((n_decision, spec.n))
     for j in range(steps):
-        node_states[idx_map[:, j]] = states[:, j]
+        node_states[idx_map[:, j]] = forward.state(j)
     node_count = (steps * (steps + 1) // 2 + 1 if mode == "recombining"
                   else 2 ** steps - 1)
     return TreeModel(steps=steps, mode=mode, node_count=node_count,

@@ -205,11 +205,11 @@ def pathwise_cost(spec: ProblemSpec, forward: ForwardPaths, backend,
     nodes, driver_sum = batch.grid.nodes, np.zeros(M)
 
     def step(j, u, yhats, zs):
-        y = cost_step(spec, nodes[j], forward.states[:, j, :], yhats[0], zs[0], u, dt)
+        y = cost_step(spec, nodes[j], forward.state(j), yhats[0], zs[0], u, dt)
         driver_sum[...] += y - yhats[0]
         return [y]
 
-    terminals = [np.asarray(spec.terminal(forward.states[:, N, :]), dtype=float)]
+    terminals = [np.asarray(spec.terminal(forward.state(N)), dtype=float)]
     solve_bsde(terminals, step, forward, backend, store)
     return terminals[0] + driver_sum
 
@@ -282,7 +282,7 @@ def _proxies(nxt, j: int, forward: ForwardPaths, u: Array, backend, store=None):
     targets = np.concatenate(
         [flat, (flat[:, :, None] * batch.increments[:, j, None, :]).reshape(M, R * d)], axis=1)
     del flat
-    proj = backend.project(j, _step_features(forward.states[:, j, :], u, backend), targets)
+    proj = backend.project(j, _step_features(forward.state(j), u, backend), targets)
     del targets
     phats, qs, col = [], [], 0
     for e, p in enumerate(nxt):

@@ -146,7 +146,7 @@ def _update_sweep(spec: ProblemSpec, forward, p_ode, P_ode, candidates: Array, r
     """
     batch, u_prev = forward.batch, forward.control
     M, N, n, d, dt = batch.n_paths, batch.grid.steps, spec.n, spec.d, batch.dt
-    nodes, x_T = batch.grid.nodes, forward.states[:, N, :]
+    nodes, x_T = batch.grid.nodes, forward.state(N)
     y_T = np.asarray(spec.terminal(x_T), dtype=float)
     terminals = [y_T] + ([] if p_ode is not None else [spec.derivatives.phi_x(x_T)]) + \
         ([] if P_ode is not None else [spec.derivatives.phi_xx(x_T)])
@@ -163,7 +163,7 @@ def _update_sweep(spec: ProblemSpec, forward, p_ode, P_ode, candidates: Array, r
 
     def step(j, u, phats, qs):
         nonlocal max_p, max_P, asym, update, y_node, driver_sum
-        x = forward.states[:, j, :]
+        x = forward.state(j)
         y = cost_step(spec, nodes[j], x, phats[0], qs[0], u, dt)
         check_finite(y, j)
         driver_sum += y - phats[0]

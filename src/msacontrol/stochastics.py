@@ -9,14 +9,17 @@ step axis outermost (``_time_major``), because every solver phase reads and
 writes one step slice a[:, j] at a time; that slice is then one C-contiguous
 block instead of a gather strided by the whole horizon. A control horizon is
 an index into a table of control rows (``ControlField``), one byte per path and
-step for up to 256 rows, and each reader gathers the step it needs.
+step for up to 256 rows, and each reader gathers the step it needs. The states
+are not a horizon: ``ForwardPaths`` keeps X at about sqrt(N) checkpoints and
+recomputes one segment between two of them at a time (``state(j)``).
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -207,39 +210,118 @@ def random_control(domain: ControlDomain, n_paths: int, steps: int, seed: int) -
                         index=gen.integers(0, len(candidates), size=(n_paths, steps)))
 
 
-@dataclass(frozen=True)
 class ForwardPaths:
-    """Euler trajectory of the state, shape (M, steps + 1, n), stored time-major."""
+    """Euler trajectory of the state, X (M, steps + 1, n), under ``control`` and
+    ``batch``'s noise.
 
-    states: Array
-    control: ControlField
-    batch: BrownianBatch
+    ``state(j)`` returns X_j as a contiguous (M, n) array. ``simulate_forward``
+    keeps only X_0, every s-th node (s = ceil(sqrt(steps + 1))) and X_N, and
+    ``state`` recomputes a node between two of them from the one before it with
+    the forward pass's own ``_euler_step``, so the bits are the pass's; it holds
+    one such segment (at most s - 1 slices) at a time. Where checkpoints plus one
+    segment would not halve the slices stored, as on desk-scale grids, every node
+    is kept. ``ForwardPaths(states=X, ...)`` keeps every node of a given
+    (M, steps + 1, n) X. ``states`` builds the dense array, time-major, on each read.
+    Stored slices are read-only: a recompute starts from them.
+    """
+
+    __slots__ = ("control", "batch", "_spec", "_kept", "_every", "_segment")
+
+    def __init__(self, states: Array, control: ControlField, batch: BrownianBatch):
+        M, N = batch.n_paths, batch.grid.steps
+        states = np.asarray(states, dtype=float)
+        if states.ndim != 3 or states.shape[:2] != (M, N + 1):
+            raise ConfigurationError(f"states shape {states.shape} does not match the "
+                                     f"batch's (M, N + 1, n) with (M, N) = ({M}, {N})")
+        self._hold(control, batch, None, np.ascontiguousarray(states.swapaxes(0, 1)), 1)
+
+    def _hold(self, control: ControlField, batch: BrownianBatch, spec: Optional[ProblemSpec],
+              kept: Array, every: int) -> "ForwardPaths":
+        """Set the trajectory to its ``kept`` (K, M, n) nodes: X_0, every ``every``-th
+        node and X_N, recomputed between them by ``spec``'s Euler steps."""
+        kept.flags.writeable = False
+        self.control, self.batch, self._spec, self._kept, self._every = (
+            control, batch, spec, kept, every)
+        self._segment = (None, None)  # (its checkpoint, its nodes' states)
+        return self
+
+    def state(self, j: int) -> Array:
+        """X_j, (M, n) float64, C-contiguous and read-only."""
+        N = self.batch.grid.steps
+        if not 0 <= j <= N:
+            raise IndexError(f"node {j} outside 0..{N}")
+        if j == N:
+            return self._kept[-1]
+        c, r = divmod(j, self._every)
+        if r == 0:
+            return self._kept[c]
+        if self._segment[0] != c:
+            self._segment = (None, None)  # the last segment goes before the next is made
+            self._segment = (c, self._recompute(c))
+        return self._segment[1][r - 1]
+
+    def _recompute(self, c: int) -> List[Array]:
+        """The nodes after checkpoint c and before the next, stepped from it."""
+        segment, x = [], self._kept[c]
+        start = c * self._every
+        for j in range(start, min(start + self._every, self.batch.grid.steps) - 1):
+            x = _euler_step(self._spec, self.control, self.batch, j, x)
+            x.flags.writeable = False
+            segment.append(x)
+        return segment
+
+    @property
+    def states(self) -> Array:
+        """The dense (M, steps + 1, n) float64 trajectory, built on each read, time-major."""
+        X = _time_major((self.batch.n_paths, self.batch.grid.steps + 1, self._kept.shape[2]))
+        for j in range(X.shape[1]):
+            X[:, j] = self.state(j)
+        return X
+
+
+def _checkpoint_stride(steps: int) -> int:
+    """s = ceil(sqrt(steps + 1)), or 1 (every node kept) where checkpoints plus one
+    segment would not halve the steps + 1 slices stored."""
+    s = math.isqrt(steps) + 1
+    return s if 2 * (-(-steps // s) + s) <= steps + 1 else 1
+
+
+def _euler_step(spec: ProblemSpec, control: ControlField, batch: BrownianBatch, j: int,
+                x: Array) -> Array:
+    """X_{j+1} = X_j + b dt + sigma dW_j from x = X_j: the forward pass's step, and
+    each recompute's."""
+    t, u = batch.grid.nodes[j], control.at(j)
+    b = spec.drift(t, x, u)
+    s = spec.diffusion(t, x, u)
+    return x + b * batch.dt + np.einsum("mnd,md->mn", s, batch.increments[:, j, :])
 
 
 def simulate_forward(spec: ProblemSpec, control: ControlField,
                      batch: BrownianBatch) -> ForwardPaths:
-    """Forward Euler: X_{j+1} = X_j + b dt + sigma dW_j, X_0 = x0."""
+    """Forward Euler: X_{j+1} = X_j + b dt + sigma dW_j, X_0 = x0, keeping X_0,
+    every s-th node and X_N (see ``ForwardPaths``). Raises SimulationError naming
+    the first path and step where X is not finite."""
     M, N = batch.n_paths, batch.grid.steps
     if control.index.shape != (M, N):
         raise ConfigurationError(
             f"control shape {control.index.shape} does not match batch ({M}, {N})")
     if control.k != spec.k or batch.d != spec.d:
         raise ConfigurationError("control/batch dimensions disagree with the problem")
-    dt = batch.dt
-    nodes = batch.grid.nodes
-    X = _time_major((M, N + 1, spec.n))
-    X[:, 0, :] = spec.x0
+    every = _checkpoint_stride(N)
+    kept = np.empty((-(-N // every) + 1, M, spec.n))  # X_0, every s-th node and X_N
+    kept[0] = spec.x0
+    x = kept[0]
     for j in range(N):
-        xj = X[:, j, :]
-        uj = control.at(j)
-        b = spec.drift(nodes[j], xj, uj)
-        s = spec.diffusion(nodes[j], xj, uj)
-        X[:, j + 1, :] = xj + b * dt + np.einsum("mnd,md->mn", s, batch.increments[:, j, :])
-        if not np.all(np.isfinite(X[:, j + 1, :])):
-            bad = np.argwhere(~np.isfinite(X[:, j + 1, :]))[0]
+        x = _euler_step(spec, control, batch, j, x)
+        if not np.all(np.isfinite(x)):
+            bad = np.argwhere(~np.isfinite(x))[0]
             raise SimulationError(f"non-finite state at path {bad[0]}, step {j + 1}",
                                   path=int(bad[0]), step=j + 1)
-    return ForwardPaths(states=X, control=control, batch=batch)
+        if (j + 1) % every == 0:  # step on from the kept copy, so the step's result is freed
+            kept[(j + 1) // every] = x
+            x = kept[(j + 1) // every]
+    kept[-1] = x
+    return ForwardPaths.__new__(ForwardPaths)._hold(control, batch, spec, kept, every)
 
 
 def girsanov_terms(sums: Array, fz: Array, dw: Array) -> None:

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -494,6 +495,45 @@ class TestControlsAsIndices:
         # lowers this estimate of the float64 run's peak
         float_peak = peak(1) + float_horizons(20) - float_horizons(1)
         assert peak(20) < float_peak - 2 * M * 20 * k * 8
+
+
+class TestCheckpointedStates:
+    def test_peak_heap_growth_in_steps_holds_no_state_horizon(self):
+        # example41 at M = 20 000 and 6 passes, N = 20 against N = 80, the caller
+        # holding the noise and the initial control. Per path, only the two
+        # one-byte control indices (u^{m-1} and u^m) grow with the steps; the
+        # states add only the checkpoints X_0, every s-th node and X_N, and one
+        # segment of s - 1 recomputed nodes, s = ceil(sqrt(N + 1)). A float64
+        # state horizon would add 8 M n bytes per step: 9.6 MB here.
+        bench = mc.example41(0.1)
+        M, n, seed = 20_000, bench.spec.n, 7
+
+        def peak(N):
+            batch = mc.sample_brownian(mc.TimeGrid(1.0, N), M, 1, seed)
+            initial = mc.random_control(bench.domain, M, N, seed)
+            cfg = mc.MsaConfig(rho=bench.rho, n_paths=M, steps=N, seed=seed, max_iters=6)
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                mc.run_msa(bench.spec, bench.domain, cfg, initial, hints=bench.hints,
+                           batch=batch)
+                return tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+
+        def state_slices(N):
+            s = math.isqrt(N) + 1
+            return -(-N // s) + 1 + s - 1
+
+        assert (state_slices(20), state_slices(80)) == (9, 18)
+        # the time grid and the two hint ODEs' nodes, (N + 1) (1 + n + n^2) floats,
+        # and a few KB of Python objects: less than 0.1 MB, below any per-path
+        # horizon over the 60 extra steps (a one-byte one is 1.2 MB)
+        path_free = 100_000
+        bound = (2 * M * 60 + 8 * M * n * (state_slices(80) - state_slices(20))
+                 + path_free)
+        peak(20)  # warm-up: caches filled on the first run stay out of the growth
+        assert peak(80) - peak(20) < bound
 
 
 def stored_pass(spec, forward, backend, first=None, second=None):

@@ -118,6 +118,91 @@ class TestSimulateForward:
             mc.simulate_forward(spec, mc.constant_control([0.0], 10, 5), batch)
 
 
+def reference_states(spec, control, batch):
+    """X_0..X_N by a plain Euler loop over contiguous (M, n) slices."""
+    nodes, dt, controls = batch.grid.nodes, batch.dt, control.values
+    states = [np.broadcast_to(spec.x0, (batch.n_paths, spec.n)).copy()]
+    for j in range(batch.grid.steps):
+        x, u = states[-1], np.ascontiguousarray(controls[:, j])
+        dw = batch.increments[:, j, :]
+        states.append(x + spec.drift(nodes[j], x, u) * dt
+                      + np.einsum("mnd,md->mn", spec.diffusion(nodes[j], x, u), dw))
+    return states
+
+
+def small_state_dependent_spec():
+    """n = 2, d = 2, k = 1: drift and diffusion both move with the state."""
+    return mc.ProblemSpec.build(
+        n=2, d=2, k=1, x0=np.array([0.3, -0.2]), horizon=1.0,
+        drift=lambda t, x, u: -0.5 * x + np.sin(x[:, ::-1]) * u,
+        diffusion=lambda t, x, u: (0.2 + 0.1 * np.tanh(x))[:, :, None]
+        * np.array([[1.0, 0.5], [-0.3, 1.0]])[None] * (1.0 + u[:, :, None]),
+        driver=lambda t, x, y, z, u: (x * x).sum(axis=1),
+        terminal=lambda x: (x * x).sum(axis=1))
+
+
+class TestCheckpointedStates:
+    """``state(j)`` returns the bits of a dense Euler loop, whether X_j was kept or
+    recomputed from a checkpoint, in any order of reads."""
+
+    @pytest.mark.parametrize("N", [1, 2, 5, 6, 20, 80])
+    @pytest.mark.parametrize("problem", ["example41", "lq_desk", "state-dependent"])
+    def test_every_node_matches_a_dense_euler_loop(self, problem, N):
+        if problem == "state-dependent":
+            spec, domain = small_state_dependent_spec(), mc.Box([-0.5], [0.5], [5])
+        else:
+            bench = mc.example41(0.1) if problem == "example41" else mc.lq_desk()
+            spec, domain = bench.spec, bench.domain
+        M = 48
+        batch = mc.sample_brownian(mc.TimeGrid(spec.horizon, N), M, spec.d, N)
+        control = mc.random_control(domain, M, N, N + 1)
+        want = reference_states(spec, control, batch)
+        gen = np.random.default_rng(N)
+        orders = {"descending": range(N, -1, -1), "ascending": range(N + 1),
+                  "random": gen.integers(0, N + 1, size=3 * (N + 1))}
+        for name, order in orders.items():
+            forward = mc.simulate_forward(spec, control, batch)
+            for j in order:
+                x = forward.state(int(j))
+                assert x.shape == (M, spec.n) and x.flags.c_contiguous
+                assert np.array_equal(x, want[j]), f"{name} read of node {j}"
+        dense = np.stack(want, axis=1)
+        assert np.array_equal(forward.states, dense)
+        given = mc.ForwardPaths(states=dense, control=control, batch=batch)
+        assert all(np.array_equal(given.state(j), want[j]) for j in range(N, -1, -1))
+
+    def test_non_finite_state_raises_from_the_first_pass(self):
+        # X jumps to inf on any path past 1.2; the first such node lies between
+        # two checkpoints at N = 20, and the forward pass itself must name it
+        spec = mc.ProblemSpec.build(
+            n=1, d=1, k=1, x0=np.zeros(1), horizon=1.0,
+            drift=lambda t, x, u: np.where(x > 1.2, np.inf, 0.0),
+            diffusion=constant_fn(np.ones((1, 1))),
+            driver=lambda t, x, y, z, u: np.zeros(len(x)),
+            terminal=lambda x: x[:, 0])
+        M, N = 64, 20
+        batch = mc.sample_brownian(mc.TimeGrid(1.0, N), M, 1, 2)
+        control = mc.constant_control([0.0], M, N)
+        with np.errstate(invalid="ignore"):
+            states = reference_states(spec, control, batch)
+        step = next(j for j, x in enumerate(states) if not np.isfinite(x).all())
+        path = int(np.argmax(~np.isfinite(states[step][:, 0])))
+        assert 0 < step < N and step % 5
+        with pytest.raises(mc.SimulationError) as info:
+            mc.simulate_forward(spec, control, batch)
+        assert str(info.value) == f"non-finite state at path {path}, step {step}"
+        assert (info.value.path, info.value.step) == (path, step)
+
+    @pytest.mark.parametrize("shape", [(64, 7, 1), (32, 6, 1), (64, 6), (64, 6, 1, 1)])
+    def test_given_states_must_match_the_batch(self, shape):
+        # the batch has 64 paths and 5 steps, so 6 nodes
+        batch = mc.sample_brownian(mc.TimeGrid(1.0, 5), 64, 1, 0)
+        control = mc.constant_control([0.0], 64, 5)
+        with pytest.raises(mc.ConfigurationError) as info:
+            mc.ForwardPaths(states=np.zeros(shape), control=control, batch=batch)
+        assert str(shape) in str(info.value) and "(64, 5)" in str(info.value)
+
+
 class TestRandomControl:
     def test_values_in_domain(self):
         dom = mc.FiniteSet([[-1.0], [0.0], [1.0]])
