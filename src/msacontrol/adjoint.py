@@ -123,13 +123,11 @@ def first_order_adjoint(spec: ProblemSpec, forward: ForwardPaths,
 def second_order_vanishes(spec: ProblemSpec) -> bool:
     """Whether P = 0 identically, so the matrix solve can be skipped.
 
-    True when declared outright, or when the terminal curvature, both
-    coefficient Hessians, and the driver Hessian all vanish: the equation is
-    then linear homogeneous with zero terminal.
+    True when the terminal curvature, both coefficient Hessians, and the
+    driver Hessian are all declared zero: the equation is then linear
+    homogeneous with zero terminal.
     """
     s = spec.structure
-    if s.second_order_zero:
-        return True
     return s.phi_xx_zero and s.b_xx_zero and s.sigma_xx_zero and s.f_hess_zero
 
 

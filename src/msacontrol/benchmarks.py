@@ -61,8 +61,12 @@ def example41(L: float) -> Benchmark:
     out the general penalty's G_z-difference term,
     L^2 (cos(Lz + L^2 (v - u)) - cos(Lz))^2. The costate equation has
     A_1 = 0, B_1 = f_z I and f_x = 0 with terminal L, so (p, q) = (L, 0) is its
-    unique solution; it is attached as the costate hint, which makes
-    ``run_msa`` skip the regression costate solve.
+    unique solution; it is attached as the costate hint. With q = 0 and
+    sigma_x = b_xx = sigma_xx = 0, the inhomogeneity Psi is
+    f_xx + 2 p f_xy + p^2 f_yy = 0, so the second-order equation is linear
+    homogeneous with terminal Phi_xx = 0 and P = 0; those zero nodes are the
+    second-order hint. Each hint makes ``run_msa`` skip a regression solve; a
+    run without them solves that equation.
     """
     if not (0.0 < L <= math.sqrt(math.pi)):
         raise ConfigurationError(f"L must lie in (0, sqrt(pi)], got {L}")
@@ -98,8 +102,7 @@ def example41(L: float) -> Benchmark:
         n=1, d=1, k=1, x0=np.zeros(1), horizon=1.0,
         drift=drift, diffusion=diffusion, driver=driver, terminal=terminal,
         derivatives=derivatives,
-        structure=Structure(b_xx_zero=True, sigma_xx_zero=True, phi_xx_zero=True,
-                            second_order_zero=True),
+        structure=Structure(b_xx_zero=True, sigma_xx_zero=True, phi_xx_zero=True),
         bounds=Bounds(df=L))
 
     def shift(x, v, u):
@@ -116,7 +119,8 @@ def example41(L: float) -> Benchmark:
         domain=FiniteSet(np.array([[0.0], [1.0]])),
         rho=example41_rho(L),
         hints=RunHints(hamiltonian=h_simplified, penalty=pen_simplified,
-                       first_order_ode=lambda grid: np.full((grid.steps + 1, 1), L)),
+                       first_order_ode=lambda grid: np.full((grid.steps + 1, 1), L),
+                       second_order_ode=lambda grid: np.zeros((grid.steps + 1, 1, 1))),
         jstar=0.0,
         notes="optimal quadruple (X, Y, Z, u) = (0, 0, 0, 0)")
 
@@ -300,7 +304,7 @@ def tree_batch(steps: int, horizon: float = 1.0) -> BrownianBatch:
     for j in range(steps):
         bit = (paths >> (steps - 1 - j)) & 1
         increments[:, j, 0] = np.where(bit == 0, 1.0, -1.0) * math.sqrt(grid.dt)
-    return BrownianBatch(grid=grid, n_paths=M, d=1, seed=None, increments=increments)
+    return BrownianBatch(grid, increments)
 
 
 def tree_backend(steps: int) -> ExactTreeBackend:
@@ -382,8 +386,7 @@ def tree_bruteforce(spec: ProblemSpec, domain: ControlDomain, steps: int,
         ids = np.arange(start, min(start + chunk, policy_count))
         pol = (ids[:, None] // place) % nc                  # (P, n_decision)
         P = len(ids)
-        stacked = BrownianBatch(grid=batch.grid, n_paths=P * M, d=1, seed=None,
-                                increments=increments[:P * M])
+        stacked = BrownianBatch(batch.grid, increments[:P * M])
         control = ControlField(table=candidates, index=pol[:, idx_map].reshape(P * M, steps))
         try:  # the chunk's states are freed with its pricing, before the next chunk's
             y0 = pathwise_cost(spec, simulate_forward(spec, control, stacked), backend)

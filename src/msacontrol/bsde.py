@@ -25,7 +25,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError
+from .errors import ConfigurationError, NumericalError, check_count
 from .model import ProblemSpec
 from .stochastics import ForwardPaths, _time_major
 
@@ -97,8 +97,7 @@ class RegressionBackend:
     control_features: bool = True
 
     def __post_init__(self):
-        if self.degree < 0:
-            raise ConfigurationError("degree must be >= 0")
+        check_count("degree", self.degree, 0)
 
     def project(self, step: int, features: Array, targets: Array) -> Array:
         """In-sample conditional-expectation estimate: the projection A coef of the

@@ -1,4 +1,6 @@
-"""Exception types shared across the solver stack."""
+"""Exception types shared across the solver stack, and the count check that raises one."""
+
+import numbers
 
 
 class ConfigurationError(ValueError):
@@ -24,3 +26,10 @@ class SimulationError(_Located):
 
 class NumericalError(_Located):
     """A linear-algebra, overflow or non-finite failure inside a solver."""
+
+
+def check_count(name: str, value, minimum: int) -> None:
+    """Raise ConfigurationError unless ``value`` is an integer (Python or numpy, not a
+    bool) of at least ``minimum``: a float count would be truncated or fail later."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ConfigurationError(f"{name} must be an integer >= {minimum}, got {value!r}")

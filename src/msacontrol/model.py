@@ -64,18 +64,22 @@ class Derivatives:
 
 @dataclass(frozen=True)
 class Structure:
-    """Declared structural zeros; solver shortcuts trust these, never infer them
-    (``check_derivatives`` verifies each flag that names a derivative). Under
-    ``f_z_zero``, ``run_msa`` adds no Girsanov terms for mu: every weight is 1."""
+    """Declared structural zeros; solver shortcuts trust these, never infer them.
+
+    Each flag ``<name>_zero`` names a derivative of ``DERIVATIVE_NAMES`` that is
+    identically 0, and ``check_derivatives`` verifies every one of them. Under
+    ``f_z_zero``, ``run_msa`` adds no Girsanov terms for mu: every weight is 1.
+    With all four of phi_xx, b_xx, sigma_xx and f_hess zero, the second-order
+    adjoint vanishes (``second_order_vanishes``). A zero second-order adjoint
+    that rests on more than these flags is supplied as nodes, through
+    ``RunHints.second_order_ode``.
+    """
 
     b_xx_zero: bool = False
     sigma_xx_zero: bool = False
     phi_xx_zero: bool = False
     f_hess_zero: bool = False
     f_z_zero: bool = False
-    # the second-order adjoint is identically zero (proven for the problem,
-    # e.g. constant costate with vanishing curvature terms)
-    second_order_zero: bool = False
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from .adjoint import (StepPoint, first_order_adjoint, first_order_step,  # noqa:
                       zero_second_order)
 from .bsde import (RegressionBackend, check_finite, cost_estimate, cost_step,  # noqa: F401
                    pathwise_cost, solve_bsde, solve_state_bsde)
-from .errors import ConfigurationError, NumericalError
+from .errors import ConfigurationError, NumericalError, check_count
 from .hamiltonian import check_rho, minimize_step
 from .model import ControlDomain, ProblemSpec, enumerate_controls
 from .stochastics import (BrownianBatch, ControlField, TimeGrid, _time_major, girsanov_exp,
@@ -53,8 +53,8 @@ class MsaConfig:
 
     def __post_init__(self):
         check_rho(self.rho)
-        if self.n_paths < 1 or self.steps < 1 or self.max_iters < 0:
-            raise ConfigurationError("n_paths, steps >= 1 and max_iters >= 0 required")
+        for name, minimum in (("n_paths", 1), ("steps", 1), ("max_iters", 0)):
+            check_count(name, getattr(self, name), minimum)
         if self.epsilon is not None and not self.epsilon > 0:
             raise ConfigurationError("epsilon must be positive (or None to disable)")
 
@@ -64,7 +64,9 @@ class IterationRecord:
     """Bookkeeping for iteration m: J(u^{m-1}), mu_m, and the realized descent.
 
     ``wall_ms`` times pass m: the forward simulation under u^{m-1} and its
-    sweep. The pricing of the last control falls in no record.
+    sweep. The pricing of the last control falls in no record. The adjoint
+    maxima are pass m's, over every node and path: of a solved adjoint from
+    its terminal on, of a hinted one over the hint's nodes.
     """
 
     m: int
@@ -76,6 +78,9 @@ class IterationRecord:
     wall_ms: float
     weight_ess: float = float("nan")        # (sum w)^2 / (M sum w^2) of mu_m's weights w
     weight_max_ratio: float = float("nan")  # max w / mean w; both are 1 when f_z = 0
+    max_abs_p: float = float("nan")
+    max_abs_P: float = float("nan")
+    max_asym_P: float = float("nan")        # worst pre-symmetrization |P - P'|
 
 
 @dataclass(frozen=True)
@@ -101,14 +106,18 @@ class RunHints:
 
 @dataclass
 class MsaResult:
+    """A run's records, one per pass, and its two controls; every per-pass
+    diagnostic, the adjoint maxima included, sits on its pass's record."""
+
     records: List[IterationRecord]
     returned_control: ControlField     # u^{m_eps - 1}, per the stopping rule
     last_control: ControlField         # the final minimizer u^m, for inspection
     stopped_early: bool
-    m_eps: Optional[int]
-    max_abs_p: List[float]
-    max_abs_P: List[float]
-    max_asym_P: List[float]            # worst pre-symmetrization |P - P'|
+
+    @property
+    def m_eps(self) -> Optional[int]:
+        """m of the record whose descent fell below epsilon, or None without a stop."""
+        return self.records[-1].m if self.stopped_early else None
 
     @property
     def final_j(self) -> float:
@@ -131,9 +140,11 @@ def compute_mu(h_sum: Array, fz_dw: Array, fz_sq: Array, dt: float) -> Tuple[flo
             float(w.max() / w.mean()))
 
 
-def _update_sweep(spec: ProblemSpec, forward, p_ode, P_ode, candidates: Array, rho: float,
-                  hints: RunHints, backend):
-    """One backward pass along u^{m-1} = ``forward.control``: cost, adjoints, update, mu.
+def _update_sweep(m: int, started: float, spec: ProblemSpec, forward, p_ode, P_ode,
+                  candidates: Array, rho: float, hints: RunHints,
+                  backend) -> Tuple[IterationRecord, ControlField]:
+    """Pass m's backward sweep along u^{m-1} = ``forward.control``: cost, adjoints,
+    update, mu.
 
     The cost BSDE is the pass's first equation, so each step's node is read
     off that step's own (X_j, Y_j, Z_j, u_j). p_ode / P_ode hold a given
@@ -141,8 +152,8 @@ def _update_sweep(spec: ProblemSpec, forward, p_ode, P_ode, candidates: Array, r
     three (M,) sums ``compute_mu`` reduces after the pass. u^{m-1}'s table
     starts with the candidates, so u^m is written as indices into that same
     table: the winning candidate's, or u^{m-1}'s where a sample keeps it.
-    Returns (J(u^{m-1}), its stderr, u^m, ``compute_mu``'s four values, max
-    |p|, max |P|, max pre-symmetrization |P - P'|), the maxima over every node.
+    Returns pass m's record, its descent still open and its wall time counted
+    from ``started`` (a ``perf_counter`` reading before the forward pass), and u^m.
     """
     batch, u_prev = forward.batch, forward.control
     M, N, n, d, dt = batch.n_paths, batch.grid.steps, spec.n, spec.d, batch.dt
@@ -206,8 +217,14 @@ def _update_sweep(spec: ProblemSpec, forward, p_ode, P_ode, candidates: Array, r
         return solved
 
     solve_bsde(terminals, step, forward, backend)
-    return (*cost_estimate(y_node), ControlField(table=u_prev.table, index=index),
-            *compute_mu(*sums, dt), max_p, max_P, asym)
+    u_new = ControlField(table=u_prev.table, index=index)
+    j, j_se = cost_estimate(y_node)
+    mu, mu_se, ess, w_ratio = compute_mu(*sums, dt)
+    return IterationRecord(m=m, j=j, j_stderr=j_se, mu=mu, mu_stderr=mu_se,
+                           descent=float("nan"),
+                           wall_ms=(time.perf_counter() - started) * 1e3,
+                           weight_ess=ess, weight_max_ratio=w_ratio, max_abs_p=max_p,
+                           max_abs_P=max_P, max_asym_P=asym), u_new
 
 
 def run_msa(spec: ProblemSpec, domain: ControlDomain, config: MsaConfig,
@@ -265,7 +282,6 @@ def run_msa(spec: ProblemSpec, domain: ControlDomain, config: MsaConfig,
         P_ode = np.zeros((N + 1, spec.n, spec.n))
 
     records: List[IterationRecord] = []  # the last one open until its J(u^m) is known
-    maxima: Tuple[List[float], ...] = ([], [], [])  # max |p|, max |P|, max asymmetry
     u_before, stopped = u_prev, False
 
     def closes(j_new: float) -> bool:
@@ -276,25 +292,20 @@ def run_msa(spec: ProblemSpec, domain: ControlDomain, config: MsaConfig,
     # each pass's states are made in the call that reads them, so they are freed
     # before the next pass makes its own
     for m in range(1, config.max_iters + 1):  # pass m
-        t0 = time.perf_counter()
+        started = time.perf_counter()
         if config.epsilon is None:
             u_before = None  # u^{m-2}: only an epsilon stop returns it
         try:
-            j, se, u_new, mu, mu_se, ess, w_ratio, *node_maxima = _update_sweep(
-                spec, simulate_forward(spec, u_prev, batch), p_ode, P_ode, candidates,
-                config.rho, hints, backend)
+            record, u_new = _update_sweep(
+                m, started, spec, simulate_forward(spec, u_prev, batch), p_ode, P_ode,
+                candidates, config.rho, hints, backend)
         except Exception as exc:
             exc.args = (f"iteration {m}: {exc}",) + exc.args[1:]
             raise
-        wall_ms = (time.perf_counter() - t0) * 1e3
-        if records and closes(j):
+        if records and closes(record.j):
             stopped = True  # this pass's u^m is discarded
             break
-        records.append(IterationRecord(m=m, j=j, j_stderr=se, mu=mu, mu_stderr=mu_se,
-                                       descent=float("nan"), wall_ms=wall_ms,
-                                       weight_ess=ess, weight_max_ratio=w_ratio))
-        for acc, value in zip(maxima, node_maxima):
-            acc.append(value)
+        records.append(record)
         u_before, u_prev = u_prev, u_new
     if records and not stopped:
         try:
@@ -304,8 +315,7 @@ def run_msa(spec: ProblemSpec, domain: ControlDomain, config: MsaConfig,
             exc.args = (f"iteration {records[-1].m}: {exc}",) + exc.args[1:]
             raise
     return MsaResult(records=records, returned_control=u_before, last_control=u_prev,
-                     stopped_early=stopped, m_eps=records[-1].m if stopped else None,
-                     max_abs_p=maxima[0], max_abs_P=maxima[1], max_asym_P=maxima[2])
+                     stopped_early=stopped)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError, SimulationError
+from .errors import ConfigurationError, NumericalError, SimulationError, check_count
 from .model import ControlDomain, ProblemSpec, enumerate_controls
 
 Array = np.ndarray
@@ -51,10 +51,9 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if not self.horizon > 0:
-            raise ConfigurationError("horizon must be positive")
-        if self.steps < 1:
-            raise ConfigurationError("steps must be >= 1")
+        if not (self.horizon > 0 and math.isfinite(self.horizon)):
+            raise ConfigurationError(f"horizon must be positive and finite, got {self.horizon}")
+        check_count("steps", self.steps, 1)
 
     @property
     def dt(self) -> float:
@@ -70,17 +69,32 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class BrownianBatch:
-    """Seeded increments dW ~ Normal(0, dt), shape (n_paths, steps, d).
+    """Increments dW of shape (n_paths, steps, d) on ``grid``: the sizes are read
+    off the increments, and construction refuses increments that are not 3-D,
+    have no path or no noise axis, or have a step count other than the grid's.
 
     Batches made by ``sample_brownian`` are stored time-major; one passed in
     any other layout gives the same results, only slower.
     """
 
     grid: TimeGrid
-    n_paths: int
-    d: int
-    seed: Optional[int]
     increments: Array
+
+    def __post_init__(self):
+        increments = np.asarray(self.increments, dtype=float)
+        shape, N = increments.shape, self.grid.steps
+        if not (len(shape) == 3 and shape[0] >= 1 and shape[1] == N and shape[2] >= 1):
+            raise ConfigurationError(f"increments of shape {shape} do not fit the grid's "
+                                     f"(n_paths, {N}, d), n_paths and d >= 1")
+        object.__setattr__(self, "increments", increments)
+
+    @property
+    def n_paths(self) -> int:
+        return self.increments.shape[0]
+
+    @property
+    def d(self) -> int:
+        return self.increments.shape[2]
 
     @property
     def dt(self) -> float:
@@ -91,22 +105,20 @@ def sample_brownian(grid: TimeGrid, n_paths: int, d: int, seed: int) -> Brownian
     """Draw a reproducible batch of Brownian increments.
 
     Paths are generated in blocks of 4096, one jumped Philox stream per block;
-    a larger n_paths with the same seed extends the batch bitwise.
+    a larger n_paths with the same seed extends the batch bitwise. A block's
+    normals fill in C order, so a partial last block draws only the rows it
+    keeps: they are the first rows of the whole block's draw.
     """
-    if n_paths < 1:
-        raise ConfigurationError("n_paths must be >= 1")
-    if d < 1:
-        raise ConfigurationError("d must be >= 1")
+    check_count("n_paths", n_paths, 1)
+    check_count("d", d, 1)
     root = np.random.Philox(key=seed)
     scale = np.sqrt(grid.dt)
     increments = _time_major((n_paths, grid.steps, d))
     for start in range(0, n_paths, _PATH_BLOCK):
         gen = np.random.Generator(root.jumped(start // _PATH_BLOCK))
-        draws = gen.standard_normal((_PATH_BLOCK, grid.steps, d))
         rows = increments[start:start + _PATH_BLOCK]
-        np.multiply(scale, draws[:len(rows)], out=rows)
-    return BrownianBatch(grid=grid, n_paths=n_paths, d=d, seed=seed,
-                         increments=increments)
+        np.multiply(scale, gen.standard_normal(rows.shape), out=rows)
+    return BrownianBatch(grid, increments)
 
 
 class ControlField:
@@ -139,6 +151,9 @@ class ControlField:
         if table.ndim != 2 or index.ndim != 2:
             raise ConfigurationError(f"control table must be (C, k) and index (M, N), "
                                      f"got {table.shape} and {index.shape}")
+        if not np.issubdtype(index.dtype, np.integer):  # a float or bool would be truncated
+            raise ConfigurationError(f"control index must have an integer dtype, "
+                                     f"got {index.dtype}")
         if index.size and not (index.min() >= 0 and index.max() < len(table)):
             raise ConfigurationError(f"control index outside the table's {len(table)} rows")
         dtype = _index_dtype(len(table))

@@ -70,8 +70,7 @@ def stacked_tree_inputs(bench, steps, rows, seed):
     tree = mc.tree_batch(steps, bench.spec.horizon)
     copies = rows // tree.n_paths
     increments = np.tile(tree.increments.swapaxes(0, 1), (1, copies, 1)).swapaxes(0, 1)
-    batch = mc.BrownianBatch(grid=tree.grid, n_paths=rows, d=1, seed=None,
-                             increments=increments)
+    batch = mc.BrownianBatch(tree.grid, increments)
     control = mc.random_control(bench.domain, rows, steps, seed)
     return mc.simulate_forward(bench.spec, control, batch)
 

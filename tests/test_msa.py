@@ -13,7 +13,7 @@ from msacontrol.stochastics import _time_major
 
 def records_equal_except_wall(a, b):
     fields = ("m", "j", "j_stderr", "mu", "mu_stderr", "descent", "weight_ess",
-              "weight_max_ratio")
+              "weight_max_ratio", "max_abs_p", "max_abs_P", "max_asym_P")
     return len(a) == len(b) and all(
         getattr(ra, f) == getattr(rb, f) for ra, rb in zip(a, b) for f in fields)
 
@@ -194,6 +194,28 @@ class TestRunMsa:
             mc.MsaConfig(rho=0.0, n_paths=0, steps=5, seed=0)
         with pytest.raises(mc.ConfigurationError):
             mc.MsaConfig(rho=0.0, n_paths=10, steps=5, seed=0, epsilon=0.0)
+        # numpy integers are counts too
+        cfg = mc.MsaConfig(rho=0.0, n_paths=np.int64(10), steps=np.uint8(5), seed=0,
+                           max_iters=np.int32(0))
+        assert mc.TimeGrid(1.0, cfg.steps).nodes.shape == (6,)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: mc.MsaConfig(rho=0, n_paths=10.5, steps=2, seed=1), "n_paths must be an integer"),
+        (lambda: mc.MsaConfig(rho=0, n_paths=10, steps=2.0, seed=1), "steps must be an integer"),
+        (lambda: mc.MsaConfig(rho=0, n_paths=10, steps=2, seed=1, max_iters=1.5),
+         "max_iters must be an integer"),
+        (lambda: mc.MsaConfig(rho=0, n_paths=True, steps=2, seed=1), "n_paths must be an integer"),
+        (lambda: mc.RegressionBackend(degree=1.5), "degree must be an integer"),
+        (lambda: mc.TimeGrid(1.0, 2.5), "steps must be an integer"),
+        (lambda: mc.TimeGrid(float("inf"), 2), "horizon must be positive and finite"),
+        (lambda: mc.sample_brownian(mc.TimeGrid(1.0, 2), 10.5, 1, 0),
+         "n_paths must be an integer"),
+    ], ids=["msa-paths", "msa-steps", "msa-iters", "msa-paths-bool", "degree", "grid-steps",
+            "grid-inf-horizon", "brownian-paths"])
+    def test_non_integral_count_or_infinite_horizon_refused(self, make, message):
+        # each was once accepted, to fail later (or run with dt = inf)
+        with pytest.raises(mc.ConfigurationError, match=message):
+            make()
 
     def test_integer_initial_control_runs_as_float(self):
         # an int64 control once truncated every update u^m_j to an integer
@@ -287,8 +309,8 @@ class TestRunMsa:
         M, N, seed = 500, 10, 3
         cfg = mc.MsaConfig(rho=0.0, n_paths=M, steps=N, seed=seed, max_iters=3)
         res = mc.run_msa(spec, domain, cfg, "random")
-        assert len(res.max_asym_P) == len(res.records)
-        assert max(res.max_asym_P) <= 1e-12 * max(res.max_abs_P)
+        asym = [rec.max_asym_P for rec in res.records]
+        assert max(asym) <= 1e-12 * max(rec.max_abs_P for rec in res.records)
         # the first record is what the solve at the initial control reports
         backend = cfg.backend
         batch = mc.sample_brownian(mc.TimeGrid(1.0, N), M, 1, seed)
@@ -297,12 +319,12 @@ class TestRunMsa:
         bwd = mc.solve_state_bsde(spec, fwd, backend)
         first = mc.first_order_adjoint(spec, fwd, bwd, backend)
         second = mc.second_order_adjoint(spec, fwd, bwd, first, backend)
-        assert res.max_asym_P[0] == second.asymmetry > 0.0
+        assert asym[0] == second.asymmetry > 0.0
         # the hinted and the zero branch record exact zeros
         for desk in (mc.lq_desk(), mc.example41(0.1)):
             cfg = mc.MsaConfig(rho=desk.rho, n_paths=200, steps=N, seed=seed, max_iters=2)
             res = mc.run_msa(desk.spec, desk.domain, cfg, "random", hints=desk.hints)
-            assert res.max_asym_P == [0.0] * len(res.records)
+            assert [rec.max_asym_P for rec in res.records] == [0.0] * len(res.records)
 
 
 class TestNearOptimalityGap:
@@ -351,9 +373,7 @@ class TestReturnedControlConvention:
 
 def c_order_copy(batch, control):
     """The same noise, and the control's dense values, stored path-major (C order)."""
-    c_batch = mc.BrownianBatch(grid=batch.grid, n_paths=batch.n_paths, d=batch.d,
-                               seed=batch.seed,
-                               increments=np.ascontiguousarray(batch.increments))
+    c_batch = mc.BrownianBatch(batch.grid, np.ascontiguousarray(batch.increments))
     return c_batch, np.ascontiguousarray(control.values)
 
 
@@ -380,8 +400,9 @@ class TestLayoutIndependence:
             assert np.array_equal(getattr(time_major, name).values,
                                   getattr(c_order, name).values)
         for name in ("max_abs_p", "max_abs_P", "max_asym_P"):
-            assert np.array_equal(getattr(time_major, name), getattr(c_order, name))
-        assert max(time_major.max_abs_P) > 0.0
+            assert np.array_equal([getattr(rec, name) for rec in time_major.records],
+                                  [getattr(rec, name) for rec in c_order.records])
+        assert max(rec.max_abs_P for rec in time_major.records) > 0.0
 
     @pytest.mark.parametrize("seed", range(5))
     def test_compute_mu(self, seed):
@@ -594,8 +615,8 @@ def separate_passes(spec, domain, cfg, initial, hints):
     by the next pass, or after the last pass by ``solve_state_bsde``, and the run
     stops on cfg.epsilon like run_msa.
 
-    Returns (records, returned control, last control, max |p|, max |P|,
-    max asymmetry), the reference the single sweep must match bit for bit.
+    Returns (records, returned control, last control), the adjoint maxima on the
+    records: the reference the single sweep must match bit for bit.
     """
     batch = mc.sample_brownian(mc.TimeGrid(spec.horizon, cfg.steps), cfg.n_paths,
                                spec.d, cfg.seed)
@@ -617,7 +638,7 @@ def separate_passes(spec, domain, cfg, initial, hints):
     u_prev = initial
     forward = mc.simulate_forward(spec, u_prev, batch)
     backward, first, second = stored_pass(spec, forward, backend, given_first, given_second)
-    records, max_p, max_P, asym = [], [], [], []
+    records = []
     for m in range(1, cfg.max_iters + 1):
         u_values = u_prev.values  # the reference slices dense values; run_msa gathers
         u_new = _time_major(u_values.shape)
@@ -648,16 +669,16 @@ def separate_passes(spec, domain, cfg, initial, hints):
         records.append(mc.IterationRecord(
             m=m, j=backward.j_estimate, j_stderr=backward.j_stderr, mu=mu, mu_stderr=mu_se,
             descent=backward.j_estimate - backward_new.j_estimate, wall_ms=0.0,
-            weight_ess=ess, weight_max_ratio=ratio))
-        max_p.append(float(np.max(np.abs(first.p if p_ode is None else p_ode))))
-        max_P.append(float(np.max(np.abs(second.P if P_ode is None else P_ode))))
-        asym.append(second.asymmetry)
+            weight_ess=ess, weight_max_ratio=ratio,
+            max_abs_p=float(np.max(np.abs(first.p if p_ode is None else p_ode))),
+            max_abs_P=float(np.max(np.abs(second.P if P_ode is None else P_ode))),
+            max_asym_P=second.asymmetry))
         if cfg.epsilon is not None and records[-1].descent < cfg.epsilon:
-            return records, u_prev, u_new, max_p, max_P, asym
+            return records, u_prev, u_new
         u_before = u_prev
         u_prev, forward, backward = u_new, forward_new, backward_new
         first, second = first_new, second_new
-    return records, u_before, u_prev, max_p, max_P, asym
+    return records, u_before, u_prev
 
 
 def sweep_sources():
@@ -669,7 +690,7 @@ def sweep_sources():
     cases = {"p-solved-P-solved": (spec, domain, 0.5, mc.RunHints(), mc.random_control),
              "p-hinted-P-solved": (spec, domain, 0.5, p_nodes, mc.random_control)}
     for name, bench in (("p-solved-P-hinted", mc.lq_desk()),
-                        ("p-hinted-P-declared-zero", mc.example41(0.1)),
+                        ("p-hinted-P-hinted-zero", mc.example41(0.1)),
                         ("p-hinted-P-zero-by-flags", mc.linrec_desk())):
         cases[name] = (bench.spec, bench.domain, bench.rho, bench.hints, mc.random_control)
     # u = 0.5 lies between lq_desk's {-1, 0, 1}, and early on it beats all three on
@@ -795,12 +816,11 @@ class TestSingleSweep:
             stop, eps = 1, np.nextafter(max(descents[0], 0.0), np.inf)
         for run_cfg in (cfg, dataclasses.replace(cfg, epsilon=float(eps))):
             res = mc.run_msa(spec, domain, run_cfg, initial)
-            records, returned, last, max_p, max_P, asym = separate_passes(
+            records, returned, last = separate_passes(
                 spec, domain, run_cfg, initial, mc.RunHints())
-            assert records_equal_except_wall(res.records, records)
+            assert records_equal_except_wall(res.records, records)  # the maxima too
             assert np.array_equal(res.returned_control.values, returned.values)
             assert np.array_equal(res.last_control.values, last.values)
-            assert (res.max_abs_p, res.max_abs_P, res.max_asym_P) == (max_p, max_P, asym)
         assert res.stopped_early and res.m_eps == stop == len(res.records)
 
     @pytest.mark.parametrize("iters", [1, 3])
@@ -837,16 +857,12 @@ class TestSingleSweep:
         cfg = mc.MsaConfig(rho=rho, n_paths=M, steps=N, seed=seed, max_iters=3)
         initial = make_initial(domain, M, N, seed)
         res = mc.run_msa(spec, domain, cfg, initial, hints=hints)
-        records, returned, last, max_p, max_P, asym = separate_passes(
-            spec, domain, cfg, initial, hints)
-        assert records_equal_except_wall(res.records, records)
+        records, returned, last = separate_passes(spec, domain, cfg, initial, hints)
+        assert records_equal_except_wall(res.records, records)  # the maxima too
         for got, want in ((res.returned_control, returned), (res.last_control, last)):
             assert got.values.tobytes() == want.values.tobytes()
         if source == "off-grid-initial":  # some samples kept 0.5 through every update
             assert 0 < np.count_nonzero(res.last_control.values == 0.5) < M * N
-        assert res.max_abs_p == max_p
-        assert res.max_abs_P == max_P
-        assert res.max_asym_P == asym
 
     @pytest.mark.parametrize("problem", ["curvature", "example41"])
     def test_derivatives_evaluated_once_per_node(self, problem, monkeypatch):

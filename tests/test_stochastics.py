@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -61,6 +64,41 @@ class TestSampleBrownian:
         for j in range(4):
             corr = np.corrcoef(batch.increments[:, j, 0], batch.increments[:, j, 1])[0, 1]
             assert abs(corr) < 0.05
+
+    def test_partial_block_draws_only_its_rows(self):
+        # 400 of a 4 096-path block: the increments and one draw of their size are
+        # 2 x 128 000 bytes, where a whole block's draw alone is 1.31 MB. The slack
+        # covers numpy's 8 192-element ufunc buffer for the strided time-major write
+        grid, M, d = mc.TimeGrid(1.0, 20), 400, 2
+        nbytes = M * grid.steps * d * 8
+        mc.sample_brownian(grid, 1, d, 7)  # numpy.random loads on first use
+        tracemalloc.start()
+        try:
+            batch = mc.sample_brownian(grid, M, d, 7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert batch.increments.nbytes == nbytes
+        assert peak <= 2 * nbytes + 100_000
+        # and the rows are the first rows of the whole block's draw
+        whole = np.random.Generator(np.random.Philox(key=7).jumped(0)).standard_normal(
+            (4096, grid.steps, d))
+        assert batch.increments.tobytes() == (np.sqrt(grid.dt) * whole[:M]).tobytes()
+
+
+class TestBrownianBatch:
+    def test_sizes_are_read_off_the_increments(self):
+        grid = mc.TimeGrid(1.0, 4)
+        batch = mc.BrownianBatch(grid, np.zeros((3, 4, 2)))
+        assert (batch.n_paths, batch.d, batch.dt) == (3, 2, 0.25)
+        assert [f.name for f in dataclasses.fields(mc.BrownianBatch)] == ["grid", "increments"]
+
+    @pytest.mark.parametrize("shape", [(3, 6, 1), (3, 4), (3, 4, 1, 1), (0, 4, 1), (3, 4, 0)],
+                             ids=["six-steps-on-four", "2-d", "4-d", "no-paths", "no-noise"])
+    def test_increments_that_do_not_fit_the_grid_refused(self, shape):
+        with pytest.raises(mc.ConfigurationError, match=r"\(n_paths, 4, d\)") as info:
+            mc.BrownianBatch(mc.TimeGrid(1.0, 4), np.zeros(shape))
+        assert str(shape) in str(info.value)
 
 
 class TestSimulateForward:
@@ -280,6 +318,9 @@ class TestControlField:
         (np.zeros((2, 1)), np.array([[0, 2]]), "outside the table's 2 rows"),
         (np.zeros((2, 1)), np.array([[0, -1]]), "outside the table's 2 rows"),
         (np.zeros(2), np.zeros((1, 2), dtype=int), "must be \\(C, k\\)"),
+        # a float or bool index was once truncated to [[0, 1]]
+        (np.zeros((2, 1)), np.array([[0.7, 1.9]]), "integer dtype, got float64"),
+        (np.zeros((2, 1)), np.array([[False, True]]), "integer dtype, got bool"),
     ])
     def test_bad_index_or_table_refused(self, table, index, message):
         with pytest.raises(mc.ConfigurationError, match=message):
@@ -319,8 +360,7 @@ class TestGirsanovWeights:
 
     def test_overflow_names_path(self):
         grid = mc.TimeGrid(1.0, 5)
-        huge = mc.BrownianBatch(grid=grid, n_paths=4, d=1, seed=None,
-                                increments=np.full((4, 5, 1), 1e3))
+        huge = mc.BrownianBatch(grid, np.full((4, 5, 1), 1e3))
         with pytest.raises(mc.NumericalError, match="overflow at path"):
             mc.girsanov_weights(np.ones((4, 5, 1)), huge)
 
@@ -405,8 +445,7 @@ class TestLayoutIndependentReductions:
     def test_girsanov_weights(self):
         batch = mc.sample_brownian(mc.TimeGrid(1.0, 20), 300, 2, 5)
         fz = 0.3 * np.random.default_rng(1).normal(size=(300, 20, 2))
-        c_batch = mc.BrownianBatch(grid=batch.grid, n_paths=300, d=2, seed=5,
-                                   increments=np.ascontiguousarray(batch.increments))
+        c_batch = mc.BrownianBatch(batch.grid, np.ascontiguousarray(batch.increments))
         assert not batch.increments.flags.c_contiguous
         fz_time_major = np.empty((20, 300, 2)).swapaxes(0, 1)
         fz_time_major[...] = fz
