@@ -4,9 +4,7 @@ from .adjoint import (FirstOrderAdjoint, SecondOrderAdjoint, empirical_knorm,
                       explicit_p0_oracle, first_order_adjoint, lq_second_order_ode,
                       ode_adjoint_linear, second_order_adjoint, second_order_vanishes,
                       upsilon)
-from .benchmarks import (Benchmark, TreeModel, example41, example41_rho,
-                         linear_recursive_problem, linrec_desk, lq_desk, lq_problem,
-                         tree_backend, tree_batch, tree_bruteforce)
+from .benchmarks import TreeModel, tree_backend, tree_batch, tree_bruteforce
 from .bsde import (BackwardPaths, ExactTreeBackend, RegressionBackend, pathwise_cost,
                    solve_bsde, solve_state_bsde)
 from .errors import (ConfigurationError, EvaluationError, NumericalError,
@@ -19,6 +17,8 @@ from .model import (Bounds, Box, ControlDomain, DerivativeReport, Derivatives,
                     eval_driver)
 from .msa import (GapReport, IterationRecord, MsaConfig, MsaResult, RunHints,
                   compute_mu, near_optimality_gap, run_msa)
+from .problems import (Benchmark, example41, example41_rho, linear_recursive_problem,
+                       linrec_desk, lq_desk, lq_problem)
 from .stochastics import (BrownianBatch, ControlField, ForwardPaths, TimeGrid,
                           constant_control, girsanov_weights, random_control,
                           sample_brownian, simulate_forward)

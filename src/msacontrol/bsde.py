@@ -144,6 +144,9 @@ class ExactTreeBackend:
 
     steps: int
 
+    def __post_init__(self):
+        check_count("steps", self.steps, 1)
+
     def project(self, step: int, features: Array, targets: Array) -> Array:
         targets = np.asarray(targets, dtype=float)
         M = targets.shape[0]

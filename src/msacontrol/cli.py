@@ -15,10 +15,11 @@ import os
 import sys
 from typing import Optional
 
-from .benchmarks import Benchmark, example41, linrec_desk, lq_desk, tree_bruteforce
+from .benchmarks import tree_bruteforce
 from .bsde import RegressionBackend
 from .errors import ConfigurationError, EvaluationError, NumericalError, SimulationError
 from .msa import MsaConfig, run_msa
+from .problems import Benchmark, example41, linrec_desk, lq_desk
 
 _RUN_HEADER = "iter,J,J_stderr,mu,mu_stderr,descent,wall_ms"
 _RATE_HEADER = "iter,gap,iter_times_gap"
@@ -154,7 +155,7 @@ def cmd_oracle(cfg: dict) -> int:
     tree = tree_bruteforce(bench.spec, bench.domain, cfg["steps"], mode=cfg["mode"])
     print(f"Jstar={_g17(tree.jstar)}")
     print(f"mode={tree.mode} decision_nodes={tree.decision_nodes} "
-          f"policies={tree.policy_count}")
+          f"policies={tree.policy_count} enumerated={tree.enumerated}")
     # decision nodes step by step: 2^j branches at step j, or j + 1 when recombining
     labels = [(j, h) for j in range(cfg["steps"])
               for h in range(2 ** j if tree.mode == "nonrecombining" else j + 1)]
@@ -189,7 +190,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Successive-approximation solver for stochastic recursive control")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, helptext in (("run", "run the solver and write a convergence CSV"),
-                           ("oracle", "brute-force tree optimum"),
+                           ("oracle", "exact tree optimum"),
                            ("rate", "gap decay table for the quadratic-cost problem")):
         p = sub.add_parser(name, help=helptext)
         for key, (cast, _, flag_help) in _FLAGS.items():

@@ -20,7 +20,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import ConfigurationError, EvaluationError
+from .errors import ConfigurationError, EvaluationError, check_count
 
 Array = np.ndarray
 
@@ -84,10 +84,16 @@ class Structure:
 
 @dataclass(frozen=True)
 class Bounds:
-    """Declared sup-norm bound of the driver's gradient; reported for penalty-weight
-    guidance only."""
+    """Declared bound of the driver's (y, z) gradient: |f_y| <= df and |f_z| <= df
+    at every (t, x, y, z, u). Trusted, never inferred: ``msacontrol run`` reports
+    it for penalty-weight guidance, and the tree oracle certifies its backward
+    induction by it (``benchmarks.tree_bruteforce``)."""
 
     df: Optional[float] = None
+
+    def __post_init__(self):
+        if self.df is not None and not 0.0 <= self.df < np.inf:
+            raise ConfigurationError(f"Bounds.df must be finite and >= 0, got {self.df}")
 
 
 @dataclass(frozen=True)
@@ -272,6 +278,8 @@ class FiniteSet:
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
         if pts.size == 0:
             raise ConfigurationError("FiniteSet must be non-empty")
+        if not np.isfinite(pts).all():
+            raise ConfigurationError("FiniteSet points must be finite")
         if len({tuple(row) for row in pts}) != len(pts):
             raise ConfigurationError("FiniteSet contains duplicate points")
         object.__setattr__(self, "points", pts)
@@ -283,24 +291,27 @@ class FiniteSet:
 
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned box, enumerated on a per-axis grid."""
+    """Axis-aligned box with finite bounds, enumerated on a per-axis grid."""
 
     lower: Array
     upper: Array
-    resolution: Array  # grid points per axis, each >= 2
+    resolution: Array  # grid points per axis, each an integer >= 2
 
     def __post_init__(self):
         lo = np.atleast_1d(np.asarray(self.lower, dtype=float))
         hi = np.atleast_1d(np.asarray(self.upper, dtype=float))
-        res = np.atleast_1d(np.asarray(self.resolution, dtype=int))
+        res = np.atleast_1d(np.asarray(self.resolution))
+        for points in res.ravel():  # before the cast, which would truncate 2.7 to 2
+            check_count("Box resolution", points, 2)
+        res = res.astype(int)
         if res.shape == (1,) and lo.shape != (1,):
             res = np.full(lo.shape, res[0])
         if not (lo.shape == hi.shape == res.shape):
             raise ConfigurationError("Box lower/upper/resolution shapes differ")
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise ConfigurationError("Box bounds must be finite")
         if np.any(lo > hi):
             raise ConfigurationError("Box requires lower <= upper componentwise")
-        if np.any(res < 2):
-            raise ConfigurationError("Box resolution must be >= 2 per axis")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
         object.__setattr__(self, "resolution", res)

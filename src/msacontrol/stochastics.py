@@ -301,14 +301,20 @@ def _checkpoint_stride(steps: int) -> int:
     return s if 2 * (-(-steps // s) + s) <= steps + 1 else 1
 
 
+def _euler(spec: ProblemSpec, t: float, x: Array, u: Array, dt: float, dw: Array) -> Array:
+    """x + b(t, x, u) dt + sigma(t, x, u) dw, row by row: the one Euler formula, shared
+    by the forward pass, its recomputes and the tree oracle's backward induction."""
+    b = spec.drift(t, x, u)
+    s = spec.diffusion(t, x, u)
+    return x + b * dt + np.einsum("mnd,md->mn", s, dw)
+
+
 def _euler_step(spec: ProblemSpec, control: ControlField, batch: BrownianBatch, j: int,
                 x: Array) -> Array:
     """X_{j+1} = X_j + b dt + sigma dW_j from x = X_j: the forward pass's step, and
     each recompute's."""
-    t, u = batch.grid.nodes[j], control.at(j)
-    b = spec.drift(t, x, u)
-    s = spec.diffusion(t, x, u)
-    return x + b * batch.dt + np.einsum("mnd,md->mn", s, batch.increments[:, j, :])
+    return _euler(spec, batch.grid.nodes[j], x, control.at(j), batch.dt,
+                 batch.increments[:, j, :])
 
 
 def simulate_forward(spec: ProblemSpec, control: ControlField,

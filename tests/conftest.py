@@ -28,3 +28,22 @@ def curvature_spec():
                                       + 0.5 * np.sin(z + u).sum(axis=1)
                                       + 0.2 * y * np.tanh(u[:, 0])),
         terminal=lambda x: 0.5 * (x * x).sum(axis=1))
+
+
+@pytest.fixture
+def z_driven():
+    """Specs dX = u dt + 0.5 dW, f = c z + u^2 / 10, Phi = (x - 0.3)^2 on [0, 1].
+
+    The one-step map of the tree's cost recursion decreases in the down child's
+    value wherever |c| sqrt(dt) > 1, so the comparison condition fails there.
+    ``df``, when given, is declared as ``Bounds.df``.
+    """
+    def make(c, df=None):
+        return mc.ProblemSpec.build(
+            n=1, d=1, k=1, x0=np.zeros(1), horizon=1.0,
+            drift=lambda t, x, u: u.astype(float),
+            diffusion=lambda t, x, u: np.full((len(x), 1, 1), 0.5),
+            driver=lambda t, x, y, z, u: c * z[:, 0] + 0.1 * u[:, 0] ** 2,
+            terminal=lambda x: (x[:, 0] - 0.3) ** 2, bounds=mc.Bounds(df=df))
+
+    return make

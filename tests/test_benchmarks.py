@@ -168,10 +168,12 @@ class TestTreeBruteforce:
         base = 1.0 + 1.0  # E[X_T^2] = x0^2 + T on the exact tree
         assert tree.jstar == pytest.approx(base, abs=1e-12)
 
-    def test_budget_refusal_includes_count(self):
-        bench = mc.lq_desk()
+    def test_budget_refusal_includes_count(self, z_driven):
+        # f = 5 z fails the comparison condition at depth 4 (5 sqrt(1/4) > 1), so
+        # the 3^15 policies of the class would have to be enumerated
+        dom = mc.FiniteSet([[-1.0], [0.0], [1.0]])
         with pytest.raises(mc.ConfigurationError, match="14348907"):
-            mc.tree_bruteforce(bench.spec, bench.domain, 4)  # 3^15 policies
+            mc.tree_bruteforce(z_driven(5.0), dom, 4)  # 3^15 policies
 
     def test_depth_and_dimension_guards(self):
         bench = mc.example41(0.1)
@@ -300,6 +302,106 @@ class TestTreeBruteforce:
             f = bench.spec.driver(batch.grid.nodes[j], fwd.states[:, j, :], yhat,
                                   zhat[:, None], ctl.values[:, j, :])
             assert np.array_equal(bwd.values[:, j], yhat + f * dt)
+
+
+def family_spec(gen):
+    """Affine drift and diffusion, a driver in x^2, y, sin z, u^2 and x u, and a
+    quadratic terminal cost, with coefficients drawn from ``gen``."""
+    a0, a1, a2, s0, s1, s2 = gen.uniform(-0.5, 0.5, 6)
+    s0 = 0.3 + abs(s0)
+    c = gen.uniform(-0.5, 0.5, 5)
+    g, m = gen.uniform(0.2, 1.0), gen.uniform(-0.5, 0.5)
+    return mc.ProblemSpec.build(
+        n=1, d=1, k=1, x0=np.array([gen.uniform(-0.5, 0.5)]), horizon=1.0,
+        drift=lambda t, x, u: a0 + a1 * x + a2 * u,
+        diffusion=lambda t, x, u: (s0 + s1 * x + s2 * u)[:, :, None],
+        driver=lambda t, x, y, z, u: (c[0] * x[:, 0] ** 2 + c[1] * y + c[2] * np.sin(z[:, 0])
+                                      + c[3] * u[:, 0] ** 2 + c[4] * x[:, 0] * u[:, 0]),
+        terminal=lambda x: g * (x[:, 0] - m) ** 2,
+        bounds=mc.Bounds(df=max(abs(c[1]), abs(c[2]))))  # |f_y| = |c1|, |f_z| <= |c2|
+
+
+def enumerate_only(monkeypatch, *args, **kwargs):
+    """``tree_bruteforce`` with the backward induction never certified."""
+    with monkeypatch.context() as patch:
+        patch.setattr(mc.benchmarks, "_backward_induction", lambda *a: None)
+        return mc.tree_bruteforce(*args, **kwargs)
+
+
+class TestBackwardInduction:
+    def test_matches_the_enumeration_on_random_specs(self, monkeypatch):
+        gen = np.random.default_rng(2026)
+        fallbacks = {"nonrecombining": 0, "recombining": 0}
+        for _ in range(24):
+            spec = family_spec(gen)
+            for steps, points in ((3, [[-1.0], [0.0], [1.0]]), (4, [[-0.5], [1.0]])):
+                dom = mc.FiniteSet(points)
+                for mode in fallbacks:
+                    tree = mc.tree_bruteforce(spec, dom, steps, mode=mode)
+                    reference = enumerate_only(monkeypatch, spec, dom, steps, mode=mode)
+                    assert reference.enumerated
+                    assert tree.jstar == reference.jstar
+                    assert np.array_equal(tree.policy, reference.policy)
+                    assert np.array_equal(tree.node_states, reference.node_states)
+                    fallbacks[mode] += tree.enumerated
+        # the adapted optimum lies outside the recombining class somewhere, and
+        # every adapted optimum of the family is certified
+        assert fallbacks["recombining"] >= 1
+        assert fallbacks["nonrecombining"] == 0
+
+    @pytest.mark.parametrize("c", [-6.0, -2.5, 2.5, 4.0, 6.0])
+    def test_failed_comparison_falls_back(self, monkeypatch, z_driven, c):
+        # |c| sqrt(1/3) > 1: the one-step map decreases in the down child's value
+        dom = mc.FiniteSet([[-1.0], [0.0], [1.0]])
+        assert mc.tree_bruteforce(z_driven(c), dom, 3).enumerated  # no bound declared
+        assert mc.tree_bruteforce(z_driven(c, df=abs(c)), dom, 3).enumerated
+        # within df (sqrt(dt) + dt) < 1 the induction answers
+        within = z_driven(c / 8, df=abs(c) / 8)
+        tree = mc.tree_bruteforce(within, dom, 3)
+        assert not tree.enumerated
+        assert tree.jstar == enumerate_only(monkeypatch, within, dom, 3).jstar
+
+    @pytest.mark.parametrize("declared", [False, True])
+    @pytest.mark.parametrize("steps, parts, df, optimum, certified_wrong", [
+        # f = 0.6 sin(8.4 z + 1.62) at t = 0 only: the root's up child taking a
+        # costlier control raises z past the sine's peak and lowers the root's cost
+        (2, dict(drift=lambda t, x, u: u.astype(float),
+                 diffusion=lambda t, x, u: np.full((len(x), 1, 1), 0.1),
+                 driver=lambda t, x, y, z, u: 0.6 * np.sin(8.4 * z[:, 0] + 1.62) * (t < 0.25),
+                 terminal=lambda x: 1.6 * (x[:, 0] - 0.1) ** 2),
+         0.6 * 8.4, 0.0273292, 0.3248),
+        # the cheaper policy departs from the induction two steps below the root
+        (3, dict(drift=lambda t, x, u: u - x,
+                 diffusion=lambda t, x, u: (0.089 + 0.3 * u)[:, :, None],
+                 driver=lambda t, x, y, z, u: (1.2 * np.sin(2.64 * z[:, 0] + 1.31) * (t < 0.36)
+                                               - 0.165 * y + 0.2 * u[:, 0] ** 2),
+                 terminal=lambda x: 0.41 * (x[:, 0] - 0.086) ** 2),
+         1.2 * 2.64, 0.74000, 0.75417),
+    ], ids=["depth-2", "depth-3"])
+    def test_sine_counterexamples_fall_back(self, monkeypatch, declared, steps, parts, df,
+                                            optimum, certified_wrong):
+        # f_y and f_z meet |f_z| sqrt(dt) < 1 + f_y dt at every point the induction
+        # visits, and an induction certified by that read certified_wrong; the
+        # driver's true bound fails df (sqrt(dt) + dt) < 1, so the policies are priced
+        spec = mc.ProblemSpec.build(n=1, d=1, k=1, x0=np.zeros(1), horizon=1.0,
+                                    bounds=mc.Bounds(df=df if declared else None), **parts)
+        dom = mc.FiniteSet([[-1.0], [0.0], [1.0]])
+        tree = mc.tree_bruteforce(spec, dom, steps)
+        reference = enumerate_only(monkeypatch, spec, dom, steps)
+        assert tree.enumerated
+        assert tree.jstar == reference.jstar
+        assert np.array_equal(tree.policy, reference.policy)
+        assert tree.jstar == pytest.approx(optimum, abs=1e-5)
+        assert tree.jstar < certified_wrong - 0.01
+
+    @pytest.mark.parametrize("mode", ["nonrecombining", "recombining"])
+    @pytest.mark.parametrize("maker", [mc.example41, lambda L: mc.lq_desk()])
+    def test_desk_optimum_at_depth_6(self, maker, mode):
+        bench = maker(0.1)
+        tree = mc.tree_bruteforce(bench.spec, bench.domain, 6, mode=mode)
+        assert tree.jstar == 0.0
+        assert not tree.enumerated
+        assert np.all(tree.policy == 0.0)
 
 
 class TestMsaTreeEquivalence:

@@ -362,6 +362,12 @@ class TestExactTreeBackend:
             alone = [backend.project(step, None, half) for half in (targets[:8], targets[8:])]
             assert np.array_equal(stacked, np.concatenate(alone))
 
+    @pytest.mark.parametrize("steps", [2.5, 0, -1, True])
+    def test_depth_must_be_a_positive_integer(self, steps):
+        # 2.5 was accepted, and its first project asked for a multiple of 5.66 paths
+        with pytest.raises(mc.ConfigurationError, match="steps must be an integer >= 1"):
+            mc.ExactTreeBackend(steps=steps)
+
     def test_path_count_must_be_a_multiple_of_the_tree(self):
         with pytest.raises(mc.ConfigurationError, match="multiple of 8"):
             mc.ExactTreeBackend(steps=3).project(1, None, np.zeros((12, 2)))

@@ -148,9 +148,34 @@ class TestCmdOracle:
         assert run_cli(["oracle", "--problem", "lq", "--steps", "3"]) == 0
         assert "Jstar=0" in capsys.readouterr().out
 
-    def test_budget_exceeded_exits_2(self, capsys):
-        assert run_cli(["oracle", "--problem", "lq", "--steps", "4"]) == 2
+    def test_budget_exceeded_exits_2(self, tmp_path, capsys):
+        # f = 5 z fails the comparison condition at depth 4, and 3^15 policies
+        # are over the enumeration's budget
+        prob = tmp_path / "zdriven.py"
+        prob.write_text(
+            "import numpy as np\n"
+            "import msacontrol as mc\n"
+            "def make_problem():\n"
+            "    bench = mc.lq_desk()\n"
+            "    spec = mc.ProblemSpec.build(\n"
+            "        n=1, d=1, k=1, x0=np.zeros(1), horizon=1.0,\n"
+            "        drift=lambda t, x, u: u.astype(float),\n"
+            "        diffusion=lambda t, x, u: np.full((len(x), 1, 1), 0.5),\n"
+            "        driver=lambda t, x, y, z, u: 5.0 * z[:, 0],\n"
+            "        terminal=lambda x: x[:, 0] ** 2)\n"
+            "    return mc.Benchmark('z-driven', spec, bench.domain, 0.0, mc.RunHints())\n")
+        assert run_cli(["oracle", "--problem", str(prob), "--steps", "4"]) == 2
         assert "budget" in capsys.readouterr().err
+
+    def test_depth_cap_exits_2(self, capsys):
+        assert run_cli(["oracle", "--problem", "lq", "--steps", "7"]) == 2
+        assert "steps <= 6" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["nonrecombining", "recombining"])
+    def test_lq_depth_6_by_backward_induction(self, capsys, mode):
+        assert run_cli(["oracle", "--problem", "lq", "--steps", "6", "--mode", mode]) == 0
+        out = capsys.readouterr().out
+        assert "Jstar=0\n" in out and "enumerated=False" in out
 
 
 class TestCmdRate:

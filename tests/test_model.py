@@ -188,6 +188,20 @@ class TestCheckDerivatives:
         np.testing.assert_allclose(dv.f_z(0.1, x, y, z, u), np.cos(z) * u, atol=1e-8)
 
 
+class TestBounds:
+    @pytest.mark.parametrize("df", [-0.1, np.inf, np.nan])
+    def test_negative_or_non_finite_bound_refused(self, df):
+        # the tree oracle certifies its backward induction by df (sqrt(dt) + dt) < 1,
+        # which a negative bound would meet for any driver
+        with pytest.raises(mc.ConfigurationError, match="Bounds.df"):
+            mc.Bounds(df=df)
+
+    def test_declared_bounds(self):
+        assert mc.Bounds().df is None
+        assert mc.example41(0.3).spec.bounds.df == 0.3
+        assert mc.lq_desk().spec.bounds.df == 0.0
+
+
 class TestHessianSymmetry:
     @pytest.mark.parametrize("spec_fn", [
         lambda: mc.example41(0.4).spec,
@@ -236,6 +250,21 @@ class TestControlDomains:
             mc.Box([1.0], [0.0], [3])
         with pytest.raises(mc.ConfigurationError):
             mc.Box([0.0], [1.0], [1])
+
+    @pytest.mark.parametrize("make", [
+        lambda: mc.Box([0.0], [1.0], [2.7]),       # was cast to 2 grid points
+        lambda: mc.Box([0.0], [1.0], 3.0),
+        lambda: mc.Box([0.0], [np.inf], [3]),      # enumerated [nan, inf, inf]
+        lambda: mc.Box([-np.inf], [0.0], [3]),
+        lambda: mc.Box([np.nan], [1.0], [3]),      # NaN passed lower <= upper
+        lambda: mc.Box([0.0, 0.0], [1.0, np.nan], [3, 3]),
+        lambda: mc.FiniteSet([[0.0], [np.nan]]),
+        lambda: mc.FiniteSet([[np.inf, 0.0]]),
+    ], ids=["float-resolution", "float-scalar-resolution", "infinite-upper",
+            "infinite-lower", "nan-lower", "nan-upper-k2", "nan-point", "infinite-point"])
+    def test_mangled_domains_refused(self, make):
+        with pytest.raises(mc.ConfigurationError):
+            make()
 
     @settings(max_examples=40, deadline=None)
     @given(lo=st.floats(-5, 5), width=st.floats(0, 5),
