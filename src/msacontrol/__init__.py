@@ -2,19 +2,14 @@
 
 from .adjoint import (FirstOrderAdjoint, SecondOrderAdjoint, empirical_knorm,
                       explicit_p0_oracle, first_order_adjoint, lq_second_order_ode,
-                      ode_adjoint_linear, second_order_adjoint, second_order_vanishes,
-                      upsilon)
+                      ode_adjoint_linear, second_order_adjoint, second_order_vanishes)
 from .benchmarks import TreeModel, tree_backend, tree_batch, tree_bruteforce
 from .bsde import (BackwardPaths, ExactTreeBackend, RegressionBackend, pathwise_cost,
                    solve_bsde, solve_state_bsde)
-from .errors import (ConfigurationError, EvaluationError, NumericalError,
-                     SimulationError)
-from .hamiltonian import (HamiltonianPoint, delta_tilde, eval_G, eval_H, eval_H_aug,
-                          minimize_H_aug)
+from .errors import ConfigurationError, NumericalError, SimulationError
 from .model import (Bounds, Box, ControlDomain, DerivativeReport, Derivatives,
                     FiniteSet, ProblemSpec, Structure, check_derivatives,
-                    domain_contains, enumerate_controls, eval_coefficients,
-                    eval_driver)
+                    enumerate_controls)
 from .msa import (GapReport, IterationRecord, MsaConfig, MsaResult, RunHints,
                   compute_mu, near_optimality_gap, run_msa)
 from .problems import (Benchmark, example41, example41_rho, linear_recursive_problem,

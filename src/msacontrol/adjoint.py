@@ -64,18 +64,8 @@ def _stored_point(spec: ProblemSpec, forward: ForwardPaths, backward: BackwardPa
                      backward.values[:, j], backward.integrand[:, j], forward.control.at(j))
 
 
-def upsilon(spec: ProblemSpec, t: float, x, p, q, u) -> Array:
-    """Column i = (sigma_x^i)' p + q^i, shape (n, d)."""
-    x = np.asarray(x, dtype=float).reshape(1, -1)
-    u = np.asarray(u, dtype=float).reshape(1, -1)
-    p = np.asarray(p, dtype=float).reshape(1, -1)
-    q = np.asarray(q, dtype=float).reshape(1, spec.n, spec.d)
-    sx = spec.derivatives.sigma_x(t, x, u)
-    return _upsilon_batch(sx, p, q)[0]
-
-
 def _upsilon_batch(sx: Array, p: Array, q: Array) -> Array:
-    # sx (M, d, n, n), p (M, n), q (M, n, d) -> (M, n, d)
+    """Column i = (sigma_x^i)' p + q^i: sx (M, d, n, n), p (M, n), q (M, n, d) -> (M, n, d)."""
     return np.einsum("miab,ma->mbi", sx, p) + q
 
 

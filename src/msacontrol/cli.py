@@ -17,7 +17,7 @@ from typing import Optional
 
 from .benchmarks import tree_bruteforce
 from .bsde import RegressionBackend
-from .errors import ConfigurationError, EvaluationError, NumericalError, SimulationError
+from .errors import ConfigurationError, NumericalError, SimulationError
 from .msa import MsaConfig, run_msa
 from .problems import Benchmark, example41, linrec_desk, lq_desk
 
@@ -214,7 +214,7 @@ def main(argv: Optional[list] = None) -> int:
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalError, SimulationError, EvaluationError) as exc:
+    except (NumericalError, SimulationError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

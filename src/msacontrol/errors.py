@@ -7,10 +7,6 @@ class ConfigurationError(ValueError):
     """Invalid problem setup, dimensions, or run parameters."""
 
 
-class EvaluationError(RuntimeError):
-    """A user-supplied coefficient produced a non-finite or malformed value."""
-
-
 class _Located(RuntimeError):
     """``path`` and ``step`` hold the indices the message names, if the raiser knows them."""
 

@@ -1,10 +1,10 @@
 """Hamiltonian evaluation and the pointwise control update.
 
-Everything here is pure. The batch functions take one leading sample axis;
-they, the solver's ``minimize_step`` and the single-point functions (one-row
-batches, for direct use and testing) share one set of per-candidate helpers,
-so each formula is written once. The candidate control v may be a single
-point (k,) or a per-sample array (B, k).
+Everything here is pure and batched over one leading sample axis; a single
+(t, omega) is a one-row batch. ``h_batch``, ``penalty_batch`` and the solver's
+``minimize_step`` share one set of per-candidate helpers, so each formula is
+written once. The candidate control v may be a single point (k,) or a
+per-sample array (B, k).
 
 ``minimize_step`` stacks candidates along the sample axis and evaluates them
 in chunks of at most ``_ROW_CHUNK`` rows, each folded into the selection at
@@ -25,13 +25,12 @@ z + delta), never finite differences, because they sit inside a minimization.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError
-from .model import ControlDomain, ProblemSpec, enumerate_controls
+from .model import ProblemSpec
 
 Array = np.ndarray
 
@@ -39,20 +38,6 @@ Array = np.ndarray
 # lq-grid21 peak heap by 7.6%, and all 86k rows of its 21 candidates are
 # slower than one candidate at a time.
 _ROW_CHUNK = 8192
-
-
-@dataclass(frozen=True)
-class HamiltonianPoint:
-    """Arguments of the augmented Hamiltonian at one (t, omega)."""
-
-    t: float
-    x: Array          # (n,)
-    y: float
-    z: Array          # (d,)
-    p: Array          # (n,)
-    q: Array          # (n, d)
-    P: Array          # (n, n)
-    u_prev: Array     # (k,)
 
 
 def _ctl(v, B: int, k: int) -> Array:
@@ -68,19 +53,15 @@ def _gap(p: Array, s: Array, s_u: Array):
     return ds, np.einsum("mnd,mn->md", ds, p)
 
 
-def _g(spec: ProblemSpec, t: float, x: Array, y: Array, p: Array, q: Array,
-       v: Array, b: Array, s: Array, zs: Array) -> Array:
-    """G from the candidate's drift b, diffusion s and shifted z."""
-    return (np.einsum("mn,mn->m", p, b)
-            + np.einsum("mnd,mnd->m", q, s)
-            + spec.driver(t, x, y, zs, v))
-
-
 def _h(spec: ProblemSpec, t: float, x: Array, y: Array, p: Array, q: Array,
        P: Array, v: Array, b: Array, s: Array, ds: Array, zs: Array) -> Array:
-    """H = G plus the curvature term of the diffusion gap ds."""
-    g = _g(spec, t, x, y, p, q, v, b, s, zs)
-    return g + 0.5 * np.einsum("mni,mnk,mki->m", ds, P, ds)
+    """H = G plus the curvature term of the diffusion gap ds, with
+    G = p'b + sum_i (q^i)' s^i + f(t, x, y, zs, v) from the candidate's drift b,
+    diffusion s and shifted z."""
+    return (np.einsum("mn,mn->m", p, b)
+            + np.einsum("mnd,mnd->m", q, s)
+            + spec.driver(t, x, y, zs, v)
+            + 0.5 * np.einsum("mni,mnk,mki->m", ds, P, ds))
 
 
 def _candidate(spec: ProblemSpec, t, x, y, z, p, q, P, v, s_u):
@@ -179,13 +160,13 @@ def minimize_step(spec: ProblemSpec, t: float, x: Array, y: Array, z: Array,
     """Argmin of the augmented Hamiltonian over the candidate list, per sample.
 
     Ties go to the lowest candidate index. Samples whose current control beats
-    every candidate (possible only off the enumeration) keep it. Returns five
-    distinct arrays (u_new (B, k), h_new (B,), h_prev (B,), h_aug_new (B,),
-    choice (B,)): h_new and h_prev are plain (non-augmented) values, and choice
-    is the index of each sample's winning candidate, or -1 where the sample
-    keeps its current control. Once every candidate is evaluated, raises
-    NumericalError naming the first path with a non-finite augmented value (and
-    its first such candidate) or h_prev.
+    every candidate (possible only off the enumeration) keep it. Returns four
+    distinct arrays (u_new (B, k), h_new (B,), h_prev (B,), choice (B,)): h_new
+    and h_prev are plain (non-augmented) values, and choice is the index of
+    each sample's winning candidate, or -1 where the sample keeps its current
+    control. Once every candidate is evaluated, raises NumericalError naming
+    the first path with a non-finite augmented value (and its first such
+    candidate) or h_prev.
 
     Candidates are stacked along the sample axis in chunks of at most
     ``_ROW_CHUNK`` (8 192) rows, max(1, 8192 // B) of them, and a chunk of one
@@ -279,73 +260,9 @@ def minimize_step(spec: ProblemSpec, t: float, x: Array, y: Array, z: Array,
         raise NumericalError(
             f"non-finite Hamiltonian {h_prev[path]} at the current control on path {path}",
             path=path)
-    u_new = candidates.take(best, axis=0)
-    h_aug_new, h_new = low, (low.copy() if pick is None else pick)
-    keep = h_aug_new > h_prev  # penalty vanishes at v = u_prev
+    u_new, h_new = candidates.take(best, axis=0), (low if pick is None else pick)
+    keep = low > h_prev  # penalty vanishes at v = u_prev
     if keep.any():
-        u_new[keep], h_new[keep], h_aug_new[keep] = u_prev[keep], h_prev[keep], h_prev[keep]
+        u_new[keep], h_new[keep] = u_prev[keep], h_prev[keep]
         best[keep] = -1
-    return u_new, h_new, h_prev, h_aug_new, best
-
-
-# ---------------------------------------------------------------------------
-# single-point surface
-
-def _row(a, *shape) -> Array:
-    """a as one float sample, shape (1, *shape)."""
-    return np.asarray(a, dtype=float).reshape(1, *shape)
-
-
-def _point_arrays(spec: ProblemSpec, point: HamiltonianPoint):
-    n, d = spec.n, spec.d
-    return (_row(point.x, n), _row(point.y), _row(point.z, d), _row(point.p, n),
-            _row(point.q, n, d), _row(point.P, n, n), _row(point.u_prev, spec.k))
-
-
-def delta_tilde(spec: ProblemSpec, t: float, x, p, v, u) -> Array:
-    """Component i = (sigma^i(t, x, v) - sigma^i(t, x, u))' p, shape (d,)."""
-    x, k = _row(x, spec.n), spec.k
-    s_v, s_u = spec.diffusion(t, x, _row(v, k)), spec.diffusion(t, x, _row(u, k))
-    return _gap(_row(p, spec.n), s_v, s_u)[1][0]
-
-
-def eval_G(spec: ProblemSpec, t: float, x, y, z, p, q, v, u) -> float:
-    """G = p'b(v) + sum_i (q^i)' sigma^i(v) + f(t, x, y, z + delta, v)."""
-    n, d, k = spec.n, spec.d, spec.k
-    x, p, v = _row(x, n), _row(p, n), _row(v, k)
-    s = spec.diffusion(t, x, v)
-    _, delta = _gap(p, s, spec.diffusion(t, x, _row(u, k)))
-    return float(_g(spec, t, x, _row(y), p, _row(q, n, d), v, spec.drift(t, x, v), s,
-                    _row(z, d) + delta)[0])
-
-
-def eval_H(spec: ProblemSpec, point: HamiltonianPoint, v) -> float:
-    x, y, z, p, q, P, u = _point_arrays(spec, point)
-    return float(h_batch(spec, point.t, x, y, z, p, q, P, _row(v, spec.k), u)[0])
-
-
-def check_rho(rho: float) -> None:
-    """Raise ConfigurationError unless the penalty weight rho is finite and >= 0."""
-    if not (np.isfinite(rho) and rho >= 0):
-        raise ConfigurationError(f"rho must be finite and >= 0, got {rho}")
-
-
-def eval_H_aug(spec: ProblemSpec, point: HamiltonianPoint, v, rho: float) -> float:
-    check_rho(rho)
-    x, y, z, p, q, P, u = _point_arrays(spec, point)
-    v = _row(v, spec.k)
-    vals = h_batch(spec, point.t, x, y, z, p, q, P, v, u)
-    if rho != 0.0:
-        vals = vals + 0.5 * rho * penalty_batch(spec, point.t, x, y, z, p, q, v, u)
-    return float(vals[0])
-
-
-def minimize_H_aug(spec: ProblemSpec, point: HamiltonianPoint,
-                   domain: ControlDomain, rho: float) -> Tuple[Array, float]:
-    """Best candidate and its augmented value; first lowest index wins ties."""
-    check_rho(rho)
-    candidates = enumerate_controls(domain)
-    x, y, z, p, q, P, u = _point_arrays(spec, point)
-    u_new, _, h_prev, h_aug_new, _ = minimize_step(
-        spec, point.t, x, y, z, p, q, P, u, candidates, rho)
-    return u_new[0], float(h_aug_new[0])
+    return u_new, h_new, h_prev, best

@@ -20,7 +20,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import ConfigurationError, EvaluationError, check_count
+from .errors import ConfigurationError, check_count
 
 Array = np.ndarray
 
@@ -86,8 +86,9 @@ class Structure:
 class Bounds:
     """Declared bound of the driver's (y, z) gradient: |f_y| <= df and |f_z| <= df
     at every (t, x, y, z, u). Trusted, never inferred: ``msacontrol run`` reports
-    it for penalty-weight guidance, and the tree oracle certifies its backward
-    induction by it (``benchmarks.tree_bruteforce``)."""
+    it for penalty-weight guidance, the tree oracle certifies its backward
+    induction by it (``benchmarks.tree_bruteforce``), and ``check_derivatives``
+    tests it on its sample."""
 
     df: Optional[float] = None
 
@@ -119,8 +120,8 @@ class ProblemSpec:
     bounds: Bounds = field(default_factory=Bounds)
 
     def __post_init__(self):
-        if min(self.n, self.d, self.k) < 1:
-            raise ConfigurationError("dimensions n, d, k must be positive")
+        for name in ("n", "d", "k"):
+            check_count(name, getattr(self, name), 1)
         if not self.horizon > 0:
             raise ConfigurationError("horizon must be positive")
         x0 = np.asarray(self.x0, dtype=float).reshape(-1)
@@ -339,55 +340,6 @@ def enumerate_controls(domain: ControlDomain) -> Array:
     raise ConfigurationError(f"unsupported control domain: {type(domain).__name__}")
 
 
-def domain_contains(domain: ControlDomain, value: Array, atol: float = 1e-12) -> bool:
-    value = np.asarray(value, dtype=float).reshape(-1)
-    if isinstance(domain, FiniteSet):
-        return bool(np.any(np.all(np.abs(domain.points - value) <= atol, axis=1)))
-    return bool(np.all(value >= domain.lower - atol) and np.all(value <= domain.upper + atol))
-
-
-# ---------------------------------------------------------------------------
-# pointwise evaluation (validated single-sample surface)
-
-def _check_point(spec: ProblemSpec, t: float, x, u) -> tuple:
-    if not (0.0 <= t <= spec.horizon):
-        raise ConfigurationError(f"t={t} outside [0, {spec.horizon}]")
-    x = np.asarray(x, dtype=float).reshape(-1)
-    u = np.asarray(u, dtype=float).reshape(-1)
-    if x.shape != (spec.n,):
-        raise ConfigurationError(f"x must have shape ({spec.n},), got {x.shape}")
-    if u.shape != (spec.k,):
-        raise ConfigurationError(f"u must have shape ({spec.k},), got {u.shape}")
-    return x, u
-
-
-def eval_coefficients(spec: ProblemSpec, t: float, x, u):
-    """Drift and diffusion at a single point; returns ((n,), (n, d))."""
-    x, u = _check_point(spec, t, x, u)
-    b = np.asarray(spec.drift(t, x[None], u[None]))[0]
-    if not np.all(np.isfinite(b)):
-        raise EvaluationError(f"drift b returned non-finite values at t={t}")
-    s = np.asarray(spec.diffusion(t, x[None], u[None]))[0]
-    if not np.all(np.isfinite(s)):
-        raise EvaluationError(f"diffusion sigma returned non-finite values at t={t}")
-    if b.shape != (spec.n,) or s.shape != (spec.n, spec.d):
-        raise ConfigurationError(
-            f"coefficient shapes {b.shape}, {s.shape} disagree with (n, d)=({spec.n}, {spec.d})")
-    return b, s
-
-
-def eval_driver(spec: ProblemSpec, t: float, x, y: float, z, u) -> float:
-    """Driver f at a single point."""
-    x, u = _check_point(spec, t, x, u)
-    z = np.asarray(z, dtype=float).reshape(-1)
-    if z.shape != (spec.d,):
-        raise ConfigurationError(f"z must have shape ({spec.d},), got {z.shape}")
-    val = float(np.asarray(spec.driver(t, x[None], np.array([float(y)]), z[None], u[None]))[0])
-    if not np.isfinite(val):
-        raise EvaluationError(f"driver f returned non-finite value at t={t}")
-    return val
-
-
 # ---------------------------------------------------------------------------
 # derivative checking
 
@@ -424,7 +376,9 @@ def check_derivatives(spec: ProblemSpec, sample_count: int = 32, step: float = 1
     that is right only on one-row batches fails. Every structural zero the
     spec declares (``Structure.b_xx_zero`` and so on) gets an entry under the
     flag's name: 0 when the declared derivative is exactly 0 on the batch,
-    infinite otherwise, since solver shortcuts drop those terms unchecked.
+    infinite otherwise, since solver shortcuts drop those terms unchecked. A
+    declared ``Bounds.df`` gets the entry "df", read the same way: 0 when
+    max(|f_y|, |f_z|) <= df on the batch.
     """
     if sample_count < 1 or not step > 0:
         raise ConfigurationError("sample_count >= 1 and step > 0 required")
@@ -452,7 +406,7 @@ def check_derivatives(spec: ProblemSpec, sample_count: int = 32, step: float = 1
         scale = np.maximum(1.0, np.abs(reference))
         return float(np.max(np.abs(value - reference) / scale))
 
-    errors = {}
+    errors, grad = {}, 0.0  # grad: max(|f_y|, |f_z|) on the batch
     for name in DERIVATIVE_NAMES:
         declared = getattr(dv, name)
         worst = 0.0
@@ -472,6 +426,10 @@ def check_derivatives(spec: ProblemSpec, sample_count: int = 32, step: float = 1
         # b_x, sigma_x, f_x, f_y and phi_x have no structural-zero flag
         if getattr(spec.structure, f"{name}_zero", False):
             errors[f"{name}_zero"] = 0.0 if np.all(batched == 0.0) else np.inf
+        if name in ("f_y", "f_z"):
+            grad = np.maximum(grad, np.max(np.abs(batched)))  # keeps a nan
+    if spec.bounds.df is not None:
+        errors["df"] = 0.0 if grad <= spec.bounds.df else np.inf
     return DerivativeReport(errors=errors, tol=tol, fd_fallback=dv.fd_fallback)
 
 

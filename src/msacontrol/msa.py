@@ -27,7 +27,7 @@ from .adjoint import (StepPoint, first_order_adjoint, first_order_step,  # noqa:
 from .bsde import (RegressionBackend, check_finite, cost_estimate, cost_step,  # noqa: F401
                    pathwise_cost, solve_bsde, solve_state_bsde)
 from .errors import ConfigurationError, NumericalError, check_count
-from .hamiltonian import check_rho, minimize_step
+from .hamiltonian import minimize_step
 from .model import ControlDomain, ProblemSpec, enumerate_controls
 from .stochastics import (BrownianBatch, ControlField, TimeGrid, _time_major, girsanov_exp,
                           girsanov_terms, random_control, sample_brownian, simulate_forward)
@@ -52,7 +52,8 @@ class MsaConfig:
     backend: RegressionBackend = field(default_factory=RegressionBackend)
 
     def __post_init__(self):
-        check_rho(self.rho)
+        if not (np.isfinite(self.rho) and self.rho >= 0):
+            raise ConfigurationError(f"rho must be finite and >= 0, got {self.rho}")
         for name, minimum in (("n_paths", 1), ("steps", 1), ("max_iters", 0)):
             check_count(name, getattr(self, name), minimum)
         if self.epsilon is not None and not self.epsilon > 0:
@@ -95,7 +96,8 @@ class RunHints:
     the paths, q = 0 under a costate hint, P = 0 when the second order
     vanishes. ``first_order_ode`` / ``second_order_ode`` supply deterministic
     adjoints on the grid nodes where the problem admits them; ``run_msa`` then
-    reads their nodes instead of solving that equation.
+    reads their nodes instead of solving that equation, and refuses nodes of
+    any other shape (ConfigurationError).
     """
 
     hamiltonian: Optional[Callable] = None
@@ -207,7 +209,7 @@ def _update_sweep(m: int, started: float, spec: ProblemSpec, forward, p_ode, P_o
             exc.args = (f"step {j}: {exc}",) + exc.args[1:]
             exc.step = j
             raise
-        _, h_new, h_prev, _, choice = update
+        _, h_new, h_prev, choice = update
         # a kept sample's -1 is cast to some index first, then replaced by u^{m-1}'s
         np.copyto(index[:, j], choice, casting="unsafe")
         np.copyto(index[:, j], u_prev.index[:, j], where=choice < 0)
@@ -278,6 +280,11 @@ def run_msa(spec: ProblemSpec, domain: ControlDomain, config: MsaConfig,
     # zero as zero nodes, or None for a solve in every iteration's sweep
     p_ode = hints.first_order_ode(grid) if hints.first_order_ode else None
     P_ode = hints.second_order_ode(grid) if hints.second_order_ode else None
+    for name, nodes, shape in (("first_order_ode", p_ode, (N + 1, spec.n)),
+                               ("second_order_ode", P_ode, (N + 1, spec.n, spec.n))):
+        if nodes is not None and np.shape(nodes) != shape:
+            raise ConfigurationError(
+                f"RunHints.{name} gave nodes of shape {np.shape(nodes)}, not {shape}")
     if P_ode is None and second_order_vanishes(spec):
         P_ode = np.zeros((N + 1, spec.n, spec.n))
 

@@ -13,7 +13,7 @@ import pytest
 
 import msacontrol as mc
 from msacontrol.benchmarks import tree_random_control
-from msacontrol.hamiltonian import minimize_step
+from msacontrol.hamiltonian import _gap, h_batch, minimize_step, penalty_batch
 from msacontrol.model import constant_fn
 
 RUNTIME_BUDGET_S = 300.0
@@ -214,18 +214,18 @@ class TestAcceptance:
             bench = mc.example41(0.3)
             spec = bench.spec
             rng = np.random.default_rng(0)
-            # penalty vanishes at v = u and rho = 0 reduces to H, exactly
-            for _ in range(50):
-                pt = mc.HamiltonianPoint(
-                    t=0.4, x=rng.normal(size=1), y=rng.normal(),
-                    z=rng.normal(size=1), p=rng.normal(size=1),
-                    q=rng.normal(size=(1, 1)), P=rng.normal(size=(1, 1)),
-                    u_prev=np.array([rng.choice([0.0, 1.0])]))
-                v = np.array([rng.choice([0.0, 1.0])])
-                assert mc.eval_H_aug(spec, pt, pt.u_prev, 2.2) == mc.eval_H(spec, pt, pt.u_prev)
-                assert mc.eval_H_aug(spec, pt, v, 0.0) == mc.eval_H(spec, pt, v)
-                dt_val = mc.delta_tilde(spec, pt.t, pt.x, pt.p, pt.u_prev, pt.u_prev)
-                assert np.all(dt_val == 0.0)
+            # penalty and delta vanish at v = u, and rho = 0 ranks by H alone, exactly
+            B, cands = 50, mc.enumerate_controls(bench.domain)
+            x, y, z, p = (rng.normal(size=(B, 1)), rng.normal(size=B),
+                          rng.normal(size=(B, 1)), rng.normal(size=(B, 1)))
+            q, P = rng.normal(size=(B, 1, 1)), rng.normal(size=(B, 1, 1))
+            u_prev = rng.choice([0.0, 1.0], size=(B, 1))
+            assert np.all(penalty_batch(spec, 0.4, x, y, z, p, q, u_prev, u_prev) == 0.0)
+            h_cands = [h_batch(spec, 0.4, x, y, z, p, q, P, c, u_prev) for c in cands]
+            h_new = minimize_step(spec, 0.4, x, y, z, p, q, P, u_prev, cands, 0.0)[1]
+            assert np.array_equal(h_new, np.min(h_cands, axis=0))
+            s_u = spec.diffusion(0.4, x, u_prev)
+            assert np.all(_gap(p, s_u, s_u)[1] == 0.0)
 
             # pointwise Hamiltonian decrease at every sampled (path, step)
             M, N = 4000, 20

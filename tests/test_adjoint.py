@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import msacontrol as mc
+from msacontrol.adjoint import _upsilon_batch
 from msacontrol.bsde import BackwardPaths
 from msacontrol.model import constant_fn
 from msacontrol.stochastics import BrownianBatch, ControlField, ForwardPaths
@@ -307,9 +308,11 @@ class TestSecondOrderAdjoint:
 
 
 class TestUpsilon:
+    # column i = (sigma_x^i)' p + q^i, at one point as a one-row batch
     def test_zero_inputs(self):
         spec = zero_spec()
-        out = mc.upsilon(spec, 0.0, [0.0], [1.0], np.zeros((1, 1)), [0.0])
+        sx = spec.derivatives.sigma_x(0.0, np.zeros((1, 1)), np.zeros((1, 1)))
+        out = _upsilon_batch(sx, np.ones((1, 1)), np.zeros((1, 1, 1)))[0]
         assert np.all(out == 0.0)
 
     def test_scalar_formula(self):
@@ -320,12 +323,14 @@ class TestUpsilon:
             driver=lambda t, x, y, z, u: np.zeros(len(x)),
             terminal=lambda x: np.zeros(len(x)),
             derivatives=dict(sigma_x=lambda t, x, u: np.full((len(x), 1, 1, 1), 2.0)))
-        out = mc.upsilon(spec, 0.0, [1.0], [3.0], np.array([[5.0]]), [0.0])
+        sx = spec.derivatives.sigma_x(0.0, np.ones((1, 1)), np.zeros((1, 1)))
+        out = _upsilon_batch(sx, np.full((1, 1), 3.0), np.full((1, 1, 1), 5.0))[0]
         assert out[0, 0] == pytest.approx(11.0)
 
     def test_example41_vanishes(self):
         spec = mc.example41(0.2).spec
-        out = mc.upsilon(spec, 0.5, [0.0], [0.2], np.zeros((1, 1)), [0.0])
+        sx = spec.derivatives.sigma_x(0.5, np.zeros((1, 1)), np.zeros((1, 1)))
+        out = _upsilon_batch(sx, np.full((1, 1), 0.2), np.zeros((1, 1, 1)))[0]
         assert np.all(out == 0.0)
 
 

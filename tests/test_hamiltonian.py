@@ -7,17 +7,17 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import msacontrol as mc
-from msacontrol.hamiltonian import h_batch, minimize_step, penalty_batch
+from msacontrol.hamiltonian import _gap, h_batch, minimize_step, penalty_batch
 from msacontrol.model import constant_fn
 
 floats = st.floats(-2.0, 2.0)
 
 
 def point(spec, t=0.2, x=0.0, y=0.0, z=0.0, p=0.0, q=0.0, P=0.0, u=0.0):
-    return mc.HamiltonianPoint(
-        t=t, x=np.full(spec.n, x), y=y, z=np.full(spec.d, z),
-        p=np.full(spec.n, p), q=np.full((spec.n, spec.d), q),
-        P=np.full((spec.n, spec.n), P), u_prev=np.full(spec.k, u))
+    """(t, x, y, z, p, q, P, u) at one (t, omega): each array a one-row batch."""
+    n, d, k = spec.n, spec.d, spec.k
+    return (t, np.full((1, n), x), np.full(1, y), np.full((1, d), z), np.full((1, n), p),
+            np.full((1, n, d), q), np.full((1, n, n), P), np.full((1, k), u))
 
 
 def sigma_state_spec():
@@ -30,31 +30,36 @@ def sigma_state_spec():
         terminal=lambda x: np.zeros(len(x)))
 
 
-class TestDeltaTilde:
+class TestDelta:
+    # delta_i = (sigma^i(v) - sigma^i(u))' p, the second output of _gap
     def test_coincident_controls_vanish(self):
         spec = sigma_state_spec()
-        out = mc.delta_tilde(spec, 0.1, [1.3], [0.7], [0.4], [0.4])
-        assert np.all(out == 0.0)
+        t, x, _, _, p, _, _, u = point(spec, t=0.1, x=1.3, p=0.7, u=0.4)
+        s_u = spec.diffusion(t, x, u)
+        assert np.all(_gap(p, s_u, s_u)[1] == 0.0)
 
     def test_example41_linear_in_control_gap(self):
         spec = mc.example41(1.0).spec
-        out = mc.delta_tilde(spec, 0.0, [0.0], [1.0], [1.0], [0.0])
-        assert out[0] == pytest.approx(1.0)
+        t, x, _, _, p, _, _, u = point(spec, t=0.0, p=1.0)
+        _, delta = _gap(p, spec.diffusion(t, x, np.ones((1, 1))), spec.diffusion(t, x, u))
+        assert delta[0, 0] == pytest.approx(1.0)
 
     def test_state_dependent_diffusion(self):
         spec = sigma_state_spec()
-        out = mc.delta_tilde(spec, 0.0, [3.0], [2.0], [1.0], [0.0])
-        assert out[0] == pytest.approx(6.0)
+        t, x, _, _, p, _, _, u = point(spec, t=0.0, x=3.0, p=2.0)
+        _, delta = _gap(p, spec.diffusion(t, x, np.ones((1, 1))), spec.diffusion(t, x, u))
+        assert delta[0, 0] == pytest.approx(6.0)
 
 
-class TestEvalG:
+class TestG:
+    # G is H at P = 0, where the curvature term adds an exact 0
     def test_example41_closed_form(self):
         L = 0.3
         spec = mc.example41(L).spec
         for z in (-0.5, 0.0, 1.2):
             for v, u in ((0.0, 1.0), (1.0, 0.0), (1.0, 1.0)):
-                got = mc.eval_G(spec, 0.4, [0.0], 0.0, [z], [L], np.zeros((1, 1)),
-                                [v], [u])
+                t, x, y, z_, p, q, P, u_ = point(spec, t=0.4, z=z, p=L, u=u)
+                got = h_batch(spec, t, x, y, z_, p, q, P, [v], u_)[0]
                 assert got == pytest.approx(np.sin(L * z + L * L * (v - u)), abs=1e-14)
 
     def test_all_zero_spec(self):
@@ -63,8 +68,8 @@ class TestEvalG:
             drift=constant_fn(np.zeros(1)), diffusion=constant_fn(np.zeros((1, 1))),
             driver=lambda t, x, y, z, u: np.zeros(len(x)),
             terminal=lambda x: np.zeros(len(x)))
-        assert mc.eval_G(spec, 0.0, [1.0], 1.0, [1.0], [1.0], np.ones((1, 1)),
-                         [1.0], [0.0]) == 0.0
+        t, x, y, z, p, q, P, u = point(spec, t=0.0, x=1.0, y=1.0, z=1.0, p=1.0, q=1.0)
+        assert h_batch(spec, t, x, y, z, p, q, P, [1.0], u)[0] == 0.0
 
     def test_linear_recursive_closed_form(self):
         bench = mc.linear_recursive_problem(
@@ -74,112 +79,121 @@ class TestEvalG:
             alpha=[0.0], gamma=0.0, domain=mc.Box([-2.0], [2.0], [5]),
             x0=np.zeros(1), horizon=1.0)
         # G = p(b1 x + b2 v + b3) + f1 x + f2 y + f3(v) = 1*2 + 4 = 6
-        got = mc.eval_G(bench.spec, 0.0, [0.0], 0.0, [0.0], [1.0],
-                        np.zeros((1, 1)), [2.0], [0.0])
+        t, x, y, z, p, q, P, u = point(bench.spec, t=0.0, p=1.0)
+        got = h_batch(bench.spec, t, x, y, z, p, q, P, [2.0], u)[0]
         assert got == pytest.approx(6.0)
 
 
-class TestEvalH:
+class TestH:
     def test_zero_curvature_reduces_to_G(self):
+        # G read off the spec's own coefficients: p'b(v) + q's(v) + f(z + delta)
         spec = mc.example41(0.5).spec
-        pt = point(spec, z=0.7, p=0.5, u=1.0)
+        t, x, y, z, p, q, P, u = point(spec, z=0.7, p=0.5, u=1.0)
         for v in (0.0, 1.0):
-            h = mc.eval_H(spec, pt, [v])
-            g = mc.eval_G(spec, pt.t, pt.x, pt.y, pt.z, pt.p, pt.q, [v], pt.u_prev)
-            assert h == g
+            v_ = np.array([[v]])
+            s = spec.diffusion(t, x, v_)
+            _, dz = _gap(p, s, spec.diffusion(t, x, u))
+            g = ((p * spec.drift(t, x, v_)).sum(1) + (q * s).sum((1, 2))
+                 + spec.driver(t, x, y, z + dz, v_))
+            assert h_batch(spec, t, x, y, z, p, q, P, [v], u)[0] == g[0]
 
     def test_curvature_term_scalar(self):
         # sigma = v: H - G = 0.5 * P * (v - u)^2 = 0.5 * 2 * 4 = 4
         spec = mc.example41(1.0).spec
-        pt = point(spec, P=2.0, u=1.0)
-        h = mc.eval_H(spec, pt, [3.0])
-        g = mc.eval_G(spec, pt.t, pt.x, pt.y, pt.z, pt.p, pt.q, [3.0], pt.u_prev)
+        t, x, y, z, p, q, P, u = point(spec, P=2.0, u=1.0)
+        h = h_batch(spec, t, x, y, z, p, q, P, [3.0], u)[0]
+        g = h_batch(spec, t, x, y, z, p, q, np.zeros_like(P), [3.0], u)[0]
         assert h - g == pytest.approx(4.0)
 
     def test_lq_closed_form(self):
         bench = mc.lq_desk()
-        pt = point(bench.spec, x=0.6, p=0.9, q=0.4, P=1.3, u=-1.0)
+        t, x, y, z, p, q, P, u = point(bench.spec, x=0.6, p=0.9, q=0.4, P=1.3, u=-1.0)
         v = 1.0
         expected = (0.4 * v + 0.5 * (0.6 ** 2 + v ** 2)
                     + 0.5 * 1.3 * (v - (-1.0)) ** 2)
-        assert mc.eval_H(bench.spec, pt, [v]) == pytest.approx(expected, abs=1e-12)
+        assert h_batch(bench.spec, t, x, y, z, p, q, P, [v], u)[0] == pytest.approx(
+            expected, abs=1e-12)
 
 
-class TestEvalHAug:
+class TestAugmentedH:
+    # the augmented value minimize_step ranks is h_batch + rho / 2 * penalty_batch
     def test_candidate_equals_current_reduces_to_H(self):
         spec = mc.example41(0.4).spec
-        pt = point(spec, z=0.3, p=0.4, u=1.0)
-        assert mc.eval_H_aug(spec, pt, [1.0], rho=3.7) == mc.eval_H(spec, pt, [1.0])
+        t, x, y, z, p, q, P, u = point(spec, z=0.3, p=0.4, u=1.0)
+        assert penalty_batch(spec, t, x, y, z, p, q, [1.0], u)[0] == 0.0
 
     def test_example41_override_matches_paper_form(self):
         bench = mc.example41(0.1)
         spec, rho = bench.spec, bench.rho
-        pt = point(spec, z=0.2, p=0.1, u=1.0)
+        t, x, y, z, p, q, P, u = point(spec, z=0.2, p=0.1, u=1.0)
         # general augmented Hamiltonian at (p = L, q = 0, P = 0) differs from
         # the problem's simplified form only through the z-derivative penalty,
         # negligible at this scale
-        general = mc.eval_H_aug(spec, pt, [0.0], rho=rho)
+        general = (h_batch(spec, t, x, y, z, p, q, P, [0.0], u)[0]
+                   + rho / 2.0 * penalty_batch(spec, t, x, y, z, p, q, [0.0], u)[0])
         simplified = np.sin(0.1 * 0.2 + 0.01 * (0.0 - 1.0)) + rho / 2.0
         assert general == pytest.approx(simplified, abs=1e-8)
         # and the attached override reproduces it exactly
-        hv = bench.hints.hamiltonian(spec, pt.t, pt.x[None], np.array([pt.y]),
-                                     pt.z[None], pt.p[None], pt.q[None],
-                                     pt.P[None], np.array([0.0]), pt.u_prev[None])
-        pen = bench.hints.penalty(spec, pt.t, pt.x[None], np.array([pt.y]),
-                                  pt.z[None], pt.p[None], pt.q[None],
-                                  np.array([0.0]), pt.u_prev[None])
+        hv = bench.hints.hamiltonian(spec, t, x, y, z, p, q, P, np.array([0.0]), u)
+        pen = bench.hints.penalty(spec, t, x, y, z, p, q, np.array([0.0]), u)
         assert hv[0] + rho / 2.0 * pen[0] == pytest.approx(simplified, abs=1e-15)
 
     def test_penalty_scales_linearly_in_rho(self):
-        spec = mc.example41(0.8).spec
-        pt = point(spec, z=-0.4, p=0.8, u=0.0)
-        h = mc.eval_H(spec, pt, [1.0])
-        rho = 0.37
-        single = mc.eval_H_aug(spec, pt, [1.0], rho) - h
-        double = mc.eval_H_aug(spec, pt, [1.0], 2 * rho) - h
-        assert double == pytest.approx(2 * single, rel=1e-12)
-
-    @pytest.mark.parametrize("rho", [-1.0, float("nan"), float("inf")])
-    def test_negative_or_non_finite_rho_refused(self, rho):
         bench = mc.example41(0.8)
-        pt = point(bench.spec, z=-0.4, p=0.8, u=0.0)
-        with pytest.raises(mc.ConfigurationError, match="rho must be finite"):
-            mc.eval_H_aug(bench.spec, pt, [1.0], rho)
-        with pytest.raises(mc.ConfigurationError, match="rho must be finite"):
-            mc.minimize_H_aug(bench.spec, pt, bench.domain, rho)
+        spec, cands = bench.spec, mc.enumerate_controls(bench.domain)
+        t, x, y, z, p, q, P, u = point(spec, z=-0.4, p=0.8, u=0.0)
+        h = h_batch(spec, t, x, y, z, p, q, P, [1.0], u)[0]
+        pen = penalty_batch(spec, t, x, y, z, p, q, [1.0], u)[0]
+        rho = 0.37
+        single = h + 0.5 * rho * pen - h
+        double = h + 0.5 * (2 * rho) * pen - h
+        assert double == pytest.approx(2 * single, rel=1e-12)
+        # and minimize_step ranks the candidates by exactly that value, at either weight
+        for weight in (rho, 2 * rho, 40.0):
+            aug = [h_batch(spec, t, x, y, z, p, q, P, c, u)[0]
+                   + 0.5 * weight * penalty_batch(spec, t, x, y, z, p, q, c, u)[0]
+                   for c in cands]
+            choice = minimize_step(spec, t, x, y, z, p, q, P, u, cands, weight)[3]
+            assert choice[0] == int(np.argmin(aug))
 
 
-class TestMinimizeHAug:
+class TestMinimizeStepAtOnePoint:
     def test_example41_worked_update(self):
         bench = mc.example41(0.1)
-        pt = point(bench.spec, z=0.0, p=0.1, u=1.0)
-        u_new, value = mc.minimize_H_aug(bench.spec, pt, bench.domain, bench.rho)
-        assert u_new[0] == 0.0
-        assert value == pytest.approx(np.sin(-0.01) + bench.rho / 2.0, abs=1e-8)
+        spec, rho = bench.spec, bench.rho
+        t, x, y, z, p, q, P, u = point(spec, z=0.0, p=0.1, u=1.0)
+        u_new, h_new, _, choice = minimize_step(spec, t, x, y, z, p, q, P, u,
+                                                mc.enumerate_controls(bench.domain), rho)
+        assert u_new[0, 0] == 0.0 and choice[0] == 0
+        value = h_new[0] + rho / 2.0 * penalty_batch(spec, t, x, y, z, p, q, u_new[0], u)[0]
+        assert value == pytest.approx(np.sin(-0.01) + rho / 2.0, abs=1e-8)
         assert value == pytest.approx(-0.0090, abs=2e-4)
 
     def test_fixed_point_returns_current(self):
         bench = mc.example41(0.1)
-        pt = point(bench.spec, z=0.0, p=0.1, u=0.0)  # 0 already optimal
-        u_new, value = mc.minimize_H_aug(bench.spec, pt, bench.domain, bench.rho)
-        assert u_new[0] == 0.0
-        assert value == mc.eval_H_aug(bench.spec, pt, [0.0], bench.rho)
+        t, x, y, z, p, q, P, u = point(bench.spec, z=0.0, p=0.1, u=0.0)  # 0 already optimal
+        u_new, h_new, h_prev, choice = minimize_step(
+            bench.spec, t, x, y, z, p, q, P, u, mc.enumerate_controls(bench.domain),
+            bench.rho)
+        assert u_new[0, 0] == 0.0 and choice[0] == 0
+        assert h_new[0] == h_prev[0]  # u's penalty vanishes: its augmented value is H
 
     def test_matches_exhaustive_scan_on_lq(self):
         bench = mc.lq_desk()
+        cands = mc.enumerate_controls(bench.domain)
         rng = np.random.default_rng(3)
         for _ in range(25):
-            pt = point(bench.spec, x=rng.normal(), y=rng.normal(), z=rng.normal(),
-                       p=rng.normal(), q=rng.normal(), P=abs(rng.normal()) + 0.5,
-                       u=rng.choice([-1.0, 0.0, 1.0]))
-            u_new, value = mc.minimize_H_aug(bench.spec, pt, bench.domain, 0.0)
-            scan = [mc.eval_H_aug(bench.spec, pt, v, 0.0)
-                    for v in mc.enumerate_controls(bench.domain)]
-            assert value == min(scan)
-            assert u_new[0] == mc.enumerate_controls(bench.domain)[int(np.argmin(scan)), 0]
+            t, x, y, z, p, q, P, u = point(
+                bench.spec, x=rng.normal(), y=rng.normal(), z=rng.normal(), p=rng.normal(),
+                q=rng.normal(), P=abs(rng.normal()) + 0.5, u=rng.choice([-1.0, 0.0, 1.0]))
+            u_new, h_new, _, _ = minimize_step(bench.spec, t, x, y, z, p, q, P, u, cands, 0.0)
+            scan = [h_batch(bench.spec, t, x, y, z, p, q, P, v, u)[0] for v in cands]
+            assert h_new[0] == min(scan)
+            assert u_new[0, 0] == cands[int(np.argmin(scan)), 0]
 
     def test_descent_guarantee_pointwise(self):
         bench = mc.example41(0.3)
+        spec, rho = bench.spec, bench.rho
         rng = np.random.default_rng(8)
         B = 500
         x = rng.normal(size=(B, 1))
@@ -190,10 +204,11 @@ class TestMinimizeHAug:
         P = rng.normal(size=(B, 1, 1))
         u_prev = rng.choice([0.0, 1.0], size=(B, 1))
         cands = mc.enumerate_controls(bench.domain)
-        u_new, h_new, h_prev, h_aug_new, _ = minimize_step(
-            bench.spec, 0.5, x, y, z, p, q, P, u_prev, cands, bench.rho)
+        u_new, h_new, h_prev, _ = minimize_step(
+            spec, 0.5, x, y, z, p, q, P, u_prev, cands, rho)
         assert np.all(h_new <= h_prev)          # exact, not just in expectation
-        assert np.all(h_aug_new <= h_prev)
+        aug_new = h_new + 0.5 * rho * penalty_batch(spec, 0.5, x, y, z, p, q, u_new, u_prev)
+        assert np.all(aug_new <= h_prev)
 
 
 class TestReductionProperties:
@@ -202,18 +217,27 @@ class TestReductionProperties:
            v=st.sampled_from([0.0, 1.0]), rho=st.floats(0.0, 5.0))
     def test_rho_zero_reduces_to_H(self, z, p, u, v, rho):
         spec = mc.example41(0.6).spec
-        pt = point(spec, z=z, p=p, u=u)
-        assert mc.eval_H_aug(spec, pt, [v], 0.0) == mc.eval_H(spec, pt, [v])
-        assert mc.eval_H_aug(spec, pt, [v], rho) >= mc.eval_H(spec, pt, [v])
+        cands = np.array([[0.0], [1.0]])
+        t, x, y, z, p, q, P, u = point(spec, z=z, p=p, u=u)
+        h = h_batch(spec, t, x, y, z, p, q, P, [v], u)[0]
+        assert h + 0.5 * rho * penalty_batch(spec, t, x, y, z, p, q, [v], u)[0] >= h
+        # at rho = 0 the update ranks the candidates by H alone
+        h_new = minimize_step(spec, t, x, y, z, p, q, P, u, cands, 0.0)[1]
+        assert h_new[0] == min(h_batch(spec, t, x, y, z, p, q, P, c, u)[0] for c in cands)
 
     @settings(max_examples=30, deadline=None)
     @given(z=floats, p=floats, q=floats, P=floats, u=st.sampled_from([0.0, 1.0]))
     def test_value_independent_of_enumeration_order(self, z, p, q, P, u):
-        spec = mc.example41(0.6).spec
-        pt = point(spec, z=z, p=p, q=q, P=P, u=u)
-        fwd = mc.minimize_H_aug(spec, pt, mc.FiniteSet([[0.0], [1.0]]), 1.3)[1]
-        rev = mc.minimize_H_aug(spec, pt, mc.FiniteSet([[1.0], [0.0]]), 1.3)[1]
-        assert fwd == rev
+        spec, rho = mc.example41(0.6).spec, 1.3
+        t, x, y, z, p, q, P, u = point(spec, z=z, p=p, q=q, P=P, u=u)
+
+        def aug(v):
+            return (h_batch(spec, t, x, y, z, p, q, P, v, u)[0]
+                    + 0.5 * rho * penalty_batch(spec, t, x, y, z, p, q, v, u)[0])
+
+        fwd, rev = (minimize_step(spec, t, x, y, z, p, q, P, u, np.array(c), rho)[0][0]
+                    for c in ([[0.0], [1.0]], [[1.0], [0.0]]))
+        assert aug(fwd) == aug(rev) == min(aug([0.0]), aug([1.0]))
 
     def test_state_only_driver_kills_yz_penalties(self):
         # driver independent of y and z: the G_y and G_z penalty terms vanish
@@ -259,7 +283,7 @@ def loop_reference(spec, t, x, y, z, p, q, P, u_prev, candidates, rho):
     u_new = candidates[best].copy()
     u_new[keep] = u_prev[keep]
     return (u_new, np.where(keep, h_prev, h_vals[best, rows]), h_prev,
-            np.where(keep, h_prev, aug_vals[best, rows]), np.where(keep, -1, best))
+            np.where(keep, -1, best))
 
 
 def random_step_inputs(spec, candidates, B, seed):
@@ -405,7 +429,7 @@ class TestSelection:
         u_new = candidates[best].copy()
         u_new[keep] = u_prev[keep]
         want = (u_new, np.where(keep, h_prev, h[best, rows]), h_prev,
-                np.where(keep, h_prev, aug[best, rows]), np.where(keep, -1, best))
+                np.where(keep, -1, best))
         assert all(same_bits(g, w) for g, w in zip(got, want))
         for i, a in enumerate(got):
             assert not np.shares_memory(a, candidates)

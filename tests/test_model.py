@@ -19,17 +19,44 @@ def zero_coeff_spec(n=1, d=1, k=1, value=0.7):
         terminal=lambda x: np.full(len(x), value))
 
 
-class TestEvalCoefficients:
+def row(*values):
+    """values as one-row float arrays: a list gives (1, len), a number (1,)."""
+    return tuple(np.array([v], dtype=float) for v in values)
+
+
+class TestProblemSpec:
+    @pytest.mark.parametrize("name", ["n", "d", "k"])
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, 0])
+    def test_non_integral_or_non_positive_dimension_refused(self, name, value):
+        # 1.5, 2.0 and True were accepted, and check_derivatives later failed with a TypeError
+        dims = {"n": 1, "d": 1, "k": 1, name: value}
+        with pytest.raises(mc.ConfigurationError, match=f"^{name} must be an integer >= 1"):
+            mc.ProblemSpec.build(
+                **dims, x0=np.zeros(1), horizon=1.0,
+                drift=lambda t, x, u: np.zeros_like(x),
+                diffusion=lambda t, x, u: np.zeros((len(x), 1, 1)),
+                driver=lambda t, x, y, z, u: np.zeros(len(x)),
+                terminal=lambda x: np.zeros(len(x)))
+
+    def test_numpy_integer_dimensions_accepted(self):
+        spec = zero_coeff_spec(n=np.int64(2), d=np.int32(1))
+        assert (spec.n, spec.d) == (2, 1)
+
+
+class TestCoefficients:
+    # a single point is a one-row batch of the spec's own callables
     def test_example41_sigma_is_control(self):
         spec = mc.example41(1.0).spec
-        b, s = mc.eval_coefficients(spec, 0.5, [3.0], [1.0])
+        x, u = row([3.0], [1.0])
+        b, s = spec.drift(0.5, x, u)[0], spec.diffusion(0.5, x, u)[0]
         assert b == pytest.approx(0.0)
         assert s[0, 0] == pytest.approx(1.0)
 
     def test_deterministic_bitwise(self):
         spec = mc.example41(0.3).spec
-        out1 = mc.eval_coefficients(spec, 0.25, [0.4], [1.0])
-        out2 = mc.eval_coefficients(spec, 0.25, [0.4], [1.0])
+        x, u = row([0.4], [1.0])
+        out1 = spec.drift(0.25, x, u), spec.diffusion(0.25, x, u)
+        out2 = spec.drift(0.25, x, u), spec.diffusion(0.25, x, u)
         assert np.array_equal(out1[0], out2[0])
         assert np.array_equal(out1[1], out2[1])
 
@@ -39,37 +66,21 @@ class TestEvalCoefficients:
             b1=[[0.5]], b2=[0.1], sigma_fn=lambda t, u: u[:, :, None],
             domain=mc.FiniteSet([[0.0], [1.0]]), n=1, d=1, k=1,
             x0=np.zeros(1), horizon=1.0)
-        b, _ = mc.eval_coefficients(bench.spec, 0.0, [2.0], [0.0])
+        b = bench.spec.drift(0.0, *row([2.0], [0.0]))[0]
         assert b[0] == pytest.approx(1.1)
 
-    def test_dimension_mismatch_is_config_error(self):
-        spec = mc.example41(0.1).spec
-        with pytest.raises(mc.ConfigurationError):
-            mc.eval_coefficients(spec, 0.0, [1.0, 2.0], [0.0])
-        with pytest.raises(mc.ConfigurationError):
-            mc.eval_coefficients(spec, 2.0, [1.0], [0.0])  # t outside horizon
 
-    def test_non_finite_names_the_coefficient(self):
-        spec = mc.ProblemSpec.build(
-            n=1, d=1, k=1, x0=np.zeros(1), horizon=1.0,
-            drift=lambda t, x, u: np.full_like(x, np.nan),
-            diffusion=constant_fn(np.zeros((1, 1))),
-            driver=lambda t, x, y, z, u: np.zeros(len(x)),
-            terminal=lambda x: np.zeros(len(x)))
-        with pytest.raises(mc.EvaluationError, match="drift"):
-            mc.eval_coefficients(spec, 0.0, [1.0], [0.0])
-
-
-class TestEvalDriver:
+class TestDriver:
     def test_example41_sine(self):
         spec = mc.example41(1.0).spec
-        val = mc.eval_driver(spec, 0.0, [0.0], 0.0, [np.pi / 2], [0.0])
-        assert val == pytest.approx(1.0)
+        x, y, z, u = row([0.0], 0.0, [np.pi / 2], [0.0])
+        assert spec.driver(0.0, x, y, z, u)[0] == pytest.approx(1.0)
 
     def test_zero_driver(self):
         bench = mc.linrec_desk()
         # desk instance has f1 = 0, f2 = beta; with y = 0 and u = 0 it vanishes
-        assert mc.eval_driver(bench.spec, 0.3, [1.0], 0.0, [0.0], [0.0]) == 0.0
+        x, y, z, u = row([1.0], 0.0, [0.0], [0.0])
+        assert bench.spec.driver(0.3, x, y, z, u)[0] == 0.0
 
     def test_linear_recursive_values(self):
         bench = mc.linear_recursive_problem(
@@ -78,8 +89,8 @@ class TestEvalDriver:
             f1=[1.0], f2=2.0, f3=lambda t, u: u[:, 0] ** 2,
             alpha=[0.0], gamma=0.0,
             domain=mc.Box([-1.0], [1.0], [3]), x0=np.zeros(1), horizon=1.0)
-        val = mc.eval_driver(bench.spec, 0.0, [1.0], 1.0, [0.0], [0.5])
-        assert val == pytest.approx(3.25)
+        x, y, z, u = row([1.0], 1.0, [0.0], [0.5])
+        assert bench.spec.driver(0.0, x, y, z, u)[0] == pytest.approx(3.25)
 
 
 class TestCheckDerivatives:
@@ -201,6 +212,37 @@ class TestBounds:
         assert mc.example41(0.3).spec.bounds.df == 0.3
         assert mc.lq_desk().spec.bounds.df == 0.0
 
+    @pytest.mark.parametrize("bench", [mc.example41(0.1), mc.example41(1.0),
+                                       mc.example41(np.sqrt(np.pi)), mc.lq_desk()],
+                             ids=["ex41-0.1", "ex41-1", "ex41-sqrtpi", "lq"])
+    def test_shipped_bounds_hold_on_the_sample(self, bench):
+        # sampled max(|f_y|, |f_z|): 0.0999988, 0.998797 and 1.76576 for example41
+        # (declared L), 0 for lq (declared 0)
+        rep = mc.check_derivatives(bench.spec)
+        assert rep.errors["df"] == 0.0
+        assert rep.all_passed
+
+    @pytest.mark.parametrize("df", [1.0, 4.9])
+    def test_understated_bound_fails(self, df, z_driven):
+        # f = 5 z: |f_z| = 5 everywhere
+        rep = mc.check_derivatives(z_driven(5.0, df=df))
+        assert rep.errors["df"] == np.inf
+        assert [key for key in rep.errors if not rep.passed(key)] == ["df"]
+
+    def test_understated_bound_on_f_y_fails(self):
+        # f = 2 y: |f_y| = 2 everywhere, f_z = 0
+        spec = mc.ProblemSpec.build(
+            n=1, d=1, k=1, x0=np.zeros(1), horizon=1.0,
+            drift=lambda t, x, u: u.astype(float),
+            diffusion=lambda t, x, u: np.full((len(x), 1, 1), 0.5),
+            driver=lambda t, x, y, z, u: 2.0 * y, terminal=lambda x: x[:, 0],
+            bounds=mc.Bounds(df=1.0))
+        assert mc.check_derivatives(spec).errors["df"] == np.inf
+
+    def test_undeclared_bound_has_no_entry(self, z_driven):
+        assert "df" not in mc.check_derivatives(z_driven(5.0)).errors
+        assert mc.check_derivatives(z_driven(5.0, df=6.0)).errors["df"] == 0.0
+
 
 class TestHessianSymmetry:
     @pytest.mark.parametrize("spec_fn", [
@@ -276,5 +318,3 @@ class TestControlDomains:
         assert np.all(pts[:, 0] >= lo - 1e-12)
         assert np.all(pts[:, 0] <= lo + width + 1e-12)
         assert np.array_equal(pts, mc.enumerate_controls(box))  # deterministic
-        for p in pts:
-            assert mc.domain_contains(box, p)

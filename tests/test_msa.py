@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -244,6 +245,22 @@ class TestRunMsa:
         with pytest.raises(mc.ConfigurationError, match=f"^batch does not match {message}$"):
             mc.run_msa(bench.spec, bench.domain, cfg, "random", hints=bench.hints,
                        batch=batch)
+
+    @pytest.mark.parametrize("name, shape, wanted", [
+        ("first_order_ode", (21,), (21, 1)),
+        ("second_order_ode", (21, 1), (21, 1, 1)),
+        ("first_order_ode", (30,), (21, 1)),
+    ], ids=["p-flat", "P-flat", "p-long"])
+    def test_hint_nodes_of_the_wrong_shape_refused(self, name, shape, wanted):
+        # at M = N + 1 a flat (N + 1,) costate broadcast along the paths, not the
+        # nodes, and the run went on silently (mu -0.11277 against -0.11721 here)
+        bench = mc.example41(0.5)
+        hints = mc.RunHints(**{name: lambda grid: np.resize(grid.nodes, shape)})
+        cfg = mc.MsaConfig(rho=0.3, n_paths=21, steps=20, seed=1, max_iters=1)
+        with pytest.raises(mc.ConfigurationError,
+                           match=re.escape(f"RunHints.{name} gave nodes of shape {shape}, "
+                                           f"not {wanted}")):
+            mc.run_msa(bench.spec, bench.domain, cfg, "random", hints=hints)
 
     def test_solver_errors_carry_iteration_index(self):
         spec = mc.ProblemSpec.build(
