@@ -148,6 +148,9 @@ class ExactTreeBackend:
         check_count("steps", self.steps, 1)
 
     def project(self, step: int, features: Array, targets: Array) -> Array:
+        if not 0 <= step < self.steps:
+            raise ConfigurationError(
+                f"tree backend of {self.steps} steps has no step {step}")
         targets = np.asarray(targets, dtype=float)
         M = targets.shape[0]
         if M % 2 ** self.steps:

@@ -24,8 +24,8 @@ import numpy as np
 from .adjoint import (StepPoint, first_order_adjoint, first_order_step,  # noqa: F401
                       second_order_adjoint, second_order_step, second_order_vanishes,
                       zero_second_order)
-from .bsde import (RegressionBackend, check_finite, cost_estimate, cost_step,  # noqa: F401
-                   pathwise_cost, solve_bsde, solve_state_bsde)
+from .bsde import (ExactTreeBackend, RegressionBackend, check_finite,  # noqa: F401
+                   cost_estimate, cost_step, pathwise_cost, solve_bsde, solve_state_bsde)
 from .errors import ConfigurationError, NumericalError, check_count
 from .hamiltonian import minimize_step
 from .model import ControlDomain, ProblemSpec, enumerate_controls
@@ -67,7 +67,11 @@ class IterationRecord:
     ``wall_ms`` times pass m: the forward simulation under u^{m-1} and its
     sweep. The pricing of the last control falls in no record. The adjoint
     maxima are pass m's, over every node and path: of a solved adjoint from
-    its terminal on, of a hinted one over the hint's nodes.
+    its terminal on, of a hinted one over the hint's nodes. ``changed_frac``
+    is the share of (path, step) cells whose control index u^m changed from
+    u^{m-1}'s. A record that follows one with ``changed_frac == 0`` is a copy
+    of it: every field is its predecessor's except ``m``, its descent (0.0,
+    or the last control's pricing) and ``wall_ms``, the time of the copy.
     """
 
     m: int
@@ -82,6 +86,7 @@ class IterationRecord:
     max_abs_p: float = float("nan")
     max_abs_P: float = float("nan")
     max_asym_P: float = float("nan")        # worst pre-symmetrization |P - P'|
+    changed_frac: float = float("nan")      # share of (path, step) cells where u^m != u^{m-1}
 
 
 @dataclass(frozen=True)
@@ -167,6 +172,7 @@ def _update_sweep(m: int, started: float, spec: ProblemSpec, forward, p_ode, P_o
     max_p = float(np.max(np.abs(terminals[1] if p_ode is None else p_ode)))
     max_P = float(np.max(np.abs(terminals[-1] if P_ode is None else P_ode)))
     asym, update, y_node, driver_sum, sums = 0.0, None, None, np.zeros(M), np.zeros((3, M))
+    changed = 0
     # given nodes broadcast over the paths, time-major; a costate hint implies q = 0
     if p_ode is not None:
         p_given, q_given = np.broadcast_to(p_ode[:, None], (N + 1, M, n)), np.zeros((M, n, d))
@@ -175,7 +181,7 @@ def _update_sweep(m: int, started: float, spec: ProblemSpec, forward, p_ode, P_o
     index = _time_major((M, N), dtype=u_prev.index.dtype)
 
     def step(j, u, phats, qs):
-        nonlocal max_p, max_P, asym, update, y_node, driver_sum
+        nonlocal max_p, max_P, asym, update, y_node, driver_sum, changed
         x = forward.state(j)
         y = cost_step(spec, nodes[j], x, phats[0], qs[0], u, dt)
         check_finite(y, j)
@@ -213,6 +219,7 @@ def _update_sweep(m: int, started: float, spec: ProblemSpec, forward, p_ode, P_o
         # a kept sample's -1 is cast to some index first, then replaced by u^{m-1}'s
         np.copyto(index[:, j], choice, casting="unsafe")
         np.copyto(index[:, j], u_prev.index[:, j], where=choice < 0)
+        changed += int(np.count_nonzero(index[:, j] != u_prev.index[:, j]))
         sums[0] += h_new - h_prev
         if not spec.structure.f_z_zero:  # else both sums stay 0 and every weight is 1
             girsanov_terms(sums[1:], point.f_z, batch.increments[:, j])
@@ -226,7 +233,8 @@ def _update_sweep(m: int, started: float, spec: ProblemSpec, forward, p_ode, P_o
                            descent=float("nan"),
                            wall_ms=(time.perf_counter() - started) * 1e3,
                            weight_ess=ess, weight_max_ratio=w_ratio, max_abs_p=max_p,
-                           max_abs_P=max_P, max_asym_P=asym), u_new
+                           max_abs_P=max_P, max_asym_P=asym,
+                           changed_frac=changed / (M * N)), u_new
 
 
 def run_msa(spec: ProblemSpec, domain: ControlDomain, config: MsaConfig,
@@ -246,6 +254,13 @@ def run_msa(spec: ProblemSpec, domain: ControlDomain, config: MsaConfig,
     u^{m-1}; the last minimizer u^m stays available. The pass that detects the
     stop has already run one more update, whose control is discarded.
 
+    A pass that keeps every control (``changed_frac == 0``) reached a fixed
+    point: every later pass would get its inputs and repeat it bit for bit on
+    the shared batch, so none runs. Its record closes with descent J - J = 0.0,
+    on which an epsilon stops; without one, copies of it fill the records up
+    to max_iters, each closed the same way but the last, which the pricing of
+    the last control closes as before.
+
     A given ``batch`` must match spec.horizon, config.steps and config.n_paths
     (else ConfigurationError). The initial control is re-indexed once over a
     table whose first rows are the enumerated candidates, followed by its own
@@ -263,6 +278,9 @@ def run_msa(spec: ProblemSpec, domain: ControlDomain, config: MsaConfig,
         if given != wanted:
             raise ConfigurationError(f"batch does not match {name}: {given} against {wanted}")
     backend = backend or config.backend
+    if isinstance(backend, ExactTreeBackend) and backend.steps != batch.grid.steps:
+        raise ConfigurationError(f"tree backend has {backend.steps} steps, the batch "
+                                 f"{batch.grid.steps}")
     candidates = enumerate_controls(domain)
     M, N = batch.n_paths, batch.grid.steps
 
@@ -298,17 +316,25 @@ def run_msa(spec: ProblemSpec, domain: ControlDomain, config: MsaConfig,
 
     # each pass's states are made in the call that reads them, so they are freed
     # before the next pass makes its own
+    record = None
     for m in range(1, config.max_iters + 1):  # pass m
         started = time.perf_counter()
         if config.epsilon is None:
             u_before = None  # u^{m-2}: only an epsilon stop returns it
-        try:
-            record, u_new = _update_sweep(
-                m, started, spec, simulate_forward(spec, u_prev, batch), p_ode, P_ode,
-                candidates, config.rho, hints, backend)
-        except Exception as exc:
-            exc.args = (f"iteration {m}: {exc}",) + exc.args[1:]
-            raise
+        if record is not None and record.changed_frac == 0.0:
+            # u^{m-1} = u^{m-2}: on the shared batch pass m would repeat pass m - 1
+            # bit for bit, so its record is a copy and its u^m is u^{m-1}
+            u_new = u_prev
+            record = dataclasses.replace(record, m=m,
+                                         wall_ms=(time.perf_counter() - started) * 1e3)
+        else:
+            try:
+                record, u_new = _update_sweep(
+                    m, started, spec, simulate_forward(spec, u_prev, batch), p_ode, P_ode,
+                    candidates, config.rho, hints, backend)
+            except Exception as exc:
+                exc.args = (f"iteration {m}: {exc}",) + exc.args[1:]
+                raise
         if records and closes(record.j):
             stopped = True  # this pass's u^m is discarded
             break

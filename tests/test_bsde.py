@@ -351,13 +351,22 @@ class TestExactTreeBackend:
         out = backend.project(1, None, targets)
         assert np.allclose(out[:4], 1.5)
         assert np.allclose(out[4:], 5.5)
-        # conditioning on everything (step 3) reproduces the targets
-        assert np.array_equal(backend.project(3, None, targets), targets)
+        # conditioning on the first two flips (the last step) averages each pair
+        assert np.array_equal(backend.project(2, None, targets),
+                              np.repeat([[0.5], [2.5], [4.5], [6.5]], 2, axis=0))
+
+    @pytest.mark.parametrize("step", [-1, 3, 4])
+    def test_step_outside_the_tree_refused(self, step):
+        # a step past the depth made a block of 2^(steps - step) paths: 1 at
+        # step == steps, and a float, a bare TypeError, beyond it
+        with pytest.raises(mc.ConfigurationError,
+                           match=f"tree backend of 3 steps has no step {step}"):
+            mc.ExactTreeBackend(steps=3).project(step, None, np.zeros((8, 1)))
 
     def test_stacked_batch_projects_each_group_alone(self):
         backend = mc.ExactTreeBackend(steps=3)
         targets = np.random.default_rng(3).normal(size=(16, 2))
-        for step in range(4):
+        for step in range(3):
             stacked = backend.project(step, None, targets)
             alone = [backend.project(step, None, half) for half in (targets[:8], targets[8:])]
             assert np.array_equal(stacked, np.concatenate(alone))

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -166,7 +167,9 @@ class TestRunMsa:
     @pytest.mark.parametrize("bench_name, calls", [("lq_desk", 0), ("example41", 3 * 10)])
     def test_declared_zero_f_z_skips_girsanov_terms(self, bench_name, calls, monkeypatch):
         # lq_desk declares f_z_zero, so its sweep adds no Girsanov terms;
-        # example41's driver reads z, so every step of every pass adds them
+        # example41's driver reads z, so every step of every pass adds them.
+        # At its formula rho example41(0.5) keeps every control from pass 1 on,
+        # and passes 2 and 3 are copies; at rho = 0.3 each pass changes some
         bench = mc.lq_desk() if bench_name == "lq_desk" else mc.example41(0.5)
         seen = []
 
@@ -175,10 +178,12 @@ class TestRunMsa:
             return mc.stochastics.girsanov_terms(*args)
 
         monkeypatch.setattr(mc.msa, "girsanov_terms", spy)
-        cfg = mc.MsaConfig(rho=bench.rho, n_paths=300, steps=10, seed=3, max_iters=3)
+        rho = bench.rho if bench_name == "lq_desk" else 0.3
+        cfg = mc.MsaConfig(rho=rho, n_paths=300, steps=10, seed=3, max_iters=3)
         res = mc.run_msa(bench.spec, bench.domain, cfg, "random", hints=bench.hints)
         assert bench.spec.structure.f_z_zero == (calls == 0)
         assert len(res.records) == 3 and len(seen) == calls
+        assert all(rec.changed_frac > 0.0 for rec in res.records[:-1])
 
     def test_max_iters_zero_returns_empty(self):
         bench = mc.example41(0.1)
@@ -245,6 +250,19 @@ class TestRunMsa:
         with pytest.raises(mc.ConfigurationError, match=f"^batch does not match {message}$"):
             mc.run_msa(bench.spec, bench.domain, cfg, "random", hints=bench.hints,
                        batch=batch)
+
+    @pytest.mark.parametrize("depth", [3, 2])
+    def test_tree_backend_of_another_depth_refused(self, depth):
+        # a 3-step backend on a 4-step tree ran on, blocks one flip too fine (record
+        # 2 at J = 0.265625 against 0.0), and a 2-step one raised a bare TypeError
+        bench, steps = mc.lq_desk(), 4
+        cfg = mc.MsaConfig(rho=bench.rho, n_paths=2 ** steps, steps=steps, seed=3,
+                           max_iters=2)
+        initial = mc.benchmarks.tree_random_control(bench.domain, steps, 3)
+        with pytest.raises(mc.ConfigurationError,
+                           match=f"^tree backend has {depth} steps, the batch {steps}$"):
+            mc.run_msa(bench.spec, bench.domain, cfg, initial, hints=bench.hints,
+                       batch=mc.tree_batch(steps), backend=mc.tree_backend(depth))
 
     @pytest.mark.parametrize("name, shape, wanted", [
         ("first_order_ode", (21,), (21, 1)),
@@ -342,6 +360,97 @@ class TestRunMsa:
             cfg = mc.MsaConfig(rho=desk.rho, n_paths=200, steps=N, seed=seed, max_iters=2)
             res = mc.run_msa(desk.spec, desk.domain, cfg, "random", hints=desk.hints)
             assert [rec.max_asym_P for rec in res.records] == [0.0] * len(res.records)
+
+
+def sweep_again(spec, domain, cfg, hints, control, m):
+    """Pass m along ``control`` by run_msa's own sweep, fed as run_msa feeds it:
+    (record with its descent open, the new control)."""
+    batch = mc.sample_brownian(mc.TimeGrid(spec.horizon, cfg.steps), cfg.n_paths, spec.d,
+                               cfg.seed)
+    p_ode = hints.first_order_ode(batch.grid) if hints.first_order_ode else None
+    P_ode = hints.second_order_ode(batch.grid) if hints.second_order_ode else None
+    if P_ode is None and mc.second_order_vanishes(spec):
+        P_ode = np.zeros((cfg.steps + 1, spec.n, spec.n))
+    return mc.msa._update_sweep(m, time.perf_counter(), spec,
+                                mc.simulate_forward(spec, control, batch), p_ode, P_ode,
+                                mc.enumerate_controls(domain), cfg.rho, hints, cfg.backend)
+
+
+class TestFixedPointCopies:
+    """A pass that keeps every control is a fixed point of the update on the shared
+    batch: each later pass would repeat it bit for bit, so run_msa copies its record."""
+
+    M, N, SEED = 1000, 10, 3
+
+    def run(self, L, hinted, monkeypatch=None, **config):
+        bench = mc.example41(L)
+        hints = bench.hints if hinted else mc.RunHints()
+        calls = {"simulate_forward": 0, "minimize_step": 0}
+        if monkeypatch is not None:
+            for name, fn in (("simulate_forward", mc.stochastics.simulate_forward),
+                             ("minimize_step", mc.hamiltonian.minimize_step)):
+                def spy(*args, _name=name, _fn=fn, **kwargs):
+                    calls[_name] += 1
+                    return _fn(*args, **kwargs)
+                monkeypatch.setattr(mc.msa, name, spy)
+        cfg = mc.MsaConfig(rho=bench.rho, n_paths=self.M, steps=self.N, seed=self.SEED,
+                           max_iters=6, **config)
+        initial = mc.random_control(bench.domain, self.M, self.N, self.SEED)
+        res = mc.run_msa(bench.spec, bench.domain, cfg, initial, hints=hints)
+        return bench, cfg, hints, initial, res, calls
+
+    @pytest.mark.parametrize("hinted", [True, False], ids=["hinted", "solved"])
+    def test_frozen_run_makes_one_pass(self, hinted, monkeypatch):
+        # at its formula rho example41(1.0)'s penalty outweighs every candidate's
+        # gain, so pass 1 keeps every control: passes 2-6 are copies, and only the
+        # pricing of the last control simulates again
+        *_, initial, res, calls = self.run(1.0, hinted, monkeypatch)
+        assert calls == {"simulate_forward": 2, "minimize_step": self.N}
+        assert [rec.m for rec in res.records] == [1, 2, 3, 4, 5, 6]
+        assert [rec.changed_frac for rec in res.records] == [0.0] * 6
+        assert [rec.descent for rec in res.records[:-1]] == [0.0] * 5
+        assert not res.stopped_early
+        for control in (res.returned_control, res.last_control):
+            assert control.values.tobytes() == initial.values.tobytes()
+
+    @pytest.mark.parametrize("hinted", [True, False], ids=["hinted", "solved"])
+    def test_frozen_run_stops_after_one_pass(self, hinted, monkeypatch):
+        *_, initial, res, calls = self.run(1.0, hinted, monkeypatch, epsilon=1e-9)
+        assert calls == {"simulate_forward": 1, "minimize_step": self.N}
+        assert res.stopped_early and res.m_eps == 1 and len(res.records) == 1
+        assert res.records[0].descent == 0.0
+        assert res.returned_control.values.tobytes() == initial.values.tobytes()
+
+    @pytest.mark.parametrize("L, hinted", [(1.0, True), (1.0, False), (0.1, True)],
+                             ids=["frozen-hinted", "frozen-solved", "example41-0.1"])
+    def test_copies_equal_a_recomputed_pass(self, L, hinted):
+        bench, cfg, hints, _, res, _ = self.run(L, hinted)
+        fixed = next(rec.m for rec in res.records if rec.changed_frac == 0.0)
+        assert fixed < cfg.max_iters  # at least one record is a copy
+        again, u_next = sweep_again(bench.spec, bench.domain, cfg, hints,
+                                    res.last_control, cfg.max_iters + 1)
+        assert np.array_equal(u_next.index, res.last_control.index)
+        fields = [f.name for f in dataclasses.fields(mc.IterationRecord)
+                  if f.name not in ("m", "wall_ms", "descent")]
+        for rec in res.records[fixed - 1:]:
+            assert [getattr(rec, f) for f in fields] == [getattr(again, f) for f in fields]
+        # the recomputed J(u^m) closes every record from the fixed point on but the
+        # last, which the pricing of the last control closes
+        assert [rec.descent for rec in res.records[fixed - 1:-1]] == \
+            [rec.j - again.j for rec in res.records[fixed - 1:-1]]
+
+    def test_changed_frac_is_the_share_of_changed_cells(self):
+        bench = mc.example41(0.5)
+        M, N, seed = self.M, self.N, self.SEED
+        controls = [mc.random_control(bench.domain, M, N, seed)]
+        for iters in (1, 2, 3):  # rho = 0.3: every pass changes some controls
+            cfg = mc.MsaConfig(rho=0.3, n_paths=M, steps=N, seed=seed, max_iters=iters)
+            res = mc.run_msa(bench.spec, bench.domain, cfg, controls[0], hints=bench.hints)
+            controls.append(res.last_control)
+        for rec, before, after in zip(res.records, controls, controls[1:]):
+            changed = (after.values != before.values).any(axis=2)
+            assert rec.changed_frac == np.count_nonzero(changed) / (M * N)
+        assert res.records[0].changed_frac > 0.0
 
 
 class TestNearOptimalityGap:

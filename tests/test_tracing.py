@@ -38,6 +38,7 @@ def test_instrumented_run_counts_every_entry_point():
     assert counts["hamiltonian.controls"] == M * N
     changed = int((res.last_control.values != initial.values).any(axis=2).sum())
     assert 0 < counts["hamiltonian.changed"] == changed
+    assert res.records[0].changed_frac == counts["hamiltonian.changed"] / (M * N)
     # the sweep and the pricing of u^1 each project Y_{j+1} and Y_{j+1} dW_j (d = 1)
     assert counts["bsde.project"] == 2 * N
     assert counts["bsde.project_rows"] == 2 * N * M * 2
@@ -49,6 +50,23 @@ def test_instrumented_run_counts_every_entry_point():
     # every rebinding is undone on exit
     assert mc.msa.minimize_step is mc.hamiltonian.minimize_step
     assert not hasattr(mc.bsde.RegressionBackend.project, "__wrapped__")
+
+
+def test_traced_changes_match_the_records():
+    # example41(0.1) keeps every control from pass 2 on: passes 3 and 4 are
+    # copies, which make no update and change nothing
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    bench = tracing.instrument_case(mc, mc.example41(0.1), tracer)
+    M, N = 500, 10
+    cfg = mc.MsaConfig(rho=bench.rho, n_paths=M, steps=N, seed=3, max_iters=4)
+    with tracing.instrument(mc, tracer):
+        res = mc.msa.run_msa(bench.spec, bench.domain, cfg, "random", hints=bench.hints)
+    counts = tracer.counts
+    assert [rec.changed_frac == 0.0 for rec in res.records] == [False, True, True, True]
+    assert counts["hamiltonian.minimize_step"] == 2 * N
+    assert counts["hamiltonian.controls"] == 2 * M * N
+    assert counts["hamiltonian.changed"] / (M * N) == sum(rec.changed_frac for rec in res.records)
 
 
 def test_instrumented_tree_run_uses_the_tree_entry_points():
