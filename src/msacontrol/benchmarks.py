@@ -27,7 +27,8 @@ from .stochastics import (BrownianBatch, ControlField, TimeGrid, _euler, _time_m
 
 Array = np.ndarray
 
-# most policies the enumeration prices, and most rows the backward induction holds
+# most policies the enumeration prices, most rows the backward induction holds, and
+# most paths of a tree
 _POLICY_BUDGET = 200_000
 
 
@@ -39,7 +40,6 @@ class TreeModel:
 
     steps: int
     mode: str                 # "nonrecombining" | "recombining"
-    node_count: int           # per the recording convention of the mode
     decision_nodes: int
     policy_count: int         # the size of the policy class, nc ** decision_nodes
     jstar: float
@@ -118,16 +118,16 @@ def _backward_induction(spec: ProblemSpec, candidates: Array, batch: BrownianBat
     induction visits. None unless:
 
     - ``spec.bounds.df`` is declared and df (sqrt(dt) + dt) < 1;
-    - the deepest step has at most ``_POLICY_BUDGET`` rows, which bounds
-      every array the induction builds;
     - every state and value is finite;
     - every history reaching one decision node of the class (``idx_map``) gets
       the same control, which a recombining node may not.
+
+    The caller bounds its rows: the deepest step has (2 nc)^steps of them.
     """
     grid = batch.grid
     nc, N, dt = len(candidates), grid.steps, grid.dt
     root, df = math.sqrt(dt), spec.bounds.df
-    if df is None or not df * (root + dt) < 1.0 or (2 * nc) ** N > _POLICY_BUDGET:
+    if df is None or not df * (root + dt) < 1.0:
         return None
     # the children of row r: (r nc + c) 2 + s for candidate c and sign s, 0 an up flip
     u_children = np.repeat(candidates, 2, axis=0)
@@ -167,24 +167,14 @@ def _backward_induction(spec: ProblemSpec, candidates: Array, batch: BrownianBat
     return policy
 
 
-def _policy_values(spec: ProblemSpec, candidates: Array, policies: Array, idx_map: Array,
-                   batch: BrownianBatch, backend: ExactTreeBackend) -> Array:
-    """Each policy's value, the mean Y_0 over its own block of 2^steps paths: the
-    policies (P, decision nodes) stacked along the path axis of ``batch``, which holds
-    P blocks, and priced by ``simulate_forward`` and ``pathwise_cost``."""
-    P, steps = len(policies), idx_map.shape[1]
-    control = ControlField(table=candidates,
-                           index=policies[:, idx_map].reshape(batch.n_paths, steps))
-    y0 = pathwise_cost(spec, simulate_forward(spec, control, batch), backend)
-    return y0.reshape(P, -1).mean(axis=1)
-
-
 def _enumerate(spec: ProblemSpec, candidates: Array, batch: BrownianBatch, idx_map: Array,
-               n_decision: int, backend: ExactTreeBackend) -> tuple:
-    """(value, control index per node) of the least of the nc^n_decision policies,
-    each chunk of them stacked along the path axis and priced by ``_policy_values``;
-    ties go to the first enumerated policy."""
-    nc, M = len(candidates), batch.n_paths
+               n_decision: int, backend: ExactTreeBackend) -> Array:
+    """The control index per node of the least of the nc^n_decision policies; ties
+    go to the first enumerated policy. Each chunk of P policies is stacked along
+    the path axis of ``batch``, in P blocks of its 2^steps paths, and priced by
+    ``simulate_forward`` and ``pathwise_cost``: a policy's value is the mean Y_0
+    over its own block."""
+    nc, (M, steps) = len(candidates), idx_map.shape
     policy_count = nc ** n_decision
     chunk = max(1, _ROW_CHUNK // M)
     # the tree increments repeated once per policy of a chunk, time-major
@@ -198,7 +188,9 @@ def _enumerate(spec: ProblemSpec, candidates: Array, batch: BrownianBatch, idx_m
         pol = (ids[:, None] // place) % nc                  # (P, n_decision)
         stacked = BrownianBatch(batch.grid, increments[:len(ids) * M])
         try:  # the chunk's states are freed with its pricing, before the next chunk's
-            vals = _policy_values(spec, candidates, pol, idx_map, stacked, backend)
+            y0 = pathwise_cost(spec, simulate_forward(spec, ControlField(
+                table=candidates, index=pol[:, idx_map].reshape(len(ids) * M, steps)),
+                stacked), backend)
         except (SimulationError, NumericalError) as exc:
             row = exc.path // M
             what = ("drives the state non-finite" if isinstance(exc, SimulationError)
@@ -207,10 +199,11 @@ def _enumerate(spec: ProblemSpec, candidates: Array, batch: BrownianBatch, idx_m
                 f"policy {start + row} with node controls "
                 f"{candidates[pol[row]].tolist()} {what} "
                 f"at step {exc.step}", path=exc.path % M, step=exc.step) from exc
+        vals = y0.reshape(len(ids), M).mean(axis=1)
         arg = int(np.argmin(vals))
         if vals[arg] < best_val:
             best_val, best_id = float(vals[arg]), int(ids[arg])
-    return best_val, (best_id // place) % nc
+    return (best_id // place) % nc
 
 
 def tree_bruteforce(spec: ProblemSpec, domain: ControlDomain, steps: int,
@@ -226,47 +219,50 @@ def tree_bruteforce(spec: ProblemSpec, domain: ControlDomain, steps: int,
     ``_backward_induction``; where it is certified (``spec.bounds.df`` bounds
     |f_y| and |f_z| with df (sqrt(dt) + dt) < 1) and lies in the class, it is
     the class's optimum too. Where it is not, every policy of the class is
-    priced (``_enumerate``, at most ``_POLICY_BUDGET`` of them), and ties go to
-    the first enumerated policy; a tie that the certified induction breaks by
-    the lowest candidate index at each node resolves the same way. Either way
-    the answer's value is the mean of Y_0 over the 2^steps paths under the
+    priced (``_enumerate``), and ties go to the first enumerated policy; a tie
+    that the certified induction breaks by the lowest candidate index at each
+    node resolves the same way. ``_POLICY_BUDGET`` bounds the depth: a tree
+    has at most that many paths (2^steps), the induction at most that many
+    rows ((2 nc)^steps), and the enumeration at most that many policies.
+    The answer's value is the mean of Y_0 over the 2^steps paths under the
     solver's own ``simulate_forward`` and ``pathwise_cost`` on the exact tree
-    backend. In the enumeration, a policy that drives the Euler state
-    non-finite raises SimulationError, and one whose cost is non-finite raises
-    NumericalError, each naming the policy, its node controls and the step.
+    backend, from the same pass as its node states. In the enumeration, a
+    policy that drives the Euler state non-finite raises SimulationError, and
+    one whose cost is non-finite raises NumericalError, each naming the
+    policy, its node controls and the step.
     """
     if spec.d != 1:
         raise ConfigurationError("tree oracle flips one coin per step: d = 1 only")
-    if steps > 6:
-        raise ConfigurationError("tree oracle is desk-scale: steps <= 6")
+    if steps > math.log2(_POLICY_BUDGET):  # one candidate has one policy at any depth
+        raise ConfigurationError(f"a tree of {steps} steps has 2^{steps} paths, over the "
+                                 f"budget of {_POLICY_BUDGET}")
     candidates = enumerate_controls(domain)
+    nc, rows = len(candidates), (2 * len(candidates)) ** steps
     batch = tree_batch(steps, spec.horizon)
     signs = np.sign(batch.increments[:, :, 0])
     idx_map, n_decision = _node_index_map(steps, mode, signs)
-    policy_count = len(candidates) ** n_decision
+    policy_count = nc ** n_decision
     backend = ExactTreeBackend(steps=steps)
-    best_policy = _backward_induction(spec, candidates, batch, idx_map, n_decision)
+    best_policy = (_backward_induction(spec, candidates, batch, idx_map, n_decision)
+                   if rows <= _POLICY_BUDGET else None)
     enumerated = best_policy is None
-    if not enumerated:
-        best_val = float(_policy_values(spec, candidates, best_policy[None], idx_map, batch,
-                                        backend)[0])
-    elif policy_count > _POLICY_BUDGET:
+    if enumerated and policy_count > _POLICY_BUDGET:
+        why = (f"needs {rows} rows" if rows > _POLICY_BUDGET else "is not certified")
+        count = policy_count if policy_count < 10 ** 100 else f"{nc}^{n_decision}"
         raise ConfigurationError(
-            f"backward induction is not certified, and policy enumeration needs "
-            f"{policy_count} evaluations, over the budget of {_POLICY_BUDGET}")
-    else:
-        best_val, best_policy = _enumerate(spec, candidates, batch, idx_map, n_decision,
-                                           backend)
+            f"backward induction {why}, and policy enumeration needs {count} "
+            f"evaluations, over the budget of {_POLICY_BUDGET}")
+    if enumerated:
+        best_policy = _enumerate(spec, candidates, batch, idx_map, n_decision, backend)
 
-    # states at each decision node under the optimal policy
-    best = ControlField(table=candidates, index=best_policy[idx_map])
-    forward = simulate_forward(spec, best, batch)
+    # the answer's one pass: its value, and its states at each decision node
+    forward = simulate_forward(spec, ControlField(table=candidates,
+                                                  index=best_policy[idx_map]), batch)
+    jstar = float(pathwise_cost(spec, forward, backend).mean())
     node_states = np.zeros((n_decision, spec.n))
     for j in range(steps):
         node_states[idx_map[:, j]] = forward.state(j)
-    node_count = (steps * (steps + 1) // 2 + 1 if mode == "recombining"
-                  else 2 ** steps - 1)
-    return TreeModel(steps=steps, mode=mode, node_count=node_count,
-                     decision_nodes=n_decision, policy_count=policy_count,
-                     jstar=best_val, policy=candidates[best_policy],
-                     node_states=node_states, enumerated=enumerated)
+    return TreeModel(steps=steps, mode=mode, decision_nodes=n_decision,
+                     policy_count=policy_count, jstar=jstar,
+                     policy=candidates[best_policy], node_states=node_states,
+                     enumerated=enumerated)

@@ -86,15 +86,11 @@ class RegressionBackend:
     """Global polynomial least squares in the state features.
 
     ``degree`` is the total monomial degree; nothing is regularized, so
-    constants (and sample means) are reproduced exactly. ``control_features``
-    appends the current control to the regression features: with per-path
-    controls the time-j information is (X_j, u_j), and dropping u makes the q
-    estimate collapse to its X-conditional mean, which stalls
-    control-in-diffusion problems.
+    constants (and sample means) are reproduced exactly. The features are
+    (X_j, u_j) (``_step_features``).
     """
 
     degree: int = 2
-    control_features: bool = True
 
     def __post_init__(self):
         check_count("degree", self.degree, 0)
@@ -175,12 +171,11 @@ class BackwardPaths:
     j_stderr: float
 
 
-def _step_features(x: Array, u: Array, backend) -> Array:
-    """The regression features of one step: its states x, and its controls u where
-    the backend asks for them."""
-    if getattr(backend, "control_features", False):
-        return np.concatenate([x, u], axis=1)
-    return x
+def _step_features(x: Array, u: Array) -> Array:
+    """The regression features of one step, (X_j, u_j): with per-path controls that
+    is the time-j information, and without u the q estimate collapses to its
+    X-conditional mean, which stalls control-in-diffusion problems."""
+    return np.concatenate([x, u], axis=1)
 
 
 def cost_step(spec: ProblemSpec, t: float, x: Array, yhat: Array, z: Array, u: Array,
@@ -287,7 +282,7 @@ def _proxies(nxt, j: int, forward: ForwardPaths, u: Array, backend, store=None):
     targets = np.concatenate(
         [flat, (flat[:, :, None] * batch.increments[:, j, None, :]).reshape(M, R * d)], axis=1)
     del flat
-    proj = backend.project(j, _step_features(forward.state(j), u, backend), targets)
+    proj = backend.project(j, _step_features(forward.state(j), u), targets)
     del targets
     phats, qs, col = [], [], 0
     for e, p in enumerate(nxt):

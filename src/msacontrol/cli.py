@@ -194,8 +194,9 @@ def _build_parser() -> argparse.ArgumentParser:
                            ("rate", "gap decay table for the quadratic-cost problem")):
         p = sub.add_parser(name, help=helptext)
         for key, (cast, _, flag_help) in _FLAGS.items():
-            p.add_argument(f"--{key}", type=cast, default=None, help=flag_help,
-                           choices=_MODES if key == "mode" else None)
+            if key != "mode" or name == "oracle":  # a config file's keys are shared
+                p.add_argument(f"--{key}", type=cast, default=None, help=flag_help,
+                               choices=_MODES if key == "mode" else None)
         p.add_argument("--config", type=str, default=None, help="KEY=VALUE config file")
     return parser
 

@@ -179,29 +179,26 @@ def _fd_jacobian(fn: Callable[[Array], Array], x: Array, step: float) -> Array:
 
 
 def _fd_hessian(fn: Callable[[Array], Array], x: Array, step: float) -> Array:
-    """Central 4-point Hessian of scalar fn: (B, p) -> (B,), result (B, p, p).
-
-    Each unordered pair is evaluated once, so the output is exactly symmetric.
+    """Central 4-point Hessian of each component of fn: (B, p) -> (B, r), result
+    (B, r, p, p). Each unordered pair is evaluated once, so the output is exactly
+    symmetric.
     """
     x = np.asarray(x, dtype=float)
     h = _steps_for(x, step)
     p = x.shape[1]
-    out = np.empty((x.shape[0], p, p))
+    out = None
     for a in range(p):
         for b in range(a, p):
-            shifts = np.zeros_like(x)
-            shifts[:, a] += h[:, a]
-            shifts[:, b] += h[:, b]
-            gpp = fn(x + shifts)
-            gmm = fn(x - shifts)
-            shifts_ab = np.zeros_like(x)
-            shifts_ab[:, a] += h[:, a]
-            shifts_ab[:, b] -= h[:, b]
-            gpm = fn(x + shifts_ab)
-            gmp = fn(x - shifts_ab)
-            val = (gpp - gpm - gmp + gmm) / (4.0 * h[:, a] * h[:, b])
-            out[:, a, b] = val
-            out[:, b, a] = val
+            plus, cross = np.zeros_like(x), np.zeros_like(x)
+            plus[:, a] += h[:, a]
+            plus[:, b] += h[:, b]
+            cross[:, a] += h[:, a]
+            cross[:, b] -= h[:, b]
+            val = ((fn(x + plus) - fn(x + cross) - fn(x - cross) + fn(x - plus))
+                   / (4.0 * h[:, a] * h[:, b])[:, None])
+            if out is None:  # r is known once fn has been evaluated
+                out = np.empty(val.shape + (p, p))
+            out[:, :, a, b] = out[:, :, b, a] = val
     return out
 
 
@@ -226,17 +223,12 @@ def _fd_bundle(n, d, drift, diffusion, driver, terminal, step, step_hess) -> dic
         return jac.reshape(len(x), n, d, n).transpose(0, 2, 1, 3)
 
     def b_xx(t, x, u):
-        return np.stack(
-            [_fd_hessian(lambda xs, j=j: drift(t, xs, u)[:, j], x, step_hess)
-             for j in range(n)], axis=1)
+        return _fd_hessian(lambda xs: drift(t, xs, u), x, step_hess)
 
     def sigma_xx(t, x, u):
-        out = np.empty((len(x), d, n, n, n))
-        for i in range(d):
-            for j in range(n):
-                out[:, i, j] = _fd_hessian(
-                    lambda xs, i=i, j=j: diffusion(t, xs, u)[:, j, i], x, step_hess)
-        return out
+        # components ordered (column i, component j): (B, d n, n, n) -> (B, d, n, n, n)
+        return _fd_hessian(lambda xs: diffusion(t, xs, u).swapaxes(1, 2).reshape(len(xs), -1),
+                           x, step_hess).reshape(len(x), d, n, n, n)
 
     def f_grad(t, x, y, z, u):
         w = np.concatenate([x, y[:, None], z], axis=1)
@@ -253,13 +245,13 @@ def _fd_bundle(n, d, drift, diffusion, driver, terminal, step, step_hess) -> dic
 
     def f_hess(t, x, y, z, u):
         w = np.concatenate([x, y[:, None], z], axis=1)
-        return _fd_hessian(f_of_w(t, u), w, step_hess)
+        return _fd_hessian(lambda ws: f_of_w(t, u)(ws)[:, None], w, step_hess)[:, 0]
 
     def phi_x(x):
         return _fd_jacobian(lambda xs: terminal(xs)[:, None], x, step)[:, 0, :]
 
     def phi_xx(x):
-        return _fd_hessian(terminal, x, step_hess)
+        return _fd_hessian(lambda xs: terminal(xs)[:, None], x, step_hess)[:, 0]
 
     return dict(b_x=b_x, sigma_x=sigma_x, b_xx=b_xx, sigma_xx=sigma_xx,
                 f_x=f_x, f_y=f_y, f_z=f_z, f_hess=f_hess,

@@ -94,7 +94,8 @@ class RunHints:
     """Problem-specific shortcuts a benchmark may attach to a run.
 
     ``hamiltonian``/``penalty`` replace the general augmented-Hamiltonian pair
-    in the update step, both or neither (a lone one raises ConfigurationError).
+    in the update step, both or neither (a lone one raises ConfigurationError
+    when the hints are built).
     Like ``h_batch`` and ``penalty_batch`` they are row-wise: v is a (k,) row
     or stacked candidates (rows, k), with x, y, z, p, q, P and u stacked to the
     same rows. They receive the run's p, q and P: given nodes broadcast over
@@ -109,6 +110,11 @@ class RunHints:
     penalty: Optional[Callable] = None
     first_order_ode: Optional[Callable] = None   # grid -> (N+1, n)
     second_order_ode: Optional[Callable] = None  # grid -> (N+1, n, n)
+
+    def __post_init__(self):
+        if (self.hamiltonian is None) != (self.penalty is None):
+            raise ConfigurationError("RunHints.hamiltonian and penalty go together: "
+                                     "give both or neither")
 
 
 @dataclass

@@ -128,25 +128,12 @@ class ControlField:
     The index has the narrowest unsigned dtype that numbers C rows (uint8 up
     to 256) and is stored time-major. ``at(j)`` gathers one step's (M, k)
     rows, so no solver phase builds the dense array; ``values`` builds it for
-    a caller that asks. ``ControlField(values)`` factors a dense array into its
-    distinct rows, matched by bit pattern: -0.0 stays -0.0 and integers become
-    their exact float64 values. A continuous-valued control gets a table as
-    large as its distinct rows, and an index as wide as that needs.
+    a caller that asks.
     """
 
     __slots__ = ("table", "index")
 
-    def __init__(self, values: Optional[Array] = None, *, table: Optional[Array] = None,
-                 index: Optional[Array] = None):
-        if values is not None:
-            values = np.asarray(values, dtype=float)
-            if values.ndim != 3:
-                raise ConfigurationError(f"control values must be (M, N, k), got {values.shape}")
-            M, N, k = values.shape
-            rows = np.ascontiguousarray(values.swapaxes(0, 1)).reshape(N * M, k)
-            keys = rows.view(np.dtype((np.void, 8 * k))).ravel()  # a row's bytes
-            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-            table, index = rows[first], inverse.reshape(N, M).T
+    def __init__(self, *, table: Array, index: Array):
         table, index = np.asarray(table, dtype=float), np.asarray(index)
         if table.ndim != 2 or index.ndim != 2:
             raise ConfigurationError(f"control table must be (C, k) and index (M, N), "

@@ -81,7 +81,7 @@ def random_curvature_case(n, d, N, M, seed=123):
     X = rng.normal(size=(M, N + 1, n))
     Yv = rng.normal(size=(M, N + 1))
     Zv = rng.normal(size=(M, N, d))
-    ctl = ControlField(rng.normal(size=(M, N, 1)))
+    ctl = ControlField(table=rng.normal(size=(M * N, 1)), index=np.arange(M * N).reshape(M, N))
     fwd = ForwardPaths(states=X, control=ctl, batch=batch)
     bwd = BackwardPaths(values=Yv, integrand=Zv, j_estimate=0.0, j_stderr=0.0)
     first = mc.FirstOrderAdjoint(p=rng.normal(size=(M, N + 1, n)),

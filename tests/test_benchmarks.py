@@ -146,7 +146,6 @@ class TestTreeBruteforce:
         assert tree.jstar == 0.0
         assert tree.policy_count == 128
         assert tree.decision_nodes == 7
-        assert tree.node_count == 7
         assert tree.mode == "nonrecombining"
 
     def test_lq_depth3_policy_space(self):
@@ -177,8 +176,9 @@ class TestTreeBruteforce:
 
     def test_depth_and_dimension_guards(self):
         bench = mc.example41(0.1)
-        with pytest.raises(mc.ConfigurationError):
-            mc.tree_bruteforce(bench.spec, bench.domain, 7)
+        # 4^9 rows of the induction and 2^511 policies are over the budget
+        with pytest.raises(mc.ConfigurationError, match="needs 262144 rows"):
+            mc.tree_bruteforce(bench.spec, bench.domain, 9)
         # any state dimension prices: X = (W, int u dW), Phi = |x|^2, so
         # J(u) = T + E int u^2 dt, least at u = 0 with J* = T = 1
         spec2 = mc.ProblemSpec.build(
@@ -215,7 +215,7 @@ class TestTreeBruteforce:
         policies = list(itertools.product(values, repeat=3))   # (root, up, down)
         prices = []
         for a, b, c in policies:
-            ctl = mc.ControlField(np.array([[a, b], [a, b], [a, c], [a, c]])[:, :, None])
+            ctl = mc.ControlField(table=[[a], [b], [c]], index=[[0, 1], [0, 1], [0, 2], [0, 2]])
             fwd = mc.simulate_forward(spec, ctl, batch)
             prices.append(mc.solve_state_bsde(spec, fwd, backend).j_estimate)
         assert len(set(prices)) == 27
@@ -278,9 +278,44 @@ class TestTreeBruteforce:
         tree = mc.tree_bruteforce(bench.spec, bench.domain, 4, mode="recombining")
         assert tree.mode == "recombining"
         assert tree.decision_nodes == 10          # 1 + 2 + 3 + 4
-        assert tree.node_count == 4 * 5 // 2 + 1  # recorded convention
         assert tree.policy_count == 2 ** 10
         assert tree.jstar == 0.0
+
+    @pytest.mark.parametrize("mode", ["nonrecombining", "recombining"])
+    @pytest.mark.parametrize("steps", [7, 8])
+    def test_example41_past_six_steps_is_certified(self, steps, mode):
+        # the induction's 4^steps rows (65 536 at depth 8) are within the budget
+        bench = mc.example41(0.1)
+        tree = mc.tree_bruteforce(bench.spec, bench.domain, steps, mode=mode)
+        assert not tree.enumerated and tree.jstar == 0.0
+        assert tree.decision_nodes == (2 ** steps - 1 if mode == "nonrecombining"
+                                       else steps * (steps + 1) // 2)
+        assert np.all(tree.policy == 0.0) and np.all(tree.node_states == 0.0)
+
+    def test_lq_desk_depth_7_is_refused_by_the_induction_rows(self):
+        # lq declares df = 0, so the answer would be certified, but 6^7 rows are over
+        # the budget, and so are 3^127 policies
+        bench = mc.lq_desk()
+        with pytest.raises(mc.ConfigurationError, match="backward induction needs 279936 rows"):
+            mc.tree_bruteforce(bench.spec, bench.domain, 7)
+
+    def test_one_candidate_past_the_path_budget_is_refused_before_any_tree(
+            self, monkeypatch):
+        # one candidate has one policy at any depth: only the 2^steps paths bound it
+        def no_tree(*args):
+            raise AssertionError("a tree batch was built")
+
+        monkeypatch.setattr(mc.benchmarks, "tree_batch", no_tree)
+        bench = mc.example41(0.1)
+        with pytest.raises(mc.ConfigurationError, match=r"2\^18 paths, over the budget"):
+            mc.tree_bruteforce(bench.spec, mc.FiniteSet([[0.0]]), 18)
+
+    def test_huge_policy_count_is_named_by_its_power(self, z_driven):
+        # 2^16383 policies have more digits than an int prints: the refusal names the power
+        dom = mc.FiniteSet([[-0.5], [1.0]])
+        with pytest.raises(mc.ConfigurationError,
+                           match=r"needs 268435456 rows, and policy enumeration needs 2\^16383"):
+            mc.tree_bruteforce(z_driven(5.0), dom, 14)
 
     def test_tree_backward_is_exact_child_average(self):
         # solver Y on the tree equals the average of the two children plus

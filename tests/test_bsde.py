@@ -50,7 +50,7 @@ def reference_state_bsde(spec, forward, backend):
     Y[:, N] = spec.terminal(forward.states[:, N, :])
     driver_sum = np.zeros(M)
     for j in range(N - 1, -1, -1):
-        feats = _step_features(forward.states[:, j, :], control.at(j), backend)
+        feats = _step_features(forward.states[:, j, :], control.at(j))
         targets = np.concatenate(
             [Y[:, j + 1][:, None], Y[:, j + 1][:, None] * batch.increments[:, j, :]],
             axis=1)
@@ -215,7 +215,6 @@ class TestSolveStateBsde:
                 spec = curvature_spec
                 domain = mc.FiniteSet([[0.0, 0.0], [1.0, -1.0], [-0.5, 0.5]])
             backend = mc.RegressionBackend(degree=2)
-            assert backend.control_features
             batch = mc.sample_brownian(mc.TimeGrid(1.0, 8), 600, spec.d, 3)
             control = mc.random_control(domain, 600, 8, 3)
         forward = mc.simulate_forward(spec, control, batch)
@@ -335,10 +334,9 @@ class TestSolveLinearBsde:
         rng = np.random.default_rng(3)
         batch = mc.sample_brownian(mc.TimeGrid(1.0, N), M, 1, 3)
         terminal = rng.normal(size=(M, 1))
-        # random regression features: the state alone, no control features
+        # random regression features: the zero control adds only zero columns
         p, _ = solve_one(terminal, lambda j, phat, qj: phat, batch,
-                         rng.normal(size=(M, N + 1, 1)),
-                         mc.RegressionBackend(degree=2, control_features=False))
+                         rng.normal(size=(M, N + 1, 1)), mc.RegressionBackend(degree=2))
         assert p[:, 0, 0].mean() == pytest.approx(terminal.mean(), abs=1e-9)
         assert np.array_equal(p[:, -1, :], terminal)
 

@@ -167,9 +167,26 @@ class TestCmdOracle:
         assert run_cli(["oracle", "--problem", str(prob), "--steps", "4"]) == 2
         assert "budget" in capsys.readouterr().err
 
-    def test_depth_cap_exits_2(self, capsys):
+    @pytest.mark.parametrize("command", ["run", "rate"])
+    def test_mode_flag_belongs_to_oracle_only(self, command, capsys):
+        # run once took --mode, ignored it and exited 0
+        with pytest.raises(SystemExit) as info:
+            run_cli([command, "--problem", "lq", "--mode", "recombining", "--paths", "64",
+                     "--steps", "3", "--iters", "1"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --mode recombining" in capsys.readouterr().err
+
+    def test_config_file_mode_is_read_by_oracle(self, tmp_path, capsys):
+        # config-file keys stay shared by every subcommand; oracle reads the mode
+        cfg = tmp_path / "tree.cfg"
+        cfg.write_text("problem=lq\nsteps=3\nmode=recombining\n")
+        assert run_cli(["oracle", "--config", str(cfg)]) == 0
+        assert "mode=recombining decision_nodes=6" in capsys.readouterr().out
+
+    def test_row_budget_exits_2(self, capsys):
+        # lq declares df = 0, but 6^7 rows of the induction are over the budget
         assert run_cli(["oracle", "--problem", "lq", "--steps", "7"]) == 2
-        assert "steps <= 6" in capsys.readouterr().err
+        assert "backward induction needs 279936 rows" in capsys.readouterr().err
 
     @pytest.mark.parametrize("mode", ["nonrecombining", "recombining"])
     def test_lq_depth_6_by_backward_induction(self, capsys, mode):

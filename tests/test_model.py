@@ -265,6 +265,82 @@ class TestHessianSymmetry:
         assert np.max(np.abs(hess - hess.transpose(0, 2, 1))) == 0.0
 
 
+def scalar_fd_hessian(fn, x, step):
+    """The central 4-point Hessian of a scalar fn: (B, p) -> (B,), one component at a
+    time: the reference that the vector-valued fallback must match bit for bit."""
+    h = step * np.maximum(1.0, np.abs(x))
+    p = x.shape[1]
+    out = np.empty((len(x), p, p))
+    for a in range(p):
+        for b in range(a, p):
+            plus, cross = np.zeros_like(x), np.zeros_like(x)
+            plus[:, a] += h[:, a]
+            plus[:, b] += h[:, b]
+            cross[:, a] += h[:, a]
+            cross[:, b] -= h[:, b]
+            out[:, a, b] = out[:, b, a] = (
+                (fn(x + plus) - fn(x + cross) - fn(x - cross) + fn(x - plus))
+                / (4.0 * h[:, a] * h[:, b]))
+    return out
+
+
+class TestFiniteDifferenceHessians:
+    N, D = 3, 2
+
+    @pytest.fixture
+    def counted(self):
+        """A fallback-only n = 3, d = 2 spec, with its drift and diffusion calls counted."""
+        calls = {"drift": 0, "diffusion": 0}
+        mix = np.arange(1.0, 1.0 + self.N * self.N * self.D).reshape(self.N, self.N, self.D)
+
+        def drift(t, x, u):
+            calls["drift"] += 1
+            return np.sin(x * u) + x[:, [1, 2, 0]] ** 2
+
+        def diffusion(t, x, u):
+            calls["diffusion"] += 1
+            return np.cos(np.einsum("bj,jnd->bnd", x, mix) * 0.1) * u[:, :, None]
+
+        spec = mc.ProblemSpec.build(
+            n=self.N, d=self.D, k=1, x0=np.zeros(self.N), horizon=1.0, drift=drift,
+            diffusion=diffusion,
+            driver=lambda t, x, y, z, u: np.exp(0.1 * x[:, 0] * z[:, 1]) + y * y * u[:, 0],
+            terminal=lambda x: np.sin(x[:, 0] * x[:, 1]) + x[:, 2] ** 3)
+        return spec, calls
+
+    def test_vector_hessians_equal_the_per_component_ones_bitwise(self, counted):
+        spec, calls = counted
+        n, d = self.N, self.D
+        rng = np.random.default_rng(11)
+        x, u = rng.normal(size=(40, n)), rng.normal(size=(40, 1))
+        y, z = rng.normal(size=40), rng.normal(size=(40, d))
+        t, step, dv = 0.3, 1e-4, spec.derivatives
+        pairs = 4 * n * (n + 1) // 2  # evaluations of one 4-point Hessian in n variables
+
+        b_xx = dv.b_xx(t, x, u)
+        assert calls["drift"] == pairs
+        want = np.stack([scalar_fd_hessian(lambda xs, j=j: spec.drift(t, xs, u)[:, j],
+                                           x, step) for j in range(n)], axis=1)
+        assert calls["drift"] == pairs + n * pairs  # the reference's n times as many
+        assert b_xx.shape == (40, n, n, n) and b_xx.tobytes() == want.tobytes()
+
+        sigma_xx = dv.sigma_xx(t, x, u)
+        assert calls["diffusion"] == pairs
+        want = np.empty((40, d, n, n, n))
+        for i in range(d):
+            for j in range(n):
+                want[:, i, j] = scalar_fd_hessian(
+                    lambda xs, i=i, j=j: spec.diffusion(t, xs, u)[:, j, i], x, step)
+        assert calls["diffusion"] == pairs + n * d * pairs
+        assert sigma_xx.shape == want.shape and sigma_xx.tobytes() == want.tobytes()
+
+        w = np.concatenate([x, y[:, None], z], axis=1)
+        want = scalar_fd_hessian(
+            lambda ws: spec.driver(t, ws[:, :n], ws[:, n], ws[:, n + 1:], u), w, step)
+        assert dv.f_hess(t, x, y, z, u).tobytes() == want.tobytes()
+        assert dv.phi_xx(x).tobytes() == scalar_fd_hessian(spec.terminal, x, step).tobytes()
+
+
 class TestControlDomains:
     def test_finite_set_binary_order(self):
         dom = mc.example41(0.1).domain

@@ -229,7 +229,9 @@ class TestRunMsa:
         M, N = 256, 5
         cfg = mc.MsaConfig(rho=0.0, n_paths=M, steps=N, seed=0, max_iters=3)
         runs = [mc.run_msa(bench.spec, domain, cfg,
-                           mc.ControlField(np.ones((M, N, 1), dtype=dtype)), hints=bench.hints)
+                           mc.ControlField(table=np.ones((1, 1), dtype=dtype),
+                                           index=np.zeros((M, N), dtype=int)),
+                           hints=bench.hints)
                 for dtype in (np.float64, np.int64)]
         assert records_equal_except_wall(runs[0].records, runs[1].records)
         assert {0.5, -0.5} <= set(np.unique(runs[1].last_control.values))
@@ -279,6 +281,16 @@ class TestRunMsa:
                            match=re.escape(f"RunHints.{name} gave nodes of shape {shape}, "
                                            f"not {wanted}")):
             mc.run_msa(bench.spec, bench.domain, cfg, "random", hints=hints)
+
+    @pytest.mark.parametrize("lone", ["hamiltonian", "penalty"])
+    def test_a_lone_hint_is_refused_when_the_hints_are_built(self, lone):
+        # a lone hint once reached run_msa, which simulated a pass and stepped the
+        # adjoints before minimize_step refused it at iteration 1
+        hints = mc.example41(0.1).hints
+        with pytest.raises(mc.ConfigurationError, match="hamiltonian and penalty go together"):
+            dataclasses.replace(hints, **{lone: None})
+        with pytest.raises(mc.ConfigurationError, match="go together"):
+            mc.RunHints(**{lone: getattr(hints, lone)})
 
     def test_solver_errors_carry_iteration_index(self):
         spec = mc.ProblemSpec.build(
@@ -519,7 +531,9 @@ class TestLayoutIndependence:
         assert not c_batch.increments[:, 0].flags.c_contiguous
         assert not c_values[:, 0].flags.c_contiguous
         runs = [mc.run_msa(spec, domain, cfg, ctl, batch=b)
-                for b, ctl in ((batch, initial), (c_batch, mc.ControlField(c_values)))]
+                for b, ctl in ((batch, initial),
+                               (c_batch, mc.ControlField(table=c_values.reshape(M * N, -1),
+                                                         index=np.arange(M * N).reshape(M, N))))]
         time_major, c_order = runs
         assert records_equal_except_wall(time_major.records, c_order.records)
         for name in ("returned_control", "last_control"):
@@ -784,7 +798,8 @@ def separate_passes(spec, domain, cfg, initial, hints):
                                                u_values[:, j, :])
         mu, mu_se, ess, ratio = mc.compute_mu(*streamed_sums(hhat, fz, batch.increments),
                                               batch.dt)
-        u_new = mc.ControlField(u_new)
+        u_new = mc.ControlField(table=u_new.reshape(M * N, -1),
+                                index=np.arange(M * N).reshape(M, N))
         forward_new = mc.simulate_forward(spec, u_new, batch)
         if m < cfg.max_iters:
             backward_new, first_new, second_new = stored_pass(

@@ -260,44 +260,51 @@ ROW_VALUES = [-1.0, -0.0, 0.0, 0.5, 1.0, np.inf, np.nan]
 
 
 @st.composite
-def dense_controls(draw):
-    """A dense (M, N, k) control: floats from ROW_VALUES, integers, or more than 256
-    distinct rows, stored path-major or time-major."""
+def table_controls(draw):
+    """A (C, k) table, floats from ROW_VALUES, integers, or more than 256 rows, and an
+    (M, N) index into it, int64 or already uint8, stored path-major or time-major."""
     kind = draw(st.sampled_from(["floats", "integers", "over-256-rows"]))
     k = draw(st.integers(1, 2))
     if kind == "over-256-rows":
-        values = np.random.default_rng(draw(st.integers(0, 2 ** 16))).normal(size=(40, 8, k))
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+        table = rng.normal(size=(300, k))
+        index = rng.integers(0, 300, size=(40, 8))
     else:
-        shape = (draw(st.integers(1, 6)), draw(st.integers(1, 5)), k)
-        values = draw(hnp.arrays(np.int64, shape, elements=st.integers(-3, 3))
-                      if kind == "integers" else
-                      hnp.arrays(float, shape, elements=st.sampled_from(ROW_VALUES)))
+        rows = draw(st.integers(1, 8))
+        table = draw(hnp.arrays(np.int64, (rows, k), elements=st.integers(-3, 3))
+                     if kind == "integers" else
+                     hnp.arrays(float, (rows, k), elements=st.sampled_from(ROW_VALUES)))
+        index = draw(hnp.arrays(draw(st.sampled_from([np.int64, np.uint8])),
+                                (draw(st.integers(1, 6)), draw(st.integers(1, 5))),
+                                elements=st.integers(0, rows - 1)))
     if draw(st.booleans()):
-        time_major = np.empty((values.shape[1], values.shape[0], k), values.dtype)
-        time_major[...] = values.swapaxes(0, 1)
-        values = time_major.swapaxes(0, 1)
-    return values
+        time_major = np.empty(index.shape[::-1], index.dtype)
+        time_major[...] = index.T
+        index = time_major.T
+    return table, index
 
 
 class TestControlField:
     @settings(max_examples=60, deadline=None)
-    @given(values=dense_controls())
-    def test_dense_round_trip_is_bitwise(self, values):
-        ctl = mc.ControlField(values)
-        want = values.astype(float)
+    @given(control=table_controls())
+    def test_table_round_trip_is_bitwise(self, control):
+        table, index = control
+        ctl = mc.ControlField(table=table, index=index)
+        assert ctl.table.dtype == np.float64
+        assert ctl.table.tobytes() == table.astype(float).tobytes()
+        assert np.array_equal(ctl.index, index)
+        assert ctl.index.dtype == (np.uint8 if len(table) <= 256 else np.uint16)
+        want = table.astype(float)[index]
         got = ctl.values
         assert got.dtype == np.float64 and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
-        distinct = {row.tobytes() for row in want.reshape(-1, want.shape[2])}
-        assert len(ctl.table) == len(distinct)
-        assert ctl.index.dtype == (np.uint8 if len(distinct) <= 256 else np.uint16)
         for j in range(ctl.steps):
             assert ctl.index[:, j].flags.c_contiguous
             step = ctl.at(j)
             assert step.flags.c_contiguous and step.tobytes() == got[:, j].tobytes()
 
     def test_over_puts_the_given_rows_first(self):
-        ctl = mc.ControlField(np.array([[[0.5], [-0.0]], [[1.0], [0.5]]]))
+        ctl = mc.ControlField(table=[[0.5], [-0.0], [1.0]], index=[[0, 1], [2, 0]])
         rows = np.array([[-1.0], [0.0], [1.0]])
         moved = ctl.over(rows)
         assert moved.table[:3].tobytes() == rows.tobytes()
