@@ -72,29 +72,31 @@ def tree_random_control(domain: ControlDomain, steps: int, seed: int) -> Control
     with a node-indexed draw instead.
     """
     candidates = enumerate_controls(domain)
-    batch = tree_batch(steps)
-    signs = np.sign(batch.increments[:, :, 0])
-    idx_map, n_decision = _node_index_map(steps, "nonrecombining", signs)
     gen = np.random.Generator(np.random.Philox(key=seed).jumped(2 ** 33))
-    node_choice = gen.integers(0, len(candidates), size=n_decision)
-    return ControlField(table=candidates, index=node_choice[idx_map])
+    node_choice = gen.integers(0, len(candidates),
+                               size=_decision_nodes(steps, "nonrecombining"))
+    return ControlField(table=candidates,
+                        index=node_choice[_node_index_map(steps, "nonrecombining")])
 
 
-def _node_index_map(steps: int, mode: str, signs: Array) -> tuple:
-    """Decision-node index per (path, step) plus the total node count."""
-    M = signs.shape[0]
-    idx = np.empty((M, steps), dtype=int)
+def _decision_nodes(steps: int, mode: str) -> int:
+    """The node count of a tree class: one per coin history, or per (step, ups)."""
     if mode == "nonrecombining":
-        paths = np.arange(M)
-        for j in range(steps):
-            idx[:, j] = (2 ** j - 1) + (paths >> (steps - j))
-        return idx, 2 ** steps - 1
+        return 2 ** steps - 1
     if mode == "recombining":
-        ups = np.concatenate([np.zeros((M, 1)), np.cumsum(signs > 0, axis=1)], axis=1)
-        for j in range(steps):
-            idx[:, j] = j * (j + 1) // 2 + ups[:, j].astype(int)
-        return idx, steps * (steps + 1) // 2
+        return steps * (steps + 1) // 2
     raise ConfigurationError(f"unknown tree mode '{mode}'")
+
+
+def _node_index_map(steps: int, mode: str) -> Array:
+    """Decision-node index per (path, step) of ``tree_batch``'s paths, read off
+    each path's index: its flip at step j is bit steps - 1 - j, 1 a down flip.
+    ``mode`` is one that ``_decision_nodes`` accepts."""
+    j, paths = np.arange(steps), np.arange(2 ** steps)[:, None]
+    if mode == "nonrecombining":
+        return (2 ** j - 1) + (paths >> (steps - j))  # the flips before step j, as bits
+    flips = (paths >> (steps - 1 - j)) & 1
+    return j * (j + 1) // 2 + j - (np.cumsum(flips, axis=1) - flips)
 
 
 def _backward_induction(spec: ProblemSpec, candidates: Array, batch: BrownianBatch,
@@ -238,20 +240,25 @@ def tree_bruteforce(spec: ProblemSpec, domain: ControlDomain, steps: int,
                                  f"budget of {_POLICY_BUDGET}")
     candidates = enumerate_controls(domain)
     nc, rows = len(candidates), (2 * len(candidates)) ** steps
-    batch = tree_batch(steps, spec.horizon)
-    signs = np.sign(batch.increments[:, :, 0])
-    idx_map, n_decision = _node_index_map(steps, mode, signs)
+    n_decision = _decision_nodes(steps, mode)
     policy_count = nc ** n_decision
+
+    def refusal(why: str) -> ConfigurationError:
+        count = policy_count if policy_count < 10 ** 100 else f"{nc}^{n_decision}"
+        return ConfigurationError(
+            f"backward induction {why}, and policy enumeration needs {count} "
+            f"evaluations, over the budget of {_POLICY_BUDGET}")
+
+    if rows > _POLICY_BUDGET and policy_count > _POLICY_BUDGET:  # before any tree is built
+        raise refusal(f"needs {rows} rows")
+    batch = tree_batch(steps, spec.horizon)
+    idx_map = _node_index_map(steps, mode)
     backend = ExactTreeBackend(steps=steps)
     best_policy = (_backward_induction(spec, candidates, batch, idx_map, n_decision)
                    if rows <= _POLICY_BUDGET else None)
     enumerated = best_policy is None
     if enumerated and policy_count > _POLICY_BUDGET:
-        why = (f"needs {rows} rows" if rows > _POLICY_BUDGET else "is not certified")
-        count = policy_count if policy_count < 10 ** 100 else f"{nc}^{n_decision}"
-        raise ConfigurationError(
-            f"backward induction {why}, and policy enumeration needs {count} "
-            f"evaluations, over the budget of {_POLICY_BUDGET}")
+        raise refusal("is not certified")
     if enumerated:
         best_policy = _enumerate(spec, candidates, batch, idx_map, n_decision, backend)
 

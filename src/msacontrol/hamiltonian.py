@@ -3,14 +3,17 @@
 Everything here is pure and batched over one leading sample axis; a single
 (t, omega) is a one-row batch. ``h_batch``, ``penalty_batch`` and the solver's
 ``minimize_step`` share one set of per-candidate helpers, so each formula is
-written once. The candidate control v may be a single point (k,) or a
-per-sample array (B, k).
+written once. ``h_batch`` and ``penalty_batch`` take the candidate control v
+as a single point (k,) or a per-sample array (B, k); ``minimize_step`` always
+hands its helpers and hints stacked (rows, k) arrays.
 
 ``minimize_step`` stacks candidates along the sample axis and evaluates them
 in chunks of at most ``_ROW_CHUNK`` rows, each folded into the selection at
 once, so its memory does not grow with the candidate count. Every formula is
 row-wise and the stacked copies keep the memory layout of their inputs, so the
-values are bitwise equal to evaluating one candidate at a time.
+values are bitwise equal to evaluating one candidate at a time. At v = u the
+diffusion gap is 0, so the current control's H is its G, and the current
+control's drift, diffusion and driver are each evaluated once per call.
 
 The G-derivatives contract sigma_x over its flattened (noise, state) axis.
 The diffusion gap, G and H's curvature term keep per-axis einsums, the
@@ -53,24 +56,21 @@ def _gap(p: Array, s: Array, s_u: Array):
     return ds, np.einsum("mnd,mn->md", ds, p)
 
 
-def _h(spec: ProblemSpec, t: float, x: Array, y: Array, p: Array, q: Array,
-       P: Array, v: Array, b: Array, s: Array, ds: Array, zs: Array) -> Array:
-    """H = G plus the curvature term of the diffusion gap ds, with
-    G = p'b + sum_i (q^i)' s^i + f(t, x, y, zs, v) from the candidate's drift b,
-    diffusion s and shifted z."""
-    return (np.einsum("mn,mn->m", p, b)
-            + np.einsum("mnd,mnd->m", q, s)
-            + spec.driver(t, x, y, zs, v)
-            + 0.5 * np.einsum("mni,mnk,mki->m", ds, P, ds))
+def _g(p: Array, q: Array, b: Array, s: Array, f: Array) -> Array:
+    """G = p'b + sum_i (q^i)' s^i + f from a control's drift b, diffusion s and driver f."""
+    return np.einsum("mn,mn->m", p, b) + np.einsum("mnd,mnd->m", q, s) + f
 
 
 def _candidate(spec: ProblemSpec, t, x, y, z, p, q, P, v, s_u):
-    """H at the candidate v with the terms its penalty shares: (h, b, ds, z + delta)."""
+    """H at the candidate v with the terms its penalty shares: (h, b, ds, z + delta).
+    H is G at the shifted z plus the curvature term of the diffusion gap ds."""
     b = spec.drift(t, x, v)
     s = spec.diffusion(t, x, v)
     ds, delta = _gap(p, s, s_u)
     zs = z + delta
-    return _h(spec, t, x, y, p, q, P, v, b, s, ds, zs), b, ds, zs
+    h = (_g(p, q, b, s, spec.driver(t, x, y, zs, v))
+         + 0.5 * np.einsum("mni,mnk,mki->m", ds, P, ds))
+    return h, b, ds, zs
 
 
 def _evaluated(dv, t, x, y, z, v) -> Callable[[str], Array]:
@@ -100,16 +100,15 @@ def _g_derivatives(at, p, q, sx_v, sx_u):
     return gx, at("f_y"), fz
 
 
-def _current(spec: ProblemSpec, t, x, y, z, p, q, u, b_u, zs_u, node=None) -> tuple:
-    """(drift(u), driver at the unshifted z, sigma_x(u), G_x, G_y, G_z at (u, u)):
-    the terms at the current control u that every candidate's penalty compares
-    against. b_u is drift(u) and zs_u is z + delta(u, u), equal to z up to the
-    sign of a zero. ``node``, when given, supplies sigma_x, b_x, f_x, f_y and
-    f_z at (t, x, y, z, u) in place of evaluating them here."""
+def _current(spec: ProblemSpec, t, x, y, z, p, q, u, b_u, f_u, node=None) -> tuple:
+    """(drift(u), driver(u), sigma_x(u), G_x, G_y, G_z at (u, u)): the terms at the
+    current control u that every candidate's penalty compares against, from its
+    drift b_u and driver f_u. The derivatives are read at (t, x, y, z, u), off
+    ``node`` when given, else evaluated here."""
     at = (functools.partial(getattr, node) if node is not None
-          else _evaluated(spec.derivatives, t, x, y, zs_u, u))
+          else _evaluated(spec.derivatives, t, x, y, z, u))
     sx = at("sigma_x")
-    return (b_u, spec.driver(t, x, y, z, u), sx) + _g_derivatives(at, p, q, sx, sx)
+    return (b_u, f_u, sx) + _g_derivatives(at, p, q, sx, sx)
 
 
 def _penalty(spec: ProblemSpec, t, x, y, z, p, q, v, b, ds, zs, cur: tuple) -> Array:
@@ -146,10 +145,8 @@ def penalty_batch(spec: ProblemSpec, t: float, x: Array, y: Array, z: Array,
     B = x.shape[0]
     v = _ctl(v, B, spec.k)
     u = _ctl(u, B, spec.k)
-    s_u = spec.diffusion(t, x, u)
-    _, delta_u = _gap(p, s_u, s_u)
-    cur = _current(spec, t, x, y, z, p, q, u, spec.drift(t, x, u), z + delta_u)
-    ds, delta = _gap(p, spec.diffusion(t, x, v), s_u)
+    cur = _current(spec, t, x, y, z, p, q, u, spec.drift(t, x, u), spec.driver(t, x, y, z, u))
+    ds, delta = _gap(p, spec.diffusion(t, x, v), spec.diffusion(t, x, u))
     return _penalty(spec, t, x, y, z, p, q, v, spec.drift(t, x, v), ds, z + delta, cur)
 
 
@@ -169,15 +166,16 @@ def minimize_step(spec: ProblemSpec, t: float, x: Array, y: Array, z: Array,
     candidate) or h_prev.
 
     Candidates are stacked along the sample axis in chunks of at most
-    ``_ROW_CHUNK`` (8 192) rows, max(1, 8192 // B) of them, and a chunk of one
-    is handed its (k,) row. The hints h_fn and pen_fn, both or neither (else
-    ConfigurationError), take h_batch's and penalty_batch's arguments, u_prev
-    stacked like the node. Without hints, the terms at u_prev are evaluated
-    once per call, and each candidate's drift, diffusion and diffusion gap
-    once, shared by H and the penalty; the values are bitwise equal to h_batch
-    and penalty_batch called one candidate at a time. ``node``, the sweep's
-    ``StepPoint`` at (t, x, y, z, u_prev), lends the penalty its derivatives
-    at the current control.
+    ``_ROW_CHUNK`` (8 192) rows, max(1, 8192 // B) of them; a chunk of one is
+    its row broadcast to (B, k). The hints h_fn and pen_fn, both or neither
+    (else ConfigurationError), take h_batch's and penalty_batch's arguments
+    with v and u_prev as (rows, k) arrays stacked like the node. Without hints,
+    u_prev's drift, diffusion and driver are evaluated once per call, h_prev is
+    its G, and each candidate's drift, diffusion and diffusion gap are
+    evaluated once, shared by H and the penalty; the values are bitwise equal
+    to h_batch and penalty_batch called one candidate at a time. ``node``, the
+    sweep's ``StepPoint`` at (t, x, y, z, u_prev), lends the penalty its
+    derivatives at the current control.
 
     Each chunk is folded into a running selection as soon as it is evaluated,
     so no (candidates, B) table exists: row by row, ``aug < low`` in one
@@ -215,17 +213,13 @@ def minimize_step(spec: ProblemSpec, t: float, x: Array, y: Array, z: Array,
     args = (x, y, z, p, q, P)  # the node's arrays, stacked like the candidates
     if h_fn is None:
         u = _ctl(u_prev, B, spec.k)
-        b_u = spec.drift(t, x, u)
-        s_u = spec.diffusion(t, x, u)
-        ds_u, delta_u = _gap(p, s_u, s_u)
-        zs_u = z + delta_u
-        h_prev = _h(spec, t, x, y, p, q, P, u, b_u, s_u, ds_u, zs_u)
+        b_u, s_u, f_u = spec.drift(t, x, u), spec.diffusion(t, x, u), spec.driver(t, x, y, z, u)
+        h_prev = _g(p, q, b_u, s_u, f_u)  # H(u) = G(u): the diffusion gap is 0 at v = u
         # then s_u and (rho > 0) the current terms the penalty reads
-        args += (s_u,) + (_current(spec, t, x, y, z, p, q, u, b_u, zs_u, node)
+        args += (s_u,) + (_current(spec, t, x, y, z, p, q, u, b_u, f_u, node)
                           if rho != 0.0 else ())
 
         def evaluate(v, x, y, z, p, q, P, s_u, *cur):
-            v = _ctl(v, len(x), spec.k)
             h, b, ds, zs = _candidate(spec, t, x, y, z, p, q, P, v, s_u)
             return h, (_penalty(spec, t, x, y, z, p, q, v, b, ds, zs, cur)
                        if rho != 0.0 else None)
@@ -245,8 +239,9 @@ def minimize_step(spec: ProblemSpec, t: float, x: Array, y: Array, z: Array,
         args = tuple(np.concatenate([a] * c) for a in args)
     for i0 in range(0, n_c, c):
         n = min(c, n_c - i0)
-        fold(i0, *evaluate(candidates[i0:i0 + n].repeat(B, 0) if n > 1 else candidates[i0],
-                           *(a[:n * B] for a in args)))
+        v = (candidates[i0:i0 + n].repeat(B, 0) if n > 1
+             else np.broadcast_to(candidates[i0], (B, spec.k)))
+        fold(i0, *evaluate(v, *(a[:n * B] for a in args)))
     if h_prev is None:
         h_prev = h_fn(spec, t, x, y, z, p, q, P, u_prev, u_prev)
     bad_prev = ~np.isfinite(h_prev)

@@ -67,19 +67,17 @@ class Structure:
     """Declared structural zeros; solver shortcuts trust these, never infer them.
 
     Each flag ``<name>_zero`` names a derivative of ``DERIVATIVE_NAMES`` that is
-    identically 0, and ``check_derivatives`` verifies every one of them. Under
-    ``f_z_zero``, ``run_msa`` adds no Girsanov terms for mu: every weight is 1.
-    With all four of phi_xx, b_xx, sigma_xx and f_hess zero, the second-order
-    adjoint vanishes (``second_order_vanishes``). A zero second-order adjoint
-    that rests on more than these flags is supplied as nodes, through
-    ``RunHints.second_order_ode``.
+    identically 0, and ``check_derivatives`` verifies every one of them. With
+    all four zero, the second-order adjoint vanishes (``second_order_vanishes``).
+    A zero second-order adjoint that rests on more than these flags is supplied
+    as nodes, through ``RunHints.second_order_ode``. f_z has no flag: where it
+    is 0, mu's Girsanov terms are exact zeros and every weight is exactly 1.
     """
 
     b_xx_zero: bool = False
     sigma_xx_zero: bool = False
     phi_xx_zero: bool = False
     f_hess_zero: bool = False
-    f_z_zero: bool = False
 
 
 @dataclass(frozen=True)
@@ -415,7 +413,7 @@ def check_derivatives(spec: ProblemSpec, sample_count: int = 32, step: float = 1
         else:
             worst = max(worst, rel_error(batched, rowwise))
         errors[name] = worst
-        # b_x, sigma_x, f_x, f_y and phi_x have no structural-zero flag
+        # b_x, sigma_x, f_x, f_y, f_z and phi_x have no structural-zero flag
         if getattr(spec.structure, f"{name}_zero", False):
             errors[f"{name}_zero"] = 0.0 if np.all(batched == 0.0) else np.inf
         if name in ("f_y", "f_z"):

@@ -96,14 +96,14 @@ class RunHints:
     ``hamiltonian``/``penalty`` replace the general augmented-Hamiltonian pair
     in the update step, both or neither (a lone one raises ConfigurationError
     when the hints are built).
-    Like ``h_batch`` and ``penalty_batch`` they are row-wise: v is a (k,) row
-    or stacked candidates (rows, k), with x, y, z, p, q, P and u stacked to the
-    same rows. They receive the run's p, q and P: given nodes broadcast over
-    the paths, q = 0 under a costate hint, P = 0 when the second order
-    vanishes. ``first_order_ode`` / ``second_order_ode`` supply deterministic
-    adjoints on the grid nodes where the problem admits them; ``run_msa`` then
-    reads their nodes instead of solving that equation, and refuses nodes of
-    any other shape (ConfigurationError).
+    They take ``h_batch``'s and ``penalty_batch``'s arguments row-wise, v
+    always as stacked candidates (rows, k), with x, y, z, p, q, P and u
+    stacked to the same rows. They receive the run's p, q and P: given nodes
+    broadcast over the paths, q = 0 under a costate hint, P = 0 when the
+    second order vanishes. ``first_order_ode`` / ``second_order_ode`` supply
+    deterministic adjoints on the grid nodes where the problem admits them;
+    ``run_msa`` then reads their nodes instead of solving that equation, and
+    refuses nodes of any other shape (ConfigurationError).
     """
 
     hamiltonian: Optional[Callable] = None
@@ -227,8 +227,7 @@ def _update_sweep(m: int, started: float, spec: ProblemSpec, forward, p_ode, P_o
         np.copyto(index[:, j], u_prev.index[:, j], where=choice < 0)
         changed += int(np.count_nonzero(index[:, j] != u_prev.index[:, j]))
         sums[0] += h_new - h_prev
-        if not spec.structure.f_z_zero:  # else both sums stay 0 and every weight is 1
-            girsanov_terms(sums[1:], point.f_z, batch.increments[:, j])
+        girsanov_terms(sums[1:], point.f_z, batch.increments[:, j])
         return solved
 
     solve_bsde(terminals, step, forward, backend)

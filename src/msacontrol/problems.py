@@ -18,7 +18,6 @@ import numpy as np
 
 from .adjoint import _as_time_fn, lq_second_order_ode, ode_adjoint_linear
 from .errors import ConfigurationError
-from .hamiltonian import _ctl
 from .model import Bounds, Box, ControlDomain, FiniteSet, ProblemSpec, Structure, constant_fn
 from .msa import RunHints
 
@@ -94,14 +93,11 @@ def example41(L: float) -> Benchmark:
         structure=Structure(b_xx_zero=True, sigma_xx_zero=True, phi_xx_zero=True),
         bounds=Bounds(df=L))
 
-    def shift(x, v, u):
-        return _ctl(v, len(x), 1)[:, 0] - _ctl(u, len(x), 1)[:, 0]
-
     def h_simplified(spec_, t, x, y, z, p, q, P, v, u):
-        return np.sin(L * z[:, 0] + L * L * shift(x, v, u))
+        return np.sin(L * z[:, 0] + L * L * (v[:, 0] - u[:, 0]))
 
     def pen_simplified(spec_, t, x, y, z, p, q, v, u):
-        return shift(x, v, u) ** 2
+        return (v[:, 0] - u[:, 0]) ** 2
 
     return Benchmark(
         name="example41", spec=spec,
@@ -172,7 +168,7 @@ def lq_problem(gamma_mat, a_mat, b_mat, b1, b2, sigma_fn: Callable,
         n=n, d=d, k=k, x0=x0, horizon=horizon,
         drift=drift, diffusion=diffusion, driver=driver, terminal=terminal,
         derivatives=derivatives,
-        structure=Structure(b_xx_zero=True, sigma_xx_zero=True, f_z_zero=True),
+        structure=Structure(b_xx_zero=True, sigma_xx_zero=True),
         bounds=Bounds(df=0.0))  # f depends on neither y nor z
     hints = RunHints(second_order_ode=lambda grid: lq_second_order_ode(
         gamma_arr, a_fn, b1_fn, grid))
@@ -249,7 +245,7 @@ def linear_recursive_problem(b1, b2, b3, sigma1, sigma2, sigma3, f1, f2,
         drift=drift, diffusion=diffusion, driver=driver, terminal=terminal,
         derivatives=derivatives,
         structure=Structure(b_xx_zero=True, sigma_xx_zero=True,
-                            phi_xx_zero=True, f_hess_zero=True, f_z_zero=True))
+                            phi_xx_zero=True, f_hess_zero=True))
     hints = RunHints(first_order_ode=lambda grid: ode_adjoint_linear(
         f1_fn, f2_fn, b1_fn, alpha, grid)[0])
     return Benchmark(name="linear-recursive", spec=spec, domain=domain,

@@ -1,11 +1,12 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import msacontrol as mc
-from msacontrol.benchmarks import tree_random_control
+from msacontrol.benchmarks import _decision_nodes, _node_index_map, tree_random_control
 from msacontrol.model import constant_fn
 
 
@@ -309,6 +310,44 @@ class TestTreeBruteforce:
         bench = mc.example41(0.1)
         with pytest.raises(mc.ConfigurationError, match=r"2\^18 paths, over the budget"):
             mc.tree_bruteforce(bench.spec, mc.FiniteSet([[0.0]]), 18)
+
+    @pytest.mark.parametrize("mode, count", [
+        ("nonrecombining", "2^131071"),
+        ("recombining", "11417981541647679048466287755595961091061972992")])
+    def test_over_budget_class_is_refused_before_any_tree(self, mode, count, monkeypatch):
+        # 4^17 rows and 2^(2^17 - 1) or 2^153 policies: the refusal reads (steps, mode)
+        # alone, so it builds no tree batch, node map or other array of the tree
+        def no_tree(*args):
+            raise AssertionError("a tree batch was built")
+
+        monkeypatch.setattr(mc.benchmarks, "tree_batch", no_tree)
+        bench = mc.example41(0.1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(mc.ConfigurationError) as info:
+                mc.tree_bruteforce(bench.spec, bench.domain, 17, mode=mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == (
+            f"backward induction needs 17179869184 rows, and policy enumeration needs "
+            f"{count} evaluations, over the budget of 200000")
+        assert peak < 1e6
+
+    @pytest.mark.parametrize("mode", ["nonrecombining", "recombining"])
+    def test_node_map_is_read_off_the_path_index(self, mode):
+        # the same bytes as the map read off the signs of tree_batch's increments
+        for steps in range(1, 9):
+            signs = np.sign(mc.tree_batch(steps).increments[:, :, 0])
+            want = np.empty(signs.shape, dtype=int)
+            for j in range(steps):
+                if mode == "nonrecombining":  # the down flips before step j, as bits
+                    want[:, j] = 2 ** j - 1 + (signs[:, :j] < 0) @ 2 ** np.arange(j)[::-1]
+                else:  # the up flips before step j
+                    want[:, j] = j * (j + 1) // 2 + (signs[:, :j] > 0).sum(axis=1)
+            got = _node_index_map(steps, mode)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert np.array_equal(np.unique(got), np.arange(_decision_nodes(steps, mode)))
 
     def test_huge_policy_count_is_named_by_its_power(self, z_driven):
         # 2^16383 policies have more digits than an int prints: the refusal names the power

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -133,9 +134,10 @@ class TestAugmentedH:
                    + rho / 2.0 * penalty_batch(spec, t, x, y, z, p, q, [0.0], u)[0])
         simplified = np.sin(0.1 * 0.2 + 0.01 * (0.0 - 1.0)) + rho / 2.0
         assert general == pytest.approx(simplified, abs=1e-8)
-        # and the attached override reproduces it exactly
-        hv = bench.hints.hamiltonian(spec, t, x, y, z, p, q, P, np.array([0.0]), u)
-        pen = bench.hints.penalty(spec, t, x, y, z, p, q, np.array([0.0]), u)
+        # and the attached override, handed stacked (rows, k) candidates, reproduces it
+        v = np.zeros((1, 1))
+        hv = bench.hints.hamiltonian(spec, t, x, y, z, p, q, P, v, u)
+        pen = bench.hints.penalty(spec, t, x, y, z, p, q, v, u)
         assert hv[0] + rho / 2.0 * pen[0] == pytest.approx(simplified, abs=1e-15)
 
     def test_penalty_scales_linearly_in_rho(self):
@@ -177,6 +179,21 @@ class TestMinimizeStepAtOnePoint:
             bench.rho)
         assert u_new[0, 0] == 0.0 and choice[0] == 0
         assert h_new[0] == h_prev[0]  # u's penalty vanishes: its augmented value is H
+
+    def test_driver_runs_once_at_the_current_control(self):
+        # H(u) is G(u), and the penalty's driver term at u reads that same value:
+        # one call at u, then one for H and one for the penalty per candidate chunk
+        bench, seen = mc.example41(0.5), []
+
+        def driver(t, x, y, z, u):
+            seen.append(np.array(u))
+            return bench.spec.driver(t, x, y, z, u)
+
+        spec = dataclasses.replace(bench.spec, driver=driver)
+        t, x, y, z, p, q, P, u = point(spec, z=0.3, p=0.5, u=0.25)  # no candidate is u
+        minimize_step(spec, t, x, y, z, p, q, P, u, mc.enumerate_controls(bench.domain),
+                      bench.rho)
+        assert sum(np.array_equal(v, u) for v in seen) == 1 and len(seen) == 3
 
     def test_matches_exhaustive_scan_on_lq(self):
         bench = mc.lq_desk()
