@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bsde import BackwardPaths, RegressionBackend, solve_bsde, solve_state_bsde
+from .errors import check_array
 from .model import ProblemSpec
 from .stochastics import (BrownianBatch, ControlField, ForwardPaths, TimeGrid, _time_major,
                           simulate_forward)
@@ -205,68 +206,51 @@ def zero_second_order(spec: ProblemSpec, batch: BrownianBatch) -> SecondOrderAdj
 
 
 # ---------------------------------------------------------------------------
-# deterministic fast paths (classic RK4)
+# deterministic fast paths (classic RK4 of constant-coefficient ODEs, backward)
 
-def _as_time_fn(value, shape):
-    if callable(value):
-        return value
-    arr = np.broadcast_to(np.asarray(value, dtype=float), shape).copy()
-    return lambda t: arr
-
-
-def ode_adjoint_linear(f1, f2, b1, alpha, grid: TimeGrid):
+def ode_adjoint_linear(f1, f2, b1, alpha, grid: TimeGrid) -> Array:
     """Deterministic costate of the linear recursive problem.
 
-    Solves p' = -[(f2 I + b1') p + f1] backward from p_T = alpha, and the
-    scalar growth ODE Gamma' = f2 Gamma, Gamma_0 = 1, both with fourth-order
-    Runge-Kutta on the grid nodes. Returns (p (N+1, n), Gamma (N+1,)).
+    Solves p' = -[(f2 I + b1') p + f1] backward from p_T = alpha with
+    fourth-order Runge-Kutta on the grid nodes, for constant f1 (n,), f2 (a
+    scalar) and b1 (n, n); returns p (N+1, n). Time-varying coefficients need
+    a custom ``ProblemSpec.build`` with its own hints.
 
     The drift matrix is transposed: the costate couples through the
     transposed state Jacobian, which only shows once n > 1.
     """
     alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
     n = alpha.shape[0]
-    f1 = _as_time_fn(f1, (n,))
-    b1 = _as_time_fn(b1, (n, n))
-    f2 = f2 if callable(f2) else (lambda t, v=float(f2): v)
-
-    def rhs(t, p):
-        return -((f2(t) * np.eye(n) + b1(t).T) @ p + f1(t))
-
-    p = _rk4_march(rhs, alpha, grid.nodes, -grid.dt)
-    gamma = _rk4_march(lambda t, g: f2(t) * g, 1.0, grid.nodes, grid.dt)
-    return p, gamma
+    f1, b1 = check_array("f1", f1, (n,)), check_array("b1", b1, (n, n))
+    a1t = float(check_array("f2", f2, ())) * np.eye(n) + b1.T  # A_1' with A_1 = f2 I + b1
+    return _rk4_march(lambda p: -(a1t @ p + f1), alpha, grid)
 
 
 def lq_second_order_ode(gamma_mat, a_fn, b1, grid: TimeGrid) -> Array:
     """Deterministic second-order adjoint of the quadratic-cost problem.
 
-    P' = -(b1' P + P' b1 + A), P_T = Gamma; returns (N+1, n, n).
+    P' = -(b1' P + P' b1 + A), P_T = Gamma, for constant A = ``a_fn`` and b1,
+    both (n, n); returns (N+1, n, n).
     """
     gamma_mat = np.atleast_2d(np.asarray(gamma_mat, dtype=float))
     n = gamma_mat.shape[0]
-    a_fn = _as_time_fn(a_fn, (n, n))
-    b1 = _as_time_fn(b1, (n, n))
-
-    def rhs(t, P):
-        return -(b1(t).T @ P + P.T @ b1(t) + a_fn(t))
-
-    return _rk4_march(rhs, gamma_mat, grid.nodes, -grid.dt)
+    a, b1 = check_array("a_fn", a_fn, (n, n)), check_array("b1", b1, (n, n))
+    return _rk4_march(lambda P: -(b1.T @ P + P.T @ b1 + a), gamma_mat, grid)
 
 
-def _rk4_march(rhs, start, nodes, h):
-    """Classic RK4 with step h from ``start`` at the first node (h > 0) or at the
-    last (h < 0, marching backward); returns the state at every node, in order."""
-    y = np.empty((len(nodes),) + np.shape(start))
-    order = range(len(nodes)) if h > 0 else range(len(nodes) - 1, -1, -1)
-    y[order[0]] = start
-    for j, nxt in zip(order, order[1:]):
-        t, yj = nodes[j], y[j]
-        k1 = rhs(t, yj)
-        k2 = rhs(t + h / 2.0, yj + h / 2.0 * k1)
-        k3 = rhs(t + h / 2.0, yj + h / 2.0 * k2)
-        k4 = rhs(t + h, yj + h * k3)
-        y[nxt] = yj + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_march(rhs, end, grid: TimeGrid) -> Array:
+    """Classic RK4 of y' = rhs(y) backward from ``end`` at the last node, with step
+    -dt; returns the state at every node, in time order."""
+    h = -grid.dt
+    y = np.empty((grid.steps + 1,) + np.shape(end))
+    y[grid.steps] = end
+    for j in range(grid.steps, 0, -1):
+        yj = y[j]
+        k1 = rhs(yj)
+        k2 = rhs(yj + h / 2.0 * k1)
+        k3 = rhs(yj + h / 2.0 * k2)
+        k4 = rhs(yj + h * k3)
+        y[j - 1] = yj + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return y
 
 

@@ -1,6 +1,8 @@
-"""Exception types shared across the solver stack, and the count check that raises one."""
+"""Exception types shared across the solver stack, and the checks that raise one."""
 
 import numbers
+
+import numpy as np
 
 
 class ConfigurationError(ValueError):
@@ -29,3 +31,13 @@ def check_count(name: str, value, minimum: int) -> None:
     bool) of at least ``minimum``: a float count would be truncated or fail later."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
         raise ConfigurationError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def check_array(name: str, value, shape: tuple) -> np.ndarray:
+    """``value`` as a fresh float array of ``shape``, broadcast as numpy would; raise
+    ConfigurationError naming ``name`` and the shape if it is not one (a callable is not)."""
+    try:
+        return np.broadcast_to(np.asarray(value, dtype=float), shape).copy()
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(
+            f"{name} must be a constant array of shape {shape}: {exc}") from None

@@ -156,14 +156,14 @@ def minimize_step(spec: ProblemSpec, t: float, x: Array, y: Array, z: Array,
                   pen_fn: Optional[Callable] = None, *, node=None):
     """Argmin of the augmented Hamiltonian over the candidate list, per sample.
 
-    Ties go to the lowest candidate index. Samples whose current control beats
-    every candidate (possible only off the enumeration) keep it. Returns four
-    distinct arrays (u_new (B, k), h_new (B,), h_prev (B,), choice (B,)): h_new
-    and h_prev are plain (non-augmented) values, and choice is the index of
-    each sample's winning candidate, or -1 where the sample keeps its current
-    control. Once every candidate is evaluated, raises NumericalError naming
-    the first path with a non-finite augmented value (and its first such
-    candidate) or h_prev.
+    Ties go to the lowest candidate index. Samples whose current control
+    u_prev, a (B, k) array (else ConfigurationError), beats every candidate
+    (possible only off the enumeration) keep it. Returns four distinct arrays
+    (u_new (B, k), h_new (B,), h_prev (B,), choice (B,)): h_new and h_prev are
+    plain (non-augmented) values, and choice is the index of each sample's
+    winning candidate, or -1 where the sample keeps its current control. Once
+    every candidate is evaluated, raises NumericalError naming the first path
+    with a non-finite augmented value (and its first such candidate) or h_prev.
 
     Candidates are stacked along the sample axis in chunks of at most
     ``_ROW_CHUNK`` (8 192) rows, max(1, 8192 // B) of them; a chunk of one is
@@ -186,6 +186,8 @@ def minimize_step(spec: ProblemSpec, t: float, x: Array, y: Array, z: Array,
     if (h_fn is None) != (pen_fn is None):
         raise ConfigurationError("the hints h_fn and pen_fn go together: give both or neither")
     B = x.shape[0]
+    if np.shape(u_prev) != (B, spec.k):
+        raise ConfigurationError(f"u_prev must have shape ({B}, {spec.k}), got {np.shape(u_prev)}")
     best, mask = np.zeros(B, dtype=np.intp), np.empty(B, dtype=bool)
     low = pick = bad = None  # bad: (path, candidate, value), lowest bad path, first candidate
 
@@ -212,11 +214,11 @@ def minimize_step(spec: ProblemSpec, t: float, x: Array, y: Array, z: Array,
 
     args = (x, y, z, p, q, P)  # the node's arrays, stacked like the candidates
     if h_fn is None:
-        u = _ctl(u_prev, B, spec.k)
-        b_u, s_u, f_u = spec.drift(t, x, u), spec.diffusion(t, x, u), spec.driver(t, x, y, z, u)
+        b_u, s_u = spec.drift(t, x, u_prev), spec.diffusion(t, x, u_prev)
+        f_u = spec.driver(t, x, y, z, u_prev)
         h_prev = _g(p, q, b_u, s_u, f_u)  # H(u) = G(u): the diffusion gap is 0 at v = u
         # then s_u and (rho > 0) the current terms the penalty reads
-        args += (s_u,) + (_current(spec, t, x, y, z, p, q, u, b_u, f_u, node)
+        args += (s_u,) + (_current(spec, t, x, y, z, p, q, u_prev, b_u, f_u, node)
                           if rho != 0.0 else ())
 
         def evaluate(v, x, y, z, p, q, P, s_u, *cur):

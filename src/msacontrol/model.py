@@ -370,8 +370,9 @@ def check_derivatives(spec: ProblemSpec, sample_count: int = 32, step: float = 1
     declared ``Bounds.df`` gets the entry "df", read the same way: 0 when
     max(|f_y|, |f_z|) <= df on the batch.
     """
-    if sample_count < 1 or not step > 0:
-        raise ConfigurationError("sample_count >= 1 and step > 0 required")
+    check_count("sample_count", sample_count, 1)
+    if not step > 0:
+        raise ConfigurationError(f"step must be > 0, got {step!r}")
     rng = np.random.Generator(np.random.Philox(key=seed))
     B = sample_count
     x = rng.normal(size=(B, spec.n))

@@ -16,8 +16,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .adjoint import _as_time_fn, lq_second_order_ode, ode_adjoint_linear
-from .errors import ConfigurationError
+from .adjoint import lq_second_order_ode, ode_adjoint_linear
+from .errors import ConfigurationError, check_array
 from .model import Bounds, Box, ControlDomain, FiniteSet, ProblemSpec, Structure, constant_fn
 from .msa import RunHints
 
@@ -122,25 +122,27 @@ def lq_problem(gamma_mat, a_mat, b_mat, b1, b2, sigma_fn: Callable,
 
     Quadratic costs exceed the linear-growth assumptions; the adjoint bound
     guarantees do not apply, the cost identity does (see ``notes``).
+
+    Coefficients are constant arrays: Gamma, A, b1 (n, n), B (k, k), b2 (n,);
+    Gamma, A and B must equal their transposes exactly (f_x is read as A x).
     """
-    gamma_arr = np.atleast_2d(np.asarray(gamma_mat, dtype=float))
-    a_fn = _as_time_fn(a_mat, (n, n))
-    bq_fn = _as_time_fn(b_mat, (k, k))
-    for name, mat in (("Gamma", gamma_arr), ("A", a_fn(0.0)), ("B", bq_fn(0.0))):
-        if not np.allclose(mat, mat.T, atol=0.0):
+    gamma_arr = check_array("gamma_mat", gamma_mat, (n, n))
+    a_arr = check_array("a_mat", a_mat, (n, n))
+    bq_arr = check_array("b_mat", b_mat, (k, k))
+    for name, mat in (("Gamma", gamma_arr), ("A", a_arr), ("B", bq_arr)):
+        if not np.array_equal(mat, mat.T):
             raise ConfigurationError(f"{name} must be symmetric")
-    b1_fn = _as_time_fn(b1, (n, n))
-    b2_fn = _as_time_fn(b2, (n,))
+    b1, b2 = check_array("b1", b1, (n, n)), check_array("b2", b2, (n,))
 
     def drift(t, x, u):
-        return np.einsum("ij,mj->mi", b1_fn(t), x) + b2_fn(t)
+        return np.einsum("ij,mj->mi", b1, x) + b2
 
     def diffusion(t, x, u):
         return sigma_fn(t, u)
 
     def driver(t, x, y, z, u):
-        return 0.5 * (np.einsum("mi,ij,mj->m", x, a_fn(t), x)
-                      + np.einsum("mi,ij,mj->m", u, bq_fn(t), u))
+        return 0.5 * (np.einsum("mi,ij,mj->m", x, a_arr, x)
+                      + np.einsum("mi,ij,mj->m", u, bq_arr, u))
 
     def terminal(x):
         return 0.5 * np.einsum("mi,ij,mj->m", x, gamma_arr, x)
@@ -149,15 +151,15 @@ def lq_problem(gamma_mat, a_mat, b_mat, b1, b2, sigma_fn: Callable,
 
     def f_hess(t, x, y, z, u):
         out = np.zeros((len(x), m, m))
-        out[:, :n, :n] = a_fn(t)
+        out[:, :n, :n] = a_arr
         return out
 
     derivatives = dict(
-        b_x=lambda t, x, u: np.broadcast_to(b1_fn(t), (len(x), n, n)).copy(),
+        b_x=lambda t, x, u: np.broadcast_to(b1, (len(x), n, n)).copy(),
         sigma_x=lambda t, x, u: np.zeros((len(x), d, n, n)),
         b_xx=lambda t, x, u: np.zeros((len(x), n, n, n)),
         sigma_xx=lambda t, x, u: np.zeros((len(x), d, n, n, n)),
-        f_x=lambda t, x, y, z, u: np.einsum("ij,mj->mi", a_fn(t), x),
+        f_x=lambda t, x, y, z, u: np.einsum("ij,mj->mi", a_arr, x),
         f_y=lambda t, x, y, z, u: np.zeros(len(x)),
         f_z=lambda t, x, y, z, u: np.zeros((len(x), d)),
         f_hess=f_hess,
@@ -171,7 +173,7 @@ def lq_problem(gamma_mat, a_mat, b_mat, b1, b2, sigma_fn: Callable,
         structure=Structure(b_xx_zero=True, sigma_xx_zero=True),
         bounds=Bounds(df=0.0))  # f depends on neither y nor z
     hints = RunHints(second_order_ode=lambda grid: lq_second_order_ode(
-        gamma_arr, a_fn, b1_fn, grid))
+        gamma_arr, a_arr, b1, grid))
     return Benchmark(
         name="lq", spec=spec, domain=domain, rho=0.0, hints=hints,
         notes="quadratic costs violate the linear-growth assumption; "
@@ -194,47 +196,45 @@ def linear_recursive_problem(b1, b2, b3, sigma1, sigma2, sigma3, f1, f2,
                              n: int = 1, d: int = 1, k: int = 1) -> Benchmark:
     """Linear recursive problem with terminal alpha'X_T + gamma.
 
-    Costate degenerates to the ODE p' = -[(f2 + b1) p + f1] with q = 0, the
+    Costate degenerates to the ODE p' = -[(f2 I + b1') p + f1] with q = 0, the
     second-order equation vanishes, and the penalty weight is zero. f3 must be
     convex and continuously differentiable in u on a convex compact domain,
     supplied here as a Box grid.
+
+    Coefficients are constant arrays: b1 (n, n), b2 (n, k), b3, f1, alpha (n,),
+    sigma1 (d, n, n), sigma2 (d, n, k), sigma3 (d, n) and the scalar f2.
     """
     if not isinstance(domain, Box):
         raise ConfigurationError(
             "linear recursive problem requires a convex compact Box domain")
-    alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-    b1_fn = _as_time_fn(b1, (n, n))
-    b2_fn = _as_time_fn(b2, (n, k))
-    b3_fn = _as_time_fn(b3, (n,))
-    s1_fn = _as_time_fn(sigma1, (d, n, n))
-    s2_fn = _as_time_fn(sigma2, (d, n, k))
-    s3_fn = _as_time_fn(sigma3, (d, n))
-    f1_fn = _as_time_fn(f1, (n,))
-    f2_fn = f2 if callable(f2) else (lambda t, v=float(f2): v)
+    alpha = check_array("alpha", alpha, (n,))
+    b1, b2, b3 = (check_array("b1", b1, (n, n)), check_array("b2", b2, (n, k)),
+                  check_array("b3", b3, (n,)))
+    s1, s2, s3 = (check_array("sigma1", sigma1, (d, n, n)),
+                  check_array("sigma2", sigma2, (d, n, k)), check_array("sigma3", sigma3, (d, n)))
+    f1, f2 = check_array("f1", f1, (n,)), float(check_array("f2", f2, ()))
 
     def drift(t, x, u):
-        return (np.einsum("ij,mj->mi", b1_fn(t), x)
-                + np.einsum("ij,mj->mi", b2_fn(t), u) + b3_fn(t))
+        return np.einsum("ij,mj->mi", b1, x) + np.einsum("ij,mj->mi", b2, u) + b3
 
     def diffusion(t, x, u):
-        return (np.einsum("inj,mj->mni", s1_fn(t), x)
-                + np.einsum("inj,mj->mni", s2_fn(t), u)
-                + s3_fn(t).T[None, :, :])
+        return (np.einsum("inj,mj->mni", s1, x) + np.einsum("inj,mj->mni", s2, u)
+                + s3.T[None, :, :])
 
     def driver(t, x, y, z, u):
-        return np.einsum("i,mi->m", f1_fn(t), x) + f2_fn(t) * y + f3(t, u)
+        return np.einsum("i,mi->m", f1, x) + f2 * y + f3(t, u)
 
     def terminal(x):
         return np.einsum("i,mi->m", alpha, x) + gamma
 
     m = n + 1 + d
     derivatives = dict(
-        b_x=lambda t, x, u: np.broadcast_to(b1_fn(t), (len(x), n, n)).copy(),
-        sigma_x=lambda t, x, u: np.broadcast_to(s1_fn(t), (len(x), d, n, n)).copy(),
+        b_x=lambda t, x, u: np.broadcast_to(b1, (len(x), n, n)).copy(),
+        sigma_x=lambda t, x, u: np.broadcast_to(s1, (len(x), d, n, n)).copy(),
         b_xx=lambda t, x, u: np.zeros((len(x), n, n, n)),
         sigma_xx=lambda t, x, u: np.zeros((len(x), d, n, n, n)),
-        f_x=lambda t, x, y, z, u: np.broadcast_to(f1_fn(t), (len(x), n)).copy(),
-        f_y=lambda t, x, y, z, u: np.full(len(x), f2_fn(t)),
+        f_x=lambda t, x, y, z, u: np.broadcast_to(f1, (len(x), n)).copy(),
+        f_y=lambda t, x, y, z, u: np.full(len(x), f2),
         f_z=lambda t, x, y, z, u: np.zeros((len(x), d)),
         f_hess=lambda t, x, y, z, u: np.zeros((len(x), m, m)),
         phi_x=lambda x: np.broadcast_to(alpha, (len(x), n)).copy(),
@@ -246,8 +246,7 @@ def linear_recursive_problem(b1, b2, b3, sigma1, sigma2, sigma3, f1, f2,
         derivatives=derivatives,
         structure=Structure(b_xx_zero=True, sigma_xx_zero=True,
                             phi_xx_zero=True, f_hess_zero=True))
-    hints = RunHints(first_order_ode=lambda grid: ode_adjoint_linear(
-        f1_fn, f2_fn, b1_fn, alpha, grid)[0])
+    hints = RunHints(first_order_ode=lambda grid: ode_adjoint_linear(f1, f2, b1, alpha, grid))
     return Benchmark(name="linear-recursive", spec=spec, domain=domain,
                      rho=0.0, hints=hints)
 

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 import msacontrol as mc
 from msacontrol.adjoint import _upsilon_batch
@@ -163,8 +164,7 @@ class TestFirstOrderAdjoint:
         bench = nontrivial_linrec()
         N = 20
         _, _, _, first = pipeline(bench, 10_000, N, 2)
-        p_ode, _ = mc.ode_adjoint_linear([0.3], 0.4, [[-0.2]], [1.0],
-                                         mc.TimeGrid(1.0, N))
+        p_ode = mc.ode_adjoint_linear([0.3], 0.4, [[-0.2]], [1.0], mc.TimeGrid(1.0, N))
         mc_mean = first.p[:, :, 0].mean(axis=0)
         assert np.max(np.abs(mc_mean - p_ode[:, 0])) < 1e-2
 
@@ -337,25 +337,54 @@ class TestUpsilon:
 class TestDeterministicOdes:
     def test_trivial_costate(self):
         grid = mc.TimeGrid(1.0, 16)
-        p, gamma = mc.ode_adjoint_linear([0.0], 0.0, [[0.0]], [2.5], grid)
+        p = mc.ode_adjoint_linear([0.0], 0.0, [[0.0]], [2.5], grid)
         assert np.allclose(p, 2.5)
-        assert np.allclose(gamma, 1.0)
 
     def test_exponential_costate(self):
         beta = 0.7
         grid = mc.TimeGrid(1.0, 64)
-        p, gamma = mc.ode_adjoint_linear([0.0], beta, [[0.0]], [1.0], grid)
+        p = mc.ode_adjoint_linear([0.0], beta, [[0.0]], [1.0], grid)
         t = grid.nodes
         assert np.max(np.abs(p[:, 0] - np.exp(beta * (1.0 - t)))) < 1e-8
-        assert np.max(np.abs(gamma - np.exp(beta * t))) < 1e-8
 
-    def test_growth_factor_bounds(self):
-        beta = 0.7
-        grid = mc.TimeGrid(1.0, 64)
-        _, gamma = mc.ode_adjoint_linear([0.0], beta, [[0.0]], [1.0], grid)
-        inv = 1.0 / gamma
-        assert np.all(inv >= np.exp(-beta * 1.0) - 1e-10)
-        assert np.all(inv <= np.exp(beta * 1.0) + 1e-10)
+    # n = 2 with a non-symmetric b1, f1 != 0 and f2 != 0, where a transposed
+    # coupling would show; the references integrate the same ODEs backward
+    B1 = np.array([[-0.3, 0.8], [-0.5, 0.2]])
+    F1, F2, ALPHA = np.array([0.4, -0.7]), 0.6, np.array([1.0, -0.5])
+    A = np.array([[1.0, 0.3], [0.3, 0.5]])
+    GAMMA = np.array([[0.8, -0.2], [-0.2, 1.2]])
+
+    @classmethod
+    def costate_error(cls, N):
+        grid = mc.TimeGrid(1.0, N)
+        ref = cls.reference(lambda p: -((cls.F2 * np.eye(2) + cls.B1.T) @ p + cls.F1),
+                            cls.ALPHA, grid)
+        return np.max(np.abs(mc.ode_adjoint_linear(cls.F1, cls.F2, cls.B1, cls.ALPHA, grid)
+                             - ref))
+
+    @classmethod
+    def lq_error(cls, N):
+        grid = mc.TimeGrid(1.0, N)
+        ref = cls.reference(
+            lambda y: -(cls.B1.T @ y.reshape(2, 2) + y.reshape(2, 2).T @ cls.B1 + cls.A).ravel(),
+            cls.GAMMA.ravel(), grid)
+        return np.max(np.abs(mc.lq_second_order_ode(cls.GAMMA, cls.A, cls.B1, grid)
+                             - ref.reshape(-1, 2, 2)))
+
+    @staticmethod
+    def reference(rhs, end, grid):
+        sol = solve_ivp(lambda t, y: rhs(y), (grid.horizon, 0.0), end, method="DOP853",
+                        t_eval=grid.nodes[::-1], rtol=1e-12, atol=1e-12)
+        return sol.y.T[::-1]
+
+    @pytest.mark.parametrize("error", ["costate_error", "lq_error"])
+    def test_two_dimensional_march_matches_solve_ivp(self, error):
+        assert getattr(self, error)(64) < 1e-9
+
+    @pytest.mark.parametrize("error", ["costate_error", "lq_error"])
+    def test_two_dimensional_march_is_fourth_order(self, error):
+        ratio = getattr(self, error)(8) / getattr(self, error)(16)
+        assert 14.0 <= ratio <= 18.0
 
 
 class TestExplicitP0Oracle:
@@ -391,8 +420,7 @@ class TestExplicitP0Oracle:
         batch = mc.sample_brownian(mc.TimeGrid(1.0, N), 20_000, 1, 8)
         ctl = mc.random_control(bench.domain, 20_000, N, 8)
         est, se = mc.explicit_p0_oracle(bench.spec, ctl, batch)
-        p_ode, _ = mc.ode_adjoint_linear([0.3], 0.4, [[-0.2]], [1.0],
-                                         mc.TimeGrid(1.0, N))
+        p_ode = mc.ode_adjoint_linear([0.3], 0.4, [[-0.2]], [1.0], mc.TimeGrid(1.0, N))
         assert abs(est[0] - p_ode[0, 0]) < 3 * se[0] + 1e-3
 
 
@@ -462,7 +490,7 @@ class TestMultidimensionalAdjoint:
         fwd = mc.simulate_forward(bench.spec, ctl, batch)
         bwd = mc.solve_state_bsde(bench.spec, fwd, backend)
         first = mc.first_order_adjoint(bench.spec, fwd, bwd, backend)
-        p_ode, _ = mc.ode_adjoint_linear(f1, f2, b1, alpha, grid)
+        p_ode = mc.ode_adjoint_linear(f1, f2, b1, alpha, grid)
         # both routes carry the shared Euler compounding bias, O(dt)
         assert np.max(np.abs(first.p.mean(axis=0) - p_ode)) < 1e-2
         est, _ = mc.explicit_p0_oracle(bench.spec, ctl, batch, backend=backend)

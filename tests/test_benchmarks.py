@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -49,6 +50,18 @@ class TestLqProblem:
                           sigma_fn=lambda t, u: np.zeros((len(u), 2, 1)),
                           domain=mc.FiniteSet([[0.0]]), n=2, d=1, k=1,
                           x0=np.zeros(2), horizon=1.0)
+
+    def test_symmetry_is_exact(self):
+        # within allclose's rtol of 1e-5 of its transpose, yet the bundle's
+        # f_x = A x is off x'Ax/2's gradient by (A - A')x/2
+        with pytest.raises(mc.ConfigurationError, match="^A must be symmetric$"):
+            mc.lq_problem(**lq_kwargs(a_mat=[[1.0, 1.0], [1.0 + 1e-7, 1.0]]))
+        # the shipped instances still build
+        assert mc.lq_desk().name == "lq"
+        mc.lq_problem(gamma_mat=[[1.0]], a_mat=[[1.0]], b_mat=[[1.0]], b1=[[0.0]], b2=[0.0],
+                      sigma_fn=lambda t, u: u[:, :, None].astype(float),
+                      domain=mc.Box([-1.0], [1.0], [21]), n=1, d=1, k=1, x0=np.zeros(1),
+                      horizon=1.0)
 
     def test_desk_optimum_is_zero_control(self):
         bench = mc.lq_desk()
@@ -138,6 +151,43 @@ class TestLinearRecursiveProblem:
 
     def test_second_order_declared_vanishing(self):
         assert mc.second_order_vanishes(mc.linrec_desk().spec)
+
+
+def lq_kwargs(**changes):
+    """lq_problem's arguments at n = 2, d = k = 1, with ``changes`` applied."""
+    return dict(dict(gamma_mat=np.eye(2), a_mat=np.eye(2), b_mat=[[1.0]],
+                     b1=np.zeros((2, 2)), b2=np.zeros(2),
+                     sigma_fn=lambda t, u: np.zeros((len(u), 2, 1)),
+                     domain=mc.FiniteSet([[0.0]]), n=2, d=1, k=1, x0=np.zeros(2),
+                     horizon=1.0), **changes)
+
+
+def linrec_kwargs(**changes):
+    """linear_recursive_problem's arguments at n = d = k = 2, with ``changes`` applied."""
+    return dict(dict(b1=np.zeros((2, 2)), b2=np.zeros((2, 2)), b3=np.zeros(2),
+                     sigma1=np.zeros((2, 2, 2)), sigma2=np.zeros((2, 2, 2)),
+                     sigma3=np.zeros((2, 2)), f1=np.zeros(2), f2=0.5,
+                     f3=lambda t, u: (u ** 2).sum(axis=1), alpha=np.zeros(2), gamma=0.0,
+                     domain=mc.Box([-1.0, -1.0], [1.0, 1.0], [3, 3]), x0=np.zeros(2),
+                     horizon=1.0, n=2, d=2, k=2), **changes)
+
+
+PROBLEMS = {"lq": (mc.lq_problem, lq_kwargs),
+            "linrec": (mc.linear_recursive_problem, linrec_kwargs)}
+
+
+@pytest.mark.parametrize("problem, name, value, shape", [
+    ("lq", "b1", lambda t: np.eye(2), (2, 2)),  # a function of time is not a coefficient
+    ("lq", "b1", np.zeros((3, 3)), (2, 2)),
+    ("linrec", "b1", lambda t: np.eye(2), (2, 2)),
+    ("linrec", "b1", np.zeros((3, 3)), (2, 2)),
+    ("linrec", "f2", lambda t: 0.5, ()),
+])
+def test_malformed_coefficient_is_named(problem, name, value, shape):
+    build, kwargs = PROBLEMS[problem]
+    message = re.escape(f"{name} must be a constant array of shape {shape}: ")
+    with pytest.raises(mc.ConfigurationError, match="^" + message):
+        build(**kwargs(**{name: value}))
 
 
 class TestTreeBruteforce:

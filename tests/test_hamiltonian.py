@@ -395,6 +395,18 @@ class TestHoistedMinimizeStep:
             minimize_step(spec, 0.35, *random_step_inputs(spec, candidates, 8, 5),
                           candidates, 0.5, **{lone: hint})
 
+    @pytest.mark.parametrize("hinted", [False, True])
+    def test_a_current_control_of_the_wrong_shape_is_refused(self, hinted):
+        # a (k,) u_prev passed the general branch until a sample kept its
+        # control, where u_new[keep] = u_prev[keep] raised IndexError
+        spec, B = mc.lq_desk().spec, 4
+        zeros = (np.zeros((B, 1)), np.zeros(B), np.zeros((B, 1)), np.zeros((B, 1)),
+                 np.zeros((B, 1, 1)), np.zeros((B, 1, 1)))
+        hints = dict(h_fn=h_batch, pen_fn=penalty_batch) if hinted else {}
+        with pytest.raises(mc.ConfigurationError,
+                           match=r"^u_prev must have shape \(4, 1\), got \(1,\)$"):
+            minimize_step(spec, 0.3, *zeros, [0.0], np.array([[-1.0], [1.0]]), 0.0, **hints)
+
 
 def same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()

@@ -100,6 +100,12 @@ class TestCheckDerivatives:
         assert rep.all_passed
         assert rep.errors["f_z"] < 1e-6
 
+    @pytest.mark.parametrize("count", [2.5, True])
+    def test_sample_count_must_be_an_integer(self, count):
+        with pytest.raises(mc.ConfigurationError,
+                           match=r"^sample_count must be an integer >= 1, got "):
+            mc.check_derivatives(mc.example41(0.7).spec, sample_count=count)
+
     def test_constant_coefficients_exact_zero(self):
         rep = mc.check_derivatives(zero_coeff_spec(), sample_count=10,
                                    step=1e-4, tol=1e-12, seed=0)
