@@ -7,7 +7,7 @@ per-path sums of the Girsanov-weighted decrease diagnostic mu_m. Only X, the
 controls (one-byte candidate indices) and the noise are stored over the
 horizon. One noise batch is shared across all iterations (common random
 numbers), so descent comparisons are free of inter-iteration Monte Carlo
-variance.
+variance. Only a run that ends off a fixed point prices its last control alone.
 """
 
 from __future__ import annotations
@@ -65,13 +65,11 @@ class IterationRecord:
     """Bookkeeping for iteration m: J(u^{m-1}), mu_m, and the realized descent.
 
     ``wall_ms`` times pass m: the forward simulation under u^{m-1} and its
-    sweep. The pricing of the last control falls in no record. The adjoint
-    maxima are pass m's, over every node and path: of a solved adjoint from
-    its terminal on, of a hinted one over the hint's nodes. ``changed_frac``
-    is the share of (path, step) cells whose control index u^m changed from
-    u^{m-1}'s. A record that follows one with ``changed_frac == 0`` is a copy
-    of it: every field is its predecessor's except ``m``, its descent (0.0,
-    or the last control's pricing) and ``wall_ms``, the time of the copy.
+    sweep. The adjoint maxima are pass m's, over every node and path: of a
+    solved adjoint from its terminal on, of a hinted one over the hint's
+    nodes. A record that follows one with ``changed_frac == 0`` is a copy of
+    it: every field is its predecessor's except ``m``, its descent (0.0) and
+    ``wall_ms``, the time of the copy.
     """
 
     m: int
@@ -252,8 +250,9 @@ def run_msa(spec: ProblemSpec, domain: ControlDomain, config: MsaConfig,
     Pass m simulates forward under u^{m-1}, and its one backward sweep prices
     u^{m-1}, steps the adjoints, minimizes the augmented Hamiltonian pointwise
     into u^m and streams mu_m. Record m is completed by pass m + 1, whose
-    J(u^m) gives its descent; only the last control is priced on its own
-    (``pathwise_cost``, no Y or Z stored). Errors name the pass that raised them.
+    J(u^m) gives its descent; only a last control off a fixed point is priced
+    on its own (``pathwise_cost``, no Y or Z stored). Errors name the pass
+    that raised them.
 
     Stops once a descent J(u^{m-1}) - J(u^m) falls below epsilon, returning
     u^{m-1}; the last minimizer u^m stays available. The pass that detects the
@@ -263,8 +262,7 @@ def run_msa(spec: ProblemSpec, domain: ControlDomain, config: MsaConfig,
     point: every later pass would get its inputs and repeat it bit for bit on
     the shared batch, so none runs. Its record closes with descent J - J = 0.0,
     on which an epsilon stops; without one, copies of it fill the records up
-    to max_iters, each closed the same way but the last, which the pricing of
-    the last control closes as before.
+    to max_iters, each closed the same way, the last one too.
 
     A given ``batch`` must match spec.horizon, config.steps and config.n_paths
     (else ConfigurationError). The initial control is re-indexed once over a
@@ -345,7 +343,9 @@ def run_msa(spec: ProblemSpec, domain: ControlDomain, config: MsaConfig,
             break
         records.append(record)
         u_before, u_prev = u_prev, u_new
-    if records and not stopped:
+    if records and not stopped and records[-1].changed_frac == 0.0:
+        stopped = closes(records[-1].j)  # u^m = u^{m-1}, which the last sweep priced
+    elif records and not stopped:
         try:
             forward = simulate_forward(spec, u_prev, batch)
             stopped = closes(cost_estimate(pathwise_cost(spec, forward, backend))[0])

@@ -413,13 +413,13 @@ class TestFixedPointCopies:
     @pytest.mark.parametrize("hinted", [True, False], ids=["hinted", "solved"])
     def test_frozen_run_makes_one_pass(self, hinted, monkeypatch):
         # at its formula rho example41(1.0)'s penalty outweighs every candidate's
-        # gain, so pass 1 keeps every control: passes 2-6 are copies, and only the
-        # pricing of the last control simulates again
+        # gain, so pass 1 keeps every control: passes 2-6 are copies, and the last
+        # control is pass 1's, which pass 1 priced, so nothing simulates again
         *_, initial, res, calls = self.run(1.0, hinted, monkeypatch)
-        assert calls == {"simulate_forward": 2, "minimize_step": self.N}
+        assert calls == {"simulate_forward": 1, "minimize_step": self.N}
         assert [rec.m for rec in res.records] == [1, 2, 3, 4, 5, 6]
         assert [rec.changed_frac for rec in res.records] == [0.0] * 6
-        assert [rec.descent for rec in res.records[:-1]] == [0.0] * 5
+        assert [rec.descent for rec in res.records] == [0.0] * 6
         assert not res.stopped_early
         for control in (res.returned_control, res.last_control):
             assert control.values.tobytes() == initial.values.tobytes()
@@ -445,10 +445,11 @@ class TestFixedPointCopies:
                   if f.name not in ("m", "wall_ms", "descent")]
         for rec in res.records[fixed - 1:]:
             assert [getattr(rec, f) for f in fields] == [getattr(again, f) for f in fields]
-        # the recomputed J(u^m) closes every record from the fixed point on but the
-        # last, which the pricing of the last control closes
-        assert [rec.descent for rec in res.records[fixed - 1:-1]] == \
-            [rec.j - again.j for rec in res.records[fixed - 1:-1]]
+        # the recomputed J(u^m) closes every record from the fixed point on, the
+        # last one too: each descent is 0.0
+        assert [rec.descent for rec in res.records[fixed - 1:]] == \
+            [rec.j - again.j for rec in res.records[fixed - 1:]] == \
+            [0.0] * (cfg.max_iters - fixed + 1)
 
     def test_changed_frac_is_the_share_of_changed_cells(self):
         bench = mc.example41(0.5)
@@ -462,6 +463,104 @@ class TestFixedPointCopies:
             changed = (after.values != before.values).any(axis=2)
             assert rec.changed_frac == np.count_nonzero(changed) / (M * N)
         assert res.records[0].changed_frac > 0.0
+
+
+def last_pricing_case(name):
+    """(spec, domain, config, initial, run_msa keywords, pricing calls wanted) of a
+    run that ends at a fixed point (0 calls) or not (1 call)."""
+    if name in ("frozen", "example41-0.1"):
+        bench, (M, N, seed) = mc.example41(1.0 if name == "frozen" else 0.1), (1000, 10, 3)
+        cfg = mc.MsaConfig(rho=bench.rho, n_paths=M, steps=N, seed=seed, max_iters=6)
+        return (bench.spec, bench.domain, cfg, mc.random_control(bench.domain, M, N, seed),
+                {"hints": bench.hints}, 0)
+    if name == "lq-tree":
+        bench, steps, seed = mc.lq_desk(), 4, 7
+        cfg = mc.MsaConfig(rho=bench.rho, n_paths=2 ** steps, steps=steps, seed=seed,
+                           max_iters=10)
+        return (bench.spec, bench.domain, cfg,
+                mc.benchmarks.tree_random_control(bench.domain, steps, seed),
+                {"hints": bench.hints, "batch": mc.tree_batch(steps, bench.spec.horizon),
+                 "backend": mc.tree_backend(steps)}, 0)
+    (spec, domain), iters = curvature_problem(), int(name[-1])  # every pass changes u
+    cfg = mc.MsaConfig(rho=0.5, n_paths=200, steps=6, seed=5, max_iters=iters)
+    return spec, domain, cfg, mc.random_control(domain, 200, 6, 5), {}, 1
+
+
+class TestLastPricing:
+    """A run that ends at a fixed point closes its last record with descent 0.0: its
+    last control is u^{m-1}, which the last computed sweep priced on the same batch.
+    Only a run that ends elsewhere prices its last control on its own."""
+
+    @pytest.mark.parametrize("name", ["frozen", "example41-0.1", "lq-tree", "curvature-1",
+                                      "curvature-3"])
+    def test_only_a_run_off_a_fixed_point_prices_its_last_control(self, name, monkeypatch):
+        spec, domain, cfg, initial, kwargs, pricing = last_pricing_case(name)
+        calls = {"simulate_forward": 0, "pathwise_cost": 0}
+        for fn in (mc.stochastics.simulate_forward, mc.bsde.pathwise_cost):
+            def spy(*args, _fn=fn, **kw):
+                calls[_fn.__name__] += 1
+                return _fn(*args, **kw)
+            monkeypatch.setattr(mc.msa, fn.__name__, spy)
+        res = mc.run_msa(spec, domain, cfg, initial, **kwargs)
+        assert len(res.records) == cfg.max_iters and not res.stopped_early
+        # the passes up to the first fixed point are computed, the later ones copied
+        swept = next((rec.m for rec in res.records if rec.changed_frac == 0.0),
+                     cfg.max_iters)
+        assert calls == {"simulate_forward": swept + pricing, "pathwise_cost": pricing}
+        if pricing == 0:
+            assert swept < cfg.max_iters
+            assert res.records[-1].descent == 0.0
+            assert res.final_j == res.records[-1].j
+        else:
+            assert res.records[-1].changed_frac > 0.0
+
+    @pytest.mark.parametrize("L", [1.0, 0.1])
+    def test_the_skipped_pricing_matches_bit_for_bit_when_only_Y_is_regressed(self, L):
+        # hinted example41 regresses Y alone, so pricing the last control by
+        # pathwise_cost repeats the last sweep's J exactly
+        spec, domain, cfg, initial, kwargs, _ = last_pricing_case(
+            "frozen" if L == 1.0 else "example41-0.1")
+        res = mc.run_msa(spec, domain, cfg, initial, **kwargs)
+        assert res.records[-1].changed_frac == 0.0
+        assert priced(spec, cfg, res.last_control) == res.records[-1].j == res.final_j
+
+    def test_the_skipped_pricing_differs_only_by_rounding_under_stacked_columns(self):
+        # the sweep regresses Y together with P's columns in one projection, so a
+        # pricing of Y alone may differ in the last bits (here by about 3e-15): the
+        # rounding the fixed-point rule takes out of the last descent, now exactly 0.0
+        spec, domain, rho, hints, make_initial = sweep_sources()["p-hinted-P-solved"]
+        M, N, seed = 300, 8, 11
+        cfg = mc.MsaConfig(rho=rho, n_paths=M, steps=N, seed=seed, max_iters=3)
+        res = mc.run_msa(spec, domain, cfg, make_initial(domain, M, N, seed), hints=hints)
+        assert res.records[-1].changed_frac == 0.0 and res.records[-1].descent == 0.0
+        j = res.records[-1].j
+        assert abs(priced(spec, cfg, res.last_control) - j) <= 1e-12 * abs(j)
+
+    def test_epsilon_stop_on_the_last_allowed_pass(self):
+        # example41(0.1)'s pass 2 keeps every control: with max_iters = 2 the rule
+        # closes record 2 with 0.0 and stops there, as the copy of pass 3 does
+        spec, domain, cfg, initial, kwargs, _ = last_pricing_case("example41-0.1")
+        runs = [mc.run_msa(spec, domain, dataclasses.replace(cfg, max_iters=iters,
+                                                             epsilon=1e-9),
+                           initial, **kwargs) for iters in (2, 3)]
+        u_1 = mc.run_msa(spec, domain, dataclasses.replace(cfg, max_iters=1), initial,
+                         **kwargs).last_control
+        for res in runs:
+            assert [rec.changed_frac == 0.0 for rec in res.records] == [False, True]
+            assert res.stopped_early and res.m_eps == 2
+            assert res.records[-1].descent == 0.0
+            for control in (res.returned_control, res.last_control):
+                assert control.values.tobytes() == u_1.values.tobytes()
+        assert records_equal_except_wall(*(res.records for res in runs))
+
+
+def priced(spec, cfg, control):
+    """J of ``control`` priced on its own on the run's batch, as a run that does not
+    end at a fixed point prices its last control."""
+    batch = mc.sample_brownian(mc.TimeGrid(spec.horizon, cfg.steps), cfg.n_paths, spec.d,
+                               cfg.seed)
+    forward = mc.simulate_forward(spec, control, batch)
+    return mc.bsde.cost_estimate(mc.pathwise_cost(spec, forward, cfg.backend))[0]
 
 
 class TestNearOptimalityGap:
@@ -751,8 +850,9 @@ def separate_passes(spec, domain, cfg, initial, hints):
     """run_msa as separate passes: one stored pass of the cost BSDE and the solved
     adjoints (``stored_pass``), then an ascending update loop, then an f_z grid
     for mu (its sums taken as the sweep streams them); the new control is priced
-    by the next pass, or after the last pass by ``solve_state_bsde``, and the run
-    stops on cfg.epsilon like run_msa.
+    by the next pass, or after the last pass by ``solve_state_bsde`` unless it
+    equals the pass's current control byte for byte (a fixed point, which that
+    pass priced: descent 0.0), and the run stops on cfg.epsilon like run_msa.
 
     Returns (records, returned control, last control), the adjoint maxima on the
     records: the reference the single sweep must match bit for bit.
@@ -803,6 +903,8 @@ def separate_passes(spec, domain, cfg, initial, hints):
         if m < cfg.max_iters:
             backward_new, first_new, second_new = stored_pass(
                 spec, forward_new, backend, given_first, given_second)
+        elif u_new.values.tobytes() == u_values.tobytes():
+            backward_new, first_new, second_new = backward, None, None
         else:
             backward_new, first_new, second_new = (
                 mc.solve_state_bsde(spec, forward_new, backend), None, None)
