@@ -20,7 +20,6 @@ import numpy as np
 
 from .bsde import ExactTreeBackend, cost_step, pathwise_cost
 from .errors import ConfigurationError, NumericalError, SimulationError
-from .hamiltonian import _ROW_CHUNK
 from .model import ControlDomain, ProblemSpec, enumerate_controls
 from .stochastics import (BrownianBatch, ControlField, TimeGrid, _euler, _time_major,
                           simulate_forward)
@@ -30,6 +29,9 @@ Array = np.ndarray
 # most policies the enumeration prices, most rows the backward induction holds, and
 # most paths of a tree
 _POLICY_BUDGET = 200_000
+# most paths one stacked pricing of the enumeration holds: max(1, 8192 // 2^steps)
+# policies of 2^steps paths each
+_PRICING_PATHS = 8192
 
 
 @dataclass(frozen=True)
@@ -178,7 +180,7 @@ def _enumerate(spec: ProblemSpec, candidates: Array, batch: BrownianBatch, idx_m
     over its own block."""
     nc, (M, steps) = len(candidates), idx_map.shape
     policy_count = nc ** n_decision
-    chunk = max(1, _ROW_CHUNK // M)
+    chunk = max(1, _PRICING_PATHS // M)
     # the tree increments repeated once per policy of a chunk, time-major
     increments = np.tile(batch.increments.swapaxes(0, 1),
                          (1, min(chunk, policy_count), 1)).swapaxes(0, 1)

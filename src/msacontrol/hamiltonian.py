@@ -7,13 +7,14 @@ written once. ``h_batch`` and ``penalty_batch`` take the candidate control v
 as a single point (k,) or a per-sample array (B, k); ``minimize_step`` always
 hands its helpers and hints stacked (rows, k) arrays.
 
-``minimize_step`` stacks candidates along the sample axis and evaluates them
-in chunks of at most ``_ROW_CHUNK`` rows, each folded into the selection at
-once, so its memory does not grow with the candidate count. Every formula is
-row-wise and the stacked copies keep the memory layout of their inputs, so the
-values are bitwise equal to evaluating one candidate at a time. At v = u the
-diffusion gap is 0, so the current control's H is its G, and the current
-control's drift, diffusion and driver are each evaluated once per call.
+``minimize_step`` stacks candidates along the sample axis, as many per call as
+fit the node arrays it tiles into ``_STACK_BYTES``, and folds each call into
+the selection at once, so its memory does not grow with the candidate count
+and a wide node is not tiled past the budget. Every formula is row-wise and
+the stacked copies keep the memory layout of their inputs, so the values are
+bitwise equal to evaluating one candidate at a time. At v = u the diffusion
+gap is 0, so the current control's H is its G, and the current control's
+drift, diffusion and driver are each evaluated once per call.
 
 The G-derivatives contract sigma_x over its flattened (noise, state) axis.
 The diffusion gap, G and H's curvature term keep per-axis einsums, the
@@ -37,10 +38,12 @@ from .model import ProblemSpec
 
 Array = np.ndarray
 
-# Rows per stacked evaluation. Larger chunks lose: 16 384 rows raise the
-# lq-grid21 peak heap by 7.6%, and all 86k rows of its 21 candidates are
-# slower than one candidate at a time.
-_ROW_CHUNK = 8192
+# Bytes of tiled node arrays per stacked evaluation: 8 192 rows of the 56-byte
+# node at n = d = k = 1 (x, y, z, p, q, P and sigma(u)). Larger stacks lose:
+# 16 384 rows raise the lq-grid21 peak heap by 7.6%, and all 86k rows of its
+# 21 candidates are slower than one candidate at a time. A wide node, such as
+# curv-n4's 696-byte row at rho > 0 over 400 paths, is not tiled at all.
+_STACK_BYTES = 8192 * 56
 
 
 def _ctl(v, B: int, k: int) -> Array:
@@ -58,7 +61,10 @@ def _gap(p: Array, s: Array, s_u: Array):
 
 def _g(p: Array, q: Array, b: Array, s: Array, f: Array) -> Array:
     """G = p'b + sum_i (q^i)' s^i + f from a control's drift b, diffusion s and driver f."""
-    return np.einsum("mn,mn->m", p, b) + np.einsum("mnd,mnd->m", q, s) + f
+    g = np.einsum("mn,mn->m", p, b)
+    g += np.einsum("mnd,mnd->m", q, s)
+    g += f
+    return g
 
 
 def _candidate(spec: ProblemSpec, t, x, y, z, p, q, P, v, s_u):
@@ -67,9 +73,9 @@ def _candidate(spec: ProblemSpec, t, x, y, z, p, q, P, v, s_u):
     b = spec.drift(t, x, v)
     s = spec.diffusion(t, x, v)
     ds, delta = _gap(p, s, s_u)
-    zs = z + delta
-    h = (_g(p, q, b, s, spec.driver(t, x, y, zs, v))
-         + 0.5 * np.einsum("mni,mnk,mki->m", ds, P, ds))
+    zs = np.add(z, delta, out=delta)
+    h = _g(p, q, b, s, spec.driver(t, x, y, zs, v))
+    h += 0.5 * np.einsum("mni,mnk,mki->m", ds, P, ds)
     return h, b, ds, zs
 
 
@@ -116,12 +122,14 @@ def _penalty(spec: ProblemSpec, t, x, y, z, p, q, v, b, ds, zs, cur: tuple) -> A
     b_u, f_u, sx_u, gx_u, gy_u, gz_u = cur
     db = b - b_u
     df = spec.driver(t, x, y, z, v) - f_u
-    pen = (db ** 2).sum(axis=1) + (ds ** 2).sum(axis=(1, 2)) + df ** 2
+    pen = (db ** 2).sum(axis=1)
+    pen += (ds ** 2).sum(axis=(1, 2))
+    pen += df ** 2
     at = _evaluated(spec.derivatives, t, x, y, zs, v)
     gx_v, gy_v, gz_v = _g_derivatives(at, p, q, at("sigma_x"), sx_u)
-    pen = pen + ((gx_v - gx_u) ** 2).sum(axis=1)
-    pen = pen + (gy_v - gy_u) ** 2
-    pen = pen + ((gz_v - gz_u) ** 2).sum(axis=1)
+    pen += ((gx_v - gx_u) ** 2).sum(axis=1)
+    pen += (gy_v - gy_u) ** 2
+    pen += ((gz_v - gz_u) ** 2).sum(axis=1)
     return pen
 
 
@@ -147,7 +155,8 @@ def penalty_batch(spec: ProblemSpec, t: float, x: Array, y: Array, z: Array,
     u = _ctl(u, B, spec.k)
     cur = _current(spec, t, x, y, z, p, q, u, spec.drift(t, x, u), spec.driver(t, x, y, z, u))
     ds, delta = _gap(p, spec.diffusion(t, x, v), spec.diffusion(t, x, u))
-    return _penalty(spec, t, x, y, z, p, q, v, spec.drift(t, x, v), ds, z + delta, cur)
+    return _penalty(spec, t, x, y, z, p, q, v, spec.drift(t, x, v), ds,
+                    np.add(z, delta, out=delta), cur)
 
 
 def minimize_step(spec: ProblemSpec, t: float, x: Array, y: Array, z: Array,
@@ -165,11 +174,15 @@ def minimize_step(spec: ProblemSpec, t: float, x: Array, y: Array, z: Array,
     every candidate is evaluated, raises NumericalError naming the first path
     with a non-finite augmented value (and its first such candidate) or h_prev.
 
-    Candidates are stacked along the sample axis in chunks of at most
-    ``_ROW_CHUNK`` (8 192) rows, max(1, 8192 // B) of them; a chunk of one is
-    its row broadcast to (B, k). The hints h_fn and pen_fn, both or neither
-    (else ConfigurationError), take h_batch's and penalty_batch's arguments
-    with v and u_prev as (rows, k) arrays stacked like the node. Without hints,
+    Candidates are stacked along the sample axis, c = max(1, _STACK_BYTES //
+    (B * row_bytes)) of them per call, where row_bytes sums one row of each
+    node array that stacking tiles: x, y, z, p, q, P and, without hints,
+    sigma(u_prev) plus, for rho > 0, the current control's penalty terms, or,
+    with hints, u_prev. ``_STACK_BYTES`` is 8 192 rows of the 56-byte node at
+    n = d = k = 1; a chunk of one candidate is its row broadcast to (B, k).
+    The hints h_fn and pen_fn, both or neither (else ConfigurationError),
+    take h_batch's and penalty_batch's arguments with v and u_prev as
+    (rows, k) arrays stacked like the node. Without hints,
     u_prev's drift, diffusion and driver are evaluated once per call, h_prev is
     its G, and each candidate's drift, diffusion and diffusion gap are
     evaluated once, shared by H and the penalty; the values are bitwise equal
@@ -234,7 +247,8 @@ def minimize_step(spec: ProblemSpec, t: float, x: Array, y: Array, z: Array,
             return h, (np.array(pen_fn(spec, t, x, y, z, p, q, v, u), dtype=float)
                        if rho != 0.0 else None)
     n_c = len(candidates)
-    c = min(n_c, max(1, _ROW_CHUNK // B))
+    # one copy of the node arrays is B rows of row_bytes each
+    c = min(n_c, max(1, _STACK_BYTES // sum([a.nbytes for a in args])))
     if c > 1:
         # unlike np.tile, concatenate keeps each array's memory layout: einsum
         # may order a sum by its operands' strides, and so set the last bit by it

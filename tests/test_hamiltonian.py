@@ -314,15 +314,21 @@ def random_step_inputs(spec, candidates, B, seed):
             u_prev)
 
 
+# the candidates of the curv-n4 benchmark workload, for n = 4, d = 2, k = 2
+CURV_CONTROLS = np.array([[0.0, 0.0], [0.5, -0.5], [-0.5, 0.5]])
+
+
 class TestHoistedMinimizeStep:
-    # Candidates are stacked max(1, 8192 // B) at a time: all 12 at B = 64,
-    # 2 per chunk at B = 3000 (6 chunks) and B = 3500 (11 chunks, the last
-    # one partial), one at a time without stacking at B = 8193.
+    # Candidates are stacked max(1, 458 752 // (B * row_bytes)) at a time. A node
+    # row is 696 bytes for the curvature spec at rho > 0, 344 at rho = 0, and
+    # 104 for n = d = k = 1 at rho > 0: all 12 at B = 48, 2 per chunk at
+    # B = 300 (6 chunks) and for lq-grid21 at B = 2000 (11 chunks, the last one
+    # partial), one at a time without stacking at B = 330.
     @pytest.mark.parametrize("case", ["curvature-box-rho", "curvature-box-rho0",
-                                      "example41-general", "curvature-box-rho-B3000",
-                                      "lq-grid21-rho-B3500", "curvature-box-rho-B8193"])
+                                      "example41-general", "curvature-box-rho-B300",
+                                      "lq-grid21-rho-B2000", "curvature-box-rho-B330"])
     def test_bitwise_equal_to_per_candidate_loop(self, case, curvature_spec):
-        B = int(case.rsplit("-B", 1)[1]) if "-B" in case else 64
+        B = int(case.rsplit("-B", 1)[1]) if "-B" in case else 48
         if case.startswith("curvature"):
             spec = curvature_spec
             candidates = mc.enumerate_controls(mc.Box([-1.0, -0.5], [1.0, 0.5], [4, 3]))
@@ -358,10 +364,11 @@ class TestHoistedMinimizeStep:
         # Stacking every candidate into one batch grows the peak with the
         # candidate count through the tiled inputs and every intermediate;
         # chunks of bounded rows, each folded into the running selection as
-        # soon as it is evaluated, leave no (n_c, B) array at all. The bound
-        # is one (B,) float array; a value table of 20 more candidates at
-        # rho > 0 would add 2 * 20 * B floats.
-        spec, B, rho = mc.lq_desk().spec, 4096, 0.5
+        # soon as it is evaluated, leave no (n_c, B) array at all. At B = 2048
+        # the 104-byte rows of the general pair stack 2 candidates per call, the
+        # 56-byte rows of the hints 4. The bound is one (B,) float array; a
+        # value table of 20 more candidates at rho > 0 would add 2 * 20 * B floats.
+        spec, B, rho = mc.lq_desk().spec, 2048, 0.5
         hints = hints or {}
 
         def peak(n_c):
@@ -383,6 +390,50 @@ class TestHoistedMinimizeStep:
         # hints are evaluated on the same stacked chunks as the general pair
         self.test_heap_does_not_grow_with_stacked_candidates(
             dict(h_fn=h_batch, pen_fn=penalty_batch))
+
+    @pytest.mark.parametrize("case, B, want", [
+        # curv-n4's rho > 0 node is 696 bytes a row: no stacking at 400 paths
+        ("curvature-rho", 400, [400] * 4),
+        # lq-grid21's 56-byte rows at rho = 0 stack 2 of its 21 candidates a call
+        ("lq-grid21-rho0", 4096, [4096] + [8192] * 10 + [4096]),
+        # 12 candidates of the 696-byte node fit one call at 16 paths
+        ("curvature-rho-12", 16, [16, 192])])
+    def test_stacking_follows_the_node_bytes(self, case, B, want, curvature_spec):
+        # row counts of the drift calls: once at u_prev, then once per call
+        if case.startswith("curvature"):
+            spec, rho = curvature_spec, 0.7
+            candidates = (mc.enumerate_controls(mc.Box([-1.0, -0.5], [1.0, 0.5], [4, 3]))
+                          if case.endswith("-12") else CURV_CONTROLS)
+        else:
+            spec, rho = mc.lq_desk().spec, 0.0
+            candidates = mc.enumerate_controls(mc.Box([-1.0], [1.0], [21]))
+        rows = []
+
+        def drift(t, x, u):
+            rows.append(len(x))
+            return spec.drift(t, x, u)
+
+        spy = dataclasses.replace(spec, drift=drift)
+        minimize_step(spy, 0.35, *random_step_inputs(spec, candidates, B, 5), candidates, rho)
+        assert rows == want
+
+    def test_heap_does_not_grow_with_a_wide_node(self, curvature_spec):
+        # a 696-byte node row tiled once per stacked candidate (three at B = 400,
+        # 0.84 MB) and every wide intermediate with it would set the peak; one
+        # candidate per call adds only the running selection's (B,) arrays
+        spec, B, rho, candidates = curvature_spec, 400, 0.7, CURV_CONTROLS
+
+        def peak(n_c):
+            inputs = random_step_inputs(spec, candidates, B, 5)
+            tracemalloc.start()
+            try:
+                minimize_step(spec, 0.35, *inputs, candidates[:n_c], rho)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(3)  # warm-up
+        assert peak(3) - peak(1) <= 3 * 8 * B
 
     @pytest.mark.parametrize("lone", ["h_fn", "pen_fn"])
     def test_a_lone_hint_is_refused(self, lone):
@@ -492,25 +543,29 @@ class TestNonFiniteHamiltonian:
 
     @pytest.mark.parametrize("rho", [0.0, 0.5])
     def test_candidate_in_a_later_chunk_names_path_and_candidate(self, rho):
-        # at B = 3000 the candidates are stacked two at a time: 4.0 is in the third chunk
+        # the candidates are stacked two at a time, 56-byte rows at B = 3000 and
+        # 104-byte rows (rho > 0) at B = 1500: 4.0 is in the third chunk
         spec = nan_driver_spec(bad_u=4.0)
         candidates = np.arange(5.0)[:, None]
+        B = 3000 if rho == 0.0 else 1500
         with pytest.raises(mc.NumericalError, match=r"on path 3 at candidate 4 \[4\.0\]"):
-            minimize_step(spec, 0.2, *self.inputs(0.0, B=3000), candidates, rho)
+            minimize_step(spec, 0.2, *self.inputs(0.0, B=B), candidates, rho)
 
     @pytest.mark.parametrize("rho", [0.0, 0.5])
     @pytest.mark.parametrize("hinted", [False, True])
     def test_lower_path_in_a_later_chunk_is_named(self, rho, hinted):
-        # at B = 3000 the chunks are {0, 1}, {2, 3} and {4}: path 5 is bad at
+        # the chunks are {0, 1}, {2, 3} and {4}, 56-byte rows at B = 3000 and the
+        # general pair's 104-byte rows (rho > 0) at B = 1500: path 5 is bad at
         # candidate 1 in the first chunk, the lower path 3 at candidates 3 and
         # 4 in the later ones; the report waits for every candidate, so it
         # names path 3 and its first bad candidate
         spec = nan_driver_spec(bad_u=[1.0, 3.0, 4.0], bad_x=[5.0, 3.0, 3.0])
         candidates = np.arange(5.0)[:, None]
         hints = dict(h_fn=h_batch, pen_fn=penalty_batch) if hinted else {}
+        B = 1500 if rho != 0.0 and not hinted else 3000
         with pytest.raises(mc.NumericalError,
                            match=r"Hamiltonian nan on path 3 at candidate 3 \[3\.0\]") as err:
-            minimize_step(spec, 0.2, *self.inputs(0.0, B=3000), candidates, rho, **hints)
+            minimize_step(spec, 0.2, *self.inputs(0.0, B=B), candidates, rho, **hints)
         assert err.value.path == 3
 
     def test_current_control_names_path(self):
