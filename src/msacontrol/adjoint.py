@@ -131,6 +131,8 @@ def psi_matrix(point: StepPoint, p: Array, q: Array) -> Array:
     the quadratic form by batched ``@``, each Hessian term by one contraction
     over its flattened leading axes. A Hessian declared zero
     (``Structure.b_xx_zero``, ``sigma_xx_zero``) is neither evaluated nor added.
+    Each Hessian is freed after its one read: D2f before the second product of
+    the quadratic form, b_xx before sigma_xx is evaluated.
     """
     dv, t, x, u = point.dv, point.t, point.x, point.u
     M, n = p.shape
@@ -138,10 +140,14 @@ def psi_matrix(point: StepPoint, p: Array, q: Array) -> Array:
     eye = np.broadcast_to(np.eye(n), (M, n, n))
     mmat = np.concatenate([eye, p[:, :, None], _upsilon_batch(point.sigma_x, p, q)],
                           axis=2)                   # (M, n, m)
-    psi = mmat @ hess @ mmat.transpose(0, 2, 1)
+    psi = mmat @ hess
+    del hess
+    psi = psi @ mmat.transpose(0, 2, 1)
+    del mmat
     if not point.structure.b_xx_zero:
         bxx = dv.b_xx(t, x, u)                      # (M, n, n, n)
         psi += np.einsum("mj,mjr->mr", p, bxx.reshape(M, n, n * n)).reshape(M, n, n)
+        del bxx
     if not point.structure.sigma_xx_zero:
         sxx = dv.sigma_xx(t, x, u)                  # (M, d, n, n, n)
         coef = point.f_z[:, :, None] * p[:, None, :] + q.transpose(0, 2, 1)  # fz_i p^j + q^{ji}
@@ -159,21 +165,40 @@ def second_order_step(point: StepPoint, phat: Array, Qj: Array, p: Array, q: Arr
     P_j = sym(Phat + [f_y Phat + S + S' + sum_i (f_{z_i}(T_i + T_i') + T_i sx_i
     + f_{z_i} Q^i + R_i + R_i') + Psi] dt), where sym(P) = (P + P')/2 and
     (p, q) is the first-order adjoint at the same step.
+
+    Each noise term is summed left to right in one (M, n, n) buffer, with one
+    more for the products, and added to the drift; P is formed in the drift's
+    buffer and sym(P) in the one that took P - P'. The sums round as the
+    formula above reads, so P_j is the same to the bit as the expression.
     """
     sx, fz = point.sigma_x, point.f_z
     s = point.b_x.transpose(0, 2, 1) @ phat
     drift = point.f_y[:, None, None] * phat + s + s.transpose(0, 2, 1)
+    del s
     for i in range(sx.shape[1]):
         fzi = fz[:, i, None, None]
         sxt = sx[:, i].transpose(0, 2, 1)
         ti = sxt @ phat
-        ri = sxt @ Qj[..., i]
-        drift += (fzi * (ti + ti.transpose(0, 2, 1)) + ti @ sx[:, i]
-                  + fzi * Qj[..., i] + ri + ri.transpose(0, 2, 1))
+        term = np.add(ti, ti.transpose(0, 2, 1))
+        term *= fzi
+        prod = ti @ sx[:, i]
+        del ti
+        term += prod
+        term += np.multiply(fzi, Qj[..., i], out=prod)
+        np.matmul(sxt, Qj[..., i], out=prod)  # R_i
+        term += prod
+        term += prod.transpose(0, 2, 1)
+        drift += term
+        del term, prod
     drift += psi_matrix(point, p, q)
-    P = phat + drift * dt
+    drift *= dt
+    P = np.add(phat, drift, out=drift)
     Pt = P.transpose(0, 2, 1)
-    return 0.5 * (P + Pt), float(np.max(np.abs(P - Pt)))
+    out = np.subtract(P, Pt)
+    asym = float(np.max(np.abs(out, out=out)))
+    np.add(P, Pt, out=out)
+    out *= 0.5
+    return out, asym
 
 
 def second_order_adjoint(spec: ProblemSpec, forward: ForwardPaths,

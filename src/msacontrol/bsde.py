@@ -209,9 +209,9 @@ def pathwise_cost(spec: ProblemSpec, forward: ForwardPaths, backend,
         driver_sum[...] += y - yhats[0]
         return [y]
 
-    terminals = [np.asarray(spec.terminal(forward.state(N)), dtype=float)]
-    solve_bsde(terminals, step, forward, backend, store)
-    return terminals[0] + driver_sum
+    y_T = np.asarray(spec.terminal(forward.state(N)), dtype=float)
+    solve_bsde([y_T], step, forward, backend, store)
+    return y_T + driver_sum
 
 
 def solve_state_bsde(spec: ProblemSpec, forward: ForwardPaths, backend) -> BackwardPaths:
@@ -237,24 +237,33 @@ def solve_bsde(terminals: List[Array], step: Callable, forward: ForwardPaths, ba
     carried to the next step. u_j is step j of ``forward.control``, the control
     that drove the trajectory, gathered once for the features and the step.
 
+    What a step holds: its phats and q_j, each a contiguous array of its own
+    (``_proxies``), and what ``step`` makes. The carries p_{j+1} are dropped
+    once they are stacked, before ``step`` runs, and the terminals with them:
+    the sweep empties ``terminals``, so a terminal the caller keeps no name for
+    is freed once the first step has stacked it.
+
     ``store``, when given, holds one time-major pair p (M, N+1, *shape),
     q (M, N, *shape, d) per equation: the sweep writes the terminal, each q_j
     before ``step`` reads it and each p_j into it, and carries views of the
-    store, not second copies; each entry of ``terminals`` is replaced by its
-    stored view. Raises NumericalError naming the step and the first path
-    where a p_j is not finite.
+    store, not second copies. Raises NumericalError naming the step and the
+    first path where a p_j is not finite.
     """
     N = forward.batch.grid.steps
-    if store is not None:
-        terminals[:] = _stored(store, N, terminals)
-    nxt = [np.asarray(terminal, dtype=float) for terminal in terminals]
+    nxt = ([np.asarray(terminal, dtype=float) for terminal in terminals] if store is None
+           else _stored(store, N, terminals))
+    terminals.clear()
     for j in range(N - 1, -1, -1):
         u = forward.control.at(j)
-        nxt = step(j, u, *_proxies(nxt, j, forward, u, backend, store))
+        phats, qs = _proxies(nxt, j, forward, u, backend, store)
+        del nxt  # step j + 1's carries are stacked: not held while step j runs
+        nxt = step(j, u, phats, qs)
+        del phats, qs  # nor are its proxies while step j - 1 projects
         if store is not None:
             nxt = _stored(store, j, nxt)
         for p in nxt:
             check_finite(p, j)
+        del p  # a carry too: the loop variable would hold the last one over step j - 1
 
 
 def _stored(store, j: int, values) -> List[Array]:
@@ -274,7 +283,12 @@ def check_finite(p: Array, j: int) -> None:
 def _proxies(nxt, j: int, forward: ForwardPaths, u: Array, backend, store=None):
     """(phats, qs) at step j, whose controls are u: every p_{j+1} and p_{j+1} dW_j
     stacked into one (M, R (1 + d)) target matrix, R the equations' total width,
-    and regressed in one project. With a store, each q_j is written into it."""
+    and regressed in one project. With a store, each q_j is written into it.
+
+    Each phat is a C-contiguous copy of its fitted columns and each q_j their
+    quotient by dt, so no returned array is a view of the projection: it is
+    freed when this returns, and each fitted value is held once.
+    """
     batch = forward.batch
     M, d = batch.n_paths, batch.d
     flat = np.concatenate([p.reshape(M, -1) for p in nxt], axis=1)
@@ -287,7 +301,7 @@ def _proxies(nxt, j: int, forward: ForwardPaths, u: Array, backend, store=None):
     phats, qs, col = [], [], 0
     for e, p in enumerate(nxt):
         r = p.size // M
-        phats.append(proj[:, col:col + r].reshape(p.shape))
+        phats.append(proj[:, col:col + r].reshape(p.shape).copy())
         out = None if store is None else store[e][1][:, j]
         qs.append(np.divide(proj[:, R + col * d:R + (col + r) * d].reshape(p.shape + (d,)),
                             batch.dt, out=out))

@@ -169,13 +169,15 @@ def _update_sweep(m: int, started: float, spec: ProblemSpec, forward, p_ode, P_o
     batch, u_prev = forward.batch, forward.control
     M, N, n, d, dt = batch.n_paths, batch.grid.steps, spec.n, spec.d, batch.dt
     nodes, x_T = batch.grid.nodes, forward.state(N)
+    # y_T stays for step 0's pathwise Y_0; solve_bsde empties the list, so
+    # Phi_x(X_T) and Phi_xx(X_T) go once the first step has stacked them
     y_T = np.asarray(spec.terminal(x_T), dtype=float)
     terminals = [y_T] + ([] if p_ode is not None else [spec.derivatives.phi_x(x_T)]) + \
         ([] if P_ode is not None else [spec.derivatives.phi_xx(x_T)])
     # running maxima, started at the terminal node or taken over a hint's nodes
     max_p = float(np.max(np.abs(terminals[1] if p_ode is None else p_ode)))
     max_P = float(np.max(np.abs(terminals[-1] if P_ode is None else P_ode)))
-    asym, update, y_node, driver_sum, sums = 0.0, None, None, np.zeros(M), np.zeros((3, M))
+    asym, update, y_0, driver_sum, sums = 0.0, None, None, np.zeros(M), np.zeros((3, M))
     changed = 0
     # given nodes broadcast over the paths, time-major; a costate hint implies q = 0
     if p_ode is not None:
@@ -185,14 +187,15 @@ def _update_sweep(m: int, started: float, spec: ProblemSpec, forward, p_ode, P_o
     index = _time_major((M, N), dtype=u_prev.index.dtype)
 
     def step(j, u, phats, qs):
-        nonlocal max_p, max_P, asym, update, y_node, driver_sum, changed
+        nonlocal max_p, max_P, asym, update, y_0, driver_sum, changed
         x = forward.state(j)
         y = cost_step(spec, nodes[j], x, phats[0], qs[0], u, dt)
         check_finite(y, j)
         driver_sum += y - phats[0]
         # the node at step 0 reads the pathwise Y_0, as solve_state_bsde stores it
-        y_node = y if j else y_T + driver_sum
-        point = StepPoint(spec, nodes[j], x, y_node, qs[0], u)
+        if not j:
+            y_0 = y_T + driver_sum
+        point = StepPoint(spec, nodes[j], x, y if j else y_0, qs[0], u)
         solved = [y]
         if p_ode is None:
             p, q = first_order_step(point, phats[1], qs[1], dt), qs[1]
@@ -230,7 +233,7 @@ def _update_sweep(m: int, started: float, spec: ProblemSpec, forward, p_ode, P_o
 
     solve_bsde(terminals, step, forward, backend)
     u_new = ControlField(table=u_prev.table, index=index)
-    j, j_se = cost_estimate(y_node)
+    j, j_se = cost_estimate(y_0)
     mu, mu_se, ess, w_ratio = compute_mu(*sums, dt)
     return IterationRecord(m=m, j=j, j_stderr=j_se, mu=mu, mu_stderr=mu_se,
                            descent=float("nan"),

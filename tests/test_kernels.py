@@ -10,11 +10,12 @@ so cancellation in a random draw cannot make a correct kernel fail.
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import msacontrol as mc
-from msacontrol.adjoint import psi_matrix
+from msacontrol.adjoint import psi_matrix, second_order_step
 from msacontrol.bsde import _design_matrix, _monomial_exponents
 from msacontrol.hamiltonian import _g_derivatives
 
@@ -64,6 +65,57 @@ def psi_operands(B, n, d, seed, structure=mc.Structure()):
                             u=None, sigma_x=rng.normal(size=(B, d, n, n)),
                             f_z=rng.normal(size=(B, d)))
     return point, rng.normal(size=(B, n)), rng.normal(size=(B, n, d)), (hess, bxx, sxx)
+
+
+def psi_expression(point, p, q):
+    """psi_matrix as one expression per term, with every temporary it makes."""
+    dv, t, x, u = point.dv, point.t, point.x, point.u
+    M, n = p.shape
+    hess = dv.f_hess(t, x, point.y, point.z, u)
+    eye = np.broadcast_to(np.eye(n), (M, n, n))
+    ups = np.einsum("miab,ma->mbi", point.sigma_x, p) + q
+    mmat = np.concatenate([eye, p[:, :, None], ups], axis=2)
+    psi = mmat @ hess @ mmat.transpose(0, 2, 1)
+    if not point.structure.b_xx_zero:
+        bxx = dv.b_xx(t, x, u)
+        psi += np.einsum("mj,mjr->mr", p, bxx.reshape(M, n, n * n)).reshape(M, n, n)
+    if not point.structure.sigma_xx_zero:
+        sxx = dv.sigma_xx(t, x, u)
+        coef = point.f_z[:, :, None] * p[:, None, :] + q.transpose(0, 2, 1)
+        dn = coef.shape[1] * n
+        psi += np.einsum("mr,mrs->ms", coef.reshape(M, dn),
+                         sxx.reshape(M, dn, n * n)).reshape(M, n, n)
+    return psi
+
+
+def second_order_expression(point, phat, Qj, p, q, dt):
+    """second_order_step as one expression per noise term, with every temporary it makes."""
+    sx, fz = point.sigma_x, point.f_z
+    s = point.b_x.transpose(0, 2, 1) @ phat
+    drift = point.f_y[:, None, None] * phat + s + s.transpose(0, 2, 1)
+    for i in range(sx.shape[1]):
+        fzi = fz[:, i, None, None]
+        sxt = sx[:, i].transpose(0, 2, 1)
+        ti = sxt @ phat
+        ri = sxt @ Qj[..., i]
+        drift += (fzi * (ti + ti.transpose(0, 2, 1)) + ti @ sx[:, i]
+                  + fzi * Qj[..., i] + ri + ri.transpose(0, 2, 1))
+    drift += psi_expression(point, p, q)
+    P = phat + drift * dt
+    Pt = P.transpose(0, 2, 1)
+    return 0.5 * (P + Pt), float(np.max(np.abs(P - Pt)))
+
+
+def projection_slices(rng, B, n, d):
+    """Non-symmetric (B, n, n) phat and (B, n, n, d) Q cut out of one (B, R (1 + d))
+    fitted matrix, as the sweep's projection lays them out: strided views."""
+    R = 1 + n + n * n  # Y, p and vec P
+    proj = rng.normal(size=(B, R * (1 + d)))
+    col = 1 + n
+    phat = proj[:, col:col + n * n].reshape(B, n, n)
+    Q = proj[:, R + col * d:R + (col + n * n) * d].reshape(B, n, n, d)
+    assert not (phat.flags.c_contiguous or Q.flags.c_contiguous)
+    return phat, Q
 
 
 def psi_reference(sx, fz, p, q, hess, bxx, sxx):
@@ -118,3 +170,25 @@ class TestKernelEquivalence:
         assert isinstance(exps, tuple) and exps is _monomial_exponents(3, 2)
         assert exps[:4] == ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
         assert len(exps) == 10
+
+
+class TestKernelBits:
+    """The in-place kernels round as the one-expression forms above: every sum
+    is taken in the same order, so the results are equal to the bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    @pytest.mark.parametrize("zero", [False, True])
+    @settings(max_examples=8, deadline=None)
+    @given(B=st.integers(2, 64), seed=st.integers(0, 2 ** 32 - 1))
+    def test_second_order_step_and_psi(self, n, d, zero, B, seed):
+        structure = mc.Structure(b_xx_zero=zero, sigma_xx_zero=zero)
+        point, p, q, _ = psi_operands(B, n, d, seed, structure)
+        rng = np.random.default_rng(seed + 1)
+        point.b_x, point.f_y = rng.normal(size=(B, n, n)), rng.normal(size=B)
+        phat, Q = projection_slices(rng, B, n, d)
+        assert np.array_equal(psi_matrix(point, p, q), psi_expression(point, p, q))
+        got, asym = second_order_step(point, phat, Q, p, q, 0.05)
+        ref, ref_asym = second_order_expression(point, phat, Q, p, q, 0.05)
+        assert got.flags.c_contiguous and np.array_equal(got, ref)
+        assert asym == ref_asym and (asym > 0.0) == (n > 1)

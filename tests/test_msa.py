@@ -3,6 +3,7 @@ import math
 import re
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -671,11 +672,17 @@ class TestLayoutIndependence:
 
 
 class TestTimeMajorRunArrays:
-    @pytest.mark.parametrize("bench_name", ["example41", "lq_desk"])
-    def test_step_slices_are_contiguous(self, bench_name, monkeypatch):
+    @pytest.mark.parametrize("case", ["example41", "lq_desk", "curvature"])
+    def test_step_slices_are_contiguous(self, case, monkeypatch):
+        # the curvature case solves both adjoints, so their steps receive
+        # proxies too: every proxy of a step is a contiguous array of its own
         msa = mc.msa
-        bench = mc.example41(0.2) if bench_name == "example41" else mc.lq_desk()
-        seen = {}
+        if case == "curvature":
+            (spec, domain), rho, hints = curvature_everywhere_problem(), 0.5, None
+        else:
+            bench = mc.example41(0.2) if case == "example41" else mc.lq_desk()
+            spec, domain, rho, hints = bench.spec, bench.domain, bench.rho, bench.hints
+        seen, proxies = {}, []  # per step, the proxies its step functions received
 
         def record(name, arr):
             for j in (0, arr.shape[1] // 2, arr.shape[1] - 1):
@@ -689,12 +696,129 @@ class TestTimeMajorRunArrays:
                 seen.setdefault(name, []).append(arr.flags.c_contiguous)
             return out
 
+        def spy_on(name, positions):  # positional argument -> the proxy's name
+            real = getattr(msa, name)
+
+            def spy(*args):
+                if name == "cost_step":  # the first step function of each step
+                    proxies.append({})
+                proxies[-1].update({proxy: args[i] for i, proxy in positions.items()})
+                return real(*args)
+
+            monkeypatch.setattr(msa, name, spy)
+
         monkeypatch.setattr(msa, "minimize_step", minimize_spy)
-        cfg = mc.MsaConfig(rho=bench.rho, n_paths=200, steps=6, seed=3, max_iters=2)
-        res = mc.run_msa(bench.spec, bench.domain, cfg, "random", hints=bench.hints)
+        spy_on("cost_step", {3: "yhat", 4: "z"})
+        spy_on("first_order_step", {1: "phat_p", 2: "q_p"})
+        spy_on("second_order_step", {1: "phat_P", 2: "Q_P"})
+        cfg = mc.MsaConfig(rho=rho, n_paths=200, steps=6, seed=3, max_iters=2)
+        res = mc.run_msa(spec, domain, cfg, "random", hints=hints)
         record("u_new", res.last_control.values)
-        assert {"x", "y", "z", "q_j", "u_prev", "u_new"} <= set(seen)
+        for arrays in proxies:
+            for name, arr in arrays.items():
+                seen.setdefault(name, []).append(arr.flags.c_contiguous)
+            named = list(arrays.items())
+            for i, (a, arr_a) in enumerate(named):
+                for b, arr_b in named[i + 1:]:
+                    assert not np.shares_memory(arr_a, arr_b), (a, b)
+        wanted = {"x", "y", "z", "q_j", "u_prev", "u_new", "yhat"}
+        if case == "curvature":
+            wanted |= {"phat_p", "q_p", "phat_P", "Q_P"}
+        assert wanted <= set(seen)
         assert all(all(flags) for flags in seen.values()), seen
+
+
+class TestSweepWorkingSet:
+    """One solved-adjoint pass of the curvature case (n = 4, d = 2, M = 400): a
+    sweep step frees each of its arrays once their last reader has run."""
+
+    M, N = 400, 6
+
+    def run_pass(self, spec, domain):
+        cfg = mc.MsaConfig(rho=0.5, n_paths=self.M, steps=self.N, seed=7, max_iters=1)
+        return mc.run_msa(spec, domain, cfg, "random")
+
+    def test_peak_growth_inside_the_step_kernels(self, monkeypatch):
+        # inside second_order_step and minimize_step the traced heap grows by
+        # at most one step's carries (Y, p and P) plus every derivative at the
+        # node: the kernels' own temporaries stay below that
+        msa = mc.msa
+        spec, domain = curvature_everywhere_problem()
+        M, n, d, k, dv = self.M, spec.n, spec.d, spec.k, spec.derivatives
+        x, u, y, z = np.zeros((M, n)), np.zeros((M, k)), np.zeros(M), np.zeros((M, d))
+        derivatives = ([getattr(dv, name)(0.0, x, y, z, u)
+                        for name in ("f_x", "f_y", "f_z", "f_hess")]
+                       + [getattr(dv, name)(0.0, x, u)
+                          for name in ("b_x", "sigma_x", "b_xx", "sigma_xx")])
+        bound = M * (1 + n + n * n) * 8 + sum(a.nbytes for a in derivatives)
+        growth = {}
+
+        def traced(name):
+            real = getattr(msa, name)
+
+            def spy(*args, **kwargs):
+                entry = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                out = real(*args, **kwargs)
+                growth.setdefault(name, []).append(tracemalloc.get_traced_memory()[1] - entry)
+                return out
+
+            monkeypatch.setattr(msa, name, spy)
+
+        traced("second_order_step")
+        traced("minimize_step")
+        self.run_pass(spec, domain)  # warm-up: caches filled once stay out of the peaks
+        growth.clear()
+        tracemalloc.start()
+        try:
+            self.run_pass(spec, domain)
+        finally:
+            tracemalloc.stop()
+        assert {name: len(g) for name, g in growth.items()} == {
+            "second_order_step": self.N, "minimize_step": self.N}
+        assert max(map(max, growth.values())) < bound, (growth, bound)
+
+    def test_terminals_and_carries_go_before_the_update(self, monkeypatch):
+        # at step j's update no frame holds Phi_x(X_T), Phi_xx(X_T) or step
+        # j + 1's Y, p and P: the first step's projection stacked the terminals,
+        # and step j's projection the carries
+        msa = mc.msa
+        spec, domain = curvature_everywhere_problem()
+        terminals, carries, checked = [], [], []  # weak references; steps checked
+
+        def referenced(real, refs):
+            def wrapped(*args, **kwargs):
+                out = real(*args, **kwargs)
+                refs().append(weakref.ref(out[0] if isinstance(out, tuple) else out))
+                return out
+            return wrapped
+
+        dv = spec.derivatives
+        spec = dataclasses.replace(spec, derivatives=dataclasses.replace(
+            dv, phi_x=referenced(dv.phi_x, lambda: terminals),
+            phi_xx=referenced(dv.phi_xx, lambda: terminals)))
+        real_cost_step = msa.cost_step
+
+        def cost_spy(*args):  # the first step function of each step
+            carries.append([])
+            return real_cost_step(*args)
+
+        monkeypatch.setattr(msa, "cost_step", referenced(cost_spy, lambda: carries[-1]))
+        for name in ("first_order_step", "second_order_step"):
+            monkeypatch.setattr(msa, name,
+                                referenced(getattr(msa, name), lambda: carries[-1]))
+        real_minimize = msa.minimize_step
+
+        def minimize_spy(*args, **kwargs):
+            alive = [ref() is not None for ref in terminals]
+            alive += [ref() is not None for refs in carries[:-1] for ref in refs]
+            assert not any(alive), f"step {len(carries)} from the end: {alive}"
+            checked.append(len(carries[-1]))
+            return real_minimize(*args, **kwargs)
+
+        monkeypatch.setattr(msa, "minimize_step", minimize_spy)
+        self.run_pass(spec, domain)
+        assert len(terminals) == 2 and checked == [3] * self.N
 
 
 class TestControlsAsIndices:
