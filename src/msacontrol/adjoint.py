@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .bsde import BackwardPaths, RegressionBackend, solve_bsde, solve_state_bsde
+from .bsde import (BackwardPaths, RegressionBackend, _step_features, solve_bsde,
+                   solve_state_bsde)
 from .errors import check_array
 from .model import ProblemSpec
 from .stochastics import (BrownianBatch, ControlField, ForwardPaths, TimeGrid, _time_major,
@@ -52,8 +53,7 @@ class StepPoint:
     def __getattr__(self, name: str) -> Array:
         if name not in ("f_z", "f_y", "f_x", "sigma_x", "b_x"):
             raise AttributeError(name)
-        yz = () if name in ("sigma_x", "b_x") else (self.y, self.z)
-        value = getattr(self.dv, name)(self.t, self.x, *yz, self.u)
+        value = self.dv.at(name, self.t, self.x, self.y, self.z, self.u)
         setattr(self, name, value)
         return value
 
@@ -251,15 +251,15 @@ def ode_adjoint_linear(f1, f2, b1, alpha, grid: TimeGrid) -> Array:
     return _rk4_march(lambda p: -(a1t @ p + f1), alpha, grid)
 
 
-def lq_second_order_ode(gamma_mat, a_fn, b1, grid: TimeGrid) -> Array:
+def lq_second_order_ode(gamma_mat, a_mat, b1, grid: TimeGrid) -> Array:
     """Deterministic second-order adjoint of the quadratic-cost problem.
 
-    P' = -(b1' P + P' b1 + A), P_T = Gamma, for constant A = ``a_fn`` and b1,
+    P' = -(b1' P + P' b1 + A), P_T = Gamma, for constant A = ``a_mat`` and b1,
     both (n, n); returns (N+1, n, n).
     """
     gamma_mat = np.atleast_2d(np.asarray(gamma_mat, dtype=float))
     n = gamma_mat.shape[0]
-    a, b1 = check_array("a_fn", a_fn, (n, n)), check_array("b1", b1, (n, n))
+    a, b1 = check_array("a_mat", a_mat, (n, n)), check_array("b1", b1, (n, n))
     return _rk4_march(lambda P: -(b1.T @ P + P.T @ b1 + a), gamma_mat, grid)
 
 
@@ -314,11 +314,14 @@ def explicit_p0_oracle(spec: ProblemSpec, control: ControlField, batch: Brownian
 def empirical_knorm(q: Array, forward: ForwardPaths, backend) -> float:
     """Heuristic conditional-second-moment norm of the martingale integrand.
 
-    For each j, regress sum_{l>=j} |q_l|^2 dt on X_{t_j} and take the largest
-    predicted value over paths; returns the max over j. Diagnostic only: a
-    regression sup cannot certify an essential supremum.
+    For each j, regress sum_{l>=j} |q_l|^2 dt on the time-j information, the
+    features (X_j, u_j) every regression of the sweep conditions on
+    (``_step_features``), and take the largest predicted value over paths;
+    returns the max over j. Diagnostic only: a regression sup cannot certify
+    an essential supremum.
     """
     sq = (np.asarray(q, dtype=float) ** 2).sum(axis=(2, 3)) * forward.batch.dt
     tails = np.cumsum(sq[:, ::-1], axis=1)[:, ::-1]
-    return max([0.0] + [float(np.max(backend.project(j, forward.state(j), tails[:, j])))
-                        for j in range(tails.shape[1])])
+    return max([0.0] + [float(np.max(backend.project(
+        j, _step_features(forward.state(j), forward.control.at(j)), tails[:, j])))
+        for j in range(tails.shape[1])])

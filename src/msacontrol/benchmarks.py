@@ -19,10 +19,10 @@ from typing import Optional
 import numpy as np
 
 from .bsde import ExactTreeBackend, cost_step, pathwise_cost
-from .errors import ConfigurationError, NumericalError, SimulationError
+from .errors import ConfigurationError, NumericalError, SimulationError, check_seed
 from .model import ControlDomain, ProblemSpec, enumerate_controls
-from .stochastics import (BrownianBatch, ControlField, TimeGrid, _euler, _time_major,
-                          simulate_forward)
+from .stochastics import (_TREE_CONTROL_STREAM, BrownianBatch, ControlField, TimeGrid, _euler,
+                          _time_major, simulate_forward)
 
 Array = np.ndarray
 
@@ -73,8 +73,9 @@ def tree_random_control(domain: ControlDomain, steps: int, seed: int) -> Control
     sharing a history must share the control), so tree runs seed the solver
     with a node-indexed draw instead.
     """
+    check_seed(seed)
     candidates = enumerate_controls(domain)
-    gen = np.random.Generator(np.random.Philox(key=seed).jumped(2 ** 33))
+    gen = np.random.Generator(np.random.Philox(key=seed).jumped(_TREE_CONTROL_STREAM))
     node_choice = gen.integers(0, len(candidates),
                                size=_decision_nodes(steps, "nonrecombining"))
     return ControlField(table=candidates,

@@ -33,42 +33,28 @@ Array = np.ndarray
 
 
 @functools.lru_cache(maxsize=None)
-def _monomial_exponents(n_features: int, degree: int) -> tuple:
-    """Exponent tuples of every monomial of total degree <= degree, by degree."""
-    exps = []
-    for deg in range(degree + 1):
+def _monomial_plan(n_features: int, degree: int) -> tuple:
+    """Per design column, every monomial of total degree <= degree by degree, in
+    ``combinations_with_replacement`` order: None for the constant, else
+    (parent column, i), the monomial being its parent times its last feature i."""
+    column, plan = {(): 0}, [None]
+    for deg in range(1, degree + 1):
         for combo in itertools.combinations_with_replacement(range(n_features), deg):
-            e = [0] * n_features
-            for i in combo:
-                e[i] += 1
-            exps.append(tuple(e))
-    return tuple(exps)
-
-
-@functools.lru_cache(maxsize=None)
-def _monomial_parents(exponents: tuple) -> tuple:
-    """Per column, None for the constant, else (parent column, i): the monomial
-    is its parent, one degree less in its last feature i, times feature i."""
-    column = {e: c for c, e in enumerate(exponents)}
-    plan = []
-    for e in exponents:
-        if not any(e):
-            plan.append(None)
-            continue
-        i = max(i for i, power in enumerate(e) if power)
-        plan.append((column[e[:i] + (e[i] - 1,) + e[i + 1:]], i))
+            column[combo] = len(plan)
+            plan.append((column[combo[:-1]], combo[-1]))
     return tuple(plan)
 
 
-def _design_matrix(features: Array, exponents) -> Array:
-    """Monomial columns, each an earlier column times one feature, written in place.
+def _design_matrix(features: Array, plan: tuple) -> Array:
+    """Monomial columns, each an earlier column times one feature, written in place
+    as ``_monomial_plan`` lists them.
 
     A column of degree <= 2 is then one rounded product of two features (or
     a feature, or 1), so it equals the product of the features' powers exactly.
     The design is stored column-major, so each column is one contiguous write.
     """
-    A = np.empty((features.shape[0], len(exponents)), order="F")
-    for col, parent in enumerate(_monomial_parents(tuple(exponents))):
+    A = np.empty((features.shape[0], len(plan)), order="F")
+    for col, parent in enumerate(plan):
         if parent is None:
             A[:, col] = 1.0
         else:
@@ -97,7 +83,9 @@ class RegressionBackend:
 
     def project(self, step: int, features: Array, targets: Array) -> Array:
         """In-sample conditional-expectation estimate: the projection A coef of the
-        targets onto the column span of the monomial design A at the features.
+        targets onto the column span of the monomial design A at the features,
+        built column by column from ``_monomial_plan``. Every caller, the sweep
+        and ``empirical_knorm`` alike, passes a step's ``_step_features``.
 
         The design may be collinear (a control on {0, 1} equals its square, a
         constant state repeats the intercept); the projection is unique even
@@ -107,12 +95,12 @@ class RegressionBackend:
         ``_RANK_CUTOFF`` of the largest are dropped.
         """
         features = np.atleast_2d(np.asarray(features, dtype=float))
-        exponents = _monomial_exponents(features.shape[1], self.degree)
-        if features.shape[0] < len(exponents):
+        plan = _monomial_plan(features.shape[1], self.degree)
+        if features.shape[0] < len(plan):
             raise ConfigurationError(
                 f"need at least as many samples ({features.shape[0]}) as basis "
-                f"functions ({len(exponents)})")
-        A = _design_matrix(features, exponents)
+                f"functions ({len(plan)})")
+        A = _design_matrix(features, plan)
         gram = A.T @ A
         scale = np.sqrt(np.diag(gram))
         scale[scale == 0.0] = 1.0  # a zero column: its direction is dropped below

@@ -33,6 +33,15 @@ def check_count(name: str, value, minimum: int) -> None:
         raise ConfigurationError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+def check_seed(seed) -> None:
+    """Raise ConfigurationError unless ``seed`` is an integer (Python or numpy, not a
+    bool) in [0, 2**128), a Philox key: numpy refuses any other integer with a
+    bare ValueError, and a float seed would be truncated."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) \
+            or not 0 <= seed < 2 ** 128:
+        raise ConfigurationError(f"seed must be an integer in [0, 2**128), got {seed!r}")
+
+
 def check_array(name: str, value, shape: tuple) -> np.ndarray:
     """``value`` as a fresh float array of ``shape``, broadcast as numpy would; raise
     ConfigurationError naming ``name`` and the shape if it is not one (a callable is not)."""

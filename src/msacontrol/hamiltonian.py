@@ -82,10 +82,7 @@ def _candidate(spec: ProblemSpec, t, x, y, z, p, q, P, v, s_u):
 def _evaluated(dv, t, x, y, z, v) -> Callable[[str], Array]:
     """Reader of sigma_x, b_x, f_x, f_y and f_z of the bundle dv at (t, x, y, z, v),
     evaluating afresh at every read, so no caller holds one beyond its use."""
-    def read(name: str) -> Array:
-        yz = () if name in ("sigma_x", "b_x") else (y, z)
-        return getattr(dv, name)(t, x, *yz, v)
-    return read
+    return lambda name: dv.at(name, t, x, y, z, v)
 
 
 def _g_derivatives(at, p, q, sx_v, sx_u):

@@ -9,7 +9,7 @@ axis ``B`` and a scalar time, and return arrays with the same leading axis.
     terminal(x)                                             -> (B,)
 
 Derivatives follow the same convention; see :class:`Derivatives` for shapes.
-Missing derivatives are filled with central finite differences.
+Missing derivatives are filled with central differences (``FD_STEP``, ``FD_STEP_HESS``).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import ConfigurationError, check_count
+from .errors import ConfigurationError, check_count, check_seed
 
 Array = np.ndarray
 
@@ -30,6 +30,12 @@ DERIVATIVE_NAMES = (
     "f_x", "f_y", "f_z", "f_hess",
     "phi_x", "phi_xx",
 )
+
+# Central-difference steps of the fallback and the checker, relative (h = step
+# max(1, |x|)): first derivatives, and second ones, whose squared step hits the
+# rounding floor sooner.
+FD_STEP = 1e-6
+FD_STEP_HESS = 1e-4
 
 
 @dataclass(frozen=True)
@@ -60,6 +66,14 @@ class Derivatives:
     phi_x: Callable
     phi_xx: Callable
     fd_fallback: frozenset = frozenset()
+
+    def at(self, name: str, t, x: Array, y: Array, z: Array, u: Array) -> Array:
+        """Derivative ``name`` at the node (t, x, y, z, u), given the arguments it takes:
+        x for phi's, (t, x, y, z, u) for the f's, (t, x, u) for b's and sigma's."""
+        fn = getattr(self, name)
+        if name.startswith("phi"):
+            return fn(x)
+        return fn(t, x, y, z, u) if name.startswith("f") else fn(t, x, u)
 
 
 @dataclass(frozen=True)
@@ -130,22 +144,20 @@ class ProblemSpec:
     @classmethod
     def build(cls, *, n, d, k, x0, horizon, drift, diffusion, driver, terminal,
               derivatives: Optional[dict] = None, structure: Optional[Structure] = None,
-              bounds: Optional[Bounds] = None,
-              fd_step: float = 1e-6, fd_step_hess: float = 1e-4) -> "ProblemSpec":
+              bounds: Optional[Bounds] = None) -> "ProblemSpec":
         """Assemble a spec, filling missing derivatives with finite differences.
 
         ``derivatives`` maps names from DERIVATIVE_NAMES to closed-form
         callables; anything absent gets a central-difference fallback
-        (relative step ``fd_step``; second derivatives use ``fd_step_hess``
-        since squared steps hit the rounding floor).
+        (relative step ``FD_STEP``, ``FD_STEP_HESS`` for second derivatives),
+        the differences ``check_derivatives`` compares against.
         """
         supplied = dict(derivatives or {})
         unknown = set(supplied) - set(DERIVATIVE_NAMES)
         if unknown:
             raise ConfigurationError(f"unknown derivative names: {sorted(unknown)}")
         fallback = frozenset(name for name in DERIVATIVE_NAMES if name not in supplied)
-        filled = _fd_bundle(n, d, drift, diffusion, driver, terminal,
-                            fd_step, fd_step_hess)
+        filled = _fd_bundle(n, d, drift, diffusion, driver, terminal)
         filled.update(supplied)
         deriv = Derivatives(fd_fallback=fallback, **filled)
         return cls(n=n, d=d, k=k, x0=x0, horizon=horizon, drift=drift,
@@ -157,15 +169,10 @@ class ProblemSpec:
 # ---------------------------------------------------------------------------
 # finite differences
 
-def _steps_for(x: Array, step: float) -> Array:
-    # relative step, floored at `step` itself for small coordinates
-    return step * np.maximum(1.0, np.abs(x))
-
-
-def _fd_jacobian(fn: Callable[[Array], Array], x: Array, step: float) -> Array:
+def _fd_jacobian(fn: Callable[[Array], Array], x: Array) -> Array:
     """Central-difference Jacobian of fn: (B, p) -> (B, r), result (B, r, p)."""
     x = np.asarray(x, dtype=float)
-    h = _steps_for(x, step)
+    h = FD_STEP * np.maximum(1.0, np.abs(x))
     cols = []
     for j in range(x.shape[1]):
         xp = x.copy()
@@ -176,13 +183,13 @@ def _fd_jacobian(fn: Callable[[Array], Array], x: Array, step: float) -> Array:
     return np.stack(cols, axis=-1)
 
 
-def _fd_hessian(fn: Callable[[Array], Array], x: Array, step: float) -> Array:
+def _fd_hessian(fn: Callable[[Array], Array], x: Array) -> Array:
     """Central 4-point Hessian of each component of fn: (B, p) -> (B, r), result
     (B, r, p, p). Each unordered pair is evaluated once, so the output is exactly
     symmetric.
     """
     x = np.asarray(x, dtype=float)
-    h = _steps_for(x, step)
+    h = FD_STEP_HESS * np.maximum(1.0, np.abs(x))
     p = x.shape[1]
     out = None
     for a in range(p):
@@ -200,7 +207,7 @@ def _fd_hessian(fn: Callable[[Array], Array], x: Array, step: float) -> Array:
     return out
 
 
-def _fd_bundle(n, d, drift, diffusion, driver, terminal, step, step_hess) -> dict:
+def _fd_bundle(n, d, drift, diffusion, driver, terminal) -> dict:
     m = n + 1 + d
 
     def split(w):
@@ -213,24 +220,24 @@ def _fd_bundle(n, d, drift, diffusion, driver, terminal, step, step_hess) -> dic
         return g
 
     def b_x(t, x, u):
-        return _fd_jacobian(lambda xs: drift(t, xs, u), x, step)
+        return _fd_jacobian(lambda xs: drift(t, xs, u), x)
 
     def sigma_x(t, x, u):
         # Jacobian of each column: (B, n, d, n) -> (B, d, n, n)
-        jac = _fd_jacobian(lambda xs: diffusion(t, xs, u).reshape(len(xs), -1), x, step)
+        jac = _fd_jacobian(lambda xs: diffusion(t, xs, u).reshape(len(xs), -1), x)
         return jac.reshape(len(x), n, d, n).transpose(0, 2, 1, 3)
 
     def b_xx(t, x, u):
-        return _fd_hessian(lambda xs: drift(t, xs, u), x, step_hess)
+        return _fd_hessian(lambda xs: drift(t, xs, u), x)
 
     def sigma_xx(t, x, u):
         # components ordered (column i, component j): (B, d n, n, n) -> (B, d, n, n, n)
         return _fd_hessian(lambda xs: diffusion(t, xs, u).swapaxes(1, 2).reshape(len(xs), -1),
-                           x, step_hess).reshape(len(x), d, n, n, n)
+                           x).reshape(len(x), d, n, n, n)
 
     def f_grad(t, x, y, z, u):
         w = np.concatenate([x, y[:, None], z], axis=1)
-        return _fd_jacobian(lambda ws: f_of_w(t, u)(ws)[:, None], w, step)[:, 0, :]
+        return _fd_jacobian(lambda ws: f_of_w(t, u)(ws)[:, None], w)[:, 0, :]
 
     def f_x(t, x, y, z, u):
         return f_grad(t, x, y, z, u)[:, :n]
@@ -243,13 +250,13 @@ def _fd_bundle(n, d, drift, diffusion, driver, terminal, step, step_hess) -> dic
 
     def f_hess(t, x, y, z, u):
         w = np.concatenate([x, y[:, None], z], axis=1)
-        return _fd_hessian(lambda ws: f_of_w(t, u)(ws)[:, None], w, step_hess)[:, 0]
+        return _fd_hessian(lambda ws: f_of_w(t, u)(ws)[:, None], w)[:, 0]
 
     def phi_x(x):
-        return _fd_jacobian(lambda xs: terminal(xs)[:, None], x, step)[:, 0, :]
+        return _fd_jacobian(lambda xs: terminal(xs)[:, None], x)[:, 0, :]
 
     def phi_xx(x):
-        return _fd_hessian(lambda xs: terminal(xs)[:, None], x, step_hess)[:, 0]
+        return _fd_hessian(lambda xs: terminal(xs)[:, None], x)[:, 0]
 
     return dict(b_x=b_x, sigma_x=sigma_x, b_xx=b_xx, sigma_xx=sigma_xx,
                 f_x=f_x, f_y=f_y, f_z=f_z, f_hess=f_hess,
@@ -354,15 +361,17 @@ class DerivativeReport:
         return name, self.errors[name]
 
 
-def check_derivatives(spec: ProblemSpec, sample_count: int = 32, step: float = 1e-5,
-                      tol: float = 1e-3, seed: int = 0) -> DerivativeReport:
+def check_derivatives(spec: ProblemSpec, sample_count: int = 32, tol: float = 1e-3,
+                      seed: int = 0) -> DerivativeReport:
     """Compare every declared derivative against central finite differences.
 
     Report-only: each entry is the max relative error over ``sample_count``
-    random points, with scale max(1, |fd|). Each derivative is also evaluated
-    once on all the points as one batch, at the first point's time; its worst
-    relative deviation from the same points taken one row at a time (an
-    infinite one if the shapes differ) counts in its entry, so a derivative
+    random points, with scale max(1, |fd|). The differences are the
+    fallback's own (``FD_STEP``, ``FD_STEP_HESS``), so a derivative that
+    ``ProblemSpec.build`` filled in reads exactly 0. Each derivative is also
+    evaluated once on all the points as one batch, at the first point's time;
+    its worst relative deviation from the same points taken one row at a time
+    (an infinite one if the shapes differ) counts in its entry, so a derivative
     that is right only on one-row batches fails. Every structural zero the
     spec declares (``Structure.b_xx_zero`` and so on) gets an entry under the
     flag's name: 0 when the declared derivative is exactly 0 on the batch,
@@ -371,8 +380,7 @@ def check_derivatives(spec: ProblemSpec, sample_count: int = 32, step: float = 1
     max(|f_y|, |f_z|) <= df on the batch.
     """
     check_count("sample_count", sample_count, 1)
-    if not step > 0:
-        raise ConfigurationError(f"step must be > 0, got {step!r}")
+    check_seed(seed)
     rng = np.random.Generator(np.random.Philox(key=seed))
     B = sample_count
     x = rng.normal(size=(B, spec.n))
@@ -380,18 +388,12 @@ def check_derivatives(spec: ProblemSpec, sample_count: int = 32, step: float = 1
     z = rng.normal(size=(B, spec.d))
     u = rng.normal(size=(B, spec.k))
     ts = rng.uniform(0.0, spec.horizon, size=B)
-    fd = _fd_bundle(spec.n, spec.d, spec.drift, spec.diffusion, spec.driver,
-                    spec.terminal, step, step)
+    fd = Derivatives(**_fd_bundle(spec.n, spec.d, spec.drift, spec.diffusion, spec.driver,
+                                  spec.terminal))
     dv = spec.derivatives
 
-    def evaluate(fn, name, t, rows):
-        if name in ("phi_x", "phi_xx"):
-            out = fn(x[rows])
-        elif name.startswith("f"):
-            out = fn(t, x[rows], y[rows], z[rows], u[rows])
-        else:
-            out = fn(t, x[rows], u[rows])
-        return np.asarray(out, dtype=float)
+    def evaluate(bundle, name, t, rows):
+        return np.asarray(bundle.at(name, t, x[rows], y[rows], z[rows], u[rows]), dtype=float)
 
     def rel_error(value, reference):
         scale = np.maximum(1.0, np.abs(reference))
@@ -399,16 +401,15 @@ def check_derivatives(spec: ProblemSpec, sample_count: int = 32, step: float = 1
 
     errors, grad = {}, 0.0  # grad: max(|f_y|, |f_z|) on the batch
     for name in DERIVATIVE_NAMES:
-        declared = getattr(dv, name)
         worst = 0.0
         for i in range(B):
             t, row = float(ts[i]), slice(i, i + 1)
-            worst = max(worst, rel_error(evaluate(declared, name, t, row),
-                                         evaluate(fd[name], name, t, row)))
+            worst = max(worst, rel_error(evaluate(dv, name, t, row),
+                                         evaluate(fd, name, t, row)))
         t = float(ts[0])
-        rowwise = np.concatenate([np.atleast_1d(evaluate(declared, name, t, slice(i, i + 1)))
+        rowwise = np.concatenate([np.atleast_1d(evaluate(dv, name, t, slice(i, i + 1)))
                                   for i in range(B)])
-        batched = evaluate(declared, name, t, slice(None))
+        batched = evaluate(dv, name, t, slice(None))
         if batched.shape != rowwise.shape:
             worst = np.inf
         else:

@@ -26,7 +26,7 @@ from .adjoint import (StepPoint, first_order_adjoint, first_order_step,  # noqa:
                       zero_second_order)
 from .bsde import (ExactTreeBackend, RegressionBackend, check_finite,  # noqa: F401
                    cost_estimate, cost_step, pathwise_cost, solve_bsde, solve_state_bsde)
-from .errors import ConfigurationError, NumericalError, check_count
+from .errors import ConfigurationError, NumericalError, check_count, check_seed
 from .hamiltonian import minimize_step
 from .model import ControlDomain, ProblemSpec, enumerate_controls
 from .stochastics import (BrownianBatch, ControlField, TimeGrid, _time_major, girsanov_exp,
@@ -56,6 +56,7 @@ class MsaConfig:
             raise ConfigurationError(f"rho must be finite and >= 0, got {self.rho}")
         for name, minimum in (("n_paths", 1), ("steps", 1), ("max_iters", 0)):
             check_count(name, getattr(self, name), minimum)
+        check_seed(self.seed)
         if self.epsilon is not None and not self.epsilon > 0:
             raise ConfigurationError("epsilon must be positive (or None to disable)")
 

@@ -32,7 +32,6 @@ class Benchmark:
     rho: float
     hints: RunHints
     jstar: Optional[float] = None
-    notes: str = ""
 
 
 def example41_rho(L: float) -> float:
@@ -106,8 +105,7 @@ def example41(L: float) -> Benchmark:
         hints=RunHints(hamiltonian=h_simplified, penalty=pen_simplified,
                        first_order_ode=lambda grid: np.full((grid.steps + 1, 1), L),
                        second_order_ode=lambda grid: np.zeros((grid.steps + 1, 1, 1))),
-        jstar=0.0,
-        notes="optimal quadruple (X, Y, Z, u) = (0, 0, 0, 0)")
+        jstar=0.0)
 
 
 def lq_problem(gamma_mat, a_mat, b_mat, b1, b2, sigma_fn: Callable,
@@ -121,7 +119,7 @@ def lq_problem(gamma_mat, a_mat, b_mat, b1, b2, sigma_fn: Callable,
     is zero (the cost identity holds without the universal constant).
 
     Quadratic costs exceed the linear-growth assumptions; the adjoint bound
-    guarantees do not apply, the cost identity does (see ``notes``).
+    guarantees do not apply, the cost identity does.
 
     Coefficients are constant arrays: Gamma, A, b1 (n, n), B (k, k), b2 (n,);
     Gamma, A and B must equal their transposes exactly (f_x is read as A x).
@@ -175,9 +173,7 @@ def lq_problem(gamma_mat, a_mat, b_mat, b1, b2, sigma_fn: Callable,
     hints = RunHints(second_order_ode=lambda grid: lq_second_order_ode(
         gamma_arr, a_arr, b1, grid))
     return Benchmark(
-        name="lq", spec=spec, domain=domain, rho=0.0, hints=hints,
-        notes="quadratic costs violate the linear-growth assumption; "
-              "the exact cost-difference identity holds regardless")
+        name="lq", spec=spec, domain=domain, rho=0.0, hints=hints)
 
 
 def lq_desk() -> Benchmark:

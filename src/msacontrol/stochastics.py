@@ -23,13 +23,15 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError, SimulationError, check_count
+from .errors import (ConfigurationError, NumericalError, SimulationError, check_count,
+                     check_seed)
 from .model import ControlDomain, ProblemSpec, enumerate_controls
 
 Array = np.ndarray
 
 _PATH_BLOCK = 4096          # paths drawn per Philox stream
 _CONTROL_STREAM = 2 ** 32   # jump offset for control sampling, beyond any path block
+_TREE_CONTROL_STREAM = 2 ** 33  # jump offset for tree-adapted control sampling
 _EXP_OVERFLOW = 700.0
 
 
@@ -111,6 +113,7 @@ def sample_brownian(grid: TimeGrid, n_paths: int, d: int, seed: int) -> Brownian
     """
     check_count("n_paths", n_paths, 1)
     check_count("d", d, 1)
+    check_seed(seed)
     root = np.random.Philox(key=seed)
     scale = np.sqrt(grid.dt)
     increments = _time_major((n_paths, grid.steps, d))
@@ -206,6 +209,7 @@ def constant_control(value, n_paths: int, steps: int) -> ControlField:
 
 def random_control(domain: ControlDomain, n_paths: int, steps: int, seed: int) -> ControlField:
     """I.i.d. uniform draws from the enumerated domain per (path, step)."""
+    check_seed(seed)
     candidates = enumerate_controls(domain)
     gen = np.random.Generator(np.random.Philox(key=seed).jumped(_CONTROL_STREAM))
     return ControlField(table=candidates,

@@ -442,6 +442,17 @@ class TestEmpiricalKnorm:
         out = mc.empirical_knorm(np.full((300, N, 1, 1), c), fwd, mc.RegressionBackend())
         assert out == pytest.approx(c * c * 1.0, abs=1e-8)
 
+    def test_resolves_an_integrand_of_the_control(self):
+        # q_0 = u_0 on U = {0, 1}: conditioned on (X_0, u_0) the tail is u_0 dt, whose
+        # largest value is dt; X_0 alone is constant, and gives only its mean
+        bench, M, N = mc.example41(0.1), 300, 10
+        batch = mc.sample_brownian(mc.TimeGrid(1.0, N), M, 1, 9)
+        fwd = mc.simulate_forward(bench.spec, mc.random_control(bench.domain, M, N, 9), batch)
+        q = np.zeros((M, N, 1, 1))
+        q[:, 0, 0, 0] = fwd.control.at(0)[:, 0]
+        out = mc.empirical_knorm(q, fwd, mc.RegressionBackend())
+        assert out == pytest.approx(batch.dt, rel=1e-9)
+
     def test_example41_near_zero(self):
         # true q vanishes; the diagnostic sees squared regression noise only
         bench = mc.example41(0.1)

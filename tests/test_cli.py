@@ -86,6 +86,19 @@ class TestCmdRun:
         for rho in ("-1", "nan", "inf"):  # nan and inf once ran, and failed with exit 3
             assert run_cli(["run", "--rho", rho]) == 2
 
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 128)], ids=["negative", "2**128"])
+    def test_seed_outside_the_philox_keys_exits_2(self, tmp_path, capsys, seed):
+        # numpy refused these with a ValueError traceback and exit 1
+        out = tmp_path / "run.csv"
+        assert run_cli(["run", "--seed", seed, "--paths", "100", "--steps", "5",
+                        "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: seed must be ")
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"seed={seed}\n")
+        assert run_cli(["run", "--config", str(cfg), "--paths", "100", "--steps", "5",
+                        "--out", str(out)]) == 2
+        assert "seed must be " in capsys.readouterr().err
+
     def test_config_file_flags_win(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("problem=example41\nL=0.1\npaths=500\niters=2\n"

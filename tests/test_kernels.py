@@ -7,6 +7,7 @@ absolute values of the operands, the sum of the magnitudes of the terms,
 so cancellation in a random draw cannot make a correct kernel fail.
 """
 
+import itertools
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 import msacontrol as mc
 from msacontrol.adjoint import psi_matrix, second_order_step
-from msacontrol.bsde import _design_matrix, _monomial_exponents
+from msacontrol.bsde import _design_matrix, _monomial_plan
 from msacontrol.hamiltonian import _g_derivatives
 
 REL = 1e-13
@@ -157,19 +158,23 @@ class TestKernelEquivalence:
     def test_design_matrix(self, B, n, k, degree, seed):
         # the regression features are the state and the control, n + k columns
         features = np.random.default_rng(seed).normal(size=(B, n + k))
-        exponents = _monomial_exponents(n + k, degree)
-        got = _design_matrix(features, exponents)
+        # each column's exponents, by degree, in combinations_with_replacement order
+        exponents = [np.bincount(combo, minlength=n + k)
+                     for deg in range(degree + 1)
+                     for combo in itertools.combinations_with_replacement(range(n + k), deg)]
+        got = _design_matrix(features, _monomial_plan(n + k, degree))
         ref = np.stack([np.prod([features[:, i] ** e for i, e in enumerate(exp)], axis=0)
                         for exp in exponents], axis=1)
         assert_close(got, ref, np.abs(ref))
         if degree <= 2:
             assert np.array_equal(got, ref)
 
-    def test_monomial_exponents_are_cached_tuples(self):
-        exps = _monomial_exponents(3, 2)
-        assert isinstance(exps, tuple) and exps is _monomial_exponents(3, 2)
-        assert exps[:4] == ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
-        assert len(exps) == 10
+    def test_monomial_plan_is_a_cached_tuple(self):
+        plan = _monomial_plan(3, 2)
+        assert isinstance(plan, tuple) and plan is _monomial_plan(3, 2)
+        # 1, x0, x1, x2, then x0 x0, x0 x1, x0 x2, x1 x1, x1 x2, x2 x2
+        assert plan == (None, (0, 0), (0, 1), (0, 2),
+                        (1, 0), (1, 1), (1, 2), (2, 1), (2, 2), (3, 2))
 
 
 class TestKernelBits:

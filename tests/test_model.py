@@ -95,8 +95,7 @@ class TestDriver:
 
 class TestCheckDerivatives:
     def test_example41_closed_forms_pass(self):
-        rep = mc.check_derivatives(mc.example41(0.7).spec, sample_count=30,
-                                   step=1e-5, tol=1e-6, seed=4)
+        rep = mc.check_derivatives(mc.example41(0.7).spec, sample_count=30, tol=1e-6, seed=4)
         assert rep.all_passed
         assert rep.errors["f_z"] < 1e-6
 
@@ -107,8 +106,7 @@ class TestCheckDerivatives:
             mc.check_derivatives(mc.example41(0.7).spec, sample_count=count)
 
     def test_constant_coefficients_exact_zero(self):
-        rep = mc.check_derivatives(zero_coeff_spec(), sample_count=10,
-                                   step=1e-4, tol=1e-12, seed=0)
+        rep = mc.check_derivatives(zero_coeff_spec(), sample_count=10, tol=1e-12, seed=0)
         assert all(err == 0.0 for err in rep.errors.values())
 
     def test_wrong_f_y_is_flagged(self):
@@ -125,7 +123,7 @@ class TestCheckDerivatives:
             drift=bench.spec.drift, diffusion=bench.spec.diffusion,
             driver=bench.spec.driver, terminal=bench.spec.terminal,
             derivatives=bad)
-        rep = mc.check_derivatives(spec, sample_count=10, step=1e-5, tol=1e-4, seed=1)
+        rep = mc.check_derivatives(spec, sample_count=10, tol=1e-4, seed=1)
         assert not rep.passed("f_y")
         assert rep.passed("f_z")
 
@@ -144,21 +142,20 @@ class TestCheckDerivatives:
             drift=bench.spec.drift, diffusion=bench.spec.diffusion,
             driver=bench.spec.driver, terminal=bench.spec.terminal,
             derivatives=derivatives)
-        rep = mc.check_derivatives(spec, sample_count=10, step=1e-5, tol=1e-4, seed=1)
+        rep = mc.check_derivatives(spec, sample_count=10, tol=1e-4, seed=1)
         assert [key for key in rep.errors if not rep.passed(key)] == [name]
 
     @pytest.mark.parametrize("flag", [f.name for f in dataclasses.fields(mc.Structure)])
     def test_declared_zero_that_is_not_zero_fails(self, flag):
         # every derivative of this spec is nonzero at almost every point
-        step = 1e-5
         spec = mc.ProblemSpec.build(
             n=1, d=1, k=1, x0=np.zeros(1), horizon=1.0,
             drift=lambda t, x, u: np.sin(x) + u,
             diffusion=lambda t, x, u: (np.cos(x) + u)[:, :, None],
             driver=lambda t, x, y, z, u: np.sin(x[:, 0]) + y * z[:, 0] + z[:, 0] ** 2,
             terminal=lambda x: x[:, 0] ** 3,
-            structure=mc.Structure(**{flag: True}), fd_step=step, fd_step_hess=step)
-        rep = mc.check_derivatives(spec, sample_count=10, step=step, tol=1e-4, seed=1)
+            structure=mc.Structure(**{flag: True}))
+        rep = mc.check_derivatives(spec, sample_count=10, tol=1e-4, seed=1)
         assert [key for key in rep.errors if not rep.passed(key)] == [flag]
         assert rep.errors[flag] == np.inf
 
@@ -170,20 +167,25 @@ class TestCheckDerivatives:
         assert flags and all(rep.errors[key] == 0.0 for key in flags)
         assert rep.all_passed
 
-    def test_fallback_passes_at_ten_step_squared(self):
-        # derivatives generated by the fallback at the same step the checker uses
-        step = 1e-5
+    def test_fallback_checks_at_exact_zero(self):
+        # the fallback and the checker difference at the same steps, so a derivative
+        # the fallback filled in reads exactly 0, in every entry
         spec = mc.ProblemSpec.build(
             n=1, d=1, k=1, x0=np.zeros(1), horizon=1.0,
             drift=lambda t, x, u: np.sin(x),
             diffusion=lambda t, x, u: (x * u)[:, :, None],
             driver=lambda t, x, y, z, u: np.cos(z[:, 0]) * y,
-            terminal=lambda x: x[:, 0] ** 2,
-            fd_step=step, fd_step_hess=step)
-        rep = mc.check_derivatives(spec, sample_count=15, step=step,
-                                   tol=10 * step ** 2, seed=3)
+            terminal=lambda x: x[:, 0] ** 2)
+        rep = mc.check_derivatives(spec, sample_count=15, tol=0.0, seed=3)
+        assert rep.errors == dict.fromkeys(mc.model.DERIVATIVE_NAMES, 0.0)
         assert rep.all_passed
         assert len(rep.fd_fallback) == len(mc.model.DERIVATIVE_NAMES)
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 128, 1.5, True],
+                             ids=["negative", "2**128", "float", "bool"])
+    def test_seed_outside_the_philox_keys_refused(self, seed):
+        with pytest.raises(mc.ConfigurationError, match=r"^seed must be an integer in "):
+            mc.check_derivatives(mc.example41(0.7).spec, sample_count=2, seed=seed)
 
     def test_fallback_driver_gradient_is_row_wise(self):
         # each row's gradient comes from its own point, also in a batch
@@ -320,7 +322,7 @@ class TestFiniteDifferenceHessians:
         rng = np.random.default_rng(11)
         x, u = rng.normal(size=(40, n)), rng.normal(size=(40, 1))
         y, z = rng.normal(size=40), rng.normal(size=(40, d))
-        t, step, dv = 0.3, 1e-4, spec.derivatives
+        t, step, dv = 0.3, mc.model.FD_STEP_HESS, spec.derivatives
         pairs = 4 * n * (n + 1) // 2  # evaluations of one 4-point Hessian in n variables
 
         b_xx = dv.b_xx(t, x, u)

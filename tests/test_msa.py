@@ -223,6 +223,25 @@ class TestRunMsa:
         with pytest.raises(mc.ConfigurationError, match=message):
             make()
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 128, 1.5, True, np.float64(3.0)],
+                             ids=["negative", "2**128", "float", "bool", "numpy-float"])
+    @pytest.mark.parametrize("make", [
+        lambda seed: mc.MsaConfig(rho=0.0, n_paths=10, steps=2, seed=seed),
+        lambda seed: mc.sample_brownian(mc.TimeGrid(1.0, 2), 10, 1, seed),
+        lambda seed: mc.random_control(mc.example41(0.1).domain, 10, 2, seed),
+        lambda seed: mc.benchmarks.tree_random_control(mc.example41(0.1).domain, 2, seed),
+    ], ids=["msa-config", "brownian", "random-control", "tree-control"])
+    def test_seed_outside_the_philox_keys_refused(self, make, seed):
+        # -1 and 2**128 failed with numpy's bare ValueError, 1.5 was truncated to 1
+        with pytest.raises(mc.ConfigurationError, match=r"^seed must be an integer in "):
+            make(seed)
+
+    @pytest.mark.parametrize("seed", [0, np.uint64(7), 2 ** 128 - 1],
+                             ids=["zero", "numpy-int", "2**128-1"])
+    def test_seed_inside_the_philox_keys_accepted(self, seed):
+        assert mc.MsaConfig(rho=0.0, n_paths=10, steps=2, seed=seed).seed == seed
+        assert mc.sample_brownian(mc.TimeGrid(1.0, 2), 10, 1, seed).n_paths == 10
+
     def test_integer_initial_control_runs_as_float(self):
         # an int64 control once truncated every update u^m_j to an integer
         bench, domain = mc.lq_desk(), mc.Box([-1.0], [1.0], [5])
