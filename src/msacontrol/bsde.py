@@ -45,20 +45,27 @@ def _monomial_plan(n_features: int, degree: int) -> tuple:
     return tuple(plan)
 
 
-def _design_matrix(features: Array, plan: tuple) -> Array:
+def _feature_blocks(features) -> tuple:
+    """One (M, p) feature array, or a tuple of them read side by side, as 2-D blocks."""
+    return tuple(np.atleast_2d(np.asarray(block, dtype=float))
+                 for block in (features if isinstance(features, tuple) else (features,)))
+
+
+def _design_matrix(features, plan: tuple) -> Array:
     """Monomial columns, each an earlier column times one feature, written in place
-    as ``_monomial_plan`` lists them.
+    as ``_monomial_plan`` lists them, the features' columns read in place.
 
     A column of degree <= 2 is then one rounded product of two features (or
     a feature, or 1), so it equals the product of the features' powers exactly.
     The design is stored column-major, so each column is one contiguous write.
     """
-    A = np.empty((features.shape[0], len(plan)), order="F")
+    columns = [column for block in _feature_blocks(features) for column in block.T]
+    A = np.empty((len(columns[0]), len(plan)), order="F")
     for col, parent in enumerate(plan):
         if parent is None:
             A[:, col] = 1.0
         else:
-            np.multiply(A[:, parent[0]], features[:, parent[1]], out=A[:, col])
+            np.multiply(A[:, parent[0]], columns[parent[1]], out=A[:, col])
     return A
 
 
@@ -81,11 +88,13 @@ class RegressionBackend:
     def __post_init__(self):
         check_count("degree", self.degree, 0)
 
-    def project(self, step: int, features: Array, targets: Array) -> Array:
+    def project(self, step: int, features, targets: Array, out: Optional[Array] = None) -> Array:
         """In-sample conditional-expectation estimate: the projection A coef of the
         targets onto the column span of the monomial design A at the features,
         built column by column from ``_monomial_plan``. Every caller, the sweep
-        and ``empirical_knorm`` alike, passes a step's ``_step_features``.
+        and ``empirical_knorm`` alike, passes a step's ``_step_features``, the
+        blocks (X_j, u_j), read as one (M, p) array would be. A coef goes into
+        ``out`` when given (the sweep passes its targets), else a new array.
 
         The design may be collinear (a control on {0, 1} equals its square, a
         constant state repeats the intercept); the projection is unique even
@@ -94,13 +103,13 @@ class RegressionBackend:
         by ``eigh``, and directions whose eigenvalue falls below
         ``_RANK_CUTOFF`` of the largest are dropped.
         """
-        features = np.atleast_2d(np.asarray(features, dtype=float))
-        plan = _monomial_plan(features.shape[1], self.degree)
-        if features.shape[0] < len(plan):
+        blocks = _feature_blocks(features)
+        plan = _monomial_plan(sum(block.shape[1] for block in blocks), self.degree)
+        if blocks[0].shape[0] < len(plan):
             raise ConfigurationError(
-                f"need at least as many samples ({features.shape[0]}) as basis "
+                f"need at least as many samples ({blocks[0].shape[0]}) as basis "
                 f"functions ({len(plan)})")
-        A = _design_matrix(features, plan)
+        A = _design_matrix(blocks, plan)
         gram = A.T @ A
         scale = np.sqrt(np.diag(gram))
         scale[scale == 0.0] = 1.0  # a zero column: its direction is dropped below
@@ -112,7 +121,7 @@ class RegressionBackend:
         # which broadcasts against (M,) and (M, R) targets alike
         W = eigvecs[:, keep] / (scale[:, None] * np.sqrt(eigvals[keep]))
         coef = W @ (W.T @ (A.T @ np.asarray(targets, dtype=float)))
-        return A @ coef
+        return np.matmul(A, coef, out=out)
 
 
 @dataclass(frozen=True)
@@ -131,7 +140,9 @@ class ExactTreeBackend:
     def __post_init__(self):
         check_count("steps", self.steps, 1)
 
-    def project(self, step: int, features: Array, targets: Array) -> Array:
+    def project(self, step: int, features, targets: Array, out: Optional[Array] = None) -> Array:
+        """Block means of the targets, into a C-contiguous ``out`` when given; the
+        features are not read."""
         if not 0 <= step < self.steps:
             raise ConfigurationError(
                 f"tree backend of {self.steps} steps has no step {step}")
@@ -143,7 +154,9 @@ class ExactTreeBackend:
         block = 2 ** (self.steps - step)
         grouped = targets.reshape(M // block, block, -1)
         means = np.einsum("gbr->gr", grouped) / block
-        return np.repeat(means, block, axis=0).reshape(targets.shape)
+        out = np.empty(targets.shape) if out is None else out
+        out.reshape(grouped.shape)[...] = means[:, None]
+        return out
 
 
 @dataclass(frozen=True)
@@ -159,11 +172,12 @@ class BackwardPaths:
     j_stderr: float
 
 
-def _step_features(x: Array, u: Array) -> Array:
-    """The regression features of one step, (X_j, u_j): with per-path controls that
-    is the time-j information, and without u the q estimate collapses to its
-    X-conditional mean, which stalls control-in-diffusion problems."""
-    return np.concatenate([x, u], axis=1)
+def _step_features(x: Array, u: Array) -> Tuple[Array, Array]:
+    """The regression features of one step, the blocks (X_j, u_j), read in place:
+    with per-path controls that is the time-j information, and without u the q
+    estimate collapses to its X-conditional mean, which stalls control-in-diffusion
+    problems."""
+    return x, u
 
 
 def cost_step(spec: ProblemSpec, t: float, x: Array, yhat: Array, z: Array, u: Array,
@@ -270,8 +284,9 @@ def check_finite(p: Array, j: int) -> None:
 
 def _proxies(nxt, j: int, forward: ForwardPaths, u: Array, backend, store=None):
     """(phats, qs) at step j, whose controls are u: every p_{j+1} and p_{j+1} dW_j
-    stacked into one (M, R (1 + d)) target matrix, R the equations' total width,
-    and regressed in one project. With a store, each q_j is written into it.
+    written into one (M, R (1 + d)) target matrix, R the equations' total width,
+    and regressed in one project that writes the fitted values over it. With a
+    store, each q_j is written into it.
 
     Each phat is a C-contiguous copy of its fitted columns and each q_j their
     quotient by dt, so no returned array is a view of the projection: it is
@@ -279,19 +294,23 @@ def _proxies(nxt, j: int, forward: ForwardPaths, u: Array, backend, store=None):
     """
     batch = forward.batch
     M, d = batch.n_paths, batch.d
-    flat = np.concatenate([p.reshape(M, -1) for p in nxt], axis=1)
-    R = flat.shape[1]
-    targets = np.concatenate(
-        [flat, (flat[:, :, None] * batch.increments[:, j, None, :]).reshape(M, R * d)], axis=1)
-    del flat
-    proj = backend.project(j, _step_features(forward.state(j), u), targets)
-    del targets
+    widths = [p.size // M for p in nxt]
+    R = sum(widths)
+    targets = np.empty((M, R * (1 + d)))
+    products = targets[:, R:].reshape(M, R, d)  # a view: column R + c d + i is p_c dW^i
+    col = 0
+    for p, r in zip(nxt, widths):
+        carry = p.reshape(M, r)
+        targets[:, col:col + r] = carry
+        np.multiply(carry[:, :, None], batch.increments[:, j, None, :],
+                    out=products[:, col:col + r])
+        col += r
+    backend.project(j, _step_features(forward.state(j), u), targets, out=targets)
     phats, qs, col = [], [], 0
-    for e, p in enumerate(nxt):
-        r = p.size // M
-        phats.append(proj[:, col:col + r].reshape(p.shape).copy())
+    for e, (p, r) in enumerate(zip(nxt, widths)):
+        phats.append(targets[:, col:col + r].reshape(p.shape).copy())
         out = None if store is None else store[e][1][:, j]
-        qs.append(np.divide(proj[:, R + col * d:R + (col + r) * d].reshape(p.shape + (d,)),
-                            batch.dt, out=out))
+        qs.append(np.divide(products[:, col:col + r].reshape(p.shape + (d,)), batch.dt,
+                            out=out))
         col += r
     return phats, qs

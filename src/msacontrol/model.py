@@ -208,17 +208,6 @@ def _fd_hessian(fn: Callable[[Array], Array], x: Array) -> Array:
 
 
 def _fd_bundle(n, d, drift, diffusion, driver, terminal) -> dict:
-    m = n + 1 + d
-
-    def split(w):
-        return w[:, :n], w[:, n], w[:, n + 1:]
-
-    def f_of_w(t, u):
-        def g(w):
-            xs, ys, zs = split(w)
-            return driver(t, xs, ys, zs, u)
-        return g
-
     def b_x(t, x, u):
         return _fd_jacobian(lambda xs: drift(t, xs, u), x)
 
@@ -235,22 +224,20 @@ def _fd_bundle(n, d, drift, diffusion, driver, terminal) -> dict:
         return _fd_hessian(lambda xs: diffusion(t, xs, u).swapaxes(1, 2).reshape(len(xs), -1),
                            x).reshape(len(x), d, n, n, n)
 
-    def f_grad(t, x, y, z, u):
-        w = np.concatenate([x, y[:, None], z], axis=1)
-        return _fd_jacobian(lambda ws: f_of_w(t, u)(ws)[:, None], w)[:, 0, :]
-
+    # each first derivative differences its own block only: 2n, 2 and 2d driver calls
     def f_x(t, x, y, z, u):
-        return f_grad(t, x, y, z, u)[:, :n]
+        return _fd_jacobian(lambda xs: driver(t, xs, y, z, u)[:, None], x)[:, 0, :]
 
     def f_y(t, x, y, z, u):
-        return f_grad(t, x, y, z, u)[:, n]
+        return _fd_jacobian(lambda ys: driver(t, x, ys[:, 0], z, u)[:, None], y[:, None])[:, 0, 0]
 
     def f_z(t, x, y, z, u):
-        return f_grad(t, x, y, z, u)[:, n + 1:]
+        return _fd_jacobian(lambda zs: driver(t, x, y, zs, u)[:, None], z)[:, 0, :]
 
     def f_hess(t, x, y, z, u):
         w = np.concatenate([x, y[:, None], z], axis=1)
-        return _fd_hessian(lambda ws: f_of_w(t, u)(ws)[:, None], w)[:, 0]
+        return _fd_hessian(lambda ws: driver(t, ws[:, :n], ws[:, n], ws[:, n + 1:], u)[:, None],
+                           w)[:, 0]
 
     def phi_x(x):
         return _fd_jacobian(lambda xs: terminal(xs)[:, None], x)[:, 0, :]

@@ -164,8 +164,11 @@ def _update_sweep(m: int, started: float, spec: ProblemSpec, forward, p_ode, P_o
     three (M,) sums ``compute_mu`` reduces after the pass. u^{m-1}'s table
     starts with the candidates, so u^m is written as indices into that same
     table: the winning candidate's, or u^{m-1}'s where a sample keeps it.
-    Returns pass m's record, its descent still open and its wall time counted
-    from ``started`` (a ``perf_counter`` reading before the forward pass), and u^m.
+    u^m's index is made at the first step whose controls change, from the
+    columns of u^{m-1} swept so far; after a pass that keeps every control,
+    u^m is u^{m-1} itself. Returns pass m's record, its descent still open and
+    its wall time counted from ``started`` (a ``perf_counter`` reading before
+    the forward pass), and u^m.
     """
     batch, u_prev = forward.batch, forward.control
     M, N, n, d, dt = batch.n_paths, batch.grid.steps, spec.n, spec.d, batch.dt
@@ -178,17 +181,16 @@ def _update_sweep(m: int, started: float, spec: ProblemSpec, forward, p_ode, P_o
     # running maxima, started at the terminal node or taken over a hint's nodes
     max_p = float(np.max(np.abs(terminals[1] if p_ode is None else p_ode)))
     max_P = float(np.max(np.abs(terminals[-1] if P_ode is None else P_ode)))
-    asym, update, y_0, driver_sum, sums = 0.0, None, None, np.zeros(M), np.zeros((3, M))
-    changed = 0
+    asym, y_0, driver_sum, sums = 0.0, None, np.zeros(M), np.zeros((3, M))
+    changed, index = 0, None  # u^m's index, made at the first change
     # given nodes broadcast over the paths, time-major; a costate hint implies q = 0
     if p_ode is not None:
         p_given, q_given = np.broadcast_to(p_ode[:, None], (N + 1, M, n)), np.zeros((M, n, d))
     if P_ode is not None:
         P_given = np.broadcast_to(P_ode[:, None], (N + 1, M, n, n))
-    index = _time_major((M, N), dtype=u_prev.index.dtype)
 
     def step(j, u, phats, qs):
-        nonlocal max_p, max_P, asym, update, y_0, driver_sum, changed
+        nonlocal max_p, max_P, asym, y_0, driver_sum, changed, index
         x = forward.state(j)
         y = cost_step(spec, nodes[j], x, phats[0], qs[0], u, dt)
         check_finite(y, j)
@@ -212,28 +214,31 @@ def _update_sweep(m: int, started: float, spec: ProblemSpec, forward, p_ode, P_o
             solved.append(P)
         else:
             P = P_given[j]
-        try:
-            # rebound only once the next update has returned, as in a plain loop:
-            # freeing it first lets glibc trim the update's working set off the
-            # heap and fault it back in at every step
-            update = minimize_step(
+        try:  # the update's four arrays go when the step returns
+            _, h_new, h_prev, choice = minimize_step(
                 spec, point.t, point.x, point.y, point.z, p, q, P, point.u, candidates,
                 rho, h_fn=hints.hamiltonian, pen_fn=hints.penalty, node=point)
         except NumericalError as exc:
             exc.args = (f"step {j}: {exc}",) + exc.args[1:]
             exc.step = j
             raise
-        _, h_new, h_prev, choice = update
+        kept = u_prev.index[:, j]
+        column = np.empty_like(kept) if index is None else index[:, j]
         # a kept sample's -1 is cast to some index first, then replaced by u^{m-1}'s
-        np.copyto(index[:, j], choice, casting="unsafe")
-        np.copyto(index[:, j], u_prev.index[:, j], where=choice < 0)
-        changed += int(np.count_nonzero(index[:, j] != u_prev.index[:, j]))
+        np.copyto(column, choice, casting="unsafe")
+        np.copyto(column, kept, where=choice < 0)
+        changed_j = int(np.count_nonzero(column != kept))
+        if changed_j and index is None:
+            index = _time_major((M, N), dtype=kept.dtype)
+            index[:, j + 1:] = u_prev.index[:, j + 1:]
+            index[:, j] = column
+        changed += changed_j
         sums[0] += h_new - h_prev
         girsanov_terms(sums[1:], point.f_z, batch.increments[:, j])
         return solved
 
     solve_bsde(terminals, step, forward, backend)
-    u_new = ControlField(table=u_prev.table, index=index)
+    u_new = u_prev if index is None else ControlField(table=u_prev.table, index=index)
     j, j_se = cost_estimate(y_0)
     mu, mu_se, ess, w_ratio = compute_mu(*sums, dt)
     return IterationRecord(m=m, j=j, j_stderr=j_se, mu=mu, mu_stderr=mu_se,

@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import msacontrol as mc
-from msacontrol.bsde import _step_features
+from msacontrol.bsde import _design_matrix, _monomial_plan, _proxies, _step_features
 from msacontrol.model import constant_fn
 from msacontrol.stochastics import _time_major
 
@@ -125,6 +125,93 @@ class TestCondexpFit:
         if full_rank.shape[1] == 1:
             np.testing.assert_allclose(expected, y.mean(), rtol=1e-14)
         assert np.max(np.abs(fitted - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+def concatenated_projection(degree, features, targets):
+    """The regression's fitted values on one concatenated feature array, written
+    out as one expression per line: the reference for ``project`` on blocks."""
+    A = _design_matrix(features, _monomial_plan(features.shape[1], degree))
+    gram = A.T @ A
+    scale = np.sqrt(np.diag(gram))
+    scale[scale == 0.0] = 1.0
+    gram /= scale
+    gram /= scale[:, None]
+    eigvals, eigvecs = np.linalg.eigh(gram)
+    keep = eigvals > 1e-12 * eigvals[-1]
+    W = eigvecs[:, keep] / (scale[:, None] * np.sqrt(eigvals[keep]))
+    return A @ (W @ (W.T @ (A.T @ targets)))
+
+
+class TestProjectInPlace:
+    """``project`` reads the blocks (X_j, u_j) in place and writes its fitted
+    values over the targets it is given as ``out``, with the bits of a fit on
+    the concatenated features into a new array."""
+
+    @pytest.mark.parametrize("width", [None, 6], ids=["vector", "matrix"])
+    @pytest.mark.parametrize("design", ["generic", "binary", "constant", "opposite", "zero"])
+    def test_regression_on_blocks_is_bitwise(self, design, width):
+        M = 3_000
+        rng = np.random.default_rng(8)
+        state, v = rng.normal(size=(M, 2)), rng.normal(size=(M, 1))
+        x, u = {
+            "generic": (state, v),
+            "binary": (state, rng.integers(0, 2, size=(M, 1)).astype(float)),  # u^2 = u
+            "constant": (np.full((M, 1), 0.7), v),  # X_0 repeats the intercept
+            "opposite": (state[:, :1], np.concatenate([v, -v], axis=1)),  # u_2 = -u_1
+            "zero": (state, np.zeros((M, 1))),  # a zero control column
+        }[design]
+        targets = rng.normal(size=(M,) if width is None else (M, width))
+        want = concatenated_projection(2, np.concatenate([x, u], axis=1), targets)
+        backend = mc.RegressionBackend(degree=2)
+        assert backend.project(3, np.concatenate([x, u], axis=1), targets).tobytes() == \
+            want.tobytes()
+        out = targets.copy()
+        got = backend.project(3, _step_features(x, u), out, out=out)
+        assert got is out and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("step", [0, 2, 4])
+    def test_tree_into_out_is_bitwise(self, step):
+        steps, M = 5, 64
+        rng = np.random.default_rng(step)
+        targets = rng.normal(size=(M, 3))
+        block = 2 ** (steps - step)
+        means = np.einsum("gbr->gr", targets.reshape(M // block, block, -1)) / block
+        want = np.repeat(means, block, axis=0)
+        backend = mc.tree_backend(steps)
+        features = _step_features(rng.normal(size=(M, 1)), rng.normal(size=(M, 1)))
+        assert backend.project(step, features, targets).tobytes() == want.tobytes()
+        out = targets.copy()
+        got = backend.project(step, features, out, out=out)
+        assert got is out and got.tobytes() == want.tobytes()
+
+    def test_proxies_hold_one_targets_array(self):
+        # one _proxies call holds the design while it projects and the proxies
+        # once it has, each beside the one targets-sized array that the
+        # projection overwrites: no features copy, no second targets array
+        M, N, n, d = 4_000, 4, 2, 2
+        rng = np.random.default_rng(4)
+        batch = mc.sample_brownian(mc.TimeGrid(1.0, N), M, d, 4)
+        control = mc.random_control(mc.FiniteSet([[0.0], [1.0], [-1.0]]), M, N, 4)
+        forward = mc.ForwardPaths(states=rng.normal(size=(M, N + 1, n)), control=control,
+                                  batch=batch)
+        nxt, u = [rng.normal(size=M), rng.normal(size=(M, n))], control.at(1)
+        backend = mc.RegressionBackend(degree=2)
+        _proxies(nxt, 1, forward, u, backend)  # warm-up: the plan cache stays out
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            phats, qs = _proxies(nxt, 1, forward, u, backend)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        design = M * len(_monomial_plan(n + 1, 2)) * 8
+        targets = M * (1 + n) * (1 + d) * 8
+        proxies = sum(a.nbytes for a in phats + qs)
+        # a ufunc reading a strided view (q_j's fitted columns) buffers up to
+        # np.getbufsize() elements of it
+        buffer = np.getbufsize() * 8
+        assert proxies == targets
+        assert peak <= targets + max(design, proxies) + buffer + 8192, (peak, design, targets)
 
 
 class TestSolveStateBsde:
@@ -267,6 +354,39 @@ class TestSolveStateBsde:
         assert (stacked_pricing_peak(mc.pathwise_cost, steps, rows)
                 <= stacked_pricing_peak(mc.solve_state_bsde, steps, rows) - horizons + slack)
 
+    def test_tree_pricing_makes_no_features_copy(self, monkeypatch):
+        # the tree backend reads no features and writes over the targets: the
+        # oracle's 8 192-row chunk grows the heap by at least one (M, n + k) float
+        # array less than with each step's features and fitted values copied
+        steps, rows = 5, 8192
+        spec = mc.example41(0.1).spec
+        in_place = stacked_pricing_peak(mc.pathwise_cost, steps, rows)
+        monkeypatch.setattr(mc.bsde, "_proxies", copying_proxies)
+        copying = stacked_pricing_peak(mc.pathwise_cost, steps, rows)
+        assert in_place <= copying - 8 * rows * (spec.n + spec.k), (in_place, copying)
+
+
+def copying_proxies(nxt, j, forward, u, backend, store=None):
+    """``bsde._proxies`` with copies: the features (X_j, u_j) and the stacked targets
+    concatenated, and the fitted values returned in a new array."""
+    batch = forward.batch
+    M, d = batch.n_paths, batch.d
+    flat = np.concatenate([p.reshape(M, -1) for p in nxt], axis=1)
+    R = flat.shape[1]
+    targets = np.concatenate(
+        [flat, (flat[:, :, None] * batch.increments[:, j, None, :]).reshape(M, R * d)], axis=1)
+    del flat
+    proj = backend.project(j, np.concatenate([forward.state(j), u], axis=1), targets)
+    del targets
+    phats, qs, col = [], [], 0
+    for e, p in enumerate(nxt):
+        r = p.size // M
+        phats.append(proj[:, col:col + r].reshape(p.shape).copy())
+        out = None if store is None else store[e][1][:, j]
+        qs.append(np.divide(proj[:, R + col * d:R + (col + r) * d].reshape(p.shape + (d,)),
+                            batch.dt, out=out))
+        col += r
+    return phats, qs
 
 def stacked_pricing_peak(solve, steps, rows):
     """tracemalloc peak of ``solve`` pricing example41 on a stacked tree batch."""

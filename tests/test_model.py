@@ -207,6 +207,27 @@ class TestCheckDerivatives:
         np.testing.assert_allclose(dv.f_z(0.1, x, y, z, u), np.cos(z) * u, atol=1e-8)
 
 
+    def test_fallback_differences_each_block_once(self):
+        # f_x, f_y and f_z each difference their own block of (x, y, z): a node
+        # that reads all three calls the driver 2n + 2 + 2d times, 14 at n = 4, d = 2
+        calls = [0]
+
+        def driver(t, x, y, z, u):
+            calls[0] += 1
+            return x.sum(axis=1) * y + np.sin(z).sum(axis=1) * u[:, 0]
+
+        spec = mc.ProblemSpec.build(
+            n=4, d=2, k=1, x0=np.zeros(4), horizon=1.0,
+            drift=lambda t, x, u: np.zeros_like(x), diffusion=constant_fn(np.ones((4, 2))),
+            driver=driver, terminal=lambda x: x[:, 0])
+        rng = np.random.default_rng(5)
+        x, y, z, u = (rng.normal(size=shape) for shape in ((30, 4), 30, (30, 2), (30, 1)))
+        point = mc.adjoint.StepPoint(spec, 0.2, x, y, z, u)
+        np.testing.assert_allclose(point.f_x, np.repeat(y[:, None], 4, axis=1), atol=1e-8)
+        np.testing.assert_allclose(point.f_y, x.sum(axis=1), atol=1e-8)
+        np.testing.assert_allclose(point.f_z, np.cos(z) * u, atol=1e-8)
+        assert calls[0] == 14
+
 class TestBounds:
     @pytest.mark.parametrize("df", [-0.1, np.inf, np.nan])
     def test_negative_or_non_finite_bound_refused(self, df):

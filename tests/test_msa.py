@@ -840,6 +840,129 @@ class TestSweepWorkingSet:
         assert len(terminals) == 2 and checked == [3] * self.N
 
 
+def columns_written(prev_index, choices):
+    """u^m's index written column by column, every column, from each step's choices
+    (-1 where a sample keeps u^{m-1}'s index)."""
+    index = np.empty_like(prev_index)
+    for j, choice in choices.items():
+        np.copyto(index[:, j], choice, casting="unsafe")
+        np.copyto(index[:, j], prev_index[:, j], where=choice < 0)
+    return index
+
+
+class TestCopyOnWriteControl:
+    """u^m's index is made at the first step whose controls change; a pass that
+    keeps every control returns u^{m-1} itself."""
+
+    M, N, SEED = 2_000, 8, 5
+    FIRST = {"last step": N - 1, "middle step": N // 2, "step 0 only": 0, "nowhere": None}
+
+    def masked_updates(self, monkeypatch, first, choices):
+        """Pass 1's updates keep every control at the steps before ``first`` in the
+        sweep (all of them for None); later passes run as they are. Each call's
+        choices go into ``choices`` by step, unless it is None."""
+        real, calls = mc.msa.minimize_step, [0]
+
+        def update(*args, **kwargs):
+            u_new, h_new, h_prev, choice = real(*args, **kwargs)
+            j = self.N - 1 - calls[0] % self.N
+            if calls[0] < self.N and (first is None or j > first):
+                u_new, h_new, choice = args[8].copy(), h_prev.copy(), np.full_like(choice, -1)
+            calls[0] += 1
+            if choices is not None:
+                choices[j] = choice
+            return u_new, h_new, h_prev, choice
+
+        monkeypatch.setattr(mc.msa, "minimize_step", update)
+
+    def inputs(self):
+        """example41(0.5), its config and a random u^0 over the candidates."""
+        bench = mc.example41(0.5)
+        cfg = mc.MsaConfig(rho=0.1, n_paths=self.M, steps=self.N, seed=self.SEED,
+                           max_iters=3)
+        initial = mc.random_control(bench.domain, self.M, self.N, self.SEED)
+        return bench, cfg, initial.over(mc.enumerate_controls(bench.domain))
+
+    @pytest.mark.parametrize("where", list(FIRST))
+    def test_one_pass_matches_writing_every_column(self, where, monkeypatch):
+        first, choices = self.FIRST[where], {}
+        bench, cfg, u_prev = self.inputs()
+        self.masked_updates(monkeypatch, first, choices)
+        record, u_new = sweep_again(bench.spec, bench.domain, cfg, bench.hints, u_prev, 1)
+        want = columns_written(u_prev.index, choices)
+        changed = want != u_prev.index
+        assert record.changed_frac == np.count_nonzero(changed) / (self.M * self.N)
+        assert u_new.table is u_prev.table and np.array_equal(u_new.index, want)
+        assert u_new.index.dtype == u_prev.index.dtype
+        if first is None:
+            assert u_new is u_prev and record.changed_frac == 0.0
+        else:
+            assert changed[:, first].any() and not changed[:, first + 1:].any()
+            assert u_new.index[:, 0].flags.c_contiguous  # time-major, as u^{m-1}'s
+
+    @pytest.mark.parametrize("where", list(FIRST))
+    def test_runs_match_writing_every_column(self, where, monkeypatch):
+        # the same runs with every pass's u^m replaced by the index written column
+        # by column: the records, changed_frac too, and both controls agree
+        bench, cfg, initial = self.inputs()
+        runs = []
+        for reference in (False, True):
+            monkeypatch.undo()
+            choices = {}
+            self.masked_updates(monkeypatch, self.FIRST[where], choices)
+            if reference:
+                real = mc.msa._update_sweep
+
+                def sweep(m, started, spec, forward, *args):
+                    record, _ = real(m, started, spec, forward, *args)
+                    index = columns_written(forward.control.index, choices)
+                    return record, mc.ControlField(table=forward.control.table, index=index)
+
+                monkeypatch.setattr(mc.msa, "_update_sweep", sweep)
+            runs.append(mc.run_msa(bench.spec, bench.domain, cfg, initial, hints=bench.hints))
+        got, want = runs
+        assert records_equal_except_wall(got.records, want.records)
+        assert [r.changed_frac for r in got.records] == [r.changed_frac for r in want.records]
+        for name in ("returned_control", "last_control"):
+            assert getattr(got, name).values.tobytes() == getattr(want, name).values.tobytes()
+        assert (got.records[0].changed_frac == 0.0) == (where == "nowhere")
+
+    def test_a_pass_that_keeps_every_control_makes_no_index(self, monkeypatch):
+        bench, cfg, u_prev = self.inputs()
+        self.masked_updates(monkeypatch, None, None)
+        sweep_again(bench.spec, bench.domain, cfg, bench.hints, u_prev, 1)  # warm-up
+        monkeypatch.undo()
+        self.masked_updates(monkeypatch, None, None)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            record, u_new = sweep_again(bench.spec, bench.domain, cfg, bench.hints, u_prev, 1)
+            growth = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert u_new is u_prev and record.changed_frac == 0.0
+        assert growth < self.M * self.N, growth
+
+    @pytest.mark.parametrize("hinted", [True, False], ids=["hinted", "solved"])
+    def test_update_result_goes_before_the_next_update(self, hinted, monkeypatch):
+        # step j's four update arrays are freed in step j, before step j - 1's
+        # update runs
+        bench = mc.example41(0.5)
+        real, refs, alive = mc.msa.minimize_step, [], []
+
+        def update(*args, **kwargs):
+            alive.append([ref() is not None for ref in refs])
+            out = real(*args, **kwargs)
+            refs[:] = [weakref.ref(a) for a in out]
+            return out
+
+        monkeypatch.setattr(mc.msa, "minimize_step", update)
+        cfg = mc.MsaConfig(rho=0.1, n_paths=self.M, steps=self.N, seed=self.SEED,
+                           max_iters=1)
+        mc.run_msa(bench.spec, bench.domain, cfg, "random",
+                   hints=bench.hints if hinted else None)
+        assert alive == [[]] + [[False] * 4] * (self.N - 1)
+
 class TestControlsAsIndices:
     def test_solver_never_builds_a_dense_control(self, monkeypatch):
         # every solver read gathers one step (ControlField.at); reading the dense
