@@ -15,7 +15,7 @@ from .msa import (GapReport, IterationRecord, MsaConfig, MsaResult, RunHints,
 from .problems import (Benchmark, example41, example41_rho, linear_recursive_problem,
                        linrec_desk, lq_desk, lq_problem)
 from .stochastics import (BrownianBatch, ControlField, ForwardPaths, TimeGrid,
-                          constant_control, girsanov_weights, random_control,
-                          sample_brownian, simulate_forward)
+                          constant_control, random_control, sample_brownian,
+                          simulate_forward)
 
 __version__ = "0.1.0"

@@ -186,11 +186,14 @@ def cost_step(spec: ProblemSpec, t: float, x: Array, yhat: Array, z: Array, u: A
     return yhat + spec.driver(t, x, yhat, z, u) * dt
 
 
-def cost_estimate(y0: Array):
-    """(J, stderr) of the pathwise Y_0 = Phi(X_T) + sum_j f dt: the regressed Y_0's mean
-    (projections preserve means), but the true Monte Carlo spread, not the projected one."""
-    se = float(np.std(y0, ddof=1) / np.sqrt(len(y0))) if len(y0) > 1 else float("nan")
-    return float(np.mean(y0)), se
+def cost_estimate(samples: Array):
+    """(mean, stderr) of per-path samples, the one rule that both J and mu
+    (``compute_mu``) read. J's samples are the pathwise Y_0 = Phi(X_T) + sum_j f dt:
+    the regressed Y_0's mean (projections preserve means), but the true Monte
+    Carlo spread, not the projected one."""
+    n = len(samples)
+    se = float(np.std(samples, ddof=1) / np.sqrt(n)) if n > 1 else float("nan")
+    return float(np.mean(samples)), se
 
 
 def pathwise_cost(spec: ProblemSpec, forward: ForwardPaths, backend,

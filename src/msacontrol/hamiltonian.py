@@ -33,6 +33,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .adjoint import StepPoint
 from .errors import ConfigurationError, NumericalError
 from .model import ProblemSpec
 
@@ -80,8 +81,9 @@ def _candidate(spec: ProblemSpec, t, x, y, z, p, q, P, v, s_u):
 
 
 def _evaluated(dv, t, x, y, z, v) -> Callable[[str], Array]:
-    """Reader of sigma_x, b_x, f_x, f_y and f_z of the bundle dv at (t, x, y, z, v),
-    evaluating afresh at every read, so no caller holds one beyond its use."""
+    """Reader of sigma_x, b_x, f_x, f_y and f_z of the bundle dv at a candidate's
+    (t, x, y, z, v), evaluating afresh at every read, so no caller holds one
+    beyond its use."""
     return lambda name: dv.at(name, t, x, y, z, v)
 
 
@@ -103,15 +105,13 @@ def _g_derivatives(at, p, q, sx_v, sx_u):
     return gx, at("f_y"), fz
 
 
-def _current(spec: ProblemSpec, t, x, y, z, p, q, u, b_u, f_u, node=None) -> tuple:
+def _current(node: StepPoint, p, q, b_u, f_u) -> tuple:
     """(drift(u), driver(u), sigma_x(u), G_x, G_y, G_z at (u, u)): the terms at the
     current control u that every candidate's penalty compares against, from its
-    drift b_u and driver f_u. The derivatives are read at (t, x, y, z, u), off
-    ``node`` when given, else evaluated here."""
-    at = (functools.partial(getattr, node) if node is not None
-          else _evaluated(spec.derivatives, t, x, y, z, u))
-    sx = at("sigma_x")
-    return (b_u, f_u, sx) + _g_derivatives(at, p, q, sx, sx)
+    drift b_u and driver f_u. The derivatives are read off ``node``, the
+    ``StepPoint`` at (t, x, y, z, u)."""
+    sx = node.sigma_x
+    return (b_u, f_u, sx) + _g_derivatives(functools.partial(getattr, node), p, q, sx, sx)
 
 
 def _penalty(spec: ProblemSpec, t, x, y, z, p, q, v, b, ds, zs, cur: tuple) -> Array:
@@ -150,7 +150,8 @@ def penalty_batch(spec: ProblemSpec, t: float, x: Array, y: Array, z: Array,
     B = x.shape[0]
     v = _ctl(v, B, spec.k)
     u = _ctl(u, B, spec.k)
-    cur = _current(spec, t, x, y, z, p, q, u, spec.drift(t, x, u), spec.driver(t, x, y, z, u))
+    cur = _current(StepPoint(spec, t, x, y, z, u), p, q, spec.drift(t, x, u),
+                   spec.driver(t, x, y, z, u))
     ds, delta = _gap(p, spec.diffusion(t, x, v), spec.diffusion(t, x, u))
     return _penalty(spec, t, x, y, z, p, q, v, spec.drift(t, x, v), ds,
                     np.add(z, delta, out=delta), cur)
@@ -185,13 +186,15 @@ def minimize_step(spec: ProblemSpec, t: float, x: Array, y: Array, z: Array,
     evaluated once, shared by H and the penalty; the values are bitwise equal
     to h_batch and penalty_batch called one candidate at a time. ``node``, the
     sweep's ``StepPoint`` at (t, x, y, z, u_prev), lends the penalty its
-    derivatives at the current control.
+    derivatives at the current control; without it, the call builds that
+    point, which goes once the current control's terms are formed.
 
     Each chunk is folded into a running selection as soon as it is evaluated,
     so no (candidates, B) table exists: row by row, ``aug < low`` in one
     reused mask moves the index, the augmented value and the plain H into
-    place. Data movement only, so no bit changes; strict < keeps ties, +0.0
-    against -0.0 too, at the lowest index.
+    place. The selection starts at +inf, so the first candidate takes the
+    same test as the rest. Data movement only, so no bit changes; strict <
+    keeps ties, +0.0 against -0.0 too, at the lowest index.
     """
     if (h_fn is None) != (pen_fn is None):
         raise ConfigurationError("the hints h_fn and pen_fn go together: give both or neither")
@@ -199,12 +202,14 @@ def minimize_step(spec: ProblemSpec, t: float, x: Array, y: Array, z: Array,
     if np.shape(u_prev) != (B, spec.k):
         raise ConfigurationError(f"u_prev must have shape ({B}, {spec.k}), got {np.shape(u_prev)}")
     best, mask = np.zeros(B, dtype=np.intp), np.empty(B, dtype=bool)
-    low = pick = bad = None  # bad: (path, candidate, value), lowest bad path, first candidate
+    # the lowest augmented value so far and, for rho > 0, the plain H beside it
+    low, pick = np.full(B, np.inf), (np.empty(B) if rho != 0.0 else None)
+    bad = None  # (path, candidate, value): the lowest bad path, its first candidate
 
     def fold(i0: int, h: Array, pen: Optional[Array]) -> None:
         """Folds candidates i0, i0 + 1, ...: plain values h, B per candidate, and, for
         rho > 0, penalties pen, in whose buffer the augmented h + rho/2 pen is formed."""
-        nonlocal low, pick, bad
+        nonlocal bad
         aug = h if pen is None else np.add(h, np.multiply(pen, 0.5 * rho, out=pen), out=pen)
         h, aug = h.reshape(-1, B), aug.reshape(-1, B)
         finite = np.isfinite(aug)
@@ -213,9 +218,6 @@ def minimize_step(spec: ProblemSpec, t: float, x: Array, y: Array, z: Array,
             if bad is None or path < bad[0]:
                 bad = (path, i0 + row, aug[row, path])
         for r in range(len(aug)):
-            if low is None:
-                low, pick = aug[0].copy(), (h[0].copy() if pen is not None else None)
-                continue
             np.less(aug[r], low, out=mask)
             np.copyto(best, i0 + r, where=mask)
             np.copyto(low, aug[r], where=mask)
@@ -227,9 +229,10 @@ def minimize_step(spec: ProblemSpec, t: float, x: Array, y: Array, z: Array,
         b_u, s_u = spec.drift(t, x, u_prev), spec.diffusion(t, x, u_prev)
         f_u = spec.driver(t, x, y, z, u_prev)
         h_prev = _g(p, q, b_u, s_u, f_u)  # H(u) = G(u): the diffusion gap is 0 at v = u
-        # then s_u and (rho > 0) the current terms the penalty reads
-        args += (s_u,) + (_current(spec, t, x, y, z, p, q, u_prev, b_u, f_u, node)
-                          if rho != 0.0 else ())
+        args += (s_u,)
+        if rho != 0.0:  # then the current terms the penalty reads
+            args += _current(node if node is not None else StepPoint(spec, t, x, y, z, u_prev),
+                             p, q, b_u, f_u)
 
         def evaluate(v, x, y, z, p, q, P, s_u, *cur):
             h, b, ds, zs = _candidate(spec, t, x, y, z, p, q, P, v, s_u)

@@ -142,14 +142,13 @@ def compute_mu(h_sum: Array, fz_dw: Array, fz_sq: Array, dt: float) -> Tuple[flo
 
     The arguments are the per-path sums over the steps that the update sweep
     streams: of the Hamiltonian decrease, of f_z . dW_j and of |f_z|^2, so the
-    weight is w = exp(fz_dw - dt fz_sq / 2) (``girsanov_exp``).
+    weight is w = exp(fz_dw - dt fz_sq / 2) (``girsanov_exp``). mu and its
+    stderr are ``cost_estimate``'s mean and stderr of the samples w h_sum dt.
     """
     w = girsanov_exp(fz_dw - 0.5 * dt * fz_sq)
-    samples = w * h_sum * dt
-    M = samples.shape[0]
-    se = float(np.std(samples, ddof=1) / np.sqrt(M)) if M > 1 else float("nan")
-    return (float(np.mean(samples)), se, float(w.sum() ** 2 / (M * (w * w).sum())),
-            float(w.max() / w.mean()))
+    M = w.shape[0]
+    return cost_estimate(w * h_sum * dt) + (float(w.sum() ** 2 / (M * (w * w).sum())),
+                                            float(w.max() / w.mean()))
 
 
 def _update_sweep(m: int, started: float, spec: ProblemSpec, forward, p_ode, P_ode,
@@ -260,8 +259,9 @@ def run_msa(spec: ProblemSpec, domain: ControlDomain, config: MsaConfig,
     u^{m-1}, steps the adjoints, minimizes the augmented Hamiltonian pointwise
     into u^m and streams mu_m. Record m is completed by pass m + 1, whose
     J(u^m) gives its descent; only a last control off a fixed point is priced
-    on its own (``pathwise_cost``, no Y or Z stored). Errors name the pass
-    that raised them.
+    on its own (``pathwise_cost``, no Y or Z stored). One handler prefixes an
+    error with ``iteration m``: the pass m that raised it, or, for the last
+    pricing, the last pass, m = max_iters.
 
     Stops once a descent J(u^{m-1}) - J(u^m) falls below epsilon, returning
     u^{m-1}; the last minimizer u^m stays available. The pass that detects the
@@ -329,38 +329,35 @@ def run_msa(spec: ProblemSpec, domain: ControlDomain, config: MsaConfig,
     # each pass's states are made in the call that reads them, so they are freed
     # before the next pass makes its own
     record = None
-    for m in range(1, config.max_iters + 1):  # pass m
-        started = time.perf_counter()
-        if config.epsilon is None:
-            u_before = None  # u^{m-2}: only an epsilon stop returns it
-        if record is not None and record.changed_frac == 0.0:
-            # u^{m-1} = u^{m-2}: on the shared batch pass m would repeat pass m - 1
-            # bit for bit, so its record is a copy and its u^m is u^{m-1}
-            u_new = u_prev
-            record = dataclasses.replace(record, m=m,
-                                         wall_ms=(time.perf_counter() - started) * 1e3)
-        else:
-            try:
+    try:
+        for m in range(1, config.max_iters + 1):  # pass m
+            started = time.perf_counter()
+            if config.epsilon is None:
+                u_before = None  # u^{m-2}: only an epsilon stop returns it
+            if record is not None and record.changed_frac == 0.0:
+                # u^{m-1} = u^{m-2}: on the shared batch pass m would repeat pass m - 1
+                # bit for bit, so its record is a copy and its u^m is u^{m-1}
+                u_new = u_prev
+                record = dataclasses.replace(record, m=m,
+                                             wall_ms=(time.perf_counter() - started) * 1e3)
+            else:
                 record, u_new = _update_sweep(
                     m, started, spec, simulate_forward(spec, u_prev, batch), p_ode, P_ode,
                     candidates, config.rho, hints, backend)
-            except Exception as exc:
-                exc.args = (f"iteration {m}: {exc}",) + exc.args[1:]
-                raise
-        if records and closes(record.j):
-            stopped = True  # this pass's u^m is discarded
-            break
-        records.append(record)
-        u_before, u_prev = u_prev, u_new
-    if records and not stopped and records[-1].changed_frac == 0.0:
-        stopped = closes(records[-1].j)  # u^m = u^{m-1}, which the last sweep priced
-    elif records and not stopped:
-        try:
-            forward = simulate_forward(spec, u_prev, batch)
-            stopped = closes(cost_estimate(pathwise_cost(spec, forward, backend))[0])
-        except Exception as exc:
-            exc.args = (f"iteration {records[-1].m}: {exc}",) + exc.args[1:]
-            raise
+            if records and closes(record.j):
+                stopped = True  # this pass's u^m is discarded
+                break
+            records.append(record)
+            u_before, u_prev = u_prev, u_new
+        if records and not stopped:  # every pass ran, so m = records[-1].m
+            # at a fixed point u^m = u^{m-1}, which the last sweep priced
+            stopped = closes(
+                records[-1].j if records[-1].changed_frac == 0.0
+                else cost_estimate(pathwise_cost(spec, simulate_forward(spec, u_prev, batch),
+                                                 backend))[0])
+    except Exception as exc:
+        exc.args = (f"iteration {m}: {exc}",) + exc.args[1:]
+        raise
     return MsaResult(records=records, returned_control=u_before, last_control=u_prev,
                      stopped_early=stopped)
 

@@ -218,38 +218,27 @@ def random_control(domain: ControlDomain, n_paths: int, steps: int, seed: int) -
 
 class ForwardPaths:
     """Euler trajectory of the state, X (M, steps + 1, n), under ``control`` and
-    ``batch``'s noise.
+    ``batch``'s noise, stored as its (K, M, n) ``kept`` nodes: X_0, every
+    ``every``-th node and X_N.
 
-    ``state(j)`` returns X_j as a contiguous (M, n) array. ``simulate_forward``
-    keeps only X_0, every s-th node (s = ceil(sqrt(steps + 1))) and X_N, and
-    ``state`` recomputes a node between two of them from the one before it with
-    the forward pass's own ``_euler_step``, so the bits are the pass's; it holds
-    one such segment (at most s - 1 slices) at a time. Where checkpoints plus one
-    segment would not halve the slices stored, as on desk-scale grids, every node
-    is kept. ``ForwardPaths(states=X, ...)`` keeps every node of a given
-    (M, steps + 1, n) X. ``states`` builds the dense array, time-major, on each read.
-    Stored slices are read-only: a recompute starts from them.
+    ``state(j)`` returns X_j as a contiguous (M, n) array. It recomputes a node
+    between two kept ones from the one before it with ``spec``'s Euler step, the
+    forward pass's own ``_euler_step``, so the bits are the pass's, and it holds
+    one such segment (at most ``every`` - 1 slices) at a time. ``simulate_forward``
+    keeps every s-th node, s = ceil(sqrt(steps + 1)), or every node (``every`` =
+    1, ``spec`` never read) where checkpoints plus one segment would not halve
+    the slices stored, as on desk-scale grids. Stored slices are read-only: a
+    recompute starts from them.
     """
 
     __slots__ = ("control", "batch", "_spec", "_kept", "_every", "_segment")
 
-    def __init__(self, states: Array, control: ControlField, batch: BrownianBatch):
-        M, N = batch.n_paths, batch.grid.steps
-        states = np.asarray(states, dtype=float)
-        if states.ndim != 3 or states.shape[:2] != (M, N + 1):
-            raise ConfigurationError(f"states shape {states.shape} does not match the "
-                                     f"batch's (M, N + 1, n) with (M, N) = ({M}, {N})")
-        self._hold(control, batch, None, np.ascontiguousarray(states.swapaxes(0, 1)), 1)
-
-    def _hold(self, control: ControlField, batch: BrownianBatch, spec: Optional[ProblemSpec],
-              kept: Array, every: int) -> "ForwardPaths":
-        """Set the trajectory to its ``kept`` (K, M, n) nodes: X_0, every ``every``-th
-        node and X_N, recomputed between them by ``spec``'s Euler steps."""
+    def __init__(self, control: ControlField, batch: BrownianBatch,
+                 spec: Optional[ProblemSpec], kept: Array, every: int):
         kept.flags.writeable = False
         self.control, self.batch, self._spec, self._kept, self._every = (
             control, batch, spec, kept, every)
         self._segment = (None, None)  # (its checkpoint, its nodes' states)
-        return self
 
     def state(self, j: int) -> Array:
         """X_j, (M, n) float64, C-contiguous and read-only."""
@@ -275,14 +264,6 @@ class ForwardPaths:
             x.flags.writeable = False
             segment.append(x)
         return segment
-
-    @property
-    def states(self) -> Array:
-        """The dense (M, steps + 1, n) float64 trajectory, built on each read, time-major."""
-        X = _time_major((self.batch.n_paths, self.batch.grid.steps + 1, self._kept.shape[2]))
-        for j in range(X.shape[1]):
-            X[:, j] = self.state(j)
-        return X
 
 
 def _checkpoint_stride(steps: int) -> int:
@@ -310,9 +291,10 @@ def _euler_step(spec: ProblemSpec, control: ControlField, batch: BrownianBatch, 
 
 def simulate_forward(spec: ProblemSpec, control: ControlField,
                      batch: BrownianBatch) -> ForwardPaths:
-    """Forward Euler: X_{j+1} = X_j + b dt + sigma dW_j, X_0 = x0, keeping X_0,
-    every s-th node and X_N (see ``ForwardPaths``). Raises SimulationError naming
-    the first path and step where X is not finite."""
+    """Forward Euler: X_{j+1} = X_j + b dt + sigma dW_j, X_0 = x0, as the
+    ``ForwardPaths`` of its kept X_0, every s-th node and X_N, s from
+    ``_checkpoint_stride``. Raises SimulationError naming the first path and
+    step where X is not finite."""
     M, N = batch.n_paths, batch.grid.steps
     if control.index.shape != (M, N):
         raise ConfigurationError(
@@ -333,13 +315,13 @@ def simulate_forward(spec: ProblemSpec, control: ControlField,
             kept[(j + 1) // every] = x
             x = kept[(j + 1) // every]
     kept[-1] = x
-    return ForwardPaths.__new__(ForwardPaths)._hold(control, batch, spec, kept, every)
+    return ForwardPaths(control, batch, spec, kept, every)
 
 
 def girsanov_terms(sums: Array, fz: Array, dw: Array) -> None:
     """Add one step's f_z . dW_j to sums[0] and its |f_z|^2 to sums[1], per path."""
-    sums[0] += (fz * dw).sum(axis=1)
-    sums[1] += (fz * fz).sum(axis=1)
+    sums[0] += np.einsum("md,md->m", fz, dw)
+    sums[1] += np.einsum("md,md->m", fz, fz)
 
 
 def girsanov_exp(log_w: Array) -> Array:
@@ -352,21 +334,3 @@ def girsanov_exp(log_w: Array) -> Array:
         what = "underflow" if log_w[path] < 0 else "overflow"
         raise NumericalError(f"Girsanov weight {what} at path {path}", path=path)
     return np.exp(log_w)
-
-
-def girsanov_weights(fz_path: Array, batch: BrownianBatch) -> Array:
-    """Doleans-Dade exponential weights from f_z along a trajectory.
-
-    weight_m = exp( sum_{j,i} fz[m,j,i] dW[m,j,i] - (1/2) sum_j |fz[m,j]|^2 dt )
-    with the left-point rule, so the integrand stays adapted. The step sums are
-    streamed from j = N-1 down to 0 like the update sweep's, so the weights are
-    ``compute_mu``'s, bitwise, whatever layout either operand has.
-    """
-    fz = np.asarray(fz_path, dtype=float)
-    if fz.shape != batch.increments.shape:
-        raise ConfigurationError(
-            f"fz grid shape {fz.shape} does not match increments {batch.increments.shape}")
-    sums = np.zeros((2, batch.n_paths))
-    for j in range(fz.shape[1] - 1, -1, -1):
-        girsanov_terms(sums, fz[:, j], batch.increments[:, j])
-    return girsanov_exp(sums[0] - 0.5 * batch.dt * sums[1])

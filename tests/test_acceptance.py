@@ -16,6 +16,8 @@ from msacontrol.benchmarks import tree_random_control
 from msacontrol.hamiltonian import _gap, h_batch, minimize_step, penalty_batch
 from msacontrol.model import constant_fn
 
+from dense_paths import girsanov_weights
+
 RUNTIME_BUDGET_S = 300.0
 
 
@@ -238,20 +240,20 @@ class TestAcceptance:
             zero_P = np.zeros((M, 1, 1))
             for j in range(N):
                 _, h_new, h_prev, *_ = minimize_step(
-                    spec, batch.grid.nodes[j], fwd.states[:, j], bwd.values[:, j],
+                    spec, batch.grid.nodes[j], fwd.state(j), bwd.values[:, j],
                     bwd.integrand[:, j], first.p[:, j], first.q[:, j], zero_P,
                     ctl.values[:, j], cands, bench.rho)
                 assert np.all(h_new <= h_prev)
 
             # Girsanov weights stay a unit-mean density
-            fz = spec.derivatives.f_z(0.0, fwd.states[:, 0], bwd.values[:, 0],
+            fz = spec.derivatives.f_z(0.0, fwd.state(0), bwd.values[:, 0],
                                       bwd.integrand[:, 0], ctl.values[:, 0])
             fz_grid = np.empty((M, N, 1))
             for j in range(N):
                 fz_grid[:, j] = spec.derivatives.f_z(
-                    batch.grid.nodes[j], fwd.states[:, j], bwd.values[:, j],
+                    batch.grid.nodes[j], fwd.state(j), bwd.values[:, j],
                     bwd.integrand[:, j], ctl.values[:, j])
-            w = mc.girsanov_weights(fz_grid, batch)
+            w = girsanov_weights(fz_grid, batch)
             se = w.std(ddof=1) / np.sqrt(M)
             assert abs(w.mean() - 1.0) <= 5 * se
 

@@ -9,7 +9,9 @@ import msacontrol as mc
 from msacontrol.adjoint import _upsilon_batch
 from msacontrol.bsde import BackwardPaths
 from msacontrol.model import constant_fn
-from msacontrol.stochastics import BrownianBatch, ControlField, ForwardPaths
+from msacontrol.stochastics import BrownianBatch, ControlField
+
+from dense_paths import dense_forward
 
 
 def zero_spec(n=1, d=1, k=1):
@@ -83,11 +85,23 @@ def random_curvature_case(n, d, N, M, seed=123):
     Yv = rng.normal(size=(M, N + 1))
     Zv = rng.normal(size=(M, N, d))
     ctl = ControlField(table=rng.normal(size=(M * N, 1)), index=np.arange(M * N).reshape(M, N))
-    fwd = ForwardPaths(states=X, control=ctl, batch=batch)
+    fwd = dense_forward(X, ctl, batch)
     bwd = BackwardPaths(values=Yv, integrand=Zv, j_estimate=0.0, j_stderr=0.0)
     first = mc.FirstOrderAdjoint(p=rng.normal(size=(M, N + 1, n)),
                                  q=rng.normal(size=(M, N, n, d)))
     return spec, fwd, bwd, ctl, first, (BX, SX, BXX, SXX, FZ, FY, H0, PHIXX)
+
+
+class TestStepPoint:
+    @pytest.mark.parametrize("name", ["b_xx", "f_hess", "phi_x", "sigma"])
+    def test_names_other_than_its_five_derivatives_refused(self, name):
+        # b_xx, f_hess and phi_x are in the bundle, but a step's node reads only
+        # f_z, f_y, f_x, sigma_x and b_x
+        x = np.zeros((3, 1))
+        point = mc.adjoint.StepPoint(mc.example41(0.1).spec, 0.0, x, np.zeros(3), x, x)
+        with pytest.raises(AttributeError, match=f"^{name}$"):
+            getattr(point, name)
+        assert point.f_z.shape == (3, 1) and not hasattr(point, name)
 
 
 class TestFirstOrderAdjoint:
@@ -216,7 +230,7 @@ class TestSecondOrderAdjoint:
 
         def psi(structure):
             flagged = dataclasses.replace(spec, derivatives=dv, structure=structure)
-            point = mc.adjoint.StepPoint(flagged, 0.5, fwd.states[:, 1], bwd.values[:, 1],
+            point = mc.adjoint.StepPoint(flagged, 0.5, fwd.state(1), bwd.values[:, 1],
                                          bwd.integrand[:, 1], ctl.values[:, 1])
             return mc.adjoint.psi_matrix(point, first.p[:, 1], first.q[:, 1])
 

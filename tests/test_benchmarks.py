@@ -10,6 +10,8 @@ import msacontrol as mc
 from msacontrol.benchmarks import _decision_nodes, _node_index_map, tree_random_control
 from msacontrol.model import constant_fn
 
+from dense_paths import dense_states
+
 
 class TestExample41:
     def test_penalty_weight_small_L(self):
@@ -35,7 +37,7 @@ class TestExample41:
         ctl = mc.constant_control([0.0], M, N)
         fwd = mc.simulate_forward(bench.spec, ctl, batch)
         bwd = mc.solve_state_bsde(bench.spec, fwd, mc.RegressionBackend())
-        assert np.all(fwd.states == 0.0)
+        assert np.all(dense_states(fwd) == 0.0)
         assert np.all(bwd.values == 0.0)
         assert np.all(bwd.integrand == 0.0)
         assert bwd.j_estimate == 0.0 == bench.jstar
@@ -289,6 +291,11 @@ class TestTreeBruteforce:
         assert tree.jstar == 0.0
         assert tree.policy[:, 0].tolist() == [0.0, 1.0, 1.0]
 
+    def test_unknown_mode_refused(self):
+        bench = mc.lq_desk()
+        with pytest.raises(mc.ConfigurationError, match="^unknown tree mode 'sideways'$"):
+            mc.tree_bruteforce(bench.spec, bench.domain, 3, mode="sideways")
+
     def test_refused_policy_is_named(self):
         # u = 1 drives the state to +inf; policy 4 = (root, up, down) = (1, 0, 0)
         # is the first whose state breaks, at step 1 on every one of its paths
@@ -423,7 +430,7 @@ class TestTreeBruteforce:
             zhat = np.repeat(
                 (bwd.values[:, j + 1] * batch.increments[:, j, 0])
                 .reshape(-1, block).mean(axis=1), block) / dt
-            f = bench.spec.driver(batch.grid.nodes[j], fwd.states[:, j, :], yhat,
+            f = bench.spec.driver(batch.grid.nodes[j], fwd.state(j), yhat,
                                   zhat[:, None], ctl.values[:, j, :])
             assert np.array_equal(bwd.values[:, j], yhat + f * dt)
 
@@ -517,6 +524,49 @@ class TestBackwardInduction:
         assert np.array_equal(tree.policy, reference.policy)
         assert tree.jstar == pytest.approx(optimum, abs=1e-5)
         assert tree.jstar < certified_wrong - 0.01
+
+    @pytest.mark.parametrize("where, parts, points, error, message", [
+        # u = 1 drives X_1 to +inf, first in policy 4 = (root, up, down) = (1, 0, 0)
+        ("state", dict(drift=lambda t, x, u: np.where(u == 1.0, np.inf, 0.0),
+                       diffusion=constant_fn(np.ones((1, 1))),
+                       driver=lambda t, x, y, z, u: np.zeros(len(x)),
+                       terminal=lambda x: x[:, 0] ** 2),
+         [[0.0], [1.0]], mc.SimulationError,
+         "policy 4 with node controls [[1.0], [0.0], [0.0]] drives the state non-finite "
+         "at step 1"),
+        # Phi is NaN at X_T = u_0 + u_1 = 2, first on the down paths of policy 5 = (1, 0, 1)
+        ("terminal", dict(drift=lambda t, x, u: 2.0 * u,
+                          diffusion=constant_fn(np.zeros((1, 1))),
+                          driver=lambda t, x, y, z, u: np.zeros(len(x)),
+                          terminal=lambda x: np.where(x[:, 0] > 1.5, np.nan, x[:, 0])),
+         [[0.0], [1.0]], mc.NumericalError,
+         "policy 5 with node controls [[1.0], [0.0], [1.0]] gives a non-finite cost at step 1"),
+        # f is NaN for u = 2 from t = 0.5 on, first on the down paths of policy 2 = (0, 0, 2)
+        ("value", dict(drift=lambda t, x, u: u.astype(float),
+                       diffusion=constant_fn(np.full((1, 1), 0.2)),
+                       driver=lambda t, x, y, z, u: np.where(
+                           (u[:, 0] == 2.0) & (t >= 0.5), np.nan, 0.1 * u[:, 0] ** 2),
+                       terminal=lambda x: (x[:, 0] - 0.3) ** 2),
+         [[0.0], [1.0], [2.0]], mc.NumericalError,
+         "policy 2 with node controls [[0.0], [0.0], [2.0]] gives a non-finite cost at step 1"),
+    ], ids=["state", "terminal", "value"])
+    def test_non_finite_induction_falls_back_to_the_enumeration(self, monkeypatch, where,
+                                                                 parts, points, error, message):
+        # df = 0 certifies the comparison, so the induction runs; it meets the
+        # non-finite number and answers None, and the enumeration names the policy
+        spec = mc.ProblemSpec.build(n=1, d=1, k=1, x0=np.zeros(1), horizon=1.0,
+                                    bounds=mc.Bounds(df=0.0), **parts)
+        real, answers = mc.benchmarks._backward_induction, []
+
+        def spy(*args):
+            answers.append(real(*args))
+            return answers[-1]
+
+        monkeypatch.setattr(mc.benchmarks, "_backward_induction", spy)
+        with pytest.raises(error) as info:
+            mc.tree_bruteforce(spec, mc.FiniteSet(points), 2)
+        assert answers == [None]
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("mode", ["nonrecombining", "recombining"])
     @pytest.mark.parametrize("maker", [mc.example41, lambda L: mc.lq_desk()])

@@ -10,6 +10,8 @@ from msacontrol.bsde import _design_matrix, _monomial_plan, _proxies, _step_feat
 from msacontrol.model import constant_fn
 from msacontrol.stochastics import _time_major
 
+from dense_paths import dense_forward
+
 
 def linear_driver_spec(alpha: float, x0: float) -> mc.ProblemSpec:
     """f = alpha * y, Phi(x) = x, dX = dW: closed-form Y_0 = e^{alpha T} x0."""
@@ -47,17 +49,17 @@ def reference_state_bsde(spec, forward, backend):
     nodes = batch.grid.nodes
     Y = _time_major((M, N + 1))
     Z = _time_major((M, N, spec.d))
-    Y[:, N] = spec.terminal(forward.states[:, N, :])
+    Y[:, N] = spec.terminal(forward.state(N))
     driver_sum = np.zeros(M)
     for j in range(N - 1, -1, -1):
-        feats = _step_features(forward.states[:, j, :], control.at(j))
+        feats = _step_features(forward.state(j), control.at(j))
         targets = np.concatenate(
             [Y[:, j + 1][:, None], Y[:, j + 1][:, None] * batch.increments[:, j, :]],
             axis=1)
         proj = backend.project(j, feats, targets)
         yhat = proj[:, 0]
         Z[:, j, :] = proj[:, 1:] / dt
-        xj = forward.states[:, j, :]
+        xj = forward.state(j)
         uj = control.at(j)
         Y[:, j] = yhat + spec.driver(nodes[j], xj, yhat, Z[:, j, :], uj) * dt
         driver_sum += Y[:, j] - yhat
@@ -101,6 +103,17 @@ class TestCondexpFit:
         y = rng.normal(size=256)
         fitted = mc.RegressionBackend(degree=0).project(0, x, y)
         np.testing.assert_allclose(fitted, y.mean(), rtol=0.0, atol=1e-12)
+
+    def test_fewer_samples_than_basis_functions_refused(self):
+        # degree 2 in two features: 1, x, u, x^2, x u, u^2
+        rng = np.random.default_rng(3)
+        backend = mc.RegressionBackend(degree=2)
+        x, u = rng.normal(size=(6, 1)), rng.normal(size=(6, 1))
+        assert backend.project(0, (x, u), rng.normal(size=6)).shape == (6,)
+        with pytest.raises(mc.ConfigurationError) as info:
+            backend.project(0, (x[:5], u[:5]), rng.normal(size=5))
+        assert str(info.value) == ("need at least as many samples (5) as basis "
+                                   "functions (6)")
 
     @pytest.mark.parametrize("design", ["zero", "constant", "binary", "opposite"])
     def test_collinear_design_projects_onto_its_span(self, design):
@@ -192,8 +205,7 @@ class TestProjectInPlace:
         rng = np.random.default_rng(4)
         batch = mc.sample_brownian(mc.TimeGrid(1.0, N), M, d, 4)
         control = mc.random_control(mc.FiniteSet([[0.0], [1.0], [-1.0]]), M, N, 4)
-        forward = mc.ForwardPaths(states=rng.normal(size=(M, N + 1, n)), control=control,
-                                  batch=batch)
+        forward = dense_forward(rng.normal(size=(M, N + 1, n)), control, batch)
         nxt, u = [rng.normal(size=M), rng.normal(size=(M, n))], control.at(1)
         backend = mc.RegressionBackend(degree=2)
         _proxies(nxt, 1, forward, u, backend)  # warm-up: the plan cache stays out
@@ -263,12 +275,12 @@ class TestSolveStateBsde:
         batch, fwd, bwd = solved(spec, 50_000, N, 42)
         factor = (1 + 0.5 * batch.grid.dt) ** N
         assert bwd.j_estimate == pytest.approx(
-            factor * fwd.states[:, -1, 0].mean(), abs=1e-10)
+            factor * fwd.state(N)[:, 0].mean(), abs=1e-10)
 
     def test_terminal_condition_bitwise(self):
         spec = linear_driver_spec(0.3, 0.5)
         _, fwd, bwd = solved(spec, 3000, 10, 5)
-        assert np.array_equal(bwd.values[:, -1], spec.terminal(fwd.states[:, -1, :]))
+        assert np.array_equal(bwd.values[:, -1], spec.terminal(fwd.state(10)))
 
     def test_tower_property_zero_driver(self):
         spec = mc.ProblemSpec.build(
@@ -407,8 +419,7 @@ def solve_one(terminal, step, batch, states, backend):
     """p (M, N+1, r) and q (M, N, r, d) of one equation, stored from solve_bsde's step
     along the given (M, N+1, n) states under a zero control."""
     M, N = batch.n_paths, batch.grid.steps
-    fwd = mc.ForwardPaths(states=states, control=mc.constant_control([0.0], M, N),
-                          batch=batch)
+    fwd = dense_forward(states, mc.constant_control([0.0], M, N), batch)
     p = np.empty((M, N + 1) + terminal.shape[1:])
     q = np.empty((M, N) + terminal.shape[1:] + (batch.d,))
     p[:, N] = terminal

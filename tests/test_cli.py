@@ -148,6 +148,57 @@ class TestCmdRun:
         assert run_cli(["run", "--problem", str(missing)]) == 2
         assert f"problem file not found: {missing}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, message", [
+        ("paths=200\nsteps 5\n", "{cfg}:2: expected KEY=VALUE, got 'steps 5'"),
+        ("paths=many\n", "config file value for paths is not valid: "),
+        ("epsilon=1e-3\nL=0.1.2\n", "config file value for L is not valid: "),
+    ], ids=["no-equals", "paths-not-int", "L-not-float"])
+    def test_malformed_config_file_exits_2(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "run.csv"
+        assert run_cli(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: " + message.format(cfg=cfg))
+        assert not out.exists()
+
+    def test_unreadable_config_file_exits_2(self, tmp_path, capsys):
+        for path in (tmp_path / "missing.cfg", tmp_path):  # absent, and a directory
+            assert run_cli(["run", "--config", str(path), "--iters", "1"]) == 2
+            assert capsys.readouterr().err.startswith(
+                f"configuration error: cannot read config file {path}: ")
+
+    @pytest.mark.parametrize("source, message", [
+        ("import msacontrol as mc\nproblem = mc.example41(0.1)\n",
+         "problem file {prob} must define make_problem() -> Benchmark"),
+        ("import msacontrol as mc\ndef make_problem():\n    return mc.example41(0.1).spec\n",
+         "make_problem() must return a Benchmark"),
+    ], ids=["no-make_problem", "returns-a-spec"])
+    def test_problem_file_without_a_benchmark_exits_2(self, tmp_path, capsys, source, message):
+        prob = tmp_path / "myprob.py"
+        prob.write_text(source)
+        assert run_cli(["run", "--problem", str(prob), "--paths", "200"]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: {message.format(prob=prob)}\n")
+
+    def test_numerical_failure_exits_3(self, tmp_path, capsys):
+        prob = tmp_path / "nan_terminal.py"
+        prob.write_text(
+            "import dataclasses\n"
+            "import numpy as np\n"
+            "import msacontrol as mc\n"
+            "def make_problem():\n"
+            "    bench = mc.example41(0.1)\n"
+            "    spec = dataclasses.replace(bench.spec,\n"
+            "                               terminal=lambda x: np.full(len(x), np.nan))\n"
+            "    return dataclasses.replace(bench, spec=spec)\n")
+        out = tmp_path / "run.csv"
+        assert run_cli(["run", "--problem", str(prob), "--paths", "200", "--steps", "5",
+                        "--iters", "2", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: iteration 1: step 4: ")
+        assert "non-finite" in err and not out.exists()
+
 
 class TestCmdOracle:
     def test_example41_prints_zero_optimum(self, capsys):

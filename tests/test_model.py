@@ -42,6 +42,23 @@ class TestProblemSpec:
         spec = zero_coeff_spec(n=np.int64(2), d=np.int32(1))
         assert (spec.n, spec.d) == (2, 1)
 
+    @pytest.mark.parametrize("changes, message", [
+        ({"horizon": 0.0}, "horizon must be positive"),
+        ({"horizon": -1.0}, "horizon must be positive"),
+        ({"x0": np.zeros(1)}, r"x0 must have shape \(2,\), got \(1,\)"),
+        ({"x0": np.zeros(3)}, r"x0 must have shape \(2,\), got \(3,\)"),
+        ({"derivatives": {"f_zz": None, "b_x": None, "phi_xxx": None}},
+         r"unknown derivative names: \['f_zz', 'phi_xxx'\]"),
+    ], ids=["zero-horizon", "negative-horizon", "short-x0", "long-x0", "unknown-derivatives"])
+    def test_malformed_spec_refused(self, changes, message):
+        kwargs = dict(n=2, d=1, k=1, x0=np.zeros(2), horizon=1.0,
+                      drift=lambda t, x, u: np.zeros_like(x),
+                      diffusion=lambda t, x, u: np.zeros((len(x), 2, 1)),
+                      driver=lambda t, x, y, z, u: np.zeros(len(x)),
+                      terminal=lambda x: np.zeros(len(x)))
+        with pytest.raises(mc.ConfigurationError, match=message):
+            mc.ProblemSpec.build(**{**kwargs, **changes})
+
 
 class TestCoefficients:
     # a single point is a one-row batch of the spec's own callables
@@ -126,6 +143,14 @@ class TestCheckDerivatives:
         rep = mc.check_derivatives(spec, sample_count=10, tol=1e-4, seed=1)
         assert not rep.passed("f_y")
         assert rep.passed("f_z")
+        assert rep.worst == ("f_y", rep.errors["f_y"])
+
+    def test_worst_is_the_largest_error_and_its_name(self):
+        # the benchmark reports a failed derivative check by ``worst``
+        rep = mc.DerivativeReport(errors={"b_x": 0.0, "f_z": 2e-3, "f_y": 5e-4, "phi_x": 2e-3},
+                                  tol=1e-3, fd_fallback=frozenset())
+        assert rep.worst == ("f_z", 2e-3)  # a tie goes to the first name
+        assert not rep.all_passed and rep.passed("f_y")
 
     # right on every one-row batch, wrong on any larger one: f_z repeats row
     # 0's value for every row, f_y returns one value for the whole batch
@@ -397,6 +422,31 @@ class TestControlDomains:
             mc.Box([1.0], [0.0], [3])
         with pytest.raises(mc.ConfigurationError):
             mc.Box([0.0], [1.0], [1])
+
+    def test_box_scalar_resolution_broadcasts_to_every_axis(self):
+        for resolution in (3, [3]):
+            box = mc.Box([-1.0, 0.0], [1.0, 2.0], resolution)
+            assert box.resolution.tolist() == [3, 3]
+            pts = mc.enumerate_controls(box)
+            assert pts.shape == (9, 2)
+            assert np.array_equal(pts[:3], [[-1, 0], [-1, 1], [-1, 2]])
+
+    @pytest.mark.parametrize("lower, upper, resolution", [
+        ([0.0, 0.0], [1.0], [3]),
+        ([0.0], [1.0, 1.0], [3]),
+        ([0.0, 0.0], [1.0, 1.0], [3, 3, 3]),
+        ([0.0], [1.0], [3, 3]),
+    ], ids=["short-upper", "short-lower", "long-resolution", "resolution-per-missing-axis"])
+    def test_box_shapes_that_differ_refused(self, lower, upper, resolution):
+        with pytest.raises(mc.ConfigurationError,
+                           match="Box lower/upper/resolution shapes differ"):
+            mc.Box(lower, upper, resolution)
+
+    @pytest.mark.parametrize("domain", [[[0.0], [1.0]], np.zeros((2, 1)), "box"])
+    def test_enumerating_an_unsupported_domain_refused(self, domain):
+        with pytest.raises(mc.ConfigurationError,
+                           match=f"unsupported control domain: {type(domain).__name__}$"):
+            mc.enumerate_controls(domain)
 
     @pytest.mark.parametrize("make", [
         lambda: mc.Box([0.0], [1.0], [2.7]),       # was cast to 2 grid points

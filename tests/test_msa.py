@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 import msacontrol as mc
 from msacontrol.stochastics import _time_major
 
+from dense_paths import girsanov_weights
+
 
 def records_equal_except_wall(a, b):
     fields = ("m", "j", "j_stderr", "mu", "mu_stderr", "descent", "weight_ess",
@@ -91,7 +93,7 @@ class TestComputeMu:
         # the streamed exponent gives the weights of girsanov_weights, bitwise
         batch = mc.sample_brownian(mc.TimeGrid(1.0, 10), 400, 2, 3)
         fz = 0.4 * np.random.default_rng(1).normal(size=(400, 10, 2))
-        w = mc.girsanov_weights(fz, batch)
+        w = girsanov_weights(fz, batch)
         sums = streamed_sums(np.ones((400, 10)), fz, batch.increments)
         samples = w * sums[0] * batch.dt
         mu, se, ess, ratio = mc.compute_mu(*sums, batch.dt)
@@ -222,6 +224,19 @@ class TestRunMsa:
         # each was once accepted, to fail later (or run with dt = inf)
         with pytest.raises(mc.ConfigurationError, match=message):
             make()
+
+    @pytest.mark.parametrize("initial, message", [
+        ("zeros", "^unknown initial control 'zeros'$"),
+        (mc.constant_control([0.0], 9, 5), "^initial control shape does not match the run$"),
+        (mc.constant_control([0.0], 10, 4), "^initial control shape does not match the run$"),
+        (mc.constant_control([0.0, 0.0], 10, 5),
+         "^initial control shape does not match the run$"),
+    ], ids=["unknown-name", "paths", "steps", "k"])
+    def test_malformed_initial_control_refused(self, initial, message):
+        bench = mc.example41(0.1)
+        cfg = mc.MsaConfig(rho=bench.rho, n_paths=10, steps=5, seed=0, max_iters=1)
+        with pytest.raises(mc.ConfigurationError, match=message):
+            mc.run_msa(bench.spec, bench.domain, cfg, initial, hints=bench.hints)
 
     @pytest.mark.parametrize("seed", [-1, 2 ** 128, 1.5, True, np.float64(3.0)],
                              ids=["negative", "2**128", "float", "bool", "numpy-float"])
@@ -572,6 +587,39 @@ class TestLastPricing:
             for control in (res.returned_control, res.last_control):
                 assert control.values.tobytes() == u_1.values.tobytes()
         assert records_equal_except_wall(*(res.records for res in runs))
+
+
+    @pytest.mark.parametrize("iters", [2, 3])
+    def test_a_failure_names_the_last_pass(self, iters, monkeypatch):
+        # the hinted H prefers u + 1, so u^m = m on every path; u = 2 drives X_1 to
+        # +inf. With 2 passes the last pricing (of u^2) fails, with 3 pass 3's own
+        # forward pass: either way the error names iteration {max_iters}
+        spec = mc.ProblemSpec.build(
+            n=1, d=1, k=1, x0=np.zeros(1), horizon=1.0,
+            drift=lambda t, x, u: np.where(u >= 2.0, np.inf, 0.0),
+            diffusion=lambda t, x, u: np.ones((len(x), 1, 1)),
+            driver=lambda t, x, y, z, u: np.zeros(len(x)),
+            terminal=lambda x: x[:, 0] ** 2)
+        hints = mc.RunHints(
+            hamiltonian=lambda spec, t, x, y, z, p, q, P, v, u: (
+                -1.0 * (v[:, 0] == u[:, 0] + 1.0)),
+            penalty=lambda spec, t, x, y, z, p, q, v, u: np.zeros(len(x)))
+        M, N = 16, 4
+        cfg = mc.MsaConfig(rho=0.0, n_paths=M, steps=N, seed=5, max_iters=iters)
+        calls = []
+        real = mc.msa.simulate_forward
+
+        def spy(spec, control, batch):
+            calls.append(np.unique(control.values).tolist())
+            return real(spec, control, batch)
+
+        monkeypatch.setattr(mc.msa, "simulate_forward", spy)
+        with pytest.raises(mc.SimulationError) as info:
+            mc.run_msa(spec, mc.FiniteSet([[0.0], [1.0], [2.0]]), cfg,
+                       mc.constant_control([0.0], M, N), hints=hints)
+        assert calls == [[0.0], [1.0], [2.0]]
+        assert str(info.value) == f"iteration {iters}: non-finite state at path 0, step 1"
+        assert (info.value.path, info.value.step) == (0, 1)
 
 
 def priced(spec, cfg, control):
@@ -1072,7 +1120,7 @@ def stored_pass(spec, forward, backend, first=None, second=None):
     batch = forward.batch
     M, N, n, d, dt, nodes = (batch.n_paths, batch.grid.steps, spec.n, spec.d, batch.dt,
                              batch.grid.nodes)
-    x_T, solve_p, solve_P = forward.states[:, N, :], first is None, second is None
+    x_T, solve_p, solve_P = forward.state(N), first is None, second is None
     Y, Z = _time_major((M, N + 1)), _time_major((M, N, d))
     terminals, store = [np.asarray(spec.terminal(x_T), dtype=float)], [(Y, Z)]
     if solve_p:
@@ -1087,7 +1135,7 @@ def stored_pass(spec, forward, backend, first=None, second=None):
 
     def step(j, u, phats, qs):
         nonlocal asym
-        x = forward.states[:, j, :]
+        x = forward.state(j)
         y = mc.bsde.cost_step(spec, nodes[j], x, phats[0], qs[0], u, dt)
         driver_sum[...] += y - phats[0]
         if j == 0:
@@ -1150,14 +1198,14 @@ def separate_passes(spec, domain, cfg, initial, hints):
         hhat = _time_major((M, N))
         for j in range(N):
             u_new[:, j, :], h_new, h_prev, *_ = mc.hamiltonian.minimize_step(
-                spec, nodes[j], forward.states[:, j, :], backward.values[:, j],
+                spec, nodes[j], forward.state(j), backward.values[:, j],
                 backward.integrand[:, j, :], first.p[:, j, :], first.q[:, j], second.P[:, j],
                 u_values[:, j, :], candidates, cfg.rho, h_fn=hints.hamiltonian,
                 pen_fn=hints.penalty)
             hhat[:, j] = h_new - h_prev
         fz = np.empty((M, N, d))
         for j in range(N):
-            fz[:, j, :] = spec.derivatives.f_z(nodes[j], forward.states[:, j, :],
+            fz[:, j, :] = spec.derivatives.f_z(nodes[j], forward.state(j),
                                                backward.values[:, j],
                                                backward.integrand[:, j, :],
                                                u_values[:, j, :])

@@ -10,6 +10,8 @@ from hypothesis.extra import numpy as hnp
 import msacontrol as mc
 from msacontrol.model import constant_fn
 
+from dense_paths import dense_forward, dense_states, girsanov_weights
+
 
 class TestTimeGrid:
     def test_nodes_cover_interval(self):
@@ -110,20 +112,20 @@ class TestSimulateForward:
             terminal=lambda x: x[:, 0])
         batch = mc.sample_brownian(mc.TimeGrid(1.0, 10), 50, 1, 3)
         fwd = mc.simulate_forward(spec, mc.constant_control([0.0], 50, 10), batch)
-        assert np.all(fwd.states == 1.5)
+        assert np.all(dense_states(fwd) == 1.5)
 
     def test_example41_zero_control_freezes_state(self):
         spec = mc.example41(0.1).spec
         batch = mc.sample_brownian(mc.TimeGrid(1.0, 20), 100, 1, 7)
         fwd = mc.simulate_forward(spec, mc.constant_control([0.0], 100, 20), batch)
-        assert np.all(fwd.states == 0.0)
+        assert np.all(dense_states(fwd) == 0.0)
 
     def test_example41_unit_control_is_brownian(self):
         spec = mc.example41(0.1).spec
         batch = mc.sample_brownian(mc.TimeGrid(1.0, 20), 200, 1, 7)
         fwd = mc.simulate_forward(spec, mc.constant_control([1.0], 200, 20), batch)
         walked = np.cumsum(batch.increments[:, :, 0], axis=1)
-        assert np.array_equal(fwd.states[:, 1:, 0], walked)
+        assert np.array_equal(dense_states(fwd)[:, 1:, 0], walked)
 
     def test_resimulation_bitwise_reproducible(self):
         bench = mc.example41(0.1)
@@ -131,7 +133,7 @@ class TestSimulateForward:
         ctl = mc.random_control(bench.domain, 64, 20, 11)
         a = mc.simulate_forward(bench.spec, ctl, batch)
         b = mc.simulate_forward(bench.spec, ctl, batch)
-        assert np.array_equal(a.states, b.states)
+        assert np.array_equal(dense_states(a), dense_states(b))
 
     def test_weak_exactness_additive_case(self):
         spec = mc.ProblemSpec.build(
@@ -141,7 +143,7 @@ class TestSimulateForward:
             terminal=lambda x: x[:, 0])
         batch = mc.sample_brownian(mc.TimeGrid(1.0, 20), 100_000, 1, 19)
         fwd = mc.simulate_forward(spec, mc.constant_control([0.0], 100_000, 20), batch)
-        var = fwd.states[:, -1, 0].var()
+        var = fwd.state(20)[:, 0].var()
         assert 0.95 < var < 1.05
 
     def test_non_finite_state_reports_indices(self):
@@ -154,6 +156,24 @@ class TestSimulateForward:
         batch = mc.sample_brownian(mc.TimeGrid(1.0, 5), 10, 1, 0)
         with pytest.raises(mc.SimulationError, match="path"):
             mc.simulate_forward(spec, mc.constant_control([0.0], 10, 5), batch)
+
+
+    @pytest.mark.parametrize("paths, steps", [(9, 5), (10, 4), (10, 6)])
+    def test_control_of_another_shape_refused(self, paths, steps):
+        batch = mc.sample_brownian(mc.TimeGrid(1.0, 5), 10, 1, 0)
+        with pytest.raises(mc.ConfigurationError) as info:
+            mc.simulate_forward(mc.example41(0.1).spec,
+                                mc.constant_control([0.0], paths, steps), batch)
+        assert str(info.value) == (f"control shape ({paths}, {steps}) does not match "
+                                   f"batch (10, 5)")
+
+    @pytest.mark.parametrize("k, d", [(2, 1), (1, 2)], ids=["control-k", "noise-d"])
+    def test_dimension_other_than_the_problems_refused(self, k, d):
+        spec = mc.example41(0.1).spec  # k = d = 1
+        batch = mc.sample_brownian(mc.TimeGrid(1.0, 5), 10, d, 0)
+        with pytest.raises(mc.ConfigurationError,
+                           match="^control/batch dimensions disagree with the problem$"):
+            mc.simulate_forward(spec, mc.constant_control(np.zeros(k), 10, 5), batch)
 
 
 def reference_states(spec, control, batch):
@@ -205,8 +225,8 @@ class TestCheckpointedStates:
                 assert x.shape == (M, spec.n) and x.flags.c_contiguous
                 assert np.array_equal(x, want[j]), f"{name} read of node {j}"
         dense = np.stack(want, axis=1)
-        assert np.array_equal(forward.states, dense)
-        given = mc.ForwardPaths(states=dense, control=control, batch=batch)
+        assert np.array_equal(dense_states(forward), dense)
+        given = dense_forward(dense, control, batch)
         assert all(np.array_equal(given.state(j), want[j]) for j in range(N, -1, -1))
 
     def test_non_finite_state_raises_from_the_first_pass(self):
@@ -231,13 +251,21 @@ class TestCheckpointedStates:
         assert str(info.value) == f"non-finite state at path {path}, step {step}"
         assert (info.value.path, info.value.step) == (path, step)
 
+    @pytest.mark.parametrize("j", [-1, 6, 100])
+    def test_node_outside_the_grid_refused(self, j):
+        bench = mc.example41(0.1)
+        batch = mc.sample_brownian(mc.TimeGrid(1.0, 5), 8, 1, 0)
+        forward = mc.simulate_forward(bench.spec, mc.constant_control([1.0], 8, 5), batch)
+        with pytest.raises(IndexError, match=rf"^node {j} outside 0\.\.5$"):
+            forward.state(j)
+
     @pytest.mark.parametrize("shape", [(64, 7, 1), (32, 6, 1), (64, 6), (64, 6, 1, 1)])
     def test_given_states_must_match_the_batch(self, shape):
         # the batch has 64 paths and 5 steps, so 6 nodes
         batch = mc.sample_brownian(mc.TimeGrid(1.0, 5), 64, 1, 0)
         control = mc.constant_control([0.0], 64, 5)
         with pytest.raises(mc.ConfigurationError) as info:
-            mc.ForwardPaths(states=np.zeros(shape), control=control, batch=batch)
+            dense_forward(np.zeros(shape), control, batch)
         assert str(shape) in str(info.value) and "(64, 5)" in str(info.value)
 
 
@@ -337,13 +365,13 @@ class TestControlField:
 class TestGirsanovWeights:
     def test_zero_integrand_gives_unit_weights(self):
         batch = mc.sample_brownian(mc.TimeGrid(1.0, 12), 30, 1, 2)
-        w = mc.girsanov_weights(np.zeros((30, 12, 1)), batch)
+        w = girsanov_weights(np.zeros((30, 12, 1)), batch)
         assert np.all(w == 1.0)
 
     def test_constant_integrand_closed_form(self):
         batch = mc.sample_brownian(mc.TimeGrid(1.0, 20), 50_000, 1, 6)
         c = 0.4
-        w = mc.girsanov_weights(np.full((50_000, 20, 1), c), batch)
+        w = girsanov_weights(np.full((50_000, 20, 1), c), batch)
         w_t = batch.increments[:, :, 0].sum(axis=1)
         expected = np.exp(c * w_t - 0.5 * c * c * 1.0)
         assert np.allclose(w, expected, rtol=1e-12)
@@ -359,7 +387,7 @@ class TestGirsanovWeights:
                                         np.zeros((M, 1)), np.zeros((M, 1)))
         assert np.all(fz == 0.1)
         fz_grid = np.broadcast_to(fz[:, None, :], (M, N, 1))
-        w = mc.girsanov_weights(fz_grid, batch)
+        w = girsanov_weights(fz_grid, batch)
         w_t = batch.increments[:, :, 0].sum(axis=1)
         assert np.allclose(w, np.exp(0.1 * w_t - 0.005), rtol=1e-12)
         stderr = w.std(ddof=1) / np.sqrt(M)
@@ -369,12 +397,12 @@ class TestGirsanovWeights:
         grid = mc.TimeGrid(1.0, 5)
         huge = mc.BrownianBatch(grid, np.full((4, 5, 1), 1e3))
         with pytest.raises(mc.NumericalError, match="overflow at path"):
-            mc.girsanov_weights(np.ones((4, 5, 1)), huge)
+            girsanov_weights(np.ones((4, 5, 1)), huge)
 
     def test_underflow_names_path(self):
         batch = mc.sample_brownian(grid=mc.TimeGrid(1.0, 5), n_paths=4, d=1, seed=1)
         with pytest.raises(mc.NumericalError, match="underflow at path"):
-            mc.girsanov_weights(np.full((4, 5, 1), 1e6), batch)
+            girsanov_weights(np.full((4, 5, 1), 1e6), batch)
 
     @pytest.mark.parametrize("log_w, message", [
         ([0.0, 1.0, -np.inf, 2.0], "underflow at path 2"),
@@ -423,7 +451,7 @@ class TestTimeMajorLayout:
         second = mc.adjoint.second_order_adjoint(spec, forward, backward, first, backend)
         zero = mc.adjoint.zero_second_order(spec, batch)
         arrays = {
-            "X": forward.states, "Y": backward.values, "Z": backward.integrand,
+            "X": dense_states(forward), "Y": backward.values, "Z": backward.integrand,
             "p": first.p, "q": first.q, "P": second.P, "Q": second.Q,
             "zero P": zero.P, "zero Q": zero.Q,
         }
@@ -450,6 +478,40 @@ class TestTimeMajorLayout:
         assert len(seen) >= 2 and seen[-1] == 8 and max(seen) > 8
 
 
+class TestGirsanovTerms:
+    """``girsanov_terms`` sums each row by ``einsum``, without an (M, d) product."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_sums_equal_the_row_sums_of_the_products_bitwise(self, d):
+        # up to d = 2 the two add in one order; from d = 3 on they may differ in
+        # the last bit
+        M = 5_000
+        rng = np.random.default_rng(d)
+        start = rng.normal(size=(2, M))
+        stored = mc.stochastics._time_major((M, 2, d))  # step slices, as the sweep reads them
+        stored[...] = rng.normal(size=(M, 2, d))
+        for fz, dw in ((rng.normal(size=(M, d)), rng.normal(size=(M, d))),
+                       (stored[:, 0], stored[:, 1])):
+            sums = start.copy()
+            mc.stochastics.girsanov_terms(sums, fz, dw)
+            assert np.array_equal(sums[0], start[0] + (fz * dw).sum(axis=1))
+            assert np.array_equal(sums[1], start[1] + (fz * fz).sum(axis=1))
+
+    def test_one_call_holds_one_row_sum(self):
+        # an (M, d) product would add 8 M d bytes, 160 000 here, past the 64 KiB slack
+        M, d = 20_000, 1
+        rng = np.random.default_rng(0)
+        fz, dw, sums = rng.normal(size=(M, d)), rng.normal(size=(M, d)), np.zeros((2, M))
+        mc.stochastics.girsanov_terms(sums, fz, dw)  # warm-up
+        tracemalloc.start()
+        try:
+            mc.stochastics.girsanov_terms(sums, fz, dw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * M + 65_536
+
+
 class TestLayoutIndependentReductions:
     def test_girsanov_weights(self):
         batch = mc.sample_brownian(mc.TimeGrid(1.0, 20), 300, 2, 5)
@@ -458,7 +520,7 @@ class TestLayoutIndependentReductions:
         assert not batch.increments.flags.c_contiguous
         fz_time_major = np.empty((20, 300, 2)).swapaxes(0, 1)
         fz_time_major[...] = fz
-        want = mc.girsanov_weights(fz, c_batch)
-        assert np.array_equal(mc.girsanov_weights(fz, batch), want)
-        assert np.array_equal(mc.girsanov_weights(fz_time_major, batch), want)
-        assert np.array_equal(mc.girsanov_weights(fz_time_major, c_batch), want)
+        want = girsanov_weights(fz, c_batch)
+        assert np.array_equal(girsanov_weights(fz, batch), want)
+        assert np.array_equal(girsanov_weights(fz_time_major, batch), want)
+        assert np.array_equal(girsanov_weights(fz_time_major, c_batch), want)
