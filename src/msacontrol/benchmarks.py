@@ -20,7 +20,7 @@ import numpy as np
 
 from .bsde import ExactTreeBackend, cost_step, pathwise_cost
 from .errors import ConfigurationError, NumericalError, SimulationError, check_seed
-from .model import ControlDomain, ProblemSpec, enumerate_controls
+from .model import ControlDomain, ProblemSpec, enumerate_controls, problem_candidates
 from .stochastics import (_TREE_CONTROL_STREAM, BrownianBatch, ControlField, TimeGrid, _euler,
                           _time_major, simulate_forward)
 
@@ -241,7 +241,7 @@ def tree_bruteforce(spec: ProblemSpec, domain: ControlDomain, steps: int,
     if steps > math.log2(_POLICY_BUDGET):  # one candidate has one policy at any depth
         raise ConfigurationError(f"a tree of {steps} steps has 2^{steps} paths, over the "
                                  f"budget of {_POLICY_BUDGET}")
-    candidates = enumerate_controls(domain)
+    candidates = problem_candidates(spec, domain)
     nc, rows = len(candidates), (2 * len(candidates)) ** steps
     n_decision = _decision_nodes(steps, mode)
     policy_count = nc ** n_decision

@@ -182,8 +182,10 @@ def _step_features(x: Array, u: Array) -> Tuple[Array, Array]:
 
 def cost_step(spec: ProblemSpec, t: float, x: Array, yhat: Array, z: Array, u: Array,
               dt: float) -> Array:
-    """Y_j = yhat + f(t_j, X_j, yhat, Z_j, u_j) dt at the proxy yhat = E[Y_{j+1} | t_j]."""
-    return yhat + spec.driver(t, x, yhat, z, u) * dt
+    """Y_j = yhat + f(t_j, X_j, yhat, Z_j, u_j) dt at the proxy yhat = E[Y_{j+1} | t_j],
+    summed into f dt, a new array even where the driver returns an input."""
+    y = spec.driver(t, x, yhat, z, u) * dt
+    return np.add(y, yhat, out=y)
 
 
 def cost_estimate(samples: Array):
@@ -203,7 +205,7 @@ def pathwise_cost(spec: ProblemSpec, forward: ForwardPaths, backend,
 
     One ``solve_bsde`` sweep of ``cost_step`` that stores neither Y nor Z,
     unless given ``solve_bsde``'s ``store`` of time-major Y (M, N+1) and
-    Z (M, N, d) to fill.
+    Z (M, N, d) to fill; step 0 checks, stores and returns the pathwise Y_0.
     """
     batch = forward.batch
     M, N, dt = batch.n_paths, batch.grid.steps, batch.dt
@@ -212,24 +214,22 @@ def pathwise_cost(spec: ProblemSpec, forward: ForwardPaths, backend,
     def step(j, u, yhats, zs):
         y = cost_step(spec, nodes[j], forward.state(j), yhats[0], zs[0], u, dt)
         driver_sum[...] += y - yhats[0]
-        return [y]
+        return [y if j else y_T + driver_sum]
 
     y_T = np.asarray(spec.terminal(forward.state(N)), dtype=float)
-    solve_bsde([y_T], step, forward, backend, store)
-    return y_T + driver_sum
+    return solve_bsde([y_T], step, forward, backend, store)[0]
 
 
 def solve_state_bsde(spec: ProblemSpec, forward: ForwardPaths, backend) -> BackwardPaths:
     """Backward Euler for the recursive cost: ``pathwise_cost``'s sweep, storing Y
-    and Z_j = E[Y_{j+1} dW_j | t_j] / dt time-major; Y_0 is the pathwise one."""
+    and Z_j = E[Y_{j+1} dW_j | t_j] / dt time-major, the pathwise Y_0 at node 0."""
     M, N, d = forward.batch.n_paths, forward.batch.grid.steps, forward.batch.d
     Y, Z = _time_major((M, N + 1)), _time_major((M, N, d))
-    Y[:, 0] = pathwise_cost(spec, forward, backend, [(Y, Z)])
-    return BackwardPaths(Y, Z, *cost_estimate(Y[:, 0]))
+    return BackwardPaths(Y, Z, *cost_estimate(pathwise_cost(spec, forward, backend, [(Y, Z)])))
 
 
 def solve_bsde(terminals: List[Array], step: Callable, forward: ForwardPaths, backend,
-               store: Optional[Sequence[Tuple[Array, Array]]] = None) -> None:
+               store: Optional[Sequence[Tuple[Array, Array]]] = None) -> List[Array]:
     """Backward Euler for BSDEs dp = -F_t(p, q) dt + sum_i q^i dW^i, swept together.
 
     The package's one backward loop: its callers differ only in their
@@ -239,8 +239,9 @@ def solve_bsde(terminals: List[Array], step: Callable, forward: ForwardPaths, ba
     phat = E[p_{j+1} | t_j] and q_j = E[p_{j+1} dW_j | t_j] / dt (M, *shape, d).
     ``step(j, u_j, phats, qs)`` applies each driver explicitly to its proxies
     (it may be nonlinear in them) and returns the list of p_j, the only arrays
-    carried to the next step. u_j is step j of ``forward.control``, the control
-    that drove the trajectory, gathered once for the features and the step.
+    carried to the next step; the sweep returns step 0's. u_j is step j of
+    ``forward.control``, the control that drove the trajectory, gathered once
+    for the features and the step.
 
     What a step holds: its phats and q_j, each a contiguous array of its own
     (``_proxies``), and what ``step`` makes. The carries p_{j+1} are dropped
@@ -251,24 +252,34 @@ def solve_bsde(terminals: List[Array], step: Callable, forward: ForwardPaths, ba
     ``store``, when given, holds one time-major pair p (M, N+1, *shape),
     q (M, N, *shape, d) per equation: the sweep writes the terminal, each q_j
     before ``step`` reads it and each p_j into it, and carries views of the
-    store, not second copies. Raises NumericalError naming the step and the
-    first path where a p_j is not finite.
+    store, not second copies. Guards: a tree backend of another depth than N
+    is refused (ConfigurationError) before any regression, the terminals
+    (step N) and each step's carries are checked finite (``check_finite``),
+    and a NumericalError raised while step j runs is named ``step j:``.
     """
     N = forward.batch.grid.steps
+    if isinstance(backend, ExactTreeBackend) and backend.steps != N:
+        raise ConfigurationError(f"tree backend has {backend.steps} steps, the batch {N}")
     nxt = ([np.asarray(terminal, dtype=float) for terminal in terminals] if store is None
            else _stored(store, N, terminals))
     terminals.clear()
-    for j in range(N - 1, -1, -1):
-        u = forward.control.at(j)
-        phats, qs = _proxies(nxt, j, forward, u, backend, store)
-        del nxt  # step j + 1's carries are stacked: not held while step j runs
-        nxt = step(j, u, phats, qs)
-        del phats, qs  # nor are its proxies while step j - 1 projects
-        if store is not None:
-            nxt = _stored(store, j, nxt)
-        for p in nxt:
-            check_finite(p, j)
-        del p  # a carry too: the loop variable would hold the last one over step j - 1
+    j = N
+    try:
+        check_finite(*nxt)
+        for j in range(N - 1, -1, -1):
+            u = forward.control.at(j)
+            phats, qs = _proxies(nxt, j, forward, u, backend, store)
+            del nxt  # step j + 1's carries are stacked: not held while step j runs
+            nxt = step(j, u, phats, qs)
+            del phats, qs  # nor are its proxies while step j - 1 projects
+            if store is not None:
+                nxt = _stored(store, j, nxt)
+            check_finite(*nxt)
+    except NumericalError as exc:
+        exc.args = (f"step {j}: {exc}",) + exc.args[1:]
+        exc.step = j
+        raise
+    return nxt
 
 
 def _stored(store, j: int, values) -> List[Array]:
@@ -278,11 +289,12 @@ def _stored(store, j: int, values) -> List[Array]:
     return [p[:, j] for p, _ in store]
 
 
-def check_finite(p: Array, j: int) -> None:
-    """Raise NumericalError naming step j and the first path where p is not finite."""
-    if not np.isfinite(p).all():
-        bad = int(np.argmax(~np.isfinite(p.reshape(p.shape[0], -1)).all(axis=1)))
-        raise NumericalError(f"step {j}: non-finite solution on path {bad}", path=bad, step=j)
+def check_finite(*arrays: Array) -> None:
+    """Raise NumericalError naming the first non-finite path of the first bad array."""
+    for p in arrays:
+        if not np.isfinite(p).all():
+            bad = int(np.argmax(~np.isfinite(p.reshape(p.shape[0], -1)).all(axis=1)))
+            raise NumericalError(f"non-finite solution on path {bad}", path=bad)
 
 
 def _proxies(nxt, j: int, forward: ForwardPaths, u: Array, backend, store=None):

@@ -324,6 +324,14 @@ def enumerate_controls(domain: ControlDomain) -> Array:
     raise ConfigurationError(f"unsupported control domain: {type(domain).__name__}")
 
 
+def problem_candidates(spec: ProblemSpec, domain: ControlDomain) -> Array:
+    """``enumerate_controls(domain)``, or ConfigurationError unless domain.k is spec.k."""
+    candidates = enumerate_controls(domain)
+    if domain.k != spec.k:
+        raise ConfigurationError(f"control domain has k = {domain.k}, the problem k = {spec.k}")
+    return candidates
+
+
 # ---------------------------------------------------------------------------
 # derivative checking
 
@@ -413,10 +421,12 @@ def check_derivatives(spec: ProblemSpec, sample_count: int = 32, tol: float = 1e
 
 
 def constant_fn(value):
-    """Batched callable ignoring (t, x, u, ...) and returning `value` per sample."""
-    value = np.asarray(value, dtype=float)
+    """Batched callable returning `value` per row of x, called as (t, x, ...) or as (x):
+    one ``repeat``, several times cheaper than a ``broadcast_to`` copy on small batches."""
+    row = np.asarray(value, dtype=float)[None]
 
-    def fn(t, x, *rest):
-        return np.broadcast_to(value, (len(x),) + value.shape).copy()
+    def fn(*args):
+        x = args[1] if len(args) > 1 else args[0]
+        return row.repeat(len(x), axis=0)
 
     return fn

@@ -24,11 +24,11 @@ import numpy as np
 from .adjoint import (StepPoint, first_order_adjoint, first_order_step,  # noqa: F401
                       second_order_adjoint, second_order_step, second_order_vanishes,
                       zero_second_order)
-from .bsde import (ExactTreeBackend, RegressionBackend, check_finite,  # noqa: F401
-                   cost_estimate, cost_step, pathwise_cost, solve_bsde, solve_state_bsde)
-from .errors import ConfigurationError, NumericalError, check_count, check_seed
+from .bsde import (RegressionBackend, check_finite, cost_estimate, cost_step,  # noqa: F401
+                   pathwise_cost, solve_bsde, solve_state_bsde)
+from .errors import ConfigurationError, check_count, check_seed
 from .hamiltonian import minimize_step
-from .model import ControlDomain, ProblemSpec, enumerate_controls
+from .model import ControlDomain, ProblemSpec, problem_candidates
 from .stochastics import (BrownianBatch, ControlField, TimeGrid, _time_major, girsanov_exp,
                           girsanov_terms, random_control, sample_brownian, simulate_forward)
 
@@ -157,17 +157,18 @@ def _update_sweep(m: int, started: float, spec: ProblemSpec, forward, p_ode, P_o
     """Pass m's backward sweep along u^{m-1} = ``forward.control``: cost, adjoints,
     update, mu.
 
-    The cost BSDE is the pass's first equation, so each step's node is read
-    off that step's own (X_j, Y_j, Z_j, u_j). p_ode / P_ode hold a given
-    adjoint's nodes, or None where the sweep solves it. Each step adds to the
-    three (M,) sums ``compute_mu`` reduces after the pass. u^{m-1}'s table
-    starts with the candidates, so u^m is written as indices into that same
-    table: the winning candidate's, or u^{m-1}'s where a sample keeps it.
-    u^m's index is made at the first step whose controls change, from the
-    columns of u^{m-1} swept so far; after a pass that keeps every control,
-    u^m is u^{m-1} itself. Returns pass m's record, its descent still open and
-    its wall time counted from ``started`` (a ``perf_counter`` reading before
-    the forward pass), and u^m.
+    The cost BSDE is the pass's first equation, so each step's node is read off
+    that step's own (X_j, Y_j, Z_j, u_j), Y_0 the pathwise one that
+    ``solve_bsde`` returns and J averages; Y_j, p_j and P_j are checked finite
+    before the update reads them. p_ode / P_ode hold a given adjoint's nodes,
+    or None where the sweep solves it. Each step adds to the three (M,) sums
+    ``compute_mu`` reduces after the pass. u^{m-1}'s table starts with the
+    candidates, so u^m is written as indices into that same table: the winning
+    candidate's, or u^{m-1}'s where a sample keeps it. u^m's index is made at
+    the first step whose controls change, from the columns of u^{m-1} swept so
+    far; after a pass that keeps every control, u^m is u^{m-1} itself. Returns
+    pass m's record, its descent still open and its wall time counted from
+    ``started`` (a ``perf_counter`` reading before the forward pass), and u^m.
     """
     batch, u_prev = forward.batch, forward.control
     M, N, n, d, dt = batch.n_paths, batch.grid.steps, spec.n, spec.d, batch.dt
@@ -180,7 +181,7 @@ def _update_sweep(m: int, started: float, spec: ProblemSpec, forward, p_ode, P_o
     # running maxima, started at the terminal node or taken over a hint's nodes
     max_p = float(np.max(np.abs(terminals[1] if p_ode is None else p_ode)))
     max_P = float(np.max(np.abs(terminals[-1] if P_ode is None else P_ode)))
-    asym, y_0, driver_sum, sums = 0.0, None, np.zeros(M), np.zeros((3, M))
+    asym, driver_sum, sums = 0.0, np.zeros(M), np.zeros((3, M))
     changed, index = 0, None  # u^m's index, made at the first change
     # given nodes broadcast over the paths, time-major; a costate hint implies q = 0
     if p_ode is not None:
@@ -189,38 +190,33 @@ def _update_sweep(m: int, started: float, spec: ProblemSpec, forward, p_ode, P_o
         P_given = np.broadcast_to(P_ode[:, None], (N + 1, M, n, n))
 
     def step(j, u, phats, qs):
-        nonlocal max_p, max_P, asym, y_0, driver_sum, changed, index
+        nonlocal max_p, max_P, asym, driver_sum, changed, index
         x = forward.state(j)
         y = cost_step(spec, nodes[j], x, phats[0], qs[0], u, dt)
-        check_finite(y, j)
+        check_finite(y)
         driver_sum += y - phats[0]
-        # the node at step 0 reads the pathwise Y_0, as solve_state_bsde stores it
-        if not j:
-            y_0 = y_T + driver_sum
-        point = StepPoint(spec, nodes[j], x, y if j else y_0, qs[0], u)
+        if not j:  # node 0 holds the pathwise Y_0, as pathwise_cost's does
+            y = y_T + driver_sum
+        point = StepPoint(spec, nodes[j], x, y, qs[0], u)
         solved = [y]
         if p_ode is None:
             p, q = first_order_step(point, phats[1], qs[1], dt), qs[1]
-            check_finite(p, j)
+            check_finite(p)
             max_p = max(max_p, float(np.abs(p).max()))
             solved.append(p)
         else:
             p, q = p_given[j], q_given
         if P_ode is None:
             P, asym_j = second_order_step(point, phats[-1], qs[-1], p, q, dt)
-            check_finite(P, j)
+            check_finite(P)
             max_P, asym = max(max_P, float(np.abs(P).max())), max(asym, asym_j)
             solved.append(P)
         else:
             P = P_given[j]
-        try:  # the update's four arrays go when the step returns
-            _, h_new, h_prev, choice = minimize_step(
-                spec, point.t, point.x, point.y, point.z, p, q, P, point.u, candidates,
-                rho, h_fn=hints.hamiltonian, pen_fn=hints.penalty, node=point)
-        except NumericalError as exc:
-            exc.args = (f"step {j}: {exc}",) + exc.args[1:]
-            exc.step = j
-            raise
+        # the update's four arrays go when the step returns
+        _, h_new, h_prev, choice = minimize_step(
+            spec, point.t, point.x, point.y, point.z, p, q, P, point.u, candidates, rho,
+            h_fn=hints.hamiltonian, pen_fn=hints.penalty, node=point)
         kept = u_prev.index[:, j]
         column = np.empty_like(kept) if index is None else index[:, j]
         # a kept sample's -1 is cast to some index first, then replaced by u^{m-1}'s
@@ -236,9 +232,8 @@ def _update_sweep(m: int, started: float, spec: ProblemSpec, forward, p_ode, P_o
         girsanov_terms(sums[1:], point.f_z, batch.increments[:, j])
         return solved
 
-    solve_bsde(terminals, step, forward, backend)
+    j, j_se = cost_estimate(solve_bsde(terminals, step, forward, backend)[0])
     u_new = u_prev if index is None else ControlField(table=u_prev.table, index=index)
-    j, j_se = cost_estimate(y_0)
     mu, mu_se, ess, w_ratio = compute_mu(*sums, dt)
     return IterationRecord(m=m, j=j, j_stderr=j_se, mu=mu, mu_stderr=mu_se,
                            descent=float("nan"),
@@ -273,10 +268,12 @@ def run_msa(spec: ProblemSpec, domain: ControlDomain, config: MsaConfig,
     on which an epsilon stops; without one, copies of it fill the records up
     to max_iters, each closed the same way, the last one too.
 
-    A given ``batch`` must match spec.horizon, config.steps and config.n_paths
-    (else ConfigurationError). The initial control is re-indexed once over a
-    table whose first rows are the enumerated candidates, followed by its own
-    rows that are none of them, and every later control is an index into that
+    A given ``batch`` must match spec.horizon, config.steps and config.n_paths,
+    and ``domain`` spec.k (else ConfigurationError); a tree backend of another
+    depth is refused by pass 1's sweep (``solve_bsde``), as ``iteration 1: tree
+    backend has ...``. The initial control is re-indexed once over a table
+    whose first rows are the enumerated candidates, followed by its own rows
+    that are none of them, and every later control is an index into that
     table. So no float control horizon exists during the run; a control row
     keeps its exact float64 bits, and an integer one runs as its float64 value.
     """
@@ -290,10 +287,7 @@ def run_msa(spec: ProblemSpec, domain: ControlDomain, config: MsaConfig,
         if given != wanted:
             raise ConfigurationError(f"batch does not match {name}: {given} against {wanted}")
     backend = backend or config.backend
-    if isinstance(backend, ExactTreeBackend) and backend.steps != batch.grid.steps:
-        raise ConfigurationError(f"tree backend has {backend.steps} steps, the batch "
-                                 f"{batch.grid.steps}")
-    candidates = enumerate_controls(domain)
+    candidates = problem_candidates(spec, domain)
     M, N = batch.n_paths, batch.grid.steps
 
     if isinstance(initial, str):

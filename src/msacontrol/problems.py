@@ -22,6 +22,10 @@ from .model import Bounds, Box, ControlDomain, FiniteSet, ProblemSpec, Structure
 from .msa import RunHints
 
 
+def _zero(*shape):
+    return constant_fn(np.zeros(shape))
+
+
 @dataclass(frozen=True)
 class Benchmark:
     """A spec bundled with its domain, penalty weight, and solver shortcuts."""
@@ -78,13 +82,10 @@ def example41(L: float) -> Benchmark:
         out[:, 2, 2] = -L * L * np.sin(L * z[:, 0])
         return out
 
-    zero = lambda *shape: constant_fn(np.zeros(shape))
     derivatives = dict(
-        b_x=zero(1, 1), sigma_x=zero(1, 1, 1), b_xx=zero(1, 1, 1), sigma_xx=zero(1, 1, 1, 1),
-        f_x=zero(1), f_y=zero(), f_z=f_z, f_hess=f_hess,
-        phi_x=lambda x: np.full((len(x), 1), L),
-        phi_xx=lambda x: np.zeros((len(x), 1, 1)),
-    )
+        b_x=_zero(1, 1), sigma_x=_zero(1, 1, 1), b_xx=_zero(1, 1, 1),
+        sigma_xx=_zero(1, 1, 1, 1), f_x=_zero(1), f_y=_zero(), f_z=f_z, f_hess=f_hess,
+        phi_x=constant_fn([L]), phi_xx=_zero(1, 1))
     spec = ProblemSpec.build(
         n=1, d=1, k=1, x0=np.zeros(1), horizon=1.0,
         drift=drift, diffusion=diffusion, driver=driver, terminal=terminal,
@@ -145,25 +146,14 @@ def lq_problem(gamma_mat, a_mat, b_mat, b1, b2, sigma_fn: Callable,
     def terminal(x):
         return 0.5 * np.einsum("mi,ij,mj->m", x, gamma_arr, x)
 
-    m = n + 1 + d
-
-    def f_hess(t, x, y, z, u):
-        out = np.zeros((len(x), m, m))
-        out[:, :n, :n] = a_arr
-        return out
-
+    hess = np.zeros((n + 1 + d, n + 1 + d))
+    hess[:n, :n] = a_arr  # (x, y, z): f is quadratic in x alone
     derivatives = dict(
-        b_x=lambda t, x, u: np.broadcast_to(b1, (len(x), n, n)).copy(),
-        sigma_x=lambda t, x, u: np.zeros((len(x), d, n, n)),
-        b_xx=lambda t, x, u: np.zeros((len(x), n, n, n)),
-        sigma_xx=lambda t, x, u: np.zeros((len(x), d, n, n, n)),
+        b_x=constant_fn(b1), sigma_x=_zero(d, n, n), b_xx=_zero(n, n, n),
+        sigma_xx=_zero(d, n, n, n),
         f_x=lambda t, x, y, z, u: np.einsum("ij,mj->mi", a_arr, x),
-        f_y=lambda t, x, y, z, u: np.zeros(len(x)),
-        f_z=lambda t, x, y, z, u: np.zeros((len(x), d)),
-        f_hess=f_hess,
-        phi_x=lambda x: np.einsum("ij,mj->mi", gamma_arr, x),
-        phi_xx=lambda x: np.broadcast_to(gamma_arr, (len(x), n, n)).copy(),
-    )
+        f_y=_zero(), f_z=_zero(d), f_hess=constant_fn(hess),
+        phi_x=lambda x: np.einsum("ij,mj->mi", gamma_arr, x), phi_xx=constant_fn(gamma_arr))
     spec = ProblemSpec.build(
         n=n, d=d, k=k, x0=x0, horizon=horizon,
         drift=drift, diffusion=diffusion, driver=driver, terminal=terminal,
@@ -223,19 +213,10 @@ def linear_recursive_problem(b1, b2, b3, sigma1, sigma2, sigma3, f1, f2,
     def terminal(x):
         return np.einsum("i,mi->m", alpha, x) + gamma
 
-    m = n + 1 + d
     derivatives = dict(
-        b_x=lambda t, x, u: np.broadcast_to(b1, (len(x), n, n)).copy(),
-        sigma_x=lambda t, x, u: np.broadcast_to(s1, (len(x), d, n, n)).copy(),
-        b_xx=lambda t, x, u: np.zeros((len(x), n, n, n)),
-        sigma_xx=lambda t, x, u: np.zeros((len(x), d, n, n, n)),
-        f_x=lambda t, x, y, z, u: np.broadcast_to(f1, (len(x), n)).copy(),
-        f_y=lambda t, x, y, z, u: np.full(len(x), f2),
-        f_z=lambda t, x, y, z, u: np.zeros((len(x), d)),
-        f_hess=lambda t, x, y, z, u: np.zeros((len(x), m, m)),
-        phi_x=lambda x: np.broadcast_to(alpha, (len(x), n)).copy(),
-        phi_xx=lambda x: np.zeros((len(x), n, n)),
-    )
+        b_x=constant_fn(b1), sigma_x=constant_fn(s1), b_xx=_zero(n, n, n),
+        sigma_xx=_zero(d, n, n, n), f_x=constant_fn(f1), f_y=constant_fn(f2), f_z=_zero(d),
+        f_hess=_zero(n + 1 + d, n + 1 + d), phi_x=constant_fn(alpha), phi_xx=_zero(n, n))
     spec = ProblemSpec.build(
         n=n, d=d, k=k, x0=x0, horizon=horizon,
         drift=drift, diffusion=diffusion, driver=driver, terminal=terminal,

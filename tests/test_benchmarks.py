@@ -296,6 +296,17 @@ class TestTreeBruteforce:
         with pytest.raises(mc.ConfigurationError, match="^unknown tree mode 'sideways'$"):
             mc.tree_bruteforce(bench.spec, bench.domain, 3, mode="sideways")
 
+    @pytest.mark.parametrize("domain", [mc.FiniteSet([[0.0, 0.0], [1.0, 1.0]]),
+                                        mc.Box([-1.0, -1.0], [1.0, 1.0], [3, 2])],
+                             ids=["finite-set", "box"])
+    def test_domain_of_another_width_refused(self, domain):
+        # a k = 2 domain on a k = 1 problem failed with "control/batch dimensions
+        # disagree with the problem"
+        bench = mc.example41(0.1)
+        with pytest.raises(mc.ConfigurationError,
+                           match=r"^control domain has k = 2, the problem k = 1$"):
+            mc.tree_bruteforce(bench.spec, domain, 3)
+
     def test_refused_policy_is_named(self):
         # u = 1 drives the state to +inf; policy 4 = (root, up, down) = (1, 0, 0)
         # is the first whose state breaks, at step 1 on every one of its paths
@@ -540,7 +551,7 @@ class TestBackwardInduction:
                           driver=lambda t, x, y, z, u: np.zeros(len(x)),
                           terminal=lambda x: np.where(x[:, 0] > 1.5, np.nan, x[:, 0])),
          [[0.0], [1.0]], mc.NumericalError,
-         "policy 5 with node controls [[1.0], [0.0], [1.0]] gives a non-finite cost at step 1"),
+         "policy 5 with node controls [[1.0], [0.0], [1.0]] gives a non-finite cost at step 2"),
         # f is NaN for u = 2 from t = 0.5 on, first on the down paths of policy 2 = (0, 0, 2)
         ("value", dict(drift=lambda t, x, u: u.astype(float),
                        diffusion=constant_fn(np.full((1, 1), 0.2)),

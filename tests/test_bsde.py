@@ -378,6 +378,91 @@ class TestSolveStateBsde:
         assert in_place <= copying - 8 * rows * (spec.n + spec.k), (in_place, copying)
 
 
+def poisoned_terminal(spec, path, value):
+    """``spec`` with Phi(X_T) replaced by ``value`` on one path."""
+    def terminal(x):
+        out = np.array(spec.terminal(x), dtype=float)
+        out[path] = value
+        return out
+
+    return dataclasses.replace(spec, terminal=terminal)
+
+
+class TestSweepGuards:
+    """``solve_bsde``'s guards, shared by every backward solve: the tree depth, the
+    finite terminals and carries, and the step that a failure names."""
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["+inf", "-inf", "nan"])
+    @pytest.mark.parametrize("solve", ["pathwise_cost", "solve_state_bsde", "run_msa"])
+    def test_non_finite_terminal_names_step_n_and_its_path(self, solve, value):
+        # a +inf Phi(X_T) reached the regression, whose matmul warned (an error
+        # under this suite's -W error) before any step was named
+        N, M, bad = 5, 200, 17
+        spec = poisoned_terminal(linear_driver_spec(0.5, 1.0), bad, value)
+        batch = mc.sample_brownian(mc.TimeGrid(1.0, N), M, 1, 1)
+        ctl = mc.constant_control([0.0], M, N)
+        prefix = "iteration 1: " if solve == "run_msa" else ""
+        with pytest.raises(mc.NumericalError,
+                           match=rf"^{prefix}step {N}: non-finite solution on path {bad}$") \
+                as info:
+            if solve == "run_msa":
+                cfg = mc.MsaConfig(rho=0.0, n_paths=M, steps=N, seed=1, max_iters=1)
+                mc.run_msa(spec, mc.FiniteSet([[0.0]]), cfg, ctl, batch=batch)
+            else:
+                getattr(mc, solve)(spec, mc.simulate_forward(spec, ctl, batch),
+                                   mc.RegressionBackend())
+        assert (info.value.path, info.value.step) == (bad, N)
+
+    @pytest.mark.parametrize("depth", [5, 3])
+    @pytest.mark.parametrize("solve", ["pathwise_cost", "solve_state_bsde",
+                                       "first_order_adjoint"])
+    def test_tree_backend_of_another_depth_refused(self, solve, depth):
+        # two groups of a 4-step tree are 32 paths, a multiple of a 5-step tree's
+        # 32: the 5-step backend averaged across the groups and priced this
+        # example41(0.5) batch at 0.0074 against 0.0870, with no error
+        bench, steps = mc.example41(0.5), 4
+        forward = stacked_tree_inputs(bench, steps, 2 * 2 ** steps, 3)
+        right = mc.tree_backend(steps)
+        args = (bench.spec, forward)
+        if solve == "first_order_adjoint":
+            args += (mc.solve_state_bsde(bench.spec, forward, right),)
+        getattr(mc, solve)(*args, right)
+        with pytest.raises(mc.ConfigurationError,
+                           match=f"^tree backend has {depth} steps, the batch {steps}$"):
+            getattr(mc, solve)(*args, mc.tree_backend(depth))
+
+    @pytest.mark.parametrize("case", ["regression", "tree"])
+    def test_pathwise_cost_is_the_stored_y0(self, case):
+        bench = mc.example41(0.5)
+        if case == "tree":
+            steps, backend = 4, mc.tree_backend(4)
+            forward = stacked_tree_inputs(bench, steps, 2 ** steps, 3)
+        else:
+            backend, N, M = mc.RegressionBackend(), 8, 600
+            batch = mc.sample_brownian(mc.TimeGrid(1.0, N), M, 1, 3)
+            forward = mc.simulate_forward(bench.spec,
+                                          mc.random_control(bench.domain, M, N, 3), batch)
+        stored = mc.solve_state_bsde(bench.spec, forward, backend)
+        y0 = mc.pathwise_cost(bench.spec, forward, backend)
+        assert y0.tobytes() == stored.values[:, 0].tobytes()
+        assert stored.j_estimate == mc.bsde.cost_estimate(y0)[0]
+
+    def test_solve_bsde_returns_step_0s_carries(self):
+        M, N = 64, 4
+        batch = mc.sample_brownian(mc.TimeGrid(1.0, N), M, 1, 2)
+        fwd = dense_forward(np.zeros((M, N + 1, 1)), mc.constant_control([0.0], M, N), batch)
+        terminals = [np.full(M, 2.0), np.full((M, 2), 3.0)]
+        steps = []
+
+        def step(j, u, phats, qs):
+            steps.append(j)
+            return [phats[0] + 1.0, phats[1] * 2.0]
+
+        y0, p0 = mc.solve_bsde(terminals, step, fwd, mc.RegressionBackend(degree=0))
+        assert terminals == [] and steps == [3, 2, 1, 0]
+        assert np.allclose(y0, 2.0 + N) and np.allclose(p0, 3.0 * 2 ** N)
+
+
 def copying_proxies(nxt, j, forward, u, backend, store=None):
     """``bsde._proxies`` with copies: the features (X_j, u_j) and the stacked targets
     concatenated, and the fitted values returned in a new array."""

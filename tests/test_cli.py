@@ -181,6 +181,24 @@ class TestCmdRun:
         assert capsys.readouterr().err == (
             f"configuration error: {message.format(prob=prob)}\n")
 
+    @pytest.mark.parametrize("command", [["run", "--paths", "200", "--steps", "5", "--iters",
+                                          "1"], ["oracle", "--steps", "3"]],
+                             ids=["run", "oracle"])
+    def test_domain_of_another_width_exits_2(self, tmp_path, capsys, command):
+        prob = tmp_path / "wide_domain.py"
+        prob.write_text(
+            "import dataclasses\n"
+            "import msacontrol as mc\n"
+            "def make_problem():\n"
+            "    bench = mc.example41(0.1)\n"
+            "    return dataclasses.replace(bench, domain=mc.FiniteSet([[0, 0], [1, 1]]))\n")
+        out = tmp_path / "run.csv"
+        args = command[:1] + ["--problem", str(prob)] + command[1:]
+        assert run_cli(args + (["--out", str(out)] if command[0] == "run" else [])) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: control domain has k = 2, the problem k = 1\n")
+        assert not out.exists()
+
     def test_numerical_failure_exits_3(self, tmp_path, capsys):
         prob = tmp_path / "nan_terminal.py"
         prob.write_text(
@@ -195,9 +213,9 @@ class TestCmdRun:
         out = tmp_path / "run.csv"
         assert run_cli(["run", "--problem", str(prob), "--paths", "200", "--steps", "5",
                         "--iters", "2", "--out", str(out)]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("numerical failure: iteration 1: step 4: ")
-        assert "non-finite" in err and not out.exists()
+        assert capsys.readouterr().err == (
+            "numerical failure: iteration 1: step 5: non-finite solution on path 0\n")
+        assert not out.exists()
 
 
 class TestCmdOracle:

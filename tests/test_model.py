@@ -86,6 +86,19 @@ class TestCoefficients:
         b = bench.spec.drift(0.0, *row([2.0], [0.0]))[0]
         assert b[0] == pytest.approx(1.1)
 
+    def test_constant_fn_serves_coefficients_and_phi_derivatives(self):
+        # one rule for a constant derivative, whichever signature it is called by
+        value = np.array([[1.0, -2.0], [0.5, 3.0]])
+        fn = constant_fn(value)
+        x = np.zeros((3, 2))
+        u, y, z = np.zeros((3, 1)), np.zeros(3), np.zeros((3, 1))
+        calls = [fn(x), fn(0.5, x, u), fn(0.5, x, y, z, u)]
+        for out in calls:
+            assert np.array_equal(out, np.broadcast_to(value, (3, 2, 2)))
+            assert out.flags.writeable and not np.shares_memory(out, value)
+        assert not np.shares_memory(calls[0], calls[1])
+        assert constant_fn(0.25)(x).tolist() == [0.25] * 3
+
 
 class TestDriver:
     def test_example41_sine(self):

@@ -238,6 +238,20 @@ class TestRunMsa:
         with pytest.raises(mc.ConfigurationError, match=message):
             mc.run_msa(bench.spec, bench.domain, cfg, initial, hints=bench.hints)
 
+    @pytest.mark.parametrize("initial", [
+        mc.constant_control([0.5], 10, 5),  # off the grid: re-indexed over the candidates
+        "random",
+    ], ids=["off-grid", "random"])
+    def test_domain_of_another_width_refused(self, initial):
+        # an off-grid initial control failed in ControlField.over with a bare
+        # ValueError, and "random" with "control/batch dimensions disagree"
+        bench = mc.example41(0.1)
+        cfg = mc.MsaConfig(rho=bench.rho, n_paths=10, steps=5, seed=0, max_iters=1)
+        with pytest.raises(mc.ConfigurationError,
+                           match=r"^control domain has k = 2, the problem k = 1$"):
+            mc.run_msa(bench.spec, mc.FiniteSet([[0.0, 0.0], [1.0, 1.0]]), cfg, initial,
+                       hints=bench.hints)
+
     @pytest.mark.parametrize("seed", [-1, 2 ** 128, 1.5, True, np.float64(3.0)],
                              ids=["negative", "2**128", "float", "bool", "numpy-float"])
     @pytest.mark.parametrize("make", [
@@ -290,13 +304,15 @@ class TestRunMsa:
     @pytest.mark.parametrize("depth", [3, 2])
     def test_tree_backend_of_another_depth_refused(self, depth):
         # a 3-step backend on a 4-step tree ran on, blocks one flip too fine (record
-        # 2 at J = 0.265625 against 0.0), and a 2-step one raised a bare TypeError
+        # 2 at J = 0.265625 against 0.0), and a 2-step one raised a bare TypeError;
+        # pass 1's sweep refuses both before any regression runs
         bench, steps = mc.lq_desk(), 4
         cfg = mc.MsaConfig(rho=bench.rho, n_paths=2 ** steps, steps=steps, seed=3,
                            max_iters=2)
         initial = mc.benchmarks.tree_random_control(bench.domain, steps, 3)
         with pytest.raises(mc.ConfigurationError,
-                           match=f"^tree backend has {depth} steps, the batch {steps}$"):
+                           match=f"^iteration 1: tree backend has {depth} steps, "
+                                 f"the batch {steps}$"):
             mc.run_msa(bench.spec, bench.domain, cfg, initial, hints=bench.hints,
                        batch=mc.tree_batch(steps), backend=mc.tree_backend(depth))
 
@@ -359,12 +375,12 @@ class TestRunMsa:
         assert info.value.step == 19
 
     @pytest.mark.parametrize("desk, name, bad, named", [
-        ("example41", "phi_x", 6, 6), ("lq_desk", "phi_xx", 5, 4)])
+        ("example41", "phi_x", 6, 6), ("lq_desk", "phi_xx", 5, 5)])
     def test_non_finite_adjoint_is_named_before_the_update_reads_it(self, desk, name, bad,
                                                                     named):
         # a NaN terminal adjoint on path `bad`, solved without hints on the 3-step
-        # tree, whose backend spreads it over the block of paths (6, 7) or (4, 5) at
-        # step 2: the sweep names the adjoint, not the Hamiltonian that reads it
+        # tree: the sweep names the terminal at step 3, before any regression or the
+        # Hamiltonian reads it
         bench = mc.example41(0.1) if desk == "example41" else mc.lq_desk()
         terminal = getattr(bench.spec.derivatives, name)
 
@@ -378,12 +394,12 @@ class TestRunMsa:
         steps = 3
         cfg = mc.MsaConfig(rho=bench.rho, n_paths=2 ** steps, steps=steps, seed=3,
                            max_iters=1)
-        with pytest.raises(mc.NumericalError, match=rf"^iteration 1: step 2: non-finite "
+        with pytest.raises(mc.NumericalError, match=rf"^iteration 1: step 3: non-finite "
                                                     rf"solution on path {named}$") as info:
             mc.run_msa(spec, bench.domain, cfg,
                        mc.benchmarks.tree_random_control(bench.domain, steps, 3),
                        batch=mc.tree_batch(steps), backend=mc.tree_backend(steps))
-        assert (info.value.path, info.value.step) == (named, 2)
+        assert (info.value.path, info.value.step) == (named, 3)
 
     def test_max_asym_P_records_the_second_order_asymmetry(self):
         spec, domain = curvature_problem()
@@ -886,6 +902,29 @@ class TestSweepWorkingSet:
         monkeypatch.setattr(msa, "minimize_step", minimize_spy)
         self.run_pass(spec, domain)
         assert len(terminals) == 2 and checked == [3] * self.N
+
+    def test_regressed_y0_goes_before_step_0s_update(self, monkeypatch):
+        # at step 0 the node reads the pathwise Y_0; the regressed one that
+        # cost_step returned is not held beside it while the update runs
+        msa = mc.msa
+        spec, domain = curvature_everywhere_problem()
+        values, alive = [], []
+        real_cost_step, real_minimize = msa.cost_step, msa.minimize_step
+
+        def cost_spy(*args):
+            out = real_cost_step(*args)
+            values.append(weakref.ref(out))
+            return out
+
+        def minimize_spy(*args, **kwargs):
+            alive.append(values[-1]() is not None)
+            return real_minimize(*args, **kwargs)
+
+        monkeypatch.setattr(msa, "cost_step", cost_spy)
+        monkeypatch.setattr(msa, "minimize_step", minimize_spy)
+        self.run_pass(spec, domain)
+        # steps N - 1, ..., 1 read their own Y_j; step 0 reads y_T + driver sum
+        assert alive == [True] * (self.N - 1) + [False]
 
 
 def columns_written(prev_index, choices):
