@@ -3,11 +3,11 @@
 Both adjoints are linear backward equations swept by ``solve_bsde``. Their
 steps, ``first_order_step`` and ``second_order_step``, read one step's node
 (``StepPoint``), so no coefficient tensor spans the horizon. They serve the
-drivers here, which store horizons for tests and cross-checks, and the sweep
-of ``run_msa``, which stores none. The matrix-valued second-order equation is
-stepped in its n x n form with batched BLAS products (``@``, which may fuse
-multiply and add) and symmetrized step by step. ``first_order_step`` keeps
-einsum, the fastest on the tree oracle's small batches.
+drivers here, whose steps write horizons for tests and cross-checks, and the
+sweep of ``run_msa``, which keeps none. The matrix-valued second-order
+equation is stepped in its n x n form with batched BLAS products (``@``, which
+may fuse multiply and add) and symmetrized step by step. ``first_order_step``
+keeps einsum, the fastest on the tree oracle's small batches.
 """
 
 from __future__ import annotations
@@ -98,13 +98,15 @@ def first_order_adjoint(spec: ProblemSpec, forward: ForwardPaths,
     batch = forward.batch
     M, N, n = batch.n_paths, batch.grid.steps, spec.n
     p, q = _time_major((M, N + 1, n)), _time_major((M, N, n, batch.d))
+    p[:, N] = spec.derivatives.phi_x(forward.state(N))
 
     def step(j, u, phats, qs):
-        return [first_order_step(_stored_point(spec, forward, backward, j), phats[0],
-                                 qs[0], batch.dt)]
+        q[:, j] = qs[0]
+        p[:, j] = first_order_step(_stored_point(spec, forward, backward, j), phats[0],
+                                   q[:, j], batch.dt)
+        return [p[:, j]]
 
-    solve_bsde([spec.derivatives.phi_x(forward.state(N))], step, forward, backend,
-               [(p, q)])
+    solve_bsde([p[:, N]], step, forward, backend)
     return FirstOrderAdjoint(p=p, q=q)
 
 
@@ -209,18 +211,19 @@ def second_order_adjoint(spec: ProblemSpec, forward: ForwardPaths,
     batch = forward.batch
     M, N, n = batch.n_paths, batch.grid.steps, spec.n
     P, Q = _time_major((M, N + 1, n, n)), _time_major((M, N, n, n, batch.d))
+    P[:, N] = spec.derivatives.phi_xx(forward.state(N))
     asym = 0.0
 
     def step(j, u, phats, Qs):
         nonlocal asym
+        Q[:, j] = Qs[0]
         point = _stored_point(spec, forward, backward, j)
-        P_j, asym_j = second_order_step(point, phats[0], Qs[0], first.p[:, j, :],
-                                        first.q[:, j], batch.dt)
+        P[:, j], asym_j = second_order_step(point, phats[0], Q[:, j], first.p[:, j, :],
+                                            first.q[:, j], batch.dt)
         asym = max(asym, asym_j)
-        return [P_j]
+        return [P[:, j]]
 
-    solve_bsde([spec.derivatives.phi_xx(forward.state(N))], step, forward, backend,
-               [(P, Q)])
+    solve_bsde([P[:, N]], step, forward, backend)
     return SecondOrderAdjoint(P=P, Q=Q, asymmetry=asym)
 
 

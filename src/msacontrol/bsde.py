@@ -1,14 +1,14 @@
 """Backward solvers on a pluggable conditional-expectation backend.
 
-One backward loop (``solve_bsde``) serves every equation: the cost BSDE alone
-(``pathwise_cost``, which stores no horizon unless asked), the adjoints, and
-the update sweep of ``run_msa``, which steps the cost BSDE and the adjoints
-together. At each step, Z (resp. q) comes from regressing next-step values
-against the Brownian increment on that step's features, and the driver,
-which may be nonlinear, is applied explicitly to the regression proxy. All
-of a step's equations share its information, so the sweep makes one
-``project`` per step, not one per equation: it stacks every equation's
-targets into one matrix and splits the fitted columns back.
+One backward loop (``solve_bsde``), which keeps no horizon, serves every
+equation: the cost BSDE alone (``pathwise_cost``), the adjoints, and the update
+sweep of ``run_msa``, which steps the cost BSDE and the adjoints together,
+every cost sweep by one step (``cost_sweep_step``). At each step, Z (resp. q)
+comes from regressing next-step values against the Brownian increment on that
+step's features, and the driver, which may be nonlinear, is applied explicitly
+to the regression proxy. All of a step's equations share its information, so
+the sweep makes one ``project`` per step, not one per equation: it stacks every
+equation's targets into one matrix and splits the fitted columns back.
 ``RegressionBackend.project`` is the one regression path: it returns in-sample
 fitted values only, never coefficients or a predictor, by one rank-revealing
 solve of the unregularized normal equations, so a collinear design projects
@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -198,38 +198,48 @@ def cost_estimate(samples: Array):
     return float(np.mean(samples)), se
 
 
-def pathwise_cost(spec: ProblemSpec, forward: ForwardPaths, backend,
-                  store: Optional[Sequence[Tuple[Array, Array]]] = None) -> Array:
-    """The pathwise Y_0 = Phi(X_T) + sum_j f dt of ``forward.control``, the control
-    that drove the trajectory: ``cost_estimate``'s input.
-
-    One ``solve_bsde`` sweep of ``cost_step`` that stores neither Y nor Z,
-    unless given ``solve_bsde``'s ``store`` of time-major Y (M, N+1) and
-    Z (M, N, d) to fill; step 0 checks, stores and returns the pathwise Y_0.
-    """
+def cost_sweep_step(spec: ProblemSpec, forward: ForwardPaths, y_T: Array) -> Callable:
+    """Every cost sweep's ``solve_bsde`` step, the cost being its first equation: it
+    returns [Y_j] (``cost_step``) and adds Y_j's f dt to a per-path sum; at j = 0 it
+    returns [y_T + sum_j f dt] instead, the pathwise Y_0, y_T = Phi(X_T)."""
     batch = forward.batch
-    M, N, dt = batch.n_paths, batch.grid.steps, batch.dt
-    nodes, driver_sum = batch.grid.nodes, np.zeros(M)
+    nodes, dt, driver_sum = batch.grid.nodes, batch.dt, np.zeros(batch.n_paths)
 
     def step(j, u, yhats, zs):
         y = cost_step(spec, nodes[j], forward.state(j), yhats[0], zs[0], u, dt)
         driver_sum[...] += y - yhats[0]
         return [y if j else y_T + driver_sum]
 
-    y_T = np.asarray(spec.terminal(forward.state(N)), dtype=float)
-    return solve_bsde([y_T], step, forward, backend, store)[0]
+    return step
+
+
+def pathwise_cost(spec: ProblemSpec, forward: ForwardPaths, backend) -> Array:
+    """The pathwise Y_0 = Phi(X_T) + sum_j f dt of ``forward.control``, the control
+    that drove the trajectory: ``cost_estimate``'s input. One ``solve_bsde`` sweep
+    of ``cost_sweep_step`` that keeps neither Y nor Z."""
+    y_T = np.asarray(spec.terminal(forward.state(forward.batch.grid.steps)), dtype=float)
+    return solve_bsde([y_T], cost_sweep_step(spec, forward, y_T), forward, backend)[0]
 
 
 def solve_state_bsde(spec: ProblemSpec, forward: ForwardPaths, backend) -> BackwardPaths:
-    """Backward Euler for the recursive cost: ``pathwise_cost``'s sweep, storing Y
-    and Z_j = E[Y_{j+1} dW_j | t_j] / dt time-major, the pathwise Y_0 at node 0."""
+    """Backward Euler for the recursive cost: ``pathwise_cost``'s sweep, its step writing
+    Y and Z_j = E[Y_{j+1} dW_j | t_j] / dt time-major, the pathwise Y_0 at node 0."""
     M, N, d = forward.batch.n_paths, forward.batch.grid.steps, forward.batch.d
     Y, Z = _time_major((M, N + 1)), _time_major((M, N, d))
-    return BackwardPaths(Y, Z, *cost_estimate(pathwise_cost(spec, forward, backend, [(Y, Z)])))
+    Y[:, N] = spec.terminal(forward.state(N))
+    cost = cost_sweep_step(spec, forward, Y[:, N])
+
+    def step(j, u, yhats, zs):
+        Z[:, j] = zs[0]
+        Y[:, j] = cost(j, u, yhats, zs)[0]
+        return [Y[:, j]]
+
+    solve_bsde([Y[:, N]], step, forward, backend)
+    return BackwardPaths(Y, Z, *cost_estimate(Y[:, 0]))
 
 
-def solve_bsde(terminals: List[Array], step: Callable, forward: ForwardPaths, backend,
-               store: Optional[Sequence[Tuple[Array, Array]]] = None) -> List[Array]:
+def solve_bsde(terminals: List[Array], step: Callable, forward: ForwardPaths,
+               backend) -> List[Array]:
     """Backward Euler for BSDEs dp = -F_t(p, q) dt + sum_i q^i dW^i, swept together.
 
     The package's one backward loop: its callers differ only in their
@@ -247,46 +257,34 @@ def solve_bsde(terminals: List[Array], step: Callable, forward: ForwardPaths, ba
     (``_proxies``), and what ``step`` makes. The carries p_{j+1} are dropped
     once they are stacked, before ``step`` runs, and the terminals with them:
     the sweep empties ``terminals``, so a terminal the caller keeps no name for
-    is freed once the first step has stacked it.
-
-    ``store``, when given, holds one time-major pair p (M, N+1, *shape),
-    q (M, N, *shape, d) per equation: the sweep writes the terminal, each q_j
-    before ``step`` reads it and each p_j into it, and carries views of the
-    store, not second copies. Guards: a tree backend of another depth than N
-    is refused (ConfigurationError) before any regression, the terminals
-    (step N) and each step's carries are checked finite (``check_finite``),
-    and a NumericalError raised while step j runs is named ``step j:``.
+    is freed once the first step has stacked it. The sweep keeps no horizon: a
+    caller that wants one writes its terminal into it and, from ``step``, each
+    q_j and p_j, and returns the written p_j (``solve_state_bsde``). Guards: a
+    tree backend of another depth than N is refused (ConfigurationError) before
+    any regression, the terminals (step N) and each step's carries are checked
+    finite (``check_finite``), and a NumericalError raised while step j runs is
+    named ``step j:``.
     """
     N = forward.batch.grid.steps
     if isinstance(backend, ExactTreeBackend) and backend.steps != N:
         raise ConfigurationError(f"tree backend has {backend.steps} steps, the batch {N}")
-    nxt = ([np.asarray(terminal, dtype=float) for terminal in terminals] if store is None
-           else _stored(store, N, terminals))
+    nxt = [np.asarray(terminal, dtype=float) for terminal in terminals]
     terminals.clear()
     j = N
     try:
         check_finite(*nxt)
         for j in range(N - 1, -1, -1):
             u = forward.control.at(j)
-            phats, qs = _proxies(nxt, j, forward, u, backend, store)
+            phats, qs = _proxies(nxt, j, forward, u, backend)
             del nxt  # step j + 1's carries are stacked: not held while step j runs
             nxt = step(j, u, phats, qs)
             del phats, qs  # nor are its proxies while step j - 1 projects
-            if store is not None:
-                nxt = _stored(store, j, nxt)
             check_finite(*nxt)
     except NumericalError as exc:
         exc.args = (f"step {j}: {exc}",) + exc.args[1:]
         exc.step = j
         raise
     return nxt
-
-
-def _stored(store, j: int, values) -> List[Array]:
-    """Each equation's value written into its store at step j; returns the stored views."""
-    for (p, _), value in zip(store, values):
-        p[:, j] = value
-    return [p[:, j] for p, _ in store]
 
 
 def check_finite(*arrays: Array) -> None:
@@ -297,11 +295,10 @@ def check_finite(*arrays: Array) -> None:
             raise NumericalError(f"non-finite solution on path {bad}", path=bad)
 
 
-def _proxies(nxt, j: int, forward: ForwardPaths, u: Array, backend, store=None):
+def _proxies(nxt, j: int, forward: ForwardPaths, u: Array, backend):
     """(phats, qs) at step j, whose controls are u: every p_{j+1} and p_{j+1} dW_j
     written into one (M, R (1 + d)) target matrix, R the equations' total width,
-    and regressed in one project that writes the fitted values over it. With a
-    store, each q_j is written into it.
+    and regressed in one project that writes the fitted values over it.
 
     Each phat is a C-contiguous copy of its fitted columns and each q_j their
     quotient by dt, so no returned array is a view of the projection: it is
@@ -322,10 +319,8 @@ def _proxies(nxt, j: int, forward: ForwardPaths, u: Array, backend, store=None):
         col += r
     backend.project(j, _step_features(forward.state(j), u), targets, out=targets)
     phats, qs, col = [], [], 0
-    for e, (p, r) in enumerate(zip(nxt, widths)):
+    for p, r in zip(nxt, widths):
         phats.append(targets[:, col:col + r].reshape(p.shape).copy())
-        out = None if store is None else store[e][1][:, j]
-        qs.append(np.divide(products[:, col:col + r].reshape(p.shape + (d,)), batch.dt,
-                            out=out))
+        qs.append(products[:, col:col + r].reshape(p.shape + (d,)) / batch.dt)
         col += r
     return phats, qs

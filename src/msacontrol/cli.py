@@ -125,6 +125,7 @@ def _open_out(path: str):
 
 
 def _run_solver(cfg: dict):
+    """(bench, result, rho): the run of ``cfg`` and the rho it ran with."""
     bench = _load_problem(cfg["problem"], cfg["L"])
     rho = cfg["rho"] if cfg["rho"] is not None else bench.rho
     config = MsaConfig(rho=rho, n_paths=cfg["paths"], steps=cfg["steps"],
@@ -132,14 +133,13 @@ def _run_solver(cfg: dict):
                        epsilon=cfg["epsilon"],
                        backend=RegressionBackend(degree=cfg["degree"]))
     result = run_msa(bench.spec, bench.domain, config, "random", hints=bench.hints)
-    return bench, result
+    return bench, result, rho
 
 
 def cmd_run(cfg: dict) -> int:
-    bench, result = _run_solver(cfg)
+    bench, result, rho = _run_solver(cfg)
     if bench.spec.bounds.df is not None:
-        print(f"# declared bounds: dF<= {bench.spec.bounds.df}, "
-              f"rho= {_g17(cfg['rho'] if cfg['rho'] is not None else bench.rho)}",
+        print(f"# declared bounds: dF<= {bench.spec.bounds.df}, rho= {_g17(rho)}",
               file=sys.stderr)
     with _open_out(cfg["out"]) as fh:
         fh.write(_RUN_HEADER + "\n")
@@ -168,7 +168,7 @@ def cmd_oracle(cfg: dict) -> int:
 def cmd_rate(cfg: dict) -> int:
     if cfg["problem"] != "lq":
         raise ConfigurationError("rate requires --problem lq (known optimum)")
-    bench, result = _run_solver(cfg)
+    bench, result, _ = _run_solver(cfg)
     jstar = bench.jstar if bench.jstar is not None else 0.0
     m0 = next((rec.m for rec in result.records if -rec.mu < 0.5),
               result.records[-1].m if result.records else 1)

@@ -33,6 +33,12 @@ def check_count(name: str, value, minimum: int) -> None:
         raise ConfigurationError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+def check_horizon(horizon) -> None:
+    """Raise ConfigurationError unless ``horizon`` is positive and finite."""
+    if not (horizon > 0 and np.isfinite(horizon)):
+        raise ConfigurationError(f"horizon must be positive and finite, got {horizon}")
+
+
 def check_seed(seed) -> None:
     """Raise ConfigurationError unless ``seed`` is an integer (Python or numpy, not a
     bool) in [0, 2**128), a Philox key: numpy refuses any other integer with a

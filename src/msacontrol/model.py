@@ -20,7 +20,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import ConfigurationError, check_count, check_seed
+from .errors import ConfigurationError, check_count, check_horizon, check_seed
 
 Array = np.ndarray
 
@@ -134,8 +134,7 @@ class ProblemSpec:
     def __post_init__(self):
         for name in ("n", "d", "k"):
             check_count(name, getattr(self, name), 1)
-        if not self.horizon > 0:
-            raise ConfigurationError("horizon must be positive")
+        check_horizon(self.horizon)
         x0 = np.asarray(self.x0, dtype=float).reshape(-1)
         if x0.shape != (self.n,):
             raise ConfigurationError(f"x0 must have shape ({self.n},), got {x0.shape}")

@@ -24,8 +24,8 @@ import numpy as np
 from .adjoint import (StepPoint, first_order_adjoint, first_order_step,  # noqa: F401
                       second_order_adjoint, second_order_step, second_order_vanishes,
                       zero_second_order)
-from .bsde import (RegressionBackend, check_finite, cost_estimate, cost_step,  # noqa: F401
-                   pathwise_cost, solve_bsde, solve_state_bsde)
+from .bsde import (RegressionBackend, check_finite, cost_estimate,  # noqa: F401
+                   cost_sweep_step, pathwise_cost, solve_bsde, solve_state_bsde)
 from .errors import ConfigurationError, check_count, check_seed
 from .hamiltonian import minimize_step
 from .model import ControlDomain, ProblemSpec, problem_candidates
@@ -157,9 +157,9 @@ def _update_sweep(m: int, started: float, spec: ProblemSpec, forward, p_ode, P_o
     """Pass m's backward sweep along u^{m-1} = ``forward.control``: cost, adjoints,
     update, mu.
 
-    The cost BSDE is the pass's first equation, so each step's node is read off
-    that step's own (X_j, Y_j, Z_j, u_j), Y_0 the pathwise one that
-    ``solve_bsde`` returns and J averages; Y_j, p_j and P_j are checked finite
+    The cost BSDE is the pass's first equation, stepped by ``cost_sweep_step``,
+    so each step's node is read off that step's own (X_j, Y_j, Z_j, u_j), Y_0
+    the pathwise one that ``solve_bsde`` returns and J averages; Y_j, p_j and P_j are checked finite
     before the update reads them. p_ode / P_ode hold a given adjoint's nodes,
     or None where the sweep solves it. Each step adds to the three (M,) sums
     ``compute_mu`` reduces after the pass. u^{m-1}'s table starts with the
@@ -173,15 +173,16 @@ def _update_sweep(m: int, started: float, spec: ProblemSpec, forward, p_ode, P_o
     batch, u_prev = forward.batch, forward.control
     M, N, n, d, dt = batch.n_paths, batch.grid.steps, spec.n, spec.d, batch.dt
     nodes, x_T = batch.grid.nodes, forward.state(N)
-    # y_T stays for step 0's pathwise Y_0; solve_bsde empties the list, so
-    # Phi_x(X_T) and Phi_xx(X_T) go once the first step has stacked them
+    # the cost step keeps y_T for step 0's pathwise Y_0; solve_bsde empties the
+    # list, so Phi_x(X_T) and Phi_xx(X_T) go once the first step has stacked them
     y_T = np.asarray(spec.terminal(x_T), dtype=float)
+    cost = cost_sweep_step(spec, forward, y_T)
     terminals = [y_T] + ([] if p_ode is not None else [spec.derivatives.phi_x(x_T)]) + \
         ([] if P_ode is not None else [spec.derivatives.phi_xx(x_T)])
     # running maxima, started at the terminal node or taken over a hint's nodes
     max_p = float(np.max(np.abs(terminals[1] if p_ode is None else p_ode)))
     max_P = float(np.max(np.abs(terminals[-1] if P_ode is None else P_ode)))
-    asym, driver_sum, sums = 0.0, np.zeros(M), np.zeros((3, M))
+    asym, sums = 0.0, np.zeros((3, M))
     changed, index = 0, None  # u^m's index, made at the first change
     # given nodes broadcast over the paths, time-major; a costate hint implies q = 0
     if p_ode is not None:
@@ -190,15 +191,10 @@ def _update_sweep(m: int, started: float, spec: ProblemSpec, forward, p_ode, P_o
         P_given = np.broadcast_to(P_ode[:, None], (N + 1, M, n, n))
 
     def step(j, u, phats, qs):
-        nonlocal max_p, max_P, asym, driver_sum, changed, index
-        x = forward.state(j)
-        y = cost_step(spec, nodes[j], x, phats[0], qs[0], u, dt)
-        check_finite(y)
-        driver_sum += y - phats[0]
-        if not j:  # node 0 holds the pathwise Y_0, as pathwise_cost's does
-            y = y_T + driver_sum
-        point = StepPoint(spec, nodes[j], x, y, qs[0], u)
-        solved = [y]
+        nonlocal max_p, max_P, asym, changed, index
+        solved = cost(j, u, phats, qs)  # [Y_j], the pathwise Y_0 at node 0
+        check_finite(*solved)
+        point = StepPoint(spec, nodes[j], forward.state(j), solved[0], qs[0], u)
         if p_ode is None:
             p, q = first_order_step(point, phats[1], qs[1], dt), qs[1]
             check_finite(p)
@@ -377,6 +373,8 @@ def near_optimality_gap(records: List[IterationRecord], epsilon: float,
     m_eps, the gap, and the gap/sqrt(epsilon) ratio are reported. Runs whose J
     sequence rises beyond combined noise get flagged.
     """
+    if not epsilon > 0:
+        raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
     m_eps = next((rec.m for rec in records if rec.descent < epsilon), None)
     # each descent against the combined stderr of its two costs (the last one's own twice)
     violated = any(rec.descent < -3.0 * (rec.j_stderr + nxt.j_stderr) - 1e-15

@@ -24,7 +24,7 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import (ConfigurationError, NumericalError, SimulationError, check_count,
-                     check_seed)
+                     check_horizon, check_seed)
 from .model import ControlDomain, ProblemSpec, enumerate_controls
 
 Array = np.ndarray
@@ -53,8 +53,7 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if not (self.horizon > 0 and math.isfinite(self.horizon)):
-            raise ConfigurationError(f"horizon must be positive and finite, got {self.horizon}")
+        check_horizon(self.horizon)
         check_count("steps", self.steps, 1)
 
     @property

@@ -7,9 +7,9 @@ from scipy.integrate import solve_ivp
 
 import msacontrol as mc
 from msacontrol.adjoint import _upsilon_batch
-from msacontrol.bsde import BackwardPaths
+from msacontrol.bsde import BackwardPaths, _step_features
 from msacontrol.model import constant_fn
-from msacontrol.stochastics import BrownianBatch, ControlField
+from msacontrol.stochastics import BrownianBatch, ControlField, _time_major
 
 from dense_paths import dense_forward
 
@@ -319,6 +319,97 @@ class TestSecondOrderAdjoint:
         peak_short, out_short = peak_and_output(10)
         peak_long, out_long = peak_and_output(40)
         assert peak_long - peak_short <= 1.5 * (out_long - out_short)
+
+
+def reference_adjoint(terminal, forward, backend, advance):
+    """One adjoint's own backward loop: p (M, N+1, *shape) from ``terminal`` and
+    q (M, N, *shape, d), each q_j the regressed p_{j+1} dW_j over dt and each
+    p_j = advance(j, phat, q_j), stored time-major."""
+    batch = forward.batch
+    M, N, d, dt = batch.n_paths, batch.grid.steps, batch.d, batch.dt
+    shape = terminal.shape[1:]
+    r = int(np.prod(shape))
+    p, q = _time_major((M, N + 1) + shape), _time_major((M, N) + shape + (d,))
+    p[:, N] = terminal
+    for j in range(N - 1, -1, -1):
+        carry = p[:, j + 1].reshape(M, r)
+        targets = np.concatenate(
+            [carry, (carry[:, :, None] * batch.increments[:, j, None, :]).reshape(M, r * d)],
+            axis=1)
+        proj = backend.project(j, _step_features(forward.state(j), forward.control.at(j)),
+                               targets)
+        q[:, j] = proj[:, r:].reshape((M,) + shape + (d,)) / dt
+        p[:, j] = advance(j, np.ascontiguousarray(proj[:, :r]).reshape((M,) + shape), q[:, j])
+    return p, q
+
+
+class TestAdjointsMatchReferenceLoops:
+    """``first_order_adjoint`` and ``second_order_adjoint`` give the bits of their
+    own backward loops, the step kernels applied at the stored cost nodes."""
+
+    @staticmethod
+    def inputs(case, curvature_spec):
+        """(spec, forward, backend, backward, first) of one case."""
+        if case == "tree":
+            bench, steps = mc.lq_desk(), 4
+            spec, backend = bench.spec, mc.tree_backend(steps)
+            batch = mc.tree_batch(steps)
+            control = mc.benchmarks.tree_random_control(bench.domain, steps, 3)
+        else:
+            if case == "regression d=1":
+                bench = mc.lq_desk()
+                spec, domain = bench.spec, bench.domain
+            else:
+                spec = curvature_spec
+                domain = mc.FiniteSet([[0.0, 0.0], [1.0, -1.0], [-0.5, 0.5]])
+            backend = mc.RegressionBackend(degree=2)
+            batch = mc.sample_brownian(mc.TimeGrid(1.0, 8), 600, spec.d, 3)
+            control = mc.random_control(domain, 600, 8, 3)
+        forward = mc.simulate_forward(spec, control, batch)
+        backward = mc.solve_state_bsde(spec, forward, backend)
+        return spec, forward, backend, backward, mc.first_order_adjoint(
+            spec, forward, backward, backend)
+
+    @staticmethod
+    def point(spec, forward, backward, j):
+        return mc.adjoint.StepPoint(spec, forward.batch.grid.nodes[j], forward.state(j),
+                                    backward.values[:, j], backward.integrand[:, j],
+                                    forward.control.at(j))
+
+    CASES = ["regression d=1", "regression d=2", "tree"]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_first_order_bitwise(self, case, curvature_spec):
+        spec, forward, backend, backward, got = self.inputs(case, curvature_spec)
+        N, dt = forward.batch.grid.steps, forward.batch.dt
+        want_p, want_q = reference_adjoint(
+            spec.derivatives.phi_x(forward.state(N)), forward, backend,
+            lambda j, phat, qj: mc.adjoint.first_order_step(
+                self.point(spec, forward, backward, j), phat, qj, dt))
+        assert np.array_equal(got.p, want_p) and np.array_equal(got.q, want_q)
+        assert np.any(want_p != 0.0) and np.any(want_q != 0.0)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_second_order_bitwise(self, case, curvature_spec):
+        spec, forward, backend, backward, first = self.inputs(case, curvature_spec)
+        N, dt = forward.batch.grid.steps, forward.batch.dt
+        asym = []
+
+        def advance(j, phat, Qj):
+            P_j, asym_j = mc.adjoint.second_order_step(
+                self.point(spec, forward, backward, j), phat, Qj, first.p[:, j], first.q[:, j],
+                dt)
+            asym.append(asym_j)
+            return P_j
+
+        want_P, want_Q = reference_adjoint(spec.derivatives.phi_xx(forward.state(N)), forward,
+                                           backend, advance)
+        got = mc.second_order_adjoint(spec, forward, backward, first, backend)
+        assert np.array_equal(got.P, want_P) and np.array_equal(got.Q, want_Q)
+        assert got.asymmetry == max(asym)
+        assert np.any(want_P != 0.0)
+        if case != "tree":
+            assert np.any(want_Q != 0.0)
 
 
 class TestUpsilon:

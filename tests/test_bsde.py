@@ -463,7 +463,7 @@ class TestSweepGuards:
         assert np.allclose(y0, 2.0 + N) and np.allclose(p0, 3.0 * 2 ** N)
 
 
-def copying_proxies(nxt, j, forward, u, backend, store=None):
+def copying_proxies(nxt, j, forward, u, backend):
     """``bsde._proxies`` with copies: the features (X_j, u_j) and the stacked targets
     concatenated, and the fitted values returned in a new array."""
     batch = forward.batch
@@ -476,14 +476,13 @@ def copying_proxies(nxt, j, forward, u, backend, store=None):
     proj = backend.project(j, np.concatenate([forward.state(j), u], axis=1), targets)
     del targets
     phats, qs, col = [], [], 0
-    for e, p in enumerate(nxt):
+    for p in nxt:
         r = p.size // M
         phats.append(proj[:, col:col + r].reshape(p.shape).copy())
-        out = None if store is None else store[e][1][:, j]
-        qs.append(np.divide(proj[:, R + col * d:R + (col + r) * d].reshape(p.shape + (d,)),
-                            batch.dt, out=out))
+        qs.append(proj[:, R + col * d:R + (col + r) * d].reshape(p.shape + (d,)) / batch.dt)
         col += r
     return phats, qs
+
 
 def stacked_pricing_peak(solve, steps, rows):
     """tracemalloc peak of ``solve`` pricing example41 on a stacked tree batch."""

@@ -45,11 +45,16 @@ class TestProblemSpec:
     @pytest.mark.parametrize("changes, message", [
         ({"horizon": 0.0}, "horizon must be positive"),
         ({"horizon": -1.0}, "horizon must be positive"),
+        # an infinite horizon was accepted, and check_derivatives then failed in
+        # numpy with OverflowError: high - low range exceeds valid bounds
+        ({"horizon": float("inf")}, "^horizon must be positive and finite, got inf$"),
+        ({"horizon": float("nan")}, "^horizon must be positive and finite, got nan$"),
         ({"x0": np.zeros(1)}, r"x0 must have shape \(2,\), got \(1,\)"),
         ({"x0": np.zeros(3)}, r"x0 must have shape \(2,\), got \(3,\)"),
         ({"derivatives": {"f_zz": None, "b_x": None, "phi_xxx": None}},
          r"unknown derivative names: \['f_zz', 'phi_xxx'\]"),
-    ], ids=["zero-horizon", "negative-horizon", "short-x0", "long-x0", "unknown-derivatives"])
+    ], ids=["zero-horizon", "negative-horizon", "inf-horizon", "nan-horizon", "short-x0",
+            "long-x0", "unknown-derivatives"])
     def test_malformed_spec_refused(self, changes, message):
         kwargs = dict(n=2, d=1, k=1, x0=np.zeros(2), horizon=1.0,
                       drift=lambda t, x, u: np.zeros_like(x),

@@ -674,6 +674,13 @@ class TestNearOptimalityGap:
         rep = mc.near_optimality_gap(recs, 1e-3, f_y_bound=0.0, horizon=1.0)
         assert rep.descent_violated
 
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0, float("nan")], ids=["zero", "-1", "nan"])
+    def test_epsilon_must_be_positive(self, epsilon):
+        # 0 divided by zero in gap / sqrt(epsilon); -1 and nan reported no stop
+        recs = self.make_records([0.5, 0.1], [0.4, -1e-9])
+        with pytest.raises(mc.ConfigurationError, match="epsilon must be positive"):
+            mc.near_optimality_gap(recs, epsilon, f_y_bound=0.0, horizon=1.0, jstar=0.0)
+
 
 class TestReturnedControlConvention:
     def test_returned_is_one_before_last_minimizer(self):
@@ -779,8 +786,8 @@ class TestTimeMajorRunArrays:
                 seen.setdefault(name, []).append(arr.flags.c_contiguous)
             return out
 
-        def spy_on(name, positions):  # positional argument -> the proxy's name
-            real = getattr(msa, name)
+        def spy_on(module, name, positions):  # positional argument -> the proxy's name
+            real = getattr(module, name)
 
             def spy(*args):
                 if name == "cost_step":  # the first step function of each step
@@ -788,12 +795,13 @@ class TestTimeMajorRunArrays:
                 proxies[-1].update({proxy: args[i] for i, proxy in positions.items()})
                 return real(*args)
 
-            monkeypatch.setattr(msa, name, spy)
+            monkeypatch.setattr(module, name, spy)
 
         monkeypatch.setattr(msa, "minimize_step", minimize_spy)
-        spy_on("cost_step", {3: "yhat", 4: "z"})
-        spy_on("first_order_step", {1: "phat_p", 2: "q_p"})
-        spy_on("second_order_step", {1: "phat_P", 2: "Q_P"})
+        # the sweep's cost step (bsde.cost_sweep_step) calls bsde's cost_step
+        spy_on(mc.bsde, "cost_step", {3: "yhat", 4: "z"})
+        spy_on(msa, "first_order_step", {1: "phat_p", 2: "q_p"})
+        spy_on(msa, "second_order_step", {1: "phat_P", 2: "Q_P"})
         cfg = mc.MsaConfig(rho=rho, n_paths=200, steps=6, seed=3, max_iters=2)
         res = mc.run_msa(spec, domain, cfg, "random", hints=hints)
         record("u_new", res.last_control.values)
@@ -880,13 +888,13 @@ class TestSweepWorkingSet:
         spec = dataclasses.replace(spec, derivatives=dataclasses.replace(
             dv, phi_x=referenced(dv.phi_x, lambda: terminals),
             phi_xx=referenced(dv.phi_xx, lambda: terminals)))
-        real_cost_step = msa.cost_step
+        real_cost_step = mc.bsde.cost_step  # called by the sweep's cost rule
 
         def cost_spy(*args):  # the first step function of each step
             carries.append([])
             return real_cost_step(*args)
 
-        monkeypatch.setattr(msa, "cost_step", referenced(cost_spy, lambda: carries[-1]))
+        monkeypatch.setattr(mc.bsde, "cost_step", referenced(cost_spy, lambda: carries[-1]))
         for name in ("first_order_step", "second_order_step"):
             monkeypatch.setattr(msa, name,
                                 referenced(getattr(msa, name), lambda: carries[-1]))
@@ -909,7 +917,7 @@ class TestSweepWorkingSet:
         msa = mc.msa
         spec, domain = curvature_everywhere_problem()
         values, alive = [], []
-        real_cost_step, real_minimize = msa.cost_step, msa.minimize_step
+        real_cost_step, real_minimize = mc.bsde.cost_step, msa.minimize_step
 
         def cost_spy(*args):
             out = real_cost_step(*args)
@@ -920,7 +928,7 @@ class TestSweepWorkingSet:
             alive.append(values[-1]() is not None)
             return real_minimize(*args, **kwargs)
 
-        monkeypatch.setattr(msa, "cost_step", cost_spy)
+        monkeypatch.setattr(mc.bsde, "cost_step", cost_spy)  # the sweep's cost rule calls it
         monkeypatch.setattr(msa, "minimize_step", minimize_spy)
         self.run_pass(spec, domain)
         # steps N - 1, ..., 1 read their own Y_j; step 0 reads y_T + driver sum
@@ -1149,10 +1157,10 @@ class TestCheckpointedStates:
 
 
 def stored_pass(spec, forward, backend, first=None, second=None):
-    """The sweep's backward solves as one stored ``solve_bsde`` pass, built from the
-    public step functions: Y, then p unless ``first`` is given, then P unless
-    ``second`` is given, projected together as the sweep projects them. The
-    step-0 node, and the stored Y_0, read the pathwise Y_0.
+    """The sweep's backward solves as one ``solve_bsde`` pass whose step writes the
+    horizons, built from the public step functions: Y, then p unless ``first`` is
+    given, then P unless ``second`` is given, projected together as the sweep
+    projects them. The step-0 node, and the stored Y_0, read the pathwise Y_0.
 
     Returns (BackwardPaths, FirstOrderAdjoint, SecondOrderAdjoint).
     """
@@ -1161,15 +1169,16 @@ def stored_pass(spec, forward, backend, first=None, second=None):
                              batch.grid.nodes)
     x_T, solve_p, solve_P = forward.state(N), first is None, second is None
     Y, Z = _time_major((M, N + 1)), _time_major((M, N, d))
-    terminals, store = [np.asarray(spec.terminal(x_T), dtype=float)], [(Y, Z)]
+    Y[:, N] = spec.terminal(x_T)
+    horizons = [(Y, Z)]  # per equation, its time-major (p, q), terminal written
     if solve_p:
         first = mc.FirstOrderAdjoint(p=_time_major((M, N + 1, n)), q=_time_major((M, N, n, d)))
-        terminals.append(spec.derivatives.phi_x(x_T))
-        store.append((first.p, first.q))
+        first.p[:, N] = spec.derivatives.phi_x(x_T)
+        horizons.append((first.p, first.q))
     if solve_P:
         P, Q = _time_major((M, N + 1, n, n)), _time_major((M, N, n, n, d))
-        terminals.append(spec.derivatives.phi_xx(x_T))
-        store.append((P, Q))
+        P[:, N] = spec.derivatives.phi_xx(x_T)
+        horizons.append((P, Q))
     driver_sum, asym = np.zeros(M), 0.0
 
     def step(j, u, phats, qs):
@@ -1190,9 +1199,11 @@ def stored_pass(spec, forward, backend, first=None, second=None):
             P_j, asym_j = mc.adjoint.second_order_step(point, phats[-1], qs[-1], p, q, dt)
             asym = max(asym, asym_j)
             solved.append(P_j)
-        return solved
+        for (p_all, q_all), p_j, q_j in zip(horizons, solved, qs):
+            p_all[:, j], q_all[:, j] = p_j, q_j
+        return [p_all[:, j] for p_all, _ in horizons]
 
-    mc.solve_bsde(terminals, step, forward, backend, store)
+    mc.solve_bsde([p_all[:, N] for p_all, _ in horizons], step, forward, backend)
     backward = mc.BackwardPaths(Y, Z, *mc.bsde.cost_estimate(Y[:, 0]))
     if solve_P:
         second = mc.SecondOrderAdjoint(P=P, Q=Q, asymmetry=asym)
